@@ -1,100 +1,21 @@
 #include "mpt/functional.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
+#include "winograd/microkernel.hh"
 
 namespace winomc::mpt {
 
-namespace {
-
-/** Copy one batch shard (rows [b0, b0+count)) out of a tensor. */
-Tensor
-batchShard(const Tensor &t, int b0, int count)
-{
-    Tensor out(count, t.c(), t.h(), t.w());
-    for (int b = 0; b < count; ++b)
-        for (int c = 0; c < t.c(); ++c)
-            for (int i = 0; i < t.h(); ++i)
-                for (int j = 0; j < t.w(); ++j)
-                    out.at(b, c, i, j) = t.at(b0 + b, c, i, j);
-    return out;
-}
-
-/** Paste a batch shard back at row b0. */
 void
-pasteShard(Tensor &dst, const Tensor &shard, int b0)
+copyBatchRows(const Tensor &src, int s0, Tensor &dst, int d0, int count)
 {
-    for (int b = 0; b < shard.n(); ++b)
-        for (int c = 0; c < shard.c(); ++c)
-            for (int i = 0; i < shard.h(); ++i)
-                for (int j = 0; j < shard.w(); ++j)
-                    dst.at(b0 + b, c, i, j) = shard.at(b, c, i, j);
-}
-
-} // namespace
-
-/**
- * The per-(group, cluster) worker computation: element-wise products
- * for the uv range this group owns. This is the "tile scattering" made
- * explicit - the worker only ever reads its own uv slice of X.
- */
-void
-partialElementwiseForward(const WinoTiles &X, const WinoWeights &W,
-                          int uv0, int uv1, WinoTiles &Y)
-{
-    const int bt = X.batch() * X.tiles();
-    for (int uv = uv0; uv < uv1; ++uv) {
-        for (int j = 0; j < W.outChannels(); ++j) {
-            float *yrow = Y.row(uv, j);
-            for (int i = 0; i < W.inChannels(); ++i) {
-                const float wji = W.at(uv, j, i);
-                if (wji == 0.0f)
-                    continue;
-                const float *xrow = X.row(uv, i);
-                for (int k = 0; k < bt; ++k)
-                    yrow[k] += wji * xrow[k];
-            }
-        }
-    }
-}
-
-void
-partialElementwiseBackwardData(const WinoTiles &dY, const WinoWeights &W,
-                               int uv0, int uv1, WinoTiles &dX)
-{
-    const int bt = dY.batch() * dY.tiles();
-    for (int uv = uv0; uv < uv1; ++uv) {
-        for (int j = 0; j < W.outChannels(); ++j) {
-            const float *dyrow = dY.row(uv, j);
-            for (int i = 0; i < W.inChannels(); ++i) {
-                const float wji = W.at(uv, j, i);
-                if (wji == 0.0f)
-                    continue;
-                float *dxrow = dX.row(uv, i);
-                for (int k = 0; k < bt; ++k)
-                    dxrow[k] += wji * dyrow[k];
-            }
-        }
-    }
-}
-
-/** Partial weight gradient of one worker: its uv slice, its batch. */
-void
-partialElementwiseGradWeights(const WinoTiles &dY, const WinoTiles &X,
-                              int uv0, int uv1, WinoWeights &dW_partial)
-{
-    const int bt = X.batch() * X.tiles();
-    for (int uv = uv0; uv < uv1; ++uv) {
-        for (int j = 0; j < dY.channels(); ++j) {
-            const float *dyrow = dY.row(uv, j);
-            for (int i = 0; i < X.channels(); ++i) {
-                const float *xrow = X.row(uv, i);
-                double acc = 0.0;
-                for (int k = 0; k < bt; ++k)
-                    acc += double(dyrow[k]) * xrow[k];
-                dW_partial.at(uv, j, i) += float(acc);
-            }
-        }
-    }
+    winomc_assert(src.c() == dst.c() && src.h() == dst.h() &&
+                  src.w() == dst.w() && s0 >= 0 && d0 >= 0 &&
+                  s0 + count <= src.n() && d0 + count <= dst.n(),
+                  "copyBatchRows shape mismatch");
+    const std::size_t row = std::size_t(src.c()) * src.h() * src.w();
+    std::copy_n(src.data() + s0 * row, count * row, dst.data() + d0 * row);
 }
 
 FunctionalResult
@@ -116,48 +37,55 @@ runFunctionalMpt(const Tensor &x, const Tensor &dy, const WinoWeights &W,
     res.dx = Tensor(x.n(), x.c(), x.h(), x.w());
     res.dW = WinoWeights(algo.alpha, W.outChannels(), W.inChannels());
 
+    Tensor x_c(shard, x.c(), x.h(), x.w());
+    Tensor dy_c(shard, dy.c(), dy.h(), dy.w());
+    WinoWeights dW_c(algo.alpha, W.outChannels(), W.inChannels());
     for (int c = 0; c < nc; ++c) {
         const int b0 = c * shard;
-        Tensor x_c = batchShard(x, b0, shard);
-        Tensor dy_c = batchShard(dy, b0, shard);
+        copyBatchRows(x, b0, x_c, 0, shard);
+        copyBatchRows(dy, b0, dy_c, 0, shard);
 
         // --- fprop: scatter input tiles (each worker sees only its uv
         // slice), compute per group, gather output tiles.
         WinoTiles X = transformInput(x_c, algo);
         WinoTiles Y(algo.alpha, dy.c(), shard, X.tiles());
         for (int g = 0; g < ng; ++g) {
-            partialElementwiseForward(X, W, g * uv_share,
-                                      (g + 1) * uv_share, Y);
+            elementwiseForwardInto(X, W, Y, g * uv_share,
+                                   (g + 1) * uv_share);
             // Scatter of X and gather of Y: the (ng-1)/ng fraction of
             // each worker's slice crosses links.
             res.tileElemsTransferred +=
                 uint64_t(uv_share) * (X.channels() + Y.channels()) *
                 shard * X.tiles() * uint64_t(ng - 1) / uint64_t(ng);
         }
-        pasteShard(res.y, inverseTransform(Y, algo, x.h(), x.w()), b0);
+        copyBatchRows(inverseTransform(Y, algo, x.h(), x.w()), 0, res.y,
+                      b0, shard);
 
         // --- bprop: scatter dY, compute per group, gather dX.
         WinoTiles dYt = inverseTransformAdjoint(dy_c, algo);
         WinoTiles dXt(algo.alpha, x.c(), shard, dYt.tiles());
         for (int g = 0; g < ng; ++g) {
-            partialElementwiseBackwardData(dYt, W, g * uv_share,
-                                           (g + 1) * uv_share, dXt);
+            elementwiseBackwardDataInto(dYt, W, dXt, g * uv_share,
+                                        (g + 1) * uv_share);
             res.tileElemsTransferred +=
                 uint64_t(uv_share) * (dYt.channels() + dXt.channels()) *
                 shard * dYt.tiles() * uint64_t(ng - 1) / uint64_t(ng);
         }
-        pasteShard(res.dx, transformInputAdjoint(dXt, algo, x.h(), x.w()),
-                   b0);
+        copyBatchRows(transformInputAdjoint(dXt, algo, x.h(), x.w()), 0,
+                      res.dx, b0, shard);
 
         // --- updateGrad: every worker produces the partial gradient of
         // its group's weight slice over its batch shard; accumulating
-        // into res.dW across clusters IS the ring reduction.
+        // the clusters into res.dW in ascending order IS the ring
+        // reduction.
         for (int g = 0; g < ng; ++g) {
-            partialElementwiseGradWeights(dYt, X, g * uv_share,
-                                          (g + 1) * uv_share, res.dW);
+            elementwiseGradWeightsInto(dYt, X, dW_c, g * uv_share,
+                                       (g + 1) * uv_share);
             res.weightElemsReduced +=
                 uint64_t(uv_share) * W.outChannels() * W.inChannels();
         }
+        mk::kernels().axpy(res.dW.raw(), 1.0f, dW_c.raw(),
+                           std::int64_t(dW_c.size()));
     }
     return res;
 }

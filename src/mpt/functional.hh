@@ -8,10 +8,17 @@
  * executes one Winograd-layer training step exactly as the MPT
  * partitioning prescribes - batch split over N_c clusters, tile
  * elements split over N_g groups, explicit tile scatter/gather inside
- * each cluster, weight-gradient reduction inside each group - and
- * returns results that must match the single-worker reference to FP
- * accumulation tolerance. The integration tests assert exactly that:
- * MPT changes the schedule, never the math.
+ * each cluster, weight-gradient reduction inside each group.
+ *
+ * Every (group, cluster) worker runs the single-node element-wise
+ * kernels of winograd/conv.hh restricted to its group's uv range
+ * [g * a^2/N_g, (g+1) * a^2/N_g). The uv slices are disjoint and each
+ * output element's arithmetic does not depend on the batch split, so
+ * y and dx are bitwise identical to the single-worker pipeline; dW
+ * sums the clusters' partial gradients in ascending cluster order and
+ * matches to FP accumulation tolerance (bitwise at N_c = 1). The
+ * integration tests assert exactly that: MPT changes the schedule,
+ * never the math.
  */
 
 #ifndef WINOMC_MPT_FUNCTIONAL_HH
@@ -57,21 +64,12 @@ FunctionalResult runReference(const Tensor &x, const Tensor &dy,
                               const WinogradAlgo &algo);
 
 /**
- * Per-worker (group-slice) kernels: the element-wise dot products of
- * Equation (2) restricted to the uv range [uv0, uv1) one group owns.
- * These are what every (group, cluster) worker executes; the functional
- * emulation and the MptConvLayer compose them.
- * @{
+ * Copy batch rows [s0, s0 + count) of src to rows [d0, d0 + count) of
+ * dst (same C, H, W): the cluster scatter/gather of the batch split.
+ * An NCHW batch row is one contiguous block, so this is one copy.
  */
-void partialElementwiseForward(const WinoTiles &X, const WinoWeights &W,
-                               int uv0, int uv1, WinoTiles &Y);
-void partialElementwiseBackwardData(const WinoTiles &dY,
-                                    const WinoWeights &W, int uv0,
-                                    int uv1, WinoTiles &dX);
-void partialElementwiseGradWeights(const WinoTiles &dY,
-                                   const WinoTiles &X, int uv0, int uv1,
-                                   WinoWeights &dW);
-/** @} */
+void copyBatchRows(const Tensor &src, int s0, Tensor &dst, int d0,
+                   int count);
 
 } // namespace winomc::mpt
 

@@ -1,31 +1,8 @@
 #include "mpt/mpt_conv_layer.hh"
 
+#include "winograd/microkernel.hh"
+
 namespace winomc::mpt {
-
-namespace {
-
-/** Copy batch rows [b0, b0 + out.n()) of t into the pre-shaped out. */
-void
-shardInto(const Tensor &t, int b0, Tensor &out)
-{
-    for (int b = 0; b < out.n(); ++b)
-        for (int c = 0; c < t.c(); ++c)
-            for (int i = 0; i < t.h(); ++i)
-                for (int j = 0; j < t.w(); ++j)
-                    out.at(b, c, i, j) = t.at(b0 + b, c, i, j);
-}
-
-void
-pasteShard(Tensor &dst, const Tensor &shard, int b0)
-{
-    for (int b = 0; b < shard.n(); ++b)
-        for (int c = 0; c < shard.c(); ++c)
-            for (int i = 0; i < shard.h(); ++i)
-                for (int j = 0; j < shard.w(); ++j)
-                    dst.at(b0 + b, c, i, j) = shard.at(b, c, i, j);
-}
-
-} // namespace
 
 MptConvLayer::MptConvLayer(int in_ch, int out_ch, int r, int ng_,
                            int nc_, const WinogradAlgo &algo_, Rng &rng)
@@ -43,6 +20,7 @@ MptConvLayer::MptConvLayer(int in_ch, int out_ch, int r, int ng_,
     w.fillKaiming(rng);
     W = transformWeights(w, algo);
     dW = WinoWeights(algo.alpha, out_ch, in_ch);
+    dWCluster = WinoWeights(algo.alpha, out_ch, in_ch);
 }
 
 MptConvLayer::MptConvLayer(const ConvSpec &spec, int ng_, int nc_,
@@ -92,29 +70,28 @@ MptConvLayer::forward(const Tensor &x, bool train)
 
     for (int c = 0; c < nc; ++c) {
         WinoPlan &plan = *plans[size_t(c)];
-        shardInto(x, c * shard, xShard);
-        // Undivided alpha^2 inference shards have no partial-product
+        copyBatchRows(x, c * shard, xShard, 0, shard);
+        // Undivided alpha^2 inference shards have no per-group
         // scatter/gather to satisfy, so the whole per-cluster forward
         // can run through the fused strip pipeline. Grouped (ng > 1)
-        // or train-mode execution needs the plan slabs: the group loop
-        // accumulates into Yt and backward reads the cached Xt.
+        // or train-mode execution needs the plan slabs: each group
+        // writes its uv slice of Yt and backward reads the cached Xt.
         if (ng == 1 && !train && plan.shouldFuse(false)) {
             plan.forwardFusedInto(xShard, W, yShard);
-            pasteShard(y, yShard, c * shard);
+            copyBatchRows(yShard, 0, y, c * shard, shard);
             continue;
         }
         plan.scatterInput(xShard);
-        WinoTiles &Y = plan.outputTilesMutable();
-        Y.fill(0.0f); // the group loop accumulates partial products
         for (int g = 0; g < ng; ++g) {
-            partialElementwiseForward(plan.inputTiles(), W, g * uvShare,
-                                      (g + 1) * uvShare, Y);
+            elementwiseForwardInto(plan.inputTiles(), W,
+                                   plan.outputTilesMutable(), g * uvShare,
+                                   (g + 1) * uvShare);
             tileElems += uint64_t(uvShare) * (inCh + outCh) * shard *
                          plan.tileGrid().tiles() * uint64_t(ng - 1) /
                          uint64_t(ng);
         }
         plan.gatherOutputInto(yShard);
-        pasteShard(y, yShard, c * shard);
+        copyBatchRows(yShard, 0, y, c * shard, shard);
         if (!train)
             plan.invalidateCache();
     }
@@ -134,27 +111,29 @@ MptConvLayer::backward(const Tensor &dy)
 
     for (int c = 0; c < nc; ++c) {
         WinoPlan &plan = *plans[size_t(c)];
-        shardInto(dy, c * shard, dyShard);
+        copyBatchRows(dy, c * shard, dyShard, 0, shard);
         plan.scatterGradOutput(dyShard);
-        WinoTiles &dXt = plan.gradInputTilesMutable();
-        dXt.fill(0.0f); // group loop accumulates partial products
         for (int g = 0; g < ng; ++g) {
-            partialElementwiseBackwardData(plan.gradOutputTiles(), W,
-                                           g * uvShare,
-                                           (g + 1) * uvShare, dXt);
-            // The cross-cluster accumulation into dW below is the ring
-            // reduction of the group's weight slice.
-            partialElementwiseGradWeights(plan.gradOutputTiles(),
-                                          plan.inputTiles(),
-                                          g * uvShare,
-                                          (g + 1) * uvShare, dW);
+            const int uv0 = g * uvShare;
+            const int uv1 = uv0 + uvShare;
+            elementwiseBackwardDataInto(plan.gradOutputTiles(), W,
+                                        plan.gradInputTilesMutable(), uv0,
+                                        uv1);
+            elementwiseGradWeightsInto(plan.gradOutputTiles(),
+                                       plan.inputTiles(), dWCluster, uv0,
+                                       uv1);
             tileElems += uint64_t(uvShare) * (inCh + outCh) * shard *
                          plan.tileGrid().tiles() * uint64_t(ng - 1) /
                          uint64_t(ng);
             weightElems += uint64_t(uvShare) * inCh * outCh;
         }
+        // Accumulating the clusters' partial gradients into dW in
+        // ascending cluster order is the ring reduction of each
+        // group's weight slice.
+        mk::kernels().axpy(dW.raw(), 1.0f, dWCluster.raw(),
+                           std::int64_t(dW.size()));
         plan.gatherGradInputInto(dxShard);
-        pasteShard(dx, dxShard, c * shard);
+        copyBatchRows(dxShard, 0, dx, c * shard, shard);
     }
     return dx;
 }

@@ -9,12 +9,13 @@
  * Training a network built from these layers produces bit-equivalent
  * results (up to FP accumulation order) to training the single-worker
  * nn::ConvLayer in WinogradLayer mode - the end-to-end demonstration
- * that MPT changes the schedule, never the learned model.
+ * that MPT changes the schedule, never the learned model. Forward y
+ * and backward dx are bitwise those of a single-worker staged plan.
  *
  * Each cluster owns a shape-bound WinoPlan: the plan slabs play the role
- * of the cluster's SRAM-resident tiles, and the partial element-wise
- * kernels accumulate straight into them, so steady-state steps allocate
- * nothing.
+ * of the cluster's SRAM-resident tiles, and each group runs the
+ * single-node element-wise kernels (winograd/conv.hh) on its uv slice
+ * of them, so steady-state steps allocate nothing.
  */
 
 #ifndef WINOMC_MPT_MPT_CONV_LAYER_HH
@@ -55,6 +56,8 @@ class MptConvLayer : public nn::Module
     std::string name() const override { return "mpt_conv"; }
 
     const WinoWeights &winoWeights() const { return W; }
+    /** Weight gradient accumulated since the last step(). */
+    const WinoWeights &winoGradWeights() const { return dW; }
     /** Winograd-domain values that crossed worker boundaries so far. */
     uint64_t tileElemsTransferred() const { return tileElems; }
     /** Gradient elements reduced across clusters so far. */
@@ -68,6 +71,8 @@ class MptConvLayer : public nn::Module
     const WinogradAlgo &algo;
     WinoWeights W;
     WinoWeights dW;
+    /** One cluster's partial dW, reduced into dW cluster by cluster. */
+    WinoWeights dWCluster;
     bool haveGrad = false;
 
     /** One execution plan per cluster; plan slabs cache the forward

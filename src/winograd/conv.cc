@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
+#include <type_traits>
 #include <vector>
 
 #include "common/metrics.hh"
 #include "common/parallel.hh"
-#include "common/perfcounters.hh"
 #include "common/trace.hh"
 #include "winograd/microkernel.hh"
 #include "winograd/plan.hh"
@@ -15,6 +14,8 @@
 namespace winomc {
 
 namespace {
+
+using mk::StageTimer;
 
 constexpr int kMaxAlpha = 8;
 
@@ -72,99 +73,453 @@ sandwich(const Matrix &L, const double *in, int n, int k, const Matrix &R,
     }
 }
 
-/**
- * RAII throughput probe: when metrics are on, times the enclosing
- * stage and publishes kernel.<stage>.gflops plus the vector/scalar
- * time split. Costs one relaxed atomic load when metrics are off.
- */
-class StageTimer
+// ---------------------------------------------------------------------
+// Transform bodies. Each moves tiles [t0, t0 + tcnt) of spatial plane
+// (b, c) to or from lanes [0, tcnt) of image `tb` of a tile container,
+// one kTilePanel panel at a time. Staged execution runs them on whole
+// images (t0 = 0, tb = b); fused strips on one strip (tb = 0).
+// ---------------------------------------------------------------------
+
+/** Plane (b, c) of a (possibly const) NCHW tensor. */
+template <class T>
+auto *
+planeOf(T &t, int b, int c)
 {
-  public:
-    StageTimer(const char *stage, double flops)
-        : stage(stage), flops(flops), active(metrics::enabled())
-    {
-        if (active) {
-            start = std::chrono::steady_clock::now();
-            perf0 = perf::read();
-        }
-    }
-    ~StageTimer()
-    {
-        if (active) {
-            std::chrono::duration<double> d =
-                std::chrono::steady_clock::now() - start;
-            mk::publishStageMetrics(stage, d.count(), flops);
-            // This thread's hardware-counter share of the stage
-            // (perf.<stage>.*); joins kernel.<stage>.{seconds,flops}
-            // in the winomc-report roofline.
-            perf::publishStage(stage, perf0);
-        }
-    }
-    StageTimer(const StageTimer &) = delete;
-    StageTimer &operator=(const StageTimer &) = delete;
+    return t.data() + (size_t(b) * t.c() + c) * size_t(t.h()) * t.w();
+}
 
-  private:
-    const char *stage;
-    double flops;
-    bool active;
-    std::chrono::steady_clock::time_point start;
-    perf::Reading perf0;
-};
-
-} // namespace
-
+/** Spatial origins of tiles [t, t + cnt): the a x a input windows
+ *  (off = 0) or, with off = grid.pad, the m x m output blocks. */
 void
-transformInputInto(const Tensor &x, const WinogradAlgo &algo,
-                   WinoTiles &out)
+tileOrigins(const TileGrid &grid, int t, int cnt, int off, int *tr,
+            int *tc)
+{
+    for (int l = 0; l < cnt; ++l) {
+        tr[l] = grid.tileRow((t + l) / grid.tilesW) + off;
+        tc[l] = grid.tileCol((t + l) % grid.tilesW) + off;
+    }
+}
+
+/**
+ * Spatial -> Winograd domain: gather the e x e patches at the tile
+ * origins (shifted by off) of plane (b, c) of src and transform each
+ * as L * patch * R (L: a x e, R: e x a) into fp32 or 16-bit tiles:
+ * the input transform (B^T x B, e = a) and the inverse transform's
+ * adjoint (A dy A^T, e = m, off = pad). With a mask, its plane (c, tb)
+ * is rebuilt from each just-written (L1-hot) panel; one writer each.
+ */
+template <class Tiles>
+void
+toTilesBody(const Tensor &src, const TileGrid &grid, int b, int c, int t0,
+            int tcnt, const Matrix &L, const Matrix &R, int off,
+            Tiles &dst, int tb, int halfKind = 0, ActMask *mask = nullptr)
+{
+    winomc_assert(dst.alphaEdge() <= kMaxAlpha, "alpha too large");
+    const auto &K = mk::kernels();
+    const int a = dst.alphaEdge();
+    const int e = L.cols();
+    const float *plane = planeOf(src, b, c);
+    const size_t uvStr = dst.uvStride();
+    if (mask)
+        std::fill(mask->plane(c, tb),
+                  mask->plane(c, tb) + mask->wordsPerPlane(), 0);
+    SoaPanel soa;
+    for (int p = 0; p < tcnt; p += mk::kTilePanel) {
+        const int cnt = std::min(mk::kTilePanel, tcnt - p);
+        int tr[mk::kTilePanel], tc[mk::kTilePanel];
+        tileOrigins(grid, t0 + p, cnt, off, tr, tc);
+        K.packTilePanel(soa.data(), plane, src.h(), src.w(), tr, tc, e, e,
+                        cnt);
+        auto *out = dst.uvBase(c, tb, p);
+        std::uint64_t zero = 0;
+        if constexpr (std::is_same_v<Tiles, HalfTiles>) {
+            K.xformToTilesHalf(L.data(), a, e, R.data(), e, a, soa.data(),
+                               out, uvStr, cnt, halfKind);
+            if (mask)
+                zero = K.panelZeroMaskHalf(out, uvStr, a * a, cnt);
+        } else {
+            K.xformToTiles(L.data(), a, e, R.data(), e, a, soa.data(), out,
+                           uvStr, cnt);
+            if (mask)
+                zero = K.panelZeroMask(out, uvStr, a * a, cnt);
+        }
+        if (mask)
+            mask->orPanelBits(c, tb, p / mk::kTilePanel, zero);
+    }
+}
+
+/**
+ * Winograd domain -> spatial: transform tiles as L * tile * R (L: e x
+ * a, R: a x e) into e x e patches at the tile origins (shifted by off)
+ * of plane (b, c) of dst. The inverse transform (A^T Y A, e = m, off =
+ * pad) stores them, cropped at the map border; the input transform's
+ * adjoint (B dX B^T, e = a) overlap-adds them (add) with lanes in
+ * ascending tile order.
+ */
+void
+fromTilesBody(const WinoTiles &src, int tb, const Matrix &L,
+              const Matrix &R, int off, bool add, const TileGrid &grid,
+              int b, int c, int t0, int tcnt, Tensor &dst)
+{
+    const auto &K = mk::kernels();
+    const int a = src.alphaEdge();
+    const int e = L.rows();
+    float *plane = planeOf(dst, b, c);
+    SoaPanel soa;
+    for (int p = 0; p < tcnt; p += mk::kTilePanel) {
+        const int cnt = std::min(mk::kTilePanel, tcnt - p);
+        K.xformFromTiles(L.data(), e, a, R.data(), a, e,
+                         src.uvBase(c, tb, p), src.uvStride(), soa.data(),
+                         cnt);
+        int tr[mk::kTilePanel], tc[mk::kTilePanel];
+        tileOrigins(grid, t0 + p, cnt, off, tr, tc);
+        (add ? K.unpackAddTilePanel : K.unpackTilePanel)(
+            plane, dst.h(), dst.w(), tr, tc, e, e, soa.data(), cnt);
+    }
+}
+
+/** Staged transforms: fn(b, c) per (image, channel) plane in parallel,
+ *  timed as `stage`. Planes are independent (overlap-add collides only
+ *  within one), so any thread count is bitwise identical to serial. */
+template <class Fn>
+void
+forEachPlane(const char *stage, double tileFlops, int nb, int nc, int nt,
+             const Fn &fn)
+{
+    StageTimer probe(stage, tileFlops * nb * nc * nt);
+    parallelFor(0, std::int64_t(nb) * nc, 1,
+                [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t bc = lo; bc < hi; ++bc)
+            fn(int(bc / nc), int(bc % nc));
+    });
+}
+
+/** quant.mask.* for a mask just rebuilt over `planes` planes of
+ *  `tiles` tiles each; set bits are the all-zero (uv, panel) pairs. */
+void
+publishMaskTally(const ActMask &mask, int planes, int tiles)
+{
+    if (!metrics::enabled())
+        return;
+    const std::uint64_t *w = mask.plane(0, 0);
+    double zero = 0.0;
+    for (std::size_t i = 0; i < mask.wordCount(); ++i)
+        zero += __builtin_popcountll(w[i]);
+    const int panels = (tiles + mk::kTilePanel - 1) / mk::kTilePanel;
+    metrics::counterAdd("quant.mask.panels_total",
+                        double(mask.uvCount()) * planes * panels);
+    metrics::counterAdd("quant.mask.panels_zero", zero);
+}
+
+template <class Tiles>
+void
+transformInputStaged(const Tensor &x, const WinogradAlgo &algo,
+                     Tiles &out, int halfKind, ActMask *mask)
 {
     WINOMC_SPAN("wino.xform.input", "wino");
-    winomc_assert(algo.alpha <= kMaxAlpha, "alpha too large");
     TileGrid grid(x.h(), x.w(), algo);
     winomc_assert(out.alphaEdge() == algo.alpha &&
                   out.channels() == x.c() && out.batch() == x.n() &&
                   out.tiles() == grid.tiles(),
                   "transformInputInto destination shape mismatch");
-
     const int a = algo.alpha;
-    const int nc = x.c();
-    const int h = x.h();
-    const int w = x.w();
     const int nt = grid.tiles();
-    const auto &K = mk::kernels();
-    const double *BT = algo.BT.data();
-    const double *B = algo.B.data();
-    const float *xbase = x.data();
-    const size_t uvStr = out.uvStride();
-    StageTimer probe("xform.input",
-                     4.0 * a * a * a * double(x.n()) * nc * nt);
+    forEachPlane("xform.input", 4.0 * a * a * a, x.n(), x.c(), nt,
+                 [&](int b, int c) {
+        toTilesBody(x, grid, b, c, 0, nt, algo.BT, algo.B, 0, out, b,
+                    halfKind, mask);
+    });
+    if (mask)
+        publishMaskTally(*mask, x.n() * x.c(), nt);
+}
 
-    // Each (batch, channel) plane is independent; workers keep their
-    // SoA scratch panel on the stack so the loop never allocates. The
-    // spatial side is gathered scalar (strided, padded); the transform
-    // itself runs vectorized across the panel's tiles.
-    parallelFor(0, std::int64_t(x.n()) * nc, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        SoaPanel soa;
-        for (std::int64_t bc = lo; bc < hi; ++bc) {
-            const int b = int(bc / nc);
-            const int c = int(bc % nc);
-            const float *plane =
-                xbase + (size_t(b) * nc + c) * size_t(h) * w;
-            for (int t0 = 0; t0 < nt; t0 += mk::kTilePanel) {
-                const int cnt = std::min(mk::kTilePanel, nt - t0);
-                int tr[mk::kTilePanel], tc[mk::kTilePanel];
-                for (int l = 0; l < cnt; ++l) {
-                    const int t = t0 + l;
-                    tr[l] = grid.tileRow(t / grid.tilesW);
-                    tc[l] = grid.tileCol(t % grid.tilesW);
+template <class Tiles>
+void
+transformInputRangeImpl(const Tensor &x, const WinogradAlgo &algo,
+                        const TileGrid &grid, int b, int t0, int tcnt,
+                        Tiles &Xs, int halfKind, ActMask *mask)
+{
+    winomc_assert(Xs.alphaEdge() == algo.alpha && Xs.batch() == 1 &&
+                  Xs.channels() == x.c() && Xs.tiles() >= tcnt,
+                  "transformInputRange scratch shape mismatch");
+    for (int c = 0; c < x.c(); ++c)
+        toTilesBody(x, grid, b, c, t0, tcnt, algo.BT, algo.B, 0, Xs, 0,
+                    halfKind, mask);
+    if (mask)
+        publishMaskTally(*mask, x.c(), tcnt);
+}
+
+/** Task-local tallies behind the quant.ew.* counters, published once
+ *  per task so the metrics mutex never sits on the hot path. */
+struct SparseTally
+{
+    double rowsTotal = 0.0;
+    double rowsSkipped = 0.0;
+    double flopsSkipped = 0.0;
+
+    void
+    add(int rows, int live, int kb)
+    {
+        rowsTotal += rows;
+        rowsSkipped += rows - live;
+        flopsSkipped += 2.0 * (rows - live) * kb;
+    }
+    void
+    publish() const
+    {
+        if (!metrics::enabled() || rowsTotal == 0.0)
+            return;
+        metrics::counterAdd("quant.ew.rows_total", rowsTotal);
+        metrics::counterAdd("quant.ew.rows_skipped", rowsSkipped);
+        metrics::counterAdd("quant.ew.flops_skipped", flopsSkipped);
+    }
+};
+
+/**
+ * The element-wise body: output rows [r0, r1) of uv slices [uv0, uv1)
+ * over lanes [0, kn), zero-filled first, in (uv, kJBlock-row block,
+ * kKBlock lane block) order. Policies differ only in the step that
+ * accumulates one row block x lane block.
+ */
+template <class Step>
+void
+ewBody(Step &step, WinoTiles &out, int uv0, int uv1, int r0, int r1,
+       int kn)
+{
+    for (int uv = uv0; uv < uv1; ++uv) {
+        for (int o0 = r0; o0 < r1; o0 += kJBlock) {
+            const int on = std::min(kJBlock, r1 - o0);
+            float *rows[kJBlock];
+            for (int oo = 0; oo < on; ++oo) {
+                rows[oo] = out.row(uv, o0 + oo);
+                std::fill(rows[oo], rows[oo] + kn, 0.0f);
+            }
+            for (int k0 = 0; k0 < kn; k0 += kKBlock)
+                step(uv, o0, on, rows, k0, std::min(kKBlock, kn - k0));
+        }
+    }
+}
+
+/**
+ * Dense fp32 step, train_wino's hot loop: register blocks of kIUnroll
+ * reduction rows, so every output load/store amortizes kIUnroll FMAs;
+ * an all-zero weight block skips wholesale. Forward reduces X over
+ * W[uv] (J x I); backward data (kTransposed) reduces dY over W[uv]^T,
+ * whose register block W.at(uv, j0..j0+7, i) is the same walk.
+ */
+template <bool kTransposed>
+struct DenseStep
+{
+    const WinoTiles &src;
+    const WinoWeights &W;
+    const mk::MicroKernels &K = mk::kernels();
+
+    void
+    operator()(int uv, int o0, int on, float *const *out, int k0,
+               int kb) const
+    {
+        // Raw addressing: the checked accessors cost a branch each.
+        const int nr = src.channels();
+        const float *suv = src.row(uv, 0) + k0;
+        const std::size_t srs = src.uvStride() / std::size_t(nr);
+        const int ni = W.inChannels();
+        const float *wuv =
+            W.raw() + std::size_t(uv) * W.outChannels() * ni;
+        for (int r0 = 0; r0 < nr; r0 += kIUnroll) {
+            const int rb = std::min(kIUnroll, nr - r0);
+            const float *sr[kIUnroll];
+            for (int rr = 0; rr < rb; ++rr)
+                sr[rr] = suv + std::size_t(r0 + rr) * srs;
+            for (int oo = 0; oo < on; ++oo) {
+                float wv[kIUnroll];
+                bool any = false;
+                for (int rr = 0; rr < rb; ++rr) {
+                    wv[rr] = kTransposed
+                                 ? wuv[std::size_t(r0 + rr) * ni + o0 + oo]
+                                 : wuv[std::size_t(o0 + oo) * ni + r0 + rr];
+                    any = any || wv[rr] != 0.0f;
                 }
-                K.packTilePanel(soa.data(), plane, h, w, tr, tc, a, a,
-                                cnt);
-                K.xformToTiles(BT, a, a, B, a, a, soa.data(),
-                               out.uvBase(c, b, t0), uvStr, cnt);
+                if (!any)
+                    continue;
+                K.panelAccum(out[oo] + k0, sr, wv, rb, kb);
             }
         }
+    }
+    void publish() const {}
+};
+
+/**
+ * Zero-skipping forward step over fp32 (sparse policy) or 16-bit
+ * activations. Every surviving input row — weight nonzero AND live
+ * under the mask (null: all live) — of the whole column goes into ONE
+ * micro-kernel call per output row, so each y panel is read and
+ * written once instead of ni/kIUnroll times. fp32 passes the survivor
+ * count of each kIUnroll register block, so panelAccumGrouped keeps
+ * the blocked kernel's expression shapes (bitwise identical to dense
+ * fp32); panelAccumHalf needs no grouping. The append is branchless
+ * (slot always written, cursor advances only for survivors): at high
+ * sparsity the scan itself is the cost, and a skipped-row branch
+ * mispredicts by construction. Row liveness is resolved per (uv, lane
+ * block) when the step first meets a uv; tasks are uv-major, so this
+ * needs no parallel region of its own and repeats only at chunk
+ * boundaries.
+ */
+template <class Tiles>
+struct CompactStep
+{
+    static constexpr bool kHalf = std::is_same_v<Tiles, HalfTiles>;
+    using Elem = std::conditional_t<kHalf, std::uint16_t, float>;
+
+    CompactStep(const Tiles &X, const WinoWeights &W, int halfKind,
+                const ActMask *mask, int kn)
+        : X(X), W(W), halfKind(halfKind), mask(mask), kn(kn),
+          ni(X.channels()), xc(ni), wc(ni),
+          grp(std::size_t((ni + kIUnroll - 1) / kIUnroll)),
+          live(std::size_t(ni) * (mask ? (kn + kKBlock - 1) / kKBlock : 1),
+               1)
+    {
+    }
+
+    void
+    operator()(int uv, int j0, int jn, float *const *yrows, int k0,
+               int kb)
+    {
+        if (mask && uv != liveUv)
+            for (int b0 = 0; b0 < kn; b0 += kKBlock)
+                for (int i = 0; i < ni; ++i)
+                    live[std::size_t(b0 / kKBlock) * ni + i] =
+                        !mask->rowRangeZero(uv, i, b0,
+                                            std::min(kKBlock, kn - b0));
+        liveUv = uv;
+        const Elem *xuv = X.row(uv, 0);
+        const std::size_t xrs = X.uvStride() / std::size_t(ni);
+        const std::uint8_t *lv =
+            live.data() + (mask ? std::size_t(k0 / kKBlock) * ni : 0);
+        // Locals: byte stores into grp may alias members (reloads).
+        const Elem **xcp = xc.data();
+        float *wcp = wc.data();
+        std::uint8_t *grpp = grp.data();
+        for (int jj = 0; jj < jn; ++jj) {
+            const float *wrow =
+                W.raw() + (std::size_t(uv) * W.outChannels() + j0 + jj) *
+                              ni;
+            int nv = 0, ng = 0, tailOrig = kIUnroll;
+            for (int i0 = 0; i0 < ni; i0 += kIUnroll) {
+                const int ib = std::min(kIUnroll, ni - i0);
+                const int base = nv;
+                for (int i = i0; i < i0 + ib; ++i) {
+                    wcp[nv] = wrow[i];
+                    xcp[nv] = xuv + std::size_t(i) * xrs + k0;
+                    nv += int(wrow[i] != 0.0f) & int(lv[i]);
+                }
+                if (nv != base) {
+                    grpp[ng++] = std::uint8_t(nv - base);
+                    tailOrig = ib;
+                }
+            }
+            if (mask)
+                tally.add(ni, nv, kb);
+            if (nv == 0)
+                continue;
+            if constexpr (kHalf)
+                K.panelAccumHalf(yrows[jj] + k0, xcp, wcp, nv, kb,
+                                 halfKind);
+            else
+                K.panelAccumGrouped(yrows[jj] + k0, xcp, wcp, nv, kb, grpp,
+                                    ng, tailOrig);
+        }
+    }
+    void publish() const { tally.publish(); }
+
+    const Tiles &X;
+    const WinoWeights &W;
+    int halfKind;
+    const ActMask *mask;
+    int kn, ni;
+    const mk::MicroKernels &K = mk::kernels();
+    std::vector<const Elem *> xc;
+    std::vector<float> wc;
+    std::vector<std::uint8_t> grp;
+    std::vector<std::uint8_t> live; ///< liveUv's rows; all 1 unmasked
+    int liveUv = -1;
+    SparseTally tally;
+};
+
+/**
+ * Staged element-wise products: parallel over the (uv, kJBlock-row
+ * block) output space of uv slices [uv0, uv1), one policy step per
+ * chunk. Each task owns its rows, so results are bitwise identical for
+ * any thread count.
+ */
+template <class MakeStep>
+void
+ewStaged(WinoTiles &out, int uv0, int uv1, int kn, const MakeStep &make)
+{
+    const int nr = out.channels();
+    const int blocks = (nr + kJBlock - 1) / kJBlock;
+    parallelFor(0, std::int64_t(uv1 - uv0) * blocks, 1,
+                [&](std::int64_t lo, std::int64_t hi) {
+        auto step = make();
+        for (std::int64_t task = lo; task < hi; ++task) {
+            const int uv = uv0 + int(task / blocks);
+            const int o0 = int(task % blocks) * kJBlock;
+            ewBody(step, out, uv, uv + 1, o0, std::min(o0 + kJBlock, nr),
+                   kn);
+        }
+        step.publish();
     });
+}
+
+/** Range kernels: one step over every uv and output row, serially. */
+template <class Step>
+void
+ewRange(Step &&step, WinoTiles &out, int kn)
+{
+    ewBody(step, out, 0, out.uvCount(), 0, out.channels(), kn);
+    step.publish();
+}
+
+template <class Tiles>
+void
+checkForwardShapes(const Tiles &X, const WinoWeights &W,
+                   const WinoTiles &Y)
+{
+    winomc_assert(X.alphaEdge() == W.alphaEdge(),
+                  "algo mismatch between tiles and weights");
+    winomc_assert(X.channels() == W.inChannels(),
+                  "channel mismatch: tiles ", X.channels(), " weights ",
+                  W.inChannels());
+    winomc_assert(Y.alphaEdge() == X.alphaEdge() &&
+                  Y.channels() == W.outChannels() &&
+                  Y.batch() == X.batch() && Y.tiles() == X.tiles(),
+                  "elementwiseForwardInto destination shape mismatch");
+}
+
+/** Resolve a uv range argument: uv1 < 0 means alpha^2. */
+int
+uvEnd(int uv0, int uv1, int uvCount)
+{
+    uv1 = uv1 < 0 ? uvCount : uv1;
+    winomc_assert(0 <= uv0 && uv0 <= uv1 && uv1 <= uvCount, "uv range");
+    return uv1;
+}
+
+} // namespace
+
+// Staged stage kernels: the bodies above under parallelFor, whole images.
+
+void
+transformInputInto(const Tensor &x, const WinogradAlgo &algo,
+                   WinoTiles &out, ActMask *mask)
+{
+    transformInputStaged(x, algo, out, 0, mask);
+}
+
+void
+transformInputInto(const Tensor &x, const WinogradAlgo &algo,
+                   HalfTiles &out, int halfKind, ActMask *mask)
+{
+    transformInputStaged(x, algo, out, halfKind, mask);
 }
 
 WinoTiles
@@ -181,53 +536,18 @@ transformInputAdjointInto(const WinoTiles &dX, const WinogradAlgo &algo,
                           Tensor &dx)
 {
     WINOMC_SPAN("wino.xform.input_adjoint", "wino");
-    const int h = dx.h();
-    const int w = dx.w();
-    TileGrid grid(h, w, algo);
+    TileGrid grid(dx.h(), dx.w(), algo);
     winomc_assert(grid.tiles() == dX.tiles(),
                   "tile count mismatch in input adjoint");
     winomc_assert(dx.n() == dX.batch() && dx.c() == dX.channels(),
                   "transformInputAdjointInto destination shape mismatch");
     dx.fill(0.0f); // overlap-add target
-
     const int a = algo.alpha;
-    const int nc = dX.channels();
     const int nt = grid.tiles();
-    const auto &K = mk::kernels();
-    const double *B = algo.B.data();
-    const double *BT = algo.BT.data();
-    float *dxbase = dx.data();
-    const size_t uvStr = dX.uvStride();
-    StageTimer probe("xform.input_adjoint",
-                     4.0 * a * a * a * double(dX.batch()) * nc * nt);
-
-    // Partitioned over output (batch, channel) planes: overlap-add only
-    // ever collides within one plane, and panel lanes scatter in
-    // ascending tile order, so any thread count is race-free and
-    // bitwise identical to serial.
-    parallelFor(0, std::int64_t(dX.batch()) * nc, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        SoaPanel soa;
-        for (std::int64_t bc = lo; bc < hi; ++bc) {
-            const int b = int(bc / nc);
-            const int c = int(bc % nc);
-            float *plane = dxbase + (size_t(b) * nc + c) * size_t(h) * w;
-            for (int t0 = 0; t0 < nt; t0 += mk::kTilePanel) {
-                const int cnt = std::min(mk::kTilePanel, nt - t0);
-                // Adjoint of X = BT x B is dx = B dX B^T.
-                K.xformFromTiles(B, a, a, BT, a, a,
-                                 dX.uvBase(c, b, t0), uvStr, soa.data(),
-                                 cnt);
-                int tr[mk::kTilePanel], tc[mk::kTilePanel];
-                for (int l = 0; l < cnt; ++l) {
-                    const int t = t0 + l;
-                    tr[l] = grid.tileRow(t / grid.tilesW);
-                    tc[l] = grid.tileCol(t % grid.tilesW);
-                }
-                K.unpackAddTilePanel(plane, h, w, tr, tc, a, a,
-                                     soa.data(), cnt);
-            }
-        }
+    forEachPlane("xform.input_adjoint", 4.0 * a * a * a, dX.batch(),
+                 dX.channels(), nt, [&](int b, int c) {
+        fromTilesBody(dX, b, algo.B, algo.BT, 0, true, grid, b, c, 0, nt,
+                      dx);
     });
 }
 
@@ -319,60 +639,33 @@ transformWeightsAdjoint(const WinoWeights &dW, const WinogradAlgo &algo)
 
 void
 elementwiseForwardInto(const WinoTiles &X, const WinoWeights &W,
-                       WinoTiles &Y)
+                       WinoTiles &Y, int uv0, int uv1, const ActMask *mask)
 {
     WINOMC_SPAN("wino.ew.fwd", "wino");
-    winomc_assert(X.alphaEdge() == W.alphaEdge(),
-                  "algo mismatch between tiles and weights");
-    winomc_assert(X.channels() == W.inChannels(),
-                  "channel mismatch: tiles ", X.channels(), " weights ",
-                  W.inChannels());
-    winomc_assert(Y.alphaEdge() == X.alphaEdge() &&
-                  Y.channels() == W.outChannels() &&
-                  Y.batch() == X.batch() && Y.tiles() == X.tiles(),
-                  "elementwiseForwardInto destination shape mismatch");
-    Y.fill(0.0f); // kernel accumulates into Y
+    checkForwardShapes(X, W, Y);
+    uv1 = uvEnd(uv0, uv1, X.uvCount());
     const int bt = X.batch() * X.tiles();
-    const int nj = W.outChannels();
-    const int ni = W.inChannels();
-    const int jBlocks = (nj + kJBlock - 1) / kJBlock;
-    const auto &K = mk::kernels();
-    StageTimer probe("ew.fwd", 2.0 * X.uvCount() * double(nj) * ni * bt);
+    StageTimer probe("ew.fwd", 2.0 * (uv1 - uv0) * double(W.outChannels()) *
+                                   W.inChannels() * bt);
+    if (mask)
+        ewStaged(Y, uv0, uv1, bt, [&] {
+            return CompactStep<WinoTiles>(X, W, 0, mask, bt);
+        });
+    else
+        ewStaged(Y, uv0, uv1, bt, [&] { return DenseStep<false>{X, W}; });
+}
 
-    // Y[uv] (J x BT) = W[uv] (J x I) * X[uv] (I x BT), parallel over
-    // the uv x J-block output space; each task owns kJBlock Y rows.
-    parallelFor(0, std::int64_t(X.uvCount()) * jBlocks, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t task = lo; task < hi; ++task) {
-            const int uv = int(task / jBlocks);
-            const int j0 = int(task % jBlocks) * kJBlock;
-            const int jn = std::min(kJBlock, nj - j0);
-            float *yrows[kJBlock];
-            for (int jj = 0; jj < jn; ++jj)
-                yrows[jj] = Y.row(uv, j0 + jj);
-            for (int k0 = 0; k0 < bt; k0 += kKBlock) {
-                const int kb = std::min(kKBlock, bt - k0);
-                // Register block of kIUnroll input channels: every
-                // Y load/store amortizes kIUnroll FMAs instead of one.
-                for (int i0 = 0; i0 < ni; i0 += kIUnroll) {
-                    const int ib = std::min(kIUnroll, ni - i0);
-                    const float *xr[kIUnroll];
-                    for (int ii = 0; ii < ib; ++ii)
-                        xr[ii] = X.row(uv, i0 + ii) + k0;
-                    for (int jj = 0; jj < jn; ++jj) {
-                        float wv[kIUnroll];
-                        bool any = false;
-                        for (int ii = 0; ii < ib; ++ii) {
-                            wv[ii] = W.at(uv, j0 + jj, i0 + ii);
-                            any = any || wv[ii] != 0.0f;
-                        }
-                        if (!any)
-                            continue; // zero weight block skips wholesale
-                        K.panelAccum(yrows[jj] + k0, xr, wv, ib, kb);
-                    }
-                }
-            }
-        }
+void
+elementwiseForwardInto(const HalfTiles &X, const WinoWeights &W,
+                       WinoTiles &Y, int halfKind, const ActMask *mask)
+{
+    WINOMC_SPAN("wino.ew.fwd", "wino");
+    checkForwardShapes(X, W, Y);
+    const int bt = X.batch() * X.tiles();
+    StageTimer probe("ew.fwd", 2.0 * X.uvCount() * double(W.outChannels()) *
+                                   W.inChannels() * bt);
+    ewStaged(Y, 0, X.uvCount(), bt, [&] {
+        return CompactStep<HalfTiles>(X, W, halfKind, mask, bt);
     });
 }
 
@@ -386,7 +679,7 @@ elementwiseForward(const WinoTiles &X, const WinoWeights &W)
 
 void
 elementwiseBackwardDataInto(const WinoTiles &dY, const WinoWeights &W,
-                            WinoTiles &dX)
+                            WinoTiles &dX, int uv0, int uv1)
 {
     WINOMC_SPAN("wino.ew.bwd_data", "wino");
     winomc_assert(dY.channels() == W.outChannels(),
@@ -395,51 +688,14 @@ elementwiseBackwardDataInto(const WinoTiles &dY, const WinoWeights &W,
                   dX.channels() == W.inChannels() &&
                   dX.batch() == dY.batch() && dX.tiles() == dY.tiles(),
                   "elementwiseBackwardDataInto destination shape mismatch");
-    dX.fill(0.0f); // kernel accumulates into dX
+    uv1 = uvEnd(uv0, uv1, dY.uvCount());
     const int bt = dY.batch() * dY.tiles();
-    const int nj = W.outChannels();
-    const int ni = W.inChannels();
-    const int iBlocks = (ni + kJBlock - 1) / kJBlock;
-    const auto &K = mk::kernels();
-    StageTimer probe("ew.bwd_data",
-                     2.0 * dY.uvCount() * double(nj) * ni * bt);
-
-    // dX[uv] (I x BT) = W[uv]^T (I x J) * dY[uv] (J x BT); same blocked
-    // kernel as forward with the roles of I and J swapped. The weight
-    // register block W.at(uv, j, i0..i0+3) is contiguous in memory.
-    parallelFor(0, std::int64_t(dY.uvCount()) * iBlocks, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t task = lo; task < hi; ++task) {
-            const int uv = int(task / iBlocks);
-            const int i0 = int(task % iBlocks) * kJBlock;
-            const int in = std::min(kJBlock, ni - i0);
-            float *dxrows[kJBlock];
-            for (int ii = 0; ii < in; ++ii)
-                dxrows[ii] = dX.row(uv, i0 + ii);
-            for (int k0 = 0; k0 < bt; k0 += kKBlock) {
-                const int kb = std::min(kKBlock, bt - k0);
-                // Register block of kIUnroll output channels (the
-                // reduction axis here), mirroring the forward kernel.
-                for (int j0 = 0; j0 < nj; j0 += kIUnroll) {
-                    const int jb = std::min(kIUnroll, nj - j0);
-                    const float *dyr[kIUnroll];
-                    for (int jj = 0; jj < jb; ++jj)
-                        dyr[jj] = dY.row(uv, j0 + jj) + k0;
-                    for (int ii = 0; ii < in; ++ii) {
-                        float wv[kIUnroll];
-                        bool any = false;
-                        for (int jj = 0; jj < jb; ++jj) {
-                            wv[jj] = W.at(uv, j0 + jj, i0 + ii);
-                            any = any || wv[jj] != 0.0f;
-                        }
-                        if (!any)
-                            continue;
-                        K.panelAccum(dxrows[ii] + k0, dyr, wv, jb, kb);
-                    }
-                }
-            }
-        }
-    });
+    StageTimer probe("ew.bwd_data", 2.0 * (uv1 - uv0) *
+                                        double(W.outChannels()) *
+                                        W.inChannels() * bt);
+    // dX[uv] (I x BT) = W[uv]^T (I x J) * dY[uv] (J x BT): the forward
+    // body with the roles of I and J swapped.
+    ewStaged(dX, uv0, uv1, bt, [&] { return DenseStep<true>{dY, W}; });
 }
 
 WinoTiles
@@ -452,7 +708,7 @@ elementwiseBackwardData(const WinoTiles &dY, const WinoWeights &W)
 
 void
 elementwiseGradWeightsInto(const WinoTiles &dY, const WinoTiles &X,
-                           WinoWeights &dW)
+                           WinoWeights &dW, int uv0, int uv1)
 {
     WINOMC_SPAN("wino.ew.grad_weights", "wino");
     winomc_assert(dY.batch() == X.batch() && dY.tiles() == X.tiles() &&
@@ -462,22 +718,23 @@ elementwiseGradWeightsInto(const WinoTiles &dY, const WinoTiles &X,
                   dW.outChannels() == dY.channels() &&
                   dW.inChannels() == X.channels(),
                   "elementwiseGradWeightsInto destination shape mismatch");
+    uv1 = uvEnd(uv0, uv1, X.uvCount());
     const int bt = X.batch() * X.tiles();
     const int nj = dY.channels();
     const int ni = X.channels();
     const int jBlocks = (nj + kJBlock - 1) / kJBlock;
     const auto &K = mk::kernels();
     StageTimer probe("ew.grad_weights",
-                     2.0 * X.uvCount() * double(nj) * ni * bt);
+                     2.0 * (uv1 - uv0) * double(nj) * ni * bt);
 
     // dW[uv] (J x I) = dY[uv] (J x BT) * X[uv]^T (BT x I). Partitioned
     // over the *output* (uv, J-block) space: every dW element is owned
     // by exactly one task and its reduction runs over k in ascending
     // order, so results are bitwise identical for any thread count.
-    parallelFor(0, std::int64_t(X.uvCount()) * jBlocks, 1,
+    parallelFor(0, std::int64_t(uv1 - uv0) * jBlocks, 1,
                 [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t task = lo; task < hi; ++task) {
-            const int uv = int(task / jBlocks);
+            const int uv = uv0 + int(task / jBlocks);
             const int j0 = int(task % jBlocks) * kJBlock;
             const int jn = std::min(kJBlock, nj - j0);
             double acc[kJBlock][kIBlock];
@@ -518,46 +775,18 @@ inverseTransformInto(const WinoTiles &Y, const WinogradAlgo &algo,
                      Tensor &y)
 {
     WINOMC_SPAN("wino.xform.inverse", "wino");
-    const int h = y.h();
-    const int w = y.w();
-    TileGrid grid(h, w, algo);
+    TileGrid grid(y.h(), y.w(), algo);
     winomc_assert(grid.tiles() == Y.tiles(),
                   "tile count mismatch in inverse transform");
     winomc_assert(y.n() == Y.batch() && y.c() == Y.channels(),
                   "inverseTransformInto destination shape mismatch");
     const int a = algo.alpha;
     const int m = algo.m;
-    const int nc = Y.channels();
     const int nt = grid.tiles();
-    const auto &K = mk::kernels();
-    const double *AT = algo.AT.data();
-    const double *A = algo.A.data();
-    float *ybase = y.data();
-    const size_t uvStr = Y.uvStride();
-    StageTimer probe("xform.inverse",
-                     2.0 * m * a * (a + m) * double(Y.batch()) * nc * nt);
-
-    parallelFor(0, std::int64_t(Y.batch()) * nc, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        SoaPanel soa;
-        for (std::int64_t bc = lo; bc < hi; ++bc) {
-            const int b = int(bc / nc);
-            const int c = int(bc % nc);
-            float *plane = ybase + (size_t(b) * nc + c) * size_t(h) * w;
-            for (int t0 = 0; t0 < nt; t0 += mk::kTilePanel) {
-                const int cnt = std::min(mk::kTilePanel, nt - t0);
-                K.xformFromTiles(AT, m, a, A, a, m, Y.uvBase(c, b, t0),
-                                 uvStr, soa.data(), cnt);
-                int tr[mk::kTilePanel], tc[mk::kTilePanel];
-                for (int l = 0; l < cnt; ++l) {
-                    const int t = t0 + l;
-                    tr[l] = (t / grid.tilesW) * m;
-                    tc[l] = (t % grid.tilesW) * m;
-                }
-                K.unpackTilePanel(plane, h, w, tr, tc, m, m, soa.data(),
-                                  cnt);
-            }
-        }
+    forEachPlane("xform.inverse", 2.0 * m * a * (a + m), Y.batch(),
+                 Y.channels(), nt, [&](int b, int c) {
+        fromTilesBody(Y, b, algo.AT, algo.A, grid.pad, false, grid, b, c,
+                      0, nt, y);
     });
 }
 
@@ -582,41 +811,11 @@ inverseTransformAdjointInto(const Tensor &dy, const WinogradAlgo &algo,
                   "inverseTransformAdjointInto destination shape mismatch");
     const int a = algo.alpha;
     const int m = algo.m;
-    const int nc = dy.c();
-    const int h = dy.h();
-    const int w = dy.w();
     const int nt = grid.tiles();
-    const auto &K = mk::kernels();
-    const double *A = algo.A.data();
-    const double *AT = algo.AT.data();
-    const float *dybase = dy.data();
-    const size_t uvStr = dY.uvStride();
-    StageTimer probe("xform.inverse_adjoint",
-                     2.0 * m * a * (a + m) * double(dy.n()) * nc * nt);
-
-    parallelFor(0, std::int64_t(dy.n()) * nc, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        SoaPanel soa;
-        for (std::int64_t bc = lo; bc < hi; ++bc) {
-            const int b = int(bc / nc);
-            const int c = int(bc % nc);
-            const float *plane =
-                dybase + (size_t(b) * nc + c) * size_t(h) * w;
-            for (int t0 = 0; t0 < nt; t0 += mk::kTilePanel) {
-                const int cnt = std::min(mk::kTilePanel, nt - t0);
-                int tr[mk::kTilePanel], tc[mk::kTilePanel];
-                for (int l = 0; l < cnt; ++l) {
-                    const int t = t0 + l;
-                    tr[l] = (t / grid.tilesW) * m;
-                    tc[l] = (t % grid.tilesW) * m;
-                }
-                K.packTilePanel(soa.data(), plane, h, w, tr, tc, m, m,
-                                cnt);
-                // Adjoint of y = AT Y A is dY = A dy A^T.
-                K.xformToTiles(A, a, m, AT, m, a, soa.data(),
-                               dY.uvBase(c, b, t0), uvStr, cnt);
-            }
-        }
+    forEachPlane("xform.inverse_adjoint", 2.0 * m * a * (a + m), dy.n(),
+                 dy.c(), nt, [&](int b, int c) {
+        toTilesBody(dy, grid, b, c, 0, nt, algo.A, algo.AT, grid.pad, dY,
+                    b);
     });
 }
 
@@ -629,840 +828,95 @@ inverseTransformAdjoint(const Tensor &dy, const WinogradAlgo &algo)
     return dY;
 }
 
+// Tile-range entry points: the same bodies, serially, on one strip.
+
 void
-transformInputStrip(const Tensor &x, const WinogradAlgo &algo,
+transformInputRange(const Tensor &x, const WinogradAlgo &algo,
                     const TileGrid &grid, int b, int t0, int tcnt,
-                    WinoTiles &Xs)
+                    WinoTiles &Xs, ActMask *mask)
 {
-    winomc_assert(algo.alpha <= kMaxAlpha, "alpha too large");
-    winomc_assert(Xs.alphaEdge() == algo.alpha && Xs.batch() == 1 &&
-                  Xs.channels() == x.c() && Xs.tiles() >= tcnt,
-                  "transformInputStrip scratch shape mismatch");
-    const int a = algo.alpha;
-    const int nc = x.c();
-    const int h = x.h();
-    const int w = x.w();
-    const auto &K = mk::kernels();
-    const double *BT = algo.BT.data();
-    const double *B = algo.B.data();
-    const size_t uvStr = Xs.uvStride();
-    SoaPanel soa;
-    for (int c = 0; c < nc; ++c) {
-        const float *plane =
-            x.data() + (size_t(b) * nc + c) * size_t(h) * w;
-        for (int p0 = 0; p0 < tcnt; p0 += mk::kTilePanel) {
-            const int cnt = std::min(mk::kTilePanel, tcnt - p0);
-            int tr[mk::kTilePanel], tc[mk::kTilePanel];
-            for (int l = 0; l < cnt; ++l) {
-                const int t = t0 + p0 + l;
-                tr[l] = grid.tileRow(t / grid.tilesW);
-                tc[l] = grid.tileCol(t % grid.tilesW);
-            }
-            K.packTilePanel(soa.data(), plane, h, w, tr, tc, a, a, cnt);
-            K.xformToTiles(BT, a, a, B, a, a, soa.data(),
-                           Xs.uvBase(c, 0, p0), uvStr, cnt);
-        }
-    }
+    transformInputRangeImpl(x, algo, grid, b, t0, tcnt, Xs, 0, mask);
 }
 
 void
-elementwiseForwardStrip(const WinoTiles &Xs, const WinoWeights &W,
-                        int tcnt, WinoTiles &Ys)
+transformInputRange(const Tensor &x, const WinogradAlgo &algo,
+                    const TileGrid &grid, int b, int t0, int tcnt,
+                    HalfTiles &Xs, int halfKind, ActMask *mask)
 {
-    winomc_assert(Xs.channels() == W.inChannels() &&
-                  Ys.channels() == W.outChannels() &&
-                  Xs.tiles() >= tcnt && Ys.tiles() >= tcnt,
-                  "elementwiseForwardStrip shape mismatch");
-    const int a2 = Xs.uvCount();
-    const int nj = W.outChannels();
-    const int ni = W.inChannels();
-    const auto &K = mk::kernels();
-
-    // Same register blocking as elementwiseForwardInto with the
-    // streamed axis cut down to the strip; per-element arithmetic is
-    // unchanged, so the result is bitwise identical to the staged path.
-    for (int uv = 0; uv < a2; ++uv) {
-        for (int j0 = 0; j0 < nj; j0 += kJBlock) {
-            const int jn = std::min(kJBlock, nj - j0);
-            float *yrows[kJBlock];
-            for (int jj = 0; jj < jn; ++jj) {
-                yrows[jj] = Ys.row(uv, j0 + jj);
-                std::fill(yrows[jj], yrows[jj] + tcnt, 0.0f);
-            }
-            for (int k0 = 0; k0 < tcnt; k0 += kKBlock) {
-                const int kb = std::min(kKBlock, tcnt - k0);
-                for (int i0 = 0; i0 < ni; i0 += kIUnroll) {
-                    const int ib = std::min(kIUnroll, ni - i0);
-                    const float *xr[kIUnroll];
-                    for (int ii = 0; ii < ib; ++ii)
-                        xr[ii] = Xs.row(uv, i0 + ii) + k0;
-                    for (int jj = 0; jj < jn; ++jj) {
-                        float wv[kIUnroll];
-                        bool any = false;
-                        for (int ii = 0; ii < ib; ++ii) {
-                            wv[ii] = W.at(uv, j0 + jj, i0 + ii);
-                            any = any || wv[ii] != 0.0f;
-                        }
-                        if (!any)
-                            continue;
-                        K.panelAccum(yrows[jj] + k0, xr, wv, ib, kb);
-                    }
-                }
-            }
-        }
-    }
+    transformInputRangeImpl(x, algo, grid, b, t0, tcnt, Xs, halfKind,
+                            mask);
 }
 
 void
-inverseTransformStrip(const WinoTiles &Ys, const WinogradAlgo &algo,
+transformInputAdjointRange(const WinoTiles &dXs, const WinogradAlgo &algo,
+                           const TileGrid &grid, int b, int t0, int tcnt,
+                           Tensor &dx)
+{
+    winomc_assert(dXs.batch() == 1 && dXs.channels() == dx.c() &&
+                  dXs.tiles() >= tcnt,
+                  "transformInputAdjointRange scratch shape mismatch");
+    for (int c = 0; c < dx.c(); ++c)
+        fromTilesBody(dXs, 0, algo.B, algo.BT, 0, true, grid, b, c, t0,
+                      tcnt, dx);
+}
+
+void
+inverseTransformRange(const WinoTiles &Ys, const WinogradAlgo &algo,
                       const TileGrid &grid, int b, int t0, int tcnt,
                       Tensor &y)
 {
-    winomc_assert(Ys.alphaEdge() == algo.alpha && Ys.batch() == 1 &&
-                  Ys.channels() == y.c() && Ys.tiles() >= tcnt,
-                  "inverseTransformStrip scratch shape mismatch");
-    const int a = algo.alpha;
-    const int m = algo.m;
-    const int nc = y.c();
-    const int h = y.h();
-    const int w = y.w();
-    const auto &K = mk::kernels();
-    const double *AT = algo.AT.data();
-    const double *A = algo.A.data();
-    const size_t uvStr = Ys.uvStride();
-    SoaPanel soa;
-    for (int c = 0; c < nc; ++c) {
-        float *plane = y.data() + (size_t(b) * nc + c) * size_t(h) * w;
-        for (int p0 = 0; p0 < tcnt; p0 += mk::kTilePanel) {
-            const int cnt = std::min(mk::kTilePanel, tcnt - p0);
-            K.xformFromTiles(AT, m, a, A, a, m, Ys.uvBase(c, 0, p0),
-                             uvStr, soa.data(), cnt);
-            int tr[mk::kTilePanel], tc[mk::kTilePanel];
-            for (int l = 0; l < cnt; ++l) {
-                const int t = t0 + p0 + l;
-                tr[l] = (t / grid.tilesW) * m;
-                tc[l] = (t % grid.tilesW) * m;
-            }
-            K.unpackTilePanel(plane, h, w, tr, tc, m, m, soa.data(),
-                              cnt);
-        }
-    }
+    winomc_assert(Ys.batch() == 1 && Ys.channels() == y.c() &&
+                  Ys.tiles() >= tcnt,
+                  "inverseTransformRange scratch shape mismatch");
+    for (int c = 0; c < y.c(); ++c)
+        fromTilesBody(Ys, 0, algo.AT, algo.A, grid.pad, false, grid, b, c,
+                      t0, tcnt, y);
 }
 
 void
-inverseTransformAdjointStrip(const Tensor &dy, const WinogradAlgo &algo,
+inverseTransformAdjointRange(const Tensor &dy, const WinogradAlgo &algo,
                              const TileGrid &grid, int b, int t0,
                              int tcnt, WinoTiles &dYs)
 {
-    winomc_assert(dYs.alphaEdge() == algo.alpha && dYs.batch() == 1 &&
-                  dYs.channels() == dy.c() && dYs.tiles() >= tcnt,
-                  "inverseTransformAdjointStrip scratch shape mismatch");
-    const int a = algo.alpha;
-    const int m = algo.m;
-    const int nc = dy.c();
-    const int h = dy.h();
-    const int w = dy.w();
-    const auto &K = mk::kernels();
-    const double *A = algo.A.data();
-    const double *AT = algo.AT.data();
-    const size_t uvStr = dYs.uvStride();
-    SoaPanel soa;
-    for (int c = 0; c < nc; ++c) {
-        const float *plane =
-            dy.data() + (size_t(b) * nc + c) * size_t(h) * w;
-        for (int p0 = 0; p0 < tcnt; p0 += mk::kTilePanel) {
-            const int cnt = std::min(mk::kTilePanel, tcnt - p0);
-            int tr[mk::kTilePanel], tc[mk::kTilePanel];
-            for (int l = 0; l < cnt; ++l) {
-                const int t = t0 + p0 + l;
-                tr[l] = (t / grid.tilesW) * m;
-                tc[l] = (t % grid.tilesW) * m;
-            }
-            K.packTilePanel(soa.data(), plane, h, w, tr, tc, m, m, cnt);
-            // Adjoint of y = AT Y A is dY = A dy A^T.
-            K.xformToTiles(A, a, m, AT, m, a, soa.data(),
-                           dYs.uvBase(c, 0, p0), uvStr, cnt);
-        }
-    }
+    winomc_assert(dYs.batch() == 1 && dYs.channels() == dy.c() &&
+                  dYs.tiles() >= tcnt,
+                  "inverseTransformAdjointRange scratch shape mismatch");
+    for (int c = 0; c < dy.c(); ++c)
+        toTilesBody(dy, grid, b, c, t0, tcnt, algo.A, algo.AT, grid.pad,
+                    dYs, 0);
 }
 
 void
-elementwiseBackwardDataStrip(const WinoTiles &dYs, const WinoWeights &W,
-                             int tcnt, WinoTiles &dXs)
+elementwiseForwardRange(const WinoTiles &Xs, const WinoWeights &W, int kn,
+                        WinoTiles &Ys, const ActMask *mask)
+{
+    checkForwardShapes(Xs, W, Ys);
+    winomc_assert(Xs.tiles() >= kn, "elementwiseForwardRange lane count");
+    if (mask)
+        ewRange(CompactStep<WinoTiles>(Xs, W, 0, mask, kn), Ys, kn);
+    else
+        ewRange(DenseStep<false>{Xs, W}, Ys, kn);
+}
+
+void
+elementwiseForwardRange(const HalfTiles &Xs, const WinoWeights &W, int kn,
+                        WinoTiles &Ys, int halfKind,
+                        const ActMask *mask)
+{
+    checkForwardShapes(Xs, W, Ys);
+    winomc_assert(Xs.tiles() >= kn, "elementwiseForwardRange lane count");
+    ewRange(CompactStep<HalfTiles>(Xs, W, halfKind, mask, kn), Ys, kn);
+}
+
+void
+elementwiseBackwardDataRange(const WinoTiles &dYs, const WinoWeights &W,
+                             int kn, WinoTiles &dXs)
 {
     winomc_assert(dYs.channels() == W.outChannels() &&
                   dXs.channels() == W.inChannels() &&
-                  dYs.tiles() >= tcnt && dXs.tiles() >= tcnt,
-                  "elementwiseBackwardDataStrip shape mismatch");
-    const int a2 = dYs.uvCount();
-    const int nj = W.outChannels();
-    const int ni = W.inChannels();
-    const auto &K = mk::kernels();
-
-    for (int uv = 0; uv < a2; ++uv) {
-        for (int i0 = 0; i0 < ni; i0 += kJBlock) {
-            const int in = std::min(kJBlock, ni - i0);
-            float *dxrows[kJBlock];
-            for (int ii = 0; ii < in; ++ii) {
-                dxrows[ii] = dXs.row(uv, i0 + ii);
-                std::fill(dxrows[ii], dxrows[ii] + tcnt, 0.0f);
-            }
-            for (int k0 = 0; k0 < tcnt; k0 += kKBlock) {
-                const int kb = std::min(kKBlock, tcnt - k0);
-                for (int j0 = 0; j0 < nj; j0 += kIUnroll) {
-                    const int jb = std::min(kIUnroll, nj - j0);
-                    const float *dyr[kIUnroll];
-                    for (int jj = 0; jj < jb; ++jj)
-                        dyr[jj] = dYs.row(uv, j0 + jj) + k0;
-                    for (int ii = 0; ii < in; ++ii) {
-                        float wv[kIUnroll];
-                        bool any = false;
-                        for (int jj = 0; jj < jb; ++jj) {
-                            wv[jj] = W.at(uv, j0 + jj, i0 + ii);
-                            any = any || wv[jj] != 0.0f;
-                        }
-                        if (!any)
-                            continue;
-                        K.panelAccum(dxrows[ii] + k0, dyr, wv, jb, kb);
-                    }
-                }
-            }
-        }
-    }
-}
-
-void
-transformInputAdjointStripAdd(const WinoTiles &dXs,
-                              const WinogradAlgo &algo,
-                              const TileGrid &grid, int b, int t0,
-                              int tcnt, Tensor &dx)
-{
-    winomc_assert(dXs.alphaEdge() == algo.alpha && dXs.batch() == 1 &&
-                  dXs.channels() == dx.c() && dXs.tiles() >= tcnt,
-                  "transformInputAdjointStripAdd scratch shape mismatch");
-    const int a = algo.alpha;
-    const int nc = dx.c();
-    const int h = dx.h();
-    const int w = dx.w();
-    const auto &K = mk::kernels();
-    const double *B = algo.B.data();
-    const double *BT = algo.BT.data();
-    const size_t uvStr = dXs.uvStride();
-    SoaPanel soa;
-    for (int c = 0; c < nc; ++c) {
-        float *plane = dx.data() + (size_t(b) * nc + c) * size_t(h) * w;
-        for (int p0 = 0; p0 < tcnt; p0 += mk::kTilePanel) {
-            const int cnt = std::min(mk::kTilePanel, tcnt - p0);
-            // Adjoint of X = BT x B is dx = B dX B^T.
-            K.xformFromTiles(B, a, a, BT, a, a, dXs.uvBase(c, 0, p0),
-                             uvStr, soa.data(), cnt);
-            int tr[mk::kTilePanel], tc[mk::kTilePanel];
-            for (int l = 0; l < cnt; ++l) {
-                const int t = t0 + p0 + l;
-                tr[l] = grid.tileRow(t / grid.tilesW);
-                tc[l] = grid.tileCol(t % grid.tilesW);
-            }
-            K.unpackAddTilePanel(plane, h, w, tr, tc, a, a, soa.data(),
-                                 cnt);
-        }
-    }
-}
-
-namespace {
-
-/**
- * Task-local tallies behind the quant.* counters: accumulated in
- * registers inside the parallel loops, published once per task so the
- * metrics registry mutex never sits on the hot path.
- */
-struct SparseTally
-{
-    double rowsTotal = 0.0;
-    double rowsSkipped = 0.0;
-    double flopsSkipped = 0.0;
-
-    void
-    publish() const
-    {
-        if (!metrics::enabled() || rowsTotal == 0.0)
-            return;
-        metrics::counterAdd("quant.ew.rows_total", rowsTotal);
-        metrics::counterAdd("quant.ew.rows_skipped", rowsSkipped);
-        metrics::counterAdd("quant.ew.flops_skipped", flopsSkipped);
-    }
-};
-
-/** Mask-build tallies (quant.mask.*), same per-task discipline. */
-struct MaskTally
-{
-    double panelsTotal = 0.0;
-    double panelsZero = 0.0;
-
-    void
-    add(std::uint64_t zeroBits, int uvCount)
-    {
-        panelsTotal += uvCount;
-        panelsZero += __builtin_popcountll(zeroBits);
-    }
-    void
-    publish() const
-    {
-        if (!metrics::enabled() || panelsTotal == 0.0)
-            return;
-        metrics::counterAdd("quant.mask.panels_total", panelsTotal);
-        metrics::counterAdd("quant.mask.panels_zero", panelsZero);
-    }
-};
-
-} // namespace
-
-void
-transformInputMaskInto(const Tensor &x, const WinogradAlgo &algo,
-                       WinoTiles &out, ActMask &mask)
-{
-    WINOMC_SPAN("wino.xform.input", "wino");
-    winomc_assert(algo.alpha <= kMaxAlpha, "alpha too large");
-    TileGrid grid(x.h(), x.w(), algo);
-    winomc_assert(out.alphaEdge() == algo.alpha &&
-                  out.channels() == x.c() && out.batch() == x.n() &&
-                  out.tiles() == grid.tiles(),
-                  "transformInputMaskInto destination shape mismatch");
-
-    const int a = algo.alpha;
-    const int nc = x.c();
-    const int h = x.h();
-    const int w = x.w();
-    const int nt = grid.tiles();
-    const auto &K = mk::kernels();
-    const double *BT = algo.BT.data();
-    const double *B = algo.B.data();
-    const float *xbase = x.data();
-    const size_t uvStr = out.uvStride();
-    StageTimer probe("xform.input",
-                     4.0 * a * a * a * double(x.n()) * nc * nt);
-
-    // Identical gather/transform arithmetic to transformInputInto; the
-    // only addition is the per-panel zero scan of the just-written
-    // (L1-hot) SoA output into `mask`. Each (b, c) plane region has
-    // exactly one writer, so the plane-local clear + OR is race-free.
-    parallelFor(0, std::int64_t(x.n()) * nc, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        SoaPanel soa;
-        MaskTally tally;
-        for (std::int64_t bc = lo; bc < hi; ++bc) {
-            const int b = int(bc / nc);
-            const int c = int(bc % nc);
-            const float *plane =
-                xbase + (size_t(b) * nc + c) * size_t(h) * w;
-            std::uint64_t *mreg = mask.plane(c, b);
-            std::fill(mreg, mreg + mask.wordsPerPlane(), 0);
-            for (int t0 = 0; t0 < nt; t0 += mk::kTilePanel) {
-                const int cnt = std::min(mk::kTilePanel, nt - t0);
-                int tr[mk::kTilePanel], tc[mk::kTilePanel];
-                for (int l = 0; l < cnt; ++l) {
-                    const int t = t0 + l;
-                    tr[l] = grid.tileRow(t / grid.tilesW);
-                    tc[l] = grid.tileCol(t % grid.tilesW);
-                }
-                K.packTilePanel(soa.data(), plane, h, w, tr, tc, a, a,
-                                cnt);
-                K.xformToTiles(BT, a, a, B, a, a, soa.data(),
-                               out.uvBase(c, b, t0), uvStr, cnt);
-                const std::uint64_t zm = K.panelZeroMask(
-                    out.uvBase(c, b, t0), uvStr, a * a, cnt);
-                mask.orPanelBits(c, b, t0 / mk::kTilePanel, zm);
-                tally.add(zm, a * a);
-            }
-        }
-        tally.publish();
-    });
-}
-
-void
-transformInputHalfInto(const Tensor &x, const WinogradAlgo &algo,
-                       HalfTiles &out, int halfKind, ActMask *mask)
-{
-    WINOMC_SPAN("wino.xform.input", "wino");
-    winomc_assert(algo.alpha <= kMaxAlpha, "alpha too large");
-    TileGrid grid(x.h(), x.w(), algo);
-    winomc_assert(out.alphaEdge() == algo.alpha &&
-                  out.channels() == x.c() && out.batch() == x.n() &&
-                  out.tiles() == grid.tiles(),
-                  "transformInputHalfInto destination shape mismatch");
-
-    const int a = algo.alpha;
-    const int nc = x.c();
-    const int h = x.h();
-    const int w = x.w();
-    const int nt = grid.tiles();
-    const auto &K = mk::kernels();
-    const double *BT = algo.BT.data();
-    const double *B = algo.B.data();
-    const float *xbase = x.data();
-    const size_t uvStr = out.uvStride();
-    StageTimer probe("xform.input",
-                     4.0 * a * a * a * double(x.n()) * nc * nt);
-
-    parallelFor(0, std::int64_t(x.n()) * nc, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        SoaPanel soa;
-        MaskTally tally;
-        for (std::int64_t bc = lo; bc < hi; ++bc) {
-            const int b = int(bc / nc);
-            const int c = int(bc % nc);
-            const float *plane =
-                xbase + (size_t(b) * nc + c) * size_t(h) * w;
-            if (mask) {
-                std::uint64_t *mreg = mask->plane(c, b);
-                std::fill(mreg, mreg + mask->wordsPerPlane(), 0);
-            }
-            for (int t0 = 0; t0 < nt; t0 += mk::kTilePanel) {
-                const int cnt = std::min(mk::kTilePanel, nt - t0);
-                int tr[mk::kTilePanel], tc[mk::kTilePanel];
-                for (int l = 0; l < cnt; ++l) {
-                    const int t = t0 + l;
-                    tr[l] = grid.tileRow(t / grid.tilesW);
-                    tc[l] = grid.tileCol(t % grid.tilesW);
-                }
-                K.packTilePanel(soa.data(), plane, h, w, tr, tc, a, a,
-                                cnt);
-                K.xformToTilesHalf(BT, a, a, B, a, a, soa.data(),
-                                   out.uvBase(c, b, t0), uvStr, cnt,
-                                   halfKind);
-                if (mask) {
-                    const std::uint64_t zm = K.panelZeroMaskHalf(
-                        out.uvBase(c, b, t0), uvStr, a * a, cnt);
-                    mask->orPanelBits(c, b, t0 / mk::kTilePanel, zm);
-                    tally.add(zm, a * a);
-                }
-            }
-        }
-        tally.publish();
-    });
-}
-
-void
-elementwiseForwardSparseInto(const WinoTiles &X, const WinoWeights &W,
-                             WinoTiles &Y, const ActMask &mask)
-{
-    WINOMC_SPAN("wino.ew.fwd", "wino");
-    winomc_assert(X.alphaEdge() == W.alphaEdge(),
-                  "algo mismatch between tiles and weights");
-    winomc_assert(X.channels() == W.inChannels(),
-                  "channel mismatch: tiles ", X.channels(), " weights ",
-                  W.inChannels());
-    winomc_assert(Y.alphaEdge() == X.alphaEdge() &&
-                  Y.channels() == W.outChannels() &&
-                  Y.batch() == X.batch() && Y.tiles() == X.tiles(),
-                  "elementwiseForwardSparseInto destination shape mismatch");
-    Y.fill(0.0f); // kernel accumulates into Y
-    const int bt = X.batch() * X.tiles();
-    const int nj = W.outChannels();
-    const int ni = W.inChannels();
-    const int jBlocks = (nj + kJBlock - 1) / kJBlock;
-    const auto &K = mk::kernels();
-    StageTimer probe("ew.fwd", 2.0 * X.uvCount() * double(nj) * ni * bt);
-
-    // Resolve the mask once into a per-(uv, row, k-block) byte table.
-    // Every J-block task over one uv needs the same row liveness, so
-    // querying the bit-packed mask from the GEMM inner loop would
-    // repeat the panel walk jBlocks times per row — measured at this
-    // granularity the walk itself, not the skipped FLOPs, dominates.
-    const int kBlocks = (bt + kKBlock - 1) / kKBlock;
-    std::vector<std::uint8_t> rowLive(std::size_t(X.uvCount()) * ni *
-                                      kBlocks);
-    parallelFor(0, X.uvCount(), 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t uv = lo; uv < hi; ++uv)
-            for (int kb = 0; kb < kBlocks; ++kb) {
-                const int k0 = kb * kKBlock;
-                const int kn = std::min(kKBlock, bt - k0);
-                // Unit stride in i: the compaction scan walks this.
-                std::uint8_t *dst = rowLive.data() +
-                                    (uv * kBlocks + kb) * ni;
-                for (int i = 0; i < ni; ++i)
-                    dst[i] = !mask.rowRangeZero(int(uv), i, k0, kn);
-            }
-    });
-
-    // Same task partition as elementwiseForwardInto, but the i-loop is
-    // fully compacted per output row: every surviving (weight nonzero
-    // AND activation range live) input row of the whole column goes
-    // into one panelAccumGrouped call, so each y panel is read and
-    // written once instead of ni/kIUnroll times. The group descriptor
-    // preserves the blocked kernel's per-register-block expression
-    // shapes, keeping the result bitwise identical to dense fp32. The
-    // append is branchless (slot always written, cursor advances only
-    // for survivors) — at high sparsity the scan itself is the cost,
-    // and a skipped-row branch mispredicts by construction.
-    const std::size_t xrs = X.uvStride() / std::size_t(X.channels());
-    parallelFor(0, std::int64_t(X.uvCount()) * jBlocks, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        SparseTally tally;
-        std::vector<const float *> xc(static_cast<std::size_t>(ni));
-        std::vector<float> wc(static_cast<std::size_t>(ni));
-        std::vector<std::uint8_t> grp(
-            static_cast<std::size_t>((ni + kIUnroll - 1) / kIUnroll));
-        for (std::int64_t task = lo; task < hi; ++task) {
-            const int uv = int(task / jBlocks);
-            const int j0 = int(task % jBlocks) * kJBlock;
-            const int jn = std::min(kJBlock, nj - j0);
-            const float *xuv = X.row(uv, 0);
-            for (int k0 = 0; k0 < bt; k0 += kKBlock) {
-                const int kb = std::min(kKBlock, bt - k0);
-                const std::uint8_t *live =
-                    rowLive.data() +
-                    (std::size_t(uv) * kBlocks + k0 / kKBlock) * ni;
-                for (int jj = 0; jj < jn; ++jj) {
-                    const float *wrow =
-                        W.raw() +
-                        (std::size_t(uv) * nj + j0 + jj) * ni;
-                    int nv = 0, ng = 0, tailOrig = kIUnroll;
-                    for (int i0 = 0; i0 < ni; i0 += kIUnroll) {
-                        const int ib = std::min(kIUnroll, ni - i0);
-                        const int base = nv;
-                        for (int ii = 0; ii < ib; ++ii) {
-                            const int i = i0 + ii;
-                            const float wval = wrow[i];
-                            wc[std::size_t(nv)] = wval;
-                            xc[std::size_t(nv)] =
-                                xuv + std::size_t(i) * xrs + k0;
-                            nv += int(wval != 0.0f) & int(live[i]);
-                        }
-                        if (nv != base) {
-                            grp[std::size_t(ng++)] =
-                                std::uint8_t(nv - base);
-                            tailOrig = ib;
-                        }
-                    }
-                    tally.rowsTotal += ni;
-                    tally.rowsSkipped += ni - nv;
-                    tally.flopsSkipped += 2.0 * (ni - nv) * kb;
-                    if (nv == 0)
-                        continue;
-                    K.panelAccumGrouped(Y.row(uv, j0 + jj) + k0,
-                                        xc.data(), wc.data(), nv, kb,
-                                        grp.data(), ng, tailOrig);
-                }
-            }
-        }
-        tally.publish();
-    });
-}
-
-void
-elementwiseForwardHalfInto(const HalfTiles &X, const WinoWeights &W,
-                           WinoTiles &Y, int halfKind,
-                           const ActMask *mask)
-{
-    WINOMC_SPAN("wino.ew.fwd", "wino");
-    winomc_assert(X.alphaEdge() == W.alphaEdge(),
-                  "algo mismatch between tiles and weights");
-    winomc_assert(X.channels() == W.inChannels(),
-                  "channel mismatch: tiles ", X.channels(), " weights ",
-                  W.inChannels());
-    winomc_assert(Y.alphaEdge() == X.alphaEdge() &&
-                  Y.channels() == W.outChannels() &&
-                  Y.batch() == X.batch() && Y.tiles() == X.tiles(),
-                  "elementwiseForwardHalfInto destination shape mismatch");
-    Y.fill(0.0f);
-    const int bt = X.batch() * X.tiles();
-    const int nj = W.outChannels();
-    const int ni = W.inChannels();
-    const int jBlocks = (nj + kJBlock - 1) / kJBlock;
-    const auto &K = mk::kernels();
-    StageTimer probe("ew.fwd", 2.0 * X.uvCount() * double(nj) * ni * bt);
-
-    // Mask resolved up front, as in elementwiseForwardSparseInto: one
-    // panel walk per (uv, row, k-block) instead of one per J-block.
-    const int kBlocks = (bt + kKBlock - 1) / kKBlock;
-    std::vector<std::uint8_t> rowLive;
-    if (mask) {
-        rowLive.resize(std::size_t(X.uvCount()) * ni * kBlocks);
-        parallelFor(0, X.uvCount(), 1,
-                    [&](std::int64_t lo, std::int64_t hi) {
-            for (std::int64_t uv = lo; uv < hi; ++uv)
-                for (int kb = 0; kb < kBlocks; ++kb) {
-                    const int k0 = kb * kKBlock;
-                    const int kn = std::min(kKBlock, bt - k0);
-                    std::uint8_t *dst = rowLive.data() +
-                                        (uv * kBlocks + kb) * ni;
-                    for (int i = 0; i < ni; ++i)
-                        dst[i] =
-                            !mask->rowRangeZero(int(uv), i, k0, kn);
-                }
-        });
-    } else {
-        // No activation mask: every row is live; keeps the scan below
-        // branch-free either way.
-        rowLive.assign(std::size_t(X.uvCount()) * ni * kBlocks, 1);
-    }
-
-    // The half kernel accumulates per-row sequentially at every ISA
-    // level, so the whole input-channel column can be compacted into
-    // ONE panelAccumHalf call per y panel — same FMA chain as the
-    // blocked calls, one y pass instead of ni/kIUnroll — without an
-    // expression-shape switch. Branchless append as in the fp32 sparse
-    // kernel.
-    const std::size_t xrs = std::size_t(X.batch()) * X.tiles();
-    parallelFor(0, std::int64_t(X.uvCount()) * jBlocks, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        SparseTally tally;
-        std::vector<const std::uint16_t *> xc(static_cast<std::size_t>(ni));
-        std::vector<float> wc(static_cast<std::size_t>(ni));
-        for (std::int64_t task = lo; task < hi; ++task) {
-            const int uv = int(task / jBlocks);
-            const int j0 = int(task % jBlocks) * kJBlock;
-            const int jn = std::min(kJBlock, nj - j0);
-            const std::uint16_t *xuv = X.row(uv, 0);
-            for (int k0 = 0; k0 < bt; k0 += kKBlock) {
-                const int kb = std::min(kKBlock, bt - k0);
-                const std::uint8_t *live =
-                    rowLive.data() +
-                    (std::size_t(uv) * kBlocks + k0 / kKBlock) * ni;
-                for (int jj = 0; jj < jn; ++jj) {
-                    const float *wrow =
-                        W.raw() +
-                        (std::size_t(uv) * nj + j0 + jj) * ni;
-                    int nv = 0;
-                    for (int i = 0; i < ni; ++i) {
-                        const float wval = wrow[i];
-                        wc[std::size_t(nv)] = wval;
-                        xc[std::size_t(nv)] =
-                            xuv + std::size_t(i) * xrs + k0;
-                        nv += int(wval != 0.0f) & int(live[i]);
-                    }
-                    if (mask) {
-                        tally.rowsTotal += ni;
-                        tally.rowsSkipped += ni - nv;
-                        tally.flopsSkipped += 2.0 * (ni - nv) * kb;
-                    }
-                    if (nv == 0)
-                        continue;
-                    K.panelAccumHalf(Y.row(uv, j0 + jj) + k0,
-                                     xc.data(), wc.data(), nv, kb,
-                                     halfKind);
-                }
-            }
-        }
-        tally.publish();
-    });
-}
-
-void
-transformInputStripMask(const Tensor &x, const WinogradAlgo &algo,
-                        const TileGrid &grid, int b, int t0, int tcnt,
-                        WinoTiles &Xs, ActMask &mask)
-{
-    winomc_assert(algo.alpha <= kMaxAlpha, "alpha too large");
-    winomc_assert(Xs.alphaEdge() == algo.alpha && Xs.batch() == 1 &&
-                  Xs.channels() == x.c() && Xs.tiles() >= tcnt,
-                  "transformInputStripMask scratch shape mismatch");
-    const int a = algo.alpha;
-    const int nc = x.c();
-    const int h = x.h();
-    const int w = x.w();
-    const auto &K = mk::kernels();
-    const double *BT = algo.BT.data();
-    const double *B = algo.B.data();
-    const size_t uvStr = Xs.uvStride();
-    SoaPanel soa;
-    for (int c = 0; c < nc; ++c) {
-        const float *plane =
-            x.data() + (size_t(b) * nc + c) * size_t(h) * w;
-        std::uint64_t *mreg = mask.plane(c, 0);
-        std::fill(mreg, mreg + mask.wordsPerPlane(), 0);
-        for (int p0 = 0; p0 < tcnt; p0 += mk::kTilePanel) {
-            const int cnt = std::min(mk::kTilePanel, tcnt - p0);
-            int tr[mk::kTilePanel], tc[mk::kTilePanel];
-            for (int l = 0; l < cnt; ++l) {
-                const int t = t0 + p0 + l;
-                tr[l] = grid.tileRow(t / grid.tilesW);
-                tc[l] = grid.tileCol(t % grid.tilesW);
-            }
-            K.packTilePanel(soa.data(), plane, h, w, tr, tc, a, a, cnt);
-            K.xformToTiles(BT, a, a, B, a, a, soa.data(),
-                           Xs.uvBase(c, 0, p0), uvStr, cnt);
-            mask.orPanelBits(c, 0, p0 / mk::kTilePanel,
-                             K.panelZeroMask(Xs.uvBase(c, 0, p0), uvStr,
-                                             a * a, cnt));
-        }
-    }
-}
-
-void
-transformInputStripHalf(const Tensor &x, const WinogradAlgo &algo,
-                        const TileGrid &grid, int b, int t0, int tcnt,
-                        HalfTiles &Xs, int halfKind, ActMask *mask)
-{
-    winomc_assert(algo.alpha <= kMaxAlpha, "alpha too large");
-    winomc_assert(Xs.alphaEdge() == algo.alpha && Xs.batch() == 1 &&
-                  Xs.channels() == x.c() && Xs.tiles() >= tcnt,
-                  "transformInputStripHalf scratch shape mismatch");
-    const int a = algo.alpha;
-    const int nc = x.c();
-    const int h = x.h();
-    const int w = x.w();
-    const auto &K = mk::kernels();
-    const double *BT = algo.BT.data();
-    const double *B = algo.B.data();
-    const size_t uvStr = Xs.uvStride();
-    SoaPanel soa;
-    for (int c = 0; c < nc; ++c) {
-        const float *plane =
-            x.data() + (size_t(b) * nc + c) * size_t(h) * w;
-        if (mask) {
-            std::uint64_t *mreg = mask->plane(c, 0);
-            std::fill(mreg, mreg + mask->wordsPerPlane(), 0);
-        }
-        for (int p0 = 0; p0 < tcnt; p0 += mk::kTilePanel) {
-            const int cnt = std::min(mk::kTilePanel, tcnt - p0);
-            int tr[mk::kTilePanel], tc[mk::kTilePanel];
-            for (int l = 0; l < cnt; ++l) {
-                const int t = t0 + p0 + l;
-                tr[l] = grid.tileRow(t / grid.tilesW);
-                tc[l] = grid.tileCol(t % grid.tilesW);
-            }
-            K.packTilePanel(soa.data(), plane, h, w, tr, tc, a, a, cnt);
-            K.xformToTilesHalf(BT, a, a, B, a, a, soa.data(),
-                               Xs.uvBase(c, 0, p0), uvStr, cnt,
-                               halfKind);
-            if (mask)
-                mask->orPanelBits(
-                    c, 0, p0 / mk::kTilePanel,
-                    K.panelZeroMaskHalf(Xs.uvBase(c, 0, p0), uvStr,
-                                        a * a, cnt));
-        }
-    }
-}
-
-void
-elementwiseForwardStripSparse(const WinoTiles &Xs, const WinoWeights &W,
-                              int tcnt, WinoTiles &Ys,
-                              const ActMask &mask)
-{
-    winomc_assert(Xs.channels() == W.inChannels() &&
-                  Ys.channels() == W.outChannels() &&
-                  Xs.tiles() >= tcnt && Ys.tiles() >= tcnt,
-                  "elementwiseForwardStripSparse shape mismatch");
-    const int a2 = Xs.uvCount();
-    const int nj = W.outChannels();
-    const int ni = W.inChannels();
-    const auto &K = mk::kernels();
-
-    // Strip-serial mirror of elementwiseForwardSparseInto: same
-    // whole-column compaction and group descriptor, so fused sparse
-    // stays bitwise identical to staged sparse (and to dense fp32).
-    std::vector<const float *> xc(static_cast<std::size_t>(ni));
-    std::vector<float> wc(static_cast<std::size_t>(ni));
-    std::vector<std::uint8_t> grp(
-        static_cast<std::size_t>((ni + kIUnroll - 1) / kIUnroll));
-    std::vector<std::uint8_t> live(static_cast<std::size_t>(ni));
-    const std::size_t xrs = Xs.uvStride() / std::size_t(Xs.channels());
-    for (int uv = 0; uv < a2; ++uv) {
-        const float *xuv = Xs.row(uv, 0);
-        for (int j0 = 0; j0 < nj; j0 += kJBlock) {
-            const int jn = std::min(kJBlock, nj - j0);
-            float *yrows[kJBlock];
-            for (int jj = 0; jj < jn; ++jj) {
-                yrows[jj] = Ys.row(uv, j0 + jj);
-                std::fill(yrows[jj], yrows[jj] + tcnt, 0.0f);
-            }
-            for (int k0 = 0; k0 < tcnt; k0 += kKBlock) {
-                const int kb = std::min(kKBlock, tcnt - k0);
-                for (int i = 0; i < ni; ++i)
-                    live[std::size_t(i)] =
-                        !mask.rowRangeZero(uv, i, k0, kb);
-                for (int jj = 0; jj < jn; ++jj) {
-                    const float *wrow =
-                        W.raw() +
-                        (std::size_t(uv) * nj + j0 + jj) * ni;
-                    int nv = 0, ng = 0, tailOrig = kIUnroll;
-                    for (int i0 = 0; i0 < ni; i0 += kIUnroll) {
-                        const int ib = std::min(kIUnroll, ni - i0);
-                        const int base = nv;
-                        for (int ii = 0; ii < ib; ++ii) {
-                            const int i = i0 + ii;
-                            const float wval = wrow[i];
-                            wc[std::size_t(nv)] = wval;
-                            xc[std::size_t(nv)] =
-                                xuv + std::size_t(i) * xrs + k0;
-                            nv += int(wval != 0.0f) &
-                                  int(live[std::size_t(i)]);
-                        }
-                        if (nv != base) {
-                            grp[std::size_t(ng++)] =
-                                std::uint8_t(nv - base);
-                            tailOrig = ib;
-                        }
-                    }
-                    if (nv == 0)
-                        continue;
-                    K.panelAccumGrouped(yrows[jj] + k0, xc.data(),
-                                        wc.data(), nv, kb, grp.data(),
-                                        ng, tailOrig);
-                }
-            }
-        }
-    }
-}
-
-void
-elementwiseForwardStripHalf(const HalfTiles &Xs, const WinoWeights &W,
-                            int tcnt, WinoTiles &Ys, int halfKind,
-                            const ActMask *mask)
-{
-    winomc_assert(Xs.channels() == W.inChannels() &&
-                  Ys.channels() == W.outChannels() &&
-                  Xs.tiles() >= tcnt && Ys.tiles() >= tcnt,
-                  "elementwiseForwardStripHalf shape mismatch");
-    const int a2 = Xs.uvCount();
-    const int nj = W.outChannels();
-    const int ni = W.inChannels();
-    const auto &K = mk::kernels();
-
-    // Whole-column compaction as in elementwiseForwardHalfInto: the
-    // half kernel's sequential per-row chain makes the merge bitwise
-    // free, and each y panel is touched once per k-block.
-    std::vector<const std::uint16_t *> xc(static_cast<std::size_t>(ni));
-    std::vector<float> wc(static_cast<std::size_t>(ni));
-    std::vector<std::uint8_t> live(static_cast<std::size_t>(ni));
-    const std::size_t xrs = std::size_t(Xs.batch()) * Xs.tiles();
-    for (int uv = 0; uv < a2; ++uv) {
-        const std::uint16_t *xuv = Xs.row(uv, 0);
-        for (int j0 = 0; j0 < nj; j0 += kJBlock) {
-            const int jn = std::min(kJBlock, nj - j0);
-            float *yrows[kJBlock];
-            for (int jj = 0; jj < jn; ++jj) {
-                yrows[jj] = Ys.row(uv, j0 + jj);
-                std::fill(yrows[jj], yrows[jj] + tcnt, 0.0f);
-            }
-            for (int k0 = 0; k0 < tcnt; k0 += kKBlock) {
-                const int kb = std::min(kKBlock, tcnt - k0);
-                for (int i = 0; i < ni; ++i)
-                    live[std::size_t(i)] =
-                        !mask || !mask->rowRangeZero(uv, i, k0, kb);
-                for (int jj = 0; jj < jn; ++jj) {
-                    const float *wrow =
-                        W.raw() +
-                        (std::size_t(uv) * nj + j0 + jj) * ni;
-                    int nv = 0;
-                    for (int i = 0; i < ni; ++i) {
-                        const float wval = wrow[i];
-                        wc[std::size_t(nv)] = wval;
-                        xc[std::size_t(nv)] =
-                            xuv + std::size_t(i) * xrs + k0;
-                        nv += int(wval != 0.0f) &
-                              int(live[std::size_t(i)]);
-                    }
-                    if (nv == 0)
-                        continue;
-                    K.panelAccumHalf(yrows[jj] + k0, xc.data(),
-                                     wc.data(), nv, kb, halfKind);
-                }
-            }
-        }
-    }
+                  dYs.tiles() >= kn && dXs.tiles() >= kn,
+                  "elementwiseBackwardDataRange shape mismatch");
+    ewRange(DenseStep<true>{dYs, W}, dXs, kn);
 }
 
 Tensor

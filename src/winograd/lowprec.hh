@@ -163,6 +163,8 @@ class ActMask
     void clear();
     bool empty() const { return words.empty(); }
 
+    int uvCount() const { return nUv; }
+    int channels() const { return nch; }
     int panels() const { return nPanels; }
     std::size_t wordCount() const { return words.size(); }
 

@@ -210,4 +210,25 @@ publishStageMetrics(const char *stage, double seconds, double flops)
                       seconds);
 }
 
+StageTimer::StageTimer(const char *stage, double flops)
+    : stage(stage), flops(flops), active(metrics::enabled())
+{
+    if (active) {
+        start = std::chrono::steady_clock::now();
+        perf0 = perf::read();
+    }
+}
+
+StageTimer::~StageTimer()
+{
+    if (active) {
+        const std::chrono::duration<double> d =
+            std::chrono::steady_clock::now() - start;
+        publishStageMetrics(stage, d.count(), flops);
+        // Joins kernel.<stage>.{seconds,flops} in the winomc-report
+        // roofline.
+        perf::publishStage(stage, perf0);
+    }
+}
+
 } // namespace winomc::mk

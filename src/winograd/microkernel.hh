@@ -28,8 +28,11 @@
 #ifndef WINOMC_WINOGRAD_MICROKERNEL_HH
 #define WINOMC_WINOGRAD_MICROKERNEL_HH
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+
+#include "common/perfcounters.hh"
 
 namespace winomc {
 namespace mk {
@@ -160,10 +163,6 @@ struct MicroKernels
     /** y[i] += a * x[i]. (SGD update with a = -lr.) */
     void (*axpy)(float *y, float a, const float *x, std::int64_t n);
 
-    /** dst[i] = a[i] + b[i]. (Pooling row combine.) */
-    void (*addRows)(float *dst, const float *a, const float *b,
-                    std::int64_t n);
-
     /**
      * One output row of 2x2 average pooling:
      * y[o] = 0.25f * (((r0[2o] + r0[2o+1]) + r1[2o]) + r1[2o+1])
@@ -231,14 +230,6 @@ struct MicroKernels
                              std::size_t outStride, int cnt,
                              int halfKind);
 
-    /** dst[i] = encode(src[i]) — software RNE, ISA-independent bits. */
-    void (*cvtFloatToHalf)(std::uint16_t *dst, const float *src,
-                           std::int64_t n, int halfKind);
-
-    /** dst[i] = decode(src[i]) — exact, so hardware decode is fine. */
-    void (*cvtHalfToFloat)(float *dst, const std::uint16_t *src,
-                           std::int64_t n, int halfKind);
-
     /**
      * Bit e (e < entries <= 64) of the result is 1 iff lanes
      * x[e * stride + 0 .. cnt) are all exactly 0.0f (or -0.0f). Scans
@@ -303,6 +294,28 @@ void setIsa(Isa isa);
  * disabled.
  */
 void publishStageMetrics(const char *stage, double seconds, double flops);
+
+/**
+ * RAII throughput probe: when metrics are on, times the enclosing
+ * stage and publishes publishStageMetrics() plus this thread's
+ * hardware-counter share (perf.<stage>.*). Costs one relaxed atomic
+ * load when metrics are off.
+ */
+class StageTimer
+{
+  public:
+    StageTimer(const char *stage, double flops);
+    ~StageTimer();
+    StageTimer(const StageTimer &) = delete;
+    StageTimer &operator=(const StageTimer &) = delete;
+
+  private:
+    const char *stage;
+    double flops;
+    bool active;
+    std::chrono::steady_clock::time_point start;
+    perf::Reading perf0;
+};
 
 namespace detail {
 /**

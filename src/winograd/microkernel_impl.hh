@@ -22,6 +22,8 @@
 #ifndef WINOMC_WINOGRAD_MICROKERNEL_IMPL_HH
 #define WINOMC_WINOGRAD_MICROKERNEL_IMPL_HH
 
+#include <bit>
+
 namespace {
 namespace mkimpl {
 
@@ -314,19 +316,6 @@ axpy(float *y, float a, const float *x, std::int64_t n)
 }
 
 void
-addRows(float *dst, const float *a, const float *b, std::int64_t n)
-{
-    std::int64_t i = 0;
-    for (; i + VF::W <= n; i += VF::W)
-        VF::add(VF::load(a + i), VF::load(b + i)).store(dst + i);
-    if (i < n) {
-        const int r = int(n - i);
-        VF::add(VF::loadPartial(a + i, r), VF::loadPartial(b + i, r))
-            .storePartial(dst + i, r);
-    }
-}
-
-void
 panelAccumSel(float *y, const float *const *x, const float *w, int nv,
               int len, int /*origNv*/)
 {
@@ -455,56 +444,20 @@ xformToTilesHalf(const double *L, int p, int n, const double *R, int k,
         });
 }
 
-void
-cvtFloatToHalf(std::uint16_t *dst, const float *src, std::int64_t n,
-               int halfKind)
-{
-    // Encode is always the software reference: identical bits on
-    // every ISA level by construction.
-    if (halfKind == winomc::mk::kHalfBf16)
-        for (std::int64_t i = 0; i < n; ++i)
-            dst[i] = winomc::half::f32ToBf16(src[i]);
-    else
-        for (std::int64_t i = 0; i < n; ++i)
-            dst[i] = winomc::half::f32ToF16(src[i]);
-}
-
-void
-cvtHalfToFloat(float *dst, const std::uint16_t *src, std::int64_t n,
-               int halfKind)
-{
-    std::int64_t i = 0;
-    if (halfKind == winomc::mk::kHalfBf16) {
-        for (; i + VF::W <= n; i += VF::W)
-            VF::loadBf16(src + i).store(dst + i);
-        if (i < n)
-            VF::loadBf16Partial(src + i, int(n - i))
-                .storePartial(dst + i, int(n - i));
-    } else {
-        for (; i + VF::W <= n; i += VF::W)
-            VF::loadF16(src + i).store(dst + i);
-        if (i < n)
-            VF::loadF16Partial(src + i, int(n - i))
-                .storePartial(dst + i, int(n - i));
-    }
-}
-
 std::uint64_t
 panelZeroMask(const float *x, std::size_t stride, int entries, int cnt)
 {
-    // Mask building is a read-only scan off the critical arithmetic
-    // path; the scalar loop keeps every ISA level's mask identical.
+    // A row is zero iff the OR of its lanes' bits is at most the sign
+    // bit (every lane ±0; NaN and denormals count as nonzero, as with
+    // p[l] != 0.0f). Branch-free, so the lane loop vectorizes; the
+    // integer test keeps every ISA level's mask identical.
     std::uint64_t m = 0;
     for (int e = 0; e < entries; ++e) {
         const float *p = x + std::size_t(e) * stride;
-        bool zero = true;
-        for (int l = 0; l < cnt; ++l) {
-            if (p[l] != 0.0f) {
-                zero = false;
-                break;
-            }
-        }
-        if (zero)
+        std::uint32_t bits = 0;
+        for (int l = 0; l < cnt; ++l)
+            bits |= std::bit_cast<std::uint32_t>(p[l]);
+        if (!(bits & 0x7fffffffu))
             m |= std::uint64_t(1) << e;
     }
     return m;
@@ -517,14 +470,10 @@ panelZeroMaskHalf(const std::uint16_t *x, std::size_t stride,
     std::uint64_t m = 0;
     for (int e = 0; e < entries; ++e) {
         const std::uint16_t *p = x + std::size_t(e) * stride;
-        bool zero = true;
-        for (int l = 0; l < cnt; ++l) {
-            if ((p[l] & 0x7fffu) != 0u) { // both formats: ±0 only
-                zero = false;
-                break;
-            }
-        }
-        if (zero)
+        unsigned bits = 0;
+        for (int l = 0; l < cnt; ++l)
+            bits |= p[l];
+        if (!(bits & 0x7fffu)) // both formats: ±0 only
             m |= std::uint64_t(1) << e;
     }
     return m;
@@ -576,12 +525,10 @@ avgPool2Row(float *y, const float *r0, const float *r1, int outW)
             mkimpl::unpackAddTilePanel,                                   \
             mkimpl::rowAccumDouble, mkimpl::sumDouble,                    \
             mkimpl::reluForward,    mkimpl::mulPairwise,                  \
-            mkimpl::axpy,           mkimpl::addRows,                      \
-            mkimpl::avgPool2Row,                                          \
+            mkimpl::axpy,           mkimpl::avgPool2Row,                  \
             mkimpl::panelAccumSel,  mkimpl::panelAccumGrouped,            \
             mkimpl::panelAccumHalf,                                       \
             mkimpl::xformToTilesHalf,                                     \
-            mkimpl::cvtFloatToHalf, mkimpl::cvtHalfToFloat,               \
             mkimpl::panelZeroMask,  mkimpl::panelZeroMaskHalf,            \
         };                                                                \
         return &table;                                                    \

@@ -239,13 +239,6 @@ axpy(float *y, float a, const float *x, std::int64_t n)
 }
 
 void
-addRows(float *dst, const float *a, const float *b, std::int64_t n)
-{
-    for (std::int64_t i = 0; i < n; ++i)
-        dst[i] = a[i] + b[i];
-}
-
-void
 avgPool2Row(float *y, const float *r0, const float *r1, int outW)
 {
     for (int o = 0; o < outW; ++o)
@@ -353,30 +346,6 @@ xformToTilesHalf(const double *L, int p, int n, const double *R, int k,
     }
 }
 
-void
-cvtFloatToHalf(std::uint16_t *dst, const float *src, std::int64_t n,
-               int halfKind)
-{
-    if (halfKind == winomc::mk::kHalfBf16)
-        for (std::int64_t i = 0; i < n; ++i)
-            dst[i] = winomc::half::f32ToBf16(src[i]);
-    else
-        for (std::int64_t i = 0; i < n; ++i)
-            dst[i] = winomc::half::f32ToF16(src[i]);
-}
-
-void
-cvtHalfToFloat(float *dst, const std::uint16_t *src, std::int64_t n,
-               int halfKind)
-{
-    if (halfKind == winomc::mk::kHalfBf16)
-        for (std::int64_t i = 0; i < n; ++i)
-            dst[i] = winomc::half::bf16ToF32(src[i]);
-    else
-        for (std::int64_t i = 0; i < n; ++i)
-            dst[i] = winomc::half::f16ToF32(src[i]);
-}
-
 std::uint64_t
 panelZeroMask(const float *x, std::size_t stride, int entries, int cnt)
 {
@@ -433,14 +402,11 @@ const winomc::mk::MicroKernels kTable = {
     reluForward,
     mulPairwise,
     axpy,
-    addRows,
     avgPool2Row,
     panelAccumSel,
     panelAccumGrouped,
     panelAccumHalf,
     xformToTilesHalf,
-    cvtFloatToHalf,
-    cvtHalfToFloat,
     panelZeroMask,
     panelZeroMaskHalf,
 };

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "common/metrics.hh"
 #include "common/parallel.hh"
-#include "common/perfcounters.hh"
 #include "common/trace.hh"
 #include "winograd/conv.hh"
 #include "winograd/cost.hh"
@@ -27,7 +25,7 @@ namespace {
  * DRAM. Strips are whole tile panels; tiny grids collapse to one
  * panel-sized strip.
  */
-constexpr std::size_t kStripScratchBytes = 512 * 1024;
+constexpr std::size_t kScratchBudgetBytes = 512 * 1024;
 
 /**
  * Auto-mode threshold: fuse once the staged pipeline's forward slabs
@@ -38,38 +36,12 @@ constexpr std::size_t kFusedAutoMinSlabBytes = 1u << 20;
 
 std::atomic<int> gFusedMode{-1}; ///< -1 = unresolved (parse env once)
 
-/** RAII throughput probe for the fused phases (same contract as the
- *  staged StageTimer in conv.cc). */
-class FusedTimer
+/** mk:: 16-bit kind of a half precision. */
+int
+halfKind(Prec p)
 {
-  public:
-    FusedTimer(const char *stage, double flops)
-        : stage(stage), flops(flops), active(metrics::enabled())
-    {
-        if (active) {
-            start = std::chrono::steady_clock::now();
-            perf0 = perf::read();
-        }
-    }
-    ~FusedTimer()
-    {
-        if (active) {
-            std::chrono::duration<double> d =
-                std::chrono::steady_clock::now() - start;
-            mk::publishStageMetrics(stage, d.count(), flops);
-            perf::publishStage(stage, perf0);
-        }
-    }
-    FusedTimer(const FusedTimer &) = delete;
-    FusedTimer &operator=(const FusedTimer &) = delete;
-
-  private:
-    const char *stage;
-    double flops;
-    bool active;
-    std::chrono::steady_clock::time_point start;
-    perf::Reading perf0;
-};
+    return p == Prec::F16 ? mk::kHalfF16 : mk::kHalfBf16;
+}
 
 } // namespace
 
@@ -158,12 +130,12 @@ WinoPlan::WinoPlan(const WinogradAlgo &algo, int batch, int inCh,
                         grid.tiles());
 
     // Fused strip geometry: whole tile panels, sized so one worker's
-    // in+out scratch fits kStripScratchBytes, clamped to [one panel,
+    // in+out scratch fits kScratchBudgetBytes, clamped to [one panel,
     // the panel-rounded grid].
     const std::size_t a2 = std::size_t(algo.alpha) * algo.alpha;
     const std::size_t perTile = a2 * std::size_t(inCh + outCh) *
                                 sizeof(float);
-    int t = int(kStripScratchBytes / perTile);
+    int t = int(kScratchBudgetBytes / perTile);
     // Weight-amortization floor: each strip re-streams the whole
     // Winograd weight slab (a^2*I*J floats), while fusing saves one
     // write+read round trip of the strip's slab share (a^2*(I+J)*
@@ -215,26 +187,17 @@ WinoPlan::workspaceBytes() const
 }
 
 bool
-WinoPlan::fusedSupported() const
-{
-    // The strip kernels cover every "same"-conv configuration a plan
-    // accepts today; the hook stays for future constraints (strides,
-    // grouped layouts).
-    return true;
-}
-
-bool
 WinoPlan::shouldFuse(bool preserveTileCaches) const
 {
     switch (requestedFusedMode()) {
       case FusedMode::Off:
         return false;
       case FusedMode::On:
-        return fusedSupported();
+        return true;
       case FusedMode::Auto:
         break;
     }
-    if (!fusedSupported() || preserveTileCaches)
+    if (preserveTileCaches)
         return false;
     // Fuse once the staged forward slabs overflow cache; below that,
     // staged is already cache-resident and keeps its tile caches.
@@ -242,53 +205,52 @@ WinoPlan::shouldFuse(bool preserveTileCaches) const
            kFusedAutoMinSlabBytes;
 }
 
-WinoPlan::StripScratch *
-WinoPlan::acquireStripSlot()
+std::unique_ptr<WinoPlan::RangeScratch>
+WinoPlan::newScratch() const
+{
+    auto s = std::make_unique<RangeScratch>();
+    s->in.reshape(alg.alpha, ni, 1, stripT);
+    s->out.reshape(alg.alpha, nj, 1, stripT);
+    if (pol.prec != Prec::F32)
+        s->inHalf.reshape(alg.alpha, ni, 1, stripT);
+    if (pol.sparse)
+        s->mask.reshape(alg.alpha * alg.alpha, ni, 1, stripT);
+    return s;
+}
+
+WinoPlan::RangeScratch *
+WinoPlan::acquireScratch()
 {
     std::lock_guard<std::mutex> lk(stripMu);
     if (stripFree.empty()) {
-        auto s = std::make_unique<StripScratch>();
-        s->in.reshape(alg.alpha, ni, 1, stripT);
-        s->out.reshape(alg.alpha, nj, 1, stripT);
-        if (pol.prec != Prec::F32)
-            s->inHalf.reshape(alg.alpha, ni, 1, stripT);
-        if (pol.sparse)
-            s->mask.reshape(alg.alpha * alg.alpha, ni, 1, stripT);
-        stripSlots.push_back(std::move(s));
+        stripSlots.push_back(newScratch());
         return stripSlots.back().get();
     }
-    StripScratch *s = stripFree.back();
+    RangeScratch *s = stripFree.back();
     stripFree.pop_back();
     return s;
 }
 
 void
-WinoPlan::releaseStripSlot(StripScratch *s)
+WinoPlan::releaseScratch(RangeScratch *s)
 {
     std::lock_guard<std::mutex> lk(stripMu);
     stripFree.push_back(s);
 }
 
 void
-WinoPlan::ensureStripSlots(int n)
+WinoPlan::ensureScratch(int n)
 {
     // Pre-build the worst-case concurrent slot count before entering
-    // the parallel region. Lazy growth inside acquireStripSlot would
+    // the parallel region. Lazy growth inside acquireScratch would
     // still be correct, but how many workers are simultaneously awake
     // varies run to run — growing the pool up front keeps the
     // zero-steady-state-allocation contract deterministic instead of
     // dependent on the warm-up call's scheduling luck.
     std::lock_guard<std::mutex> lk(stripMu);
     while (int(stripSlots.size()) < n) {
-        auto s = std::make_unique<StripScratch>();
-        s->in.reshape(alg.alpha, ni, 1, stripT);
-        s->out.reshape(alg.alpha, nj, 1, stripT);
-        if (pol.prec != Prec::F32)
-            s->inHalf.reshape(alg.alpha, ni, 1, stripT);
-        if (pol.sparse)
-            s->mask.reshape(alg.alpha * alg.alpha, ni, 1, stripT);
-        stripFree.push_back(s.get());
-        stripSlots.push_back(std::move(s));
+        stripSlots.push_back(newScratch());
+        stripFree.push_back(stripSlots.back().get());
     }
 }
 
@@ -315,23 +277,18 @@ void
 WinoPlan::forwardInto(const Tensor &x, const WinoWeights &W, Tensor &y)
 {
     WINOMC_SPAN("wino.phase.fwd", "wino");
-    const bool half = pol.prec != Prec::F32;
-    const int hk =
-        pol.prec == Prec::F16 ? mk::kHalfF16 : mk::kHalfBf16;
-    if (half) {
-        ActMask *m = pol.sparse ? &actMask : nullptr;
-        transformInputHalfInto(x, alg, Xh, hk, m);
-        elementwiseForwardHalfInto(Xh, W, Yt, hk, m);
+    ActMask *mask = pol.sparse ? &actMask : nullptr;
+    if (pol.prec != Prec::F32) {
+        const int hk = halfKind(pol.prec);
+        transformInputInto(x, alg, Xh, hk, mask);
+        elementwiseForwardInto(Xh, W, Yt, hk, mask);
         // The fp32 Xt slab was bypassed; tile-cache consumers must
         // scatterInput (backward stays full fp32).
         haveInput = false;
-    } else if (pol.sparse) {
-        transformInputMaskInto(x, alg, Xt, actMask);
-        elementwiseForwardSparseInto(Xt, W, Yt, actMask);
-        haveInput = true; // Xt is the same fp32 slab, bitwise
     } else {
-        transformInputInto(x, alg, Xt);
-        elementwiseForwardInto(Xt, W, Yt);
+        // Sparse leaves Xt the same fp32 slab, bitwise.
+        transformInputInto(x, alg, Xt, mask);
+        elementwiseForwardInto(Xt, W, Yt, 0, -1, mask);
         haveInput = true;
     }
     inverseTransformInto(Yt, alg, y);
@@ -365,47 +322,43 @@ WinoPlan::forwardFusedInto(const Tensor &x, const WinoWeights &W,
                   W.outChannels() == nj,
                   "forwardFusedInto weight shape mismatch");
     const int nt = grid.tiles();
-    const int nStrips = stripCount();
+    const int strips = stripCount();
     const int a = alg.alpha;
     const int m = alg.m;
-    FusedTimer probe("fused.fwd",
-                     4.0 * a * a * a * double(nb) * ni * nt +
-                         2.0 * a * a * double(nj) * ni * nb * nt +
-                         2.0 * m * a * (a + m) * double(nb) * nj * nt);
+    mk::StageTimer probe("fused.fwd",
+                         4.0 * a * a * a * double(nb) * ni * nt +
+                             2.0 * a * a * double(nj) * ni * nb * nt +
+                             2.0 * m * a * (a + m) * double(nb) * nj * nt);
 
-    const std::int64_t nTasks = std::int64_t(nb) * nStrips;
-    ensureStripSlots(int(std::min<std::int64_t>(
+    const std::int64_t nTasks = std::int64_t(nb) * strips;
+    ensureScratch(int(std::min<std::int64_t>(
         ThreadPool::global().threadCount(), nTasks)));
     const bool half = pol.prec != Prec::F32;
-    const int hk =
-        pol.prec == Prec::F16 ? mk::kHalfF16 : mk::kHalfBf16;
+    const int hk = halfKind(pol.prec);
     // One task per (image, strip); output tiles are disjoint across
     // tasks, so any chunking is race-free and bitwise identical.
     parallelFor(0, nTasks, 1,
                 [&](std::int64_t lo, std::int64_t hi) {
-        StripScratch *s = acquireStripSlot();
+        RangeScratch *s = acquireScratch();
+        ActMask *mask = pol.sparse ? &s->mask : nullptr;
         for (std::int64_t task = lo; task < hi; ++task) {
-            const int b = int(task / nStrips);
-            const int t0 = int(task % nStrips) * stripT;
+            const int b = int(task / strips);
+            const int t0 = int(task % strips) * stripT;
             const int tcnt = std::min(stripT, nt - t0);
-            if (half) {
-                ActMask *m = pol.sparse ? &s->mask : nullptr;
-                transformInputStripHalf(x, alg, grid, b, t0, tcnt,
-                                        s->inHalf, hk, m);
-                elementwiseForwardStripHalf(s->inHalf, W, tcnt, s->out,
-                                            hk, m);
-            } else if (pol.sparse) {
-                transformInputStripMask(x, alg, grid, b, t0, tcnt,
-                                        s->in, s->mask);
-                elementwiseForwardStripSparse(s->in, W, tcnt, s->out,
-                                              s->mask);
-            } else {
-                transformInputStrip(x, alg, grid, b, t0, tcnt, s->in);
-                elementwiseForwardStrip(s->in, W, tcnt, s->out);
-            }
-            inverseTransformStrip(s->out, alg, grid, b, t0, tcnt, y);
+            if (half)
+                transformInputRange(x, alg, grid, b, t0, tcnt, s->inHalf,
+                                    hk, mask);
+            else
+                transformInputRange(x, alg, grid, b, t0, tcnt, s->in,
+                                    mask);
+            if (half)
+                elementwiseForwardRange(s->inHalf, W, tcnt, s->out, hk,
+                                        mask);
+            else
+                elementwiseForwardRange(s->in, W, tcnt, s->out, mask);
+            inverseTransformRange(s->out, alg, grid, b, t0, tcnt, y);
         }
-        releaseStripSlot(s);
+        releaseScratch(s);
     });
     // The slabs were bypassed; previously cached tiles are now stale.
     haveInput = haveOutput = false;
@@ -414,10 +367,10 @@ WinoPlan::forwardFusedInto(const Tensor &x, const WinoWeights &W,
         const double f = double(sizeof(float));
         publishTraffic(
             "fused", "fwd", double(gatherElemsA) * nb * ni * f,
-            double(W.size()) * nb * nStrips * f,
+            double(W.size()) * nb * strips * f,
             double(nb) * nj * fh * fw * f,
             double(predictedTrafficBytes(spec, alg, Phase::Fprop, true,
-                                         nStrips)
+                                         strips)
                        .totalBytes()));
     }
 }
@@ -463,37 +416,36 @@ WinoPlan::backwardDataFusedInto(const Tensor &dy, const WinoWeights &W,
                   W.outChannels() == nj,
                   "backwardDataFusedInto weight shape mismatch");
     const int nt = grid.tiles();
-    const int nStrips = stripCount();
+    const int strips = stripCount();
     const int a = alg.alpha;
     const int m = alg.m;
-    FusedTimer probe("fused.bwd_data",
-                     2.0 * m * a * (a + m) * double(nb) * nj * nt +
-                         2.0 * a * a * double(nj) * ni * nb * nt +
-                         4.0 * a * a * a * double(nb) * ni * nt);
+    mk::StageTimer probe("fused.bwd_data",
+                         2.0 * m * a * (a + m) * double(nb) * nj * nt +
+                             2.0 * a * a * double(nj) * ni * nb * nt +
+                             4.0 * a * a * a * double(nb) * ni * nt);
 
-    ensureStripSlots(
-        std::min(ThreadPool::global().threadCount(), nb));
+    ensureScratch(std::min(ThreadPool::global().threadCount(), nb));
     // Overlap-add races across strips of one image, so the batch axis
     // is the parallel unit and strips run serially in ascending order
     // per image — the same summation order as the staged adjoint, so
     // any thread count is bitwise identical to serial.
     const std::size_t planeSz = std::size_t(ni) * fh * fw;
     parallelFor(0, nb, 1, [&](std::int64_t lo, std::int64_t hi) {
-        StripScratch *s = acquireStripSlot();
+        RangeScratch *s = acquireScratch();
         for (std::int64_t b = lo; b < hi; ++b) {
             float *dxb = dx.data() + std::size_t(b) * planeSz;
             std::fill(dxb, dxb + planeSz, 0.0f); // overlap-add target
-            for (int strip = 0; strip < nStrips; ++strip) {
+            for (int strip = 0; strip < strips; ++strip) {
                 const int t0 = strip * stripT;
                 const int tcnt = std::min(stripT, nt - t0);
-                inverseTransformAdjointStrip(dy, alg, grid, int(b), t0,
+                inverseTransformAdjointRange(dy, alg, grid, int(b), t0,
                                              tcnt, s->out);
-                elementwiseBackwardDataStrip(s->out, W, tcnt, s->in);
-                transformInputAdjointStripAdd(s->in, alg, grid, int(b),
-                                              t0, tcnt, dx);
+                elementwiseBackwardDataRange(s->out, W, tcnt, s->in);
+                transformInputAdjointRange(s->in, alg, grid, int(b), t0,
+                                           tcnt, dx);
             }
         }
-        releaseStripSlot(s);
+        releaseScratch(s);
     });
     if (metrics::enabled()) {
         const ConvSpec spec{"plan", nb, ni, nj, fh, fw, alg.r};
@@ -501,10 +453,10 @@ WinoPlan::backwardDataFusedInto(const Tensor &dy, const WinoWeights &W,
         const double f = double(sizeof(float));
         publishTraffic(
             "fused", "bwd_data", double(nb) * nj * fh * fw * f,
-            double(W.size()) * nb * nStrips * f,
+            double(W.size()) * nb * strips * f,
             (double(nb) * ni * fh * fw + 2.0 * addSweep) * f,
             double(predictedTrafficBytes(spec, alg, Phase::Bprop, true,
-                                         nStrips)
+                                         strips)
                        .totalBytes()));
     }
 }

@@ -136,9 +136,6 @@ class WinoPlan
     // staged path.
     // -----------------------------------------------------------------
 
-    /** Does a fused path exist for this plan's configuration? */
-    bool fusedSupported() const;
-
     /**
      * Resolve the WINOMC_FUSED knob for this plan. Pass
      * preserveTileCaches = true when the caller will later read the
@@ -184,11 +181,9 @@ class WinoPlan
 
     // -----------------------------------------------------------------
     // Partial-execution access (mpt::MptConvLayer): scatter/gather move
-    // between the spatial and Winograd domains; the partial element-wise
-    // kernels of mpt/functional.hh then accumulate directly into the
-    // plan-owned slabs. Callers zero outputTilesMutable() /
-    // gradInputTilesMutable() before a fresh accumulation pass — a
-    // zeroed reused slab is bitwise identical to a fresh one.
+    // between the spatial and Winograd domains; each MPT group then runs
+    // the uv-ranged element-wise kernels of winograd/conv.hh directly on
+    // its slice of the plan-owned slabs.
     // -----------------------------------------------------------------
 
     /** Xt = B^T x B per tile (marks the input cache valid). */
@@ -219,7 +214,7 @@ class WinoPlan
      * and kept for the plan's lifetime, so fused steady state
      * allocates nothing.
      */
-    struct StripScratch
+    struct RangeScratch
     {
         WinoTiles in;  ///< [a²][I][1][stripT]
         WinoTiles out; ///< [a²][J][1][stripT]
@@ -227,9 +222,10 @@ class WinoPlan
         ActMask mask;     ///< strip-local zero mask (sparse policies)
     };
 
-    StripScratch *acquireStripSlot();
-    void releaseStripSlot(StripScratch *s);
-    void ensureStripSlots(int n);
+    std::unique_ptr<RangeScratch> newScratch() const;
+    RangeScratch *acquireScratch();
+    void releaseScratch(RangeScratch *s);
+    void ensureScratch(int n);
 
     /** Publish wino.<mode>.<phase> traffic counters + predicted gauge
      *  (no-op when metrics are disabled). Args are bytes, so streams
@@ -261,8 +257,8 @@ class WinoPlan
      *  plane. Used by the measured-traffic counters. */
     std::size_t gatherElemsA = 0;
 
-    std::vector<std::unique_ptr<StripScratch>> stripSlots;
-    std::vector<StripScratch *> stripFree; ///< guarded by stripMu
+    std::vector<std::unique_ptr<RangeScratch>> stripSlots;
+    std::vector<RangeScratch *> stripFree; ///< guarded by stripMu
     std::mutex stripMu;
 };
 

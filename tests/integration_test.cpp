@@ -16,6 +16,7 @@
 #include <cmath>
 #include <memory>
 
+#include "common/parallel.hh"
 #include "memnet/link_model.hh"
 #include "memnet/message_sim.hh"
 #include "mpt/comm_volume.hh"
@@ -29,6 +30,7 @@
 #include "noc/network.hh"
 #include "noc/topology.hh"
 #include "quant/predict.hh"
+#include "winograd/plan.hh"
 #include "workloads/layers.hh"
 
 namespace winomc {
@@ -90,6 +92,76 @@ INSTANTIATE_TEST_SUITE_P(Organizations, FunctionalMptP,
     [](const ::testing::TestParamInfo<Org> &info) {
         return "ng" + std::to_string(info.param.ng) + "nc" +
                std::to_string(info.param.nc);
+    });
+
+struct BitwiseOrg
+{
+    int ng, nc, threads;
+};
+
+class MptBitwiseP : public ::testing::TestWithParam<BitwiseOrg> {};
+
+TEST_P(MptBitwiseP, LayerAndEmulationMatchSingleWorkerPlan)
+{
+    // Every (group, cluster) worker runs the single-node element-wise
+    // kernels on its own uv slice, and no output element's arithmetic
+    // depends on the batch split: forward y and backward dx are
+    // bitwise those of one staged plan at any thread count. dW sums
+    // the clusters' partial gradients, so it is bitwise only at nc = 1.
+    const BitwiseOrg org = GetParam();
+    const bool savedSparse = requestedSparse();
+    setSparseMode(false); // fp32 dense, like the prec pin above
+    ThreadPool::global().setThreadCount(org.threads);
+    const WinogradAlgo &algo = algoF2x2_3x3();
+    // 81 tiles per image: ragged tile panels, and the batch*tiles lane
+    // axis crosses a GEMM lane block at nc = 1 but not at nc = 2.
+    const int B = 4, I = 9, J = 5, H = 18, Wd = 18;
+    Rng rng(515), wrng(77);
+    Tensor x(B, I, H, Wd), dy(B, J, H, Wd);
+    x.fillUniform(rng);
+    dy.fillUniform(rng);
+    mpt::MptConvLayer layer(I, J, 3, org.ng, org.nc, algo, wrng);
+    const WinoWeights &W = layer.winoWeights();
+
+    WinoPlan plan(algo, B, I, J, H, Wd);
+    Tensor y_ref(B, J, H, Wd), dx_ref(B, I, H, Wd);
+    WinoWeights dW_ref(algo.alpha, J, I);
+    plan.forwardInto(x, W, y_ref);
+    plan.backwardDataInto(dy, W, dx_ref);
+    plan.gradWeightsInto(x, dy, dW_ref);
+    auto expectGrad = [&](const WinoWeights &dW, const char *who) {
+        if (org.nc == 1)
+            EXPECT_EQ(dW.maxAbsDiff(dW_ref), 0.0f) << who;
+        else
+            EXPECT_LT(dW.maxAbsDiff(dW_ref), 2e-3f) << who;
+    };
+
+    Tensor y = layer.forward(x, true);
+    Tensor dx = layer.backward(dy);
+    EXPECT_EQ(y.maxAbsDiff(y_ref), 0.0f);
+    EXPECT_EQ(dx.maxAbsDiff(dx_ref), 0.0f);
+    expectGrad(layer.winoGradWeights(), "MptConvLayer");
+
+    auto par = mpt::runFunctionalMpt(x, dy, W, algo, org.ng, org.nc);
+    EXPECT_EQ(par.y.maxAbsDiff(y_ref), 0.0f);
+    EXPECT_EQ(par.dx.maxAbsDiff(dx_ref), 0.0f);
+    expectGrad(par.dW, "runFunctionalMpt");
+
+    ThreadPool::global().setThreadCount(0);
+    setSparseMode(savedSparse);
+}
+
+INSTANTIATE_TEST_SUITE_P(Organizations, MptBitwiseP,
+    ::testing::Values(BitwiseOrg{1, 1, 1}, BitwiseOrg{1, 2, 1},
+                      BitwiseOrg{2, 1, 1}, BitwiseOrg{2, 2, 1},
+                      BitwiseOrg{4, 1, 1}, BitwiseOrg{4, 2, 1},
+                      BitwiseOrg{1, 1, 8}, BitwiseOrg{1, 2, 8},
+                      BitwiseOrg{2, 1, 8}, BitwiseOrg{2, 2, 8},
+                      BitwiseOrg{4, 1, 8}, BitwiseOrg{4, 2, 8}),
+    [](const ::testing::TestParamInfo<BitwiseOrg> &info) {
+        return "ng" + std::to_string(info.param.ng) + "nc" +
+               std::to_string(info.param.nc) + "t" +
+               std::to_string(info.param.threads);
     });
 
 TEST(FunctionalMpt, TileTrafficMatchesSectionIIICFormula)

@@ -12,7 +12,6 @@
 #include <cmath>
 
 #include "common/rng.hh"
-#include "quant/activation_map.hh"
 #include "quant/predict.hh"
 #include "quant/prune.hh"
 #include "quant/quantizer.hh"
@@ -400,97 +399,6 @@ TEST(Prune, SparsityExtremesAndClamping)
     EXPECT_EQ(magnitudePrune(w, 1.0).prunedCount(), w.size());
     EXPECT_EQ(magnitudePrune(w, 7.0).prunedCount(), w.size());
     EXPECT_DOUBLE_EQ(PruneMask().sparsity(), 0.0); // empty mask
-}
-
-// --------------------------------------------------------- Packing DMA
-
-TEST(ActivationMap, SetAndCount)
-{
-    ActivationMap map(20);
-    for (size_t u = 0; u < 20; ++u)
-        EXPECT_FALSE(map.live(u));
-    map.set(3, true);
-    map.set(9, true);
-    map.set(19, true);
-    map.set(9, false);
-    EXPECT_TRUE(map.live(3));
-    EXPECT_FALSE(map.live(9));
-    EXPECT_EQ(map.liveCount(), 2u);
-    EXPECT_EQ(map.mapBytes(), 3u); // ceil(20/8)
-}
-
-TEST(ActivationMap, PackUnpackRoundTrip)
-{
-    Rng rng(3);
-    const size_t units = 40, uf = 16;
-    std::vector<float> data(units * uf, 0.0f);
-    ActivationMap map(units);
-    for (size_t u = 0; u < units; ++u) {
-        bool live = rng.coin(0.4);
-        map.set(u, live);
-        if (live)
-            for (size_t k = 0; k < uf; ++k)
-                data[u * uf + k] = float(rng.uniform(-1, 1));
-    }
-
-    auto packed = packUnits(data.data(), uf, map);
-    EXPECT_EQ(packed.size(), map.liveCount() * uf);
-
-    std::vector<float> restored(units * uf, -1.0f);
-    unpackUnits(packed, uf, map, restored.data());
-    for (size_t i = 0; i < data.size(); ++i)
-        EXPECT_FLOAT_EQ(restored[i], data[i]) << i;
-}
-
-TEST(ActivationMap, ZeroUnitsDetected)
-{
-    const size_t units = 8, uf = 4;
-    std::vector<float> data(units * uf, 0.0f);
-    data[1 * uf + 2] = 3.0f; // unit 1 live
-    data[6 * uf + 0] = -1.0f; // unit 6 live
-    ActivationMap map = mapFromZeroUnits(data.data(), units, uf);
-    EXPECT_EQ(map.liveCount(), 2u);
-    EXPECT_TRUE(map.live(1));
-    EXPECT_TRUE(map.live(6));
-    EXPECT_FALSE(map.live(0));
-
-    // Packed transfer + map is smaller than the raw stream whenever
-    // sparsity beats the 1-bit/unit overhead.
-    size_t raw = units * uf * 4;
-    EXPECT_LT(packedWireBytes(map, uf), raw);
-}
-
-TEST(ActivationMap, DenseDataCostsOnlyTheMap)
-{
-    const size_t units = 16, uf = 8;
-    std::vector<float> data(units * uf, 1.0f);
-    ActivationMap map = mapFromZeroUnits(data.data(), units, uf);
-    EXPECT_EQ(map.liveCount(), units);
-    EXPECT_EQ(packedWireBytes(map, uf), units * uf * 4 + 2);
-}
-
-TEST(ActivationMap, EndToEndWithZeroSkipScatter)
-{
-    // Scatter path: transform post-ReLU input one-sided, drop zero
-    // units, ship, reconstruct - the receiver's dot products see
-    // exactly the original values.
-    Rng rng(12);
-    const size_t units = 64, uf = 4; // 4-value lines
-    std::vector<float> stream(units * uf);
-    for (auto &v : stream)
-        v = rng.coin(0.5) ? 0.0f : float(rng.uniform(-2, 2));
-    // Zero whole random units to create skippable lines.
-    for (size_t u = 0; u < units; u += 3)
-        for (size_t k = 0; k < uf; ++k)
-            stream[u * uf + k] = 0.0f;
-
-    ActivationMap map = mapFromZeroUnits(stream.data(), units, uf);
-    auto packed = packUnits(stream.data(), uf, map);
-    std::vector<float> restored(units * uf, -7.0f);
-    unpackUnits(packed, uf, map, restored.data());
-    for (size_t i = 0; i < stream.size(); ++i)
-        EXPECT_FLOAT_EQ(restored[i], stream[i]);
-    EXPECT_LT(packedWireBytes(map, uf), units * uf * 4);
 }
 
 } // namespace

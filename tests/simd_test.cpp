@@ -149,7 +149,6 @@ TEST_F(SimdTest, EveryUsableTableIsFullyPopulated)
         EXPECT_NE(K.reluForward, nullptr);
         EXPECT_NE(K.mulPairwise, nullptr);
         EXPECT_NE(K.axpy, nullptr);
-        EXPECT_NE(K.addRows, nullptr);
         EXPECT_NE(K.avgPool2Row, nullptr);
     }
 }
@@ -179,17 +178,12 @@ TEST_F(SimdTest, ElementwisePrimitivesBitwiseMatchScalarOnOddLengths)
             EXPECT_EQ(0, std::memcmp(mS.data(), mV.data(),
                                      std::size_t(n) * 4))
                 << mk::isaName(isa) << " relu mask n=" << n;
-            // Pairwise multiply and add are bitwise (no reduction).
+            // Pairwise multiply is bitwise (no reduction).
             scalar->mulPairwise(yS.data(), x.data(), b.data(), n);
             K.mulPairwise(yV.data(), x.data(), b.data(), n);
             EXPECT_EQ(0, std::memcmp(yS.data(), yV.data(),
                                      std::size_t(n) * 4))
                 << mk::isaName(isa) << " mul n=" << n;
-            scalar->addRows(yS.data(), x.data(), b.data(), n);
-            K.addRows(yV.data(), x.data(), b.data(), n);
-            EXPECT_EQ(0, std::memcmp(yS.data(), yV.data(),
-                                     std::size_t(n) * 4))
-                << mk::isaName(isa) << " add n=" << n;
         }
     }
 }
