@@ -586,13 +586,14 @@ BENCHMARK(BM_WinoForwardFused)->Apply(threadArgs)
  * One full training step of a Winograd layer through a persistent
  * plan: forward, weight gradient from the cached tiles, backward-data.
  * The single end-to-end number future PRs track. The fused variant
- * mirrors the WINOMC_FUSED=on layer schedule: the fused forward
- * bypasses the slabs, so the weight-gradient product re-scatters the
- * activations (scatterInput) exactly as nn::ConvLayer::backward does.
- * On this deliberately small, cache-resident shape the re-scatter
- * costs more than the slab round trip saves, so the fused row reads
- * slower here — the forward pair above, on a slab-overflowing shape,
- * is the fusion-win comparison.
+ * mirrors the WINOMC_FUSED=on layer schedule of nn::ConvLayer: the
+ * fused forward bypasses the slabs, so the weight-gradient product
+ * re-scatters the activations (scatterInput), and backward-data reuses
+ * the one transformed dYt like the staged row. On this deliberately
+ * small, cache-resident shape the re-scatter costs more than the slab
+ * round trip saves, so the fused row reads slower here — the forward
+ * pair above, on a slab-overflowing shape, is the fusion-win
+ * comparison.
  */
 void
 winoTrainStepPlanned(benchmark::State &state, bool fused)
@@ -619,13 +620,12 @@ winoTrainStepPlanned(benchmark::State &state, bool fused)
             plan.scatterInput(x); // rebuild Xt for the weight grad
             plan.transformGradOutput(dy);
             plan.gradWeightsFromCachedInto(dW);
-            plan.backwardDataFusedInto(dy, W, dx);
         } else {
             plan.forwardInto(x, W, y);
             plan.transformGradOutput(dy);
             plan.gradWeightsFromCachedInto(dW);
-            plan.backwardDataFromCachedInto(W, dx);
         }
+        plan.backwardDataFromCachedInto(W, dx);
     };
     step(); // warm-up: slabs / strip slots acquired here
     WsProbe probe;
@@ -648,8 +648,7 @@ winoTrainStepPlanned(benchmark::State &state, bool fused)
                        xfFlops(algo, B, C, t);
     double flops = fwd + grad + bwd;
     if (fused)
-        flops += xfFlops(algo, B, C, t) + // scatterInput
-                 invFlops(algo, B, C, t); // bwd re-gathers dy
+        flops += xfFlops(algo, B, C, t); // scatterInput
     reportKernelRate(state, flops);
     if (acquires > 0.5)
         state.SkipWithError("persistent WinoPlan still acquires "

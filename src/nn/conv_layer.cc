@@ -290,11 +290,10 @@ ConvLayer::backward(const Tensor &dy)
         transformWeightsAdjointInto(gScratch, *alg, dwScratch);
         dw += dwScratch;
     }
+    // Both gradient products consume the one dYt transform above; the
+    // backward-data GEMM then spans every batch x tiles lane at once.
     Tensor dx(dy.n(), inCh, lastH, lastW);
-    if (execPlan->shouldFuse(false))
-        execPlan->backwardDataFusedInto(dy, W, dx);
-    else
-        execPlan->backwardDataFromCachedInto(W, dx);
+    execPlan->backwardDataFromCachedInto(W, dx);
     return dx;
 }
 

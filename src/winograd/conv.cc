@@ -731,6 +731,10 @@ elementwiseGradWeightsInto(const WinoTiles &dY, const WinoTiles &X,
     // over the *output* (uv, J-block) space: every dW element is owned
     // by exactly one task and its reduction runs over k in ascending
     // order, so results are bitwise identical for any thread count.
+    // Each k block adds one dot product per pair, computed in
+    // register-blocked kJBlock x kDotBlock tiles of the pair space.
+    static_assert(kJBlock <= mk::kDotBlock && kIBlock % mk::kDotBlock == 0,
+                  "grad-weights blocks must tile into dotBlockDouble calls");
     parallelFor(0, std::int64_t(uv1 - uv0) * jBlocks, 1,
                 [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t task = lo; task < hi; ++task) {
@@ -738,6 +742,8 @@ elementwiseGradWeightsInto(const WinoTiles &dY, const WinoTiles &X,
             const int j0 = int(task % jBlocks) * kJBlock;
             const int jn = std::min(kJBlock, nj - j0);
             double acc[kJBlock][kIBlock];
+            const float *dy[kJBlock];
+            const float *x[kIBlock];
             for (int i0 = 0; i0 < ni; i0 += kIBlock) {
                 const int in = std::min(kIBlock, ni - i0);
                 for (int jj = 0; jj < jn; ++jj)
@@ -745,13 +751,15 @@ elementwiseGradWeightsInto(const WinoTiles &dY, const WinoTiles &X,
                         acc[jj][ii] = 0.0;
                 for (int k0 = 0; k0 < bt; k0 += kKBlock) {
                     const int kb = std::min(kKBlock, bt - k0);
-                    for (int ii = 0; ii < in; ++ii) {
-                        const float *x = X.row(uv, i0 + ii) + k0;
-                        for (int jj = 0; jj < jn; ++jj) {
-                            const float *dy = dY.row(uv, j0 + jj) + k0;
-                            acc[jj][ii] += K.dotDouble(dy, x, kb);
-                        }
-                    }
+                    for (int jj = 0; jj < jn; ++jj)
+                        dy[jj] = dY.row(uv, j0 + jj) + k0;
+                    for (int ii = 0; ii < in; ++ii)
+                        x[ii] = X.row(uv, i0 + ii) + k0;
+                    for (int ii = 0; ii < in; ii += mk::kDotBlock)
+                        K.dotBlockDouble(&acc[0][ii], kIBlock, dy, jn,
+                                         x + ii,
+                                         std::min(mk::kDotBlock, in - ii),
+                                         kb);
                 }
                 for (int jj = 0; jj < jn; ++jj)
                     for (int ii = 0; ii < in; ++ii)

@@ -54,6 +54,10 @@ enum class Isa : int {
  */
 constexpr int kTilePanel = 16;
 
+/** Largest row count per side of one MicroKernels::dotBlockDouble
+ *  call (a full block keeps kDotBlock^2 accumulators per chain). */
+constexpr int kDotBlock = 4;
+
 /**
  * One resolved kernel table. All pointers are non-null; the scalar
  * table backs any primitive a vector TU does not specialize.
@@ -75,10 +79,20 @@ struct MicroKernels
                        int nv, int len);
 
     /**
-     * Double-precision dot product sum_k a[k]*b[k] with a deterministic
-     * (per-ISA) summation order. Core of elementwiseGradWeights.
+     * Register-blocked double-precision dot products, the core of
+     * elementwiseGradWeights: acc[j * ldAcc + i] += dot(a[j], b[i])
+     * over len floats, for j < na and i < nb (na, nb in
+     * [1, kDotBlock]). Every pair keeps the single-pair reduction
+     * order: the scalar table loops its four-chain dot per pair;
+     * vector levels keep two VD chains per pair (chain 0 takes the
+     * even full VD chunks, chain 1 the odd full chunks and then the
+     * zero-filled tail) combined as hsum(chain0 + chain1). A block's
+     * rows are loaded once per chunk for all na x nb pairs, so the
+     * result per pair is bitwise the na = nb = 1 call at every level.
      */
-    double (*dotDouble)(const float *a, const float *b, int len);
+    void (*dotBlockDouble)(double *acc, int ldAcc, const float *const *a,
+                           int na, const float *const *b, int nb,
+                           int len);
 
     // --- transform primitives (SoA across a panel of tiles) ---------
 

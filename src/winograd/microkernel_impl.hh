@@ -57,30 +57,93 @@ panelAccum(float *y, const float *const *x, const float *w, int nv,
     }
 }
 
-double
-dotDouble(const float *a, const float *b, int len)
+/**
+ * One FMA step of every pair of an NA x NB block at offset k: the NB
+ * b-chunks are loaded once, each a-chunk once, so a full 4 x 4 block
+ * does 16 FMAs per 8 loads. `load` is the full or the partial
+ * float->double load.
+ */
+template <int NA, int NB, typename LoadFn>
+inline void
+dotBlockStep(VD (&c)[NA][NB], const float *const *a,
+             const float *const *b, int k, LoadFn load)
 {
-    VD acc0 = VD::zero();
-    VD acc1 = VD::zero();
-    int k = 0;
-    for (; k + 2 * VD::W <= len; k += 2 * VD::W) {
-        acc0 = VD::fma(VD::loadFromFloat(a + k), VD::loadFromFloat(b + k),
-                       acc0);
-        acc1 = VD::fma(VD::loadFromFloat(a + k + VD::W),
-                       VD::loadFromFloat(b + k + VD::W), acc1);
+    VD bv[NB];
+#pragma GCC unroll 4
+    for (int i = 0; i < NB; ++i)
+        bv[i] = load(b[i] + k);
+#pragma GCC unroll 4
+    for (int j = 0; j < NA; ++j) {
+        const VD av = load(a[j] + k);
+#pragma GCC unroll 4
+        for (int i = 0; i < NB; ++i)
+            c[j][i] = VD::fma(av, bv[i], c[j][i]);
     }
-    if (k + VD::W <= len) {
-        acc0 = VD::fma(VD::loadFromFloat(a + k), VD::loadFromFloat(b + k),
-                       acc0);
-        k += VD::W;
-    }
+}
+
+/**
+ * Fixed-size body of dotBlockDouble. Each pair keeps the single-pair
+ * reduction order — chain 0 over the even full VD chunks, chain 1
+ * over the odd full chunks then the zero-filled tail (whose surplus
+ * lanes add exact 0 * 0 terms), combined as hsum(chain0 + chain1) —
+ * and each chain runs as its own pass with NA * NB accumulators.
+ */
+template <int NA, int NB>
+void
+dotBlockFixed(double *acc, int ldAcc, const float *const *a,
+              const float *const *b, int len)
+{
+    const auto full = [](const float *p) {
+        return VD::loadFromFloat(p);
+    };
+    const int chunks = len / VD::W;
+    VD c0[NA][NB], c1[NA][NB];
+#pragma GCC unroll 4
+    for (int j = 0; j < NA; ++j)
+#pragma GCC unroll 4
+        for (int i = 0; i < NB; ++i)
+            c0[j][i] = c1[j][i] = VD::zero();
+    for (int q = 0; q < chunks; q += 2)
+        dotBlockStep(c0, a, b, q * VD::W, full);
+    for (int q = 1; q < chunks; q += 2)
+        dotBlockStep(c1, a, b, q * VD::W, full);
+    const int k = chunks * VD::W;
     if (k < len) {
-        // Zero-filled tail lanes contribute exact 0 * 0 terms.
         const int r = len - k;
-        acc1 = VD::fma(VD::loadFromFloatPartial(a + k, r),
-                       VD::loadFromFloatPartial(b + k, r), acc1);
+        dotBlockStep(c1, a, b, k, [r](const float *p) {
+            return VD::loadFromFloatPartial(p, r);
+        });
     }
-    return simd::hsum(VD::add(acc0, acc1));
+#pragma GCC unroll 4
+    for (int j = 0; j < NA; ++j)
+#pragma GCC unroll 4
+        for (int i = 0; i < NB; ++i)
+            acc[j * ldAcc + i] +=
+                simd::hsum(VD::add(c0[j][i], c1[j][i]));
+}
+
+using DotBlockFn = void (*)(double *, int, const float *const *,
+                            const float *const *, int);
+
+static_assert(winomc::mk::kDotBlock == 4,
+              "kDotBlockFns instantiates blocks up to 4 x 4");
+
+constexpr DotBlockFn kDotBlockFns[4][4] = {
+    {dotBlockFixed<1, 1>, dotBlockFixed<1, 2>, dotBlockFixed<1, 3>,
+     dotBlockFixed<1, 4>},
+    {dotBlockFixed<2, 1>, dotBlockFixed<2, 2>, dotBlockFixed<2, 3>,
+     dotBlockFixed<2, 4>},
+    {dotBlockFixed<3, 1>, dotBlockFixed<3, 2>, dotBlockFixed<3, 3>,
+     dotBlockFixed<3, 4>},
+    {dotBlockFixed<4, 1>, dotBlockFixed<4, 2>, dotBlockFixed<4, 3>,
+     dotBlockFixed<4, 4>},
+};
+
+void
+dotBlockDouble(double *acc, int ldAcc, const float *const *a, int na,
+               const float *const *b, int nb, int len)
+{
+    kDotBlockFns[na - 1][nb - 1](acc, ldAcc, a, b, len);
 }
 
 /**
@@ -519,7 +582,7 @@ avgPool2Row(float *y, const float *r0, const float *r1, int outW)
         static const MicroKernels table = {                               \
             isaEnum,          isaStr,                                     \
             simd::VF::W,      simd::VD::W,                                \
-            mkimpl::panelAccum,     mkimpl::dotDouble,                    \
+            mkimpl::panelAccum,     mkimpl::dotBlockDouble,               \
             mkimpl::xformFromTiles, mkimpl::xformToTiles,                 \
             mkimpl::packTilePanel,  mkimpl::unpackTilePanel,              \
             mkimpl::unpackAddTilePanel,                                   \

@@ -62,6 +62,15 @@ dotDouble(const float *a, const float *b, int len)
     return (s0 + s1) + (s2 + s3);
 }
 
+void
+dotBlockDouble(double *acc, int ldAcc, const float *const *a, int na,
+               const float *const *b, int nb, int len)
+{
+    for (int j = 0; j < na; ++j)
+        for (int i = 0; i < nb; ++i)
+            acc[j * ldAcc + i] += dotDouble(a[j], b[i], len);
+}
+
 /** Shared sandwich core: out = L (p x n) * in (n x k) * R (k x q),
  *  identical loop structure to the old per-tile sandwich() helper. */
 template <typename LoadFn, typename StoreFn>
@@ -391,7 +400,7 @@ const winomc::mk::MicroKernels kTable = {
     1,
     1,
     panelAccum,
-    dotDouble,
+    dotBlockDouble,
     xformFromTiles,
     xformToTiles,
     packTilePanel,

@@ -380,25 +380,8 @@ WinoPlan::backwardDataInto(const Tensor &dy, const WinoWeights &W,
                            Tensor &dx)
 {
     WINOMC_SPAN("wino.phase.bwd_data", "wino");
-    inverseTransformAdjointInto(dy, alg, dYt);
-    haveGrad = true;
-    elementwiseBackwardDataInto(dYt, W, dXt);
-    transformInputAdjointInto(dXt, alg, dx);
-    if (metrics::enabled()) {
-        const ConvSpec spec{"plan", nb, ni, nj, fh, fw, alg.r};
-        const double outPlane = double(nb) * nj * fh * fw;
-        const double inPlane = double(nb) * ni * fh * fw;
-        const double addSweep = double(gatherElemsA) * nb * ni;
-        const double f = double(sizeof(float));
-        publishTraffic(
-            "staged", "bwd_data", (outPlane + double(dYt.size())) * f,
-            (double(dYt.size()) + double(W.size()) +
-             double(dXt.size())) *
-                f,
-            (double(dXt.size()) + inPlane + 2.0 * addSweep) * f,
-            double(predictedTrafficBytes(spec, alg, Phase::Bprop, false)
-                       .totalBytes()));
-    }
+    transformGradOutput(dy);
+    backwardDataFromCachedInto(W, dx);
 }
 
 void
@@ -478,6 +461,17 @@ WinoPlan::transformGradOutput(const Tensor &dy)
 {
     inverseTransformAdjointInto(dy, alg, dYt);
     haveGrad = true;
+    gradXformUncounted = true;
+}
+
+double
+WinoPlan::takeGradXformBytes()
+{
+    if (!gradXformUncounted)
+        return 0.0;
+    gradXformUncounted = false;
+    return (double(nb) * nj * fh * fw + double(dYt.size())) *
+           sizeof(float);
 }
 
 void
@@ -487,6 +481,19 @@ WinoPlan::gradWeightsFromCachedInto(WinoWeights &dW)
                   "gradWeightsFromCachedInto without cached forward "
                   "tiles and transformed grad-output");
     elementwiseGradWeightsInto(dYt, Xt, dW);
+    if (metrics::enabled()) {
+        const ConvSpec spec{"plan", nb, ni, nj, fh, fw, alg.r};
+        const double f = double(sizeof(float));
+        // The forward (or scatterInput) produced the X tiles.
+        publishTraffic(
+            "staged", "grad_weights", takeGradXformBytes(),
+            (double(dYt.size()) + double(Xt.size()) + double(dW.size())) *
+                f,
+            0.0,
+            double(predictedTrafficBytes(spec, alg, Phase::UpdateGrad,
+                                         false)
+                       .totalBytes()));
+    }
 }
 
 void
@@ -496,6 +503,20 @@ WinoPlan::backwardDataFromCachedInto(const WinoWeights &W, Tensor &dx)
                             "transformGradOutput");
     elementwiseBackwardDataInto(dYt, W, dXt);
     transformInputAdjointInto(dXt, alg, dx);
+    if (metrics::enabled()) {
+        const ConvSpec spec{"plan", nb, ni, nj, fh, fw, alg.r};
+        const double inPlane = double(nb) * ni * fh * fw;
+        const double addSweep = double(gatherElemsA) * nb * ni;
+        const double f = double(sizeof(float));
+        publishTraffic(
+            "staged", "bwd_data", takeGradXformBytes(),
+            (double(dYt.size()) + double(W.size()) +
+             double(dXt.size())) *
+                f,
+            (double(dXt.size()) + inPlane + 2.0 * addSweep) * f,
+            double(predictedTrafficBytes(spec, alg, Phase::Bprop, false)
+                       .totalBytes()));
+    }
 }
 
 void

@@ -46,9 +46,11 @@ namespace winomc {
  *  - Off:  always staged.
  *  - Auto: fused when the plan's shape qualifies (slabs overflow cache
  *          and no caller needs the tile caches), staged otherwise.
- *  - On:   fused wherever a fused path exists, regardless of size —
- *          including train-mode layer forwards, whose backward then
- *          rebuilds the input tiles from the cached activations.
+ *  - On:   fused wherever a fused path exists, regardless of size:
+ *          every forward (train-mode layer forwards included, whose
+ *          backward then rebuilds the input tiles from the cached
+ *          activations) and the transient backward-data wrapper.
+ *          Layer backward never fuses; it reuses its one dYt slab.
  */
 enum class FusedMode : int { Off = 0, Auto = 1, On = 2 };
 
@@ -153,7 +155,9 @@ class WinoPlan
      * gather per tile — cheaper than streaming the a^2-wide dYt slab),
      * so no cached state is used or produced. Strips of one image run
      * serially in ascending order (overlap-add order is part of the
-     * bitwise contract); the batch axis is the parallel unit.
+     * bitwise contract); the batch axis is the parallel unit. For
+     * callers that hold no dYt: a training step that already ran
+     * transformGradOutput uses backwardDataFromCachedInto instead.
      */
     void backwardDataFusedInto(const Tensor &dy, const WinoWeights &W,
                                Tensor &dx);
@@ -174,9 +178,13 @@ class WinoPlan
 
     /** dYt = A dy A^T per tile; prerequisite of the FromCached calls. */
     void transformGradOutput(const Tensor &dy);
-    /** dW (assigned) from the cached X tiles and grad-output tiles. */
+    /** dW (assigned) from the cached X tiles and grad-output tiles.
+     *  Publishes wino.staged.grad_weights traffic. */
     void gradWeightsFromCachedInto(WinoWeights &dW);
-    /** dx from the grad-output tiles through W^T and the input adjoint. */
+    /** dx from the grad-output tiles through W^T and the input adjoint.
+     *  Publishes wino.staged.bwd_data traffic. Whichever of the two
+     *  FromCached calls runs first after transformGradOutput counts
+     *  the dy -> dYt transform bytes, so they are counted once. */
     void backwardDataFromCachedInto(const WinoWeights &W, Tensor &dx);
 
     // -----------------------------------------------------------------
@@ -234,6 +242,9 @@ class WinoPlan
     void publishTraffic(const char *mode, const char *phase,
                         double xformBytes, double ewBytes,
                         double invBytes, double predictedBytes) const;
+    /** The dy -> dYt transform bytes if still uncounted (then marks
+     *  them counted), else 0. */
+    double takeGradXformBytes();
 
     const WinogradAlgo &alg;
     int nb, ni, nj, fh, fw;
@@ -250,6 +261,8 @@ class WinoPlan
     bool haveInput = false;  ///< Xt holds the last forward's input
     bool haveOutput = false; ///< Yt holds the last forward's output
     bool haveGrad = false;   ///< dYt holds the last backward's grads
+    /** transformGradOutput ran and no traffic counter has its bytes. */
+    bool gradXformUncounted = false;
 
     int stripT = 0; ///< tiles per fused strip (multiple of kTilePanel)
     /** Exact in-bounds input-gather elements per (image, channel)

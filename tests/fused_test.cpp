@@ -18,6 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "mpt/mpt_conv_layer.hh"
@@ -267,33 +270,61 @@ TEST(FusedSteadyState, FusedPathAllocatesNothingAfterWarmup)
 TEST(FusedConvLayer, TrainStepsBitwiseMatchStagedUnderForcedFusion)
 {
     KnobGuard guard;
-    WinogradAlgo algo = makeWinograd(2, 3);
-    for (auto mode :
-         {nn::ConvMode::WinogradSpatial, nn::ConvMode::WinogradLayer}) {
-        // Identically-seeded twin layers, one staged, one fused.
-        Rng rngA(42), rngB(42);
-        nn::ConvLayer staged(3, 4, 3, mode, algo, rngA);
-        nn::ConvLayer fused(3, 4, 3, mode, algo, rngB);
-        Rng dataRng(7);
-        for (int iter = 0; iter < 3; ++iter) {
-            Tensor x(2, 3, 6, 6);
-            Tensor dy(2, 4, 6, 6);
-            x.fillUniform(dataRng);
-            dy.fillUniform(dataRng);
+    struct LayerCase
+    {
+        int batch, in_ch, out_ch, hw, m;
+    };
+    // A small F(2,3) layer, then train_wino's F(4,3) convs on 16x16
+    // and 8x8 maps at batch 16 (the 8x8 maps hold 4 tiles per image).
+    const LayerCase cases[] = {
+        {2, 3, 4, 6, 2},
+        {16, 32, 64, 16, 4},
+        {16, 64, 128, 8, 4},
+        {16, 128, 128, 8, 4},
+    };
+    for (const LayerCase &c : cases) {
+        WinogradAlgo algo = makeWinograd(c.m, 3);
+        for (auto mode : {nn::ConvMode::WinogradSpatial,
+                          nn::ConvMode::WinogradLayer}) {
+            // Identically-seeded twin layers, one staged, one fused.
+            Rng rngA(42), rngB(42);
+            nn::ConvLayer staged(c.in_ch, c.out_ch, 3, mode, algo, rngA);
+            nn::ConvLayer fused(c.in_ch, c.out_ch, 3, mode, algo, rngB);
+            Rng dataRng(7);
+            for (int iter = 0; iter < 3; ++iter) {
+                Tensor x(c.batch, c.in_ch, c.hw, c.hw);
+                Tensor dy(c.batch, c.out_ch, c.hw, c.hw);
+                x.fillUniform(dataRng);
+                dy.fillUniform(dataRng);
 
-            setFusedMode(FusedMode::Off);
-            Tensor y_ref = staged.forward(x, true);
-            Tensor dx_ref = staged.backward(dy);
-            staged.step(0.01f);
+                setFusedMode(FusedMode::Off);
+                Tensor y_ref = staged.forward(x, true);
+                Tensor dx_ref = staged.backward(dy);
+                staged.step(0.01f);
 
-            setFusedMode(FusedMode::On);
-            Tensor y = fused.forward(x, true);
-            Tensor dx = fused.backward(dy);
-            fused.step(0.01f);
+                setFusedMode(FusedMode::On);
+                Tensor y = fused.forward(x, true);
+                Tensor dx = fused.backward(dy);
+                fused.step(0.01f);
 
-            EXPECT_EQ(y.maxAbsDiff(y_ref), 0.0f) << "mode " << int(mode);
-            EXPECT_EQ(dx.maxAbsDiff(dx_ref), 0.0f)
-                << "mode " << int(mode);
+                const std::string at = "mode " +
+                                       std::to_string(int(mode)) +
+                                       " in " + std::to_string(c.in_ch) +
+                                       " hw " + std::to_string(c.hw);
+                EXPECT_EQ(y.maxAbsDiff(y_ref), 0.0f) << at;
+                EXPECT_EQ(dx.maxAbsDiff(dx_ref), 0.0f) << at;
+                // Equal updated weights: dW (dw in spatial mode) was
+                // bitwise equal too.
+                EXPECT_EQ(fused.spatialWeights().maxAbsDiff(
+                              staged.spatialWeights()),
+                          0.0f)
+                    << at;
+                const WinoWeights &wf = fused.winoWeights();
+                const WinoWeights &ws = staged.winoWeights();
+                EXPECT_EQ(0, std::memcmp(wf.raw(), ws.raw(),
+                                         wf.size() * sizeof(float)))
+                    << at;
+            }
         }
     }
 }

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -141,7 +142,7 @@ TEST_F(SimdTest, EveryUsableTableIsFullyPopulated)
         EXPECT_NE(K.panelAccumSel, nullptr);
         EXPECT_NE(K.panelAccumGrouped, nullptr);
         EXPECT_NE(K.panelAccumHalf, nullptr);
-        EXPECT_NE(K.dotDouble, nullptr);
+        EXPECT_NE(K.dotBlockDouble, nullptr);
         EXPECT_NE(K.xformFromTiles, nullptr);
         EXPECT_NE(K.xformToTiles, nullptr);
         EXPECT_NE(K.rowAccumDouble, nullptr);
@@ -285,9 +286,11 @@ TEST_F(SimdTest, ReductionPrimitivesMatchScalarWithinUlp)
             auto b = randomVec(std::size_t(n), 12u + unsigned(n));
             // Double-precision reductions: reassociation noise is far
             // below float resolution, just not bitwise.
-            const double dS = scalar->dotDouble(a.data(), b.data(),
-                                                int(n));
-            const double dV = K.dotDouble(a.data(), b.data(), int(n));
+            const float *pa = a.data();
+            const float *pb = b.data();
+            double dS = 0.0, dV = 0.0;
+            scalar->dotBlockDouble(&dS, 1, &pa, 1, &pb, 1, int(n));
+            K.dotBlockDouble(&dV, 1, &pa, 1, &pb, 1, int(n));
             EXPECT_NEAR(dS, dV, 1e-10 * (std::abs(dS) + 1.0))
                 << mk::isaName(isa) << " dot n=" << n;
             const double sS = scalar->sumDouble(a.data(), n);
@@ -307,6 +310,206 @@ TEST_F(SimdTest, ReductionPrimitivesMatchScalarWithinUlp)
                     << mk::isaName(isa) << " axpy n=" << n
                     << " i=" << i;
         }
+    }
+}
+
+TEST_F(SimdTest, DotBlockBitwiseMatchesSinglePairCalls)
+{
+    // The grad-weights contract: every pair of an na x nb block gets
+    // exactly the single-pair reduction, so blocking never changes dW.
+    // Rows start at odd float offsets (no vector alignment), the
+    // accumulators start nonzero (the kernel adds) with a row stride
+    // wider than nb, and entries outside the block must stay untouched.
+    constexpr int kLd = mk::kDotBlock + 1;
+    for (mk::Isa isa : usableIsas()) {
+        mk::setIsa(isa);
+        const mk::MicroKernels &K = mk::kernels();
+        for (int len : {1, 3, 7, 8, 9, 15, 16, 17, 31, 33, 64, 255, 256}) {
+            const std::size_t pitch = std::size_t(len) + 3;
+            auto buf = randomVec(2 * mk::kDotBlock * pitch + 1,
+                                 500u + unsigned(len));
+            const float *a[mk::kDotBlock], *b[mk::kDotBlock];
+            for (int r = 0; r < mk::kDotBlock; ++r) {
+                a[r] = buf.data() + 1 + std::size_t(r) * pitch;
+                b[r] = buf.data() + 1 +
+                       std::size_t(mk::kDotBlock + r) * pitch;
+            }
+            for (int na = 1; na <= mk::kDotBlock; ++na) {
+                for (int nb = 1; nb <= mk::kDotBlock; ++nb) {
+                    double acc[mk::kDotBlock * kLd];
+                    for (int e = 0; e < mk::kDotBlock * kLd; ++e)
+                        acc[e] = 0.25 * (e + 1);
+                    K.dotBlockDouble(acc, kLd, a, na, b, nb, len);
+                    for (int j = 0; j < mk::kDotBlock; ++j) {
+                        for (int i = 0; i < kLd; ++i) {
+                            double want = 0.25 * (j * kLd + i + 1);
+                            if (j < na && i < nb)
+                                K.dotBlockDouble(&want, 1, &a[j], 1,
+                                                 &b[i], 1, len);
+                            EXPECT_EQ(0, std::memcmp(&want,
+                                                     &acc[j * kLd + i],
+                                                     sizeof(double)))
+                                << mk::isaName(isa) << " len=" << len
+                                << " block " << na << "x" << nb
+                                << " pair " << j << "," << i;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/**
+ * The per-pair double dot product every table computed before the
+ * blocked grad-weights kernel, restated in portable code so the check
+ * below does not lean on the kernel under test. Scalar: four chains,
+ * the tail into chain 0, (s0 + s1) + (s2 + s3). Vector levels, per
+ * lane: chain 0 over the even full chunks of `lanes` floats, chain 1
+ * over the odd ones and then the zero-filled tail; FMA from AVX2 up,
+ * multiply-then-add at SSE2; the lanes of chain0 + chain1 summed in
+ * simd::hsum's pairwise tree.
+ */
+double
+perPairDot(mk::Isa isa, int lanes, const float *a, const float *b,
+           int len)
+{
+    if (isa == mk::Isa::Scalar) {
+        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+        int k = 0;
+        for (; k + 4 <= len; k += 4) {
+            s0 += double(a[k]) * b[k];
+            s1 += double(a[k + 1]) * b[k + 1];
+            s2 += double(a[k + 2]) * b[k + 2];
+            s3 += double(a[k + 3]) * b[k + 3];
+        }
+        for (; k < len; ++k)
+            s0 += double(a[k]) * b[k];
+        return (s0 + s1) + (s2 + s3);
+    }
+    const bool fused = isa != mk::Isa::Sse2;
+    const auto step = [fused](double &acc, double x, double y) {
+        acc = fused ? std::fma(x, y, acc) : acc + x * y;
+    };
+    double c0[8] = {}, c1[8] = {};
+    const int chunks = len / lanes;
+    for (int q = 0; q < chunks; ++q)
+        for (int l = 0; l < lanes; ++l)
+            step(q % 2 ? c1[l] : c0[l], a[q * lanes + l],
+                 b[q * lanes + l]);
+    if (chunks * lanes < len)
+        for (int l = 0; l < lanes; ++l) {
+            const int k = chunks * lanes + l;
+            step(c1[l], k < len ? a[k] : 0.0f, k < len ? b[k] : 0.0f);
+        }
+    for (int l = 0; l < lanes; ++l)
+        c0[l] += c1[l];
+    for (int n = lanes; n > 1; n /= 2)
+        for (int i = 0; i < n / 2; ++i)
+            c0[i] = c0[2 * i] + c0[2 * i + 1];
+    return c0[0];
+}
+
+TEST_F(SimdTest, GradWeightsBitwiseMatchPerPairReference)
+{
+    // dW[uv][j][i] = sum over 256-lane blocks (ascending) of the
+    // per-pair dot: the loop the blocked kernel replaced. Shapes:
+    // train_wino's five F(4,3) convs at batch 16 (bt = 16 x tiles),
+    // then channel counts off multiples of 4 (and past one 16-wide
+    // I block) and bt below one vector or past one 256-lane block.
+    struct Shape { int alpha, nj, ni, bt; };
+    const Shape shapes[] = {
+        {6, 32, 1, 1024}, {6, 32, 32, 1024}, {6, 64, 32, 256},
+        {6, 128, 64, 64}, {6, 128, 128, 64},
+        {4, 5, 7, 3},     {6, 6, 18, 300},   {4, 3, 2, 7},
+    };
+    constexpr int kParentKBlock = 256;
+    for (const Shape &s : shapes) {
+        WinoTiles dY(s.alpha, s.nj, 1, s.bt), X(s.alpha, s.ni, 1, s.bt);
+        Rng rng(900u + unsigned(s.nj * 131 + s.ni * 7 + s.bt));
+        for (int uv = 0; uv < dY.uvCount(); ++uv) {
+            for (int j = 0; j < s.nj; ++j)
+                for (int k = 0; k < s.bt; ++k)
+                    dY.row(uv, j)[k] = rng.uniform() - 0.5f;
+            for (int i = 0; i < s.ni; ++i)
+                for (int k = 0; k < s.bt; ++k)
+                    X.row(uv, i)[k] = rng.uniform() - 0.5f;
+        }
+        const int uvs = dY.uvCount();
+        for (mk::Isa isa : usableIsas()) {
+            mk::setIsa(isa);
+            const int lanes = mk::kernels().doubleLanes;
+            WinoWeights want(s.alpha, s.nj, s.ni);
+            for (int uv = 0; uv < uvs; ++uv)
+                for (int j = 0; j < s.nj; ++j)
+                    for (int i = 0; i < s.ni; ++i) {
+                        double acc = 0.0;
+                        for (int k0 = 0; k0 < s.bt; k0 += kParentKBlock)
+                            acc += perPairDot(
+                                isa, lanes, dY.row(uv, j) + k0,
+                                X.row(uv, i) + k0,
+                                std::min(kParentKBlock, s.bt - k0));
+                        want.at(uv, j, i) = float(acc);
+                    }
+            // A uv sub-range writes its slice and nothing else.
+            const int uv0 = 1, uv1 = uvs - 2;
+            for (int threads : {1, 4}) {
+                ThreadPool::global().setThreadCount(threads);
+                WinoWeights full(s.alpha, s.nj, s.ni);
+                WinoWeights part(s.alpha, s.nj, s.ni);
+                full.fill(-7.0f);
+                part.fill(-7.0f);
+                elementwiseGradWeightsInto(dY, X, full);
+                elementwiseGradWeightsInto(dY, X, part, uv0, uv1);
+                int bad = 0;
+                for (int uv = 0; uv < uvs; ++uv)
+                    for (int j = 0; j < s.nj; ++j)
+                        for (int i = 0; i < s.ni; ++i) {
+                            const float w = want.at(uv, j, i);
+                            const float p = uv >= uv0 && uv < uv1
+                                                ? w
+                                                : -7.0f;
+                            bad += std::memcmp(&w, &full.at(uv, j, i),
+                                               sizeof(float)) != 0;
+                            bad += std::memcmp(&p, &part.at(uv, j, i),
+                                               sizeof(float)) != 0;
+                        }
+                EXPECT_EQ(bad, 0)
+                    << mk::isaName(isa) << " threads=" << threads
+                    << " J=" << s.nj << " I=" << s.ni << " bt=" << s.bt;
+            }
+        }
+    }
+
+    // Random data rarely shows the vector chain assignment: the double
+    // rounding it changes seldom survives the cast to float. This pair
+    // does. At lane 0 the even chunk adds 1, the odd chunk 2^60 and the
+    // tail -2^60 (every other lane adds 1 + 0), so the per-pair order
+    // gives exactly W, and any other grouping of the tail loses the 1.
+    for (mk::Isa isa : usableIsas()) {
+        if (isa == mk::Isa::Scalar)
+            continue;
+        mk::setIsa(isa);
+        const int lanes = mk::kernels().doubleLanes;
+        const int bt = 2 * lanes + 1;
+        WinoTiles dY(4, 1, 1, bt), X(4, 1, 1, bt);
+        for (int uv = 0; uv < dY.uvCount(); ++uv) {
+            float *a = dY.row(uv, 0), *b = X.row(uv, 0);
+            for (int k = 0; k < bt; ++k)
+                a[k] = b[k] = 0.0f;
+            for (int l = 0; l < lanes; ++l)
+                a[l] = b[l] = 1.0f;
+            a[lanes] = b[lanes] = 0x1p30f;
+            a[2 * lanes] = -0x1p30f;
+            b[2 * lanes] = 0x1p30f;
+        }
+        ASSERT_EQ(perPairDot(isa, lanes, dY.row(0, 0), X.row(0, 0), bt),
+                  double(lanes));
+        WinoWeights dW(4, 1, 1);
+        elementwiseGradWeightsInto(dY, X, dW);
+        for (int uv = 0; uv < dW.uvCount(); ++uv)
+            EXPECT_EQ(dW.at(uv, 0, 0), float(lanes))
+                << mk::isaName(isa) << " uv=" << uv;
     }
 }
 
