@@ -149,7 +149,7 @@ BENCHMARK(BM_DirectConv)->Arg(0)->Arg(1)->Arg(2)
 
 /**
  * Shared body for the F(2,3)/F(4,3) forward benchmarks: a persistent
- * WinoPlan owns every slab, so after the warm-up call the steady state
+ * WinoPlan acquires its slabs on the warm-up call, so the steady state
  * must not touch the workspace at all (the transient winogradForward
  * wrapper used to re-acquire 5 slabs per call).
  */

@@ -112,7 +112,7 @@ MptConvLayer::backward(const Tensor &dy)
     for (int c = 0; c < nc; ++c) {
         WinoPlan &plan = *plans[size_t(c)];
         copyBatchRows(dy, c * shard, dyShard, 0, shard);
-        plan.scatterGradOutput(dyShard);
+        plan.transformGradOutput(dyShard);
         for (int g = 0; g < ng; ++g) {
             const int uv0 = g * uvShare;
             const int uv1 = uv0 + uvShare;

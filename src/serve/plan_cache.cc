@@ -35,8 +35,9 @@ PlanCache::acquirePlan(const WinogradAlgo &algo, int batch, int inCh,
         ++nMisses;
         metrics::counterAdd("serve.plan_cache.misses");
     }
-    // Build outside the lock: plan construction zero-fills multi-MB
-    // slabs, and concurrent misses on different shapes should overlap.
+    // Build outside the lock: concurrent misses on different shapes
+    // should overlap. The plan acquires its slabs on first use, so a
+    // parked plan is charged for what its runs used.
     return std::make_unique<WinoPlan>(algo, batch, inCh, outCh, h, w);
 }
 

@@ -362,7 +362,8 @@ struct DenseStep
  * mispredicts by construction. Row liveness is resolved per (uv, lane
  * block) when the step first meets a uv; tasks are uv-major, so this
  * needs no parallel region of its own and repeats only at chunk
- * boundaries.
+ * boundaries. The compaction buffers are the caller's (sized here,
+ * reused across calls).
  */
 template <class Tiles>
 struct CompactStep
@@ -371,13 +372,16 @@ struct CompactStep
     using Elem = std::conditional_t<kHalf, std::uint16_t, float>;
 
     CompactStep(const Tiles &X, const WinoWeights &W, int halfKind,
-                const ActMask *mask, int kn)
+                const ActMask *mask, int kn, CompactScratch &cs)
         : X(X), W(W), halfKind(halfKind), mask(mask), kn(kn),
-          ni(X.channels()), xc(ni), wc(ni),
-          grp(std::size_t((ni + kIUnroll - 1) / kIUnroll)),
-          live(std::size_t(ni) * (mask ? (kn + kKBlock - 1) / kKBlock : 1),
-               1)
+          ni(X.channels()), cs(cs)
     {
+        rows().resize(std::size_t(ni));
+        cs.weights.resize(std::size_t(ni));
+        cs.groups.resize(std::size_t((ni + kIUnroll - 1) / kIUnroll));
+        cs.live.assign(std::size_t(ni) *
+                           (mask ? (kn + kKBlock - 1) / kKBlock : 1),
+                       1);
     }
 
     void
@@ -387,18 +391,18 @@ struct CompactStep
         if (mask && uv != liveUv)
             for (int b0 = 0; b0 < kn; b0 += kKBlock)
                 for (int i = 0; i < ni; ++i)
-                    live[std::size_t(b0 / kKBlock) * ni + i] =
+                    cs.live[std::size_t(b0 / kKBlock) * ni + i] =
                         !mask->rowRangeZero(uv, i, b0,
                                             std::min(kKBlock, kn - b0));
         liveUv = uv;
         const Elem *xuv = X.row(uv, 0);
         const std::size_t xrs = X.uvStride() / std::size_t(ni);
         const std::uint8_t *lv =
-            live.data() + (mask ? std::size_t(k0 / kKBlock) * ni : 0);
-        // Locals: byte stores into grp may alias members (reloads).
-        const Elem **xcp = xc.data();
-        float *wcp = wc.data();
-        std::uint8_t *grpp = grp.data();
+            cs.live.data() + (mask ? std::size_t(k0 / kKBlock) * ni : 0);
+        // Locals: byte stores into groups may alias members (reloads).
+        const Elem **xcp = rows().data();
+        float *wcp = cs.weights.data();
+        std::uint8_t *grpp = cs.groups.data();
         for (int jj = 0; jj < jn; ++jj) {
             const float *wrow =
                 W.raw() + (std::size_t(uv) * W.outChannels() + j0 + jj) *
@@ -431,16 +435,22 @@ struct CompactStep
     }
     void publish() const { tally.publish(); }
 
+    std::vector<const Elem *> &
+    rows()
+    {
+        if constexpr (kHalf)
+            return cs.halfRows;
+        else
+            return cs.rows;
+    }
+
     const Tiles &X;
     const WinoWeights &W;
     int halfKind;
     const ActMask *mask;
     int kn, ni;
     const mk::MicroKernels &K = mk::kernels();
-    std::vector<const Elem *> xc;
-    std::vector<float> wc;
-    std::vector<std::uint8_t> grp;
-    std::vector<std::uint8_t> live; ///< liveUv's rows; all 1 unmasked
+    CompactScratch &cs; ///< live holds liveUv's rows; all 1 unmasked
     int liveUv = -1;
     SparseTally tally;
 };
@@ -448,8 +458,8 @@ struct CompactStep
 /**
  * Staged element-wise products: parallel over the (uv, kJBlock-row
  * block) output space of uv slices [uv0, uv1), one policy step per
- * chunk. Each task owns its rows, so results are bitwise identical for
- * any thread count.
+ * chunk, made by make(chunk-local CompactScratch). Each task owns its
+ * rows, so results are bitwise identical for any thread count.
  */
 template <class MakeStep>
 void
@@ -459,7 +469,8 @@ ewStaged(WinoTiles &out, int uv0, int uv1, int kn, const MakeStep &make)
     const int blocks = (nr + kJBlock - 1) / kJBlock;
     parallelFor(0, std::int64_t(uv1 - uv0) * blocks, 1,
                 [&](std::int64_t lo, std::int64_t hi) {
-        auto step = make();
+        CompactScratch scratch;
+        auto step = make(scratch);
         for (std::int64_t task = lo; task < hi; ++task) {
             const int uv = uv0 + int(task / blocks);
             const int o0 = int(task % blocks) * kJBlock;
@@ -648,11 +659,12 @@ elementwiseForwardInto(const WinoTiles &X, const WinoWeights &W,
     StageTimer probe("ew.fwd", 2.0 * (uv1 - uv0) * double(W.outChannels()) *
                                    W.inChannels() * bt);
     if (mask)
-        ewStaged(Y, uv0, uv1, bt, [&] {
-            return CompactStep<WinoTiles>(X, W, 0, mask, bt);
+        ewStaged(Y, uv0, uv1, bt, [&](CompactScratch &cs) {
+            return CompactStep<WinoTiles>(X, W, 0, mask, bt, cs);
         });
     else
-        ewStaged(Y, uv0, uv1, bt, [&] { return DenseStep<false>{X, W}; });
+        ewStaged(Y, uv0, uv1, bt,
+                 [&](CompactScratch &) { return DenseStep<false>{X, W}; });
 }
 
 void
@@ -664,8 +676,8 @@ elementwiseForwardInto(const HalfTiles &X, const WinoWeights &W,
     const int bt = X.batch() * X.tiles();
     StageTimer probe("ew.fwd", 2.0 * X.uvCount() * double(W.outChannels()) *
                                    W.inChannels() * bt);
-    ewStaged(Y, 0, X.uvCount(), bt, [&] {
-        return CompactStep<HalfTiles>(X, W, halfKind, mask, bt);
+    ewStaged(Y, 0, X.uvCount(), bt, [&](CompactScratch &cs) {
+        return CompactStep<HalfTiles>(X, W, halfKind, mask, bt, cs);
     });
 }
 
@@ -695,7 +707,8 @@ elementwiseBackwardDataInto(const WinoTiles &dY, const WinoWeights &W,
                                         W.inChannels() * bt);
     // dX[uv] (I x BT) = W[uv]^T (I x J) * dY[uv] (J x BT): the forward
     // body with the roles of I and J swapped.
-    ewStaged(dX, uv0, uv1, bt, [&] { return DenseStep<true>{dY, W}; });
+    ewStaged(dX, uv0, uv1, bt,
+             [&](CompactScratch &) { return DenseStep<true>{dY, W}; });
 }
 
 WinoTiles
@@ -856,19 +869,6 @@ transformInputRange(const Tensor &x, const WinogradAlgo &algo,
 }
 
 void
-transformInputAdjointRange(const WinoTiles &dXs, const WinogradAlgo &algo,
-                           const TileGrid &grid, int b, int t0, int tcnt,
-                           Tensor &dx)
-{
-    winomc_assert(dXs.batch() == 1 && dXs.channels() == dx.c() &&
-                  dXs.tiles() >= tcnt,
-                  "transformInputAdjointRange scratch shape mismatch");
-    for (int c = 0; c < dx.c(); ++c)
-        fromTilesBody(dXs, 0, algo.B, algo.BT, 0, true, grid, b, c, t0,
-                      tcnt, dx);
-}
-
-void
 inverseTransformRange(const WinoTiles &Ys, const WinogradAlgo &algo,
                       const TileGrid &grid, int b, int t0, int tcnt,
                       Tensor &y)
@@ -882,49 +882,28 @@ inverseTransformRange(const WinoTiles &Ys, const WinogradAlgo &algo,
 }
 
 void
-inverseTransformAdjointRange(const Tensor &dy, const WinogradAlgo &algo,
-                             const TileGrid &grid, int b, int t0,
-                             int tcnt, WinoTiles &dYs)
-{
-    winomc_assert(dYs.batch() == 1 && dYs.channels() == dy.c() &&
-                  dYs.tiles() >= tcnt,
-                  "inverseTransformAdjointRange scratch shape mismatch");
-    for (int c = 0; c < dy.c(); ++c)
-        toTilesBody(dy, grid, b, c, t0, tcnt, algo.A, algo.AT, grid.pad,
-                    dYs, 0);
-}
-
-void
 elementwiseForwardRange(const WinoTiles &Xs, const WinoWeights &W, int kn,
-                        WinoTiles &Ys, const ActMask *mask)
+                        WinoTiles &Ys, const ActMask *mask,
+                        CompactScratch &scratch)
 {
     checkForwardShapes(Xs, W, Ys);
     winomc_assert(Xs.tiles() >= kn, "elementwiseForwardRange lane count");
     if (mask)
-        ewRange(CompactStep<WinoTiles>(Xs, W, 0, mask, kn), Ys, kn);
+        ewRange(CompactStep<WinoTiles>(Xs, W, 0, mask, kn, scratch), Ys,
+                kn);
     else
         ewRange(DenseStep<false>{Xs, W}, Ys, kn);
 }
 
 void
 elementwiseForwardRange(const HalfTiles &Xs, const WinoWeights &W, int kn,
-                        WinoTiles &Ys, int halfKind,
-                        const ActMask *mask)
+                        WinoTiles &Ys, int halfKind, const ActMask *mask,
+                        CompactScratch &scratch)
 {
     checkForwardShapes(Xs, W, Ys);
     winomc_assert(Xs.tiles() >= kn, "elementwiseForwardRange lane count");
-    ewRange(CompactStep<HalfTiles>(Xs, W, halfKind, mask, kn), Ys, kn);
-}
-
-void
-elementwiseBackwardDataRange(const WinoTiles &dYs, const WinoWeights &W,
-                             int kn, WinoTiles &dXs)
-{
-    winomc_assert(dYs.channels() == W.outChannels() &&
-                  dXs.channels() == W.inChannels() &&
-                  dYs.tiles() >= kn && dXs.tiles() >= kn,
-                  "elementwiseBackwardDataRange shape mismatch");
-    ewRange(DenseStep<true>{dYs, W}, dXs, kn);
+    ewRange(CompactStep<HalfTiles>(Xs, W, halfKind, mask, kn, scratch), Ys,
+            kn);
 }
 
 Tensor
@@ -951,10 +930,7 @@ winogradBackwardData(const Tensor &dy, const WinoWeights &W,
                   "share spatial size");
     WinoPlan plan(algo, dy.n(), W.inChannels(), W.outChannels(), h, w);
     Tensor dx(dy.n(), W.inChannels(), h, w);
-    if (plan.shouldFuse(false))
-        plan.backwardDataFusedInto(dy, W, dx);
-    else
-        plan.backwardDataInto(dy, W, dx);
+    plan.backwardDataInto(dy, W, dx);
     return dx;
 }
 

@@ -161,38 +161,36 @@ void transformInputRange(const Tensor &x, const WinogradAlgo &algo,
 void transformInputRange(const Tensor &x, const WinogradAlgo &algo,
                          const TileGrid &grid, int b, int t0, int tcnt,
                          HalfTiles &Xs, int halfKind, ActMask *mask);
-/**
- * Overlap-add the range of dXs into image b of dx (which the caller
- * zero-fills before the first range). Tiles scatter in ascending
- * order; callers must process a given image's ranges in ascending
- * order, serially, to keep the bitwise contract.
- */
-void transformInputAdjointRange(const WinoTiles &dXs,
-                                const WinogradAlgo &algo,
-                                const TileGrid &grid, int b, int t0,
-                                int tcnt, Tensor &dx);
 /** Inverse-transform + store the range of Ys into image b of y. */
 void inverseTransformRange(const WinoTiles &Ys, const WinogradAlgo &algo,
                            const TileGrid &grid, int b, int t0, int tcnt,
                            Tensor &y);
-/** Gather + adjoint-transform the range of image b of dy into dYs. */
-void inverseTransformAdjointRange(const Tensor &dy,
-                                  const WinogradAlgo &algo,
-                                  const TileGrid &grid, int b, int t0,
-                                  int tcnt, WinoTiles &dYs);
+
+/**
+ * Working buffers of the zero-skipping element-wise step: the
+ * compacted activation rows and weights, the per-register-block
+ * survivor counts, and the row liveness under the mask. Grown on first
+ * use and reused, so a caller that passes the same buffers to every
+ * range call (one per fused strip worker) stops allocating after the
+ * first strip. Dense fp32 ranges leave them untouched.
+ */
+struct CompactScratch
+{
+    std::vector<const float *> rows;
+    std::vector<const std::uint16_t *> halfRows;
+    std::vector<float> weights;
+    std::vector<std::uint8_t> groups;
+    std::vector<std::uint8_t> live;
+};
 
 /** Ys[uv] = W[uv] * Xs[uv] over lanes [0, kn), every uv; a non-null
  *  mask (from transformInputRange) enables zero-skipping. */
 void elementwiseForwardRange(const WinoTiles &Xs, const WinoWeights &W,
-                             int kn, WinoTiles &Ys,
-                             const ActMask *mask = nullptr);
+                             int kn, WinoTiles &Ys, const ActMask *mask,
+                             CompactScratch &scratch);
 void elementwiseForwardRange(const HalfTiles &Xs, const WinoWeights &W,
                              int kn, WinoTiles &Ys, int halfKind,
-                             const ActMask *mask);
-/** dXs[uv] = W[uv]^T * dYs[uv] over lanes [0, kn), every uv. */
-void elementwiseBackwardDataRange(const WinoTiles &dYs,
-                                  const WinoWeights &W, int kn,
-                                  WinoTiles &dXs);
+                             const ActMask *mask, CompactScratch &scratch);
 
 // ---------------------------------------------------------------------
 // High-level convenience wrappers (build a transient execution plan)

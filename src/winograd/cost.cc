@@ -184,18 +184,12 @@ predictedTrafficBytes(const ConvSpec &spec, const WinogradAlgo &algo,
         }
         break;
       case Phase::Bprop:
-        if (fused) {
-            tp.xformBytes = toBytes(dyGather);
-            tp.ewBytes = toBytes(winoW * B * uint64_t(stripsPerImage));
-            // dx zero-fill write plus the overlap-add read+write sweep.
-            tp.inverseBytes =
-                toBytes(spec.inputElems() + 2 * inGather);
-        } else {
-            tp.xformBytes = toBytes(dyGather + tilesOut);
-            tp.ewBytes = toBytes(tilesOut + winoW + tilesIn);
-            tp.inverseBytes =
-                toBytes(tilesIn + spec.inputElems() + 2 * inGather);
-        }
+        // Staged only. The inverse side is the dx zero-fill write plus
+        // the overlap-add read+write sweep.
+        tp.xformBytes = toBytes(dyGather + tilesOut);
+        tp.ewBytes = toBytes(tilesOut + winoW + tilesIn);
+        tp.inverseBytes =
+            toBytes(tilesIn + spec.inputElems() + 2 * inGather);
         break;
       case Phase::UpdateGrad:
         // Staged only: both transforms stream their slabs, the dot

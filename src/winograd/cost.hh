@@ -86,7 +86,8 @@ ConvCost winogradConvIterCost(const ConvSpec &spec,
 
 /**
  * Predicted slab-level memory traffic (bytes) of one executed phase of
- * the host Winograd pipeline, staged or fused (DESIGN.md §4.11).
+ * the host Winograd pipeline: staged, or for Fprop also fused
+ * (DESIGN.md §4.11).
  *
  * The model counts each stage's streamed operands once (stage-internal
  * register/cache blocking is assumed resident): the staged pipeline
@@ -113,8 +114,9 @@ struct TrafficPrediction
 /**
  * @param fused          staged (false) or fused tile-strip (true) mode
  * @param stripsPerImage the fused strip count (WinoPlan::stripCount());
- *                       ignored for staged. UpdateGrad has no fused
- *                       path and always returns the staged prediction.
+ *                       ignored for staged. Fused is a forward-only
+ *                       pipeline: Bprop and UpdateGrad ignore both and
+ *                       return the staged prediction.
  */
 TrafficPrediction predictedTrafficBytes(const ConvSpec &spec,
                                         const WinogradAlgo &algo,

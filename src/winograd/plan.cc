@@ -104,30 +104,8 @@ WinoPlan::WinoPlan(const WinogradAlgo &algo, int batch, int inCh,
 {
     winomc_assert(batch > 0 && inCh > 0 && outCh > 0,
                   "degenerate WinoPlan configuration");
-    // Validate the planned working set against the workspace budget
-    // before touching the pool, so an oversized shape dies with a clear
-    // message instead of an OOM mid-pipeline.
-    const std::size_t perUv =
-        std::size_t(algo.alpha) * algo.alpha * batch * grid.tiles();
-    ws::checkBudget(perUv * (2 * std::size_t(inCh + outCh)) *
-                        sizeof(float),
-                    "WinoPlan(" + std::to_string(batch) + "x" +
-                        std::to_string(inCh) + "->" +
-                        std::to_string(outCh) + "@" + std::to_string(h) +
-                        "x" + std::to_string(w) + ")");
-    Xt.reshape(algo.alpha, inCh, batch, grid.tiles());
-    Yt.reshape(algo.alpha, outCh, batch, grid.tiles());
-    dYt.reshape(algo.alpha, outCh, batch, grid.tiles());
-    dXt.reshape(algo.alpha, inCh, batch, grid.tiles());
-    // Policy-dependent slabs: the 16-bit input tiles replace Xt on the
-    // staged half forward, the activation zero mask feeds the sparse
-    // elementwise kernels. Both are sized here so policy execution
-    // keeps the zero-steady-state-allocation contract.
-    if (pol.prec != Prec::F32)
-        Xh.reshape(algo.alpha, inCh, batch, grid.tiles());
-    if (pol.sparse)
-        actMask.reshape(algo.alpha * algo.alpha, inCh, batch,
-                        grid.tiles());
+    // No slab is sized here: each stage acquires what it writes on
+    // first use (acquire), so a plan holds only what its runs use.
 
     // Fused strip geometry: whole tile panels, sized so one worker's
     // in+out scratch fits kScratchBudgetBytes, clamped to [one panel,
@@ -175,15 +153,74 @@ WinoPlan::matches(const WinogradAlgo &algo, int batch, int inCh,
 std::size_t
 WinoPlan::workspaceBytes() const
 {
-    std::size_t stripBytes = 0;
-    for (const auto &s : stripSlots)
-        stripBytes += (s->in.size() + s->out.size()) * sizeof(float) +
-                      s->inHalf.size() * sizeof(std::uint16_t) +
-                      s->mask.wordCount() * sizeof(std::uint64_t);
-    return (Xt.size() + Yt.size() + dYt.size() + dXt.size()) *
-               sizeof(float) +
-           Xh.size() * sizeof(std::uint16_t) +
-           actMask.wordCount() * sizeof(std::uint64_t) + stripBytes;
+    // A strip slot is the forward slab set over 1 x stripT lanes.
+    return slabBytes(held, nb, grid.tiles()) +
+           stripSlots.size() * slabBytes(forwardSlabs(), 1, stripT);
+}
+
+unsigned
+WinoPlan::forwardSlabs() const
+{
+    return (pol.prec != Prec::F32 ? kXh : kXt) | kYt |
+           (pol.sparse ? kMask : 0u);
+}
+
+std::size_t
+WinoPlan::slabBytes(unsigned slabs, int batch, int tiles) const
+{
+    const std::size_t a2 = std::size_t(alg.alpha) * alg.alpha;
+    const std::size_t perCh = a2 * batch * tiles;
+    const std::size_t panels =
+        (tiles + mk::kTilePanel - 1) / mk::kTilePanel;
+    std::size_t bytes = 0;
+    if (slabs & kXt)
+        bytes += perCh * ni * sizeof(float);
+    if (slabs & kYt)
+        bytes += perCh * nj * sizeof(float);
+    if (slabs & kDYt)
+        bytes += perCh * nj * sizeof(float);
+    if (slabs & kDXt)
+        bytes += perCh * ni * sizeof(float);
+    if (slabs & kXh)
+        bytes += perCh * ni * sizeof(std::uint16_t);
+    if (slabs & kMask)
+        bytes += (panels * a2 + 63) / 64 * sizeof(std::uint64_t) * ni *
+                 batch;
+    return bytes;
+}
+
+void
+WinoPlan::checkBudget(std::size_t bytes, const char *what) const
+{
+    ws::checkBudget(bytes, "WinoPlan(" + std::to_string(nb) + "x" +
+                               std::to_string(ni) + "->" +
+                               std::to_string(nj) + "@" +
+                               std::to_string(fh) + "x" +
+                               std::to_string(fw) + ") " + what);
+}
+
+void
+WinoPlan::acquire(unsigned use, unsigned mode)
+{
+    const unsigned fresh = use & ~held;
+    if (!fresh)
+        return;
+    checkBudget(slabBytes(mode, nb, grid.tiles()), "slabs");
+    const int a = alg.alpha;
+    const int nt = grid.tiles();
+    if (fresh & kXt)
+        Xt.reshape(a, ni, nb, nt);
+    if (fresh & kYt)
+        Yt.reshape(a, nj, nb, nt);
+    if (fresh & kDYt)
+        dYt.reshape(a, nj, nb, nt);
+    if (fresh & kDXt)
+        dXt.reshape(a, ni, nb, nt);
+    if (fresh & kXh)
+        Xh.reshape(a, ni, nb, nt);
+    if (fresh & kMask)
+        actMask.reshape(a * a, ni, nb, nt);
+    held |= fresh;
 }
 
 bool
@@ -199,20 +236,20 @@ WinoPlan::shouldFuse(bool preserveTileCaches) const
     }
     if (preserveTileCaches)
         return false;
-    // Fuse once the staged forward slabs overflow cache; below that,
-    // staged is already cache-resident and keeps its tile caches.
-    return (Xt.size() + Yt.size()) * sizeof(float) >=
-           kFusedAutoMinSlabBytes;
+    // Fuse once the staged forward slabs would overflow cache; below
+    // that, staged is already cache-resident and keeps its tile caches.
+    return slabBytes(kXt | kYt, nb, grid.tiles()) >= kFusedAutoMinSlabBytes;
 }
 
 std::unique_ptr<WinoPlan::RangeScratch>
 WinoPlan::newScratch() const
 {
     auto s = std::make_unique<RangeScratch>();
-    s->in.reshape(alg.alpha, ni, 1, stripT);
-    s->out.reshape(alg.alpha, nj, 1, stripT);
     if (pol.prec != Prec::F32)
         s->inHalf.reshape(alg.alpha, ni, 1, stripT);
+    else
+        s->in.reshape(alg.alpha, ni, 1, stripT);
+    s->out.reshape(alg.alpha, nj, 1, stripT);
     if (pol.sparse)
         s->mask.reshape(alg.alpha * alg.alpha, ni, 1, stripT);
     return s;
@@ -248,6 +285,9 @@ WinoPlan::ensureScratch(int n)
     // zero-steady-state-allocation contract deterministic instead of
     // dependent on the warm-up call's scheduling luck.
     std::lock_guard<std::mutex> lk(stripMu);
+    if (int(stripSlots.size()) < n)
+        checkBudget(std::size_t(n) * slabBytes(forwardSlabs(), 1, stripT),
+                    "strip scratch");
     while (int(stripSlots.size()) < n) {
         stripSlots.push_back(newScratch());
         stripFree.push_back(stripSlots.back().get());
@@ -277,6 +317,7 @@ void
 WinoPlan::forwardInto(const Tensor &x, const WinoWeights &W, Tensor &y)
 {
     WINOMC_SPAN("wino.phase.fwd", "wino");
+    acquire(forwardSlabs(), forwardSlabs());
     ActMask *mask = pol.sparse ? &actMask : nullptr;
     if (pol.prec != Prec::F32) {
         const int hk = halfKind(pol.prec);
@@ -297,12 +338,13 @@ WinoPlan::forwardInto(const Tensor &x, const WinoWeights &W, Tensor &y)
         const ConvSpec spec{"plan", nb, ni, nj, fh, fw, alg.r};
         const double out = double(nb) * nj * fh * fw;
         const double f = double(sizeof(float));
-        const double xb = double(precBytes(pol.prec)); // X-tile stream
+        // The X-tile stream at its storage width (Xt or Xh).
+        const double xTile =
+            double(slabBytes(kXt, nb, grid.tiles())) / f *
+            double(precBytes(pol.prec));
         publishTraffic(
-            "staged", "fwd",
-            double(gatherElemsA) * nb * ni * f + double(Xt.size()) * xb,
-            double(Xt.size()) * xb +
-                (double(W.size()) + double(Yt.size())) * f,
+            "staged", "fwd", double(gatherElemsA) * nb * ni * f + xTile,
+            xTile + (double(W.size()) + double(Yt.size())) * f,
             (double(Yt.size()) + out) * f,
             double(predictedTrafficBytes(spec, alg, Phase::Fprop, false)
                        .totalBytes()));
@@ -353,9 +395,10 @@ WinoPlan::forwardFusedInto(const Tensor &x, const WinoWeights &W,
                                     mask);
             if (half)
                 elementwiseForwardRange(s->inHalf, W, tcnt, s->out, hk,
-                                        mask);
+                                        mask, s->compact);
             else
-                elementwiseForwardRange(s->in, W, tcnt, s->out, mask);
+                elementwiseForwardRange(s->in, W, tcnt, s->out, mask,
+                                        s->compact);
             inverseTransformRange(s->out, alg, grid, b, t0, tcnt, y);
         }
         releaseScratch(s);
@@ -385,80 +428,19 @@ WinoPlan::backwardDataInto(const Tensor &dy, const WinoWeights &W,
 }
 
 void
-WinoPlan::backwardDataFusedInto(const Tensor &dy, const WinoWeights &W,
-                                Tensor &dx)
-{
-    WINOMC_SPAN("wino.fused.bwd_data", "wino");
-    winomc_assert(dy.n() == nb && dy.c() == nj && dy.h() == fh &&
-                  dy.w() == fw,
-                  "backwardDataFusedInto grad shape mismatch");
-    winomc_assert(dx.n() == nb && dx.c() == ni && dx.h() == fh &&
-                  dx.w() == fw,
-                  "backwardDataFusedInto output shape mismatch");
-    winomc_assert(W.alphaEdge() == alg.alpha && W.inChannels() == ni &&
-                  W.outChannels() == nj,
-                  "backwardDataFusedInto weight shape mismatch");
-    const int nt = grid.tiles();
-    const int strips = stripCount();
-    const int a = alg.alpha;
-    const int m = alg.m;
-    mk::StageTimer probe("fused.bwd_data",
-                         2.0 * m * a * (a + m) * double(nb) * nj * nt +
-                             2.0 * a * a * double(nj) * ni * nb * nt +
-                             4.0 * a * a * a * double(nb) * ni * nt);
-
-    ensureScratch(std::min(ThreadPool::global().threadCount(), nb));
-    // Overlap-add races across strips of one image, so the batch axis
-    // is the parallel unit and strips run serially in ascending order
-    // per image — the same summation order as the staged adjoint, so
-    // any thread count is bitwise identical to serial.
-    const std::size_t planeSz = std::size_t(ni) * fh * fw;
-    parallelFor(0, nb, 1, [&](std::int64_t lo, std::int64_t hi) {
-        RangeScratch *s = acquireScratch();
-        for (std::int64_t b = lo; b < hi; ++b) {
-            float *dxb = dx.data() + std::size_t(b) * planeSz;
-            std::fill(dxb, dxb + planeSz, 0.0f); // overlap-add target
-            for (int strip = 0; strip < strips; ++strip) {
-                const int t0 = strip * stripT;
-                const int tcnt = std::min(stripT, nt - t0);
-                inverseTransformAdjointRange(dy, alg, grid, int(b), t0,
-                                             tcnt, s->out);
-                elementwiseBackwardDataRange(s->out, W, tcnt, s->in);
-                transformInputAdjointRange(s->in, alg, grid, int(b), t0,
-                                           tcnt, dx);
-            }
-        }
-        releaseScratch(s);
-    });
-    if (metrics::enabled()) {
-        const ConvSpec spec{"plan", nb, ni, nj, fh, fw, alg.r};
-        const double addSweep = double(gatherElemsA) * nb * ni;
-        const double f = double(sizeof(float));
-        publishTraffic(
-            "fused", "bwd_data", double(nb) * nj * fh * fw * f,
-            double(W.size()) * nb * strips * f,
-            (double(nb) * ni * fh * fw + 2.0 * addSweep) * f,
-            double(predictedTrafficBytes(spec, alg, Phase::Bprop, true,
-                                         strips)
-                       .totalBytes()));
-    }
-}
-
-void
 WinoPlan::gradWeightsInto(const Tensor &x, const Tensor &dy,
                           WinoWeights &dW)
 {
     WINOMC_SPAN("wino.phase.grad_weights", "wino");
-    transformInputInto(x, alg, Xt);
-    haveInput = true;
-    inverseTransformAdjointInto(dy, alg, dYt);
-    haveGrad = true;
-    elementwiseGradWeightsInto(dYt, Xt, dW);
+    scatterInput(x);
+    transformGradOutput(dy);
+    gradWeightsFromCachedInto(dW);
 }
 
 void
 WinoPlan::transformGradOutput(const Tensor &dy)
 {
+    acquire(kDYt, kDYt | kDXt);
     inverseTransformAdjointInto(dy, alg, dYt);
     haveGrad = true;
     gradXformUncounted = true;
@@ -501,7 +483,7 @@ WinoPlan::backwardDataFromCachedInto(const WinoWeights &W, Tensor &dx)
 {
     winomc_assert(haveGrad, "backwardDataFromCachedInto before "
                             "transformGradOutput");
-    elementwiseBackwardDataInto(dYt, W, dXt);
+    elementwiseBackwardDataInto(dYt, W, gradInputTilesMutable());
     transformInputAdjointInto(dXt, alg, dx);
     if (metrics::enabled()) {
         const ConvSpec spec{"plan", nb, ni, nj, fh, fw, alg.r};
@@ -522,6 +504,7 @@ WinoPlan::backwardDataFromCachedInto(const WinoWeights &W, Tensor &dx)
 void
 WinoPlan::scatterInput(const Tensor &x)
 {
+    acquire(kXt, kXt);
     transformInputInto(x, alg, Xt);
     haveInput = true;
 }
@@ -537,6 +520,20 @@ void
 WinoPlan::gatherGradInputInto(Tensor &dx)
 {
     transformInputAdjointInto(dXt, alg, dx);
+}
+
+WinoTiles &
+WinoPlan::outputTilesMutable()
+{
+    acquire(kYt, kXt | kYt);
+    return Yt;
+}
+
+WinoTiles &
+WinoPlan::gradInputTilesMutable()
+{
+    acquire(kDXt, kDYt | kDXt);
+    return dXt;
 }
 
 const WinoTiles &

@@ -3,18 +3,19 @@
  * Shape-bound Winograd execution plans.
  *
  * A WinoPlan binds one (algorithm, batch, in_ch -> out_ch, H, W)
- * configuration, precomputes the tile grid, and owns every
- * Winograd-domain slab the pipeline needs (input tiles, output tiles,
- * grad-output tiles, grad-input tiles). All stage execution goes through
- * the destination-passing kernels of winograd/conv.hh, so once a plan is
- * built, repeated training steps over the same shape perform zero heap
+ * configuration, precomputes the tile grid, and owns the
+ * Winograd-domain slabs the pipeline uses (input, output, grad-output
+ * and grad-input tiles, fused strip scratch), each acquired when the
+ * first stage that writes it runs. All stage execution goes through
+ * the destination-passing kernels of winograd/conv.hh, so after one
+ * warm-up run, repeated steps over the same shape perform zero heap
  * allocations in the Winograd path — the plan is the host-side analogue
  * of the paper's statically scheduled SRAM working set.
  *
  * Lifecycle: layers build a plan lazily on the first forward and rebuild
- * only when the incoming shape stops matching (matches()). The plan
- * budget is validated against WINOMC_WORKSPACE_LIMIT_MB at construction,
- * failing loudly instead of OOM-ing later.
+ * only when the incoming shape stops matching (matches()). Each slab
+ * acquisition validates the working set of the mode about to run
+ * against WINOMC_WORKSPACE_LIMIT_MB, failing loudly instead of OOM-ing.
  *
  * Thread-safety contract: a plan parallelizes *internally* (each stage
  * fans out across the common/parallel.hh pool) but is not reentrant —
@@ -33,6 +34,7 @@
 #include "common/logging.hh"
 #include "tensor/tensor.hh"
 #include "winograd/algo.hh"
+#include "winograd/conv.hh"
 #include "winograd/conv_spec.hh"
 #include "winograd/lowprec.hh"
 #include "winograd/tiling.hh"
@@ -46,11 +48,10 @@ namespace winomc {
  *  - Off:  always staged.
  *  - Auto: fused when the plan's shape qualifies (slabs overflow cache
  *          and no caller needs the tile caches), staged otherwise.
- *  - On:   fused wherever a fused path exists, regardless of size:
- *          every forward (train-mode layer forwards included, whose
- *          backward then rebuilds the input tiles from the cached
- *          activations) and the transient backward-data wrapper.
- *          Layer backward never fuses; it reuses its one dYt slab.
+ *  - On:   every forward fuses, regardless of size (train-mode layer
+ *          forwards included, whose backward then rebuilds the input
+ *          tiles from the cached activations). Fused is a forward-only
+ *          pipeline: backward always runs staged off one dYt slab.
  */
 enum class FusedMode : int { Off = 0, Auto = 1, On = 2 };
 
@@ -101,7 +102,8 @@ class WinoPlan
     int height() const { return fh; }
     int width() const { return fw; }
 
-    /** Total bytes of the plan-owned slabs (the planned working set). */
+    /** Bytes held now: the slabs and strip scratch acquired so far (0
+     *  for a fresh plan; flat once each mode it runs has run once). */
     std::size_t workspaceBytes() const;
 
     // -----------------------------------------------------------------
@@ -120,22 +122,23 @@ class WinoPlan
      * stays false) and callers needing input tiles must scatterInput.
      */
     void forwardInto(const Tensor &x, const WinoWeights &W, Tensor &y);
-    /** dx from dy through the pipeline adjoint (no cached state used). */
+    /** dx from dy: transformGradOutput + backwardDataFromCachedInto. */
     void backwardDataInto(const Tensor &dy, const WinoWeights &W,
                           Tensor &dx);
-    /** dW (assigned, not accumulated) from x and dy. */
+    /** dW (assigned, not accumulated) from x and dy: scatterInput +
+     *  transformGradOutput + gradWeightsFromCachedInto. */
     void gradWeightsInto(const Tensor &x, const Tensor &dy,
                          WinoWeights &dW);
 
     // -----------------------------------------------------------------
-    // Fused tile-strip pipeline (§4.11): transform -> per-(K,C) panel
+    // Fused tile-strip forward (§4.11): transform -> per-(K,C) panel
     // accumulation -> inverse transform run per L2-sized strip of the
-    // tile grid, touching only per-worker strip scratch — the full
-    // Xt/Yt/dYt/dXt slabs are bypassed entirely. Bitwise identical to
-    // the staged pipeline at every ISA level and for any thread count.
-    // Leaves the plan's tile caches invalid (there are no slab tiles to
-    // cache); callers needing inputTiles()/outputTiles() must use the
-    // staged path.
+    // tile grid, touching only per-worker strip scratch — the
+    // Xt/Yt slabs are never acquired. Bitwise identical to the staged
+    // forward at every ISA level and for any thread count. Leaves the
+    // plan's tile caches invalid (there are no slab tiles to cache);
+    // callers needing inputTiles()/outputTiles() must use the staged
+    // path.
     // -----------------------------------------------------------------
 
     /**
@@ -149,18 +152,6 @@ class WinoPlan
     /** y = winograd_conv(x, W) per cache-resident tile strip. */
     void forwardFusedInto(const Tensor &x, const WinoWeights &W,
                           Tensor &y);
-
-    /**
-     * dx from dy per tile strip. Re-gathers dy per strip (an m x m
-     * gather per tile — cheaper than streaming the a^2-wide dYt slab),
-     * so no cached state is used or produced. Strips of one image run
-     * serially in ascending order (overlap-add order is part of the
-     * bitwise contract); the batch axis is the parallel unit. For
-     * callers that hold no dYt: a training step that already ran
-     * transformGradOutput uses backwardDataFromCachedInto instead.
-     */
-    void backwardDataFusedInto(const Tensor &dy, const WinoWeights &W,
-                               Tensor &dx);
 
     /** Tiles per strip (multiple of mk::kTilePanel). */
     int stripTiles() const { return stripT; }
@@ -188,26 +179,26 @@ class WinoPlan
     void backwardDataFromCachedInto(const WinoWeights &W, Tensor &dx);
 
     // -----------------------------------------------------------------
-    // Partial-execution access (mpt::MptConvLayer): scatter/gather move
-    // between the spatial and Winograd domains; each MPT group then runs
-    // the uv-ranged element-wise kernels of winograd/conv.hh directly on
-    // its slice of the plan-owned slabs.
+    // Partial-execution access (mpt::MptConvLayer): scatterInput and
+    // transformGradOutput move into the Winograd domain, the gathers
+    // move back; each MPT group then runs the uv-ranged element-wise
+    // kernels of winograd/conv.hh directly on its slice of the
+    // plan-owned slabs.
     // -----------------------------------------------------------------
 
     /** Xt = B^T x B per tile (marks the input cache valid). */
     void scatterInput(const Tensor &x);
     /** y = inverse transform of the (accumulated) output tiles. */
     void gatherOutputInto(Tensor &y);
-    /** dYt = A dy A^T per tile (same as transformGradOutput). */
-    void scatterGradOutput(const Tensor &dy) { transformGradOutput(dy); }
     /** dx = overlap-add adjoint of the (accumulated) grad-input tiles. */
     void gatherGradInputInto(Tensor &dx);
 
     const WinoTiles &inputTiles() const;
     const WinoTiles &outputTiles() const;
     const WinoTiles &gradOutputTiles() const;
-    WinoTiles &outputTilesMutable() { return Yt; }
-    WinoTiles &gradInputTilesMutable() { return dXt; }
+    /** The Yt / dXt slabs for the groups to write, sized on first use. */
+    WinoTiles &outputTilesMutable();
+    WinoTiles &gradInputTilesMutable();
 
     /** Is the input-tile cache populated (by forwardInto/scatterInput)? */
     bool inputCached() const { return haveInput; }
@@ -216,10 +207,10 @@ class WinoPlan
 
   private:
     /**
-     * Per-worker strip scratch: one input-side and one output-side
-     * tile set of stripT tiles, batch dimension 1. Slots are created
-     * lazily (first fused call at a given concurrency warms the pool)
-     * and kept for the plan's lifetime, so fused steady state
+     * Per-worker strip scratch: one input-side (fp32 or 16-bit) and one
+     * output-side tile set of stripT tiles, batch dimension 1. Slots
+     * are created lazily (first fused call at a given concurrency warms
+     * the pool) and kept for the plan's lifetime, so fused steady state
      * allocates nothing.
      */
     struct RangeScratch
@@ -228,7 +219,25 @@ class WinoPlan
         WinoTiles out; ///< [a²][J][1][stripT]
         HalfTiles inHalf; ///< 16-bit in-side (half policies only)
         ActMask mask;     ///< strip-local zero mask (sparse policies)
+        CompactScratch compact; ///< zero-skipping step buffers
     };
+
+    /** The plan-owned slabs, as bits of a set. */
+    enum Slab : unsigned { kXt = 1, kYt = 2, kDYt = 4, kDXt = 8, kXh = 16,
+                           kMask = 32 };
+    /** The slabs a staged forward under policy() writes. */
+    unsigned forwardSlabs() const;
+    /** Bytes of the slab set `slabs` over batch x tiles lanes: the
+     *  plan's slabs (nb x grid.tiles()) or one strip slot (1 x stripT). */
+    std::size_t slabBytes(unsigned slabs, int batch, int tiles) const;
+    /**
+     * Size the slabs of `use` not yet held. Before the first sizing,
+     * the working set of `mode` — every slab of the stage sequence
+     * `use` belongs to — is checked against the workspace budget.
+     */
+    void acquire(unsigned use, unsigned mode);
+    /** ws::checkBudget naming this plan and `what` in the message. */
+    void checkBudget(std::size_t bytes, const char *what) const;
 
     std::unique_ptr<RangeScratch> newScratch() const;
     RangeScratch *acquireScratch();
@@ -257,6 +266,7 @@ class WinoPlan
     WinoTiles dXt; ///< Winograd-domain input grads    [a²][I][N][T]
     HalfTiles Xh;  ///< 16-bit input tiles (half policies only)
     ActMask actMask; ///< activation zero mask (sparse policies only)
+    unsigned held = 0; ///< the Slab bits sized so far
 
     bool haveInput = false;  ///< Xt holds the last forward's input
     bool haveOutput = false; ///< Yt holds the last forward's output

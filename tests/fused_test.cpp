@@ -10,10 +10,9 @@
  *
  * The parity expectation is exact equality — the fused schedule keeps
  * the staged pipeline's per-element operation order (panel grouping
- * and strip boundaries align with the staged 16-wide panels, strips of
- * one image overlap-add in ascending tile order), so "within ULP
- * bounds" collapses to bitwise identity on every ISA. Any nonzero
- * diff is a scheduling bug, not roundoff.
+ * and strip boundaries align with the staged 16-wide panels), so
+ * "within ULP bounds" collapses to bitwise identity on every ISA. Any
+ * nonzero diff is a scheduling bug, not roundoff.
  */
 
 #include <gtest/gtest.h>
@@ -171,20 +170,14 @@ TEST_P(FusedParityP, BitwiseMatchesStagedForAnyThreadCountAndIsa)
         plan.backwardDataInto(dy, W, dx_ref);
 
         Tensor y(p.batch, p.out_ch, p.h, p.w);
-        Tensor dx(p.batch, p.in_ch, p.h, p.w);
         for (int threads : {1, 8}) {
             ThreadPool::global().setThreadCount(threads);
             // Twice per thread count: the second pass reuses warm
             // strip scratch and must still be bitwise identical.
             for (int pass = 0; pass < 2; ++pass) {
                 y.fill(-1.0f); // poison: every element must be stored
-                dx.fill(-1.0f);
                 plan.forwardFusedInto(x, W, y);
-                plan.backwardDataFusedInto(dy, W, dx);
                 EXPECT_EQ(y.maxAbsDiff(y_ref), 0.0f)
-                    << "isa " << mk::isaName(isa) << " threads "
-                    << threads;
-                EXPECT_EQ(dx.maxAbsDiff(dx_ref), 0.0f)
                     << "isa " << mk::isaName(isa) << " threads "
                     << threads;
             }
@@ -236,26 +229,20 @@ TEST(FusedSteadyState, FusedPathAllocatesNothingAfterWarmup)
     WinogradAlgo algo = makeWinograd(2, 3);
     Rng rng(17);
     Tensor x(2, 8, 16, 16);
-    Tensor dy(2, 8, 16, 16);
     Tensor w(8, 8, 3, 3);
     x.fillUniform(rng);
-    dy.fillUniform(rng);
     w.fillUniform(rng);
     const WinoWeights W = transformWeights(w, algo);
     WinoPlan plan(algo, 2, 8, 8, 16, 16);
     Tensor y(2, 8, 16, 16);
-    Tensor dx(2, 8, 16, 16);
     for (int threads : {1, 8}) {
         ThreadPool::global().setThreadCount(threads);
         // Warm-up builds the per-worker strip slots at this
         // concurrency and primes the workspace pool.
         plan.forwardFusedInto(x, W, y);
-        plan.backwardDataFusedInto(dy, W, dx);
         const auto s0 = ws::Workspace::global().stats();
-        for (int i = 0; i < 10; ++i) {
+        for (int i = 0; i < 10; ++i)
             plan.forwardFusedInto(x, W, y);
-            plan.backwardDataFusedInto(dy, W, dx);
-        }
         const auto s1 = ws::Workspace::global().stats();
         EXPECT_EQ(s1.freshAllocs, s0.freshAllocs)
             << "fused steady state hit the heap at " << threads

@@ -127,6 +127,10 @@ TEST(WorkspaceDeath, OverBudgetPlanFailsLoudly)
             ws::Workspace::global().setLimitBytes(std::size_t(1) << 20);
             WinogradAlgo algo = makeWinograd(4, 3);
             WinoPlan plan(algo, 64, 64, 64, 64, 64);
+            // Slabs are acquired, and budget-checked, on first use.
+            Tensor x(64, 64, 64, 64);
+            Tensor y(64, 64, 64, 64);
+            plan.forwardInto(x, WinoWeights(algo.alpha, 64, 64), y);
         },
         "WINOMC_WORKSPACE_LIMIT_MB");
 }
@@ -355,9 +359,17 @@ TEST(ConvLayerPlan, AlternatingShapesAllocateNothingAfterWarmup)
     xa.fillUniform(data);
     xb.fillUniform(data);
 
+    // Budget one plan of the larger shape, measured after the same
+    // eval forward the layer runs (slabs are acquired on first use).
     std::size_t planBytes = 0;
     {
         WinoPlan probe(algo, 4, 3, 4, 12, 12);
+        Tensor y(4, 4, 12, 12);
+        const WinoWeights W(algo.alpha, 4, 3);
+        if (probe.shouldFuse(false))
+            probe.forwardFusedInto(xb, W, y);
+        else
+            probe.forwardInto(xb, W, y);
         planBytes = probe.workspaceBytes();
     }
     ScopedWorkspaceLimit limit(planBytes);
@@ -387,9 +399,13 @@ TEST(MptConvLayerPlan, AlternatingShapesAllocateNothingAfterWarmup)
     xa.fillUniform(data);
     xb.fillUniform(data);
 
+    // One shard plan of the larger shape after the grouped forward's
+    // slab use (input tiles scattered, output tiles written).
     std::size_t planBytes = 0;
     {
         WinoPlan probe(algo, 4, 3, 4, 12, 12);
+        probe.scatterInput(xa);
+        probe.outputTilesMutable();
         planBytes = probe.workspaceBytes();
     }
     // Both clusters flip together: budget both shard plans of the
@@ -408,6 +424,141 @@ TEST(MptConvLayerPlan, AlternatingShapesAllocateNothingAfterWarmup)
     EXPECT_EQ(s1.freshAllocs, s0.freshAllocs)
         << "alternating shard shapes hit the heap in steady state";
     EXPECT_EQ(s1.freshBytes, s0.freshBytes);
+}
+
+// ------------------------------------------- Slabs acquired on first use
+
+/** Scope a thread count and an ExecPolicy; restore both on exit. */
+struct ExecGuard
+{
+    ExecGuard(int threads, Prec prec, bool sparse)
+        : prevSparse(requestedSparse())
+    {
+        ThreadPool::global().setThreadCount(threads);
+        setPrec(prec);
+        setSparseMode(sparse);
+    }
+    ~ExecGuard()
+    {
+        ThreadPool::global().setThreadCount(0);
+        setPrec(Prec::F32);
+        setSparseMode(prevSparse);
+    }
+
+  private:
+    bool prevSparse;
+};
+
+/** Bytes of one [a²][ch][B][T] fp32 slab of `plan`. */
+std::size_t
+slabBytes(const WinoPlan &plan, int ch)
+{
+    const std::size_t a = std::size_t(plan.tileGrid().alpha);
+    return a * a * ch * plan.batch() * plan.tileGrid().tiles() *
+           sizeof(float);
+}
+
+TEST(PlanWorkspace, HoldsOnlyTheSlabsItsRunsUsed)
+{
+    ExecGuard guard(1, Prec::F32, false);
+    WinogradAlgo algo = makeWinograd(2, 3);
+    const int B = 2, I = 3, J = 5, H = 10;
+    Rng rng(41);
+    Tensor x(B, I, H, H);
+    Tensor dy(B, J, H, H);
+    x.fillUniform(rng);
+    dy.fillUniform(rng);
+    Tensor w(J, I, 3, 3);
+    w.fillUniform(rng);
+    const WinoWeights W = transformWeights(w, algo);
+    Tensor y(B, J, H, H);
+    Tensor dx(B, I, H, H);
+    WinoWeights dW(algo.alpha, J, I);
+
+    // Fresh: nothing held. Fused forward: one worker's strip scratch.
+    WinoPlan fused(algo, B, I, J, H, H);
+    EXPECT_EQ(fused.workspaceBytes(), 0u);
+    fused.forwardFusedInto(x, W, y);
+    const std::size_t a2 = std::size_t(algo.alpha) * algo.alpha;
+    EXPECT_EQ(fused.workspaceBytes(),
+              a2 * (I + J) * fused.stripTiles() * sizeof(float));
+
+    // Staged eval forward: Xt + Yt.
+    WinoPlan plan(algo, B, I, J, H, H);
+    EXPECT_EQ(plan.workspaceBytes(), 0u);
+    plan.forwardInto(x, W, y);
+    plan.invalidateCache();
+    const std::size_t fwdBytes = slabBytes(plan, I) + slabBytes(plan, J);
+    EXPECT_EQ(plan.workspaceBytes(), fwdBytes);
+    plan.forwardInto(x, W, y); // a repeat acquires nothing
+    EXPECT_EQ(plan.workspaceBytes(), fwdBytes);
+
+    // A training step adds dYt and dXt: all four slabs.
+    plan.transformGradOutput(dy);
+    plan.gradWeightsFromCachedInto(dW);
+    EXPECT_EQ(plan.workspaceBytes(), fwdBytes + slabBytes(plan, J));
+    plan.backwardDataFromCachedInto(W, dx);
+    EXPECT_EQ(plan.workspaceBytes(), 2 * fwdBytes);
+}
+
+TEST(PlanWorkspace, PolicyForwardAddsItsMaskAndHalfTiles)
+{
+    WinogradAlgo algo = makeWinograd(2, 3);
+    const int B = 2, I = 3, J = 5, H = 10;
+    Rng rng(43);
+    Tensor x(B, I, H, H);
+    x.fillUniform(rng);
+    Tensor y(B, J, H, H);
+    const WinoWeights W(algo.alpha, J, I);
+    for (Prec prec : {Prec::F32, Prec::Bf16}) {
+        for (bool sparse : {false, true}) {
+            ExecGuard guard(1, prec, sparse);
+            WinoPlan plan(algo, B, I, J, H, H);
+            plan.forwardInto(x, W, y);
+            // Half policies store Xt as 16-bit Xh, sparse ones add the
+            // activation zero mask; the fp32 Xt slab is never sized
+            // under a half policy.
+            std::size_t want = slabBytes(plan, J);
+            want += prec == Prec::F32 ? slabBytes(plan, I)
+                                      : slabBytes(plan, I) / 2;
+            if (sparse) {
+                ActMask mask;
+                mask.reshape(algo.alpha * algo.alpha, I, B,
+                             plan.tileGrid().tiles());
+                want += mask.wordCount() * sizeof(std::uint64_t);
+            }
+            EXPECT_EQ(plan.workspaceBytes(), want)
+                << precName(prec) << (sparse ? " sparse" : " dense");
+        }
+    }
+}
+
+TEST(PlanWorkspace, FusedShapeOverTheSlabBudgetRunsInStripScratch)
+{
+    ExecGuard guard(4, Prec::F32, false);
+    WinogradAlgo algo = makeWinograd(2, 3);
+    const int B = 4, C = 32, H = 64;
+    Rng rng(47);
+    Tensor x(B, C, H, H);
+    x.fillUniform(rng);
+    Tensor w(C, C, 3, 3);
+    w.fillUniform(rng);
+    const WinoWeights W = transformWeights(w, algo);
+
+    Tensor yRef(B, C, H, H);
+    WinoPlan(algo, B, C, C, H, H).forwardInto(x, W, yRef);
+
+    // Four 8 MiB slabs would need 32 MiB; four workers' strips fit 4.
+    const std::size_t limit = std::size_t(4) << 20;
+    Tensor y(B, C, H, H);
+    {
+        ScopedWorkspaceLimit scoped(limit);
+        WinoPlan plan(algo, B, C, C, H, H);
+        ASSERT_GT(4 * slabBytes(plan, C), limit);
+        plan.forwardFusedInto(x, W, y);
+        EXPECT_LE(plan.workspaceBytes(), limit);
+    }
+    EXPECT_EQ(y.maxAbsDiff(yRef), 0.0f);
 }
 
 // -------------------------------------------- Stale-cache regression

@@ -197,6 +197,20 @@ TEST(ServeEngineDeath, SubmitAfterStopDies)
 
 // ------------------------------------------------------- PlanCache
 
+/** One staged forward on a leased plan: plans acquire their slabs on
+ *  first use, so a plan's workspaceBytes() counts only after a run. */
+void
+runStagedForward(WinoPlan &plan, const WinogradAlgo &algo)
+{
+    Tensor x(plan.batch(), plan.inChannels(), plan.height(),
+             plan.width());
+    Tensor y(plan.batch(), plan.outChannels(), plan.height(),
+             plan.width());
+    plan.forwardInto(
+        x, WinoWeights(algo.alpha, plan.outChannels(), plan.inChannels()),
+        y);
+}
+
 TEST(ServePlanCache, LeaseParkLeaseReusesThePlan)
 {
     PlanCache cache(std::size_t(64) << 20);
@@ -218,12 +232,15 @@ TEST(ServePlanCache, EvictsLeastRecentlyUsedPastTheByteBudget)
     std::size_t oneBytes = 0;
     {
         WinoPlan probe(algo, 2, 3, 4, 8, 8);
+        runStagedForward(probe, algo);
         oneBytes = probe.workspaceBytes();
     }
     // Room for two small plans, not three.
     PlanCache cache(2 * oneBytes + oneBytes / 2);
     auto a = cache.acquirePlan(algo, 2, 3, 4, 8, 8);
     auto b = cache.acquirePlan(algo, 4, 3, 4, 8, 8);  // ~2x oneBytes
+    runStagedForward(*a, algo);
+    runStagedForward(*b, algo);
     const WinoPlan *rawB = b.get();
     cache.releasePlan(std::move(a));
     cache.releasePlan(std::move(b)); // budget forces A (the LRU) out
@@ -240,6 +257,7 @@ TEST(ServePlanCache, OversizedPlanIsNeverParked)
     const WinogradAlgo &algo = algoF2x2_3x3();
     PlanCache cache(1024); // smaller than any real plan
     auto p = cache.acquirePlan(algo, 2, 3, 4, 8, 8);
+    runStagedForward(*p, algo);
     cache.releasePlan(std::move(p));
     EXPECT_EQ(cache.parkedPlans(), 0);
     EXPECT_EQ(cache.evictions(), 1u);

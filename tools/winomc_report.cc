@@ -98,7 +98,7 @@ struct TrafficRow
 };
 
 /** Measured-vs-predicted DRAM traffic of one wino.<mode>.<phase>
- *  pipeline (staged/fused x fwd/bwd_data, staged grad_weights). */
+ *  pipeline (staged fwd/bwd_data/grad_weights, fused fwd). */
 struct WinoTrafficRow
 {
     double xformBytes = 0, ewBytes = 0, inverseBytes = 0;
