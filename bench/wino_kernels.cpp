@@ -441,14 +441,13 @@ void
 BM_ElementwiseForwardScalar(benchmark::State &state)
 {
     ThreadPool::global().setThreadCount(1);
-    mk::setIsa(mk::Isa::Scalar);
+    ScopedExecConfig scalar([](ExecConfig &c) { c.isa = mk::Isa::Scalar; });
     auto &f = elementwiseFixture();
     WsProbe probe;
     for (auto _ : state)
         benchmark::DoNotOptimize(elementwiseForward(f.X, f.W));
     probe.report(state);
     reportKernelRate(state, f.ewFlops());
-    mk::setIsa(mk::Isa::Auto);
 }
 BENCHMARK(BM_ElementwiseForwardScalar)->Unit(benchmark::kMillisecond);
 
@@ -456,14 +455,13 @@ void
 BM_ElementwiseGradWeightsScalar(benchmark::State &state)
 {
     ThreadPool::global().setThreadCount(1);
-    mk::setIsa(mk::Isa::Scalar);
+    ScopedExecConfig scalar([](ExecConfig &c) { c.isa = mk::Isa::Scalar; });
     auto &f = elementwiseFixture();
     WsProbe probe;
     for (auto _ : state)
         benchmark::DoNotOptimize(elementwiseGradWeights(f.dY, f.X));
     probe.report(state);
     reportKernelRate(state, f.ewFlops());
-    mk::setIsa(mk::Isa::Auto);
 }
 BENCHMARK(BM_ElementwiseGradWeightsScalar)->Unit(benchmark::kMillisecond);
 
@@ -471,7 +469,7 @@ void
 BM_InverseTransformScalar(benchmark::State &state)
 {
     ThreadPool::global().setThreadCount(1);
-    mk::setIsa(mk::Isa::Scalar);
+    ScopedExecConfig scalar([](ExecConfig &c) { c.isa = mk::Isa::Scalar; });
     auto &f = elementwiseFixture();
     const auto &algo = algoF4x4_3x3();
     WinoTiles Y = elementwiseForward(f.X, f.W);
@@ -480,7 +478,6 @@ BM_InverseTransformScalar(benchmark::State &state)
         benchmark::DoNotOptimize(inverseTransform(Y, algo, 32, 32));
     probe.report(state);
     reportKernelRate(state, inverseFlops(Y, algo));
-    mk::setIsa(mk::Isa::Auto);
 }
 BENCHMARK(BM_InverseTransformScalar)->Unit(benchmark::kMillisecond);
 
@@ -514,14 +511,12 @@ invFlops(const WinogradAlgo &algo, int B, int C, int t)
     return 2.0 * m * a * (a + m) * B * C * t;
 }
 
-/** RAII override of the fused mode, restoring the prior request so a
- *  forced row cannot leak into later benchmarks. */
-struct FusedModeOverride
+/** Force the fused mode of one row: staged (Off) or fused (On). */
+void
+forceFused(ExecConfig &c, bool fused)
 {
-    FusedMode prev = requestedFusedMode();
-    explicit FusedModeOverride(FusedMode m) { setFusedMode(m); }
-    ~FusedModeOverride() { setFusedMode(prev); }
-};
+    c.fused = fused ? FusedMode::On : FusedMode::Off;
+}
 
 /**
  * Forward pass through a persistent plan, staged or fused, on a shape
@@ -533,7 +528,7 @@ void
 winoForwardPlannedMode(benchmark::State &state, bool fused)
 {
     ThreadPool::global().setThreadCount(int(state.range(0)));
-    FusedModeOverride ovr(fused ? FusedMode::On : FusedMode::Off);
+    ScopedExecConfig ovr([&](ExecConfig &c) { forceFused(c, fused); });
     const auto &algo = algoF4x4_3x3();
     Rng rng(1);
     const int B = 16, C = 96, HW = 96;
@@ -599,7 +594,7 @@ void
 winoTrainStepPlanned(benchmark::State &state, bool fused)
 {
     ThreadPool::global().setThreadCount(int(state.range(0)));
-    FusedModeOverride ovr(fused ? FusedMode::On : FusedMode::Off);
+    ScopedExecConfig ovr([&](ExecConfig &c) { forceFused(c, fused); });
     Rng rng(1);
     const auto &algo = algoF4x4_3x3();
     const int B = 4, C = 32, HW = 32;
@@ -673,7 +668,7 @@ BENCHMARK(BM_WinoEndToEndFused)->Apply(threadArgs)
 
 // -------------------------------------------------------------------
 // Sparse + low-precision execution rows (the quant/ hot path). Every
-// row runs the full planned forward under a forced ExecPolicy on one
+// row runs the full planned forward under a forced ExecConfig on one
 // channel-heavy shape (B2, 128 -> 128 channels, 32x32, F(4x4,3x3) —
 // the regime the zero-skip compaction targets), with the transformed
 // weights magnitude-pruned to 85% and a post-ReLU-looking input so
@@ -692,24 +687,6 @@ BENCHMARK(BM_WinoEndToEndFused)->Apply(threadArgs)
 // The rate is reported in dense-equivalent FLOPs — skipped work must
 // show up as a higher rate / lower ms, never as a shrunken yardstick.
 // -------------------------------------------------------------------
-
-/** RAII override of the process-wide ExecPolicy, restoring the prior
- *  request so a forced row cannot leak into later benchmarks. */
-struct PolicyOverride
-{
-    Prec prevPrec = requestedPrec();
-    bool prevSparse = requestedSparse();
-    PolicyOverride(Prec p, bool sparse)
-    {
-        setPrec(p);
-        setSparseMode(sparse);
-    }
-    ~PolicyOverride()
-    {
-        setPrec(prevPrec);
-        setSparseMode(prevSparse);
-    }
-};
 
 /** Shared input/weights/reference of every SPARSE_* / PREC_* row:
  *  built once, dense fp32 reference computed once. */
@@ -745,7 +722,10 @@ struct QuantFixture
         W = transformWeights(w, algo);
         quant::magnitudePrune(W, kPruneTarget).apply(W);
         achievedSparsity = quant::winogradWeightSparsity(W);
-        PolicyOverride dense(Prec::F32, false);
+        ScopedExecConfig dense([](ExecConfig &c) {
+            c.prec = Prec::F32;
+            c.sparse = false;
+        });
         WinoPlan ref(algo, B, C, C, HW, HW);
         ref.forwardInto(x, W, yRef);
     }
@@ -770,8 +750,11 @@ quantForwardPlanned(benchmark::State &state, Prec prec, bool sparse,
                     bool fused)
 {
     ThreadPool::global().setThreadCount(defaultThreadCount());
-    PolicyOverride pol(prec, sparse);
-    FusedModeOverride ovr(fused ? FusedMode::On : FusedMode::Off);
+    ScopedExecConfig pol([&](ExecConfig &c) {
+        c.prec = prec;
+        c.sparse = sparse;
+        forceFused(c, fused);
+    });
     const auto &algo = algoF4x4_3x3();
     auto &f = quantFixture();
     WinoPlan plan(algo, f.B, f.C, f.C, f.HW, f.HW);

@@ -28,7 +28,7 @@ int
 main()
 {
     std::printf("tune mode: %s\n\n",
-                tune::tuneModeName(tune::requestedTuneMode()));
+                tune::tuneModeName(execConfig().tune));
 
     std::vector<ConvSpec> specs = workloads::tableTwoLayers(8);
     for (ConvSpec s : workloads::modernLayers(8))

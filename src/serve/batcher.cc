@@ -10,7 +10,7 @@ RequestQueue::RequestQueue(std::size_t capacity) : cap(capacity)
 }
 
 bool
-RequestQueue::push(Request r)
+RequestQueue::push(Request &&r)
 {
     {
         std::unique_lock<std::mutex> lock(mu);

@@ -53,11 +53,10 @@ class RequestQueue
 
     /**
      * Enqueue a request, blocking while the queue is full
-     * (backpressure — nothing is ever dropped). Returns false without
-     * consuming side effects when the queue is closed: the request is
-     * destroyed and its promise breaks.
+     * (backpressure — nothing is ever dropped). Returns false when the
+     * queue is closed, leaving `r` (and its promise) with the caller.
      */
-    bool push(Request r);
+    bool push(Request &&r);
 
     /**
      * Pop the next batch: blocks for a head request (or close), then

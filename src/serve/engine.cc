@@ -1,6 +1,7 @@
 #include "serve/engine.hh"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 
 #include "common/env.hh"
@@ -91,18 +92,28 @@ Engine::~Engine()
 std::future<Tensor>
 Engine::submit(Tensor image)
 {
-    winomc_assert(image.n() == 1,
-                  "Engine::submit takes single images, got batch ",
-                  image.n());
     Request r;
+    std::future<Tensor> fut = r.done.get_future();
+    if (image.n() != 1) {
+        reject(r, "Engine::submit takes single images, got batch " +
+                      std::to_string(image.n()));
+        return fut;
+    }
     r.x = std::move(image);
     r.id = nextId.fetch_add(1, std::memory_order_relaxed);
     r.enqueued = std::chrono::steady_clock::now();
-    std::future<Tensor> fut = r.done.get_future();
     metrics::counterAdd("serve.requests");
-    const bool accepted = queue.push(std::move(r));
-    winomc_assert(accepted, "Engine::submit after stop()");
+    if (!queue.push(std::move(r)))
+        reject(r, "Engine::submit after stop()");
     return fut;
+}
+
+void
+Engine::reject(Request &r, const std::string &why)
+{
+    metrics::counterAdd("serve.rejected");
+    r.done.set_exception(
+        std::make_exception_ptr(std::runtime_error(why)));
 }
 
 void

@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "nn/module.hh"
@@ -80,7 +81,9 @@ class Engine
     /**
      * Submit one image [1, C, H, W]; the future resolves to the model
      * output for that image. Blocks while the queue is full
-     * (backpressure). Dies after stop().
+     * (backpressure). A batch other than 1, or a submit after stop(),
+     * is rejected: the future holds a std::runtime_error and the
+     * serve.rejected counter counts it; the engine keeps serving.
      */
     std::future<Tensor> submit(Tensor image);
 
@@ -113,6 +116,8 @@ class Engine
   private:
     void run();
     void dispatch(std::vector<Request> &batch);
+    /** Fail `r`'s future with `why` and count it in serve.rejected. */
+    void reject(Request &r, const std::string &why);
 
     nn::Module &model;
     std::unique_ptr<PlanCache> ownCache; ///< null when sharing

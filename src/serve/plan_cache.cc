@@ -100,16 +100,16 @@ PlanCache::transformedWeights(const ConvSpec &spec,
 {
     // Batch-independent: strip the leading "b<N>_" of the canonical key
     // so every batch shape of one layer shares a single slab. The
-    // ExecPolicy suffix (empty at the fp32-dense default) keeps
-    // engines running under different WINOMC_PREC / WINOMC_SPARSE
-    // settings from ever aliasing a slab.
+    // config key (empty at the fp32-dense default) keeps weights
+    // transformed under different precisions or sparsity from ever
+    // aliasing a slab.
     std::string key = spec.key();
     const std::size_t us = key.find('_');
     if (us != std::string::npos)
         key.erase(0, us + 1);
     return transformedWeights(key + "_F" + std::to_string(algo.m) + "x" +
                                   std::to_string(algo.r) +
-                                  execPolicySuffix(currentExecPolicy()),
+                                  execConfig().key(),
                               spatial, algo);
 }
 

@@ -1,136 +1,15 @@
 #include "winograd/lowprec.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cctype>
-#include <cstdlib>
 
 #include "winograd/microkernel.hh"
 
 namespace winomc {
 
-namespace {
-
-std::atomic<int> gPrec{-1};   ///< -1 = unresolved (parse env once)
-std::atomic<int> gSparse{-1}; ///< -1 = unresolved (parse env once)
-
-std::string
-normalized(const char *str)
-{
-    std::string s;
-    for (const char *p = str; *p; ++p)
-        if (!std::isspace(static_cast<unsigned char>(*p)))
-            s += char(std::tolower(static_cast<unsigned char>(*p)));
-    return s;
-}
-
-} // namespace
-
-const char *
-precName(Prec p)
-{
-    switch (p) {
-      case Prec::F32:
-        return "fp32";
-      case Prec::F16:
-        return "fp16";
-      case Prec::Bf16:
-        return "bf16";
-    }
-    return "fp32";
-}
-
 int
 precBytes(Prec p)
 {
     return p == Prec::F32 ? 4 : 2;
-}
-
-Prec
-parsePrec(const char *str)
-{
-    if (!str || !*str)
-        return Prec::F32;
-    const std::string s = normalized(str);
-    if (s == "fp32" || s == "f32")
-        return Prec::F32;
-    if (s == "fp16" || s == "f16")
-        return Prec::F16;
-    if (s == "bf16" || s == "bfloat16")
-        return Prec::Bf16;
-    winomc_warn("ignoring unrecognized WINOMC_PREC '", str,
-                "' (want fp32|fp16|bf16)");
-    return Prec::F32;
-}
-
-Prec
-requestedPrec()
-{
-    int p = gPrec.load(std::memory_order_acquire);
-    if (p < 0) {
-        // Benign race: concurrent first calls parse the same env var.
-        p = int(parsePrec(std::getenv("WINOMC_PREC")));
-        gPrec.store(p, std::memory_order_release);
-    }
-    return Prec(p);
-}
-
-void
-setPrec(Prec p)
-{
-    gPrec.store(int(p), std::memory_order_release);
-}
-
-bool
-parseSparse(const char *str)
-{
-    if (!str || !*str)
-        return false;
-    const std::string s = normalized(str);
-    if (s == "on" || s == "1" || s == "true")
-        return true;
-    if (s == "off" || s == "0" || s == "false")
-        return false;
-    winomc_warn("ignoring unrecognized WINOMC_SPARSE '", str,
-                "' (want on|off)");
-    return false;
-}
-
-bool
-requestedSparse()
-{
-    int v = gSparse.load(std::memory_order_acquire);
-    if (v < 0) {
-        // Benign race: concurrent first calls parse the same env var.
-        v = parseSparse(std::getenv("WINOMC_SPARSE")) ? 1 : 0;
-        gSparse.store(v, std::memory_order_release);
-    }
-    return v != 0;
-}
-
-void
-setSparseMode(bool on)
-{
-    gSparse.store(on ? 1 : 0, std::memory_order_release);
-}
-
-ExecPolicy
-currentExecPolicy()
-{
-    return ExecPolicy{requestedPrec(), requestedSparse()};
-}
-
-std::string
-execPolicySuffix(const ExecPolicy &pol)
-{
-    std::string s;
-    if (pol.prec == Prec::F16)
-        s += "_fp16";
-    else if (pol.prec == Prec::Bf16)
-        s += "_bf16";
-    if (pol.sparse)
-        s += "_sp";
-    return s;
 }
 
 void

@@ -1,28 +1,22 @@
 /**
  * @file
- * Execution policy for the sparse + low-precision Winograd hot path.
+ * Storage types of the sparse + low-precision Winograd hot path.
  *
- * Two process-wide knobs select how the elementwise stage runs:
- *
- *  - WINOMC_PREC=fp32|fp16|bf16 picks the storage format of the
- *    transformed-activation slabs (weights and accumulation stay fp32);
- *  - WINOMC_SPARSE=off|on enables zero-skipping: per-tile-panel
- *    activation zero masks built during the input transform plus
- *    weight-row compaction, so fully-zero (row, panel) products are
- *    never issued.
- *
- * Both follow the common/env.hh discipline: missing/empty is the
- * default silently, garbage warns and falls back. The resolved pair is
- * an ExecPolicy; WinoPlan captures it at construction and refuses to
- * match under a different policy, so plan pools can never alias plans
- * across precision/sparsity modes.
+ * ExecConfig (winograd/exec_config.hh) selects how the element-wise
+ * stage runs: `prec` (WINOMC_PREC=fp32|fp16|bf16) picks the storage
+ * format of the transformed-activation slabs — weights and
+ * accumulation stay fp32 — and `sparse` (WINOMC_SPARSE=off|on) enables
+ * zero-skipping: per-tile-panel activation zero masks built during the
+ * input transform plus weight-row compaction, so fully-zero (row,
+ * panel) products are never issued. This header holds what those two
+ * fields need: the Prec enum, the 16-bit tile container and the zero
+ * mask.
  */
 
 #ifndef WINOMC_WINOGRAD_LOWPREC_HH
 #define WINOMC_WINOGRAD_LOWPREC_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/logging.hh"
@@ -35,43 +29,6 @@ enum class Prec { F32 = 0, F16 = 1, Bf16 = 2 };
 const char *precName(Prec p);
 /** Bytes per stored activation element under `p` (4, 2, 2). */
 int precBytes(Prec p);
-/** Parse a WINOMC_PREC value; unknown strings warn and yield F32. */
-Prec parsePrec(const char *str);
-/** The process-wide precision (env parsed once, or the last setPrec). */
-Prec requestedPrec();
-void setPrec(Prec p);
-
-/** Parse a WINOMC_SPARSE value (on/off/1/0/true/false); unknown
- *  strings warn and yield false. */
-bool parseSparse(const char *str);
-/** The process-wide sparse flag (env parsed once, or the last
- *  setSparseMode). */
-bool requestedSparse();
-void setSparseMode(bool on);
-
-/** The (precision, sparsity) pair a plan executes under. */
-struct ExecPolicy
-{
-    Prec prec = Prec::F32;
-    bool sparse = false;
-
-    bool
-    operator==(const ExecPolicy &o) const
-    {
-        return prec == o.prec && sparse == o.sparse;
-    }
-    bool operator!=(const ExecPolicy &o) const { return !(*this == o); }
-};
-
-/** The policy newly constructed plans capture right now. */
-ExecPolicy currentExecPolicy();
-
-/**
- * Cache-key suffix for `pol`: empty at the fp32-dense default (so
- * existing tuner caches and weight tags keep their format), else
- * "_fp16"/"_bf16" and/or "_sp" appended in that order.
- */
-std::string execPolicySuffix(const ExecPolicy &pol);
 
 /**
  * Winograd-domain tiles stored as 16-bit payloads (f16 or bf16 bit

@@ -2,31 +2,30 @@
  * @file
  * Runtime ISA dispatch for the micro-kernel tables.
  *
- * Resolution happens once, on the first kernels() call, and combines
- * three inputs: the WINOMC_ISA knob (or a setIsa() override), what the
- * running CPU reports via cpuid, and which vector TUs this binary was
- * actually built with. Anything unsatisfiable warns and falls down the
- * ladder — never crashes — mirroring the WINOMC_THREADS discipline.
+ * Each requested level (ExecConfig::isa) is resolved once, on the
+ * first kernels() call that asks for it, against what the running CPU
+ * reports via cpuid and which vector TUs this binary was actually
+ * built with. Anything unsatisfiable warns and falls down the ladder —
+ * never crashes — mirroring the WINOMC_THREADS discipline.
  */
 
 #include "winograd/microkernel.hh"
 
 #include <atomic>
-#include <cctype>
-#include <cstdlib>
 #include <mutex>
 #include <string>
 
 #include "common/logging.hh"
 #include "common/metrics.hh"
+#include "winograd/exec_config.hh"
 
 namespace winomc::mk {
 
 namespace {
 
 std::mutex gMu;
-std::atomic<const MicroKernels *> gActive{nullptr};
-Isa gRequested = Isa::Auto; ///< guarded by gMu
+/** Resolved table per requested level: Scalar..Avx512, then Auto. */
+std::atomic<const MicroKernels *> gResolved[5];
 
 const MicroKernels *
 tableFor(Isa isa)
@@ -83,49 +82,6 @@ usable(Isa isa)
 
 } // namespace
 
-const char *
-isaName(Isa isa)
-{
-    switch (isa) {
-      case Isa::Scalar:
-        return "scalar";
-      case Isa::Sse2:
-        return "sse2";
-      case Isa::Avx2:
-        return "avx2";
-      case Isa::Avx512:
-        return "avx512";
-      case Isa::Auto:
-        return "auto";
-    }
-    return "scalar";
-}
-
-Isa
-parseIsa(const char *str)
-{
-    if (!str || !*str)
-        return Isa::Auto;
-    // Trim whitespace, lowercase: "  AVX2 " parses like "avx2".
-    std::string s;
-    for (const char *p = str; *p; ++p)
-        if (!std::isspace(static_cast<unsigned char>(*p)))
-            s += char(std::tolower(static_cast<unsigned char>(*p)));
-    if (s == "auto")
-        return Isa::Auto;
-    if (s == "scalar")
-        return Isa::Scalar;
-    if (s == "sse2")
-        return Isa::Sse2;
-    if (s == "avx2")
-        return Isa::Avx2;
-    if (s == "avx512")
-        return Isa::Avx512;
-    winomc_warn("ignoring unrecognized WINOMC_ISA '", str,
-                "' (want auto|scalar|sse2|avx2|avx512)");
-    return Isa::Auto;
-}
-
 Isa
 highestSupported()
 {
@@ -159,18 +115,18 @@ resolveIsa(Isa requested)
 const MicroKernels &
 kernels()
 {
-    if (const MicroKernels *t = gActive.load(std::memory_order_acquire))
+    const Isa req = execConfig().isa;
+    std::atomic<const MicroKernels *> &slot =
+        gResolved[req == Isa::Auto ? 4 : int(req)];
+    if (const MicroKernels *t = slot.load(std::memory_order_acquire))
         return *t;
     std::lock_guard<std::mutex> lk(gMu);
-    if (const MicroKernels *t = gActive.load(std::memory_order_relaxed))
+    if (const MicroKernels *t = slot.load(std::memory_order_relaxed))
         return *t;
-    Isa req = gRequested;
-    if (req == Isa::Auto)
-        req = parseIsa(std::getenv("WINOMC_ISA"));
     const MicroKernels *t = tableFor(resolveIsa(req));
     winomc_assert(t != nullptr, "ISA resolution produced no table");
     metrics::gaugeSet("kernel.isa.level", double(int(t->isa)));
-    gActive.store(t, std::memory_order_release);
+    slot.store(t, std::memory_order_release);
     return *t;
 }
 
@@ -178,14 +134,6 @@ Isa
 activeIsa()
 {
     return kernels().isa;
-}
-
-void
-setIsa(Isa isa)
-{
-    std::lock_guard<std::mutex> lk(gMu);
-    gRequested = isa;
-    gActive.store(nullptr, std::memory_order_release);
 }
 
 void

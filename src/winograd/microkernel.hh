@@ -10,12 +10,11 @@
  * units with per-file -m flags, so one binary runs on any x86-64 host
  * and picks the widest supported unit at startup via cpuid.
  *
- * Selection order:
- *   1. WINOMC_ISA env var (auto | scalar | sse2 | avx2 | avx512);
- *      garbage or an ISA the CPU lacks warns and falls back, never
- *      crashes (same discipline as WINOMC_THREADS).
- *   2. setIsa() programmatic override (tests/benchmarks).
- *   3. auto = highest level supported by the running CPU.
+ * Selection: kernels() resolves ExecConfig::isa (winograd/
+ * exec_config.hh, seeded from WINOMC_ISA = auto | scalar | sse2 |
+ * avx2 | avx512); auto is the highest level the running CPU supports,
+ * and a level the CPU or the build lacks warns and falls back down
+ * the ladder, never crashes.
  *
  * Numerics policy: the scalar table reproduces today's loop structures
  * exactly — WINOMC_ISA=scalar is bitwise identical to the pre-SIMD
@@ -264,12 +263,6 @@ struct MicroKernels
 constexpr int kHalfBf16 = 0;
 constexpr int kHalfF16 = 1;
 
-/**
- * Parse a WINOMC_ISA-style string. Unknown or malformed input warns
- * and yields Auto; never throws, never exits.
- */
-Isa parseIsa(const char *str);
-
 /** Highest ISA level the running CPU supports (Scalar on non-x86). */
 Isa highestSupported();
 
@@ -284,22 +277,15 @@ Isa resolveIsa(Isa requested);
 const char *isaName(Isa isa);
 
 /**
- * The active kernel table. First call resolves WINOMC_ISA (or any
- * pending setIsa override), caches the result, and publishes the
- * kernel.isa.level gauge. Thread-safe; subsequent calls are one
- * atomic load.
+ * The kernel table of the live execConfig().isa. Each requested level
+ * is resolved once (warning on a fallback) and cached, and the
+ * kernel.isa.level gauge is published at resolution. Thread-safe;
+ * after resolution a call is one config read plus one atomic load.
  */
 const MicroKernels &kernels();
 
-/** ISA level of the table kernels() returns. Resolves on first use. */
+/** ISA level of the table kernels() returns. */
 Isa activeIsa();
-
-/**
- * Programmatic override (tests/benchmarks). Isa::Auto re-reads
- * WINOMC_ISA and re-resolves. Takes effect for subsequent kernels()
- * calls; not meant to race with in-flight kernel work.
- */
-void setIsa(Isa isa);
 
 /**
  * Publish per-stage throughput: kernel.<stage>.gflops gauge plus the

@@ -1,9 +1,6 @@
 #include "winograd/plan.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cctype>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -34,8 +31,6 @@ constexpr std::size_t kScratchBudgetBytes = 512 * 1024;
  */
 constexpr std::size_t kFusedAutoMinSlabBytes = 1u << 20;
 
-std::atomic<int> gFusedMode{-1}; ///< -1 = unresolved (parse env once)
-
 /** mk:: 16-bit kind of a half precision. */
 int
 halfKind(Prec p)
@@ -45,62 +40,10 @@ halfKind(Prec p)
 
 } // namespace
 
-const char *
-fusedModeName(FusedMode m)
-{
-    switch (m) {
-      case FusedMode::Off:
-        return "off";
-      case FusedMode::Auto:
-        return "auto";
-      case FusedMode::On:
-        return "on";
-    }
-    return "auto";
-}
-
-FusedMode
-parseFusedMode(const char *str)
-{
-    if (!str || !*str)
-        return FusedMode::Auto;
-    std::string s;
-    for (const char *p = str; *p; ++p)
-        if (!std::isspace(static_cast<unsigned char>(*p)))
-            s += char(std::tolower(static_cast<unsigned char>(*p)));
-    if (s == "auto")
-        return FusedMode::Auto;
-    if (s == "on")
-        return FusedMode::On;
-    if (s == "off")
-        return FusedMode::Off;
-    winomc_warn("ignoring unrecognized WINOMC_FUSED '", str,
-                "' (want auto|on|off)");
-    return FusedMode::Auto;
-}
-
-FusedMode
-requestedFusedMode()
-{
-    int m = gFusedMode.load(std::memory_order_acquire);
-    if (m < 0) {
-        // Benign race: concurrent first calls parse the same env var.
-        m = int(parseFusedMode(std::getenv("WINOMC_FUSED")));
-        gFusedMode.store(m, std::memory_order_release);
-    }
-    return FusedMode(m);
-}
-
-void
-setFusedMode(FusedMode m)
-{
-    gFusedMode.store(int(m), std::memory_order_release);
-}
-
 WinoPlan::WinoPlan(const WinogradAlgo &algo, int batch, int inCh,
                    int outCh, int h, int w)
     : alg(algo), nb(batch), ni(inCh), nj(outCh), fh(h), fw(w),
-      grid(h, w, algo), pol(currentExecPolicy())
+      grid(h, w, algo), cfg(execConfig())
 {
     winomc_assert(batch > 0 && inCh > 0 && outCh > 0,
                   "degenerate WinoPlan configuration");
@@ -147,7 +90,7 @@ WinoPlan::matches(const WinogradAlgo &algo, int batch, int inCh,
                   int outCh, int h, int w) const
 {
     return &algo == &alg && batch == nb && inCh == ni && outCh == nj &&
-           h == fh && w == fw && pol == currentExecPolicy();
+           h == fh && w == fw && cfg == execConfig();
 }
 
 std::size_t
@@ -161,8 +104,8 @@ WinoPlan::workspaceBytes() const
 unsigned
 WinoPlan::forwardSlabs() const
 {
-    return (pol.prec != Prec::F32 ? kXh : kXt) | kYt |
-           (pol.sparse ? kMask : 0u);
+    return (cfg.prec != Prec::F32 ? kXh : kXt) | kYt |
+           (cfg.sparse ? kMask : 0u);
 }
 
 std::size_t
@@ -226,7 +169,7 @@ WinoPlan::acquire(unsigned use, unsigned mode)
 bool
 WinoPlan::shouldFuse(bool preserveTileCaches) const
 {
-    switch (requestedFusedMode()) {
+    switch (cfg.fused) {
       case FusedMode::Off:
         return false;
       case FusedMode::On:
@@ -245,12 +188,12 @@ std::unique_ptr<WinoPlan::RangeScratch>
 WinoPlan::newScratch() const
 {
     auto s = std::make_unique<RangeScratch>();
-    if (pol.prec != Prec::F32)
+    if (cfg.prec != Prec::F32)
         s->inHalf.reshape(alg.alpha, ni, 1, stripT);
     else
         s->in.reshape(alg.alpha, ni, 1, stripT);
     s->out.reshape(alg.alpha, nj, 1, stripT);
-    if (pol.sparse)
+    if (cfg.sparse)
         s->mask.reshape(alg.alpha * alg.alpha, ni, 1, stripT);
     return s;
 }
@@ -318,9 +261,9 @@ WinoPlan::forwardInto(const Tensor &x, const WinoWeights &W, Tensor &y)
 {
     WINOMC_SPAN("wino.phase.fwd", "wino");
     acquire(forwardSlabs(), forwardSlabs());
-    ActMask *mask = pol.sparse ? &actMask : nullptr;
-    if (pol.prec != Prec::F32) {
-        const int hk = halfKind(pol.prec);
+    ActMask *mask = cfg.sparse ? &actMask : nullptr;
+    if (cfg.prec != Prec::F32) {
+        const int hk = halfKind(cfg.prec);
         transformInputInto(x, alg, Xh, hk, mask);
         elementwiseForwardInto(Xh, W, Yt, hk, mask);
         // The fp32 Xt slab was bypassed; tile-cache consumers must
@@ -341,7 +284,7 @@ WinoPlan::forwardInto(const Tensor &x, const WinoWeights &W, Tensor &y)
         // The X-tile stream at its storage width (Xt or Xh).
         const double xTile =
             double(slabBytes(kXt, nb, grid.tiles())) / f *
-            double(precBytes(pol.prec));
+            double(precBytes(cfg.prec));
         publishTraffic(
             "staged", "fwd", double(gatherElemsA) * nb * ni * f + xTile,
             xTile + (double(W.size()) + double(Yt.size())) * f,
@@ -375,14 +318,14 @@ WinoPlan::forwardFusedInto(const Tensor &x, const WinoWeights &W,
     const std::int64_t nTasks = std::int64_t(nb) * strips;
     ensureScratch(int(std::min<std::int64_t>(
         ThreadPool::global().threadCount(), nTasks)));
-    const bool half = pol.prec != Prec::F32;
-    const int hk = halfKind(pol.prec);
+    const bool half = cfg.prec != Prec::F32;
+    const int hk = halfKind(cfg.prec);
     // One task per (image, strip); output tiles are disjoint across
     // tasks, so any chunking is race-free and bitwise identical.
     parallelFor(0, nTasks, 1,
                 [&](std::int64_t lo, std::int64_t hi) {
         RangeScratch *s = acquireScratch();
-        ActMask *mask = pol.sparse ? &s->mask : nullptr;
+        ActMask *mask = cfg.sparse ? &s->mask : nullptr;
         for (std::int64_t task = lo; task < hi; ++task) {
             const int b = int(task / strips);
             const int t0 = int(task % strips) * stripT;
@@ -678,9 +621,9 @@ bool
 WinoDecompPlan::matches(const ConvSpec &spec,
                         const WinogradAlgo &unit) const
 {
-    // The inner plan carries the ExecPolicy; delegating to its
-    // matches() (via policy()) keeps decomposed execution rebuilding
-    // across WINOMC_PREC / WINOMC_SPARSE flips like plain plans do.
+    // The inner plan carries the execution config; comparing it keeps
+    // decomposed execution rebuilding across config changes like
+    // plain plans do.
     return &unit == &alg && spec.batch == sp.batch &&
            spec.inCh == sp.inCh && spec.outCh == sp.outCh &&
            spec.h == sp.h && spec.w == sp.w &&
@@ -689,7 +632,7 @@ WinoDecompPlan::matches(const ConvSpec &spec,
            spec.strideH == sp.strideH && spec.strideW == sp.strideW &&
            spec.padHEff() == sp.padHEff() &&
            spec.padWEff() == sp.padWEff() &&
-           inner->policy() == currentExecPolicy();
+           inner->config() == execConfig();
 }
 
 std::size_t

@@ -36,45 +36,11 @@
 #include "winograd/algo.hh"
 #include "winograd/conv.hh"
 #include "winograd/conv_spec.hh"
+#include "winograd/exec_config.hh"
 #include "winograd/lowprec.hh"
 #include "winograd/tiling.hh"
 
 namespace winomc {
-
-/**
- * WINOMC_FUSED knob: picks between the staged pipeline (full slabs
- * between stages) and the fused tile-strip pipeline (§4.11).
- *
- *  - Off:  always staged.
- *  - Auto: fused when the plan's shape qualifies (slabs overflow cache
- *          and no caller needs the tile caches), staged otherwise.
- *  - On:   every forward fuses, regardless of size (train-mode layer
- *          forwards included, whose backward then rebuilds the input
- *          tiles from the cached activations). Fused is a forward-only
- *          pipeline: backward always runs staged off one dYt slab.
- */
-enum class FusedMode : int { Off = 0, Auto = 1, On = 2 };
-
-/**
- * Parse a WINOMC_FUSED-style string ("auto" | "on" | "off", trimmed,
- * case-insensitive). Unknown input warns and yields Auto; never
- * throws, never exits (same discipline as parseIsa).
- */
-FusedMode parseFusedMode(const char *str);
-
-/**
- * The process-wide requested mode: the last setFusedMode() value, or
- * WINOMC_FUSED parsed once on first use when no override was set.
- */
-FusedMode requestedFusedMode();
-
-/** Programmatic override (tests/benchmarks); sets the mode exactly —
- *  setFusedMode(FusedMode::Auto) selects Auto, it does NOT re-read the
- *  environment. */
-void setFusedMode(FusedMode m);
-
-/** Human-readable name ("off", "auto", "on"). */
-const char *fusedModeName(FusedMode m);
 
 class WinoPlan
 {
@@ -83,17 +49,16 @@ class WinoPlan
              int h, int w);
 
     /**
-     * Does this plan cover the given execution configuration? Also
-     * false when the process-wide ExecPolicy (WINOMC_PREC /
-     * WINOMC_SPARSE) changed since construction: a plan executes
-     * forwards under the policy it captured, so plan pools must
-     * rebuild — never alias — across policy flips.
+     * Does this plan cover the given shape under the live execConfig()?
+     * A plan executes under the config it captured at construction,
+     * so any config change makes it stop matching: plan pools rebuild,
+     * never alias, across a change of any field.
      */
     bool matches(const WinogradAlgo &algo, int batch, int inCh,
                  int outCh, int h, int w) const;
 
-    /** The (precision, sparsity) policy captured at construction. */
-    const ExecPolicy &policy() const { return pol; }
+    /** The execution config captured at construction. */
+    const ExecConfig &config() const { return cfg; }
 
     const TileGrid &tileGrid() const { return grid; }
     int batch() const { return nb; }
@@ -115,7 +80,7 @@ class WinoPlan
 
     /**
      * y = winograd_conv(x, W); caches X and Y tiles in the plan.
-     * Executes under policy(): a sparse fp32 policy routes through the
+     * Executes under config(): a sparse fp32 config routes through the
      * zero-skipping kernels (bitwise identical output, Xt still
      * cached); a half policy stores the transformed activations in 16
      * bits — the fp32 Xt slab is then NOT populated (inputCached()
@@ -142,10 +107,10 @@ class WinoPlan
     // -----------------------------------------------------------------
 
     /**
-     * Resolve the WINOMC_FUSED knob for this plan. Pass
+     * Resolve the captured config().fused for this plan. Pass
      * preserveTileCaches = true when the caller will later read the
      * plan's tile caches (e.g. a train-mode layer forward): Auto then
-     * refuses to fuse; only an explicit WINOMC_FUSED=on overrides it.
+     * refuses to fuse; only an explicit FusedMode::On overrides it.
      */
     bool shouldFuse(bool preserveTileCaches) const;
 
@@ -225,7 +190,7 @@ class WinoPlan
     /** The plan-owned slabs, as bits of a set. */
     enum Slab : unsigned { kXt = 1, kYt = 2, kDYt = 4, kDXt = 8, kXh = 16,
                            kMask = 32 };
-    /** The slabs a staged forward under policy() writes. */
+    /** The slabs a staged forward under config() writes. */
     unsigned forwardSlabs() const;
     /** Bytes of the slab set `slabs` over batch x tiles lanes: the
      *  plan's slabs (nb x grid.tiles()) or one strip slot (1 x stripT). */
@@ -258,7 +223,7 @@ class WinoPlan
     const WinogradAlgo &alg;
     int nb, ni, nj, fh, fw;
     TileGrid grid;
-    ExecPolicy pol; ///< precision/sparsity captured at construction
+    ExecConfig cfg; ///< execution config captured at construction
 
     WinoTiles Xt;  ///< transformed input activations [a²][I][N][T]
     WinoTiles Yt;  ///< pre-inverse output tiles       [a²][J][N][T]

@@ -1,9 +1,8 @@
 #include "winograd/tuner.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cctype>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -12,6 +11,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "common/logging.hh"
 #include "common/metrics.hh"
@@ -25,13 +26,6 @@
 namespace winomc::tune {
 
 namespace {
-
-// ------------------------------------------------------ mode knob
-
-std::atomic<int> gTuneMode{-1}; ///< -1 = unresolved (parse env once)
-
-/** Expected element-wise skip ratio under a sparse policy. */
-std::atomic<double> gSparsityHint{0.0};
 
 // ------------------------------------------- analytic host roofline
 //
@@ -136,7 +130,12 @@ loadDiskLocked(TunerState &s)
     }
 }
 
-/** Rewrite the cache file from the union of disk + memo winners. */
+/**
+ * Rewrite the cache file from the union of disk + memo winners. The
+ * new contents go to <path>.tmp.<pid> and replace the file by rename,
+ * so a reader (or a crash mid-write) never sees a partial cache; on
+ * any failure the old file stays intact.
+ */
 void
 storeDiskLocked(TunerState &s)
 {
@@ -146,18 +145,26 @@ storeDiskLocked(TunerState &s)
     std::map<std::string, AlgoChoice> all = s.disk;
     for (const auto &kv : s.memo)
         all[kv.first] = kv.second;
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) {
-        winomc_warn("cannot write tuning cache ", path);
-        return;
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+    {
+        std::ofstream out(tmp, std::ios::trunc);
+        out << "# winomc tuning cache v1\n"
+            << "# <key> <algo> <m> <predicted_ms> <measured_ms>\n";
+        for (const auto &kv : all) {
+            const AlgoChoice &ch = kv.second;
+            out << kv.first << ' ' << algoKindName(ch.kind) << ' '
+                << ch.m << ' ' << ch.predictedMs << ' ' << ch.measuredMs
+                << '\n';
+        }
+        out.close();
+        if (out) {
+            if (std::rename(tmp.c_str(), path.c_str()) == 0)
+                return;
+        }
     }
-    out << "# winomc tuning cache v1\n"
-        << "# <key> <algo> <m> <predicted_ms> <measured_ms>\n";
-    for (const auto &kv : all) {
-        const AlgoChoice &ch = kv.second;
-        out << kv.first << ' ' << algoKindName(ch.kind) << ' ' << ch.m
-            << ' ' << ch.predictedMs << ' ' << ch.measuredMs << '\n';
-    }
+    winomc_warn("cannot write tuning cache ", path,
+                "; keeping the previous file");
+    std::remove(tmp.c_str());
 }
 
 /** Is a plain F(m,3) pipeline applicable (no decomposition needed)? */
@@ -297,71 +304,6 @@ publishChoice(const ConvSpec &spec, const AlgoChoice &ch)
 } // namespace
 
 const char *
-tuneModeName(TuneMode m)
-{
-    switch (m) {
-      case TuneMode::Off:
-        return "off";
-      case TuneMode::Analytic:
-        return "analytic";
-      case TuneMode::Measure:
-        return "measure";
-    }
-    return "analytic";
-}
-
-TuneMode
-parseTuneMode(const char *str)
-{
-    if (!str || !*str)
-        return TuneMode::Analytic;
-    std::string s;
-    for (const char *p = str; *p; ++p)
-        if (!std::isspace(static_cast<unsigned char>(*p)))
-            s += char(std::tolower(static_cast<unsigned char>(*p)));
-    if (s == "off")
-        return TuneMode::Off;
-    if (s == "analytic")
-        return TuneMode::Analytic;
-    if (s == "measure")
-        return TuneMode::Measure;
-    winomc_warn("ignoring unrecognized WINOMC_TUNE '", str,
-                "' (want off|analytic|measure)");
-    return TuneMode::Analytic;
-}
-
-TuneMode
-requestedTuneMode()
-{
-    int m = gTuneMode.load(std::memory_order_acquire);
-    if (m < 0) {
-        // Benign race: concurrent first calls parse the same env var.
-        m = int(parseTuneMode(std::getenv("WINOMC_TUNE")));
-        gTuneMode.store(m, std::memory_order_release);
-    }
-    return TuneMode(m);
-}
-
-void
-setTuneMode(TuneMode m)
-{
-    gTuneMode.store(int(m), std::memory_order_release);
-}
-
-double
-sparsityHint()
-{
-    return gSparsityHint.load(std::memory_order_acquire);
-}
-
-void
-setSparsityHint(double ratio)
-{
-    gSparsityHint.store(std::clamp(ratio, 0.0, 1.0),
-                        std::memory_order_release);
-}
-
-const char *
 algoKindName(AlgoKind k)
 {
     switch (k) {
@@ -426,24 +368,17 @@ predictMs(const ConvSpec &spec, const AlgoChoice &choice)
         // 0/±1, so the nominal MAC bound understates small tiles and
         // is nearly exact for large ones.
         const double xfRate = kXfGflops * 1e9 * (6.0 / a.alpha);
-        // ExecPolicy adjustments (both zero at the fp32-dense
-        // default): a sparse policy skips the hinted fraction of the
-        // element-wise FLOPs; 16-bit storage shrinks the X-slab
-        // round trip (one write in the transform, one read in the
-        // element-wise stage).
-        const ExecPolicy pol = currentExecPolicy();
-        const double keep =
-            pol.sparse
-                ? 1.0 - std::clamp(sparsityHint(), 0.0, 0.99)
-                : 1.0;
+        // 16-bit activation storage shrinks the X-slab round trip (one
+        // write in the transform, one read in the element-wise stage).
+        const Prec prec = execConfig().prec;
         double bytes = double(c.dramBytes());
-        if (pol.prec != Prec::F32) {
+        if (prec != Prec::F32) {
             const double xSlabElems = double(grid.tiles()) * a2 *
                                       spec.batch * spec.inCh;
             bytes -= 2.0 * xSlabElems *
-                     (p.bytesPerScalar - precBytes(pol.prec));
+                     (p.bytesPerScalar - precBytes(prec));
         }
-        return 1e3 * (2.0 * ewMacs * keep / (kEwGflops * 1e9) +
+        return 1e3 * (2.0 * ewMacs / (kEwGflops * 1e9) +
                       2.0 * xfMacs / xfRate +
                       bytes / (kDramGBps * 1e9));
       }
@@ -480,12 +415,12 @@ selectAlgorithm(const ConvSpec &spec)
     if (metrics::enabled())
         metrics::counterAdd("tuner.selects");
 
-    // The ExecPolicy suffix is empty at the fp32-dense default, so
-    // existing cache files keep their keys; non-default policies get
+    // The config key is empty at the fp32-dense default, so existing
+    // cache files keep their keys; other precisions and sparsity get
     // distinct memo/disk entries (their cost ranking differs).
-    const std::string key =
-        spec.key() + execPolicySuffix(currentExecPolicy());
-    const TuneMode mode = requestedTuneMode();
+    const ExecConfig cfg = execConfig();
+    const std::string key = spec.key() + cfg.key();
+    const TuneMode mode = cfg.tune;
 
     if (auto it = s.memo.find(key); it != s.memo.end()) {
         s.stats.memoHits++;

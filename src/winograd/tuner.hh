@@ -10,10 +10,8 @@
  * catalogs per tile size, ranked by an analytic host-roofline cost
  * model, and optionally refined by short measurement.
  *
- * Knobs (established env.hh parsing discipline — trimmed,
- * case-insensitive, garbage warns and falls back to the default):
- *
- *   WINOMC_TUNE=off|analytic|measure   (default: analytic)
+ * Mode: ExecConfig::tune (winograd/exec_config.hh), seeded from
+ * WINOMC_TUNE=off|analytic|measure (default: analytic):
  *     off      — no cost model, no cache: a static heuristic (F(4,3)
  *                on same 3x3 layers, decomposed-F(4,3) where the
  *                decomposition applies, direct otherwise);
@@ -23,11 +21,12 @@
  *                on a batch-clamped copy of the layer and the fastest
  *                measured one wins.
  *
- *   WINOMC_TUNE_CACHE=<path>   (default: unset — no persistence)
- *     On-disk tuning cache keyed by ConvSpec::key() (the same
- *     descriptor identity serve::PlanCache leases resolve through).
- *     Loaded lazily on first consult; every new winner rewrites the
- *     file, so a second run re-selects nothing beyond the file read.
+ * WINOMC_TUNE_CACHE=<path>   (default: unset — no persistence)
+ *     On-disk tuning cache keyed by ConvSpec::key() + ExecConfig::key()
+ *     (the same descriptor identity serve::PlanCache leases resolve
+ *     through). Loaded lazily on first consult; every new winner
+ *     rewrites the file atomically (temp file + rename), so a second
+ *     run re-selects nothing beyond the file read.
  *
  * Selections are memoized in-process per key, and published under
  * WINOMC_METRICS as tuner.* counters plus per-layer
@@ -44,25 +43,9 @@
 #include <cstdint>
 
 #include "winograd/conv_spec.hh"
+#include "winograd/exec_config.hh"
 
 namespace winomc::tune {
-
-enum class TuneMode : int { Off = 0, Analytic = 1, Measure = 2 };
-
-/** Parse a WINOMC_TUNE string; unknown input warns and yields
- *  Analytic. Never throws, never exits (same discipline as
- *  parseFusedMode / parseIsa). */
-TuneMode parseTuneMode(const char *str);
-
-/** The process-wide mode: the last setTuneMode() value, or WINOMC_TUNE
- *  parsed once on first use. */
-TuneMode requestedTuneMode();
-
-/** Programmatic override (tests); does not re-read the environment. */
-void setTuneMode(TuneMode m);
-
-/** Human-readable name ("off", "analytic", "measure"). */
-const char *tuneModeName(TuneMode m);
 
 /** How a layer executes its convolution. */
 enum class AlgoKind : int { Direct = 0, Winograd = 1, Decomposed = 2 };
@@ -97,22 +80,12 @@ bool numericallySafe(int m, int r);
  * stage MAC counts from winograd/cost.hh divided by calibrated
  * per-stage rates (transforms get an alpha-dependent efficiency
  * penalty — large-tile transform matrices have dense non-trivial
- * coefficients), plus a DRAM-stream term. The process ExecPolicy
- * folds in: 16-bit activation storage shrinks the X-slab stream term,
- * and a sparse policy scales the element-wise FLOP term by
- * (1 - sparsityHint()). At the fp32-dense default both adjustments
- * vanish and predictions match the pre-policy model exactly.
+ * coefficients), plus a DRAM-stream term. The live execConfig().prec
+ * folds in: 16-bit activation storage shrinks the X-slab stream term
+ * (fp32 predictions are unaffected). Sparsity does not change a
+ * prediction.
  */
 double predictMs(const ConvSpec &spec, const AlgoChoice &choice);
-
-/**
- * Expected combined skip ratio of the sparse element-wise stage
- * (weight sparsity plus activation dead panels, in [0, 1)) the cost
- * model charges under a sparse policy. Default 0 — callers that prune
- * (or measure quant.ew.rows_skipped) feed the observed ratio back.
- */
-double sparsityHint();
-void setSparsityHint(double ratio);
 
 /**
  * Pick the execution algorithm for one layer shape. Consults, in

@@ -3,7 +3,7 @@
  * Fused tile-strip pipeline tests (§4.11): fused-vs-staged bitwise
  * parity over odd shapes / N=1 / C!=K / grids both smaller and larger
  * than one strip, at 1-vs-8 threads and under scalar + auto ISA
- * dispatch; WINOMC_FUSED knob parsing and the Auto heuristic; zero
+ * dispatch; the fused-mode names and the Auto heuristic; zero
  * fresh workspace bytes in fused steady state; and the layer wirings
  * (ConvLayer train-mode under WINOMC_FUSED=on, MptConvLayer fused
  * inference forward).
@@ -29,6 +29,8 @@
 #include "winograd/microkernel.hh"
 #include "winograd/plan.hh"
 
+#include "exec_scope.hh"
+
 namespace winomc {
 
 // This suite validates the fp32 pipeline against fp32 oracles (direct
@@ -36,55 +38,25 @@ namespace winomc {
 // activation storage precision is pinned to fp32 regardless of
 // WINOMC_PREC. WINOMC_SPARSE stays env-driven on purpose: sparse
 // execution is bitwise identical and must keep passing here.
-[[maybe_unused]] const bool kPinFp32 = [] {
-    setPrec(Prec::F32);
-    return true;
-}();
+const test::Fp32Pin fp32Pin;
 
 namespace {
 
-/** Restore the process-wide fused mode / ISA / thread count on exit so
- *  tests cannot leak overrides into each other. */
-struct KnobGuard
-{
-    ~KnobGuard()
-    {
-        setFusedMode(FusedMode::Auto);
-        mk::setIsa(mk::Isa::Auto);
-        ThreadPool::global().setThreadCount(0);
-    }
-};
+using test::ExecScope;
+using test::withFused;
+using test::withIsa;
 
-// ------------------------------------------------------- Knob parsing
-
-TEST(FusedKnob, ParsesTokensCaseInsensitivelyAndTrimmed)
-{
-    EXPECT_EQ(parseFusedMode("on"), FusedMode::On);
-    EXPECT_EQ(parseFusedMode("off"), FusedMode::Off);
-    EXPECT_EQ(parseFusedMode("auto"), FusedMode::Auto);
-    EXPECT_EQ(parseFusedMode(" ON "), FusedMode::On);
-    EXPECT_EQ(parseFusedMode("Off\n"), FusedMode::Off);
-    EXPECT_EQ(parseFusedMode("AuTo"), FusedMode::Auto);
-}
-
-TEST(FusedKnob, GarbageFallsBackToAuto)
-{
-    EXPECT_EQ(parseFusedMode(nullptr), FusedMode::Auto);
-    EXPECT_EQ(parseFusedMode(""), FusedMode::Auto);
-    EXPECT_EQ(parseFusedMode("banana"), FusedMode::Auto);
-    EXPECT_EQ(parseFusedMode("on1"), FusedMode::Auto);
-    EXPECT_EQ(parseFusedMode("yes"), FusedMode::Auto);
-}
+// ------------------------------------------------------- Knob scope
 
 TEST(FusedKnob, SetFusedModeOverridesExactly)
 {
-    KnobGuard guard;
-    setFusedMode(FusedMode::On);
-    EXPECT_EQ(requestedFusedMode(), FusedMode::On);
-    setFusedMode(FusedMode::Off);
-    EXPECT_EQ(requestedFusedMode(), FusedMode::Off);
-    setFusedMode(FusedMode::Auto);
-    EXPECT_EQ(requestedFusedMode(), FusedMode::Auto);
+    // A scoped fused mode is taken exactly: Auto selects Auto, it does
+    // not re-read WINOMC_FUSED.
+    ExecScope guard;
+    for (FusedMode m : {FusedMode::On, FusedMode::Off, FusedMode::Auto}) {
+        ScopedExecConfig scope(withFused(m));
+        EXPECT_EQ(execConfig().fused, m);
+    }
 }
 
 TEST(FusedKnob, ModeNamesRoundTrip)
@@ -92,7 +64,11 @@ TEST(FusedKnob, ModeNamesRoundTrip)
     EXPECT_STREQ(fusedModeName(FusedMode::Off), "off");
     EXPECT_STREQ(fusedModeName(FusedMode::Auto), "auto");
     EXPECT_STREQ(fusedModeName(FusedMode::On), "on");
-    EXPECT_EQ(parseFusedMode(fusedModeName(FusedMode::On)),
+    const char *on = fusedModeName(FusedMode::On);
+    EXPECT_EQ(parseExecConfig([&](const char *var) {
+                  return std::string(var) == "WINOMC_FUSED" ? on
+                                                            : nullptr;
+              }).fused,
               FusedMode::On);
 }
 
@@ -100,21 +76,25 @@ TEST(FusedKnob, ModeNamesRoundTrip)
 
 TEST(FusedHeuristic, OffNeverFusesOnAlwaysFuses)
 {
-    KnobGuard guard;
+    // A plan captures the fused mode at construction: one per mode.
     WinogradAlgo algo = makeWinograd(2, 3);
-    WinoPlan plan(algo, 1, 2, 2, 8, 8);
-    setFusedMode(FusedMode::Off);
-    EXPECT_FALSE(plan.shouldFuse(false));
-    EXPECT_FALSE(plan.shouldFuse(true));
-    setFusedMode(FusedMode::On);
-    EXPECT_TRUE(plan.shouldFuse(false));
-    EXPECT_TRUE(plan.shouldFuse(true)); // explicit on overrides caches
+    {
+        ExecScope off(withFused(FusedMode::Off));
+        WinoPlan plan(algo, 1, 2, 2, 8, 8);
+        EXPECT_FALSE(plan.shouldFuse(false));
+        EXPECT_FALSE(plan.shouldFuse(true));
+    }
+    {
+        ExecScope on(withFused(FusedMode::On));
+        WinoPlan plan(algo, 1, 2, 2, 8, 8);
+        EXPECT_TRUE(plan.shouldFuse(false));
+        EXPECT_TRUE(plan.shouldFuse(true)); // explicit on overrides caches
+    }
 }
 
 TEST(FusedHeuristic, AutoFusesLargeSlabsButPreservesTileCaches)
 {
-    KnobGuard guard;
-    setFusedMode(FusedMode::Auto);
+    ExecScope guard(withFused(FusedMode::Auto));
     WinogradAlgo algo = makeWinograd(2, 3);
     WinoPlan small(algo, 1, 2, 2, 8, 8); // slabs are a few KiB
     EXPECT_FALSE(small.shouldFuse(false));
@@ -149,7 +129,7 @@ class FusedParityP : public ::testing::TestWithParam<FusedCase> {};
 
 TEST_P(FusedParityP, BitwiseMatchesStagedForAnyThreadCountAndIsa)
 {
-    KnobGuard guard;
+    ExecScope guard;
     const auto p = GetParam();
     WinogradAlgo algo = makeWinograd(p.m, p.r);
     Rng rng(321);
@@ -162,7 +142,7 @@ TEST_P(FusedParityP, BitwiseMatchesStagedForAnyThreadCountAndIsa)
     const WinoWeights W = transformWeights(w, algo);
 
     for (mk::Isa isa : {mk::Isa::Scalar, mk::Isa::Auto}) {
-        mk::setIsa(isa);
+        ScopedExecConfig isaScope(withIsa(isa));
         WinoPlan plan(algo, p.batch, p.in_ch, p.out_ch, p.h, p.w);
         Tensor y_ref(p.batch, p.out_ch, p.h, p.w);
         Tensor dx_ref(p.batch, p.in_ch, p.h, p.w);
@@ -184,12 +164,11 @@ TEST_P(FusedParityP, BitwiseMatchesStagedForAnyThreadCountAndIsa)
         }
 
         // The free wrappers dispatch through the same plans.
-        setFusedMode(FusedMode::On);
+        ScopedExecConfig on(withFused(FusedMode::On));
         EXPECT_EQ(winogradForward(x, W, algo).maxAbsDiff(y_ref), 0.0f);
         EXPECT_EQ(winogradBackwardData(dy, W, algo, p.h, p.w)
                       .maxAbsDiff(dx_ref),
                   0.0f);
-        setFusedMode(FusedMode::Auto);
     }
 }
 
@@ -224,8 +203,7 @@ TEST(FusedParity, MultiStripGridReallyUsesMultipleStrips)
 
 TEST(FusedSteadyState, FusedPathAllocatesNothingAfterWarmup)
 {
-    KnobGuard guard;
-    setFusedMode(FusedMode::On);
+    ExecScope guard(withFused(FusedMode::On));
     WinogradAlgo algo = makeWinograd(2, 3);
     Rng rng(17);
     Tensor x(2, 8, 16, 16);
@@ -256,7 +234,7 @@ TEST(FusedSteadyState, FusedPathAllocatesNothingAfterWarmup)
 
 TEST(FusedConvLayer, TrainStepsBitwiseMatchStagedUnderForcedFusion)
 {
-    KnobGuard guard;
+    ExecScope guard;
     struct LayerCase
     {
         int batch, in_ch, out_ch, hw, m;
@@ -284,15 +262,19 @@ TEST(FusedConvLayer, TrainStepsBitwiseMatchStagedUnderForcedFusion)
                 x.fillUniform(dataRng);
                 dy.fillUniform(dataRng);
 
-                setFusedMode(FusedMode::Off);
-                Tensor y_ref = staged.forward(x, true);
-                Tensor dx_ref = staged.backward(dy);
-                staged.step(0.01f);
-
-                setFusedMode(FusedMode::On);
-                Tensor y = fused.forward(x, true);
-                Tensor dx = fused.backward(dy);
-                fused.step(0.01f);
+                Tensor y_ref, dx_ref, y, dx;
+                {
+                    ScopedExecConfig off(withFused(FusedMode::Off));
+                    y_ref = staged.forward(x, true);
+                    dx_ref = staged.backward(dy);
+                    staged.step(0.01f);
+                }
+                {
+                    ScopedExecConfig on(withFused(FusedMode::On));
+                    y = fused.forward(x, true);
+                    dx = fused.backward(dy);
+                    fused.step(0.01f);
+                }
 
                 const std::string at = "mode " +
                                        std::to_string(int(mode)) +
@@ -318,7 +300,7 @@ TEST(FusedConvLayer, TrainStepsBitwiseMatchStagedUnderForcedFusion)
 
 TEST(FusedConvLayer, EvalForwardMatchesStagedAndKeepsBackwardFenced)
 {
-    KnobGuard guard;
+    ExecScope guard;
     testing::FLAGS_gtest_death_test_style = "threadsafe";
     WinogradAlgo algo = makeWinograd(2, 3);
     Rng rng(5);
@@ -328,10 +310,13 @@ TEST(FusedConvLayer, EvalForwardMatchesStagedAndKeepsBackwardFenced)
     Tensor dy(1, 3, 6, 6);
     x.fillUniform(rng);
     dy.fillUniform(rng);
-    setFusedMode(FusedMode::Off);
-    Tensor y_ref = layer.forward(x, false);
-    setFusedMode(FusedMode::On);
-    Tensor y = layer.forward(x, false);
+    Tensor y_ref, y;
+    {
+        ScopedExecConfig off(withFused(FusedMode::Off));
+        y_ref = layer.forward(x, false);
+    }
+    ScopedExecConfig on(withFused(FusedMode::On));
+    y = layer.forward(x, false);
     EXPECT_EQ(y.maxAbsDiff(y_ref), 0.0f);
     // The stale-cache fence survives the fused eval forward.
     EXPECT_DEATH(layer.backward(dy), "stale");
@@ -339,7 +324,7 @@ TEST(FusedConvLayer, EvalForwardMatchesStagedAndKeepsBackwardFenced)
 
 TEST(FusedMptLayer, InferenceForwardMatchesCanonicalPipeline)
 {
-    KnobGuard guard;
+    ExecScope guard;
     WinogradAlgo algo = makeWinograd(2, 3); // alpha^2 = 16
     // ng == 1: the undivided shard qualifies for the fused forward.
     Rng rngA(23), rngB(23);
@@ -348,13 +333,18 @@ TEST(FusedMptLayer, InferenceForwardMatchesCanonicalPipeline)
     Rng dataRng(29);
     Tensor x(4, 3, 8, 8);
     x.fillUniform(dataRng);
-    setFusedMode(FusedMode::Off);
-    Tensor y_staged = staged.forward(x, false);
-    setFusedMode(FusedMode::On);
-    Tensor y = fused.forward(x, false);
+    Tensor y_staged, y;
+    {
+        ScopedExecConfig off(withFused(FusedMode::Off));
+        y_staged = staged.forward(x, false);
+    }
+    {
+        ScopedExecConfig on(withFused(FusedMode::On));
+        y = fused.forward(x, false);
+    }
     // The fused shard forward is bitwise the canonical plan pipeline
     // (batch grouping does not change any per-element operation order).
-    setFusedMode(FusedMode::Off);
+    ScopedExecConfig off(withFused(FusedMode::Off));
     Tensor y_ref = winogradForward(x, fused.winoWeights(), algo);
     EXPECT_EQ(y.maxAbsDiff(y_ref), 0.0f);
     // The staged MPT path runs the single-node element-wise kernel on
@@ -365,7 +355,7 @@ TEST(FusedMptLayer, InferenceForwardMatchesCanonicalPipeline)
 
 TEST(FusedMptLayer, GroupedTrainingIgnoresFusedRequest)
 {
-    KnobGuard guard;
+    ExecScope guard;
     WinogradAlgo algo = makeWinograd(2, 3);
     // ng > 1 partial products need the plan slabs; WINOMC_FUSED=on
     // must leave the grouped path (and its training step) intact.
@@ -377,10 +367,13 @@ TEST(FusedMptLayer, GroupedTrainingIgnoresFusedRequest)
     Tensor dy(4, 4, 8, 8);
     x.fillUniform(dataRng);
     dy.fillUniform(dataRng);
-    setFusedMode(FusedMode::Off);
-    Tensor y_ref = staged.forward(x, true);
-    Tensor dx_ref = staged.backward(dy);
-    setFusedMode(FusedMode::On);
+    Tensor y_ref, dx_ref;
+    {
+        ScopedExecConfig off(withFused(FusedMode::Off));
+        y_ref = staged.forward(x, true);
+        dx_ref = staged.backward(dy);
+    }
+    ScopedExecConfig on(withFused(FusedMode::On));
     Tensor y = fused.forward(x, true);
     Tensor dx = fused.backward(dy);
     EXPECT_EQ(y.maxAbsDiff(y_ref), 0.0f);

@@ -33,6 +33,8 @@
 #include "winograd/plan.hh"
 #include "workloads/layers.hh"
 
+#include "exec_scope.hh"
+
 namespace winomc {
 
 // This suite validates the fp32 pipeline against fp32 oracles (direct
@@ -40,10 +42,7 @@ namespace winomc {
 // activation storage precision is pinned to fp32 regardless of
 // WINOMC_PREC. WINOMC_SPARSE stays env-driven on purpose: sparse
 // execution is bitwise identical and must keep passing here.
-[[maybe_unused]] const bool kPinFp32 = [] {
-    setPrec(Prec::F32);
-    return true;
-}();
+const test::Fp32Pin fp32Pin;
 
 namespace {
 
@@ -109,8 +108,8 @@ TEST_P(MptBitwiseP, LayerAndEmulationMatchSingleWorkerPlan)
     // bitwise those of one staged plan at any thread count. dW sums
     // the clusters' partial gradients, so it is bitwise only at nc = 1.
     const BitwiseOrg org = GetParam();
-    const bool savedSparse = requestedSparse();
-    setSparseMode(false); // fp32 dense, like the prec pin above
+    // fp32 dense, like the prec pin above.
+    test::ExecScope dense(test::withSparse(false));
     ThreadPool::global().setThreadCount(org.threads);
     const WinogradAlgo &algo = algoF2x2_3x3();
     // 81 tiles per image: ragged tile panels, and the batch*tiles lane
@@ -146,9 +145,6 @@ TEST_P(MptBitwiseP, LayerAndEmulationMatchSingleWorkerPlan)
     EXPECT_EQ(par.y.maxAbsDiff(y_ref), 0.0f);
     EXPECT_EQ(par.dx.maxAbsDiff(dx_ref), 0.0f);
     expectGrad(par.dW, "runFunctionalMpt");
-
-    ThreadPool::global().setThreadCount(0);
-    setSparseMode(savedSparse);
 }
 
 INSTANTIATE_TEST_SUITE_P(Organizations, MptBitwiseP,
@@ -274,8 +270,7 @@ TEST(Integration, PredictionSkipsAreSoundOnTrainedNetwork)
     // Harvesting reads lastOutputTiles(), which only the staged path
     // populates — pin fused mode to Auto for this test (WINOMC_FUSED=on
     // would bypass the tile slabs by documented contract).
-    const FusedMode savedFused = requestedFusedMode();
-    setFusedMode(FusedMode::Auto);
+    test::ExecScope autoFused(test::withFused(FusedMode::Auto));
     Rng rng(77);
     const auto &algo = algoF2x2_3x3();
     nn::Dataset train_set = nn::makeShapeDataset(128, 12, 3, rng);
@@ -313,7 +308,6 @@ TEST(Integration, PredictionSkipsAreSoundOnTrainedNetwork)
         EXPECT_EQ(st.falseNegatives, 0u);
         EXPECT_GT(st.tiles, 0u);
     }
-    setFusedMode(savedFused);
 }
 
 TEST(Integration, FlitSimValidatesAnalyticClusterBandwidth)

@@ -18,6 +18,8 @@
 #include "nn/trainer.hh"
 #include "winograd/algo.hh"
 
+#include "exec_scope.hh"
+
 namespace winomc::nn {
 
 // This suite validates the fp32 pipeline against fp32 oracles (direct
@@ -25,10 +27,7 @@ namespace winomc::nn {
 // activation storage precision is pinned to fp32 regardless of
 // WINOMC_PREC. WINOMC_SPARSE stays env-driven on purpose: sparse
 // execution is bitwise identical and must keep passing here.
-[[maybe_unused]] const bool kPinFp32 = [] {
-    setPrec(Prec::F32);
-    return true;
-}();
+const test::Fp32Pin fp32Pin;
 
 namespace {
 

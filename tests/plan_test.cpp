@@ -20,6 +20,8 @@
 #include "winograd/conv.hh"
 #include "winograd/plan.hh"
 
+#include "exec_scope.hh"
+
 namespace winomc {
 
 // This suite validates the fp32 pipeline against fp32 oracles (direct
@@ -27,10 +29,7 @@ namespace winomc {
 // activation storage precision is pinned to fp32 regardless of
 // WINOMC_PREC. WINOMC_SPARSE stays env-driven on purpose: sparse
 // execution is bitwise identical and must keep passing here.
-[[maybe_unused]] const bool kPinFp32 = [] {
-    setPrec(Prec::F32);
-    return true;
-}();
+const test::Fp32Pin fp32Pin;
 
 namespace {
 
@@ -428,26 +427,15 @@ TEST(MptConvLayerPlan, AlternatingShapesAllocateNothingAfterWarmup)
 
 // ------------------------------------------- Slabs acquired on first use
 
-/** Scope a thread count and an ExecPolicy; restore both on exit. */
-struct ExecGuard
+/** ExecScope edit: the given precision and sparsity. */
+auto
+precSparse(Prec prec, bool sparse)
 {
-    ExecGuard(int threads, Prec prec, bool sparse)
-        : prevSparse(requestedSparse())
-    {
-        ThreadPool::global().setThreadCount(threads);
-        setPrec(prec);
-        setSparseMode(sparse);
-    }
-    ~ExecGuard()
-    {
-        ThreadPool::global().setThreadCount(0);
-        setPrec(Prec::F32);
-        setSparseMode(prevSparse);
-    }
-
-  private:
-    bool prevSparse;
-};
+    return [=](ExecConfig &c) {
+        c.prec = prec;
+        c.sparse = sparse;
+    };
+}
 
 /** Bytes of one [a²][ch][B][T] fp32 slab of `plan`. */
 std::size_t
@@ -460,7 +448,8 @@ slabBytes(const WinoPlan &plan, int ch)
 
 TEST(PlanWorkspace, HoldsOnlyTheSlabsItsRunsUsed)
 {
-    ExecGuard guard(1, Prec::F32, false);
+    test::ExecScope guard(precSparse(Prec::F32, false));
+    ThreadPool::global().setThreadCount(1);
     WinogradAlgo algo = makeWinograd(2, 3);
     const int B = 2, I = 3, J = 5, H = 10;
     Rng rng(41);
@@ -512,7 +501,8 @@ TEST(PlanWorkspace, PolicyForwardAddsItsMaskAndHalfTiles)
     const WinoWeights W(algo.alpha, J, I);
     for (Prec prec : {Prec::F32, Prec::Bf16}) {
         for (bool sparse : {false, true}) {
-            ExecGuard guard(1, prec, sparse);
+            test::ExecScope guard(precSparse(prec, sparse));
+            ThreadPool::global().setThreadCount(1);
             WinoPlan plan(algo, B, I, J, H, H);
             plan.forwardInto(x, W, y);
             // Half policies store Xt as 16-bit Xh, sparse ones add the
@@ -535,7 +525,8 @@ TEST(PlanWorkspace, PolicyForwardAddsItsMaskAndHalfTiles)
 
 TEST(PlanWorkspace, FusedShapeOverTheSlabBudgetRunsInStripScratch)
 {
-    ExecGuard guard(4, Prec::F32, false);
+    test::ExecScope guard(precSparse(Prec::F32, false));
+    ThreadPool::global().setThreadCount(4);
     WinogradAlgo algo = makeWinograd(2, 3);
     const int B = 4, C = 32, H = 64;
     Rng rng(47);

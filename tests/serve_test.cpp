@@ -5,8 +5,10 @@
  * deadline-driven partial batches, queue-full backpressure without
  * drops, clean shutdown with in-flight requests, PlanCache lease /
  * eviction / shared-transformed-weight semantics (including under
- * concurrency — run these under TSan via ctest -L serve), serving
- * knob parsing, and the zero-allocation steady-state guarantee.
+ * concurrency — run these under TSan via ctest -L serve), rejected
+ * requests (a bad batch, a submit after stop) that fail only their own
+ * future, serving knob parsing, and the zero-allocation steady-state
+ * guarantee.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include <cstdlib>
 #include <deque>
 #include <future>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -29,6 +32,8 @@
 #include "serve/slo.hh"
 #include "tensor/workspace.hh"
 #include "winograd/conv.hh"
+
+#include "exec_scope.hh"
 
 namespace winomc {
 namespace {
@@ -67,7 +72,8 @@ makeImages(int count, int c, int h, int w, unsigned seed)
 TEST(ServeEngine, BatchDemuxBitwiseMatchesUnbatchedForward)
 {
     for (auto fused : {FusedMode::Off, FusedMode::On}) {
-        setFusedMode(fused);
+        // The batcher thread reads the config this scope sets.
+        test::ExecScope scope(test::withFused(fused));
         for (int threads : {1, 8}) {
             ThreadPool::global().setThreadCount(threads);
             nn::Sequential model = makeModel(17);
@@ -94,7 +100,50 @@ TEST(ServeEngine, BatchDemuxBitwiseMatchesUnbatchedForward)
             engine.stop();
         }
     }
-    setFusedMode(FusedMode::Auto);
+}
+
+// ------------------------------------------------ Rejected requests
+
+/** Current value of a metrics counter (0 when absent). */
+double
+counterValue(const char *name)
+{
+    for (const auto &s : metrics::snapshot())
+        if (s.name == name)
+            return s.value;
+    return 0.0;
+}
+
+TEST(ServeEngine, RejectedRequestsFailTheirFutureAndServingContinues)
+{
+    const bool wasMetrics = metrics::enabled();
+    metrics::setEnabled(true);
+    metrics::reset();
+    nn::Sequential model = makeModel(23);
+    const auto xs = makeImages(1, 3, 8, 8, 5);
+    const Tensor ref = model.forward(xs[0], false);
+
+    EngineConfig cfg;
+    cfg.maxBatch = 2;
+    cfg.maxDelayUs = 0;
+    Engine engine(model, cfg);
+    // A batch of two is client error: its future fails, nothing dies.
+    Tensor pair(2, 3, 8, 8);
+    std::future<Tensor> bad = engine.submit(pair);
+    EXPECT_THROW(bad.get(), std::runtime_error);
+    EXPECT_EQ(counterValue("serve.rejected"), 1.0);
+
+    // The engine still serves a valid request, bitwise as before.
+    Tensor y = engine.submit(xs[0]).get();
+    EXPECT_EQ(y.maxAbsDiff(ref), 0.0f);
+
+    // After stop() a submit is rejected the same way.
+    engine.stop();
+    EXPECT_EQ(engine.served(), 1u);
+    EXPECT_THROW(engine.submit(xs[0]).get(), std::runtime_error);
+    EXPECT_EQ(counterValue("serve.rejected"), 2.0);
+    metrics::reset();
+    metrics::setEnabled(wasMetrics);
 }
 
 // -------------------------------------------------- Deadline batching
@@ -185,14 +234,20 @@ TEST(ServeEngine, StopDrainsInFlightRequests)
     EXPECT_EQ(engine.served(), 10u);
 }
 
-TEST(ServeEngineDeath, SubmitAfterStopDies)
+TEST(ServeEngine, SubmitAfterStopFailsItsFuture)
 {
-    testing::FLAGS_gtest_death_test_style = "threadsafe";
     nn::Sequential model = makeModel(13);
     Engine engine(model);
     engine.stop();
     Tensor x(1, 3, 8, 8);
-    EXPECT_DEATH(engine.submit(x), "after stop");
+    std::future<Tensor> late = engine.submit(x);
+    try {
+        late.get();
+        ADD_FAILURE() << "a submit after stop() must be rejected";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("after stop"),
+                  std::string::npos);
+    }
 }
 
 // ------------------------------------------------------- PlanCache

@@ -1,6 +1,6 @@
 /**
  * @file
- * SIMD micro-kernel layer tests: runtime ISA dispatch (env parsing,
+ * SIMD micro-kernel layer tests: runtime ISA dispatch (env seeding,
  * fallback ladder, garbage rejection), scalar-vs-vector numerical
  * parity at both the primitive and the full-pipeline level (odd
  * shapes exercising the masked tails), bitwise contracts (ReLU,
@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -28,7 +27,10 @@
 #include "winograd/conv.hh"
 #include "winograd/microkernel.hh"
 
+#include "exec_scope.hh"
+
 using namespace winomc;
+using test::withIsa;
 
 namespace {
 
@@ -56,45 +58,26 @@ usableIsas()
     return out;
 }
 
-/** Restores Auto dispatch (and the env knob) after each test so test
+/** Scopes the execution config and thread count of each test so test
  *  order cannot leak a pinned ISA into unrelated tests. */
 class SimdTest : public ::testing::Test
 {
   protected:
-    void
-    TearDown() override
-    {
-        unsetenv("WINOMC_ISA");
-        mk::setIsa(mk::Isa::Auto);
-        ThreadPool::global().setThreadCount(defaultThreadCount());
-    }
+    test::ExecScope scope;
 };
 
-// ------------------------------------------------------------------
-// Knob parsing and the fallback ladder
-// ------------------------------------------------------------------
-
-TEST_F(SimdTest, ParseIsaAcceptsKnownNamesCaseAndSpaceInsensitive)
+/** The config WINOMC_ISA=`value` seeds (every other knob unset). */
+ExecConfig
+seededWithIsa(const char *value)
 {
-    EXPECT_EQ(mk::parseIsa("auto"), mk::Isa::Auto);
-    EXPECT_EQ(mk::parseIsa("scalar"), mk::Isa::Scalar);
-    EXPECT_EQ(mk::parseIsa("sse2"), mk::Isa::Sse2);
-    EXPECT_EQ(mk::parseIsa("avx2"), mk::Isa::Avx2);
-    EXPECT_EQ(mk::parseIsa("avx512"), mk::Isa::Avx512);
-    EXPECT_EQ(mk::parseIsa("  AVX2 \n"), mk::Isa::Avx2);
-    EXPECT_EQ(mk::parseIsa("Scalar"), mk::Isa::Scalar);
+    return parseExecConfig([value](const char *var) {
+        return std::strcmp(var, "WINOMC_ISA") == 0 ? value : nullptr;
+    });
 }
 
-TEST_F(SimdTest, ParseIsaRejectsGarbageToAuto)
-{
-    EXPECT_EQ(mk::parseIsa(nullptr), mk::Isa::Auto);
-    EXPECT_EQ(mk::parseIsa(""), mk::Isa::Auto);
-    EXPECT_EQ(mk::parseIsa("   "), mk::Isa::Auto);
-    EXPECT_EQ(mk::parseIsa("fastest"), mk::Isa::Auto);
-    EXPECT_EQ(mk::parseIsa("avx9999"), mk::Isa::Auto);
-    EXPECT_EQ(mk::parseIsa("512"), mk::Isa::Auto);
-    EXPECT_EQ(mk::parseIsa("avx2 avx512"), mk::Isa::Auto);
-}
+// ------------------------------------------------------------------
+// The fallback ladder
+// ------------------------------------------------------------------
 
 TEST_F(SimdTest, ResolveIsaNeverEscalatesAndScalarIsFixed)
 {
@@ -110,8 +93,9 @@ TEST_F(SimdTest, ResolveIsaNeverEscalatesAndScalarIsFixed)
 
 TEST_F(SimdTest, GarbageEnvValueFallsBackAndNeverCrashes)
 {
-    setenv("WINOMC_ISA", "definitely-not-an-isa", 1);
-    mk::setIsa(mk::Isa::Auto); // drop cache so the env is re-read
+    const ExecConfig cfg = seededWithIsa("definitely-not-an-isa");
+    EXPECT_EQ(cfg.isa, mk::Isa::Auto);
+    ScopedExecConfig seeded(cfg);
     const mk::MicroKernels &K = mk::kernels();
     EXPECT_EQ(K.isa, mk::highestSupported());
     EXPECT_EQ(mk::activeIsa(), mk::highestSupported());
@@ -123,8 +107,7 @@ TEST_F(SimdTest, GarbageEnvValueFallsBackAndNeverCrashes)
 
 TEST_F(SimdTest, EnvScalarPinsScalarTable)
 {
-    setenv("WINOMC_ISA", "scalar", 1);
-    mk::setIsa(mk::Isa::Auto);
+    ScopedExecConfig seeded(seededWithIsa("scalar"));
     EXPECT_EQ(mk::activeIsa(), mk::Isa::Scalar);
     EXPECT_STREQ(mk::kernels().name, "scalar");
 }
@@ -132,7 +115,7 @@ TEST_F(SimdTest, EnvScalarPinsScalarTable)
 TEST_F(SimdTest, EveryUsableTableIsFullyPopulated)
 {
     for (mk::Isa isa : usableIsas()) {
-        mk::setIsa(isa);
+        ScopedExecConfig isaScope(withIsa(isa));
         const mk::MicroKernels &K = mk::kernels();
         EXPECT_EQ(K.isa, isa);
         EXPECT_NE(K.name, nullptr);
@@ -163,7 +146,7 @@ TEST_F(SimdTest, ElementwisePrimitivesBitwiseMatchScalarOnOddLengths)
     const mk::MicroKernels *scalar = mk::detail::scalarTable();
     ASSERT_NE(scalar, nullptr);
     for (mk::Isa isa : usableIsas()) {
-        mk::setIsa(isa);
+        ScopedExecConfig isaScope(withIsa(isa));
         const mk::MicroKernels &K = mk::kernels();
         for (std::int64_t n : {1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 33}) {
             auto x = randomVec(std::size_t(n), 7u + unsigned(n));
@@ -201,7 +184,7 @@ TEST_F(SimdTest, PanelAccumGroupedBitwiseMatchesBlockedSel)
     // survivor set.
     const int ni = 19;
     for (mk::Isa isa : usableIsas()) {
-        mk::setIsa(isa);
+        ScopedExecConfig isaScope(withIsa(isa));
         const mk::MicroKernels &K = mk::kernels();
         for (int len : {1, 7, 16, 33, 64}) {
             std::vector<std::vector<float>> rows;
@@ -279,7 +262,7 @@ TEST_F(SimdTest, ReductionPrimitivesMatchScalarWithinUlp)
     const mk::MicroKernels *scalar = mk::detail::scalarTable();
     ASSERT_NE(scalar, nullptr);
     for (mk::Isa isa : usableIsas()) {
-        mk::setIsa(isa);
+        ScopedExecConfig isaScope(withIsa(isa));
         const mk::MicroKernels &K = mk::kernels();
         for (std::int64_t n : {1, 3, 7, 8, 9, 17, 64, 101, 1000}) {
             auto a = randomVec(std::size_t(n), 11u + unsigned(n));
@@ -322,7 +305,7 @@ TEST_F(SimdTest, DotBlockBitwiseMatchesSinglePairCalls)
     // wider than nb, and entries outside the block must stay untouched.
     constexpr int kLd = mk::kDotBlock + 1;
     for (mk::Isa isa : usableIsas()) {
-        mk::setIsa(isa);
+        ScopedExecConfig isaScope(withIsa(isa));
         const mk::MicroKernels &K = mk::kernels();
         for (int len : {1, 3, 7, 8, 9, 15, 16, 17, 31, 33, 64, 255, 256}) {
             const std::size_t pitch = std::size_t(len) + 3;
@@ -437,7 +420,7 @@ TEST_F(SimdTest, GradWeightsBitwiseMatchPerPairReference)
         }
         const int uvs = dY.uvCount();
         for (mk::Isa isa : usableIsas()) {
-            mk::setIsa(isa);
+            ScopedExecConfig isaScope(withIsa(isa));
             const int lanes = mk::kernels().doubleLanes;
             WinoWeights want(s.alpha, s.nj, s.ni);
             for (int uv = 0; uv < uvs; ++uv)
@@ -489,7 +472,7 @@ TEST_F(SimdTest, GradWeightsBitwiseMatchPerPairReference)
     for (mk::Isa isa : usableIsas()) {
         if (isa == mk::Isa::Scalar)
             continue;
-        mk::setIsa(isa);
+        ScopedExecConfig isaScope(withIsa(isa));
         const int lanes = mk::kernels().doubleLanes;
         const int bt = 2 * lanes + 1;
         WinoTiles dY(4, 1, 1, bt), X(4, 1, 1, bt);
@@ -518,7 +501,7 @@ TEST_F(SimdTest, AvgPool2RowBitwiseAcrossIsas)
     const mk::MicroKernels *scalar = mk::detail::scalarTable();
     ASSERT_NE(scalar, nullptr);
     for (mk::Isa isa : usableIsas()) {
-        mk::setIsa(isa);
+        ScopedExecConfig isaScope(withIsa(isa));
         const mk::MicroKernels &K = mk::kernels();
         for (int outW : {1, 2, 3, 5, 8, 13, 16, 17}) {
             auto r0 = randomVec(std::size_t(2 * outW), 21u);
@@ -573,14 +556,16 @@ TEST_F(SimdTest, PipelineMatchesScalarWithinTolOnOddShapes)
             w.fillUniform(rng);
             dy.fillUniform(rng);
 
-            mk::setIsa(mk::Isa::Scalar);
-            WinoWeights Ws = transformWeights(w, *algo);
-            Tensor yS = winogradForward(x, Ws, *algo);
-            Tensor dxS = winogradBackwardData(dy, Ws, *algo, s.hw,
-                                              s.hw);
-            WinoWeights gS = winogradGradWeights(x, dy, *algo);
+            Tensor yS, dxS;
+            WinoWeights gS;
+            {
+                ScopedExecConfig scalar(withIsa(mk::Isa::Scalar));
+                WinoWeights Ws = transformWeights(w, *algo);
+                yS = winogradForward(x, Ws, *algo);
+                dxS = winogradBackwardData(dy, Ws, *algo, s.hw, s.hw);
+                gS = winogradGradWeights(x, dy, *algo);
+            }
 
-            mk::setIsa(mk::Isa::Auto);
             WinoWeights Wv = transformWeights(w, *algo);
             Tensor yV = winogradForward(x, Wv, *algo);
             Tensor dxV = winogradBackwardData(dy, Wv, *algo, s.hw,
@@ -614,11 +599,13 @@ TEST_F(SimdTest, DirectConvMatchesScalarWithinTol)
     w.fillUniform(rng);
     dy.fillUniform(rng);
 
-    mk::setIsa(mk::Isa::Scalar);
-    Tensor yS = directConvForward(x, w);
-    Tensor dxS = directConvBackwardData(dy, w);
-    Tensor gS = directConvGradWeights(x, dy, 3);
-    mk::setIsa(mk::Isa::Auto);
+    Tensor yS, dxS, gS;
+    {
+        ScopedExecConfig scalar(withIsa(mk::Isa::Scalar));
+        yS = directConvForward(x, w);
+        dxS = directConvBackwardData(dy, w);
+        gS = directConvGradWeights(x, dy, 3);
+    }
     Tensor yV = directConvForward(x, w);
     Tensor dxV = directConvBackwardData(dy, w);
     Tensor gV = directConvGradWeights(x, dy, 3);
@@ -646,7 +633,7 @@ TEST_F(SimdTest, PipelineBitwiseInvariantAcrossThreadCountsPerIsa)
     const auto &algo = algoF4x4_3x3();
 
     for (mk::Isa isa : usableIsas()) {
-        mk::setIsa(isa);
+        ScopedExecConfig isaScope(withIsa(isa));
         WinoWeights W = transformWeights(w, algo);
 
         ThreadPool::global().setThreadCount(1);

@@ -1,8 +1,9 @@
 /**
  * @file
  * Shared fixtures of the sparse + low-precision execution tests
- * (sparse_test.cpp, sparse_timing_test.cpp): the policy guard, a
- * post-ReLU-style sparse input and magnitude-pruned Winograd weights.
+ * (sparse_test.cpp, sparse_timing_test.cpp): the fp32-dense baseline
+ * config, a post-ReLU-style sparse input and magnitude-pruned Winograd
+ * weights.
  */
 
 #ifndef WINOMC_TESTS_SPARSE_FIXTURES_HH
@@ -16,31 +17,27 @@
 #include "winograd/microkernel.hh"
 #include "winograd/tuner.hh"
 
+#include "exec_scope.hh"
+
 namespace winomc {
 
+using test::ExecScope;
+using test::withIsa;
+using test::withPrec;
+using test::withSparse;
+
 /**
- * Every sparse test flips process-wide execution state on purpose, so
- * each one scopes its changes: baseline fp32-dense on
- * entry, everything restored on exit (precision, sparsity, ISA,
- * thread count, tuner hint). Plans capture the policy at construction,
- * so tests build their plans *after* each policy flip.
+ * The baseline every sparse test scopes on entry (ExecScope guard(
+ * fp32Dense)): fp32 dense, other fields as seeded. Tests flip prec and
+ * sparsity in nested scopes on purpose; plans capture the config at
+ * construction, so each is built inside the scope it should run under.
  */
-struct PolicyGuard
+inline void
+fp32Dense(ExecConfig &c)
 {
-    PolicyGuard()
-    {
-        setPrec(Prec::F32);
-        setSparseMode(false);
-    }
-    ~PolicyGuard()
-    {
-        setPrec(Prec::F32);
-        setSparseMode(false);
-        mk::setIsa(mk::Isa::Auto);
-        ThreadPool::global().setThreadCount(0);
-        tune::setSparsityHint(0.0);
-    }
-};
+    c.prec = Prec::F32;
+    c.sparse = false;
+}
 
 /** Post-ReLU-looking input: Gaussian, negatives clamped, whole
  *  channel-planes and patch blocks zeroed so full tile panels go dead

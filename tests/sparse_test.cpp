@@ -1,7 +1,7 @@
 /**
  * @file
- * Sparse + low-precision execution tests: the WINOMC_PREC /
- * WINOMC_SPARSE knobs, the 16-bit storage conversions, the activation
+ * Sparse + low-precision execution tests: the ExecConfig prec /
+ * sparse fields and their cache keys, the 16-bit storage conversions, the activation
  * zero-mask machinery, Winograd-domain pruning through training, and
  * the plan/tuner/weight-cache policy keying.
  *
@@ -46,33 +46,6 @@ namespace {
 
 // ------------------------------------------------------------- Knobs
 
-TEST(LowPrecKnobs, ParsePrecAcceptsAliasesAndRejectsGarbage)
-{
-    EXPECT_EQ(parsePrec(nullptr), Prec::F32);
-    EXPECT_EQ(parsePrec(""), Prec::F32);
-    EXPECT_EQ(parsePrec("fp32"), Prec::F32);
-    EXPECT_EQ(parsePrec("fp16"), Prec::F16);
-    EXPECT_EQ(parsePrec("bf16"), Prec::Bf16);
-    EXPECT_EQ(parsePrec("  BF16  "), Prec::Bf16);
-    EXPECT_EQ(parsePrec("FP16"), Prec::F16);
-    // Garbage warns and falls back to the default.
-    EXPECT_EQ(parsePrec("int8"), Prec::F32);
-    EXPECT_EQ(parsePrec("fast"), Prec::F32);
-}
-
-TEST(LowPrecKnobs, ParseSparseAcceptsBooleanSpellings)
-{
-    EXPECT_FALSE(parseSparse(nullptr));
-    EXPECT_FALSE(parseSparse(""));
-    EXPECT_TRUE(parseSparse("on"));
-    EXPECT_TRUE(parseSparse("1"));
-    EXPECT_TRUE(parseSparse("TRUE"));
-    EXPECT_FALSE(parseSparse("off"));
-    EXPECT_FALSE(parseSparse("0"));
-    EXPECT_FALSE(parseSparse("false"));
-    EXPECT_FALSE(parseSparse("maybe")); // garbage -> default
-}
-
 TEST(LowPrecKnobs, PrecNamesAndBytes)
 {
     EXPECT_STREQ(precName(Prec::F32), "fp32");
@@ -87,11 +60,23 @@ TEST(LowPrecKnobs, PolicySuffixEmptyAtDefaultOnly)
 {
     // The empty default keeps pre-policy cache keys and weight tags
     // byte-identical — on-disk tuner caches survive the upgrade.
-    EXPECT_EQ(execPolicySuffix({Prec::F32, false}), "");
-    EXPECT_EQ(execPolicySuffix({Prec::F16, false}), "_fp16");
-    EXPECT_EQ(execPolicySuffix({Prec::Bf16, false}), "_bf16");
-    EXPECT_EQ(execPolicySuffix({Prec::F32, true}), "_sp");
-    EXPECT_EQ(execPolicySuffix({Prec::Bf16, true}), "_bf16_sp");
+    auto key = [](Prec prec, bool sparse) {
+        ExecConfig c;
+        c.prec = prec;
+        c.sparse = sparse;
+        return c.key();
+    };
+    EXPECT_EQ(key(Prec::F32, false), "");
+    EXPECT_EQ(key(Prec::F16, false), "_fp16");
+    EXPECT_EQ(key(Prec::Bf16, false), "_bf16");
+    EXPECT_EQ(key(Prec::F32, true), "_sp");
+    EXPECT_EQ(key(Prec::Bf16, true), "_bf16_sp");
+    // The other fields never reach a key.
+    ExecConfig other;
+    other.isa = mk::Isa::Scalar;
+    other.fused = FusedMode::On;
+    other.tune = tune::TuneMode::Measure;
+    EXPECT_EQ(other.key(), "");
 }
 
 // -------------------------------------------------- Half conversions
@@ -158,7 +143,7 @@ TEST(HalfConvert, EncodeDecodeIdempotentOverAllPayloads)
 
 TEST(PanelZeroMask, DetectsExactZeroLaneSets)
 {
-    PolicyGuard guard;
+    ExecScope guard(fp32Dense);
     const int entries = 36; // F(4,3) alpha^2 — exercises >32 bits
     std::vector<float> x(std::size_t(entries) * mk::kTilePanel, 0.0f);
     // Entry 3: one nonzero lane. Entry 35: -0.0 everywhere (still
@@ -168,7 +153,7 @@ TEST(PanelZeroMask, DetectsExactZeroLaneSets)
         x[35 * mk::kTilePanel + l] = -0.0f;
 
     for (mk::Isa isa : {mk::Isa::Scalar, mk::Isa::Auto}) {
-        mk::setIsa(isa);
+        ScopedExecConfig isaScope(withIsa(isa));
         const mk::MicroKernels &K = mk::kernels();
         const std::uint64_t m = K.panelZeroMask(
             x.data(), mk::kTilePanel, entries, mk::kTilePanel);
@@ -186,7 +171,7 @@ TEST(PanelZeroMask, DetectsExactZeroLaneSets)
 
 TEST(PanelZeroMask, HalfVariantTreatsSignedZeroAsZero)
 {
-    PolicyGuard guard;
+    ExecScope guard(fp32Dense);
     const int entries = 16;
     std::vector<std::uint16_t> x(std::size_t(entries) * mk::kTilePanel,
                                  0x0000u);
@@ -194,7 +179,7 @@ TEST(PanelZeroMask, HalfVariantTreatsSignedZeroAsZero)
     x[5 * mk::kTilePanel + 0] = 0x3c00u; // 1.0 (f16)
 
     for (mk::Isa isa : {mk::Isa::Scalar, mk::Isa::Auto}) {
-        mk::setIsa(isa);
+        ScopedExecConfig isaScope(withIsa(isa));
         const std::uint64_t m = mk::kernels().panelZeroMaskHalf(
             x.data(), mk::kTilePanel, entries, mk::kTilePanel);
         EXPECT_EQ((m >> 0) & 1u, 1u) << int(isa);
@@ -253,7 +238,7 @@ class SparseParityP : public ::testing::TestWithParam<SparseCase> {};
 
 TEST_P(SparseParityP, SparseForwardBitwiseEqualsDense)
 {
-    PolicyGuard guard;
+    ExecScope guard(fp32Dense);
     const auto p = GetParam();
     const WinogradAlgo algo = makeWinograd(p.m, 3);
     Rng rng(515);
@@ -264,12 +249,12 @@ TEST_P(SparseParityP, SparseForwardBitwiseEqualsDense)
         prunedWeights(p.out_ch, p.in_ch, 3, algo, 0.6, rng);
 
     for (mk::Isa isa : {mk::Isa::Scalar, mk::Isa::Auto}) {
-        mk::setIsa(isa);
+        ScopedExecConfig isaScope(withIsa(isa));
         for (int threads : {1, 8}) {
             ThreadPool::global().setThreadCount(threads);
 
             // Dense fp32 reference under the same ISA/thread setting.
-            setSparseMode(false);
+            ScopedExecConfig denseScope(withSparse(false));
             WinoPlan dense(algo, p.batch, p.in_ch, p.out_ch, p.h, p.w);
             Tensor y_ref(p.batch, p.out_ch, p.h, p.w);
             Tensor dx_ref(p.batch, p.in_ch, p.h, p.w);
@@ -280,12 +265,12 @@ TEST_P(SparseParityP, SparseForwardBitwiseEqualsDense)
             Tensor yf_ref(p.batch, p.out_ch, p.h, p.w);
             dense.forwardFusedInto(x, W, yf_ref);
 
-            setSparseMode(true);
+            ScopedExecConfig sparseScope(withSparse(true));
             WinoPlan sparse(algo, p.batch, p.in_ch, p.out_ch, p.h, p.w);
             EXPECT_TRUE(sparse.matches(algo, p.batch, p.in_ch,
                                        p.out_ch, p.h, p.w));
-            // The dense-policy plan no longer matches once the policy
-            // flipped — pools must rebuild, never alias.
+            // The dense plan no longer matches once the config
+            // changed — pools must rebuild, never alias.
             EXPECT_FALSE(dense.matches(algo, p.batch, p.in_ch,
                                        p.out_ch, p.h, p.w));
             Tensor y(p.batch, p.out_ch, p.h, p.w);
@@ -325,8 +310,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, SparseParityP,
 
 TEST(SparseExec, AllZeroInputYieldsExactZeroOutput)
 {
-    PolicyGuard guard;
-    setSparseMode(true);
+    ExecScope guard(fp32Dense);
+    ScopedExecConfig sparse(withSparse(true));
     const WinogradAlgo algo = makeWinograd(4, 3);
     Rng rng(77);
     Tensor x(2, 3, 10, 10); // zeros: every panel is skippable
@@ -343,7 +328,7 @@ class HalfPrecP : public ::testing::TestWithParam<SparseCase> {};
 
 TEST_P(HalfPrecP, ForwardWithinDocumentedBoundsAndFusedBitwise)
 {
-    PolicyGuard guard;
+    ExecScope guard(fp32Dense);
     const auto p = GetParam();
     const WinogradAlgo algo = makeWinograd(p.m, 3);
     Rng rng(909);
@@ -370,10 +355,10 @@ TEST_P(HalfPrecP, ForwardWithinDocumentedBoundsAndFusedBitwise)
     const float bf16Rel = p.m <= 2 ? 3e-2f : 1e-1f;
     const float f16Rel = p.m <= 2 ? 4e-3f : 1e-2f;
     for (Bound b : {Bound{Prec::Bf16, bf16Rel}, Bound{Prec::F16, f16Rel}}) {
-        setPrec(b.prec);
+        ScopedExecConfig precScope(withPrec(b.prec));
         // Half storage composes with sparse skipping; run both ways.
         for (bool sp : {false, true}) {
-            setSparseMode(sp);
+            ScopedExecConfig sparseScope(withSparse(sp));
             WinoPlan plan(algo, p.batch, p.in_ch, p.out_ch, p.h, p.w);
             Tensor y(p.batch, p.out_ch, p.h, p.w);
             plan.forwardInto(x, W, y);
@@ -406,11 +391,10 @@ TEST(HalfPrec, TrainingThroughHalfForwardStillLearns)
 {
     // The backward pass re-scatters the saved fp32 input, so training
     // with 16-bit forward storage follows the fp32 trajectory closely.
-    PolicyGuard guard;
+    ExecScope guard(fp32Dense);
     Rng rng_a(55), rng_b(55), data_rng(66);
     const auto &algo = algoF2x2_3x3();
     nn::ConvLayer ref(2, 3, 3, nn::ConvMode::WinogradLayer, algo, rng_a);
-    setPrec(Prec::Bf16);
     nn::ConvLayer lp(2, 3, 3, nn::ConvMode::WinogradLayer, algo, rng_b);
 
     Tensor x(2, 2, 8, 8);
@@ -422,14 +406,19 @@ TEST(HalfPrec, TrainingThroughHalfForwardStillLearns)
     Tensor dy(2, 3, 8, 8);
     dy.fillUniform(data_rng);
     for (int step = 0; step < 4; ++step) {
-        setPrec(Prec::F32);
-        Tensor ya = ref.forward(x, true);
-        ref.backward(dy);
-        ref.step(0.05f);
-        setPrec(Prec::Bf16);
-        Tensor yb = lp.forward(x, true);
-        lp.backward(dy);
-        lp.step(0.05f);
+        Tensor ya, yb;
+        {
+            ScopedExecConfig fp32(withPrec(Prec::F32));
+            ya = ref.forward(x, true);
+            ref.backward(dy);
+            ref.step(0.05f);
+        }
+        {
+            ScopedExecConfig bf16(withPrec(Prec::Bf16));
+            yb = lp.forward(x, true);
+            lp.backward(dy);
+            lp.step(0.05f);
+        }
         EXPECT_LT(ya.maxAbsDiff(yb),
                   3e-2f * std::max(1.0f, ya.absMax()))
             << "step " << step;
@@ -441,8 +430,8 @@ TEST(HalfPrec, TrainingThroughHalfForwardStillLearns)
 
 TEST(Pruning, PrunedCoefficientsStayExactlyZeroThroughSgd)
 {
-    PolicyGuard guard;
-    setSparseMode(true);
+    ExecScope guard(fp32Dense);
+    ScopedExecConfig sparse(withSparse(true));
     Rng rng(41), data_rng(42);
     const auto &algo = algoF2x2_3x3();
     nn::ConvLayer layer(3, 4, 3, nn::ConvMode::WinogradLayer, algo, rng);
@@ -481,7 +470,7 @@ TEST(Pruning, PrunedCoefficientsStayExactlyZeroThroughSgd)
 
 TEST(PolicyKeys, PlanCacheNeverAliasesWeightsAcrossPolicies)
 {
-    PolicyGuard guard;
+    ExecScope guard(fp32Dense);
     serve::PlanCache cache(std::size_t(1) << 30);
     const auto &algo = algoF2x2_3x3();
     Rng rng(7);
@@ -493,24 +482,26 @@ TEST(PolicyKeys, PlanCacheNeverAliasesWeightsAcrossPolicies)
     auto w32b = cache.transformedWeights(spec, w, algo);
     EXPECT_EQ(w32.get(), w32b.get()); // same policy -> shared slab
 
-    setPrec(Prec::Bf16);
-    auto wbf = cache.transformedWeights(spec, w, algo);
-    EXPECT_NE(wbf.get(), w32.get()); // engines never alias across prec
+    {
+        ScopedExecConfig bf16(withPrec(Prec::Bf16));
+        auto wbf = cache.transformedWeights(spec, w, algo);
+        EXPECT_NE(wbf.get(), w32.get()); // never alias across prec
 
-    setSparseMode(true);
-    auto wbfsp = cache.transformedWeights(spec, w, algo);
-    EXPECT_NE(wbfsp.get(), wbf.get());
+        ScopedExecConfig sparse(withSparse(true));
+        auto wbfsp = cache.transformedWeights(spec, w, algo);
+        EXPECT_NE(wbfsp.get(), wbf.get());
+    }
 
-    setPrec(Prec::F32);
-    setSparseMode(false);
     auto w32c = cache.transformedWeights(spec, w, algo);
     EXPECT_EQ(w32c.get(), w32.get()); // back to the original entry
 }
 
 TEST(PolicyKeys, TunerMemoizesPerPolicy)
 {
-    PolicyGuard guard;
-    tune::setTuneMode(tune::TuneMode::Analytic);
+    ExecScope guard([](ExecConfig &c) {
+        fp32Dense(c);
+        c.tune = tune::TuneMode::Analytic;
+    });
     tune::setTuneCachePath(nullptr);
     tune::resetTunerForTest();
     const ConvSpec spec{"conv", 8, 16, 16, 32, 32, 3};
@@ -521,9 +512,9 @@ TEST(PolicyKeys, TunerMemoizesPerPolicy)
     const tune::TunerStats s1 = tune::tunerStats();
     EXPECT_EQ(s1.memoHits, s0.memoHits + 1);
 
-    // A different policy is a different key: full selection again, no
-    // memo hit.
-    setPrec(Prec::Bf16);
+    // A different precision is a different key: full selection again,
+    // no memo hit.
+    ScopedExecConfig bf16(withPrec(Prec::Bf16));
     tune::selectAlgorithm(spec);
     const tune::TunerStats s2 = tune::tunerStats();
     EXPECT_EQ(s2.memoHits, s1.memoHits);
@@ -536,7 +527,7 @@ TEST(PolicyKeys, TunerMemoizesPerPolicy)
 
 TEST(PolicyKeys, CostModelChargesPolicyAdjustments)
 {
-    PolicyGuard guard;
+    ExecScope guard(fp32Dense);
     const ConvSpec spec{"conv", 8, 32, 32, 32, 32, 3};
     tune::AlgoChoice wino;
     wino.kind = tune::AlgoKind::Winograd;
@@ -545,18 +536,16 @@ TEST(PolicyKeys, CostModelChargesPolicyAdjustments)
     const double base = tune::predictMs(spec, wino);
 
     // 16-bit activations shrink the DRAM term.
-    setPrec(Prec::Bf16);
-    EXPECT_LT(tune::predictMs(spec, wino), base);
-    setPrec(Prec::F32);
+    {
+        ScopedExecConfig bf16(withPrec(Prec::Bf16));
+        EXPECT_LT(tune::predictMs(spec, wino), base);
+    }
 
-    // A sparse policy with a nonzero observed skip ratio shrinks the
-    // elementwise FLOP term; with a zero hint the model is unchanged.
-    setSparseMode(true);
-    EXPECT_DOUBLE_EQ(tune::predictMs(spec, wino), base);
-    tune::setSparsityHint(0.8);
-    EXPECT_LT(tune::predictMs(spec, wino), base);
-    // The hint only applies under a sparse policy.
-    setSparseMode(false);
+    // The sparse policy leaves the prediction unchanged.
+    {
+        ScopedExecConfig sparse(withSparse(true));
+        EXPECT_DOUBLE_EQ(tune::predictMs(spec, wino), base);
+    }
     EXPECT_DOUBLE_EQ(tune::predictMs(spec, wino), base);
 }
 
@@ -567,7 +556,7 @@ TEST(HalfPrec, Bf16MovesMeasurablyFewerBytesThanFp32)
     // The PR's traffic acceptance gate: wino.staged.fwd.bytes_moved
     // counts the X-tile stream at its storage width, so bf16 must
     // report strictly fewer bytes than fp32 for one identical forward.
-    PolicyGuard guard;
+    ExecScope guard(fp32Dense);
     const WinogradAlgo algo = makeWinograd(4, 3);
     const int B = 2, C = 8, K = 8, H = 24;
     Rng rng(11);
@@ -593,8 +582,11 @@ TEST(HalfPrec, Bf16MovesMeasurablyFewerBytesThanFp32)
     };
 
     const double b32 = measuredBytes();
-    setPrec(Prec::Bf16);
-    const double b16 = measuredBytes();
+    double b16 = 0;
+    {
+        ScopedExecConfig bf16(withPrec(Prec::Bf16));
+        b16 = measuredBytes();
+    }
     metrics::setEnabled(wasEnabled);
 
     ASSERT_GT(b32, 0.0);

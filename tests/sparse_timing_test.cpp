@@ -34,7 +34,7 @@ TEST(SparseExec, SkipCountersAndSparseSpeedupAtHighSparsity)
     // dominates the transforms, as in the deep layers the paper
     // prunes. Measured margin at this shape is ~20%, so the < below
     // has real cushion against timer noise.
-    PolicyGuard guard;
+    ExecScope guard(fp32Dense);
     const WinogradAlgo algo = makeWinograd(4, 3);
     const int B = 2, C = 128, K = 128, H = 32;
     Rng rng(3137);
@@ -43,9 +43,8 @@ TEST(SparseExec, SkipCountersAndSparseSpeedupAtHighSparsity)
     EXPECT_GE(quant::winogradWeightSparsity(W), 0.84);
     Tensor y(B, K, H, H);
 
-    setSparseMode(false);
-    WinoPlan dense(algo, B, C, K, H, H);
-    setSparseMode(true);
+    WinoPlan dense(algo, B, C, K, H, H); // under the fp32-dense guard
+    ScopedExecConfig sparseScope(withSparse(true));
     WinoPlan sparse(algo, B, C, K, H, H);
 
     // Counter check around one instrumented run.

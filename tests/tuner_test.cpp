@@ -1,7 +1,7 @@
 /**
  * @file
  * Generalized-descriptor + auto-tuner tests: ConvSpec geometry and the
- * legacy seven-field contract, WINOMC_TUNE knob parsing, the survey
+ * legacy seven-field contract, the survey
  * numeric-safety bounds, analytic selection on the paper layers (F(4,3)
  * with no manual hint), DWM decomposition term counts and forward
  * parity against the generalized direct oracle (5x5, 7x7, stride-2,
@@ -14,7 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/parallel.hh"
 #include "common/rng.hh"
@@ -26,6 +32,8 @@
 #include "winograd/tuner.hh"
 #include "workloads/layers.hh"
 
+#include "exec_scope.hh"
+
 namespace winomc {
 
 // This suite validates the fp32 pipeline against fp32 oracles (direct
@@ -33,31 +41,28 @@ namespace winomc {
 // activation storage precision is pinned to fp32 regardless of
 // WINOMC_PREC. WINOMC_SPARSE stays env-driven on purpose: sparse
 // execution is bitwise identical and must keep passing here.
-[[maybe_unused]] const bool kPinFp32 = [] {
-    setPrec(Prec::F32);
-    return true;
-}();
+const test::Fp32Pin fp32Pin;
 
 namespace {
 
-/** Pin the tuner to a clean analytic, cache-less state and restore
- *  every process-wide knob on exit. */
-struct TunerGuard
+using test::withFused;
+using test::withIsa;
+
+/** An analytic-mode ExecScope over a clean, cache-less tuner (the
+ *  memo and cache path are reset again on exit). */
+struct TunerGuard : test::ExecScope
 {
-    TunerGuard()
+    TunerGuard() : ExecScope(test::withTune(tune::TuneMode::Analytic))
     {
-        tune::setTuneMode(tune::TuneMode::Analytic);
-        tune::setTuneCachePath(nullptr);
-        tune::resetTunerForTest();
+        resetTuner();
     }
-    ~TunerGuard()
+    ~TunerGuard() { resetTuner(); }
+
+    static void
+    resetTuner()
     {
-        tune::setTuneMode(tune::TuneMode::Analytic);
         tune::setTuneCachePath(nullptr);
         tune::resetTunerForTest();
-        setFusedMode(FusedMode::Auto);
-        mk::setIsa(mk::Isa::Auto);
-        ThreadPool::global().setThreadCount(0);
     }
 };
 
@@ -115,24 +120,6 @@ TEST(ConvSpecGeometry, KeyIsCanonicalDotFreeAndNameBlind)
     EXPECT_EQ(a.key(), b.key());
     EXPECT_EQ(a.key(), "b4_c8x16_in13x13_k3x3_s2x2_p1x1");
     EXPECT_EQ(a.key().find('.'), std::string::npos);
-}
-
-// ---------------------------------------------------------- knob parsing
-
-TEST(TuneKnob, ParsesTokensCaseInsensitivelyAndTrimmed)
-{
-    EXPECT_EQ(tune::parseTuneMode("off"), tune::TuneMode::Off);
-    EXPECT_EQ(tune::parseTuneMode("analytic"), tune::TuneMode::Analytic);
-    EXPECT_EQ(tune::parseTuneMode("measure"), tune::TuneMode::Measure);
-    EXPECT_EQ(tune::parseTuneMode(" OFF "), tune::TuneMode::Off);
-    EXPECT_EQ(tune::parseTuneMode("Measure\n"), tune::TuneMode::Measure);
-}
-
-TEST(TuneKnob, GarbageAndUnsetFallBackToAnalytic)
-{
-    EXPECT_EQ(tune::parseTuneMode(nullptr), tune::TuneMode::Analytic);
-    EXPECT_EQ(tune::parseTuneMode(""), tune::TuneMode::Analytic);
-    EXPECT_EQ(tune::parseTuneMode("fastest"), tune::TuneMode::Analytic);
 }
 
 // --------------------------------------------------------- numeric safety
@@ -251,22 +238,26 @@ TEST_P(DecompParityP, MatchesDirectOracleBitwiseAcrossSchedules)
     const float tol =
         float(tune::winogradMaxRelError(p.m, 3)) * 10.0f * scale;
 
+    // A plan captures the fused mode at construction: one per mode.
     for (mk::Isa isa : {mk::Isa::Scalar, mk::Isa::Auto}) {
-        mk::setIsa(isa);
-        WinoDecompPlan plan(spec, algoForTile(p.m));
-        plan.setWeights(w);
-        ASSERT_EQ(plan.terms(), int(decomposeSpec(spec).size()));
-
-        setFusedMode(FusedMode::Off);
-        ThreadPool::global().setThreadCount(1);
+        ScopedExecConfig isaScope(withIsa(isa));
         Tensor y_ref(p.batch, p.out_ch, spec.outH(), spec.outW());
-        plan.forwardInto(x, y_ref);
-        EXPECT_LE(y_ref.maxAbsDiff(y_oracle), tol)
-            << "isa " << mk::isaName(isa);
+        {
+            ScopedExecConfig off(withFused(FusedMode::Off));
+            WinoDecompPlan plan(spec, algoForTile(p.m));
+            plan.setWeights(w);
+            ASSERT_EQ(plan.terms(), int(decomposeSpec(spec).size()));
+            ThreadPool::global().setThreadCount(1);
+            plan.forwardInto(x, y_ref);
+            EXPECT_LE(y_ref.maxAbsDiff(y_oracle), tol)
+                << "isa " << mk::isaName(isa);
+        }
 
         Tensor y(p.batch, p.out_ch, spec.outH(), spec.outW());
         for (FusedMode fm : {FusedMode::Off, FusedMode::On}) {
-            setFusedMode(fm);
+            ScopedExecConfig fused(withFused(fm));
+            WinoDecompPlan plan(spec, algoForTile(p.m));
+            plan.setWeights(w);
             for (int threads : {1, 8}) {
                 ThreadPool::global().setThreadCount(threads);
                 y.fill(-1.0f); // poison: every element must be stored
@@ -328,6 +319,165 @@ TEST(TunerCache, RoundTripsDecisionsAcrossProcessesAndRetunesNothing)
     EXPECT_EQ(ca2.m, ca.m);
     EXPECT_EQ(cb2.kind, cb.kind);
     EXPECT_EQ(cb2.m, cb.m);
+    std::remove(path.c_str());
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void
+writeFile(const std::string &path, const std::string &text)
+{
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+}
+
+TEST(TunerCache, WritesAtomicallyAndLeavesNoTempFile)
+{
+    TunerGuard guard;
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::path(::testing::TempDir()) /
+                         "winomc_tuner_atomic_test";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const std::string path = (dir / "cache.txt").string();
+    tune::setTuneCachePath(path.c_str());
+    tune::resetTunerForTest();
+
+    tune::selectAlgorithm(makeSpec(4, 8, 8, 12, 12, 5, 5, 1, 1));
+    tune::selectAlgorithm(makeSpec(4, 8, 8, 13, 13, 3, 3, 2, 2));
+
+    // Only the cache itself remains: the temp file was renamed over it.
+    std::vector<std::string> names;
+    for (const auto &e : fs::directory_iterator(dir))
+        names.push_back(e.path().filename().string());
+    ASSERT_EQ(names, std::vector<std::string>{"cache.txt"});
+
+    // Complete: two header lines, then one 5-field line per key, each
+    // newline-terminated.
+    const std::string text = readFile(path);
+    ASSERT_FALSE(text.empty());
+    EXPECT_EQ(text.back(), '\n');
+    std::istringstream lines(text);
+    std::string line;
+    int headers = 0, entries = 0;
+    while (std::getline(lines, line)) {
+        if (line.rfind("#", 0) == 0) {
+            ++headers;
+            continue;
+        }
+        std::istringstream fields(line);
+        std::string key, algo;
+        int m = 0;
+        double pred = 0, meas = 0;
+        EXPECT_TRUE(bool(fields >> key >> algo >> m >> pred >> meas))
+            << line;
+        ++entries;
+    }
+    EXPECT_EQ(headers, 2);
+    EXPECT_EQ(entries, 2);
+    fs::remove_all(dir);
+}
+
+TEST(TunerCache, TruncatedFileLoadsAndRetunesOnlyTheMissingKeys)
+{
+    TunerGuard guard;
+    const std::string path =
+        ::testing::TempDir() + "winomc_tuner_truncated_test.txt";
+    std::remove(path.c_str());
+    tune::setTuneCachePath(path.c_str());
+    tune::resetTunerForTest();
+
+    const std::vector<ConvSpec> specs = {
+        makeSpec(4, 8, 8, 12, 12, 5, 5, 1, 1),
+        makeSpec(2, 16, 16, 16, 16, 3, 3, 1, 1)};
+    // Cache keys carry the config key ("_sp" under WINOMC_SPARSE=on).
+    auto keyOf = [](const ConvSpec &spec) {
+        return spec.key() + execConfig().key();
+    };
+    std::map<std::string, tune::AlgoChoice> tuned;
+    for (const ConvSpec &spec : specs)
+        tuned[keyOf(spec)] = tune::selectAlgorithm(spec);
+    const std::string full = readFile(path);
+
+    // Offset of the newline ending each key's line: a prefix keeps the
+    // key iff it holds that whole line (the newline itself optional).
+    std::map<std::string, std::size_t> lineEnd;
+    for (std::size_t pos = 0; pos < full.size();) {
+        const std::size_t end = full.find('\n', pos);
+        ASSERT_NE(end, std::string::npos);
+        if (full[pos] != '#')
+            lineEnd[full.substr(pos, full.find(' ', pos) - pos)] = end;
+        pos = end + 1;
+    }
+    ASSERT_EQ(lineEnd.size(), specs.size());
+
+    for (std::size_t cut = 0; cut <= full.size(); ++cut) {
+        writeFile(path, full.substr(0, cut));
+        tune::resetTunerForTest();
+        const tune::TunerStats s0 = tune::tunerStats();
+        std::uint64_t kept = 0;
+        for (const ConvSpec &spec : specs) {
+            const std::string key = keyOf(spec);
+            const bool intact = lineEnd.at(key) <= cut;
+            kept += intact;
+            const tune::AlgoChoice c = tune::selectAlgorithm(spec);
+            EXPECT_EQ(c.fromCache, intact) << key << " cut " << cut;
+            EXPECT_EQ(c.kind, tuned[key].kind) << "cut " << cut;
+            EXPECT_EQ(c.m, tuned[key].m) << "cut " << cut;
+        }
+        const tune::TunerStats s1 = tune::tunerStats();
+        EXPECT_EQ(s1.cacheHits - s0.cacheHits, kept) << "cut " << cut;
+        EXPECT_EQ(s1.cacheMisses - s0.cacheMisses, specs.size() - kept)
+            << "cut " << cut;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(TunerCache, KeysOfTheExistingFileFormatStillResolve)
+{
+    // A cache file as earlier versions wrote it: the fp32-dense key is
+    // the bare ConvSpec key, other configs append "_bf16"/"_fp16" then
+    // "_sp". The picks below differ per key, so each select proves
+    // which line it resolved through.
+    TunerGuard guard;
+    const std::string path =
+        ::testing::TempDir() + "winomc_tuner_keys_test.txt";
+    writeFile(path,
+              "# winomc tuning cache v1\n"
+              "# <key> <algo> <m> <predicted_ms> <measured_ms>\n"
+              "b4_c8x8_in12x12_k5x5_s1x1_p2x2 decomposed 2 0.25 0\n"
+              "b4_c8x8_in12x12_k5x5_s1x1_p2x2_bf16_sp decomposed 6 "
+              "0.5 0.75\n");
+    tune::setTuneCachePath(path.c_str());
+    tune::resetTunerForTest();
+    const ConvSpec spec = makeSpec(4, 8, 8, 12, 12, 5, 5, 1, 1);
+    const std::uint64_t misses0 = tune::tunerStats().cacheMisses;
+
+    {
+        ScopedExecConfig fp32Dense([](ExecConfig &c) {
+            c.prec = Prec::F32;
+            c.sparse = false;
+        });
+        const tune::AlgoChoice dense = tune::selectAlgorithm(spec);
+        EXPECT_TRUE(dense.fromCache);
+        EXPECT_EQ(dense.kind, tune::AlgoKind::Decomposed);
+        EXPECT_EQ(dense.m, 2);
+    }
+
+    ScopedExecConfig bf16Sparse([](ExecConfig &c) {
+        c.prec = Prec::Bf16;
+        c.sparse = true;
+    });
+    const tune::AlgoChoice half = tune::selectAlgorithm(spec);
+    EXPECT_TRUE(half.fromCache);
+    EXPECT_EQ(half.kind, tune::AlgoKind::Decomposed);
+    EXPECT_EQ(half.m, 6);
+    EXPECT_DOUBLE_EQ(half.measuredMs, 0.75);
+    EXPECT_EQ(tune::tunerStats().cacheMisses, misses0);
     std::remove(path.c_str());
 }
 

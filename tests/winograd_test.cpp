@@ -17,6 +17,8 @@
 #include "winograd/rational.hh"
 #include "winograd/toom_cook.hh"
 
+#include "exec_scope.hh"
+
 namespace winomc {
 
 // This suite validates the fp32 pipeline against fp32 oracles (direct
@@ -24,10 +26,7 @@ namespace winomc {
 // activation storage precision is pinned to fp32 regardless of
 // WINOMC_PREC. WINOMC_SPARSE stays env-driven on purpose: sparse
 // execution is bitwise identical and must keep passing here.
-[[maybe_unused]] const bool kPinFp32 = [] {
-    setPrec(Prec::F32);
-    return true;
-}();
+const test::Fp32Pin fp32Pin;
 
 namespace {
 
