@@ -511,13 +511,6 @@ invFlops(const WinogradAlgo &algo, int B, int C, int t)
     return 2.0 * m * a * (a + m) * B * C * t;
 }
 
-/** Force the fused mode of one row: staged (Off) or fused (On). */
-void
-forceFused(ExecConfig &c, bool fused)
-{
-    c.fused = fused ? FusedMode::On : FusedMode::Off;
-}
-
 /**
  * Forward pass through a persistent plan, staged or fused, on a shape
  * whose tile slabs (~127 MiB per side for Xt/Yt) overflow any cache
@@ -528,7 +521,6 @@ void
 winoForwardPlannedMode(benchmark::State &state, bool fused)
 {
     ThreadPool::global().setThreadCount(int(state.range(0)));
-    ScopedExecConfig ovr([&](ExecConfig &c) { forceFused(c, fused); });
     const auto &algo = algoF4x4_3x3();
     Rng rng(1);
     const int B = 16, C = 96, HW = 96;
@@ -580,21 +572,20 @@ BENCHMARK(BM_WinoForwardFused)->Apply(threadArgs)
 /**
  * One full training step of a Winograd layer through a persistent
  * plan: forward, weight gradient from the cached tiles, backward-data.
- * The single end-to-end number future PRs track. The fused variant
- * mirrors the WINOMC_FUSED=on layer schedule of nn::ConvLayer: the
- * fused forward bypasses the slabs, so the weight-gradient product
- * re-scatters the activations (scatterInput), and backward-data reuses
- * the one transformed dYt like the staged row. On this deliberately
- * small, cache-resident shape the re-scatter costs more than the slab
- * round trip saves, so the fused row reads slower here — the forward
- * pair above, on a slab-overflowing shape, is the fusion-win
- * comparison.
+ * The single end-to-end number the kernel baseline tracks. The fused
+ * variant times the schedule a train step would pay if its forward
+ * fused: the fused forward bypasses the slabs, so the weight-gradient
+ * product re-scatters the activations (scatterInput), and
+ * backward-data reuses the one transformed dYt like the staged row.
+ * The re-scatter costs more than the slab round trip saves, so the
+ * fused row reads slower — which is why nn::ConvLayer never fuses a
+ * train-mode forward. The forward pair above, on a slab-overflowing
+ * shape, is the fusion-win comparison.
  */
 void
 winoTrainStepPlanned(benchmark::State &state, bool fused)
 {
     ThreadPool::global().setThreadCount(int(state.range(0)));
-    ScopedExecConfig ovr([&](ExecConfig &c) { forceFused(c, fused); });
     Rng rng(1);
     const auto &algo = algoF4x4_3x3();
     const int B = 4, C = 32, HW = 32;
@@ -739,11 +730,11 @@ quantFixture()
 }
 
 /**
- * Forward pass under a forced (precision, sparsity, fused) policy on
- * the shared quant fixture. The dense fp32 row (SPARSE_DenseRef) runs
- * the untouched dense kernels on the same pruned weights and sparse
- * input — the in-artifact baseline the SPARSE_/PREC_ rows are read
- * against.
+ * Forward pass under a forced (precision, sparsity) policy, staged or
+ * fused, on the shared quant fixture. The dense fp32 row
+ * (SPARSE_DenseRef) runs the untouched dense kernels on the same
+ * pruned weights and sparse input — the in-artifact baseline the
+ * SPARSE_/PREC_ rows are read against.
  */
 void
 quantForwardPlanned(benchmark::State &state, Prec prec, bool sparse,
@@ -753,7 +744,6 @@ quantForwardPlanned(benchmark::State &state, Prec prec, bool sparse,
     ScopedExecConfig pol([&](ExecConfig &c) {
         c.prec = prec;
         c.sparse = sparse;
-        forceFused(c, fused);
     });
     const auto &algo = algoF4x4_3x3();
     auto &f = quantFixture();

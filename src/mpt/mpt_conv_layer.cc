@@ -1,8 +1,30 @@
 #include "mpt/mpt_conv_layer.hh"
 
+#include <algorithm>
+
 #include "winograd/microkernel.hh"
 
 namespace winomc::mpt {
+
+namespace {
+
+/**
+ * Copy batch rows [s0, s0 + count) of src to rows [d0, d0 + count) of
+ * dst (same C, H, W): the cluster scatter/gather of the batch split.
+ * An NCHW batch row is one contiguous block, so this is one copy.
+ */
+void
+copyBatchRows(const Tensor &src, int s0, Tensor &dst, int d0, int count)
+{
+    winomc_assert(src.c() == dst.c() && src.h() == dst.h() &&
+                  src.w() == dst.w() && s0 >= 0 && d0 >= 0 &&
+                  s0 + count <= src.n() && d0 + count <= dst.n(),
+                  "copyBatchRows shape mismatch");
+    const std::size_t row = std::size_t(src.c()) * src.h() * src.w();
+    std::copy_n(src.data() + s0 * row, count * row, dst.data() + d0 * row);
+}
+
+} // namespace
 
 MptConvLayer::MptConvLayer(int in_ch, int out_ch, int r, int ng_,
                            int nc_, const WinogradAlgo &algo_, Rng &rng)
@@ -71,13 +93,13 @@ MptConvLayer::forward(const Tensor &x, bool train)
     for (int c = 0; c < nc; ++c) {
         WinoPlan &plan = *plans[size_t(c)];
         copyBatchRows(x, c * shard, xShard, 0, shard);
-        // Undivided alpha^2 inference shards have no per-group
-        // scatter/gather to satisfy, so the whole per-cluster forward
-        // can run through the fused strip pipeline. Grouped (ng > 1)
-        // or train-mode execution needs the plan slabs: each group
-        // writes its uv slice of Yt and backward reads the cached Xt.
-        if (ng == 1 && !train && plan.shouldFuse(false)) {
-            plan.forwardFusedInto(xShard, W, yShard);
+        // An undivided alpha^2 inference shard has no per-group
+        // scatter/gather to satisfy, so the plan runs it whole and may
+        // fuse it. Grouped (ng > 1) or train-mode execution needs the
+        // plan slabs: each group writes its uv slice of Yt and backward
+        // reads the cached Xt.
+        if (ng == 1 && !train) {
+            plan.forwardInto(xShard, W, yShard, false);
             copyBatchRows(yShard, 0, y, c * shard, shard);
             continue;
         }
@@ -144,8 +166,9 @@ MptConvLayer::step(float lr)
     if (!haveGrad)
         return;
     haveGrad = false;
-    dW *= -lr;
-    W += dW;
+    // The same one-FMA-per-element update as nn::ConvLayer, so an
+    // nc = 1 layer keeps bitwise the solo layer's weights.
+    mk::kernels().axpy(W.raw(), -lr, dW.raw(), std::int64_t(W.size()));
     dW.fill(0.0f);
 }
 

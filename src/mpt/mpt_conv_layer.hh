@@ -10,7 +10,10 @@
  * results (up to FP accumulation order) to training the single-worker
  * nn::ConvLayer in WinogradLayer mode - the end-to-end demonstration
  * that MPT changes the schedule, never the learned model. Forward y
- * and backward dx are bitwise those of a single-worker staged plan.
+ * and backward dx are bitwise those of a single-worker staged plan,
+ * for every (ng, nc). dW sums the clusters' partial gradients in
+ * ascending cluster order, so it and the SGD step are bitwise the
+ * solo layer's at nc = 1.
  *
  * Each cluster owns a shape-bound WinoPlan: the plan slabs play the role
  * of the cluster's SRAM-resident tiles, and each group runs the
@@ -23,7 +26,6 @@
 
 #include <memory>
 
-#include "mpt/functional.hh"
 #include "nn/module.hh"
 #include "winograd/conv_spec.hh"
 #include "winograd/plan.hh"

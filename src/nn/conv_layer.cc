@@ -169,20 +169,11 @@ ConvLayer::winogradForwardBody(const Tensor &x, bool train)
 {
     ensurePlan(x);
     Tensor y(x.n(), outCh, x.h(), x.w());
-    // A train-mode forward wants the plan's input-tile cache for the
-    // weight-gradient product, so Auto stays staged there; only an
-    // explicit WINOMC_FUSED=on fuses it, caching the raw activations
-    // instead and re-transforming them in backward().
-    if (execPlan->shouldFuse(train)) {
-        execPlan->forwardFusedInto(x, effectiveW(), y);
-    } else {
-        execPlan->forwardInto(x, effectiveW(), y);
-        if (!train)
-            execPlan->invalidateCache();
-    }
-    // Fused and half-precision forwards both leave the fp32 input-tile
-    // cache unpopulated; backward then rebuilds it from the raw
-    // activations (identical fp32 tiles either way).
+    // A train-mode forward keeps the plan's tiles for the gradient
+    // products; an eval forward lets the plan fuse when that pays.
+    execPlan->forwardInto(x, effectiveW(), y, train);
+    // A half-precision forward leaves the fp32 input-tile cache
+    // unpopulated; backward then rebuilds it from the raw activations.
     if (train && !execPlan->inputCached())
         cachedX = x;
     return y;
@@ -271,10 +262,9 @@ ConvLayer::backward(const Tensor &dy)
         return directConvBackwardData(dy, w);
     }
 
-    // A fused or half-precision forward bypassed the fp32 input-tile
-    // slab, so the cache the weight-gradient product needs does not
-    // exist yet — rebuild it from the cached activations (identical
-    // tiles regardless of how the forward ran; backward is full fp32).
+    // A half-precision forward bypassed the fp32 input-tile slab, so
+    // the cache the weight-gradient product needs does not exist yet —
+    // rebuild it from the cached activations (backward is full fp32).
     if (!execPlan->inputCached())
         execPlan->scatterInput(cachedX);
     execPlan->transformGradOutput(dy);

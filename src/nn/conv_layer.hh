@@ -191,7 +191,7 @@ class ConvLayer : public Module
     /** Pinned-zero Winograd coefficients (pruneWinogradWeights). */
     std::unique_ptr<quant::PruneMask> pruneMask;
 
-    Tensor cachedX;    ///< input (direct-gradient paths / fused train)
+    Tensor cachedX;    ///< input (direct-gradient paths / half train)
     /** True iff the activations the backward pass needs were cached by
      *  a train-mode forward and not clobbered since. */
     bool trainCached = false;

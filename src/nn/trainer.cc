@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <mutex>
 #include <numeric>
 
@@ -64,6 +65,14 @@ train(Module &model, const Dataset &train_set, const Dataset &val_set,
 
             Tensor logits = model.forward(xb, true);
             LossResult res = softmaxCrossEntropy(logits, yb);
+            if (!std::isfinite(res.loss)) {
+                // Its gradient would poison every weight: stop first.
+                winomc_warn("non-finite loss ", res.loss, " at epoch ",
+                            epoch + 1, " batch ", batches + 1,
+                            "; training stopped after ", history.size(),
+                            " completed epoch(s)");
+                return history;
+            }
             model.backward(res.dlogits);
             model.step(lr);
 

@@ -32,6 +32,11 @@ struct EpochStats
 /**
  * Train `model` (which must end in logits of `train.classes` width) and
  * return per-epoch statistics. Data order is shuffled with `rng`.
+ *
+ * A batch whose loss is not finite stops training before its backward
+ * and step, with a warning naming the (1-based) epoch and batch: the
+ * weights stay those of the last finite step, and only the epochs
+ * completed before it are returned.
  */
 std::vector<EpochStats> train(Module &model, const Dataset &train_set,
                               const Dataset &val_set,

@@ -914,10 +914,7 @@ winogradForward(const Tensor &x, const WinoWeights &W,
                   x.w());
     Tensor y(x.n(), W.outChannels(), x.h(), x.w());
     // Transient plan, nobody reads its tile caches afterwards.
-    if (plan.shouldFuse(false))
-        plan.forwardFusedInto(x, W, y);
-    else
-        plan.forwardInto(x, W, y);
+    plan.forwardInto(x, W, y, false);
     return y;
 }
 

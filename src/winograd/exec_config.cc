@@ -31,7 +31,7 @@ struct Knob
     void (*set)(ExecConfig &, int);
 };
 
-enum KnobId { kIsa, kFused, kPrec, kSparse, kTune };
+enum KnobId { kIsa, kPrec, kSparse, kTune };
 
 const std::vector<Knob> &
 knobs()
@@ -44,11 +44,6 @@ knobs()
           {"avx2", int(mk::Isa::Avx2)},
           {"avx512", int(mk::Isa::Avx512)}},
          [](ExecConfig &c, int v) { c.isa = mk::Isa(v); }},
-        {"WINOMC_FUSED",
-         {{"auto", int(FusedMode::Auto)},
-          {"on", int(FusedMode::On)},
-          {"off", int(FusedMode::Off)}},
-         [](ExecConfig &c, int v) { c.fused = FusedMode(v); }},
         {"WINOMC_PREC",
          {{"fp32", int(Prec::F32)},
           {"f32", int(Prec::F32)},
@@ -116,10 +111,9 @@ std::uint64_t
 pack(const ExecConfig &c)
 {
     return std::uint64_t(std::uint8_t(c.isa)) |
-           std::uint64_t(std::uint8_t(c.fused)) << 8 |
-           std::uint64_t(std::uint8_t(c.prec)) << 16 |
-           std::uint64_t(c.sparse) << 24 |
-           std::uint64_t(std::uint8_t(c.tune)) << 32;
+           std::uint64_t(std::uint8_t(c.prec)) << 8 |
+           std::uint64_t(c.sparse) << 16 |
+           std::uint64_t(std::uint8_t(c.tune)) << 24;
 }
 
 ExecConfig
@@ -127,10 +121,9 @@ unpack(std::uint64_t v)
 {
     ExecConfig c;
     c.isa = mk::Isa(v & 0xff);
-    c.fused = FusedMode((v >> 8) & 0xff);
-    c.prec = Prec((v >> 16) & 0xff);
-    c.sparse = ((v >> 24) & 0xff) != 0;
-    c.tune = tune::TuneMode((v >> 32) & 0xff);
+    c.prec = Prec((v >> 8) & 0xff);
+    c.sparse = ((v >> 16) & 0xff) != 0;
+    c.tune = tune::TuneMode((v >> 24) & 0xff);
     return c;
 }
 
@@ -144,12 +137,6 @@ live()
 }
 
 } // namespace
-
-const char *
-fusedModeName(FusedMode m)
-{
-    return nameOf(knobs()[kFused], int(m));
-}
 
 const char *
 tune::tuneModeName(TuneMode m)

@@ -3,13 +3,15 @@
  * The execution config: how the host engine runs a convolution, as one
  * value.
  *
- * Five environment knobs seed it, once, on the first execConfig() call:
+ * Four environment knobs seed it, once, on the first execConfig() call:
  *
  *   WINOMC_ISA=auto|scalar|sse2|avx2|avx512  micro-kernel table (§4.10)
- *   WINOMC_FUSED=auto|on|off                fused tile-strip forward (§4.11)
  *   WINOMC_PREC=fp32|fp16|bf16              activation-slab storage (§4.15)
  *   WINOMC_SPARSE=off|on                    zero-skipping element-wise stage
  *   WINOMC_TUNE=analytic|off|measure        algorithm selection (§4.14)
+ *
+ * Whether a forward runs staged or fused (§4.11) is not a knob: the two
+ * are bitwise identical, and each WinoPlan decides from its own shape.
  *
  * Every knob follows the common/env.hh discipline: values are trimmed
  * and case-insensitive, missing or empty is the default silently, and
@@ -34,23 +36,6 @@
 
 namespace winomc {
 
-/**
- * Staged pipeline (full slabs between stages) or the fused tile-strip
- * pipeline (§4.11).
- *
- *  - Off:  always staged.
- *  - Auto: fused when the plan's shape qualifies (slabs overflow cache
- *          and no caller needs the tile caches), staged otherwise.
- *  - On:   every forward fuses, regardless of size (train-mode layer
- *          forwards included, whose backward then rebuilds the input
- *          tiles from the cached activations). Fused is a forward-only
- *          pipeline: backward always runs staged off one dYt slab.
- */
-enum class FusedMode : int { Off = 0, Auto = 1, On = 2 };
-
-/** "off", "auto", "on". */
-const char *fusedModeName(FusedMode m);
-
 namespace tune {
 
 /**
@@ -69,7 +54,6 @@ const char *tuneModeName(TuneMode m);
 struct ExecConfig
 {
     mk::Isa isa = mk::Isa::Auto;
-    FusedMode fused = FusedMode::Auto;
     Prec prec = Prec::F32;
     bool sparse = false;
     tune::TuneMode tune = tune::TuneMode::Analytic;
@@ -86,7 +70,7 @@ struct ExecConfig
 };
 
 /**
- * Parse the five knobs, reading each variable through `lookup`
+ * Parse the four knobs, reading each variable through `lookup`
  * (std::getenv's contract: nullptr when unset). Each garbage value
  * warns "ignoring unrecognized WINOMC_<X> '<value>'" and keeps that
  * field's default.
@@ -112,7 +96,7 @@ class ScopedExecConfig
   public:
     explicit ScopedExecConfig(const ExecConfig &cfg);
     /** The live config with `edit` applied, e.g.
-     *  ScopedExecConfig s([](ExecConfig &c) { c.fused = FusedMode::On; }); */
+     *  ScopedExecConfig s([](ExecConfig &c) { c.isa = mk::Isa::Scalar; }); */
     explicit ScopedExecConfig(const std::function<void(ExecConfig &)> &edit);
     ~ScopedExecConfig();
 

@@ -25,11 +25,11 @@ namespace {
 constexpr std::size_t kScratchBudgetBytes = 512 * 1024;
 
 /**
- * Auto-mode threshold: fuse once the staged pipeline's forward slabs
- * (Xt + Yt) overflow this. Below it the slabs are cache-resident
- * anyway and the staged path's tile caches come for free.
+ * Fusion threshold: a forward that keeps no tiles fuses once the
+ * staged pipeline's forward slabs (Xt + Yt) overflow this. Below it
+ * the slabs are cache-resident anyway and staged costs no more.
  */
-constexpr std::size_t kFusedAutoMinSlabBytes = 1u << 20;
+constexpr std::size_t kFuseMinSlabBytes = 1u << 20;
 
 /** mk:: 16-bit kind of a half precision. */
 int
@@ -167,21 +167,9 @@ WinoPlan::acquire(unsigned use, unsigned mode)
 }
 
 bool
-WinoPlan::shouldFuse(bool preserveTileCaches) const
+WinoPlan::shouldFuse() const
 {
-    switch (cfg.fused) {
-      case FusedMode::Off:
-        return false;
-      case FusedMode::On:
-        return true;
-      case FusedMode::Auto:
-        break;
-    }
-    if (preserveTileCaches)
-        return false;
-    // Fuse once the staged forward slabs would overflow cache; below
-    // that, staged is already cache-resident and keeps its tile caches.
-    return slabBytes(kXt | kYt, nb, grid.tiles()) >= kFusedAutoMinSlabBytes;
+    return slabBytes(kXt | kYt, nb, grid.tiles()) >= kFuseMinSlabBytes;
 }
 
 std::unique_ptr<WinoPlan::RangeScratch>
@@ -257,8 +245,13 @@ WinoPlan::publishTraffic(const char *mode, const char *phase,
 }
 
 void
-WinoPlan::forwardInto(const Tensor &x, const WinoWeights &W, Tensor &y)
+WinoPlan::forwardInto(const Tensor &x, const WinoWeights &W, Tensor &y,
+                      bool keepTiles)
 {
+    if (!keepTiles && shouldFuse()) {
+        forwardFusedInto(x, W, y);
+        return;
+    }
     WINOMC_SPAN("wino.phase.fwd", "wino");
     acquire(forwardSlabs(), forwardSlabs());
     ActMask *mask = cfg.sparse ? &actMask : nullptr;
@@ -277,6 +270,8 @@ WinoPlan::forwardInto(const Tensor &x, const WinoWeights &W, Tensor &y)
     }
     inverseTransformInto(Yt, alg, y);
     haveOutput = true;
+    if (!keepTiles)
+        invalidateCache();
     if (metrics::enabled()) {
         const ConvSpec spec{"plan", nb, ni, nj, fh, fw, alg.r};
         const double out = double(nb) * nj * fh * fw;
@@ -490,9 +485,8 @@ const WinoTiles &
 WinoPlan::outputTiles() const
 {
     winomc_assert(haveOutput,
-                  "output tiles not populated (a fused forward bypasses "
-                  "the tile slabs; tile-cache consumers need the staged "
-                  "path, i.e. WINOMC_FUSED=auto or off)");
+                  "output tiles not populated (only a forward that keeps "
+                  "its tiles caches them)");
     return Yt;
 }
 
@@ -754,11 +748,7 @@ WinoDecompPlan::forwardInto(const Tensor &x, Tensor &y)
             }
         });
 
-        if (inner->shouldFuse(false))
-            inner->forwardFusedInto(xGather, unitW[u], yTerm);
-        else
-            inner->forwardInto(xGather, unitW[u], yTerm);
-        inner->invalidateCache();
+        inner->forwardInto(xGather, unitW[u], yTerm, false);
 
         // Crop-accumulate the term's interior into y.
         const float *tbase = yTerm.data();

@@ -74,19 +74,28 @@ class WinoPlan
     // -----------------------------------------------------------------
     // One-shot pipelines (the free winograd* wrappers route through
     // transient plans built on these). Each fully rewrites the slabs it
-    // touches; forwardInto leaves inputTiles()/outputTiles() caching the
-    // transformed activations of x.
+    // touches.
     // -----------------------------------------------------------------
 
     /**
-     * y = winograd_conv(x, W); caches X and Y tiles in the plan.
-     * Executes under config(): a sparse fp32 config routes through the
-     * zero-skipping kernels (bitwise identical output, Xt still
-     * cached); a half policy stores the transformed activations in 16
-     * bits — the fp32 Xt slab is then NOT populated (inputCached()
-     * stays false) and callers needing input tiles must scatterInput.
+     * y = winograd_conv(x, W). The plan alone picks the pipeline:
+     *
+     *  - keepTiles (a train-mode forward, whose backward reads the
+     *    tiles): staged, leaving inputTiles()/outputTiles() caching
+     *    the transformed activations of x.
+     *  - !keepTiles: fused (forwardFusedInto) once the staged forward
+     *    slabs Xt + Yt reach 1 MiB and would overflow cache; below
+     *    that, staged. Either way the tile caches are dropped.
+     *
+     * Both pipelines are bitwise identical. Executes under config(): a
+     * sparse fp32 config routes through the zero-skipping kernels
+     * (bitwise identical output, Xt still cached); a half policy stores
+     * the transformed activations in 16 bits — the fp32 Xt slab is then
+     * NOT populated (inputCached() stays false) and callers needing
+     * input tiles must scatterInput.
      */
-    void forwardInto(const Tensor &x, const WinoWeights &W, Tensor &y);
+    void forwardInto(const Tensor &x, const WinoWeights &W, Tensor &y,
+                     bool keepTiles = true);
     /** dx from dy: transformGradOutput + backwardDataFromCachedInto. */
     void backwardDataInto(const Tensor &dy, const WinoWeights &W,
                           Tensor &dx);
@@ -101,18 +110,10 @@ class WinoPlan
     // tile grid, touching only per-worker strip scratch — the
     // Xt/Yt slabs are never acquired. Bitwise identical to the staged
     // forward at every ISA level and for any thread count. Leaves the
-    // plan's tile caches invalid (there are no slab tiles to cache);
-    // callers needing inputTiles()/outputTiles() must use the staged
-    // path.
+    // plan's tile caches invalid (there are no slab tiles to cache).
+    // forwardInto(..., false) calls it when fusing pays; it is public
+    // so parity tests and the kernel bench can run it at any size.
     // -----------------------------------------------------------------
-
-    /**
-     * Resolve the captured config().fused for this plan. Pass
-     * preserveTileCaches = true when the caller will later read the
-     * plan's tile caches (e.g. a train-mode layer forward): Auto then
-     * refuses to fuse; only an explicit FusedMode::On overrides it.
-     */
-    bool shouldFuse(bool preserveTileCaches) const;
 
     /** y = winograd_conv(x, W) per cache-resident tile strip. */
     void forwardFusedInto(const Tensor &x, const WinoWeights &W,
@@ -192,6 +193,9 @@ class WinoPlan
                            kMask = 32 };
     /** The slabs a staged forward under config() writes. */
     unsigned forwardSlabs() const;
+    /** Does a forward that keeps no tiles fuse? Yes once the staged
+     *  forward slabs (Xt + Yt) would overflow cache. */
+    bool shouldFuse() const;
     /** Bytes of the slab set `slabs` over batch x tiles lanes: the
      *  plan's slabs (nb x grid.tiles()) or one strip slot (1 x stripT). */
     std::size_t slabBytes(unsigned slabs, int batch, int tiles) const;

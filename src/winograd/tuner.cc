@@ -265,13 +265,7 @@ measureChoiceMs(const ConvSpec &spec0, const AlgoChoice &ch)
                       spec.w);
         const WinoWeights W = transformWeights(w, a);
         Tensor y(spec.batch, spec.outCh, spec.h, spec.w);
-        return best2([&] {
-            if (plan.shouldFuse(false))
-                plan.forwardFusedInto(x, W, y);
-            else
-                plan.forwardInto(x, W, y);
-            plan.invalidateCache();
-        });
+        return best2([&] { plan.forwardInto(x, W, y, false); });
       }
       case AlgoKind::Decomposed: {
         WinoDecompPlan plan(spec, algoForTile(ch.m));

@@ -1,6 +1,6 @@
 /**
  * @file
- * ExecConfig tests: the one table-driven parse of the five WINOMC_*
+ * ExecConfig tests: the one table-driven parse of the four WINOMC_*
  * knobs (trim, case, aliases, garbage -> default, names that parse
  * back), checked whole and in per-knob slices, scoped overrides
  * that restore exactly, and lock-free reads from pool workers while
@@ -46,7 +46,7 @@ struct Row
     ExecConfig want;
 };
 
-/** The one parse table over all five knobs. */
+/** The one parse table over all four knobs. */
 std::vector<Row>
 parseRows()
 {
@@ -80,22 +80,6 @@ parseRows()
         {"WINOMC_ISA", "avx9999", false, dflt},
         {"WINOMC_ISA", "512", false, dflt},
         {"WINOMC_ISA", "avx2 avx512", false, dflt},
-        // WINOMC_FUSED
-        {"WINOMC_FUSED", "on", true,
-         with([](ExecConfig &c) { c.fused = FusedMode::On; })},
-        {"WINOMC_FUSED", "off", true,
-         with([](ExecConfig &c) { c.fused = FusedMode::Off; })},
-        {"WINOMC_FUSED", "auto", true, dflt},
-        {"WINOMC_FUSED", " ON ", true,
-         with([](ExecConfig &c) { c.fused = FusedMode::On; })},
-        {"WINOMC_FUSED", "Off\n", true,
-         with([](ExecConfig &c) { c.fused = FusedMode::Off; })},
-        {"WINOMC_FUSED", "AuTo", true, dflt},
-        {"WINOMC_FUSED", nullptr, false, dflt},
-        {"WINOMC_FUSED", "", false, dflt},
-        {"WINOMC_FUSED", "banana", false, dflt},
-        {"WINOMC_FUSED", "on1", false, dflt},
-        {"WINOMC_FUSED", "yes", false, dflt},
         // WINOMC_PREC
         {"WINOMC_PREC", "fp32", true, dflt},
         {"WINOMC_PREC", "fp16", true,
@@ -177,16 +161,6 @@ TEST(SimdTest, ParseIsaRejectsGarbageToAuto)
     EXPECT_GT(checkRows("WINOMC_ISA", Rows::FallBack), 0);
 }
 
-TEST(FusedKnob, ParsesTokensCaseInsensitivelyAndTrimmed)
-{
-    EXPECT_GT(checkRows("WINOMC_FUSED", Rows::Accepted), 0);
-}
-
-TEST(FusedKnob, GarbageFallsBackToAuto)
-{
-    EXPECT_GT(checkRows("WINOMC_FUSED", Rows::FallBack), 0);
-}
-
 TEST(LowPrecKnobs, ParsePrecAcceptsAliasesAndRejectsGarbage)
 {
     EXPECT_GT(checkRows("WINOMC_PREC", Rows::Accepted), 0);
@@ -215,7 +189,6 @@ TEST(ExecConfigParse, TableOverAllFiveFields)
     using tune::TuneMode;
     const ExecConfig dflt;
     EXPECT_EQ(dflt.isa, Isa::Auto);
-    EXPECT_EQ(dflt.fused, FusedMode::Auto);
     EXPECT_EQ(dflt.prec, Prec::F32);
     EXPECT_FALSE(dflt.sparse);
     EXPECT_EQ(dflt.tune, TuneMode::Analytic);
@@ -223,25 +196,22 @@ TEST(ExecConfigParse, TableOverAllFiveFields)
     EXPECT_EQ(checkRows(nullptr, Rows::All),
               static_cast<int>(parseRows().size()));
 
-    // All five at once: each field reads only its own variable.
+    // All four at once: each field reads only its own variable.
     const ExecConfig all = parseFrom({{"WINOMC_ISA", "scalar"},
-                                      {"WINOMC_FUSED", "off"},
                                       {"WINOMC_PREC", "bf16"},
                                       {"WINOMC_SPARSE", "on"},
                                       {"WINOMC_TUNE", "measure"}});
     EXPECT_EQ(all.isa, Isa::Scalar);
-    EXPECT_EQ(all.fused, FusedMode::Off);
     EXPECT_EQ(all.prec, Prec::Bf16);
     EXPECT_TRUE(all.sparse);
     EXPECT_EQ(all.tune, TuneMode::Measure);
-    // All five garbage: the default config, never an abort.
+    // All four garbage: the default config, never an abort.
     EXPECT_TRUE(parseFrom({{"WINOMC_ISA", "x"},
-                           {"WINOMC_FUSED", "x"},
                            {"WINOMC_PREC", "x"},
                            {"WINOMC_SPARSE", "x"},
                            {"WINOMC_TUNE", "x"}}) == dflt);
 
-    // Every value's name parses back to it (fused: FusedKnob tests).
+    // Every value's name parses back to it.
     for (TuneMode m : {TuneMode::Off, TuneMode::Analytic, TuneMode::Measure})
         EXPECT_EQ(parseFrom({{"WINOMC_TUNE", tune::tuneModeName(m)}}).tune,
                   m);
@@ -256,20 +226,21 @@ TEST(ExecConfigParse, TableOverAllFiveFields)
 
 TEST(ExecConfigScope, OverridesExactlyAndRestoresOnExit)
 {
+    using tune::TuneMode;
     const ExecConfig seeded = execConfig();
     {
-        ScopedExecConfig on(test::withFused(FusedMode::On));
-        EXPECT_EQ(execConfig().fused, FusedMode::On);
+        ScopedExecConfig off(test::withTune(TuneMode::Off));
+        EXPECT_EQ(execConfig().tune, TuneMode::Off);
         {
-            ScopedExecConfig off(test::withFused(FusedMode::Off));
-            EXPECT_EQ(execConfig().fused, FusedMode::Off);
-            ScopedExecConfig autoMode(test::withFused(FusedMode::Auto));
-            EXPECT_EQ(execConfig().fused, FusedMode::Auto);
+            ScopedExecConfig measure(test::withTune(TuneMode::Measure));
+            EXPECT_EQ(execConfig().tune, TuneMode::Measure);
+            ScopedExecConfig analytic(test::withTune(TuneMode::Analytic));
+            EXPECT_EQ(execConfig().tune, TuneMode::Analytic);
         }
-        EXPECT_EQ(execConfig().fused, FusedMode::On);
+        EXPECT_EQ(execConfig().tune, TuneMode::Off);
         // Every other field kept its seeded value.
         ExecConfig want = seeded;
-        want.fused = FusedMode::On;
+        want.tune = TuneMode::Off;
         EXPECT_TRUE(execConfig() == want);
     }
     EXPECT_TRUE(execConfig() == seeded);
@@ -277,7 +248,6 @@ TEST(ExecConfigScope, OverridesExactlyAndRestoresOnExit)
     // A whole-config scope replaces every field.
     ExecConfig whole;
     whole.isa = mk::Isa::Scalar;
-    whole.fused = FusedMode::Off;
     whole.prec = Prec::F16;
     whole.sparse = true;
     whole.tune = tune::TuneMode::Off;
@@ -298,10 +268,9 @@ TEST(ExecConfigScope, PoolWorkersReadWholeConfigsWhileScopesChange)
     ThreadPool::global().setThreadCount(4);
     ExecConfig a;
     a.isa = mk::Isa::Scalar;
-    a.fused = FusedMode::Off;
+    a.tune = tune::TuneMode::Off;
     ExecConfig b;
     b.isa = mk::Isa::Auto;
-    b.fused = FusedMode::On;
     b.prec = Prec::Bf16;
     b.sparse = true;
     b.tune = tune::TuneMode::Measure;

@@ -6,11 +6,12 @@
  *  - ExecScope: the live ExecConfig edited by a lambda, plus the pool
  *    thread count; both are restored on exit. Unedited fields keep
  *    their current value, so the env-driven CI legs (WINOMC_SPARSE=on,
- *    WINOMC_FUSED=on, ...) keep applying to whatever a test does not
+ *    WINOMC_PREC=bf16, ...) keep applying to whatever a test does not
  *    pin. Plans capture the config at construction, so build them
  *    inside the scope they should run under.
- *  - withIsa / withFused / withPrec / withSparse / withTune: one-field
+ *  - withIsa / withPrec / withSparse / withTune: one-field
  *    edits for ExecScope and nested ScopedExecConfig flips.
+ *  - usableIsas: the ISA levels withIsa can really select here.
  *  - Fp32Pin: declared once at namespace scope by suites that check
  *    the fp32 pipeline against fp32 oracles; pins prec to fp32 for the
  *    whole binary whatever WINOMC_PREC says. WINOMC_SPARSE stays
@@ -21,6 +22,7 @@
 #define WINOMC_TESTS_EXEC_SCOPE_HH
 
 #include <functional>
+#include <vector>
 
 #include "common/parallel.hh"
 #include "winograd/exec_config.hh"
@@ -45,12 +47,8 @@ class ExecScope
 };
 
 // One-field editors for ExecScope / ScopedExecConfig, e.g.
-// ScopedExecConfig off(withFused(FusedMode::Off)).
+// ScopedExecConfig scalar(withIsa(mk::Isa::Scalar)).
 inline auto withIsa(mk::Isa v) { return [v](ExecConfig &c) { c.isa = v; }; }
-inline auto withFused(FusedMode v)
-{
-    return [v](ExecConfig &c) { c.fused = v; };
-}
 inline auto withPrec(Prec v) { return [v](ExecConfig &c) { c.prec = v; }; }
 inline auto withSparse(bool v)
 {
@@ -59,6 +57,18 @@ inline auto withSparse(bool v)
 inline auto withTune(tune::TuneMode v)
 {
     return [v](ExecConfig &c) { c.tune = v; };
+}
+
+/** Every ISA level the dispatcher can actually deliver on this host:
+ *  always Scalar, plus whatever resolveIsa() keeps of the others. */
+inline std::vector<mk::Isa>
+usableIsas()
+{
+    std::vector<mk::Isa> out = {mk::Isa::Scalar};
+    for (mk::Isa isa : {mk::Isa::Sse2, mk::Isa::Avx2, mk::Isa::Avx512})
+        if (mk::resolveIsa(isa) == isa)
+            out.push_back(isa);
+    return out;
 }
 
 struct Fp32Pin

@@ -3,10 +3,10 @@
  * Fused tile-strip pipeline tests (§4.11): fused-vs-staged bitwise
  * parity over odd shapes / N=1 / C!=K / grids both smaller and larger
  * than one strip, at 1-vs-8 threads and under scalar + auto ISA
- * dispatch; the fused-mode names and the Auto heuristic; zero
- * fresh workspace bytes in fused steady state; and the layer wirings
- * (ConvLayer train-mode under WINOMC_FUSED=on, MptConvLayer fused
- * inference forward).
+ * dispatch; the plan's fusion rule, observed through the fused-forward
+ * counter; zero fresh workspace bytes in fused steady state; and the
+ * layer wirings (ConvLayer and MptConvLayer eval forwards fuse above
+ * the threshold, train-mode forwards never do).
  *
  * The parity expectation is exact equality — the fused schedule keeps
  * the staged pipeline's per-element operation order (panel grouping
@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <string>
 
 #include "common/parallel.hh"
@@ -30,6 +29,7 @@
 #include "winograd/plan.hh"
 
 #include "exec_scope.hh"
+#include "metrics_probe.hh"
 
 namespace winomc {
 
@@ -43,64 +43,60 @@ const test::Fp32Pin fp32Pin;
 namespace {
 
 using test::ExecScope;
-using test::withFused;
+using test::MetricsProbe;
 using test::withIsa;
 
-// ------------------------------------------------------- Knob scope
-
-TEST(FusedKnob, SetFusedModeOverridesExactly)
+/** Identically seeded input and Winograd weights of one C -> C conv. */
+struct ConvData
 {
-    // A scoped fused mode is taken exactly: Auto selects Auto, it does
-    // not re-read WINOMC_FUSED.
-    ExecScope guard;
-    for (FusedMode m : {FusedMode::On, FusedMode::Off, FusedMode::Auto}) {
-        ScopedExecConfig scope(withFused(m));
-        EXPECT_EQ(execConfig().fused, m);
-    }
-}
+    Tensor x;
+    WinoWeights W;
 
-TEST(FusedKnob, ModeNamesRoundTrip)
-{
-    EXPECT_STREQ(fusedModeName(FusedMode::Off), "off");
-    EXPECT_STREQ(fusedModeName(FusedMode::Auto), "auto");
-    EXPECT_STREQ(fusedModeName(FusedMode::On), "on");
-    const char *on = fusedModeName(FusedMode::On);
-    EXPECT_EQ(parseExecConfig([&](const char *var) {
-                  return std::string(var) == "WINOMC_FUSED" ? on
-                                                            : nullptr;
-              }).fused,
-              FusedMode::On);
-}
-
-// ----------------------------------------------------- Auto heuristic
-
-TEST(FusedHeuristic, OffNeverFusesOnAlwaysFuses)
-{
-    // A plan captures the fused mode at construction: one per mode.
-    WinogradAlgo algo = makeWinograd(2, 3);
+    ConvData(const WinogradAlgo &algo, int batch, int ch, int h, int w)
+        : x(batch, ch, h, w)
     {
-        ExecScope off(withFused(FusedMode::Off));
-        WinoPlan plan(algo, 1, 2, 2, 8, 8);
-        EXPECT_FALSE(plan.shouldFuse(false));
-        EXPECT_FALSE(plan.shouldFuse(true));
+        Rng rng(11);
+        x.fillUniform(rng);
+        Tensor k(ch, ch, 3, 3);
+        k.fillUniform(rng);
+        W = transformWeights(k, algo);
     }
-    {
-        ExecScope on(withFused(FusedMode::On));
-        WinoPlan plan(algo, 1, 2, 2, 8, 8);
-        EXPECT_TRUE(plan.shouldFuse(false));
-        EXPECT_TRUE(plan.shouldFuse(true)); // explicit on overrides caches
-    }
-}
+};
+
+// ------------------------------------------------------ Fusion rule
 
 TEST(FusedHeuristic, AutoFusesLargeSlabsButPreservesTileCaches)
 {
-    ExecScope guard(withFused(FusedMode::Auto));
+    // forwardInto fuses exactly the forwards that keep no tiles and
+    // whose staged slabs (Xt + Yt) reach 1 MiB; a forward that keeps
+    // its tiles always runs staged and leaves them cached.
+    ExecScope guard;
     WinogradAlgo algo = makeWinograd(2, 3);
-    WinoPlan small(algo, 1, 2, 2, 8, 8); // slabs are a few KiB
-    EXPECT_FALSE(small.shouldFuse(false));
-    WinoPlan big(algo, 4, 32, 32, 64, 64); // slabs are tens of MiB
-    EXPECT_TRUE(big.shouldFuse(false));
-    EXPECT_FALSE(big.shouldFuse(true)); // caller needs the tile caches
+    struct Case
+    {
+        int h, w;
+        bool keepTiles, fuses;
+    };
+    // 16 -> 16 channels, F(2,3): Xt + Yt = 2 KiB per tile.
+    const Case cases[] = {
+        {8, 8, false, false},   // 16 tiles: 32 KiB
+        {64, 30, false, false}, // 480 tiles: just under 1 MiB
+        {64, 32, false, true},  // 512 tiles: exactly 1 MiB
+        {64, 64, false, true},  // 2 MiB
+        {64, 64, true, false},  // 2 MiB, tiles kept
+    };
+    for (const Case &c : cases) {
+        const ConvData d(algo, 1, 16, c.h, c.w);
+        WinoPlan plan(algo, 1, 16, 16, c.h, c.w);
+        Tensor y(1, 16, c.h, c.w);
+        MetricsProbe probe;
+        plan.forwardInto(d.x, d.W, y, c.keepTiles);
+        const std::string at = std::to_string(c.h) + "x" +
+                               std::to_string(c.w) + " keepTiles " +
+                               std::to_string(c.keepTiles);
+        EXPECT_EQ(probe.fusedForwards(), c.fuses ? 1.0 : 0.0) << at;
+        EXPECT_EQ(plan.inputCached(), c.keepTiles) << at;
+    }
 }
 
 TEST(FusedStrips, GeometryCoversTheGridInWholePanels)
@@ -164,7 +160,6 @@ TEST_P(FusedParityP, BitwiseMatchesStagedForAnyThreadCountAndIsa)
         }
 
         // The free wrappers dispatch through the same plans.
-        ScopedExecConfig on(withFused(FusedMode::On));
         EXPECT_EQ(winogradForward(x, W, algo).maxAbsDiff(y_ref), 0.0f);
         EXPECT_EQ(winogradBackwardData(dy, W, algo, p.h, p.w)
                       .maxAbsDiff(dx_ref),
@@ -203,7 +198,7 @@ TEST(FusedParity, MultiStripGridReallyUsesMultipleStrips)
 
 TEST(FusedSteadyState, FusedPathAllocatesNothingAfterWarmup)
 {
-    ExecScope guard(withFused(FusedMode::On));
+    ExecScope guard;
     WinogradAlgo algo = makeWinograd(2, 3);
     Rng rng(17);
     Tensor x(2, 8, 16, 16);
@@ -232,152 +227,110 @@ TEST(FusedSteadyState, FusedPathAllocatesNothingAfterWarmup)
 
 // ------------------------------------------------------ Layer wiring
 
-TEST(FusedConvLayer, TrainStepsBitwiseMatchStagedUnderForcedFusion)
-{
-    ExecScope guard;
-    struct LayerCase
-    {
-        int batch, in_ch, out_ch, hw, m;
-    };
-    // A small F(2,3) layer, then train_wino's F(4,3) convs on 16x16
-    // and 8x8 maps at batch 16 (the 8x8 maps hold 4 tiles per image).
-    const LayerCase cases[] = {
-        {2, 3, 4, 6, 2},
-        {16, 32, 64, 16, 4},
-        {16, 64, 128, 8, 4},
-        {16, 128, 128, 8, 4},
-    };
-    for (const LayerCase &c : cases) {
-        WinogradAlgo algo = makeWinograd(c.m, 3);
-        for (auto mode : {nn::ConvMode::WinogradSpatial,
-                          nn::ConvMode::WinogradLayer}) {
-            // Identically-seeded twin layers, one staged, one fused.
-            Rng rngA(42), rngB(42);
-            nn::ConvLayer staged(c.in_ch, c.out_ch, 3, mode, algo, rngA);
-            nn::ConvLayer fused(c.in_ch, c.out_ch, 3, mode, algo, rngB);
-            Rng dataRng(7);
-            for (int iter = 0; iter < 3; ++iter) {
-                Tensor x(c.batch, c.in_ch, c.hw, c.hw);
-                Tensor dy(c.batch, c.out_ch, c.hw, c.hw);
-                x.fillUniform(dataRng);
-                dy.fillUniform(dataRng);
-
-                Tensor y_ref, dx_ref, y, dx;
-                {
-                    ScopedExecConfig off(withFused(FusedMode::Off));
-                    y_ref = staged.forward(x, true);
-                    dx_ref = staged.backward(dy);
-                    staged.step(0.01f);
-                }
-                {
-                    ScopedExecConfig on(withFused(FusedMode::On));
-                    y = fused.forward(x, true);
-                    dx = fused.backward(dy);
-                    fused.step(0.01f);
-                }
-
-                const std::string at = "mode " +
-                                       std::to_string(int(mode)) +
-                                       " in " + std::to_string(c.in_ch) +
-                                       " hw " + std::to_string(c.hw);
-                EXPECT_EQ(y.maxAbsDiff(y_ref), 0.0f) << at;
-                EXPECT_EQ(dx.maxAbsDiff(dx_ref), 0.0f) << at;
-                // Equal updated weights: dW (dw in spatial mode) was
-                // bitwise equal too.
-                EXPECT_EQ(fused.spatialWeights().maxAbsDiff(
-                              staged.spatialWeights()),
-                          0.0f)
-                    << at;
-                const WinoWeights &wf = fused.winoWeights();
-                const WinoWeights &ws = staged.winoWeights();
-                EXPECT_EQ(0, std::memcmp(wf.raw(), ws.raw(),
-                                         wf.size() * sizeof(float)))
-                    << at;
-            }
-        }
-    }
-}
-
 TEST(FusedConvLayer, EvalForwardMatchesStagedAndKeepsBackwardFenced)
 {
     ExecScope guard;
     testing::FLAGS_gtest_death_test_style = "threadsafe";
     WinogradAlgo algo = makeWinograd(2, 3);
-    Rng rng(5);
-    nn::ConvLayer layer(2, 3, 3, nn::ConvMode::WinogradSpatial, algo,
-                        rng);
-    Tensor x(1, 2, 6, 6);
-    Tensor dy(1, 3, 6, 6);
-    x.fillUniform(rng);
-    dy.fillUniform(rng);
-    Tensor y_ref, y;
+    // 16 -> 16 channels on 64x64: 2 MiB of staged slabs, so an eval
+    // forward fuses.
+    Rng rngA(5), rngB(5);
+    nn::ConvLayer layer(16, 16, 3, nn::ConvMode::WinogradSpatial, algo,
+                        rngA);
+    nn::ConvLayer twin(16, 16, 3, nn::ConvMode::WinogradSpatial, algo,
+                       rngB);
+    const ConvData d(algo, 1, 16, 64, 64);
+    // A train-mode forward runs staged.
+    const Tensor y_ref = twin.forward(d.x, true);
+    Tensor y;
     {
-        ScopedExecConfig off(withFused(FusedMode::Off));
-        y_ref = layer.forward(x, false);
+        MetricsProbe probe;
+        y = layer.forward(d.x, false);
+        EXPECT_EQ(probe.fusedForwards(), 1.0);
     }
-    ScopedExecConfig on(withFused(FusedMode::On));
-    y = layer.forward(x, false);
     EXPECT_EQ(y.maxAbsDiff(y_ref), 0.0f);
     // The stale-cache fence survives the fused eval forward.
+    Tensor dy(1, 16, 64, 64);
     EXPECT_DEATH(layer.backward(dy), "stale");
+}
+
+TEST(FusedConvLayer, TrainForwardNeverFusesAboveThreshold)
+{
+    // train_wino's 32 -> 64 F(4,3) conv on 16x16 at batch 16 holds
+    // 3.4 MiB of staged slabs: its eval forward fuses, yet a train
+    // forward keeps the tiles its backward reads, in either mode.
+    ExecScope guard;
+    WinogradAlgo algo = makeWinograd(4, 3);
+    Rng dataRng(7);
+    Tensor x(16, 32, 16, 16);
+    Tensor dy(16, 64, 16, 16);
+    x.fillUniform(dataRng);
+    dy.fillUniform(dataRng);
+    for (auto mode : {nn::ConvMode::WinogradSpatial,
+                      nn::ConvMode::WinogradLayer}) {
+        Rng rng(42);
+        nn::ConvLayer layer(32, 64, 3, mode, algo, rng);
+        MetricsProbe probe;
+        const Tensor y_eval = layer.forward(x, false);
+        EXPECT_EQ(probe.fusedForwards(), 1.0);
+        const Tensor y = layer.forward(x, true);
+        EXPECT_EQ(probe.fusedForwards(), 1.0) << "train forward fused";
+        EXPECT_EQ(y.maxAbsDiff(y_eval), 0.0f);
+        // The staged forward cached its output tiles.
+        EXPECT_GT(layer.lastOutputTiles().size(), 0u);
+        layer.backward(dy);
+        layer.step(0.01f);
+    }
 }
 
 TEST(FusedMptLayer, InferenceForwardMatchesCanonicalPipeline)
 {
     ExecScope guard;
     WinogradAlgo algo = makeWinograd(2, 3); // alpha^2 = 16
-    // ng == 1: the undivided shard qualifies for the fused forward.
-    Rng rngA(23), rngB(23);
-    mpt::MptConvLayer staged(3, 4, 3, 1, 2, algo, rngA);
-    mpt::MptConvLayer fused(3, 4, 3, 1, 2, algo, rngB);
-    Rng dataRng(29);
-    Tensor x(4, 3, 8, 8);
-    x.fillUniform(dataRng);
-    Tensor y_staged, y;
+    // ng == 1, nc == 2: each cluster's undivided shard (2 x 16 -> 16 on
+    // 32x32, 1 MiB of staged slabs) fuses its eval forward.
+    Rng rng(23);
+    mpt::MptConvLayer layer(16, 16, 3, 1, 2, algo, rng);
+    const ConvData d(algo, 4, 16, 32, 32);
+    Tensor y;
     {
-        ScopedExecConfig off(withFused(FusedMode::Off));
-        y_staged = staged.forward(x, false);
+        MetricsProbe probe;
+        y = layer.forward(d.x, false);
+        EXPECT_EQ(probe.fusedForwards(), 2.0); // one per cluster
     }
-    {
-        ScopedExecConfig on(withFused(FusedMode::On));
-        y = fused.forward(x, false);
-    }
-    // The fused shard forward is bitwise the canonical plan pipeline
+    // The fused shard forward is bitwise the canonical staged plan
     // (batch grouping does not change any per-element operation order).
-    ScopedExecConfig off(withFused(FusedMode::Off));
-    Tensor y_ref = winogradForward(x, fused.winoWeights(), algo);
+    WinoPlan plan(algo, 4, 16, 16, 32, 32);
+    Tensor y_ref(4, 16, 32, 32);
+    plan.forwardInto(d.x, layer.winoWeights(), y_ref);
     EXPECT_EQ(y.maxAbsDiff(y_ref), 0.0f);
-    // The staged MPT path runs the single-node element-wise kernel on
-    // each group's uv slice, so it is bitwise the canonical pipeline
+    // The train-mode MPT path runs the single-node element-wise kernel
+    // on each group's uv slice, so it is bitwise the canonical pipeline
     // too.
-    EXPECT_EQ(y.maxAbsDiff(y_staged), 0.0f);
+    EXPECT_EQ(layer.forward(d.x, true).maxAbsDiff(y_ref), 0.0f);
 }
 
-TEST(FusedMptLayer, GroupedTrainingIgnoresFusedRequest)
+TEST(FusedMptLayer, GroupedAndTrainForwardsNeverFuse)
 {
+    // ng > 1 partial products need the plan slabs, and so does a
+    // train-mode forward: above the threshold, neither fuses, and both
+    // stay bitwise the canonical staged plan.
     ExecScope guard;
     WinogradAlgo algo = makeWinograd(2, 3);
-    // ng > 1 partial products need the plan slabs; WINOMC_FUSED=on
-    // must leave the grouped path (and its training step) intact.
-    Rng rngA(31), rngB(31);
-    mpt::MptConvLayer staged(3, 4, 3, 2, 2, algo, rngA);
-    mpt::MptConvLayer fused(3, 4, 3, 2, 2, algo, rngB);
-    Rng dataRng(37);
-    Tensor x(4, 3, 8, 8);
-    Tensor dy(4, 4, 8, 8);
-    x.fillUniform(dataRng);
-    dy.fillUniform(dataRng);
-    Tensor y_ref, dx_ref;
-    {
-        ScopedExecConfig off(withFused(FusedMode::Off));
-        y_ref = staged.forward(x, true);
-        dx_ref = staged.backward(dy);
+    const ConvData d(algo, 4, 16, 32, 32);
+    for (int ng : {1, 2}) {
+        Rng rng(31);
+        mpt::MptConvLayer layer(16, 16, 3, ng, 2, algo, rng);
+        WinoPlan plan(algo, 4, 16, 16, 32, 32);
+        Tensor y_ref(4, 16, 32, 32);
+        plan.forwardInto(d.x, layer.winoWeights(), y_ref);
+        MetricsProbe probe;
+        if (ng > 1) {
+            EXPECT_EQ(layer.forward(d.x, false).maxAbsDiff(y_ref), 0.0f);
+        }
+        EXPECT_EQ(layer.forward(d.x, true).maxAbsDiff(y_ref), 0.0f);
+        EXPECT_EQ(probe.fusedForwards(), 0.0) << "ng " << ng;
     }
-    ScopedExecConfig on(withFused(FusedMode::On));
-    Tensor y = fused.forward(x, true);
-    Tensor dx = fused.backward(dy);
-    EXPECT_EQ(y.maxAbsDiff(y_ref), 0.0f);
-    EXPECT_EQ(dx.maxAbsDiff(dx_ref), 0.0f);
 }
 
 } // namespace

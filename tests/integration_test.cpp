@@ -2,25 +2,26 @@
  * @file
  * Cross-module integration tests.
  *
- * The central one: the functional MPT emulation (batch over clusters,
- * tile elements over groups, explicit scatter/gather and group
- * reductions) computes *exactly* the same forward output, input
- * gradient and weight gradient as the single-worker reference, for
- * every (ng, nc) organization - the parallelization changes the
- * schedule, never the math. Plus end-to-end flows that tie the
- * simulators and the numerics together.
+ * The central one: the MPT layer (batch over clusters, tile elements
+ * over groups, explicit scatter/gather and group reductions) computes
+ * *exactly* the same forward output, input gradient and weight
+ * gradient as the single-worker reference, for every (ng, nc)
+ * organization - the parallelization changes the schedule, never the
+ * math. Plus end-to-end flows that tie the simulators and the numerics
+ * together.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
 
 #include "common/parallel.hh"
 #include "memnet/link_model.hh"
 #include "memnet/message_sim.hh"
 #include "mpt/comm_volume.hh"
-#include "mpt/functional.hh"
 #include "mpt/layer_sim.hh"
 #include "mpt/mpt_conv_layer.hh"
 #include "nn/basic_layers.hh"
@@ -30,6 +31,7 @@
 #include "noc/network.hh"
 #include "noc/topology.hh"
 #include "quant/predict.hh"
+#include "winograd/microkernel.hh"
 #include "winograd/plan.hh"
 #include "workloads/layers.hh"
 
@@ -46,8 +48,26 @@ const test::Fp32Pin fp32Pin;
 
 namespace {
 
-using mpt::runFunctionalMpt;
-using mpt::runReference;
+/** One MptConvLayer training step: forward, backward, weight gradient
+ *  and the worker-boundary traffic it counted. */
+struct MptStep
+{
+    Tensor y, dx;
+    WinoWeights dW;
+    uint64_t tileElems, weightElems;
+};
+
+MptStep
+runMptStep(mpt::MptConvLayer &layer, const Tensor &x, const Tensor &dy)
+{
+    MptStep s;
+    s.y = layer.forward(x, true);
+    s.dx = layer.backward(dy);
+    s.dW = layer.winoGradWeights();
+    s.tileElems = layer.tileElemsTransferred();
+    s.weightElems = layer.weightElemsReduced();
+    return s;
+}
 
 struct Org
 {
@@ -60,29 +80,31 @@ TEST_P(FunctionalMptP, MatchesSingleWorkerReference)
 {
     const auto org = GetParam();
     const WinogradAlgo &algo = algoF2x2_3x3();
-    Rng rng(404);
+    Rng rng(404), wrng(405);
     const int B = 8, I = 3, J = 5, H = 10, Wd = 10;
     Tensor x(B, I, H, Wd), dy(B, J, H, Wd);
     x.fillUniform(rng);
     dy.fillUniform(rng);
-    Tensor w(J, I, 3, 3);
-    w.fillKaiming(rng);
-    WinoWeights W = transformWeights(w, algo);
+    mpt::MptConvLayer layer(I, J, 3, org.ng, org.nc, algo, wrng);
+    const WinoWeights &W = layer.winoWeights();
 
-    auto ref = runReference(x, dy, W, algo);
-    auto par = runFunctionalMpt(x, dy, W, algo, org.ng, org.nc);
+    // The single-worker reference of the same step.
+    const Tensor y_ref = winogradForward(x, W, algo);
+    const Tensor dx_ref = winogradBackwardData(dy, W, algo, H, Wd);
+    const WinoWeights dW_ref = winogradGradWeights(x, dy, algo);
 
-    float scale = std::max({1.0f, ref.y.absMax(), ref.dx.absMax()});
-    EXPECT_LT(par.y.maxAbsDiff(ref.y), 1e-4f * scale);
-    EXPECT_LT(par.dx.maxAbsDiff(ref.dx), 1e-4f * scale);
-    EXPECT_LT(par.dW.maxAbsDiff(ref.dW), 2e-3f);
+    const MptStep par = runMptStep(layer, x, dy);
+    float scale = std::max({1.0f, y_ref.absMax(), dx_ref.absMax()});
+    EXPECT_LT(par.y.maxAbsDiff(y_ref), 1e-4f * scale);
+    EXPECT_LT(par.dx.maxAbsDiff(dx_ref), 1e-4f * scale);
+    EXPECT_LT(par.dW.maxAbsDiff(dW_ref), 2e-3f);
 
     // Data-parallel organization moves no tiles.
     if (org.ng == 1)
-        EXPECT_EQ(par.tileElemsTransferred, 0u);
+        EXPECT_EQ(par.tileElems, 0u);
     else
-        EXPECT_GT(par.tileElemsTransferred, 0u);
-    EXPECT_GT(par.weightElemsReduced, 0u);
+        EXPECT_GT(par.tileElems, 0u);
+    EXPECT_GT(par.weightElems, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Organizations, FunctionalMptP,
@@ -105,8 +127,10 @@ TEST_P(MptBitwiseP, LayerAndEmulationMatchSingleWorkerPlan)
     // Every (group, cluster) worker runs the single-node element-wise
     // kernels on its own uv slice, and no output element's arithmetic
     // depends on the batch split: forward y and backward dx are
-    // bitwise those of one staged plan at any thread count. dW sums
-    // the clusters' partial gradients, so it is bitwise only at nc = 1.
+    // bitwise those of one staged plan at any thread count, for a
+    // train forward and for an eval forward (which an undivided shard
+    // runs through the plan whole). dW sums the clusters' partial
+    // gradients, so it is bitwise only at nc = 1.
     const BitwiseOrg org = GetParam();
     // fp32 dense, like the prec pin above.
     test::ExecScope dense(test::withSparse(false));
@@ -128,23 +152,15 @@ TEST_P(MptBitwiseP, LayerAndEmulationMatchSingleWorkerPlan)
     plan.forwardInto(x, W, y_ref);
     plan.backwardDataInto(dy, W, dx_ref);
     plan.gradWeightsInto(x, dy, dW_ref);
-    auto expectGrad = [&](const WinoWeights &dW, const char *who) {
-        if (org.nc == 1)
-            EXPECT_EQ(dW.maxAbsDiff(dW_ref), 0.0f) << who;
-        else
-            EXPECT_LT(dW.maxAbsDiff(dW_ref), 2e-3f) << who;
-    };
 
-    Tensor y = layer.forward(x, true);
-    Tensor dx = layer.backward(dy);
-    EXPECT_EQ(y.maxAbsDiff(y_ref), 0.0f);
-    EXPECT_EQ(dx.maxAbsDiff(dx_ref), 0.0f);
-    expectGrad(layer.winoGradWeights(), "MptConvLayer");
-
-    auto par = mpt::runFunctionalMpt(x, dy, W, algo, org.ng, org.nc);
+    EXPECT_EQ(layer.forward(x, false).maxAbsDiff(y_ref), 0.0f) << "eval";
+    const MptStep par = runMptStep(layer, x, dy);
     EXPECT_EQ(par.y.maxAbsDiff(y_ref), 0.0f);
     EXPECT_EQ(par.dx.maxAbsDiff(dx_ref), 0.0f);
-    expectGrad(par.dW, "runFunctionalMpt");
+    if (org.nc == 1)
+        EXPECT_EQ(par.dW.maxAbsDiff(dW_ref), 0.0f);
+    else
+        EXPECT_LT(par.dW.maxAbsDiff(dW_ref), 2e-3f);
 }
 
 INSTANTIATE_TEST_SUITE_P(Organizations, MptBitwiseP,
@@ -160,22 +176,58 @@ INSTANTIATE_TEST_SUITE_P(Organizations, MptBitwiseP,
                std::to_string(info.param.threads);
     });
 
+TEST(Integration, MptStepMatchesSoloLayerBitwiseAtOneCluster)
+{
+    // At nc = 1 the MPT layer's weight gradient is bitwise the solo
+    // layer's, and both take the same one-FMA SGD update, so y, dx and
+    // the weights stay bitwise equal step after step at every ISA.
+    const WinogradAlgo &algo = algoF2x2_3x3();
+    const int B = 4, I = 3, J = 5, H = 10, Wd = 10;
+    for (mk::Isa isa : test::usableIsas()) {
+        test::ExecScope scope(test::withIsa(isa));
+        for (int ng : {1, 2, 4}) {
+            Rng rngA(61), rngB(61), data(62);
+            nn::ConvLayer solo(I, J, 3, nn::ConvMode::WinogradLayer, algo,
+                               rngA);
+            mpt::MptConvLayer layer(I, J, 3, ng, 1, algo, rngB);
+            for (int step = 0; step < 3; ++step) {
+                const std::string at = std::string(mk::isaName(isa)) +
+                                       " ng " + std::to_string(ng) +
+                                       " step " + std::to_string(step);
+                Tensor x(B, I, H, Wd), dy(B, J, H, Wd);
+                x.fillUniform(data);
+                dy.fillUniform(data);
+                EXPECT_EQ(layer.forward(x, true).maxAbsDiff(
+                              solo.forward(x, true)),
+                          0.0f)
+                    << at;
+                EXPECT_EQ(layer.backward(dy).maxAbsDiff(solo.backward(dy)),
+                          0.0f)
+                    << at;
+                layer.step(0.05f);
+                solo.step(0.05f);
+                EXPECT_EQ(layer.winoWeights().maxAbsDiff(solo.winoWeights()),
+                          0.0f)
+                    << at;
+            }
+        }
+    }
+}
+
 TEST(FunctionalMpt, TileTrafficMatchesSectionIIICFormula)
 {
-    // The emulation's counted traffic must agree with the analytic
-    // volume formula used by the communication model.
+    // The layer's counted traffic over one training step must agree
+    // with the analytic volume formula used by the communication model.
     const WinogradAlgo &algo = algoF2x2_3x3();
     Rng rng(7);
     const int B = 8, C = 4, H = 8;
     Tensor x(B, C, H, H), dy(B, C, H, H);
     x.fillUniform(rng);
     dy.fillUniform(rng);
-    Tensor w(C, C, 3, 3);
-    w.fillUniform(rng);
-    WinoWeights W = transformWeights(w, algo);
 
     const int ng = 4, nc = 2;
-    auto par = runFunctionalMpt(x, dy, W, algo, ng, nc);
+    mpt::MptConvLayer layer(C, C, 3, ng, nc, algo, rng);
+    const MptStep par = runMptStep(layer, x, dy);
 
     // Per-worker analytic volume (elements, no prediction, both
     // directions and phases) times the worker count.
@@ -184,12 +236,12 @@ TEST(FunctionalMpt, TileTrafficMatchesSectionIIICFormula)
                                   memnet::ClusterShape{ng, nc}, nullptr);
     double analytic_elems = vol.tileBytes / 4.0 * ng * nc;
     // The 1D-predict line shrink (m/alpha on gathers) is a transfer
-    // representation detail the functional emulation doesn't model, so
-    // compare against the un-shrunk expectation.
+    // representation detail the layer doesn't model, so compare
+    // against the un-shrunk expectation.
     double gather_rep = double(algo.m) / algo.alpha;
     double unshrunk =
         analytic_elems * 2.0 / (1.0 + gather_rep);
-    EXPECT_NEAR(double(par.tileElemsTransferred), unshrunk,
+    EXPECT_NEAR(double(par.tileElems), unshrunk,
                 0.02 * unshrunk);
 }
 
@@ -267,10 +319,8 @@ TEST(Integration, PredictionSkipsAreSoundOnTrainedNetwork)
 {
     // End to end: train, harvest real tiles, predict, and verify the
     // no-false-negative guarantee on live data (not just random tiles).
-    // Harvesting reads lastOutputTiles(), which only the staged path
-    // populates — pin fused mode to Auto for this test (WINOMC_FUSED=on
-    // would bypass the tile slabs by documented contract).
-    test::ExecScope autoFused(test::withFused(FusedMode::Auto));
+    // Harvesting reads lastOutputTiles(), which a train-mode forward
+    // (staged, tiles kept) populates.
     Rng rng(77);
     const auto &algo = algoF2x2_3x3();
     nn::Dataset train_set = nn::makeShapeDataset(128, 12, 3, rng);

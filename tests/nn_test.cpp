@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "nn/basic_layers.hh"
 #include "nn/batchnorm.hh"
@@ -426,10 +427,15 @@ class BatchSpy : public Module
             trainBatches.push_back(x.n());
         return x;
     }
-    Tensor backward(const Tensor &dy) override { return dy; }
+    Tensor backward(const Tensor &dy) override
+    {
+        ++backwards;
+        return dy;
+    }
     std::string name() const override { return "batch-spy"; }
 
     std::vector<int> trainBatches;
+    std::size_t backwards = 0;
 };
 
 /// Regression: the trailing partial batch used to be silently dropped
@@ -489,6 +495,50 @@ TEST(Training, BatchLargerThanDatasetStillLearns)
         EXPECT_EQ(b, 5);
     EXPECT_LT(hist.back().trainLoss, hist.front().trainLoss);
     EXPECT_GT(hist.back().trainAcc, 0.5);
+}
+
+/// One NaN image makes its batch's loss non-finite: training stops
+/// there, before that batch's backward and step, so every parameter
+/// keeps a finite value.
+TEST(Training, NonFiniteLossStopsBeforeItsStep)
+{
+    Rng rng(44);
+    Dataset train_set = makeShapeDataset(16, 8, 3, rng);
+    Dataset val_set = makeShapeDataset(8, 8, 3, rng);
+    train_set.images[5].at(2, 3) = std::numeric_limits<float>::quiet_NaN();
+
+    Sequential net;
+    auto spy_owned = std::make_unique<BatchSpy>();
+    BatchSpy *spy = spy_owned.get();
+    net.add(std::move(spy_owned));
+    auto conv_owned = std::make_unique<ConvLayer>(
+        1, 4, 3, ConvMode::WinogradLayer, algoF2x2_3x3(), rng);
+    ConvLayer *conv = conv_owned.get();
+    net.add(std::move(conv_owned));
+    net.add(std::make_unique<GlobalAvgPool>());
+    net.add(std::make_unique<Dense>(4, 3, rng));
+
+    TrainConfig cfg;
+    cfg.epochs = 3;
+    cfg.batchSize = 4;
+    const auto hist = train(net, train_set, val_set, cfg, rng);
+
+    // Every epoch meets the NaN image, so the first one never completes.
+    EXPECT_TRUE(hist.empty());
+    ASSERT_FALSE(spy->trainBatches.empty());
+    EXPECT_LE(spy->trainBatches.size(), 4u);
+    EXPECT_EQ(spy->backwards, spy->trainBatches.size() - 1);
+
+    const WinoWeights &W = conv->winoWeights();
+    for (std::size_t i = 0; i < W.size(); ++i)
+        ASSERT_TRUE(std::isfinite(W.raw()[i])) << "conv weight " << i;
+    // The conv is finite, so finite logits on clean images mean the
+    // dense weights and bias are finite too.
+    std::vector<int> labels;
+    const Tensor logits =
+        net.forward(val_set.batch(0, val_set.size(), labels), false);
+    for (std::size_t i = 0; i < logits.size(); ++i)
+        ASSERT_TRUE(std::isfinite(logits.data()[i])) << "logit " << i;
 }
 
 /// An empty dataset stays a warning-level no-op (no crash, no NaNs).

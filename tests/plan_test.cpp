@@ -365,10 +365,7 @@ TEST(ConvLayerPlan, AlternatingShapesAllocateNothingAfterWarmup)
         WinoPlan probe(algo, 4, 3, 4, 12, 12);
         Tensor y(4, 4, 12, 12);
         const WinoWeights W(algo.alpha, 4, 3);
-        if (probe.shouldFuse(false))
-            probe.forwardFusedInto(xb, W, y);
-        else
-            probe.forwardInto(xb, W, y);
+        probe.forwardInto(xb, W, y, false);
         planBytes = probe.workspaceBytes();
     }
     ScopedWorkspaceLimit limit(planBytes);

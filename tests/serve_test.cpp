@@ -1,7 +1,8 @@
 /**
  * @file
  * Serving-engine correctness suite: batch demux bitwise-equality
- * against unbatched forwards (staged and fused, 1 vs 8 threads),
+ * against unbatched forwards (fused batches vs staged single images,
+ * 1 vs 8 threads),
  * deadline-driven partial batches, queue-full backpressure without
  * drops, clean shutdown with in-flight requests, PlanCache lease /
  * eviction / shared-transformed-weight semantics (including under
@@ -34,6 +35,7 @@
 #include "winograd/conv.hh"
 
 #include "exec_scope.hh"
+#include "metrics_probe.hh"
 
 namespace winomc {
 namespace {
@@ -71,54 +73,51 @@ makeImages(int count, int c, int h, int w, unsigned seed)
 
 TEST(ServeEngine, BatchDemuxBitwiseMatchesUnbatchedForward)
 {
-    for (auto fused : {FusedMode::Off, FusedMode::On}) {
-        // The batcher thread reads the config this scope sets.
-        test::ExecScope scope(test::withFused(fused));
-        for (int threads : {1, 8}) {
-            ThreadPool::global().setThreadCount(threads);
-            nn::Sequential model = makeModel(17);
-            const auto xs = makeImages(6, 3, 10, 10, 99);
+    // 3 -> 16 -> 16 channels on 32x32, F(2x2,3x3): a single image's
+    // staged slabs stay under the 1 MiB fusion threshold, so every
+    // unbatched reference runs staged, while a served batch crosses it
+    // and fuses. One pass checks fused batches against staged images.
+    test::ExecScope scope;
+    for (int threads : {1, 8}) {
+        ThreadPool::global().setThreadCount(threads);
+        Rng rng(17);
+        nn::Sequential model;
+        for (int in : {3, 16})
+            model.add(std::make_unique<nn::ConvLayer>(
+                in, 16, 3, nn::ConvMode::WinogradLayer, algoF2x2_3x3(),
+                rng));
+        const auto xs = makeImages(8, 3, 32, 32, 99);
 
-            std::vector<Tensor> refs;
-            for (const auto &x : xs)
-                refs.push_back(model.forward(x, false));
+        test::MetricsProbe probe;
+        std::vector<Tensor> refs;
+        for (const auto &x : xs)
+            refs.push_back(model.forward(x, false));
+        EXPECT_EQ(probe.fusedForwards(), 0.0)
+            << "an unbatched forward fused";
 
-            EngineConfig cfg;
-            cfg.maxBatch = 4;
-            cfg.maxDelayUs = 50'000; // force coalescing
-            Engine engine(model, cfg);
-            std::vector<std::future<Tensor>> futs;
-            for (const auto &x : xs)
-                futs.push_back(engine.submit(x));
-            for (std::size_t i = 0; i < futs.size(); ++i) {
-                Tensor y = futs[i].get();
-                EXPECT_EQ(y.maxAbsDiff(refs[i]), 0.0f)
-                    << "request " << i << " (fused="
-                    << fusedModeName(fused) << ", threads=" << threads
-                    << ") diverged from its unbatched forward";
-            }
-            engine.stop();
+        EngineConfig cfg;
+        cfg.maxBatch = 8;
+        cfg.maxDelayUs = 50'000; // force coalescing
+        Engine engine(model, cfg);
+        std::vector<std::future<Tensor>> futs;
+        for (const auto &x : xs)
+            futs.push_back(engine.submit(x));
+        for (std::size_t i = 0; i < futs.size(); ++i) {
+            Tensor y = futs[i].get();
+            EXPECT_EQ(y.maxAbsDiff(refs[i]), 0.0f)
+                << "request " << i << " (threads=" << threads
+                << ") diverged from its unbatched forward";
         }
+        engine.stop();
+        EXPECT_GT(probe.fusedForwards(), 0.0) << "no served batch fused";
     }
 }
 
 // ------------------------------------------------ Rejected requests
 
-/** Current value of a metrics counter (0 when absent). */
-double
-counterValue(const char *name)
-{
-    for (const auto &s : metrics::snapshot())
-        if (s.name == name)
-            return s.value;
-    return 0.0;
-}
-
 TEST(ServeEngine, RejectedRequestsFailTheirFutureAndServingContinues)
 {
-    const bool wasMetrics = metrics::enabled();
-    metrics::setEnabled(true);
-    metrics::reset();
+    const test::MetricsProbe probe;
     nn::Sequential model = makeModel(23);
     const auto xs = makeImages(1, 3, 8, 8, 5);
     const Tensor ref = model.forward(xs[0], false);
@@ -131,7 +130,7 @@ TEST(ServeEngine, RejectedRequestsFailTheirFutureAndServingContinues)
     Tensor pair(2, 3, 8, 8);
     std::future<Tensor> bad = engine.submit(pair);
     EXPECT_THROW(bad.get(), std::runtime_error);
-    EXPECT_EQ(counterValue("serve.rejected"), 1.0);
+    EXPECT_EQ(probe.counter("serve.rejected"), 1.0);
 
     // The engine still serves a valid request, bitwise as before.
     Tensor y = engine.submit(xs[0]).get();
@@ -141,9 +140,7 @@ TEST(ServeEngine, RejectedRequestsFailTheirFutureAndServingContinues)
     engine.stop();
     EXPECT_EQ(engine.served(), 1u);
     EXPECT_THROW(engine.submit(xs[0]).get(), std::runtime_error);
-    EXPECT_EQ(counterValue("serve.rejected"), 2.0);
-    metrics::reset();
-    metrics::setEnabled(wasMetrics);
+    EXPECT_EQ(probe.counter("serve.rejected"), 2.0);
 }
 
 // -------------------------------------------------- Deadline batching

@@ -30,6 +30,7 @@
 #include "exec_scope.hh"
 
 using namespace winomc;
+using test::usableIsas;
 using test::withIsa;
 
 namespace {
@@ -45,18 +46,6 @@ randomVec(std::size_t n, unsigned seed, float lo = -1.0f,
     return v;
 }
 
-/** Every ISA level the dispatcher can actually deliver on this host:
- *  always Scalar, plus whatever resolveIsa() keeps of the others. */
-std::vector<mk::Isa>
-usableIsas()
-{
-    std::vector<mk::Isa> out = {mk::Isa::Scalar};
-    for (mk::Isa isa :
-         {mk::Isa::Sse2, mk::Isa::Avx2, mk::Isa::Avx512})
-        if (mk::resolveIsa(isa) == isa)
-            out.push_back(isa);
-    return out;
-}
 
 /** Scopes the execution config and thread count of each test so test
  *  order cannot leak a pinned ISA into unrelated tests. */

@@ -74,7 +74,6 @@ TEST(LowPrecKnobs, PolicySuffixEmptyAtDefaultOnly)
     // The other fields never reach a key.
     ExecConfig other;
     other.isa = mk::Isa::Scalar;
-    other.fused = FusedMode::On;
     other.tune = tune::TuneMode::Measure;
     EXPECT_EQ(other.key(), "");
 }

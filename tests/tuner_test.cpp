@@ -5,8 +5,8 @@
  * numeric-safety bounds, analytic selection on the paper layers (F(4,3)
  * with no manual hint), DWM decomposition term counts and forward
  * parity against the generalized direct oracle (5x5, 7x7, stride-2,
- * rectangular, ragged shapes; bitwise across thread counts and
- * staged/fused inner pipelines), the on-disk tuning-cache round trip,
+ * rectangular, ragged shapes; bitwise across thread counts, with
+ * staged and fused inner plans), the on-disk tuning-cache round trip,
  * and ConvMode::Auto end to end (selection, parity, training, zero
  * steady-state allocation).
  */
@@ -33,6 +33,7 @@
 #include "workloads/layers.hh"
 
 #include "exec_scope.hh"
+#include "metrics_probe.hh"
 
 namespace winomc {
 
@@ -45,7 +46,6 @@ const test::Fp32Pin fp32Pin;
 
 namespace {
 
-using test::withFused;
 using test::withIsa;
 
 /** An analytic-mode ExecScope over a clean, cache-less tuner (the
@@ -213,8 +213,9 @@ class DecompParityP : public ::testing::TestWithParam<DecompShape>
 /**
  * Forward through the decomposed plan must reproduce the generalized
  * direct oracle within the F(m,3) error budget, and must be bitwise
- * identical across thread counts and staged/fused inner execution
- * (per ISA — vector width changes the FP contraction order).
+ * identical across thread counts (per ISA — vector width changes the
+ * FP contraction order). The inner plan runs staged or fused as its
+ * own shape decides; the last shape is large enough to fuse.
  */
 TEST_P(DecompParityP, MatchesDirectOracleBitwiseAcrossSchedules)
 {
@@ -238,34 +239,25 @@ TEST_P(DecompParityP, MatchesDirectOracleBitwiseAcrossSchedules)
     const float tol =
         float(tune::winogradMaxRelError(p.m, 3)) * 10.0f * scale;
 
-    // A plan captures the fused mode at construction: one per mode.
+    // A plan captures the ISA at construction: one per level.
     for (mk::Isa isa : {mk::Isa::Scalar, mk::Isa::Auto}) {
         ScopedExecConfig isaScope(withIsa(isa));
+        WinoDecompPlan plan(spec, algoForTile(p.m));
+        plan.setWeights(w);
+        ASSERT_EQ(plan.terms(), int(decomposeSpec(spec).size()));
         Tensor y_ref(p.batch, p.out_ch, spec.outH(), spec.outW());
-        {
-            ScopedExecConfig off(withFused(FusedMode::Off));
-            WinoDecompPlan plan(spec, algoForTile(p.m));
-            plan.setWeights(w);
-            ASSERT_EQ(plan.terms(), int(decomposeSpec(spec).size()));
-            ThreadPool::global().setThreadCount(1);
-            plan.forwardInto(x, y_ref);
-            EXPECT_LE(y_ref.maxAbsDiff(y_oracle), tol)
-                << "isa " << mk::isaName(isa);
-        }
+        ThreadPool::global().setThreadCount(1);
+        plan.forwardInto(x, y_ref);
+        EXPECT_LE(y_ref.maxAbsDiff(y_oracle), tol)
+            << "isa " << mk::isaName(isa);
 
         Tensor y(p.batch, p.out_ch, spec.outH(), spec.outW());
-        for (FusedMode fm : {FusedMode::Off, FusedMode::On}) {
-            ScopedExecConfig fused(withFused(fm));
-            WinoDecompPlan plan(spec, algoForTile(p.m));
-            plan.setWeights(w);
-            for (int threads : {1, 8}) {
-                ThreadPool::global().setThreadCount(threads);
-                y.fill(-1.0f); // poison: every element must be stored
-                plan.forwardInto(x, y);
-                EXPECT_EQ(y.maxAbsDiff(y_ref), 0.0f)
-                    << "isa " << mk::isaName(isa) << " fused "
-                    << fusedModeName(fm) << " threads " << threads;
-            }
+        for (int threads : {1, 8}) {
+            ThreadPool::global().setThreadCount(threads);
+            y.fill(-1.0f); // poison: every element must be stored
+            plan.forwardInto(x, y);
+            EXPECT_EQ(y.maxAbsDiff(y_ref), 0.0f)
+                << "isa " << mk::isaName(isa) << " threads " << threads;
         }
     }
 }
@@ -277,7 +269,10 @@ INSTANTIATE_TEST_SUITE_P(
                       DecompShape{2, 3, 4, 13, 13, 3, 3, 2, 2, 4},
                       DecompShape{1, 2, 3, 14, 14, 5, 5, 2, 2, 2},
                       DecompShape{1, 2, 3, 11, 9, 5, 3, 1, 1, 4},
-                      DecompShape{2, 2, 3, 9, 10, 5, 5, 1, 1, 6}),
+                      DecompShape{2, 2, 3, 9, 10, 5, 5, 1, 1, 6},
+                      // Inner plan 4 x 16 -> 16 on 32x32, F(4,3):
+                      // 1.1 MiB of staged slabs, so it fuses.
+                      DecompShape{4, 16, 16, 60, 60, 3, 3, 2, 2, 4}),
     [](const ::testing::TestParamInfo<DecompShape> &info) {
         const DecompShape &p = info.param;
         return "b" + std::to_string(p.batch) + "k" +
@@ -285,6 +280,26 @@ INSTANTIATE_TEST_SUITE_P(
                std::to_string(p.sh) + "h" + std::to_string(p.h) + "w" +
                std::to_string(p.w) + "F" + std::to_string(p.m);
     });
+
+TEST(DecompParity, LargeInnerPlanReallyFuses)
+{
+    // Guards the last DecompParityP shape: if the fusion threshold or
+    // the gather geometry changes so its inner plan stops fusing, the
+    // fused inner coverage is gone.
+    TunerGuard guard;
+    const ConvSpec spec = makeSpec(4, 16, 16, 60, 60, 3, 3, 2, 2);
+    Rng rng(99);
+    Tensor x(4, 16, 60, 60);
+    Tensor w(16, 16, 3, 3);
+    x.fillUniform(rng);
+    w.fillUniform(rng);
+    WinoDecompPlan plan(spec, algoForTile(4));
+    plan.setWeights(w);
+    Tensor y(4, 16, spec.outH(), spec.outW());
+    test::MetricsProbe probe;
+    plan.forwardInto(x, y);
+    EXPECT_EQ(probe.fusedForwards(), double(plan.terms()));
+}
 
 // ---------------------------------------------------- on-disk tune cache
 
