@@ -251,7 +251,7 @@ decomposedForwardPlanned(benchmark::State &state, bool strided)
 }
 
 void
-directForwardEx(benchmark::State &state, bool strided)
+directForwardSpec(benchmark::State &state, bool strided)
 {
     const ConvSpec spec = decompBenchSpec(strided);
     Rng rng(1);
@@ -261,7 +261,7 @@ directForwardEx(benchmark::State &state, bool strided)
     w.fillUniform(rng);
     WsProbe probe;
     for (auto _ : state)
-        benchmark::DoNotOptimize(directConvForwardEx(
+        benchmark::DoNotOptimize(directConvForward(
             x, w, spec.strideH, spec.strideW, spec.padHEff(),
             spec.padWEff()));
     probe.report(state);
@@ -285,14 +285,14 @@ BENCHMARK(BM_WinoDecomposedStride2)->Unit(benchmark::kMillisecond);
 void
 BM_DirectConv5x5(benchmark::State &state)
 {
-    directForwardEx(state, false);
+    directForwardSpec(state, false);
 }
 BENCHMARK(BM_DirectConv5x5)->Unit(benchmark::kMillisecond);
 
 void
 BM_DirectConvStride2(benchmark::State &state)
 {
-    directForwardEx(state, true);
+    directForwardSpec(state, true);
 }
 BENCHMARK(BM_DirectConvStride2)->Unit(benchmark::kMillisecond);
 

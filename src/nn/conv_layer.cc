@@ -186,10 +186,7 @@ ConvLayer::forwardAuto(const Tensor &x, bool train)
     ensureChoice(spec);
     switch (choice.kind) {
       case tune::AlgoKind::Direct:
-        if (train)
-            cachedX = x;
-        return directConvForwardEx(x, w, sH, sW, spec.padHEff(),
-                                   spec.padWEff());
+        return forwardDirect(x, train);
       case tune::AlgoKind::Winograd:
         return winogradForwardBody(x, train);
       case tune::AlgoKind::Decomposed: {
@@ -227,12 +224,17 @@ ConvLayer::forward(const Tensor &x, bool train)
     if (convMode == ConvMode::Auto)
         return forwardAuto(x, train);
 
-    if (convMode == ConvMode::Direct) {
-        if (train)
-            cachedX = x;
-        return directConvForward(x, w);
-    }
+    if (convMode == ConvMode::Direct)
+        return forwardDirect(x, train);
     return winogradForwardBody(x, train);
+}
+
+Tensor
+ConvLayer::forwardDirect(const Tensor &x, bool train)
+{
+    if (train)
+        cachedX = x;
+    return directConvForward(x, w, sH, sW, (kh - 1) / 2, (kw - 1) / 2);
 }
 
 Tensor

@@ -77,6 +77,8 @@ class ConvLayer : public Module
     std::string name() const override;
 
     ConvMode mode() const { return convMode; }
+    /** Input channels forward() accepts. */
+    int inChannels() const { return inCh; }
     /** Spatial weights (valid in every mode but WinogradLayer). */
     const Tensor &spatialWeights() const { return w; }
     /** Winograd-domain weights (valid in Winograd modes); the shared
@@ -147,6 +149,9 @@ class ConvLayer : public Module
     /** The plain-Winograd forward body shared by the manual Winograd
      *  modes and Auto-with-Winograd. */
     Tensor winogradForwardBody(const Tensor &x, bool train);
+    /** The direct forward shared by Direct mode and Auto-with-direct
+     *  ("same"-style pads (k - 1) / 2). */
+    Tensor forwardDirect(const Tensor &x, bool train);
     Tensor forwardAuto(const Tensor &x, bool train);
 
     /** The active plan source (external override or the own LRU). */

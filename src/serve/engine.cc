@@ -38,6 +38,18 @@ attachPlanSource(nn::Module &m, PlanSource *src)
     }
 }
 
+/** Channels the first leaf under `m` (descending through Sequential's
+ *  first child) takes when that leaf is a ConvLayer; 0 otherwise. */
+int
+firstConvInChannels(nn::Module &m)
+{
+    if (auto *conv = dynamic_cast<nn::ConvLayer *>(&m))
+        return conv->inChannels();
+    auto *seq = dynamic_cast<nn::Sequential *>(&m);
+    return seq && seq->size() > 0 ? firstConvInChannels(seq->child(0))
+                                  : 0;
+}
+
 int
 resolveMaxBatch(const EngineConfig &cfg)
 {
@@ -65,6 +77,7 @@ Engine::Engine(nn::Module &model_, const EngineConfig &cfg)
       cache(cfg.sharedCache ? cfg.sharedCache : ownCache.get()),
       maxB(resolveMaxBatch(cfg)),
       delayUs(resolveMaxDelayUs(cfg)),
+      inCh(firstConvInChannels(model_)),
       queue(cfg.queueCapacity ? cfg.queueCapacity
                               : std::size_t(4) * std::size_t(maxB))
 {
@@ -97,6 +110,12 @@ Engine::submit(Tensor image)
     if (image.n() != 1) {
         reject(r, "Engine::submit takes single images, got batch " +
                       std::to_string(image.n()));
+        return fut;
+    }
+    if (inCh > 0 && image.c() != inCh) {
+        reject(r, "Engine::submit: the model takes " +
+                      std::to_string(inCh) + " channels, got " +
+                      std::to_string(image.c()));
         return fut;
     }
     r.x = std::move(image);

@@ -81,7 +81,8 @@ class Engine
     /**
      * Submit one image [1, C, H, W]; the future resolves to the model
      * output for that image. Blocks while the queue is full
-     * (backpressure). A batch other than 1, or a submit after stop(),
+     * (backpressure). A batch other than 1, a channel count the
+     * model's first ConvLayer does not take, or a submit after stop()
      * is rejected: the future holds a std::runtime_error and the
      * serve.rejected counter counts it; the engine keeps serving.
      */
@@ -124,6 +125,7 @@ class Engine
     PlanCache *cache;
     int maxB;
     long long delayUs;
+    int inCh; ///< channels the model's first ConvLayer takes; 0 = any
     RequestQueue queue;
     Tensor batchX; ///< persistent batch-assembly slab
     std::atomic<std::uint64_t> nServed{0};

@@ -941,67 +941,141 @@ winogradGradWeights(const Tensor &x, const Tensor &dy,
     return dW;
 }
 
-Tensor
-directConvForward(const Tensor &x, const Tensor &w)
-{
-    WINOMC_SPAN("direct.fwd", "wino");
-    winomc_assert(x.c() == w.c(), "channel mismatch in direct conv");
-    winomc_assert(w.h() == w.w() && w.h() % 2 == 1,
-                  "direct conv expects odd square filters");
-    const int r = w.h();
-    const int pad = (r - 1) / 2;
-    Tensor y(x.n(), w.n(), x.h(), x.w());
-    const int nj = w.n();
-    const int nc = x.c();
-    const int hh = x.h();
-    const int ww = x.w();
-    const auto &K = mk::kernels();
-    const float *xbase = x.data();
-    float *ybase = y.data();
-    StageTimer probe("direct.fwd", 2.0 * x.n() * double(nj) * nc * r * r *
-                                       double(hh) * ww);
+namespace {
 
-    parallelFor(0, std::int64_t(x.n()) * nj, 1,
+/**
+ * The one direct-convolution loop:
+ *
+ *     out[b,o,y,x] = sum_c sum_ky sum_kx wt(o,c,ky,kx) *
+ *                    in[b,c, y*sH + d*ky + offH, x*sW + d*kx + offW]
+ *
+ * in that (c, ky, kx) order, taps outside `in` adding nothing. The
+ * forward has d = +1, wt(o,c) = w(o,c); the adjoint d = -1, wt(o,c) =
+ * w(c,o). Each output row keeps one double accumulator row swept by
+ * rowAccumDouble; a float * float product is exact in double, so FMA
+ * and mul + add round alike and the output is bitwise the same on
+ * every ISA and thread count. With sW > 1 each input row is first
+ * split into its sW stride phases (columns p, p + sW, ...; the DWM
+ * phase split), so every tap reads a unit-stride slice.
+ */
+void
+directConvRows(const Tensor &in, const Tensor &w, bool adjoint, int sH,
+               int sW, int offH, int offW, Tensor &out, const char *stage)
+{
+    const int d = adjoint ? -1 : 1;
+    const int kh = w.h();
+    const int kw = w.w();
+    const int nc = in.c();
+    const int no = out.c();
+    const int hh = in.h();
+    const int ww = in.w();
+    const int oh = out.h();
+    const int ow = out.w();
+    const size_t taps = size_t(kh) * kw;
+    const size_t oStride = adjoint ? taps : size_t(w.c()) * taps;
+    const size_t cStride = adjoint ? size_t(w.c()) * taps : taps;
+    const auto &K = mk::kernels();
+    StageTimer probe(stage, 2.0 * out.n() * double(no) * nc * double(taps) *
+                                double(oh) * ow);
+
+    // Tap kx adds row[from + k] into acc[lo + k] for k in [0, n): output
+    // column x reads input column x*sW + t, entry x + q of phase p,
+    // which starts at p*(ww/sW) + min(p, ww%sW) in a split row.
+    struct Tap
+    {
+        int lo, n, from;
+    };
+    std::vector<Tap> rowTaps;
+    for (int kx = 0; kx < kw; ++kx) {
+        const int t = d * kx + offW;
+        const int p = (t % sW + sW) % sW;
+        const int q = (t - p) / sW;
+        const int len = ww / sW + (p < ww % sW);
+        const int lo = std::max(0, -q);
+        rowTaps.push_back({lo, std::min(ow, len - q) - lo,
+                           p * (ww / sW) + std::min(p, ww % sW) + q + lo});
+    }
+
+    const size_t image = size_t(nc) * hh * ww;
+    const float *wbase = w.data();
+    float *obase = out.data();
+    parallelFor(0, std::int64_t(out.n()) * no, 1,
                 [&](std::int64_t lo, std::int64_t hi) {
-        // One double-precision accumulator row per task, swept along
-        // the unit-stride ox axis by the rowAccumDouble micro-kernel.
-        // Per output element the (i, ky, kx) reduction order matches
-        // the scalar triple loop it replaced.
-        std::vector<double> accRow(size_t(ww), 0.0);
-        for (std::int64_t bj = lo; bj < hi; ++bj) {
-            const int b = int(bj / nj);
-            const int j = int(bj % nj);
-            float *yplane =
-                ybase + (size_t(b) * nj + j) * size_t(hh) * ww;
-            for (int oy = 0; oy < hh; ++oy) {
+        std::vector<double> accRow(size_t(ow), 0.0);
+        // The task's current image, phase-split once (sW > 1 only).
+        std::vector<float> split;
+        int splitB = -1;
+        for (std::int64_t bo = lo; bo < hi; ++bo) {
+            const int b = int(bo / no);
+            const int o = int(bo % no);
+            const float *src = in.data() + size_t(b) * image;
+            if (sW > 1) {
+                if (b != splitB) {
+                    split.clear();
+                    for (size_t row = 0; row < image; row += size_t(ww))
+                        for (int p = 0; p < sW; ++p)
+                            for (int ix = p; ix < ww; ix += sW)
+                                split.push_back(src[row + size_t(ix)]);
+                    splitB = b;
+                }
+                src = split.data();
+            }
+            float *orow = obase + size_t(bo) * oh * ow;
+            for (int y = 0; y < oh; ++y, orow += ow) {
                 std::fill(accRow.begin(), accRow.end(), 0.0);
-                for (int i = 0; i < nc; ++i) {
-                    const float *xplane =
-                        xbase + (size_t(b) * nc + i) * size_t(hh) * ww;
-                    for (int ky = 0; ky < r; ++ky) {
-                        const int iy = oy + ky - pad;
+                for (int c = 0; c < nc; ++c) {
+                    const float *plane = src + size_t(c) * hh * ww;
+                    const float *wt = wbase + o * oStride + c * cStride;
+                    for (int ky = 0; ky < kh; ++ky) {
+                        const int iy = y * sH + d * ky + offH;
                         if (iy < 0 || iy >= hh)
                             continue;
-                        const float *xrow = xplane + size_t(iy) * ww;
-                        for (int kx = 0; kx < r; ++kx) {
-                            // ix = ox + kx - pad must stay in [0, ww)
-                            const int lo2 = std::max(0, pad - kx);
-                            const int hi2 = std::min(ww, ww + pad - kx);
-                            if (hi2 <= lo2)
-                                continue;
-                            K.rowAccumDouble(
-                                accRow.data() + lo2,
-                                xrow + lo2 + kx - pad,
-                                double(w.at(j, i, ky, kx)), hi2 - lo2);
+                        const float *row = plane + size_t(iy) * ww;
+                        for (int kx = 0; kx < kw; ++kx) {
+                            const Tap &tap = rowTaps[size_t(kx)];
+                            if (tap.n > 0)
+                                K.rowAccumDouble(accRow.data() + tap.lo,
+                                                 row + tap.from,
+                                                 double(wt[ky * kw + kx]),
+                                                 tap.n);
                         }
                     }
                 }
-                float *yrow = yplane + size_t(oy) * ww;
-                for (int ox = 0; ox < ww; ++ox)
-                    yrow[ox] = float(accRow[size_t(ox)]);
+                for (int x = 0; x < ow; ++x)
+                    orow[x] = float(accRow[size_t(x)]);
             }
         }
     });
+}
+
+} // namespace
+
+Tensor
+directConvForward(const Tensor &x, const Tensor &w)
+{
+    winomc_assert(w.h() == w.w() && w.h() % 2 == 1,
+                  "direct conv expects odd square filters, got ", w.h(),
+                  "x", w.w());
+    const int pad = (w.h() - 1) / 2;
+    return directConvForward(x, w, 1, 1, pad, pad);
+}
+
+Tensor
+directConvForward(const Tensor &x, const Tensor &w, int strideH,
+                  int strideW, int padH, int padW)
+{
+    WINOMC_SPAN("direct.fwd", "wino");
+    winomc_assert(x.c() == w.c(), "channel mismatch in direct conv");
+    winomc_assert(strideH >= 1 && strideW >= 1 && padH >= 0 && padW >= 0,
+                  "bad conv geometry: stride ", strideH, "x", strideW,
+                  " pad ", padH, "x", padW);
+    const int oh = (x.h() + 2 * padH - w.h()) / strideH + 1;
+    const int ow = (x.w() + 2 * padW - w.w()) / strideW + 1;
+    winomc_assert(oh >= 1 && ow >= 1, "conv output collapses to ", oh,
+                  "x", ow);
+    Tensor y(x.n(), w.n(), oh, ow);
+    directConvRows(x, w, false, strideH, strideW, -padH, -padW, y,
+                   "direct.fwd");
     return y;
 }
 
@@ -1010,127 +1084,13 @@ directConvBackwardData(const Tensor &dy, const Tensor &w)
 {
     WINOMC_SPAN("direct.bwd_data", "wino");
     winomc_assert(dy.c() == w.n(), "channel mismatch in backward data");
-    const int r = w.h();
-    const int pad = (r - 1) / 2;
+    winomc_assert(w.h() == w.w() && w.h() % 2 == 1,
+                  "direct backward data expects odd square filters, got ",
+                  w.h(), "x", w.w());
+    const int pad = (w.h() - 1) / 2;
     Tensor dx(dy.n(), w.c(), dy.h(), dy.w());
-    const int ni = w.c();
-    const int nj = dy.c();
-    const int hh = dy.h();
-    const int ww = dy.w();
-    const auto &K = mk::kernels();
-    const float *dybase = dy.data();
-    float *dxbase = dx.data();
-    StageTimer probe("direct.bwd_data",
-                     2.0 * dy.n() * double(nj) * ni * r * r * double(hh) *
-                         ww);
-
-    parallelFor(0, std::int64_t(dy.n()) * ni, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        // Same accumulator-row scheme as the forward kernel; the
-        // (j, ky, kx) reduction order per element matches the scalar
-        // loops it replaced.
-        std::vector<double> accRow(size_t(ww), 0.0);
-        for (std::int64_t bi = lo; bi < hi; ++bi) {
-            const int b = int(bi / ni);
-            const int i = int(bi % ni);
-            float *dxplane =
-                dxbase + (size_t(b) * ni + i) * size_t(hh) * ww;
-            for (int iy = 0; iy < hh; ++iy) {
-                std::fill(accRow.begin(), accRow.end(), 0.0);
-                for (int j = 0; j < nj; ++j) {
-                    const float *dyplane =
-                        dybase + (size_t(b) * nj + j) * size_t(hh) * ww;
-                    for (int ky = 0; ky < r; ++ky) {
-                        const int oy = iy - ky + pad;
-                        if (oy < 0 || oy >= hh)
-                            continue;
-                        const float *dyrow = dyplane + size_t(oy) * ww;
-                        for (int kx = 0; kx < r; ++kx) {
-                            // ox = ix - kx + pad must stay in [0, ww)
-                            const int lo2 = std::max(0, kx - pad);
-                            const int hi2 = std::min(ww, ww + kx - pad);
-                            if (hi2 <= lo2)
-                                continue;
-                            K.rowAccumDouble(
-                                accRow.data() + lo2,
-                                dyrow + lo2 - kx + pad,
-                                double(w.at(j, i, ky, kx)), hi2 - lo2);
-                        }
-                    }
-                }
-                float *dxrow = dxplane + size_t(iy) * ww;
-                for (int ix = 0; ix < ww; ++ix)
-                    dxrow[ix] = float(accRow[size_t(ix)]);
-            }
-        }
-    });
+    directConvRows(dy, w, true, 1, 1, pad, pad, dx, "direct.bwd_data");
     return dx;
-}
-
-Tensor
-directConvForwardEx(const Tensor &x, const Tensor &w, int strideH,
-                    int strideW, int padH, int padW)
-{
-    WINOMC_SPAN("direct.fwd_ex", "wino");
-    winomc_assert(x.c() == w.c(), "channel mismatch in direct conv");
-    winomc_assert(strideH >= 1 && strideW >= 1 && padH >= 0 && padW >= 0,
-                  "bad conv geometry: stride ", strideH, "x", strideW,
-                  " pad ", padH, "x", padW);
-    const int kh = w.h();
-    const int kw = w.w();
-    const int oh = (x.h() + 2 * padH - kh) / strideH + 1;
-    const int ow = (x.w() + 2 * padW - kw) / strideW + 1;
-    winomc_assert(oh >= 1 && ow >= 1, "conv output collapses to ", oh,
-                  "x", ow);
-    Tensor y(x.n(), w.n(), oh, ow);
-    const int nj = w.n();
-    const int nc = x.c();
-    const int hh = x.h();
-    const int ww = x.w();
-    const float *xbase = x.data();
-    float *ybase = y.data();
-    StageTimer probe("direct.fwd", 2.0 * x.n() * double(nj) * nc * kh *
-                                       kw * double(oh) * ow);
-
-    // Scalar with one double accumulator per output element: this is
-    // the oracle generalized strides/pads/rect-kernels are verified
-    // against, so clarity and a fixed (i, ky, kx) reduction order beat
-    // the strided-row vectorization the unit-stride kernel above has.
-    parallelFor(0, std::int64_t(x.n()) * nj, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t bj = lo; bj < hi; ++bj) {
-            const int b = int(bj / nj);
-            const int j = int(bj % nj);
-            float *yplane =
-                ybase + (size_t(b) * nj + j) * size_t(oh) * ow;
-            for (int oy = 0; oy < oh; ++oy) {
-                for (int ox = 0; ox < ow; ++ox) {
-                    double acc = 0.0;
-                    for (int i = 0; i < nc; ++i) {
-                        const float *xplane =
-                            xbase +
-                            (size_t(b) * nc + i) * size_t(hh) * ww;
-                        for (int ky = 0; ky < kh; ++ky) {
-                            const int iy = oy * strideH + ky - padH;
-                            if (iy < 0 || iy >= hh)
-                                continue;
-                            const float *xrow =
-                                xplane + size_t(iy) * ww;
-                            for (int kx = 0; kx < kw; ++kx) {
-                                const int ix = ox * strideW + kx - padW;
-                                if (ix < 0 || ix >= ww)
-                                    continue;
-                                acc += double(w.at(j, i, ky, kx)) *
-                                       xrow[ix];
-                            }
-                        }
-                    }
-                    yplane[size_t(oy) * ow + ox] = float(acc);
-                }
-            }
-        }
-    });
-    return y;
 }
 
 Tensor
@@ -1139,6 +1099,9 @@ directConvGradWeights(const Tensor &x, const Tensor &dy, int r)
     WINOMC_SPAN("direct.grad_weights", "wino");
     winomc_assert(x.n() == dy.n() && x.h() == dy.h() && x.w() == dy.w(),
                   "shape mismatch in direct weight gradient");
+    winomc_assert(r >= 1 && r % 2 == 1,
+                  "direct weight gradient expects an odd filter size, "
+                  "got ", r);
     const int pad = (r - 1) / 2;
     Tensor dw(dy.c(), x.c(), r, r);
     const int ni = x.c();

@@ -208,25 +208,28 @@ Tensor winogradBackwardData(const Tensor &dy, const WinoWeights &W,
 WinoWeights winogradGradWeights(const Tensor &x, const Tensor &dy,
                                 const WinogradAlgo &algo);
 
-/** Reference direct convolution, "same", stride 1 (w: J, I, r, r). */
+/** Reference direct convolution, "same", stride 1 (w: J, I, r, r, r
+ *  odd): the general form below with pads (r - 1) / 2. */
 Tensor directConvForward(const Tensor &x, const Tensor &w);
 
-/** Direct backward data: dx = dy (*) flip(w). */
+/** Direct backward data: dx = dy (*) flip(w), odd square w. */
 Tensor directConvBackwardData(const Tensor &dy, const Tensor &w);
 
-/** Direct weight gradient: dw[j,i] = sum_b dy[b,j] (*) x[b,i]. */
+/** Direct weight gradient: dw[j,i] = sum_b dy[b,j] (*) x[b,i], odd r. */
 Tensor directConvGradWeights(const Tensor &x, const Tensor &dy, int r);
 
 /**
- * Generalized reference direct convolution: arbitrary stride, explicit
- * zero padding, rectangular filters (w: J, I, kh, kw), output
+ * General direct convolution: arbitrary stride, explicit zero padding,
+ * rectangular filters (w: J, I, kh, kw), output
  * (B, J, (H + 2*padH - kh)/strideH + 1, ...). Double-precision
- * accumulation per output element in a fixed (i, ky, kx) order — the
- * parity oracle of the DWM decomposition tests and the execution path
- * of geometries no Winograd candidate covers.
+ * accumulation per output element in a fixed (i, ky, kx) order, so
+ * this, the "same" form and backward data are bitwise the same on
+ * every ISA and thread count. It is the parity oracle of the DWM
+ * decomposition tests and the path of Auto layers the tuner sends to
+ * direct convolution.
  */
-Tensor directConvForwardEx(const Tensor &x, const Tensor &w, int strideH,
-                           int strideW, int padH, int padW);
+Tensor directConvForward(const Tensor &x, const Tensor &w, int strideH,
+                         int strideW, int padH, int padW);
 
 } // namespace winomc
 

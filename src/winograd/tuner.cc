@@ -255,8 +255,8 @@ measureChoiceMs(const ConvSpec &spec0, const AlgoChoice &ch)
     switch (ch.kind) {
       case AlgoKind::Direct: {
         return best2([&] {
-            directConvForwardEx(x, w, spec.strideH, spec.strideW,
-                                spec.padHEff(), spec.padWEff());
+            directConvForward(x, w, spec.strideH, spec.strideW,
+                              spec.padHEff(), spec.padWEff());
         });
       }
       case AlgoKind::Winograd: {

@@ -7,9 +7,9 @@
  * drops, clean shutdown with in-flight requests, PlanCache lease /
  * eviction / shared-transformed-weight semantics (including under
  * concurrency — run these under TSan via ctest -L serve), rejected
- * requests (a bad batch, a submit after stop) that fail only their own
- * future, serving knob parsing, and the zero-allocation steady-state
- * guarantee.
+ * requests (a bad batch, a wrong channel count, a submit after stop)
+ * that fail only their own future, serving knob parsing, and the
+ * zero-allocation steady-state guarantee.
  */
 
 #include <gtest/gtest.h>
@@ -141,6 +141,29 @@ TEST(ServeEngine, RejectedRequestsFailTheirFutureAndServingContinues)
     EXPECT_EQ(engine.served(), 1u);
     EXPECT_THROW(engine.submit(xs[0]).get(), std::runtime_error);
     EXPECT_EQ(probe.counter("serve.rejected"), 2.0);
+}
+
+TEST(ServeEngine, WrongChannelCountIsRejectedNotFatal)
+{
+    const test::MetricsProbe probe;
+    nn::Sequential model = makeModel(29);
+    const auto xs = makeImages(1, 3, 8, 8, 13);
+    const Tensor ref = model.forward(xs[0], false);
+
+    EngineConfig cfg;
+    cfg.maxBatch = 2;
+    cfg.maxDelayUs = 0;
+    Engine engine(model, cfg);
+    // The first conv takes 3 channels; a 5-channel image is client
+    // error and must fail its own future, not the server.
+    std::future<Tensor> bad = engine.submit(Tensor(1, 5, 8, 8));
+    EXPECT_THROW(bad.get(), std::runtime_error);
+    EXPECT_EQ(probe.counter("serve.rejected"), 1.0);
+
+    Tensor y = engine.submit(xs[0]).get();
+    EXPECT_EQ(y.maxAbsDiff(ref), 0.0f);
+    engine.stop();
+    EXPECT_EQ(engine.served(), 1u);
 }
 
 // -------------------------------------------------- Deadline batching

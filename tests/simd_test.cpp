@@ -578,32 +578,49 @@ TEST_F(SimdTest, PipelineMatchesScalarWithinTolOnOddShapes)
     }
 }
 
-TEST_F(SimdTest, DirectConvMatchesScalarWithinTol)
+TEST_F(SimdTest, DirectConvBitwiseMatchesScalarOnEveryIsa)
 {
     Rng rng(9);
     Tensor x(1, 3, 11, 11);
     Tensor w(5, 3, 3, 3);
     Tensor dy(1, 5, 11, 11);
+    // Strided, rectangular and padded: 5x3 kernel, stride (2,3), pad
+    // (1,2) on a 13x17 map.
+    Tensor xr(2, 3, 13, 17);
+    Tensor wr(4, 3, 5, 3);
     x.fillUniform(rng);
     w.fillUniform(rng);
     dy.fillUniform(rng);
+    xr.fillUniform(rng);
+    wr.fillUniform(rng);
 
-    Tensor yS, dxS, gS;
+    auto run = [&] {
+        return std::vector<Tensor>{directConvForward(x, w),
+                                   directConvBackwardData(dy, w),
+                                   directConvGradWeights(x, dy, 3),
+                                   directConvForward(xr, wr, 2, 3, 1, 2)};
+    };
+    std::vector<Tensor> ref;
     {
         ScopedExecConfig scalar(withIsa(mk::Isa::Scalar));
-        yS = directConvForward(x, w);
-        dxS = directConvBackwardData(dy, w);
-        gS = directConvGradWeights(x, dy, 3);
+        ref = run();
     }
-    Tensor yV = directConvForward(x, w);
-    Tensor dxV = directConvBackwardData(dy, w);
-    Tensor gV = directConvGradWeights(x, dy, 3);
-
-    expectTensorNear(yS, yV, 1e-5f, "direct forward");
-    expectTensorNear(dxS, dxV, 1e-5f, "direct backward-data");
+    const char *names[] = {"forward", "backward-data", "grad-weights",
+                           "strided rectangular forward"};
+    // Every product is exact in double, so FMA and mul + add round
+    // alike: the vector row kernel is bitwise the scalar one.
     // GradWeights stays on the one scalar kernel by contract: its
     // serial (b, oy, ox) reduction order is part of the bitwise spec.
-    EXPECT_EQ(0, std::memcmp(gS.data(), gV.data(), gS.size() * 4));
+    for (mk::Isa isa : usableIsas()) {
+        ScopedExecConfig isaScope(withIsa(isa));
+        const std::vector<Tensor> got = run();
+        for (std::size_t k = 0; k < ref.size(); ++k) {
+            ASSERT_TRUE(got[k].sameShape(ref[k])) << names[k];
+            EXPECT_EQ(0, std::memcmp(ref[k].data(), got[k].data(),
+                                     ref[k].size() * sizeof(float)))
+                << names[k] << " isa=" << mk::isaName(isa);
+        }
+    }
 }
 
 // ------------------------------------------------------------------

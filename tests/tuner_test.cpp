@@ -230,7 +230,7 @@ TEST_P(DecompParityP, MatchesDirectOracleBitwiseAcrossSchedules)
     Tensor w(p.out_ch, p.in_ch, p.kh, p.kw);
     x.fillUniform(rng);
     w.fillUniform(rng);
-    const Tensor y_oracle = directConvForwardEx(
+    const Tensor y_oracle = directConvForward(
         x, w, p.sh, p.sw, spec.padHEff(), spec.padWEff());
 
     float scale = 0.0f;
@@ -513,7 +513,7 @@ TEST(ConvLayerAuto, Plain3x3SelectsWinogradAndMatchesDirect)
     EXPECT_EQ(layer.autoChoice().m, 4);
 
     const Tensor y_ref =
-        directConvForwardEx(x, layer.spatialWeights(), 1, 1, 1, 1);
+        directConvForward(x, layer.spatialWeights(), 1, 1, 1, 1);
     float scale = 0.0f;
     for (size_t i = 0; i < y_ref.size(); ++i)
         scale = std::max(scale, std::fabs(y_ref.data()[i]));
@@ -536,7 +536,7 @@ TEST(ConvLayerAuto, FiveByFiveRunsDecomposedAndTrains)
 
     // Parity of the decomposed fast path against the direct oracle.
     const Tensor y_ref =
-        directConvForwardEx(x, layer.spatialWeights(), 1, 1, 2, 2);
+        directConvForward(x, layer.spatialWeights(), 1, 1, 2, 2);
     float scale = 0.0f;
     for (size_t i = 0; i < y_ref.size(); ++i)
         scale = std::max(scale, std::fabs(y_ref.data()[i]));
@@ -555,7 +555,7 @@ TEST(ConvLayerAuto, FiveByFiveRunsDecomposedAndTrains)
 
     Tensor y2 = layer.forward(x, false);
     const Tensor y2_ref =
-        directConvForwardEx(x, layer.spatialWeights(), 1, 1, 2, 2);
+        directConvForward(x, layer.spatialWeights(), 1, 1, 2, 2);
     EXPECT_LE(y2.maxAbsDiff(y2_ref), 1e-3f * scale);
 }
 
@@ -571,7 +571,7 @@ TEST(ConvLayerAuto, StridedForwardWorksAndTrainingAsserts)
     EXPECT_EQ(y.h(), 7);
     EXPECT_EQ(y.w(), 7);
     const Tensor y_ref =
-        directConvForwardEx(x, layer.spatialWeights(), 2, 2, 1, 1);
+        directConvForward(x, layer.spatialWeights(), 2, 2, 1, 1);
     float scale = 0.0f;
     for (size_t i = 0; i < y_ref.size(); ++i)
         scale = std::max(scale, std::fabs(y_ref.data()[i]));

@@ -260,6 +260,24 @@ INSTANTIATE_TEST_SUITE_P(Shapes, WinogradConvP,
                "F" + std::to_string(p.m) + "r" + std::to_string(p.r);
     });
 
+// The same-padded direct kernels bind an odd square filter; a kernel
+// they would read only partly must abort, not run.
+TEST(DirectConvDeathTest, BackwardDataRejectsNonSquareKernel)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    Tensor dy(1, 2, 6, 6);
+    Tensor w(2, 3, 3, 5);
+    EXPECT_DEATH(directConvBackwardData(dy, w), "odd square");
+}
+
+TEST(DirectConvDeathTest, GradWeightsRejectsEvenKernel)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    Tensor x(1, 3, 6, 6);
+    Tensor dy(1, 2, 6, 6);
+    EXPECT_DEATH(directConvGradWeights(x, dy, 4), "odd filter size");
+}
+
 /// Numerical gradient check of the Winograd *layer*: parameters are the
 /// Winograd-domain weights W; loss L = 0.5 * ||y||^2.
 TEST(WinogradLayerGrad, MatchesNumericalGradient)
