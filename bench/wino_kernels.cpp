@@ -303,10 +303,9 @@ BENCHMARK(BM_DirectConvStride2)->Unit(benchmark::kMillisecond);
 
 struct ElementwiseFixture
 {
-    ElementwiseFixture()
+    ElementwiseFixture() : x(8, 64, 32, 32)
     {
         Rng rng(1);
-        Tensor x(8, 64, 32, 32);
         Tensor w(64, 64, 3, 3);
         x.fillUniform(rng);
         w.fillUniform(rng);
@@ -323,6 +322,7 @@ struct ElementwiseFixture
                W.inChannels() * X.batch() * X.tiles();
     }
 
+    Tensor x;
     WinoWeights W;
     WinoTiles X, dY;
 };
@@ -430,6 +430,73 @@ BM_InverseTransform(benchmark::State &state)
     reportKernelRate(state, inverseFlops(Y, algo));
 }
 BENCHMARK(BM_InverseTransform)->Apply(threadArgs)
+    ->Unit(benchmark::kMillisecond);
+
+// The other transforms train_wino's F(4,3) layers run, each into a
+// preallocated destination on the element-wise fixture shape, at the
+// benchmark's 1 pool thread and at 4.
+
+/** FLOPs of one F(4,3) input transform (or its adjoint) over the
+ *  fixture's tile set. */
+double
+inputFlops(const WinoTiles &X)
+{
+    const int a = X.alphaEdge();
+    return 4.0 * a * a * a * double(X.batch()) * X.channels() * X.tiles();
+}
+
+void
+BM_InputTransformF4(benchmark::State &state)
+{
+    ThreadPool::global().setThreadCount(int(state.range(0)));
+    auto &f = elementwiseFixture();
+    WinoTiles X = f.X;
+    WsProbe probe;
+    for (auto _ : state) {
+        transformInputInto(f.x, algoF4x4_3x3(), X);
+        benchmark::DoNotOptimize(X.row(0, 0));
+        benchmark::ClobberMemory();
+    }
+    probe.report(state);
+    reportKernelRate(state, inputFlops(X));
+}
+BENCHMARK(BM_InputTransformF4)->ArgName("threads")->Arg(1)->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_InputTransformAdjoint(benchmark::State &state)
+{
+    ThreadPool::global().setThreadCount(int(state.range(0)));
+    auto &f = elementwiseFixture();
+    Tensor dx = f.x;
+    WsProbe probe;
+    for (auto _ : state) {
+        transformInputAdjointInto(f.X, algoF4x4_3x3(), dx);
+        benchmark::DoNotOptimize(dx.data());
+        benchmark::ClobberMemory();
+    }
+    probe.report(state);
+    reportKernelRate(state, inputFlops(f.X));
+}
+BENCHMARK(BM_InputTransformAdjoint)->ArgName("threads")->Arg(1)->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_InverseTransformAdjoint(benchmark::State &state)
+{
+    ThreadPool::global().setThreadCount(int(state.range(0)));
+    auto &f = elementwiseFixture();
+    WinoTiles dY = f.dY;
+    WsProbe probe;
+    for (auto _ : state) {
+        inverseTransformAdjointInto(f.x, algoF4x4_3x3(), dY);
+        benchmark::DoNotOptimize(dY.row(0, 0));
+        benchmark::ClobberMemory();
+    }
+    probe.report(state);
+    reportKernelRate(state, inverseFlops(dY, algoF4x4_3x3()));
+}
+BENCHMARK(BM_InverseTransformAdjoint)->ArgName("threads")->Arg(1)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 // -------------------------------------------------------------------

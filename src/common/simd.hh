@@ -149,18 +149,21 @@ struct VD
         const __m512 wide = _mm512_maskz_loadu_ps(m, p);
         return {_mm512_cvtps_pd(_mm512_castps512_ps256(wide))};
     }
+    /** All 8 lanes converted. The maskz form, not _mm512_cvtpd_ps:
+     *  GCC's header seeds that one from an "undefined" vector, which
+     *  trips -Wuninitialized once the call is inlined deep enough. */
+    __m256 toFloat() const { return _mm512_maskz_cvtpd_ps(0xff, v); }
     void
     storeToFloat(float *p) const
     {
-        _mm256_storeu_ps(p, _mm512_cvtpd_ps(v));
+        _mm256_storeu_ps(p, toFloat());
     }
     void
     storeToFloatPartial(float *p, int n) const
     {
         // Widen to 512 bits for the F-level masked store; only the
         // low n (<= 8) lanes are written, the rest stay untouched.
-        const __m512 wide =
-            _mm512_zextps256_ps512(_mm512_cvtpd_ps(v));
+        const __m512 wide = _mm512_zextps256_ps512(toFloat());
         _mm512_mask_storeu_ps(p, __mmask16((1u << n) - 1u), wide);
     }
     static VD
@@ -169,6 +172,7 @@ struct VD
         return {_mm512_fmadd_pd(a.v, b.v, acc.v)};
     }
     static VD add(VD a, VD b) { return {_mm512_add_pd(a.v, b.v)}; }
+    static VD sub(VD a, VD b) { return {_mm512_sub_pd(a.v, b.v)}; }
     static VD mul(VD a, VD b) { return {_mm512_mul_pd(a.v, b.v)}; }
 };
 
@@ -306,6 +310,7 @@ struct VD
         return {_mm256_fmadd_pd(a.v, b.v, acc.v)};
     }
     static VD add(VD a, VD b) { return {_mm256_add_pd(a.v, b.v)}; }
+    static VD sub(VD a, VD b) { return {_mm256_sub_pd(a.v, b.v)}; }
     static VD mul(VD a, VD b) { return {_mm256_mul_pd(a.v, b.v)}; }
 };
 
@@ -438,6 +443,7 @@ struct VD
         return {_mm_add_pd(acc.v, _mm_mul_pd(a.v, b.v))};
     }
     static VD add(VD a, VD b) { return {_mm_add_pd(a.v, b.v)}; }
+    static VD sub(VD a, VD b) { return {_mm_sub_pd(a.v, b.v)}; }
     static VD mul(VD a, VD b) { return {_mm_mul_pd(a.v, b.v)}; }
 };
 
@@ -510,6 +516,7 @@ struct VD
     }
     static VD fma(VD a, VD b, VD acc) { return {acc.v + a.v * b.v}; }
     static VD add(VD a, VD b) { return {a.v + b.v}; }
+    static VD sub(VD a, VD b) { return {a.v - b.v}; }
     static VD mul(VD a, VD b) { return {a.v * b.v}; }
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <type_traits>
 #include <vector>
 
@@ -74,10 +75,14 @@ sandwich(const Matrix &L, const double *in, int n, int k, const Matrix &R,
 }
 
 // ---------------------------------------------------------------------
-// Transform bodies. Each moves tiles [t0, t0 + tcnt) of spatial plane
-// (b, c) to or from lanes [0, tcnt) of image `tb` of a tile container,
-// one kTilePanel panel at a time. Staged execution runs them on whole
-// images (t0 = 0, tb = b); fused strips on one strip (tb = 0).
+// Transform bodies. Each moves tiles [t0, t0 + tcnt) of the spatial
+// planes (b, c), b in [b0, b0 + nimg), to or from the lanes of images
+// [tb, tb + nimg) of a tile container, image-major, one kTilePanel
+// panel at a time. Staged execution runs them on whole images (t0 = 0,
+// tb = b0): one image per call, or every image of a channel when a
+// plane holds fewer tiles than a panel, so panels run full across the
+// channel's contiguous (batch x tiles) row. Fused strips run one strip
+// of one image (nimg = 1, tb = 0).
 // ---------------------------------------------------------------------
 
 /** Plane (b, c) of a (possibly const) NCHW tensor. */
@@ -88,109 +93,166 @@ planeOf(T &t, int b, int c)
     return t.data() + (size_t(b) * t.c() + c) * size_t(t.h()) * t.w();
 }
 
-/** Spatial origins of tiles [t, t + cnt): the a x a input windows
- *  (off = 0) or, with off = grid.pad, the m x m output blocks. */
+/**
+ * One transform sandwich L * patch * R and the micro-kernel bodies
+ * that run it (specialized on compile-time coefficients for the tabled
+ * F(m,3) transforms), resolved once per stage call.
+ */
+struct Xform
+{
+    Xform(const Matrix &L, const Matrix &R)
+        : L(L), R(R),
+          fn(mk::xformBodies(mk::kernels(), L.data(), L.rows(), L.cols(),
+                             R.data(), R.rows(), R.cols()))
+    {
+    }
+
+    const Matrix &L, &R;
+    mk::XformBodies fn;
+};
+
+/**
+ * Panel lanes [q, q + cnt) of a tile set holding tiles [t0, t0 + tcnt)
+ * of consecutive images: the image (relative to the set's first) each
+ * lane belongs to and its spatial origin — the a x a input window
+ * (off = 0) or, with off = grid.pad, the m x m output block.
+ */
 void
-tileOrigins(const TileGrid &grid, int t, int cnt, int off, int *tr,
-            int *tc)
+laneOrigins(const TileGrid &grid, int t0, int tcnt, int q, int cnt,
+            int off, int *tr, int *tc, int *img)
 {
     for (int l = 0; l < cnt; ++l) {
-        tr[l] = grid.tileRow((t + l) / grid.tilesW) + off;
-        tc[l] = grid.tileCol((t + l) % grid.tilesW) + off;
+        img[l] = (q + l) / tcnt;
+        const int t = t0 + (q + l) % tcnt;
+        tr[l] = grid.tileRow(t / grid.tilesW) + off;
+        tc[l] = grid.tileCol(t % grid.tilesW) + off;
     }
 }
 
 /**
  * Spatial -> Winograd domain: gather the e x e patches at the tile
- * origins (shifted by off) of plane (b, c) of src and transform each
- * as L * patch * R (L: a x e, R: e x a) into fp32 or 16-bit tiles:
- * the input transform (B^T x B, e = a) and the inverse transform's
- * adjoint (A dy A^T, e = m, off = pad). With a mask, its plane (c, tb)
- * is rebuilt from each just-written (L1-hot) panel; one writer each.
+ * origins (shifted by off) of planes (b0.., c) of src and transform
+ * each as L * patch * R (L: a x e, R: e x a) into fp32 or 16-bit
+ * tiles: the input transform (B^T x B, e = a) and the inverse
+ * transform's adjoint (A dy A^T, e = m, off = pad). With a mask, its
+ * planes (c, tb..) are rebuilt from the just-written (cache-hot)
+ * tiles; one writer each.
  */
 template <class Tiles>
 void
-toTilesBody(const Tensor &src, const TileGrid &grid, int b, int c, int t0,
-            int tcnt, const Matrix &L, const Matrix &R, int off,
-            Tiles &dst, int tb, int halfKind = 0, ActMask *mask = nullptr)
+toTilesBody(const Tensor &src, const TileGrid &grid, int b0, int nimg,
+            int c, int t0, int tcnt, const Xform &xf, int off, Tiles &dst,
+            int tb, int halfKind = 0, ActMask *mask = nullptr)
 {
     winomc_assert(dst.alphaEdge() <= kMaxAlpha, "alpha too large");
+    winomc_assert(nimg == 1 || tcnt < mk::kTilePanel,
+                  "panels span images only on maps of one short panel");
     const auto &K = mk::kernels();
     const int a = dst.alphaEdge();
-    const int e = L.cols();
-    const float *plane = planeOf(src, b, c);
+    const double *L = xf.L.data(), *R = xf.R.data();
+    const int e = xf.L.cols();
+    const float *plane = planeOf(src, b0, c);
+    // Images of one channel are c() planes apart; forEachPlane spans
+    // images only when the whole tensor is indexable by an int (the
+    // pack's index type).
+    const int imgStride = nimg > 1 ? src.c() * src.h() * src.w() : 0;
     const size_t uvStr = dst.uvStride();
-    if (mask)
-        std::fill(mask->plane(c, tb),
-                  mask->plane(c, tb) + mask->wordsPerPlane(), 0);
+    auto *base = dst.uvBase(c, tb, 0);
+    const auto zeroMask = [&](const auto *out, int cnt) {
+        if constexpr (std::is_same_v<Tiles, HalfTiles>)
+            return K.panelZeroMaskHalf(out, uvStr, a * a, cnt);
+        else
+            return K.panelZeroMask(out, uvStr, a * a, cnt);
+    };
+    for (int i = 0; mask && i < nimg; ++i)
+        std::fill(mask->plane(c, tb + i),
+                  mask->plane(c, tb + i) + mask->wordsPerPlane(), 0);
     SoaPanel soa;
-    for (int p = 0; p < tcnt; p += mk::kTilePanel) {
-        const int cnt = std::min(mk::kTilePanel, tcnt - p);
-        int tr[mk::kTilePanel], tc[mk::kTilePanel];
-        tileOrigins(grid, t0 + p, cnt, off, tr, tc);
-        K.packTilePanel(soa.data(), plane, src.h(), src.w(), tr, tc, e, e,
-                        cnt);
-        auto *out = dst.uvBase(c, tb, p);
-        std::uint64_t zero = 0;
-        if constexpr (std::is_same_v<Tiles, HalfTiles>) {
-            K.xformToTilesHalf(L.data(), a, e, R.data(), e, a, soa.data(),
-                               out, uvStr, cnt, halfKind);
-            if (mask)
-                zero = K.panelZeroMaskHalf(out, uvStr, a * a, cnt);
-        } else {
-            K.xformToTiles(L.data(), a, e, R.data(), e, a, soa.data(), out,
-                           uvStr, cnt);
-            if (mask)
-                zero = K.panelZeroMask(out, uvStr, a * a, cnt);
-        }
-        if (mask)
-            mask->orPanelBits(c, tb, p / mk::kTilePanel, zero);
+    for (int q = 0; q < nimg * tcnt; q += mk::kTilePanel) {
+        const int cnt = std::min(mk::kTilePanel, nimg * tcnt - q);
+        int tr[mk::kTilePanel], tc[mk::kTilePanel], lp[mk::kTilePanel];
+        laneOrigins(grid, t0, tcnt, q, cnt, off, tr, tc, lp);
+        for (int l = 0; l < cnt; ++l)
+            lp[l] *= imgStride;
+        K.packTilePanel(soa.data(), plane, lp, src.h(), src.w(), tr, tc,
+                        e, e, cnt);
+        if constexpr (std::is_same_v<Tiles, HalfTiles>)
+            xf.fn.toTilesHalf(L, a, e, R, e, a, soa.data(), base + q, uvStr,
+                              cnt, halfKind);
+        else
+            xf.fn.toTiles(L, a, e, R, e, a, soa.data(), base + q, uvStr,
+                          cnt);
+        if (mask && nimg == 1)
+            mask->orPanelBits(c, tb, q / mk::kTilePanel,
+                              zeroMask(base + q, cnt));
     }
+    // A panel may split one of several images; each image's tiles form
+    // its one mask panel (tcnt < kTilePanel), tested whole.
+    for (int i = 0; mask && nimg > 1 && i < nimg; ++i)
+        mask->orPanelBits(c, tb + i, 0, zeroMask(base + i * tcnt, tcnt));
 }
 
 /**
  * Winograd domain -> spatial: transform tiles as L * tile * R (L: e x
  * a, R: a x e) into e x e patches at the tile origins (shifted by off)
- * of plane (b, c) of dst. The inverse transform (A^T Y A, e = m, off =
- * pad) stores them, cropped at the map border; the input transform's
- * adjoint (B dX B^T, e = a) overlap-adds them (add) with lanes in
- * ascending tile order.
+ * of planes (b0.., c) of dst. The inverse transform (A^T Y A, e = m,
+ * off = pad) stores them, cropped at the map border; the input
+ * transform's adjoint (B dX B^T, e = a) overlap-adds them (add) with
+ * lanes in ascending tile order, one image segment of a panel at a
+ * time.
  */
 void
-fromTilesBody(const WinoTiles &src, int tb, const Matrix &L,
-              const Matrix &R, int off, bool add, const TileGrid &grid,
-              int b, int c, int t0, int tcnt, Tensor &dst)
+fromTilesBody(const WinoTiles &src, int tb, const Xform &xf, int off,
+              bool add, const TileGrid &grid, int b0, int nimg, int c,
+              int t0, int tcnt, Tensor &dst)
 {
     const auto &K = mk::kernels();
+    const auto unpack = add ? K.unpackAddTilePanel : K.unpackTilePanel;
     const int a = src.alphaEdge();
-    const int e = L.rows();
-    float *plane = planeOf(dst, b, c);
+    const int e = xf.L.rows();
+    const float *base = src.uvBase(c, tb, 0);
     SoaPanel soa;
-    for (int p = 0; p < tcnt; p += mk::kTilePanel) {
-        const int cnt = std::min(mk::kTilePanel, tcnt - p);
-        K.xformFromTiles(L.data(), e, a, R.data(), a, e,
-                         src.uvBase(c, tb, p), src.uvStride(), soa.data(),
-                         cnt);
-        int tr[mk::kTilePanel], tc[mk::kTilePanel];
-        tileOrigins(grid, t0 + p, cnt, off, tr, tc);
-        (add ? K.unpackAddTilePanel : K.unpackTilePanel)(
-            plane, dst.h(), dst.w(), tr, tc, e, e, soa.data(), cnt);
+    for (int q = 0; q < nimg * tcnt; q += mk::kTilePanel) {
+        const int cnt = std::min(mk::kTilePanel, nimg * tcnt - q);
+        xf.fn.fromTiles(xf.L.data(), e, a, xf.R.data(), a, e, base + q,
+                        src.uvStride(), soa.data(), cnt);
+        int tr[mk::kTilePanel], tc[mk::kTilePanel], img[mk::kTilePanel];
+        laneOrigins(grid, t0, tcnt, q, cnt, off, tr, tc, img);
+        for (int l = 0; l < cnt;) {
+            int end = l + 1;
+            while (end < cnt && img[end] == img[l])
+                ++end;
+            unpack(planeOf(dst, b0 + img[l], c), dst.h(), dst.w(), tr + l,
+                   tc + l, e, e, soa.data() + l, end - l);
+            l = end;
+        }
     }
 }
 
-/** Staged transforms: fn(b, c) per (image, channel) plane in parallel,
- *  timed as `stage`. Planes are independent (overlap-add collides only
- *  within one), so any thread count is bitwise identical to serial. */
+/**
+ * Staged transforms: fn(b0, nimg, c) per task in parallel, timed as
+ * `stage`. A task is one (image, channel) plane, or, when a plane of
+ * `spatial` holds fewer than kTilePanel tiles, every image of one
+ * channel (so its panels run full). Planes are independent (overlap-
+ * add collides only within one) and each plane's tiles stay in one
+ * task, in order, so any thread count is bitwise identical to serial.
+ */
 template <class Fn>
 void
-forEachPlane(const char *stage, double tileFlops, int nb, int nc, int nt,
-             const Fn &fn)
+forEachPlane(const char *stage, double tileFlops, const Tensor &spatial,
+             int nt, const Fn &fn)
 {
+    const int nb = spatial.n(), nc = spatial.c();
     StageTimer probe(stage, tileFlops * nb * nc * nt);
-    parallelFor(0, std::int64_t(nb) * nc, 1,
+    const int nimg =
+        nt < mk::kTilePanel &&
+                spatial.size() <= std::size_t(std::numeric_limits<int>::max())
+            ? nb
+            : 1;
+    parallelFor(0, std::int64_t(nb / nimg) * nc, 1,
                 [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t bc = lo; bc < hi; ++bc)
-            fn(int(bc / nc), int(bc % nc));
+            fn(int(bc / nc) * nimg, nimg, int(bc % nc));
     });
 }
 
@@ -224,10 +286,11 @@ transformInputStaged(const Tensor &x, const WinogradAlgo &algo,
                   "transformInputInto destination shape mismatch");
     const int a = algo.alpha;
     const int nt = grid.tiles();
-    forEachPlane("xform.input", 4.0 * a * a * a, x.n(), x.c(), nt,
-                 [&](int b, int c) {
-        toTilesBody(x, grid, b, c, 0, nt, algo.BT, algo.B, 0, out, b,
-                    halfKind, mask);
+    const Xform xf(algo.BT, algo.B);
+    forEachPlane("xform.input", 4.0 * a * a * a, x, nt,
+                 [&](int b0, int nimg, int c) {
+        toTilesBody(x, grid, b0, nimg, c, 0, nt, xf, 0, out, b0, halfKind,
+                    mask);
     });
     if (mask)
         publishMaskTally(*mask, x.n() * x.c(), nt);
@@ -242,9 +305,10 @@ transformInputRangeImpl(const Tensor &x, const WinogradAlgo &algo,
     winomc_assert(Xs.alphaEdge() == algo.alpha && Xs.batch() == 1 &&
                   Xs.channels() == x.c() && Xs.tiles() >= tcnt,
                   "transformInputRange scratch shape mismatch");
+    const Xform xf(algo.BT, algo.B);
     for (int c = 0; c < x.c(); ++c)
-        toTilesBody(x, grid, b, c, t0, tcnt, algo.BT, algo.B, 0, Xs, 0,
-                    halfKind, mask);
+        toTilesBody(x, grid, b, 1, c, t0, tcnt, xf, 0, Xs, 0, halfKind,
+                    mask);
     if (mask)
         publishMaskTally(*mask, x.c(), tcnt);
 }
@@ -555,10 +619,10 @@ transformInputAdjointInto(const WinoTiles &dX, const WinogradAlgo &algo,
     dx.fill(0.0f); // overlap-add target
     const int a = algo.alpha;
     const int nt = grid.tiles();
-    forEachPlane("xform.input_adjoint", 4.0 * a * a * a, dX.batch(),
-                 dX.channels(), nt, [&](int b, int c) {
-        fromTilesBody(dX, b, algo.B, algo.BT, 0, true, grid, b, c, 0, nt,
-                      dx);
+    const Xform xf(algo.B, algo.BT);
+    forEachPlane("xform.input_adjoint", 4.0 * a * a * a, dx, nt,
+                 [&](int b0, int nimg, int c) {
+        fromTilesBody(dX, b0, xf, 0, true, grid, b0, nimg, c, 0, nt, dx);
     });
 }
 
@@ -804,10 +868,11 @@ inverseTransformInto(const WinoTiles &Y, const WinogradAlgo &algo,
     const int a = algo.alpha;
     const int m = algo.m;
     const int nt = grid.tiles();
-    forEachPlane("xform.inverse", 2.0 * m * a * (a + m), Y.batch(),
-                 Y.channels(), nt, [&](int b, int c) {
-        fromTilesBody(Y, b, algo.AT, algo.A, grid.pad, false, grid, b, c,
-                      0, nt, y);
+    const Xform xf(algo.AT, algo.A);
+    forEachPlane("xform.inverse", 2.0 * m * a * (a + m), y, nt,
+                 [&](int b0, int nimg, int c) {
+        fromTilesBody(Y, b0, xf, grid.pad, false, grid, b0, nimg, c, 0, nt,
+                      y);
     });
 }
 
@@ -833,10 +898,10 @@ inverseTransformAdjointInto(const Tensor &dy, const WinogradAlgo &algo,
     const int a = algo.alpha;
     const int m = algo.m;
     const int nt = grid.tiles();
-    forEachPlane("xform.inverse_adjoint", 2.0 * m * a * (a + m), dy.n(),
-                 dy.c(), nt, [&](int b, int c) {
-        toTilesBody(dy, grid, b, c, 0, nt, algo.A, algo.AT, grid.pad, dY,
-                    b);
+    const Xform xf(algo.A, algo.AT);
+    forEachPlane("xform.inverse_adjoint", 2.0 * m * a * (a + m), dy, nt,
+                 [&](int b0, int nimg, int c) {
+        toTilesBody(dy, grid, b0, nimg, c, 0, nt, xf, grid.pad, dY, b0);
     });
 }
 
@@ -876,9 +941,10 @@ inverseTransformRange(const WinoTiles &Ys, const WinogradAlgo &algo,
     winomc_assert(Ys.batch() == 1 && Ys.channels() == y.c() &&
                   Ys.tiles() >= tcnt,
                   "inverseTransformRange scratch shape mismatch");
+    const Xform xf(algo.AT, algo.A);
     for (int c = 0; c < y.c(); ++c)
-        fromTilesBody(Ys, 0, algo.AT, algo.A, grid.pad, false, grid, b, c,
-                      t0, tcnt, y);
+        fromTilesBody(Ys, 0, xf, grid.pad, false, grid, b, 1, c, t0, tcnt,
+                      y);
 }
 
 void

@@ -107,8 +107,9 @@ class HalfTiles
  * Word layout: one contiguous region of `wordsPerPlane` uint64 words
  * per (c, b) plane at region base (c * batch + b) * wordsPerPlane; bit
  * index within the region is panel * uvCount + uv. The parallel input
- * transform partitions work by (b, c) plane, so each region has
- * exactly one writer and plain read-modify-write is race-free.
+ * transform partitions work by (b, c) plane (by channel on maps of
+ * fewer than kTilePanel tiles), so each region has exactly one writer
+ * and plain read-modify-write is race-free.
  */
 class ActMask
 {

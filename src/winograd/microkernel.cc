@@ -11,13 +11,16 @@
 
 #include "winograd/microkernel.hh"
 
+#include <array>
 #include <atomic>
 #include <mutex>
 #include <string>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "winograd/exec_config.hh"
+#include "winograd/xform_tables.hh"
 
 namespace winomc::mk {
 
@@ -80,6 +83,47 @@ usable(Isa isa)
     return cpuHas(isa) && tableFor(isa) != nullptr;
 }
 
+/** Tabled transform Id's sandwich matrix M (rows x cols), row-major. */
+struct TabledMatrix
+{
+    int rows, cols;
+    std::array<double, kMaxTileEdge * kMaxTileEdge> m;
+};
+
+template <int Id>
+constexpr TabledMatrix
+tabledMatrix()
+{
+    using M = xf::TabledXform<Id>;
+    TabledMatrix t{M::rows, M::cols, {}};
+    for (int i = 0; i < M::rows; ++i)
+        for (int j = 0; j < M::cols; ++j)
+            t.m[std::size_t(i * M::cols + j)] = M::at(i, j);
+    return t;
+}
+
+constexpr auto kTabledMatrices =
+    []<int... Id>(std::integer_sequence<int, Id...>) {
+        return std::array<TabledMatrix, sizeof...(Id)>{
+            tabledMatrix<Id>()...};
+    }(std::make_integer_sequence<int, xf::kTabledXforms>{});
+
+/** Is (L: p x n, R: n x p) the pair (M, M^T) of tabled matrix t? */
+bool
+isTabledPair(const TabledMatrix &t, const double *L, int p, int n,
+             const double *R)
+{
+    if (t.rows != p || t.cols != n)
+        return false;
+    for (int i = 0; i < p; ++i)
+        for (int j = 0; j < n; ++j) {
+            const double v = t.m[std::size_t(i * n + j)];
+            if (L[i * n + j] != v || R[j * p + i] != v)
+                return false;
+        }
+    return true;
+}
+
 } // namespace
 
 Isa
@@ -128,6 +172,28 @@ kernels()
     metrics::gaugeSet("kernel.isa.level", double(int(t->isa)));
     slot.store(t, std::memory_order_release);
     return *t;
+}
+
+XformBodies
+xformBodies(const MicroKernels &K, const double *L, int p, int n,
+            const double *R, int k, int q)
+{
+    XformBodies out{K.xformFromTiles, K.xformToTiles, K.xformToTilesHalf};
+    if (!K.tabled || k != n || q != p)
+        return out;
+    for (int id = 0; id < xf::kTabledXforms; ++id) {
+        if (!isTabledPair(kTabledMatrices[std::size_t(id)], L, p, n, R))
+            continue;
+        const XformBodies &tb = K.tabled[id];
+        if (tb.fromTiles)
+            out.fromTiles = tb.fromTiles;
+        if (tb.toTiles)
+            out.toTiles = tb.toTiles;
+        if (tb.toTilesHalf)
+            out.toTilesHalf = tb.toTilesHalf;
+        break;
+    }
+    return out;
 }
 
 Isa

@@ -57,9 +57,38 @@ constexpr int kTilePanel = 16;
  *  call (a full block keeps kDotBlock^2 accumulators per chain). */
 constexpr int kDotBlock = 4;
 
+/** Largest patch edge (eh, ew, and every transform dimension) the
+ *  tile-panel kernels take: the alpha of F(6x6, 3x3). */
+constexpr int kMaxTileEdge = 8;
+
+/** Signatures of the three tile-panel sandwich bodies; see
+ *  MicroKernels::xformFromTiles / xformToTiles / xformToTilesHalf. */
+using XformFromTilesFn = void (*)(const double *L, int p, int n,
+                                  const double *R, int k, int q,
+                                  const float *in, std::size_t inStride,
+                                  double *out, int cnt);
+using XformToTilesFn = void (*)(const double *L, int p, int n,
+                                const double *R, int k, int q,
+                                const double *in, float *out,
+                                std::size_t outStride, int cnt);
+using XformToTilesHalfFn = void (*)(const double *L, int p, int n,
+                                    const double *R, int k, int q,
+                                    const double *in, std::uint16_t *out,
+                                    std::size_t outStride, int cnt,
+                                    int halfKind);
+
+/** The sandwich bodies one transform runs; see xformBodies(). */
+struct XformBodies
+{
+    XformFromTilesFn fromTiles;
+    XformToTilesFn toTiles;
+    XformToTilesHalfFn toTilesHalf;
+};
+
 /**
- * One resolved kernel table. All pointers are non-null; the scalar
- * table backs any primitive a vector TU does not specialize.
+ * One resolved kernel table. All function pointers are non-null
+ * (`tabled` may be); the scalar table backs any primitive a vector TU
+ * does not specialize.
  */
 struct MicroKernels
 {
@@ -103,33 +132,33 @@ struct MicroKernels
      * dense SoA double buffer out[e * kTilePanel + l] of p*q entries.
      * Dims: L is p x n, in is n x k (per lane), R is k x q.
      */
-    void (*xformFromTiles)(const double *L, int p, int n,
-                           const double *R, int k, int q,
-                           const float *in, std::size_t inStride,
-                           double *out, int cnt);
+    XformFromTilesFn xformFromTiles;
 
     /**
      * Mirror of xformFromTiles: dense SoA double input
      * in[e * kTilePanel + l] (n x k entries per lane), float SoA
      * output at out[e * outStride + l] (p*q entries).
      */
-    void (*xformToTiles)(const double *L, int p, int n,
-                         const double *R, int k, int q,
-                         const double *in, float *out,
-                         std::size_t outStride, int cnt);
+    XformToTilesFn xformToTiles;
 
     // --- tile-panel layout pack/unpack (spatial <-> blocked SoA) ----
 
     /**
      * Gather cnt (<= kTilePanel) spatial eh x ew patches into the
      * dense SoA double panel the transform kernels consume:
-     * soa[(i*ew + j) * kTilePanel + l] = plane[(tr[l]+i)*w + tc[l]+j]
+     * soa[(i*ew + j) * kTilePanel + l] =
+     *     plane[lanePlane[l] + (tr[l]+i)*w + tc[l]+j]
      * with 0.0 outside [0,h) x [0,w) (implicit padding / boundary
-     * crop; tr/tc may be negative). Surplus lanes l >= cnt of every
-     * entry are zeroed so whole-vector sweeps over the panel stay
-     * defined. tr/tc need only cnt valid entries.
+     * crop; tr/tc may be negative). Lane l reads the h x w plane that
+     * starts lanePlane[l] floats past `plane`: all zeros for a panel
+     * of one plane, image strides for a panel spanning the images of
+     * a small map (so every index must fit an int). Surplus lanes
+     * l >= cnt of every entry are zeroed so whole-vector sweeps over
+     * the panel stay defined. tr/tc/lanePlane need only cnt valid
+     * entries; eh, ew <= kMaxTileEdge.
      */
-    void (*packTilePanel)(double *soa, const float *plane, int h, int w,
+    void (*packTilePanel)(double *soa, const float *plane,
+                          const int *lanePlane, int h, int w,
                           const int *tr, const int *tc, int eh, int ew,
                           int cnt);
 
@@ -237,11 +266,16 @@ struct MicroKernels
      * round-to-nearest-even (common/half.hh), so every ISA level
      * writes identical bits.
      */
-    void (*xformToTilesHalf)(const double *L, int p, int n,
-                             const double *R, int k, int q,
-                             const double *in, std::uint16_t *out,
-                             std::size_t outStride, int cnt,
-                             int halfKind);
+    XformToTilesHalfFn xformToTilesHalf;
+
+    /**
+     * Sandwich bodies specialized on the compile-time coefficients of
+     * the tabled transforms (xform_tables.hh), indexed by tabled Id,
+     * or nullptr at a level without them (the scalar oracle). Within
+     * an entry only the bodies its orientation runs are set. Reach
+     * them through xformBodies(), never by Id.
+     */
+    const XformBodies *tabled;
 
     /**
      * Bit e (e < entries <= 64) of the result is 1 iff lanes
@@ -258,6 +292,23 @@ struct MicroKernels
                                        std::size_t stride, int entries,
                                        int cnt);
 };
+
+/**
+ * The bodies that compute out = L * in * R (L: p x n, R: k x q) at
+ * K's level. When (L, R) equals a tabled transform pair (B^T / B or
+ * A^T / A of F(2,3), F(4,3) or F(6,3)) and K specializes it, the
+ * result holds straight-line bodies over compile-time coefficients:
+ * a 0 coefficient folds away and +-1 becomes an add or subtract, but
+ * each entry keeps the dense chain order (acc = +0, then one fma per
+ * term in ascending order) with only the exact +0 terms dropped, so
+ * for finite inputs every body is bitwise the generic one. Matching
+ * is by value, so F(2,5), whose B^T is F(4,3)'s, runs the F(4,3)
+ * input bodies; anything else (F(2,5)'s A^T, the scalar level) gets
+ * K's generic bodies. Compares up to 128 doubles: resolve once per
+ * stage call.
+ */
+XformBodies xformBodies(const MicroKernels &K, const double *L, int p,
+                        int n, const double *R, int k, int q);
 
 /** halfKind selector for the 16-bit microkernel variants. */
 constexpr int kHalfBf16 = 0;

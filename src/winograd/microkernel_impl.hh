@@ -17,12 +17,27 @@
  * fixed ISA level is bitwise reproducible across runs and thread
  * counts. Reductions accumulate in double and combine lanes with a
  * fixed pairwise tree (simd::hsum).
+ *
+ * Transforms: DenseSandwich reads the coefficients at run time;
+ * TabledSandwich runs the same chains over the compile-time tables of
+ * xform_tables.hh and is bitwise DenseSandwich for finite inputs. The
+ * tile-panel pack and unpack are pure data movement (a float <->
+ * double convert at most), so every level is bitwise the scalar
+ * loops: AVX2 and AVX-512 pack with one masked gather per transform
+ * entry (SSE2 has no gather and keeps the loop), and unpack walks
+ * lanes in ascending order, the overlap-add's summation order.
  */
 
 #ifndef WINOMC_WINOGRAD_MICROKERNEL_IMPL_HH
 #define WINOMC_WINOGRAD_MICROKERNEL_IMPL_HH
 
+#include <algorithm>
+#include <array>
 #include <bit>
+#include <type_traits>
+#include <utility>
+
+#include "winograd/xform_tables.hh"
 
 namespace {
 namespace mkimpl {
@@ -147,45 +162,131 @@ dotBlockDouble(double *acc, int ldAcc, const float *const *a, int na,
 }
 
 /**
- * Shared SoA sandwich: out = L * in * R per lane, lanes processed
- * VD::W at a time. `loadIn(e, l0, lc)` yields entry e for lanes
- * [l0, l0 + lc); `store(e, l0, lc, v)` writes the output entry.
+ * The generic SoA sandwich: out = L * in * R per lane, lanes processed
+ * VD::W at a time, coefficients read at run time. Every entry is one
+ * fma chain from +0 over all terms in ascending order. `loadIn(e, l0,
+ * lc)` yields entry e for lanes [l0, l0 + lc); `store(e, l0, lc, v)`
+ * writes the output entry.
  */
-template <typename LoadFn, typename StoreFn>
-inline void
-sandwichPanel(const double *L, int p, int n, const double *R, int k,
-              int q, int cnt, LoadFn loadIn, StoreFn store)
+struct DenseSandwich
 {
-    for (int l0 = 0; l0 < cnt; l0 += VD::W) {
-        const int lc = cnt - l0 < VD::W ? cnt - l0 : VD::W;
-        VD tmp[8 * 8];
-        for (int i = 0; i < p; ++i) {
-            for (int j = 0; j < k; ++j) {
-                VD acc = VD::zero();
-                for (int t = 0; t < n; ++t)
-                    acc = VD::fma(VD::broadcast(L[i * n + t]),
-                                  loadIn(t * k + j, l0, lc), acc);
-                tmp[i * k + j] = acc;
+    template <typename LoadFn, typename StoreFn>
+    static void
+    run(const double *L, int p, int n, const double *R, int k, int q,
+        int cnt, LoadFn loadIn, StoreFn store)
+    {
+        for (int l0 = 0; l0 < cnt; l0 += VD::W) {
+            const int lc = cnt - l0 < VD::W ? cnt - l0 : VD::W;
+            VD tmp[8 * 8];
+            for (int i = 0; i < p; ++i) {
+                for (int j = 0; j < k; ++j) {
+                    VD acc = VD::zero();
+                    for (int t = 0; t < n; ++t)
+                        acc = VD::fma(VD::broadcast(L[i * n + t]),
+                                      loadIn(t * k + j, l0, lc), acc);
+                    tmp[i * k + j] = acc;
+                }
+            }
+            for (int i = 0; i < p; ++i) {
+                for (int j = 0; j < q; ++j) {
+                    VD acc = VD::zero();
+                    for (int t = 0; t < k; ++t)
+                        acc = VD::fma(VD::broadcast(R[t * q + j]),
+                                      tmp[i * k + t], acc);
+                    store(i * q + j, l0, lc, acc);
+                }
             }
         }
-        for (int i = 0; i < p; ++i) {
-            for (int j = 0; j < q; ++j) {
-                VD acc = VD::zero();
-                for (int t = 0; t < k; ++t)
-                    acc = VD::fma(VD::broadcast(R[t * q + j]),
-                                  tmp[i * k + t], acc);
-                store(i * q + j, l0, lc, acc);
-            }
+    }
+};
+
+/** f(std::integral_constant<int, I>{}) for I = 0 .. N-1, unrolled. */
+template <int N, typename F>
+[[gnu::always_inline]] inline void
+unrolled(F &&f)
+{
+    [&]<int... I>(std::integer_sequence<int, I...>) {
+        (f(std::integral_constant<int, I>{}), ...);
+    }(std::make_integer_sequence<int, N>{});
+}
+
+/**
+ * sum_t M(Row, t) * x[t * S] for t < M::cols, as DenseSandwich's fma
+ * chain computes it, on compile-time coefficients. Terms with a 0
+ * coefficient are dropped: the dense chain starts at +0 and can never
+ * reach -0 (x + y is -0 only if both are), so adding their exact ±0
+ * product changes nothing for finite x. A ±1 coefficient becomes an
+ * add or subtract, which is what fma(±1, x, acc) rounds to. The first
+ * surviving term still adds into +0, as the dense chain does.
+ */
+template <class M, int Row, int S, int T = 0>
+[[gnu::always_inline]] inline VD
+tabledChain(const VD *x, VD acc = VD::zero())
+{
+    if constexpr (T == M::cols) {
+        return acc;
+    } else {
+        constexpr double c = M::at(Row, T);
+        if constexpr (c == 0.0) {
+            return tabledChain<M, Row, S, T + 1>(x, acc);
+        } else {
+            VD next;
+            if constexpr (c == 1.0)
+                next = VD::add(acc, x[T * S]);
+            else if constexpr (c == -1.0)
+                next = VD::sub(acc, x[T * S]);
+            else
+                next = VD::fma(VD::broadcast(c), x[T * S], acc);
+            return tabledChain<M, Row, S, T + 1>(x, next);
         }
     }
 }
 
+/**
+ * DenseSandwich for out = M * in * M^T with M a tabled transform
+ * (xform_tables.hh): straight-line code whose independent chains the
+ * compiler interleaves. Bitwise DenseSandwich for finite inputs (see
+ * tabledChain); the run-time L/R/dims arguments are ignored.
+ */
+template <class M>
+struct TabledSandwich
+{
+    template <typename LoadFn, typename StoreFn>
+    static void
+    run(const double *, int, int, const double *, int, int, int cnt,
+        LoadFn loadIn, StoreFn store)
+    {
+        constexpr int p = M::rows, n = M::cols;
+        for (int l0 = 0; l0 < cnt; l0 += VD::W) {
+            const int lc = cnt - l0 < VD::W ? cnt - l0 : VD::W;
+            VD in[n * n], tmp[p * n];
+            unrolled<n * n>([&](auto e) { in[e] = loadIn(e, l0, lc); });
+            // tmp = M * in: column j of in has stride n.
+            unrolled<p>([&](auto i) {
+                unrolled<n>([&](auto j) {
+                    tmp[i * n + j] =
+                        tabledChain<M, decltype(i)::value, n>(in + j);
+                });
+            });
+            // out = tmp * M^T: entry (i, j) walks row j of M.
+            unrolled<p>([&](auto i) {
+                unrolled<p>([&](auto j) {
+                    store(i * p + j, l0, lc,
+                          tabledChain<M, decltype(j)::value, 1>(
+                              tmp + i * n));
+                });
+            });
+        }
+    }
+};
+
+template <class Body = DenseSandwich>
 void
 xformFromTiles(const double *L, int p, int n, const double *R, int k,
                int q, const float *in, std::size_t inStride, double *out,
                int cnt)
 {
-    sandwichPanel(
+    Body::run(
         L, p, n, R, k, q, cnt,
         [&](int e, int l0, int lc) {
             const float *src = in + std::size_t(e) * inStride + l0;
@@ -199,12 +300,13 @@ xformFromTiles(const double *L, int p, int n, const double *R, int k,
         });
 }
 
+template <class Body = DenseSandwich>
 void
 xformToTiles(const double *L, int p, int n, const double *R, int k,
              int q, const double *in, float *out, std::size_t outStride,
              int cnt)
 {
-    sandwichPanel(
+    Body::run(
         L, p, n, R, k, q, cnt,
         [&](int e, int l0, int) {
             return VD::load(in + e * kTilePanel + l0);
@@ -218,19 +320,178 @@ xformToTiles(const double *L, int p, int n, const double *R, int k,
         });
 }
 
+template <class Body = DenseSandwich>
+void
+xformToTilesHalf(const double *L, int p, int n, const double *R, int k,
+                 int q, const double *in, std::uint16_t *out,
+                 std::size_t outStride, int cnt, int halfKind)
+{
+    const bool bf16 = halfKind == winomc::mk::kHalfBf16;
+    Body::run(
+        L, p, n, R, k, q, cnt,
+        [&](int e, int l0, int) {
+            return VD::load(in + e * kTilePanel + l0);
+        },
+        [&](int e, int l0, int lc, VD v) {
+            // Round double -> float exactly as xformToTiles would,
+            // then encode with the software RNE reference so every
+            // ISA level writes identical bits.
+            float tmp[VD::W > 4 ? VD::W : 4] = {};
+            v.storeToFloat(tmp);
+            std::uint16_t *dst = out + std::size_t(e) * outStride + l0;
+            if (bf16)
+                for (int l = 0; l < lc; ++l)
+                    dst[l] = winomc::half::f32ToBf16(tmp[l]);
+            else
+                for (int l = 0; l < lc; ++l)
+                    dst[l] = winomc::half::f32ToF16(tmp[l]);
+        });
+}
+
+/** The bodies tabled transform Id runs: spatial -> tiles for the input
+ *  and inverse-adjoint orientations, tiles -> spatial for the others. */
+template <int Id>
+constexpr winomc::mk::XformBodies
+tabledBodies()
+{
+    using M = TabledSandwich<winomc::mk::xf::TabledXform<Id>>;
+    constexpr int o = Id % winomc::mk::xf::kOrients;
+    if constexpr (o == winomc::mk::xf::kInput ||
+                  o == winomc::mk::xf::kInverseAdjoint)
+        return {nullptr, xformToTiles<M>, xformToTilesHalf<M>};
+    else
+        return {xformFromTiles<M>, nullptr, nullptr};
+}
+
+constexpr auto kTabled =
+    []<int... Id>(std::integer_sequence<int, Id...>) {
+        return std::array<winomc::mk::XformBodies, sizeof...(Id)>{
+            tabledBodies<Id>()...};
+    }(std::make_integer_sequence<int, winomc::mk::xf::kTabledXforms>{});
+
+#if WINOMC_SIMD_LEVEL == 3
+
 /**
- * Layout pack/unpack between spatial planes and SoA tile panels.
- * These are pure data movement (a float->double widen at most), so
- * every ISA level shares the scalar loop structure — the strided
- * scatter/gather pattern (stride kTilePanel doubles per entry) does
- * not map onto contiguous vector loads, and bitwise parity with the
- * scalar oracle comes for free.
+ * Spatial -> SoA gather, one masked gather per transform entry: lane l
+ * of entry (i, j) loads plane[lanePlane[l] + (tr[l]+i)*w + tc[l]+j]
+ * when that pixel is inside the map and l < cnt, else +0.0 (padding,
+ * boundary crop and surplus lanes alike), so border panels take the
+ * same path as interior ones. Pure data movement: bitwise the scalar
+ * loop.
  */
 void
-packTilePanel(double *soa, const float *plane, int h, int w,
-              const int *tr, const int *tc, int eh, int ew, int cnt)
+packTilePanel(double *soa, const float *plane, const int *lanePlane,
+              int h, int w, const int *tr, const int *tc, int eh, int ew,
+              int cnt)
+{
+    const __mmask16 lanes = __mmask16((1u << cnt) - 1u);
+    const __m512i r0 = _mm512_maskz_loadu_epi32(lanes, tr);
+    const __m512i c0 = _mm512_maskz_loadu_epi32(lanes, tc);
+    const __m512i base = _mm512_add_epi32(
+        _mm512_maskz_loadu_epi32(lanes, lanePlane),
+        _mm512_add_epi32(_mm512_mullo_epi32(r0, _mm512_set1_epi32(w)),
+                         c0));
+    // Unsigned compares: a negative row or column wraps above h / w.
+    __mmask16 colIn[winomc::mk::kMaxTileEdge];
+    for (int j = 0; j < ew; ++j)
+        colIn[j] = _mm512_cmplt_epu32_mask(
+            _mm512_add_epi32(c0, _mm512_set1_epi32(j)),
+            _mm512_set1_epi32(w));
+    for (int i = 0; i < eh; ++i) {
+        const __mmask16 rowIn =
+            lanes & _mm512_cmplt_epu32_mask(
+                        _mm512_add_epi32(r0, _mm512_set1_epi32(i)),
+                        _mm512_set1_epi32(h));
+        const __m512i rowIdx =
+            _mm512_add_epi32(base, _mm512_set1_epi32(i * w));
+        for (int j = 0; j < ew; ++j) {
+            const __m512 v = _mm512_mask_i32gather_ps(
+                _mm512_setzero_ps(), __mmask16(rowIn & colIn[j]),
+                _mm512_add_epi32(rowIdx, _mm512_set1_epi32(j)), plane, 4);
+            double *dst = soa + std::size_t(i * ew + j) * kTilePanel;
+            _mm512_storeu_pd(dst,
+                             _mm512_cvtps_pd(_mm512_castps512_ps256(v)));
+            _mm512_storeu_pd(dst + 8,
+                             _mm512_cvtps_pd(_mm256_castpd_ps(
+                                 _mm512_extractf64x4_pd(
+                                     _mm512_castps_pd(v), 1))));
+        }
+    }
+}
+
+#elif WINOMC_SIMD_LEVEL == 2
+
+/**
+ * AVX2 form of the masked-gather pack: two 8-lane gathers per entry
+ * (the second skipped, stored as zeros, when cnt <= 8).
+ */
+void
+packTilePanel(double *soa, const float *plane, const int *lanePlane,
+              int h, int w, const int *tr, const int *tc, int eh, int ew,
+              int cnt)
+{
+    const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    const __m256i minus1 = _mm256_set1_epi32(-1);
+    const __m256i hv = _mm256_set1_epi32(h);
+    const __m256i wv = _mm256_set1_epi32(w);
+    for (int l0 = 0; l0 < kTilePanel; l0 += 8) {
+        if (cnt <= l0) {
+            for (int e = 0; e < eh * ew; ++e) {
+                double *dst = soa + std::size_t(e) * kTilePanel + l0;
+                _mm256_storeu_pd(dst, _mm256_setzero_pd());
+                _mm256_storeu_pd(dst + 4, _mm256_setzero_pd());
+            }
+            continue;
+        }
+        const __m256i lanes =
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(cnt - l0), iota);
+        const __m256i r0 = _mm256_maskload_epi32(tr + l0, lanes);
+        const __m256i c0 = _mm256_maskload_epi32(tc + l0, lanes);
+        const __m256i base = _mm256_add_epi32(
+            _mm256_maskload_epi32(lanePlane + l0, lanes),
+            _mm256_add_epi32(_mm256_mullo_epi32(r0, wv), c0));
+        // in-range(v, n): -1 < v && v < n.
+        const auto inRange = [&](__m256i v, __m256i n) {
+            return _mm256_and_si256(_mm256_cmpgt_epi32(v, minus1),
+                                    _mm256_cmpgt_epi32(n, v));
+        };
+        __m256i colIn[winomc::mk::kMaxTileEdge];
+        for (int j = 0; j < ew; ++j)
+            colIn[j] = inRange(
+                _mm256_add_epi32(c0, _mm256_set1_epi32(j)), wv);
+        for (int i = 0; i < eh; ++i) {
+            const __m256i rowIn = _mm256_and_si256(
+                lanes,
+                inRange(_mm256_add_epi32(r0, _mm256_set1_epi32(i)), hv));
+            const __m256i rowIdx =
+                _mm256_add_epi32(base, _mm256_set1_epi32(i * w));
+            for (int j = 0; j < ew; ++j) {
+                const __m256 v = _mm256_mask_i32gather_ps(
+                    _mm256_setzero_ps(), plane,
+                    _mm256_add_epi32(rowIdx, _mm256_set1_epi32(j)),
+                    _mm256_castsi256_ps(_mm256_and_si256(rowIn, colIn[j])),
+                    4);
+                double *dst =
+                    soa + std::size_t(i * ew + j) * kTilePanel + l0;
+                _mm256_storeu_pd(dst,
+                                 _mm256_cvtps_pd(_mm256_castps256_ps128(v)));
+                _mm256_storeu_pd(dst + 4,
+                                 _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)));
+            }
+        }
+    }
+}
+
+#else
+
+/** SSE2 has no gather: the scalar loop structure, bounds per element. */
+void
+packTilePanel(double *soa, const float *planes, const int *lanePlane,
+              int h, int w, const int *tr, const int *tc, int eh, int ew,
+              int cnt)
 {
     for (int l = 0; l < cnt; ++l) {
+        const float *plane = planes + lanePlane[l];
         const int r0 = tr[l];
         const int c0 = tc[l];
         for (int i = 0; i < eh; ++i) {
@@ -252,49 +513,66 @@ packTilePanel(double *soa, const float *plane, int h, int w,
                 soa[std::size_t(e) * kTilePanel + l] = 0.0;
 }
 
-void
-unpackTilePanel(float *plane, int h, int w, const int *tr, const int *tc,
-                int eh, int ew, const double *soa, int cnt)
+#endif
+
+template <bool kAdd>
+inline void
+putFloat(float &dst, double v)
 {
-    for (int l = 0; l < cnt; ++l) {
-        const int r0 = tr[l];
-        const int c0 = tc[l];
-        for (int i = 0; i < eh; ++i) {
-            const int rr = r0 + i;
-            if (rr < 0 || rr >= h)
-                continue; // boundary crop
-            float *row = plane + std::size_t(rr) * w;
-            for (int j = 0; j < ew; ++j) {
-                const int cc = c0 + j;
-                if (cc < 0 || cc >= w)
-                    continue;
-                row[cc] =
-                    float(soa[std::size_t(i * ew + j) * kTilePanel + l]);
-            }
-        }
-    }
+    if constexpr (kAdd)
+        dst += float(v);
+    else
+        dst = float(v);
 }
 
+/** One lane's eh x EW block, wholly inside the map, from the SoA
+ *  panel (src = soa + lane) to the plane at `row`: no tests, and the
+ *  row unrolled at its compile-time width. */
+template <bool kAdd, int EW>
 void
-unpackAddTilePanel(float *plane, int h, int w, const int *tr,
-                   const int *tc, int eh, int ew, const double *soa,
-                   int cnt)
+unpackInsideLane(float *row, int w, int eh, const double *src)
 {
+    for (int i = 0; i < eh; ++i, row += w, src += EW * kTilePanel)
+        unrolled<EW>([&](auto j) {
+            putFloat<kAdd>(row[j], src[j * kTilePanel]);
+        });
+}
+
+template <bool kAdd>
+constexpr auto kUnpackInside =
+    []<int... J>(std::integer_sequence<int, J...>) {
+        return std::array{unpackInsideLane<kAdd, J + 1>...};
+    }(std::make_integer_sequence<int, winomc::mk::kMaxTileEdge>{});
+
+/**
+ * SoA -> spatial scatter (kAdd: overlap-add), lanes strictly in
+ * ascending order — the order the overlap-add sums in is part of the
+ * bitwise contract. A lane whose eh x ew block lies inside the map
+ * stores without per-element tests; a border lane crops its block to
+ * the map once. Pure data movement: bitwise the scalar loops.
+ */
+template <bool kAdd>
+void
+unpackPanel(float *plane, int h, int w, const int *tr, const int *tc,
+            int eh, int ew, const double *soa, int cnt)
+{
+    const auto inside = kUnpackInside<kAdd>[std::size_t(ew - 1)];
     for (int l = 0; l < cnt; ++l) {
         const int r0 = tr[l];
         const int c0 = tc[l];
-        for (int i = 0; i < eh; ++i) {
-            const int rr = r0 + i;
-            if (rr < 0 || rr >= h)
-                continue;
-            float *row = plane + std::size_t(rr) * w;
-            for (int j = 0; j < ew; ++j) {
-                const int cc = c0 + j;
-                if (cc < 0 || cc >= w)
-                    continue;
-                row[cc] +=
-                    float(soa[std::size_t(i * ew + j) * kTilePanel + l]);
-            }
+        const double *src = soa + l;
+        if (r0 >= 0 && c0 >= 0 && r0 + eh <= h && c0 + ew <= w) {
+            inside(plane + std::size_t(r0) * w + c0, w, eh, src);
+            continue;
+        }
+        // Border lane: crop the block to the map once, not per entry.
+        const int i1 = std::min(eh, h - r0);
+        const int j0 = std::max(0, -c0), j1 = std::min(ew, w - c0);
+        for (int i = std::max(0, -r0); i < i1; ++i) {
+            float *row = plane + std::size_t(r0 + i) * w;
+            const double *s = src + std::size_t(i * ew) * kTilePanel;
+            for (int j = j0; j < j1; ++j)
+                putFloat<kAdd>(row[c0 + j], s[j * kTilePanel]);
         }
     }
 }
@@ -480,33 +758,6 @@ panelAccumHalf(float *y, const std::uint16_t *const *x, const float *w,
     }
 }
 
-void
-xformToTilesHalf(const double *L, int p, int n, const double *R, int k,
-                 int q, const double *in, std::uint16_t *out,
-                 std::size_t outStride, int cnt, int halfKind)
-{
-    const bool bf16 = halfKind == winomc::mk::kHalfBf16;
-    sandwichPanel(
-        L, p, n, R, k, q, cnt,
-        [&](int e, int l0, int) {
-            return VD::load(in + e * kTilePanel + l0);
-        },
-        [&](int e, int l0, int lc, VD v) {
-            // Round double -> float exactly as xformToTiles would,
-            // then encode with the software RNE reference so every
-            // ISA level writes identical bits.
-            float tmp[VD::W > 4 ? VD::W : 4];
-            v.storeToFloat(tmp);
-            std::uint16_t *dst = out + std::size_t(e) * outStride + l0;
-            if (bf16)
-                for (int l = 0; l < lc; ++l)
-                    dst[l] = winomc::half::f32ToBf16(tmp[l]);
-            else
-                for (int l = 0; l < lc; ++l)
-                    dst[l] = winomc::half::f32ToF16(tmp[l]);
-        });
-}
-
 std::uint64_t
 panelZeroMask(const float *x, std::size_t stride, int entries, int cnt)
 {
@@ -583,15 +834,15 @@ avgPool2Row(float *y, const float *r0, const float *r1, int outW)
             isaEnum,          isaStr,                                     \
             simd::VF::W,      simd::VD::W,                                \
             mkimpl::panelAccum,     mkimpl::dotBlockDouble,               \
-            mkimpl::xformFromTiles, mkimpl::xformToTiles,                 \
-            mkimpl::packTilePanel,  mkimpl::unpackTilePanel,              \
-            mkimpl::unpackAddTilePanel,                                   \
+            mkimpl::xformFromTiles<>, mkimpl::xformToTiles<>,             \
+            mkimpl::packTilePanel,  mkimpl::unpackPanel<false>,           \
+            mkimpl::unpackPanel<true>,                                    \
             mkimpl::rowAccumDouble, mkimpl::sumDouble,                    \
             mkimpl::reluForward,    mkimpl::mulPairwise,                  \
             mkimpl::axpy,           mkimpl::avgPool2Row,                  \
             mkimpl::panelAccumSel,  mkimpl::panelAccumGrouped,            \
             mkimpl::panelAccumHalf,                                       \
-            mkimpl::xformToTilesHalf,                                     \
+            mkimpl::xformToTilesHalf<>, mkimpl::kTabled.data(),           \
             mkimpl::panelZeroMask,  mkimpl::panelZeroMaskHalf,            \
         };                                                                \
         return &table;                                                    \

@@ -126,12 +126,14 @@ xformToTiles(const double *L, int p, int n, const double *R, int k,
 }
 
 void
-packTilePanel(double *soa, const float *plane, int h, int w,
-              const int *tr, const int *tc, int eh, int ew, int cnt)
+packTilePanel(double *soa, const float *planes, const int *lanePlane,
+              int h, int w, const int *tr, const int *tc, int eh, int ew,
+              int cnt)
 {
     // Mirrors the spatial gather loops the staged transforms used
     // inline: per lane, row-bounds hoisted, zero outside the plane.
     for (int l = 0; l < cnt; ++l) {
+        const float *plane = planes + lanePlane[l];
         const int r0 = tr[l];
         const int c0 = tc[l];
         for (int i = 0; i < eh; ++i) {
@@ -416,6 +418,7 @@ const winomc::mk::MicroKernels kTable = {
     panelAccumGrouped,
     panelAccumHalf,
     xformToTilesHalf,
+    nullptr, // tabled: the oracle runs only the generic sandwich
     panelZeroMask,
     panelZeroMaskHalf,
 };

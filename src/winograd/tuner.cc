@@ -31,13 +31,17 @@ namespace {
 //
 // Calibrated against the committed BENCH_wino.json stage rates on the
 // reference host: the element-wise GEMM stage runs near the vector
-// peak, the transform stages run well below it (scalar sandwich
-// arithmetic, gather-heavy access), and their efficiency drops with
-// the tile edge — the large-alpha transform matrices are dense in
-// non-trivial coefficients, so the "2*alpha^3 MACs" upper bound the
-// cost model charges is increasingly real work. The absolute numbers
-// matter less than the ratios: they are what ranks F(4,3) above
-// F(6,3) on the paper's layer shapes, matching measurement.
+// peak, and the transform stages run below it. Those rates predate
+// the tabled transforms (DESIGN §4.10: straight-line sandwiches over
+// compile-time F(m,3) coefficients and a gathered tile pack), which
+// run the stages 2-3x faster; kXfGflops keeps the old rate until the
+// tuner's rates come from an on-host probe, so picks do not move.
+// Efficiency drops with the tile edge — the large-alpha transform
+// matrices are dense in non-trivial coefficients, so the
+// "2*alpha^3 MACs" upper bound the cost model charges is increasingly
+// real work. The absolute numbers matter less than the ratios: they
+// are what ranks F(4,3) above F(6,3) on the paper's layer shapes,
+// matching measurement.
 
 constexpr double kDirectGflops = 6.0; ///< direct conv loops
 constexpr double kEwGflops = 25.0;    ///< element-wise GEMM stage

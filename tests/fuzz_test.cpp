@@ -13,18 +13,27 @@
  * usable ISA at 1 and 4 threads. Geometry i is drawn from seed
  * kSeed0 + i; a failure prints that seed and the geometry on one line,
  * so it reproduces alone.
+ *
+ * The tile-panel layout kernels (packTilePanel, unpackTilePanel,
+ * unpackAddTilePanel) are fuzzed the same way against naive per-lane
+ * loops: random maps, patch edges, origins before, inside and past
+ * the map, lane counts 1-16, and pack lanes spread over up to four
+ * planes, bitwise at every usable ISA.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "winograd/conv.hh"
+#include "winograd/microkernel.hh"
 
 #include "exec_scope.hh"
 
@@ -177,4 +186,169 @@ TEST(DirectFuzz, ForwardAndBackwardDataMatchNaiveOraclesBitwise)
     }
     // The draw must leave most geometries usable.
     EXPECT_GT(checked, kGeometries / 2);
+}
+
+namespace {
+
+constexpr unsigned kPanelSeed0 = 0x9a7e0;
+constexpr int kPanels = 600;
+constexpr int P = mk::kTilePanel;
+
+struct PanelCase
+{
+    int h, w, eh, ew, cnt;
+    int planes, planeStride; // pack reads `planes` maps this far apart
+    std::vector<int> tr, tc, lanePlane; // exactly cnt entries each
+
+    std::string
+    str() const
+    {
+        std::ostringstream os;
+        os << "map " << h << "x" << w << " patch " << eh << "x" << ew
+           << " cnt " << cnt << " plane stride " << planeStride
+           << " origins";
+        for (int l = 0; l < cnt; ++l)
+            os << " (" << lanePlane[std::size_t(l)] / planeStride << ":"
+               << tr[std::size_t(l)] << "," << tc[std::size_t(l)] << ")";
+        return os.str();
+    }
+};
+
+PanelCase
+drawPanel(Rng &rng)
+{
+    PanelCase c;
+    c.h = int(rng.uniformInt(1, 24));
+    c.w = int(rng.uniformInt(1, 24));
+    c.eh = int(rng.uniformInt(1, mk::kMaxTileEdge));
+    c.ew = int(rng.uniformInt(1, mk::kMaxTileEdge));
+    c.cnt = int(rng.uniformInt(1, P));
+    c.planes = int(rng.uniformInt(1, 4));
+    c.planeStride = c.h * c.w + int(rng.uniformInt(0, 5));
+    int plane = 0;
+    for (int l = 0; l < c.cnt; ++l) {
+        // Lanes walk the planes in order, as a panel spanning the
+        // images of a small map does.
+        if (plane + 1 < c.planes && rng.uniformInt(0, 3) == 0)
+            ++plane;
+        c.lanePlane.push_back(plane * c.planeStride);
+        // Some patches start before the map, some run past its far
+        // edge, some lie wholly outside.
+        c.tr.push_back(int(rng.uniformInt(-c.eh - 1, c.h + 1)));
+        c.tc.push_back(int(rng.uniformInt(-c.ew - 1, c.w + 1)));
+    }
+    return c;
+}
+
+/** Random plane with exact ±0 mixed in. */
+std::vector<float>
+randomPlane(Rng &rng, int n)
+{
+    std::vector<float> v(static_cast<std::size_t>(n));
+    for (float &x : v) {
+        x = float(-1.0 + 2.0 * rng.uniform());
+        if (rng.uniformInt(0, 9) == 0)
+            x = rng.uniformInt(0, 1) ? 0.0f : -0.0f;
+    }
+    return v;
+}
+
+bool
+inMap(const PanelCase &c, int r, int col)
+{
+    return r >= 0 && r < c.h && col >= 0 && col < c.w;
+}
+
+std::vector<double>
+naivePack(const PanelCase &c, const std::vector<float> &planes)
+{
+    std::vector<double> soa(std::size_t(c.eh * c.ew * P), 0.0);
+    for (int l = 0; l < c.cnt; ++l)
+        for (int i = 0; i < c.eh; ++i)
+            for (int j = 0; j < c.ew; ++j) {
+                const int r = c.tr[std::size_t(l)] + i;
+                const int col = c.tc[std::size_t(l)] + j;
+                if (inMap(c, r, col))
+                    soa[std::size_t((i * c.ew + j) * P + l)] =
+                        planes[std::size_t(c.lanePlane[std::size_t(l)] +
+                                           r * c.w + col)];
+            }
+    return soa;
+}
+
+void
+naiveUnpack(const PanelCase &c, const std::vector<double> &soa, bool add,
+            std::vector<float> &plane)
+{
+    for (int l = 0; l < c.cnt; ++l)
+        for (int i = 0; i < c.eh; ++i)
+            for (int j = 0; j < c.ew; ++j) {
+                const int r = c.tr[std::size_t(l)] + i;
+                const int col = c.tc[std::size_t(l)] + j;
+                if (!inMap(c, r, col))
+                    continue;
+                const float v =
+                    float(soa[std::size_t((i * c.ew + j) * P + l)]);
+                float &dst = plane[std::size_t(r * c.w + col)];
+                dst = add ? dst + v : v;
+            }
+}
+
+template <class T>
+bool
+sameBits(const std::vector<T> &a, const std::vector<T> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+} // namespace
+
+TEST(PanelFuzz, PackAndUnpackMatchNaiveLoopsBitwise)
+{
+    test::ExecScope scope;
+    for (int n = 0; n < kPanels; ++n) {
+        const unsigned seed = kPanelSeed0 + unsigned(n);
+        Rng rng(seed);
+        const PanelCase c = drawPanel(rng);
+        const std::vector<float> planes =
+            randomPlane(rng, (c.planes - 1) * c.planeStride + c.h * c.w);
+        const std::vector<double> soaRef = naivePack(c, planes);
+        std::vector<double> soaIn(soaRef.size());
+        for (double &v : soaIn)
+            v = float(-1.0 + 2.0 * rng.uniform());
+        std::vector<float> storeRef = randomPlane(rng, c.h * c.w);
+        std::vector<float> addRef = storeRef;
+        const std::vector<float> base = storeRef;
+        naiveUnpack(c, soaIn, false, storeRef);
+        naiveUnpack(c, soaIn, true, addRef);
+
+        for (mk::Isa isa : test::usableIsas()) {
+            ScopedExecConfig isaScope(test::withIsa(isa));
+            const mk::MicroKernels &K = mk::kernels();
+            const std::string where = "seed " + std::to_string(seed) +
+                                      " " + c.str() + " isa " +
+                                      mk::isaName(isa);
+            // NaN poison: every lane of every entry, surplus lanes
+            // included, must be written (zeros past cnt).
+            std::vector<double> soa(
+                soaRef.size(), std::numeric_limits<double>::quiet_NaN());
+            K.packTilePanel(soa.data(), planes.data(), c.lanePlane.data(),
+                            c.h, c.w, c.tr.data(), c.tc.data(), c.eh, c.ew,
+                            c.cnt);
+            if (!sameBits(soa, soaRef))
+                ADD_FAILURE() << "pack differs: " << where;
+            std::vector<float> out = base;
+            K.unpackTilePanel(out.data(), c.h, c.w, c.tr.data(),
+                              c.tc.data(), c.eh, c.ew, soaIn.data(), c.cnt);
+            if (!sameBits(out, storeRef))
+                ADD_FAILURE() << "unpack differs: " << where;
+            out = base;
+            K.unpackAddTilePanel(out.data(), c.h, c.w, c.tr.data(),
+                                 c.tc.data(), c.eh, c.ew, soaIn.data(),
+                                 c.cnt);
+            if (!sameBits(out, addRef))
+                ADD_FAILURE() << "unpack-add differs: " << where;
+        }
+    }
 }

@@ -19,6 +19,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hh"
@@ -26,6 +28,8 @@
 #include "winograd/algo.hh"
 #include "winograd/conv.hh"
 #include "winograd/microkernel.hh"
+#include "winograd/tiling.hh"
+#include "winograd/xform_tables.hh"
 
 #include "exec_scope.hh"
 
@@ -117,6 +121,8 @@ TEST_F(SimdTest, EveryUsableTableIsFullyPopulated)
         EXPECT_NE(K.dotBlockDouble, nullptr);
         EXPECT_NE(K.xformFromTiles, nullptr);
         EXPECT_NE(K.xformToTiles, nullptr);
+        EXPECT_NE(K.xformToTilesHalf, nullptr);
+        EXPECT_EQ(K.tabled == nullptr, isa == mk::Isa::Scalar);
         EXPECT_NE(K.rowAccumDouble, nullptr);
         EXPECT_NE(K.sumDouble, nullptr);
         EXPECT_NE(K.reluForward, nullptr);
@@ -502,6 +508,233 @@ TEST_F(SimdTest, AvgPool2RowBitwiseAcrossIsas)
             EXPECT_EQ(0, std::memcmp(yS.data(), yV.data(),
                                      std::size_t(outW) * 4))
                 << mk::isaName(isa) << " outW=" << outW;
+        }
+    }
+}
+
+// ------------------------------------------------------------------
+// Tabled transforms: compile-time coefficients vs the generic bodies
+// ------------------------------------------------------------------
+
+/** Sandwich matrix M of tabled transform Id, dense row-major. */
+template <int Id>
+std::vector<double>
+tabledMatrix()
+{
+    using M = mk::xf::TabledXform<Id>;
+    std::vector<double> out;
+    for (int i = 0; i < M::rows; ++i)
+        for (int t = 0; t < M::cols; ++t)
+            out.push_back(M::at(i, t));
+    return out;
+}
+
+/** The Toom-Cook matrix tabled transform `id` claims to hold. */
+const Matrix &
+toomCookMatrix(int id)
+{
+    const WinogradAlgo &algo = algoForTile(2 + 2 * (id / 4));
+    const Matrix *byOrient[] = {&algo.BT, &algo.B, &algo.AT, &algo.A};
+    return *byOrient[id % 4];
+}
+
+TEST_F(SimdTest, CoefficientTablesMatchToomCookBitwise)
+{
+    static_assert(mk::xf::kTabledXforms == 12,
+                  "F(2,3), F(4,3), F(6,3) x four orientations");
+    const auto tables = []<int... Id>(std::integer_sequence<int, Id...>) {
+        return std::vector<std::vector<double>>{tabledMatrix<Id>()...};
+    }(std::make_integer_sequence<int, mk::xf::kTabledXforms>{});
+    for (int id = 0; id < mk::xf::kTabledXforms; ++id) {
+        const Matrix &M = toomCookMatrix(id);
+        ASSERT_EQ(tables[id].size(), std::size_t(M.rows() * M.cols()))
+            << "tabled transform " << id;
+        EXPECT_EQ(0, std::memcmp(tables[id].data(), M.data(),
+                                 tables[id].size() * sizeof(double)))
+            << "tabled transform " << id << " differs from "
+            << "generateToomCook";
+    }
+}
+
+TEST_F(SimdTest, TabledTransformsBitwiseMatchGenericBodies)
+{
+    constexpr int P = mk::kTilePanel;
+    constexpr std::size_t kStride = 19; // tile-row stride > one panel
+    Rng rng(91);
+    // Finite panel values with exact ±0 mixed in (ReLU and its
+    // backward produce both); widened floats, as packTilePanel makes.
+    const auto draw = [&rng](std::size_t i) {
+        if (i % 11 == 0)
+            return 0.0;
+        if (i % 13 == 0)
+            return -0.0;
+        return double(float(-2.0 + 4.0 * rng.uniform()));
+    };
+    for (mk::Isa isa : usableIsas()) {
+        ScopedExecConfig isaScope(withIsa(isa));
+        const mk::MicroKernels &K = mk::kernels();
+        for (int id = 0; id < 12; ++id) {
+            const Matrix &L = toomCookMatrix(id);
+            const Matrix R = L.transposed();
+            const int p = L.rows(), n = L.cols();
+            const mk::XformBodies tb =
+                mk::xformBodies(K, L.data(), p, n, R.data(), n, p);
+            const bool toTiles = id % 4 == 0 || id % 4 == 3;
+            if (isa != mk::Isa::Scalar) {
+                // The orientation's own body really is specialized.
+                EXPECT_TRUE(toTiles ? tb.toTiles != K.xformToTiles &&
+                                          tb.toTilesHalf !=
+                                              K.xformToTilesHalf
+                                    : tb.fromTiles != K.xformFromTiles)
+                    << mk::isaName(isa) << " transform " << id;
+            }
+            for (int cnt = 1; cnt <= P; ++cnt) {
+                const std::string at = std::string(mk::isaName(isa)) +
+                                       " transform " +
+                                       std::to_string(id) + " cnt " +
+                                       std::to_string(cnt);
+                std::vector<double> soa(std::size_t(n * n * P));
+                std::vector<float> tiles(std::size_t(n * n) * kStride);
+                for (std::size_t i = 0; i < soa.size(); ++i)
+                    soa[i] = draw(i);
+                for (std::size_t i = 0; i < tiles.size(); ++i)
+                    tiles[i] = float(draw(i));
+
+                std::vector<double> fromG(std::size_t(p * p * P), -7.0),
+                    fromT = fromG;
+                K.xformFromTiles(L.data(), p, n, R.data(), n, p,
+                                 tiles.data(), kStride, fromG.data(), cnt);
+                tb.fromTiles(L.data(), p, n, R.data(), n, p, tiles.data(),
+                             kStride, fromT.data(), cnt);
+                EXPECT_EQ(0, std::memcmp(fromG.data(), fromT.data(),
+                                         fromG.size() * sizeof(double)))
+                    << "fromTiles " << at;
+
+                std::vector<float> toG(std::size_t(p * p) * kStride, -7.0f),
+                    toT = toG;
+                K.xformToTiles(L.data(), p, n, R.data(), n, p, soa.data(),
+                               toG.data(), kStride, cnt);
+                tb.toTiles(L.data(), p, n, R.data(), n, p, soa.data(),
+                           toT.data(), kStride, cnt);
+                EXPECT_EQ(0, std::memcmp(toG.data(), toT.data(),
+                                         toG.size() * sizeof(float)))
+                    << "toTiles " << at;
+
+                for (int kind : {mk::kHalfBf16, mk::kHalfF16}) {
+                    std::vector<std::uint16_t> hG(
+                        std::size_t(p * p) * kStride, 0x7777),
+                        hT = hG;
+                    K.xformToTilesHalf(L.data(), p, n, R.data(), n, p,
+                                       soa.data(), hG.data(), kStride, cnt,
+                                       kind);
+                    tb.toTilesHalf(L.data(), p, n, R.data(), n, p,
+                                   soa.data(), hT.data(), kStride, cnt,
+                                   kind);
+                    EXPECT_EQ(hG, hT) << "toTilesHalf " << kind << " " << at;
+                }
+            }
+        }
+        // Matching is by value. F(2,5) uses F(4,3)'s six points, so
+        // its B^T is F(4,3)'s and runs that body; its A^T is its own
+        // and keeps the generic one, as does a tabled matrix paired
+        // with something other than its transpose.
+        const WinogradAlgo &f25 = algoF2x2_5x5();
+        const WinogradAlgo &f4 = algoF4x4_3x3();
+        const mk::XformBodies in25 = mk::xformBodies(
+            K, f25.BT.data(), 6, 6, f25.B.data(), 6, 6);
+        EXPECT_EQ(in25.toTiles,
+                  mk::xformBodies(K, f4.BT.data(), 6, 6, f4.B.data(), 6, 6)
+                      .toTiles)
+            << mk::isaName(isa);
+        const mk::XformBodies inv25 = mk::xformBodies(
+            K, f25.AT.data(), 2, 6, f25.A.data(), 6, 2);
+        EXPECT_EQ(inv25.fromTiles, K.xformFromTiles) << mk::isaName(isa);
+        const mk::XformBodies mixed = mk::xformBodies(
+            K, f4.BT.data(), 6, 6, f4.BT.data(), 6, 6);
+        EXPECT_EQ(mixed.toTiles, K.xformToTiles) << mk::isaName(isa);
+    }
+}
+
+/** Image b of x as a batch-1 tensor. */
+Tensor
+imageOf(const Tensor &x, int b)
+{
+    Tensor out(1, x.c(), x.h(), x.w());
+    const std::size_t n = out.size();
+    std::memcpy(out.data(), x.data() + std::size_t(b) * n,
+                n * sizeof(float));
+    return out;
+}
+
+/** Image b of X as a batch-1 tile set. */
+WinoTiles
+imageOf(const WinoTiles &X, int b)
+{
+    WinoTiles out(X.alphaEdge(), X.channels(), 1, X.tiles());
+    for (int uv = 0; uv < X.uvCount(); ++uv)
+        for (int c = 0; c < X.channels(); ++c)
+            for (int t = 0; t < X.tiles(); ++t)
+                out.at(uv, c, 0, t) = X.at(uv, c, b, t);
+    return out;
+}
+
+bool
+sameBits(const Tensor &a, const Tensor &b)
+{
+    return a.sameShape(b) &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+bool
+sameBits(const WinoTiles &a, const WinoTiles &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.row(0, 0), b.row(0, 0), a.size() * sizeof(float)) ==
+               0;
+}
+
+TEST_F(SimdTest, SmallMapPanelsSpanImagesBitwise)
+{
+    // Maps of fewer than kTilePanel tiles run panels across the images
+    // of a channel; every image must come out as if run alone.
+    struct Case
+    {
+        int m, h, w;
+    };
+    const Case cases[] = {{2, 7, 5}, {4, 9, 6}, {6, 8, 8}, {4, 1, 13}};
+    for (mk::Isa isa : usableIsas()) {
+        ScopedExecConfig isaScope(withIsa(isa));
+        for (const Case &cs : cases) {
+            const WinogradAlgo &algo = algoForTile(cs.m);
+            ASSERT_LT(TileGrid(cs.h, cs.w, algo).tiles(), mk::kTilePanel);
+            Rng rng(unsigned(31 * cs.m + cs.h));
+            Tensor x(5, 3, cs.h, cs.w);
+            x.fillUniform(rng);
+            const WinoTiles X = transformInput(x, algo);
+            const Tensor dx = transformInputAdjoint(X, algo, cs.h, cs.w);
+            const Tensor y = inverseTransform(X, algo, cs.h, cs.w);
+            const WinoTiles dY = inverseTransformAdjoint(x, algo);
+            for (int b = 0; b < x.n(); ++b) {
+                const std::string at = std::string(mk::isaName(isa)) +
+                                       " " + algo.name() + " " +
+                                       std::to_string(cs.h) + "x" +
+                                       std::to_string(cs.w) + " image " +
+                                       std::to_string(b);
+                const Tensor xb = imageOf(x, b);
+                const WinoTiles Xb = imageOf(X, b);
+                EXPECT_TRUE(sameBits(transformInput(xb, algo), Xb))
+                    << "input " << at;
+                EXPECT_TRUE(sameBits(
+                    transformInputAdjoint(Xb, algo, cs.h, cs.w),
+                    imageOf(dx, b)))
+                    << "input adjoint " << at;
+                EXPECT_TRUE(sameBits(inverseTransform(Xb, algo, cs.h, cs.w),
+                                     imageOf(y, b)))
+                    << "inverse " << at;
+                EXPECT_TRUE(sameBits(inverseTransformAdjoint(xb, algo),
+                                     imageOf(dY, b)))
+                    << "inverse adjoint " << at;
+            }
         }
     }
 }
