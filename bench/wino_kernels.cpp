@@ -303,10 +303,10 @@ BENCHMARK(BM_DirectConvStride2)->Unit(benchmark::kMillisecond);
 
 struct ElementwiseFixture
 {
-    ElementwiseFixture() : x(8, 64, 32, 32)
+    ElementwiseFixture(int batch, int ch, int hw) : x(batch, ch, hw, hw)
     {
         Rng rng(1);
-        Tensor w(64, 64, 3, 3);
+        Tensor w(ch, ch, 3, 3);
         x.fillUniform(rng);
         w.fillUniform(rng);
         const auto &algo = algoF4x4_3x3();
@@ -330,8 +330,51 @@ struct ElementwiseFixture
 ElementwiseFixture &
 elementwiseFixture()
 {
-    static ElementwiseFixture f;
+    static ElementwiseFixture f(8, 64, 32);
     return f;
+}
+
+/**
+ * train_wino's small-map shape: batch 16, 128 -> 128 channels, 8x8
+ * maps, F(4x4, 3x3). Four tiles per image make 64 lanes per uv, so
+ * each row is one short lane block and the per-block reduction tails
+ * weigh against the FMAs (the 512-lane fixture above hides them).
+ */
+ElementwiseFixture &
+smallMapFixture()
+{
+    static ElementwiseFixture f(16, 128, 8);
+    return f;
+}
+
+enum class EwStage { Forward, BackwardData, GradWeights };
+
+/** One element-wise stage of fixture f at state.range(0) threads. */
+void
+runElementwise(benchmark::State &state, ElementwiseFixture &f,
+               EwStage stage)
+{
+    ThreadPool::global().setThreadCount(int(state.range(0)));
+    WsProbe probe;
+    for (auto _ : state) {
+        switch (stage) {
+          case EwStage::Forward:
+            benchmark::DoNotOptimize(elementwiseForward(f.X, f.W));
+            break;
+          case EwStage::BackwardData:
+            benchmark::DoNotOptimize(elementwiseBackwardData(f.dY, f.W));
+            break;
+          case EwStage::GradWeights:
+            benchmark::DoNotOptimize(elementwiseGradWeights(f.dY, f.X));
+            break;
+        }
+    }
+    probe.report(state);
+    reportKernelRate(state, f.ewFlops());
+    // 2 flops per (uv, j, i, k) MAC.
+    state.SetItemsProcessed(int64_t(state.iterations()) * f.X.uvCount() *
+                            f.W.outChannels() * f.W.inChannels() *
+                            f.X.batch() * f.X.tiles() * 2);
 }
 
 /** FLOPs of one inverse transform over the fixture's tile set. */
@@ -347,17 +390,7 @@ inverseFlops(const WinoTiles &Y, const WinogradAlgo &algo)
 void
 BM_ElementwiseForward(benchmark::State &state)
 {
-    ThreadPool::global().setThreadCount(int(state.range(0)));
-    auto &f = elementwiseFixture();
-    WsProbe probe;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(elementwiseForward(f.X, f.W));
-    probe.report(state);
-    reportKernelRate(state, f.ewFlops());
-    // 2 flops per (uv, j, i, k) MAC.
-    state.SetItemsProcessed(int64_t(state.iterations()) * f.X.uvCount() *
-                            f.W.outChannels() * f.W.inChannels() *
-                            f.X.batch() * f.X.tiles() * 2);
+    runElementwise(state, elementwiseFixture(), EwStage::Forward);
 }
 BENCHMARK(BM_ElementwiseForward)->Apply(threadArgs)
     ->Unit(benchmark::kMillisecond);
@@ -365,16 +398,7 @@ BENCHMARK(BM_ElementwiseForward)->Apply(threadArgs)
 void
 BM_ElementwiseBackwardData(benchmark::State &state)
 {
-    ThreadPool::global().setThreadCount(int(state.range(0)));
-    auto &f = elementwiseFixture();
-    WsProbe probe;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(elementwiseBackwardData(f.dY, f.W));
-    probe.report(state);
-    reportKernelRate(state, f.ewFlops());
-    state.SetItemsProcessed(int64_t(state.iterations()) * f.X.uvCount() *
-                            f.W.outChannels() * f.W.inChannels() *
-                            f.X.batch() * f.X.tiles() * 2);
+    runElementwise(state, elementwiseFixture(), EwStage::BackwardData);
 }
 BENCHMARK(BM_ElementwiseBackwardData)->Apply(threadArgs)
     ->Unit(benchmark::kMillisecond);
@@ -382,19 +406,37 @@ BENCHMARK(BM_ElementwiseBackwardData)->Apply(threadArgs)
 void
 BM_ElementwiseGradWeights(benchmark::State &state)
 {
-    ThreadPool::global().setThreadCount(int(state.range(0)));
-    auto &f = elementwiseFixture();
-    WsProbe probe;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(elementwiseGradWeights(f.dY, f.X));
-    probe.report(state);
-    reportKernelRate(state, f.ewFlops());
-    state.SetItemsProcessed(int64_t(state.iterations()) * f.X.uvCount() *
-                            f.W.outChannels() * f.W.inChannels() *
-                            f.X.batch() * f.X.tiles() * 2);
+    runElementwise(state, elementwiseFixture(), EwStage::GradWeights);
 }
 BENCHMARK(BM_ElementwiseGradWeights)->Apply(threadArgs)
     ->Unit(benchmark::kMillisecond);
+
+// The same three stages on train_wino's small-map shape, at the
+// benchmark's 1 pool thread and at 4.
+
+void
+BM_ElementwiseForwardSmallMap(benchmark::State &state)
+{
+    runElementwise(state, smallMapFixture(), EwStage::Forward);
+}
+BENCHMARK(BM_ElementwiseForwardSmallMap)->ArgName("threads")->Arg(1)
+    ->Arg(4)->Unit(benchmark::kMillisecond);
+
+void
+BM_ElementwiseBackwardDataSmallMap(benchmark::State &state)
+{
+    runElementwise(state, smallMapFixture(), EwStage::BackwardData);
+}
+BENCHMARK(BM_ElementwiseBackwardDataSmallMap)->ArgName("threads")->Arg(1)
+    ->Arg(4)->Unit(benchmark::kMillisecond);
+
+void
+BM_ElementwiseGradWeightsSmallMap(benchmark::State &state)
+{
+    runElementwise(state, smallMapFixture(), EwStage::GradWeights);
+}
+BENCHMARK(BM_ElementwiseGradWeightsSmallMap)->ArgName("threads")->Arg(1)
+    ->Arg(4)->Unit(benchmark::kMillisecond);
 
 void
 BM_InputTransform(benchmark::State &state)

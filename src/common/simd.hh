@@ -91,6 +91,12 @@ struct VF
             _mm512_cmp_ps_mask(x.v, _mm512_setzero_ps(), _CMP_GT_OQ);
         return {_mm512_maskz_mov_ps(m, _mm512_set1_ps(1.0f))};
     }
+    /** Bit l set iff lane l != 0.0f (NaN counts, ±0 does not). */
+    static unsigned
+    nonzeroBits(VF x)
+    {
+        return _mm512_cmp_ps_mask(x.v, _mm512_setzero_ps(), _CMP_NEQ_UQ);
+    }
     /** Decode W bfloat16 payloads (value << 16 — exact). */
     static VF
     loadBf16(const std::uint16_t *p)
@@ -221,6 +227,12 @@ struct VF
         const __m256 m =
             _mm256_cmp_ps(x.v, _mm256_setzero_ps(), _CMP_GT_OQ);
         return {_mm256_and_ps(m, _mm256_set1_ps(1.0f))};
+    }
+    static unsigned
+    nonzeroBits(VF x)
+    {
+        return unsigned(_mm256_movemask_ps(
+            _mm256_cmp_ps(x.v, _mm256_setzero_ps(), _CMP_NEQ_UQ)));
     }
     /** Decode W bfloat16 payloads (value << 16 — exact). */
     static VF
@@ -360,6 +372,13 @@ struct VF
         const __m128 m = _mm_cmpgt_ps(x.v, _mm_setzero_ps());
         return {_mm_and_ps(m, _mm_set1_ps(1.0f))};
     }
+    /** cmpneqps is the unordered compare: NaN lanes count. */
+    static unsigned
+    nonzeroBits(VF x)
+    {
+        return unsigned(
+            _mm_movemask_ps(_mm_cmpneq_ps(x.v, _mm_setzero_ps())));
+    }
     /** Decode W bfloat16 payloads: interleave below zeros = << 16. */
     static VF
     loadBf16(const std::uint16_t *p)
@@ -470,6 +489,7 @@ struct VF
     static VF mul(VF a, VF b) { return {a.v * b.v}; }
     static VF reluOf(VF x) { return {x.v > 0.0f ? x.v : 0.0f}; }
     static VF gtZeroOne(VF x) { return {x.v > 0.0f ? 1.0f : 0.0f}; }
+    static unsigned nonzeroBits(VF x) { return x.v != 0.0f; }
     static VF
     loadBf16(const std::uint16_t *p)
     {
@@ -522,7 +542,8 @@ struct VD
 
 #endif
 
-/** Fixed-order (pairwise-tree) horizontal sum: deterministic per ISA. */
+/** Fixed-order (pairwise-tree) horizontal sum: deterministic per ISA.
+ *  hsumEach below computes VD::W of them at once, bitwise alike. */
 inline double
 hsum(VD x)
 {
@@ -535,6 +556,55 @@ hsum(VD x)
         n /= 2;
     }
     return lanes[0];
+}
+
+/**
+ * Lane p of the result is hsum(v[p]) for p < VD::W, bitwise: the
+ * unpack/shuffle adds pair exactly the operands of hsum's tree
+ * (adjacent lanes, then adjacent pair sums, ...), VD::W sums at once
+ * and without a round trip through memory.
+ */
+inline VD
+hsumEach(const VD *v)
+{
+#if WINOMC_SIMD_LEVEL == 3
+    // Level 1: t[q] = [a01 b01 a23 b23 a45 b45 a67 b67] for a, b =
+    // v[2q], v[2q+1] (xy = lane x + lane y). The maskz unpacks: GCC's
+    // plain forms seed from an "undefined" vector (-Wuninitialized).
+    __m512d t[4];
+    for (int q = 0; q < 4; ++q)
+        t[q] = _mm512_add_pd(
+            _mm512_maskz_unpacklo_pd(0xff, v[2 * q].v, v[2 * q + 1].v),
+            _mm512_maskz_unpackhi_pd(0xff, v[2 * q].v, v[2 * q + 1].v));
+    // Level 2: u[r] = [a0123 b0123 c0123 d0123 a4567 b4567 c4567 d4567].
+    const __m512i lo2 = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
+    const __m512i hi2 = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
+    __m512d u[2];
+    for (int r = 0; r < 2; ++r)
+        u[r] = _mm512_add_pd(
+            _mm512_permutex2var_pd(t[2 * r], lo2, t[2 * r + 1]),
+            _mm512_permutex2var_pd(t[2 * r], hi2, t[2 * r + 1]));
+    // Level 3: lane p = p's 0123 sum + its 4567 sum.
+    const __m512i lo3 = _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11);
+    const __m512i hi3 = _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15);
+    return {_mm512_add_pd(_mm512_permutex2var_pd(u[0], lo3, u[1]),
+                          _mm512_permutex2var_pd(u[0], hi3, u[1]))};
+#elif WINOMC_SIMD_LEVEL == 2
+    // t0 = [a01 b01 a23 b23], t1 = [c01 d01 c23 d23].
+    const __m256d t0 =
+        _mm256_add_pd(_mm256_unpacklo_pd(v[0].v, v[1].v),
+                      _mm256_unpackhi_pd(v[0].v, v[1].v));
+    const __m256d t1 =
+        _mm256_add_pd(_mm256_unpacklo_pd(v[2].v, v[3].v),
+                      _mm256_unpackhi_pd(v[2].v, v[3].v));
+    return {_mm256_add_pd(_mm256_permute2f128_pd(t0, t1, 0x20),
+                          _mm256_permute2f128_pd(t0, t1, 0x31))};
+#elif WINOMC_SIMD_LEVEL == 1
+    return {_mm_add_pd(_mm_unpacklo_pd(v[0].v, v[1].v),
+                       _mm_unpackhi_pd(v[0].v, v[1].v))};
+#else
+    return v[0];
+#endif
 }
 
 } // namespace simd

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <limits>
 #include <type_traits>
 #include <vector>
@@ -30,6 +31,8 @@ constexpr int kMaxAlpha = 8;
  * kJBlock outputs), and tile reduction outputs in kIBlock columns so
  * the accumulator block lives on the stack. The innermost panels are
  * the mk:: micro-kernels, vectorized along the unit-stride tile axis.
+ * The zero-skipping step groups its survivors by blocks of kIUnroll
+ * input rows, the scalar dense kernel's reduction block.
  */
 constexpr int kKBlock = 256;
 constexpr int kJBlock = 4;
@@ -365,15 +368,18 @@ ewBody(Step &step, WinoTiles &out, int uv0, int uv1, int r0, int r1,
 }
 
 /**
- * Dense fp32 step, train_wino's hot loop: register blocks of kIUnroll
- * reduction rows, so every output load/store amortizes kIUnroll FMAs;
- * an all-zero weight block skips wholesale. Forward reduces X over
- * W[uv] (J x I); backward data (kTransposed) reduces dY over W[uv]^T,
- * whose register block W.at(uv, j0..j0+7, i) is the same walk.
+ * Dense fp32 step, train_wino's hot loop: one mk::rowBlockAccum call
+ * per (row block, lane block), which keeps the block's accumulators in
+ * registers over the whole reduction. Forward reduces X over W[uv]
+ * (J x I); backward data (kTransposed) reduces dY over W[uv]^T, the
+ * same walk with the weight strides swapped.
  */
 template <bool kTransposed>
 struct DenseStep
 {
+    static_assert(kJBlock == mk::kRowBlock,
+                  "one row block per rowBlockAccum call");
+
     const WinoTiles &src;
     const WinoWeights &W;
     const mk::MicroKernels &K = mk::kernels();
@@ -384,30 +390,18 @@ struct DenseStep
     {
         // Raw addressing: the checked accessors cost a branch each.
         const int nr = src.channels();
-        const float *suv = src.row(uv, 0) + k0;
         const std::size_t srs = src.uvStride() / std::size_t(nr);
-        const int ni = W.inChannels();
-        const float *wuv =
-            W.raw() + std::size_t(uv) * W.outChannels() * ni;
-        for (int r0 = 0; r0 < nr; r0 += kIUnroll) {
-            const int rb = std::min(kIUnroll, nr - r0);
-            const float *sr[kIUnroll];
-            for (int rr = 0; rr < rb; ++rr)
-                sr[rr] = suv + std::size_t(r0 + rr) * srs;
-            for (int oo = 0; oo < on; ++oo) {
-                float wv[kIUnroll];
-                bool any = false;
-                for (int rr = 0; rr < rb; ++rr) {
-                    wv[rr] = kTransposed
-                                 ? wuv[std::size_t(r0 + rr) * ni + o0 + oo]
-                                 : wuv[std::size_t(o0 + oo) * ni + r0 + rr];
-                    any = any || wv[rr] != 0.0f;
-                }
-                if (!any)
-                    continue;
-                K.panelAccum(out[oo] + k0, sr, wv, rb, kb);
-            }
-        }
+        const std::ptrdiff_t ni = W.inChannels();
+        const float *wuv = W.raw() + std::size_t(uv) * W.outChannels() * ni;
+        float *y[kJBlock];
+        for (int oo = 0; oo < on; ++oo)
+            y[oo] = out[oo] + k0;
+        if (kTransposed)
+            K.rowBlockAccum(y, on, src.row(uv, 0) + k0, srs, nr, wuv + o0,
+                            1, ni, kb);
+        else
+            K.rowBlockAccum(y, on, src.row(uv, 0) + k0, srs, nr,
+                            wuv + o0 * ni, ni, 1, kb);
     }
     void publish() const {}
 };
@@ -417,13 +411,15 @@ struct DenseStep
  * activations. Every surviving input row — weight nonzero AND live
  * under the mask (null: all live) — of the whole column goes into ONE
  * micro-kernel call per output row, so each y panel is read and
- * written once instead of ni/kIUnroll times. fp32 passes the survivor
- * count of each kIUnroll register block, so panelAccumGrouped keeps
- * the blocked kernel's expression shapes (bitwise identical to dense
- * fp32); panelAccumHalf needs no grouping. The append is branchless
- * (slot always written, cursor advances only for survivors): at high
- * sparsity the scan itself is the cost, and a skipped-row branch
- * mispredicts by construction. Row liveness is resolved per (uv, lane
+ * written once. fp32 passes the survivor count of each kIUnroll-row
+ * block, so panelAccumGrouped keeps the scalar dense kernel's
+ * expression shapes (bitwise identical to dense fp32); panelAccumHalf
+ * needs no grouping. At high sparsity the scan is the cost, so it
+ * works on 64-row bitmasks: mk::nonzeroMask compares a weight row a
+ * vector at a time, the AND with the row-liveness bits leaves the
+ * survivors, their set bits are walked in ascending order
+ * (countr_zero) and a byte-wise popcount gives the block counts, with
+ * no branch per dead row. Row liveness is resolved per (uv, lane
  * block) when the step first meets a uv; tasks are uv-major, so this
  * needs no parallel region of its own and repeats only at chunk
  * boundaries. The compaction buffers are the caller's (sized here,
@@ -434,35 +430,43 @@ struct CompactStep
 {
     static constexpr bool kHalf = std::is_same_v<Tiles, HalfTiles>;
     using Elem = std::conditional_t<kHalf, std::uint16_t, float>;
+    static_assert(kIUnroll == 8, "a block is one byte of a row bitmask");
 
     CompactStep(const Tiles &X, const WinoWeights &W, int halfKind,
                 const ActMask *mask, int kn, CompactScratch &cs)
         : X(X), W(W), halfKind(halfKind), mask(mask), kn(kn),
-          ni(X.channels()), cs(cs)
+          ni(X.channels()), words((ni + 63) / 64), cs(cs)
     {
         rows().resize(std::size_t(ni));
         cs.weights.resize(std::size_t(ni));
         cs.groups.resize(std::size_t((ni + kIUnroll - 1) / kIUnroll));
-        cs.live.assign(std::size_t(ni) *
+        // Unmasked: every row live, bits past ni never reached.
+        cs.live.assign(std::size_t(words) *
                            (mask ? (kn + kKBlock - 1) / kKBlock : 1),
-                       1);
+                       ~std::uint64_t(0));
     }
 
     void
     operator()(int uv, int j0, int jn, float *const *yrows, int k0,
                int kb)
     {
-        if (mask && uv != liveUv)
-            for (int b0 = 0; b0 < kn; b0 += kKBlock)
+        if (mask && uv != liveUv) {
+            std::fill(cs.live.begin(), cs.live.end(), 0);
+            for (int b0 = 0; b0 < kn; b0 += kKBlock) {
+                std::uint64_t *lw =
+                    cs.live.data() + std::size_t(b0 / kKBlock) * words;
                 for (int i = 0; i < ni; ++i)
-                    cs.live[std::size_t(b0 / kKBlock) * ni + i] =
-                        !mask->rowRangeZero(uv, i, b0,
-                                            std::min(kKBlock, kn - b0));
+                    lw[i / 64] |=
+                        std::uint64_t(!mask->rowRangeZero(
+                            uv, i, b0, std::min(kKBlock, kn - b0)))
+                        << (i % 64);
+            }
+        }
         liveUv = uv;
         const Elem *xuv = X.row(uv, 0);
         const std::size_t xrs = X.uvStride() / std::size_t(ni);
-        const std::uint8_t *lv =
-            cs.live.data() + (mask ? std::size_t(k0 / kKBlock) * ni : 0);
+        const std::uint64_t *lv =
+            cs.live.data() + (mask ? std::size_t(k0 / kKBlock) * words : 0);
         // Locals: byte stores into groups may alias members (reloads).
         const Elem **xcp = rows().data();
         float *wcp = cs.weights.data();
@@ -472,17 +476,28 @@ struct CompactStep
                 W.raw() + (std::size_t(uv) * W.outChannels() + j0 + jj) *
                               ni;
             int nv = 0, ng = 0, tailOrig = kIUnroll;
-            for (int i0 = 0; i0 < ni; i0 += kIUnroll) {
-                const int ib = std::min(kIUnroll, ni - i0);
-                const int base = nv;
-                for (int i = i0; i < i0 + ib; ++i) {
+            for (int w0 = 0; w0 < ni; w0 += 64) {
+                const int n = std::min(64, ni - w0);
+                std::uint64_t m = K.nonzeroMask(wrow + w0, n) & lv[w0 / 64];
+                if constexpr (!kHalf) {
+                    // Byte b of c is the survivor count of block b.
+                    std::uint64_t c = m - ((m >> 1) & 0x5555555555555555u);
+                    c = (c & 0x3333333333333333u) +
+                        ((c >> 2) & 0x3333333333333333u);
+                    c = (c + (c >> 4)) & 0x0f0f0f0f0f0f0f0fu;
+                    for (int b = 0; b * kIUnroll < n; ++b) {
+                        const int cnt = int(c >> (8 * b)) & 0xff;
+                        grpp[ng] = std::uint8_t(cnt);
+                        ng += cnt != 0;
+                        tailOrig = cnt ? std::min(kIUnroll, n - b * kIUnroll)
+                                       : tailOrig;
+                    }
+                }
+                for (; m; m &= m - 1) {
+                    const int i = w0 + std::countr_zero(m);
                     wcp[nv] = wrow[i];
                     xcp[nv] = xuv + std::size_t(i) * xrs + k0;
-                    nv += int(wrow[i] != 0.0f) & int(lv[i]);
-                }
-                if (nv != base) {
-                    grpp[ng++] = std::uint8_t(nv - base);
-                    tailOrig = ib;
+                    ++nv;
                 }
             }
             if (mask)
@@ -513,6 +528,7 @@ struct CompactStep
     int halfKind;
     const ActMask *mask;
     int kn, ni;
+    int words; ///< 64-row words of a row bitmask
     const mk::MicroKernels &K = mk::kernels();
     CompactScratch &cs; ///< live holds liveUv's rows; all 1 unmasked
     int liveUv = -1;
@@ -838,10 +854,12 @@ elementwiseGradWeightsInto(const WinoTiles &dY, const WinoTiles &X,
                                          std::min(mk::kDotBlock, in - ii),
                                          kb);
                 }
+                // Raw addressing: the checked accessor costs a branch.
+                float *dw = dW.raw() +
+                            (std::size_t(uv) * nj + j0) * ni + i0;
                 for (int jj = 0; jj < jn; ++jj)
                     for (int ii = 0; ii < in; ++ii)
-                        dW.at(uv, j0 + jj, i0 + ii) =
-                            float(acc[jj][ii]);
+                        dw[std::size_t(jj) * ni + ii] = float(acc[jj][ii]);
             }
         }
     });

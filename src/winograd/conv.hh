@@ -168,11 +168,12 @@ void inverseTransformRange(const WinoTiles &Ys, const WinogradAlgo &algo,
 
 /**
  * Working buffers of the zero-skipping element-wise step: the
- * compacted activation rows and weights, the per-register-block
- * survivor counts, and the row liveness under the mask. Grown on first
- * use and reused, so a caller that passes the same buffers to every
- * range call (one per fused strip worker) stops allocating after the
- * first strip. Dense fp32 ranges leave them untouched.
+ * compacted activation rows and weights, the per-8-row-block survivor
+ * counts, and the row liveness under the mask (one bit per row).
+ * Grown on first use and reused, so a caller that passes the same
+ * buffers to every range call (one per fused strip worker) stops
+ * allocating after the first strip. Dense fp32 ranges leave them
+ * untouched.
  */
 struct CompactScratch
 {
@@ -180,7 +181,7 @@ struct CompactScratch
     std::vector<const std::uint16_t *> halfRows;
     std::vector<float> weights;
     std::vector<std::uint8_t> groups;
-    std::vector<std::uint8_t> live;
+    std::vector<std::uint64_t> live;
 };
 
 /** Ys[uv] = W[uv] * Xs[uv] over lanes [0, kn), every uv; a non-null

@@ -53,6 +53,9 @@ enum class Isa : int {
  */
 constexpr int kTilePanel = 16;
 
+/** Largest output-row count of one MicroKernels::rowBlockAccum call. */
+constexpr int kRowBlock = 4;
+
 /** Largest row count per side of one MicroKernels::dotBlockDouble
  *  call (a full block keeps kDotBlock^2 accumulators per chain). */
 constexpr int kDotBlock = 4;
@@ -100,11 +103,25 @@ struct MicroKernels
     // --- elementwise GEMM primitives (unit-stride [b*t] axis) -------
 
     /**
-     * y[k] += sum_v w[v] * x[v][k] for k in [0, len). nv in [1, 8].
-     * The register-blocked core of elementwiseForward/BackwardData.
+     * The register-blocked core of elementwiseForward/BackwardData:
+     * y[j][k] += sum_i w[j * wsJ + i * wsI] * x[i * xStride + k] for
+     * j < nj (nj in [1, kRowBlock]), i < ni, k < len. The weight
+     * strides let the forward (W, wsJ = ni, wsI = 1) and backward data
+     * (W^T, wsJ = 1, wsI = ni) share one body. Vector levels keep an
+     * nj x (4 vectors at AVX-512, 2 below) accumulator block in
+     * registers over the whole reduction, so each x vector is loaded
+     * once per row block and y is read and written once. Each element
+     * is one chain: y's value, then one fma per input row in
+     * ascending order (mul + add at SSE2), zero weights included. The
+     * scalar table loops the pre-blocking per-row kernel over 8 input
+     * rows at a time (the flat 8-term expression for a full block, an
+     * accumulate loop for a ragged one) and skips a row's all-zero
+     * 8-weight block, so WINOMC_ISA=scalar is unchanged.
      */
-    void (*panelAccum)(float *y, const float *const *x, const float *w,
-                       int nv, int len);
+    void (*rowBlockAccum)(float *const *y, int nj, const float *x,
+                          std::size_t xStride, int ni, const float *w,
+                          std::ptrdiff_t wsJ, std::ptrdiff_t wsI,
+                          int len);
 
     /**
      * Register-blocked double-precision dot products, the core of
@@ -114,9 +131,11 @@ struct MicroKernels
      * order: the scalar table loops its four-chain dot per pair;
      * vector levels keep two VD chains per pair (chain 0 takes the
      * even full VD chunks, chain 1 the odd full chunks and then the
-     * zero-filled tail) combined as hsum(chain0 + chain1). A block's
-     * rows are loaded once per chunk for all na x nb pairs, so the
-     * result per pair is bitwise the na = nb = 1 call at every level.
+     * zero-filled tail) combined as hsum(chain0 + chain1), where the
+     * block reduces VD::W pairs at a time with simd::hsumEach, the same
+     * adjacent-pair tree as simd::hsum. A block's rows are loaded once
+     * per chunk for all na x nb pairs, so the result per pair is
+     * bitwise the na = nb = 1 call at every level.
      */
     void (*dotBlockDouble)(double *acc, int ldAcc, const float *const *a,
                            int na, const float *const *b, int nb,
@@ -217,33 +236,19 @@ struct MicroKernels
     // --- sparse + low-precision extensions --------------------------
 
     /**
-     * panelAccum over a caller-compacted row subset. `origNv` is the
-     * row count of the uncompacted block; the scalar kernel uses it to
-     * pick the same expression shape (flat 8-term sum vs accumulate
-     * loop) panelAccum would have used, so dropping rows whose terms
-     * are exactly zero stays bitwise identical to the dense kernel.
-     * Vector levels accumulate sequentially for every nv and ignore
-     * origNv. nv may be 0 (pure no-op).
-     */
-    void (*panelAccumSel)(float *y, const float *const *x,
-                          const float *w, int nv, int len, int origNv);
-
-    /**
-     * Whole-column variant of panelAccumSel: one pass over the y panel
-     * accumulating every surviving row of the full input-channel
-     * column at once. The caller compacts rows in ascending order
-     * across consecutive kIUnroll register blocks; grpNv[g] is the
-     * survivor count of the g-th non-empty block (empty blocks are
-     * omitted) and tailOrig is the uncompacted row count of the LAST
-     * group (8 for a full block, ni % 8 for a ragged tail). The scalar
-     * kernel replays panelAccum's per-block expression shape inside a
-     * single y read-modify-write — bitwise identical to the blocked
-     * dense kernel because fp32 store/load round trips are exact.
-     * Vector levels accumulate all nv rows in one sequential FMA chain
-     * and ignore the grouping (same chain as the blocked calls). The
-     * point: the blocked kernel re-reads each y panel ni/8 times, so
-     * at high sparsity y traffic, not FLOPs, dominates; one pass makes
-     * skipped rows actually buy time.
+     * The sparse forward's whole-column kernel: y[k] += sum_v w[v] *
+     * x[v][k] over the surviving (weight nonzero, activation live)
+     * rows of one output row's input column, in one pass over y. The
+     * caller compacts rows in ascending order across consecutive
+     * 8-row blocks; grpNv[g] is the survivor count of the g-th
+     * non-empty block (empty blocks are omitted) and tailOrig is the
+     * uncompacted row count of the LAST group (8 for a full block,
+     * ni % 8 for a ragged tail). The scalar kernel replays the scalar
+     * rowBlockAccum's per-block expression shape (flat 8-term sum vs
+     * accumulate loop) inside a single y read-modify-write; vector
+     * levels run one sequential FMA chain over all nv rows and ignore
+     * the grouping. Dropped terms are exact zeros for finite inputs,
+     * so either way the result is bitwise the dense kernel's.
      */
     void (*panelAccumGrouped)(float *y, const float *const *x,
                               const float *w, int nv, int len,
@@ -251,10 +256,11 @@ struct MicroKernels
                               int tailOrig);
 
     /**
-     * panelAccum with 16-bit activation rows: each x[v][k] is decoded
-     * (kHalfBf16 | kHalfF16 -> fp32, exact) before the fp32
-     * multiply-accumulate. Sequential per-row accumulation at every
-     * level, so staged and fused blockings agree bitwise per ISA.
+     * panelAccumGrouped without the grouping, over 16-bit activation
+     * rows: each x[v][k] is decoded (kHalfBf16 | kHalfF16 -> fp32,
+     * exact) before the fp32 multiply-accumulate. Sequential per-row
+     * accumulation at every level, so staged and fused blockings agree
+     * bitwise per ISA.
      */
     void (*panelAccumHalf)(float *y, const std::uint16_t *const *x,
                            const float *w, int nv, int len,
@@ -276,6 +282,13 @@ struct MicroKernels
      * them through xformBodies(), never by Id.
      */
     const XformBodies *tabled;
+
+    /**
+     * Bit i (i < n <= 64) of the result is 1 iff w[i] != 0.0f (NaN
+     * counts, ±0 does not): the sparse forward's weight-row scan, one
+     * vector compare per VF::W weights.
+     */
+    std::uint64_t (*nonzeroMask)(const float *w, int n);
 
     /**
      * Bit e (e < entries <= 64) of the result is 1 iff lanes

@@ -33,7 +33,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <type_traits>
 #include <utility>
 
@@ -51,25 +50,96 @@ static_assert(kTilePanel % VD::W == 0,
 static_assert(kTilePanel % VF::W == 0 || VF::W > kTilePanel,
               "tile panel must hold whole float vectors");
 
-void
-panelAccum(float *y, const float *const *x, const float *w, int nv,
-           int len)
+/** f(std::integral_constant<int, I>{}) for I = 0 .. N-1, unrolled. */
+template <int N, typename F>
+[[gnu::always_inline]] inline void
+unrolled(F &&f)
 {
-    int k = 0;
-    for (; k + VF::W <= len; k += VF::W) {
-        VF acc = VF::load(y + k);
-        for (int v = 0; v < nv; ++v)
-            acc = VF::fma(VF::broadcast(w[v]), VF::load(x[v] + k), acc);
-        acc.store(y + k);
+    [&]<int... I>(std::integer_sequence<int, I...>) {
+        (f(std::integral_constant<int, I>{}), ...);
+    }(std::make_integer_sequence<int, N>{});
+}
+
+/** Vectors per accumulator row of rowBlockAccum: a 4 x 4 block of the
+ *  32 zmm registers at AVX-512, 4 x 2 of the 16 registers below. */
+constexpr int kRowVecs = VF::W >= 16 ? 4 : 2;
+
+/**
+ * NV vectors of an NJ-row block at lane k: the NJ x NV accumulators
+ * start from y and stay in registers over the whole reduction, one fma
+ * per input row in ascending order, each x vector loaded once for all
+ * NJ rows. `load` / `store` are the full or the partial forms.
+ */
+template <int NJ, int NV, typename LoadFn, typename StoreFn>
+[[gnu::always_inline]] inline void
+rowBlockStep(float *const *y, const float *x, std::size_t xStride, int ni,
+             const float *w, std::ptrdiff_t wsJ, std::ptrdiff_t wsI, int k,
+             LoadFn load, StoreFn store)
+{
+    VF acc[NJ][NV];
+    const float *wj[NJ];
+    unrolled<NJ>([&](auto j) {
+        wj[j] = w + j * wsJ;
+        unrolled<NV>([&](auto v) { acc[j][v] = load(y[j] + k + v * VF::W); });
+    });
+    const float *xi = x + k;
+    for (int i = 0; i < ni; ++i, xi += xStride) {
+        VF xv[NV];
+        unrolled<NV>([&](auto v) { xv[v] = load(xi + v * VF::W); });
+        unrolled<NJ>([&](auto j) {
+            const VF wv = VF::broadcast(*wj[j]);
+            wj[j] += wsI;
+            unrolled<NV>([&](auto v) {
+                acc[j][v] = VF::fma(wv, xv[v], acc[j][v]);
+            });
+        });
     }
+    unrolled<NJ>([&](auto j) {
+        unrolled<NV>([&](auto v) { store(acc[j][v], y[j] + k + v * VF::W); });
+    });
+}
+
+/** rowBlockAccum at a fixed row count: kRowVecs-vector blocks, then
+ *  single vectors, then the masked tail. */
+template <int NJ>
+void
+rowBlockFixed(float *const *y, const float *x, std::size_t xStride, int ni,
+              const float *w, std::ptrdiff_t wsJ, std::ptrdiff_t wsI,
+              int len)
+{
+    const auto load = [](const float *p) { return VF::load(p); };
+    const auto store = [](VF a, float *p) { a.store(p); };
+    int k = 0;
+    for (; k + kRowVecs * VF::W <= len; k += kRowVecs * VF::W)
+        rowBlockStep<NJ, kRowVecs>(y, x, xStride, ni, w, wsJ, wsI, k, load,
+                                   store);
+    for (; k + VF::W <= len; k += VF::W)
+        rowBlockStep<NJ, 1>(y, x, xStride, ni, w, wsJ, wsI, k, load, store);
     if (k < len) {
         const int r = len - k;
-        VF acc = VF::loadPartial(y + k, r);
-        for (int v = 0; v < nv; ++v)
-            acc = VF::fma(VF::broadcast(w[v]),
-                          VF::loadPartial(x[v] + k, r), acc);
-        acc.storePartial(y + k, r);
+        rowBlockStep<NJ, 1>(
+            y, x, xStride, ni, w, wsJ, wsI, k,
+            [r](const float *p) { return VF::loadPartial(p, r); },
+            [r](VF a, float *p) { a.storePartial(p, r); });
     }
+}
+
+using RowBlockFn = void (*)(float *const *, const float *, std::size_t,
+                            int, const float *, std::ptrdiff_t,
+                            std::ptrdiff_t, int);
+
+static_assert(winomc::mk::kRowBlock == 4,
+              "kRowBlockFns instantiates blocks of up to 4 rows");
+
+constexpr RowBlockFn kRowBlockFns[4] = {rowBlockFixed<1>, rowBlockFixed<2>,
+                                        rowBlockFixed<3>, rowBlockFixed<4>};
+
+void
+rowBlockAccum(float *const *y, int nj, const float *x, std::size_t xStride,
+              int ni, const float *w, std::ptrdiff_t wsJ,
+              std::ptrdiff_t wsI, int len)
+{
+    kRowBlockFns[nj - 1](y, x, xStride, ni, w, wsJ, wsI, len);
 }
 
 /**
@@ -101,7 +171,9 @@ dotBlockStep(VD (&c)[NA][NB], const float *const *a,
  * reduction order — chain 0 over the even full VD chunks, chain 1
  * over the odd full chunks then the zero-filled tail (whose surplus
  * lanes add exact 0 * 0 terms), combined as hsum(chain0 + chain1) —
- * and each chain runs as its own pass with NA * NB accumulators.
+ * and each chain runs as its own pass with NA * NB accumulators. The
+ * pairs' hsums run VD::W at a time through simd::hsumEach (a short
+ * last group padded with zero vectors whose sums are dropped).
  */
 template <int NA, int NB>
 void
@@ -129,12 +201,25 @@ dotBlockFixed(double *acc, int ldAcc, const float *const *a,
             return VD::loadFromFloatPartial(p, r);
         });
     }
-#pragma GCC unroll 4
-    for (int j = 0; j < NA; ++j)
-#pragma GCC unroll 4
-        for (int i = 0; i < NB; ++i)
-            acc[j * ldAcc + i] +=
-                simd::hsum(VD::add(c0[j][i], c1[j][i]));
+    constexpr int P = NA * NB;
+    unrolled<(P + VD::W - 1) / VD::W>([&](auto g) {
+        constexpr int p0 = decltype(g)::value * VD::W;
+        VD pairs[VD::W];
+        unrolled<VD::W>([&](auto l) {
+            constexpr int p = p0 + decltype(l)::value;
+            if constexpr (p < P)
+                pairs[l] = VD::add(c0[p / NB][p % NB], c1[p / NB][p % NB]);
+            else
+                pairs[l] = VD::zero();
+        });
+        double sums[VD::W];
+        simd::hsumEach(pairs).store(sums);
+        unrolled<VD::W>([&](auto l) {
+            constexpr int p = p0 + decltype(l)::value;
+            if constexpr (p < P)
+                acc[p / NB * ldAcc + p % NB] += sums[l];
+        });
+    });
 }
 
 using DotBlockFn = void (*)(double *, int, const float *const *,
@@ -199,16 +284,6 @@ struct DenseSandwich
         }
     }
 };
-
-/** f(std::integral_constant<int, I>{}) for I = 0 .. N-1, unrolled. */
-template <int N, typename F>
-[[gnu::always_inline]] inline void
-unrolled(F &&f)
-{
-    [&]<int... I>(std::integer_sequence<int, I...>) {
-        (f(std::integral_constant<int, I>{}), ...);
-    }(std::make_integer_sequence<int, N>{});
-}
 
 /**
  * sum_t M(Row, t) * x[t * S] for t < M::cols, as DenseSandwich's fma
@@ -657,16 +732,6 @@ axpy(float *y, float a, const float *x, std::int64_t n)
 }
 
 void
-panelAccumSel(float *y, const float *const *x, const float *w, int nv,
-              int len, int /*origNv*/)
-{
-    // The vector panelAccum accumulates row products sequentially for
-    // every nv, so dropping rows whose terms are exactly zero cannot
-    // change any partial sum: origNv is a scalar-TU concern only.
-    panelAccum(y, x, w, nv, len);
-}
-
-void
 panelAccumGrouped(float *y, const float *const *x, const float *w,
                   int nv, int len, const std::uint8_t * /*grpNv*/,
                   int /*nGroups*/, int /*tailOrig*/)
@@ -759,19 +824,34 @@ panelAccumHalf(float *y, const std::uint16_t *const *x, const float *w,
 }
 
 std::uint64_t
+nonzeroMask(const float *w, int n)
+{
+    std::uint64_t m = 0;
+    int i = 0;
+    for (; i + VF::W <= n; i += VF::W)
+        m |= std::uint64_t(VF::nonzeroBits(VF::load(w + i))) << i;
+    if (i < n) // zero-filled lanes set no bit
+        m |= std::uint64_t(VF::nonzeroBits(VF::loadPartial(w + i, n - i)))
+             << i;
+    return m;
+}
+
+std::uint64_t
 panelZeroMask(const float *x, std::size_t stride, int entries, int cnt)
 {
-    // A row is zero iff the OR of its lanes' bits is at most the sign
-    // bit (every lane ±0; NaN and denormals count as nonzero, as with
-    // p[l] != 0.0f). Branch-free, so the lane loop vectorizes; the
-    // integer test keeps every ISA level's mask identical.
+    // A row is zero iff no lane compares != 0.0f (every lane ±0; NaN
+    // and denormals count as nonzero), the scalar test, one vector
+    // compare per VF::W lanes whatever the optimizer vectorizes.
     std::uint64_t m = 0;
     for (int e = 0; e < entries; ++e) {
         const float *p = x + std::size_t(e) * stride;
-        std::uint32_t bits = 0;
-        for (int l = 0; l < cnt; ++l)
-            bits |= std::bit_cast<std::uint32_t>(p[l]);
-        if (!(bits & 0x7fffffffu))
+        unsigned bits = 0;
+        int l = 0;
+        for (; l + VF::W <= cnt; l += VF::W)
+            bits |= VF::nonzeroBits(VF::load(p + l));
+        if (l < cnt)
+            bits |= VF::nonzeroBits(VF::loadPartial(p + l, cnt - l));
+        if (!bits)
             m |= std::uint64_t(1) << e;
     }
     return m;
@@ -833,16 +913,16 @@ avgPool2Row(float *y, const float *r0, const float *r1, int outW)
         static const MicroKernels table = {                               \
             isaEnum,          isaStr,                                     \
             simd::VF::W,      simd::VD::W,                                \
-            mkimpl::panelAccum,     mkimpl::dotBlockDouble,               \
+            mkimpl::rowBlockAccum,  mkimpl::dotBlockDouble,               \
             mkimpl::xformFromTiles<>, mkimpl::xformToTiles<>,             \
             mkimpl::packTilePanel,  mkimpl::unpackPanel<false>,           \
             mkimpl::unpackPanel<true>,                                    \
             mkimpl::rowAccumDouble, mkimpl::sumDouble,                    \
             mkimpl::reluForward,    mkimpl::mulPairwise,                  \
             mkimpl::axpy,           mkimpl::avgPool2Row,                  \
-            mkimpl::panelAccumSel,  mkimpl::panelAccumGrouped,            \
-            mkimpl::panelAccumHalf,                                       \
+            mkimpl::panelAccumGrouped, mkimpl::panelAccumHalf,            \
             mkimpl::xformToTilesHalf<>, mkimpl::kTabled.data(),           \
+            mkimpl::nonzeroMask,                                          \
             mkimpl::panelZeroMask,  mkimpl::panelZeroMaskHalf,            \
         };                                                                \
         return &table;                                                    \

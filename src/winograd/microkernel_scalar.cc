@@ -44,6 +44,32 @@ panelAccum(float *y, const float *const *x, const float *w, int nv,
     }
 }
 
+void
+rowBlockAccum(float *const *y, int nj, const float *x, std::size_t xStride,
+              int ni, const float *w, std::ptrdiff_t wsJ,
+              std::ptrdiff_t wsI, int len)
+{
+    // The pre-blocking dense element-wise nest: 8 input rows at a time,
+    // one panelAccum per output row, skipping a row whose 8 weights are
+    // all zero.
+    for (int i0 = 0; i0 < ni; i0 += 8) {
+        const int ib = ni - i0 < 8 ? ni - i0 : 8;
+        const float *xr[8];
+        for (int ii = 0; ii < ib; ++ii)
+            xr[ii] = x + std::size_t(i0 + ii) * xStride;
+        for (int j = 0; j < nj; ++j) {
+            float wv[8] = {};
+            bool any = false;
+            for (int ii = 0; ii < ib; ++ii) {
+                wv[ii] = w[j * wsJ + (i0 + ii) * wsI];
+                any = any || wv[ii] != 0.0f;
+            }
+            if (any)
+                panelAccum(y[j], xr, wv, ib, len);
+        }
+    }
+}
+
 double
 dotDouble(const float *a, const float *b, int len)
 {
@@ -258,44 +284,13 @@ avgPool2Row(float *y, const float *r0, const float *r1, int outW)
 }
 
 void
-panelAccumSel(float *y, const float *const *x, const float *w, int nv,
-              int len, int origNv)
-{
-    // Row-compacted panelAccum. Terms dropped by the caller are exact
-    // ±0.0f products, and removing exact zeros from either expression
-    // shape below leaves every partial sum bitwise unchanged — but the
-    // SHAPE must match what panelAccum would have used for the
-    // uncompacted block, hence the origNv switch.
-    if (nv == 0)
-        return; // y[k] += (sum of exact zeros) is a bitwise no-op
-    if (origNv == 8) {
-        // The flat 8-term expression, minus the zero terms: seed with
-        // the first surviving product, left-associate the rest, add to
-        // y last.
-        for (int k = 0; k < len; ++k) {
-            float s = w[0] * x[0][k];
-            for (int v = 1; v < nv; ++v)
-                s += w[v] * x[v][k];
-            y[k] += s;
-        }
-    } else {
-        for (int k = 0; k < len; ++k) {
-            float acc = y[k];
-            for (int v = 0; v < nv; ++v)
-                acc += w[v] * x[v][k];
-            y[k] = acc;
-        }
-    }
-}
-
-void
 panelAccumGrouped(float *y, const float *const *x, const float *w,
                   int /*nv*/, int len, const std::uint8_t *grpNv,
                   int nGroups, int tailOrig)
 {
     // One y read-modify-write per element, but each group's partial
-    // sum keeps the expression shape the blocked panelAccum /
-    // panelAccumSel sequence would have used: full blocks form the
+    // sum keeps the expression shape rowBlockAccum's blocked panelAccum
+    // calls would have used, zero terms dropped: full blocks form the
     // flat left-associated product sum added to the accumulator as one
     // term; a ragged tail accumulates per row. The fp32 store/load
     // between blocked calls is exact, so collapsing the passes cannot
@@ -358,6 +353,16 @@ xformToTilesHalf(const double *L, int p, int n, const double *R, int k,
 }
 
 std::uint64_t
+nonzeroMask(const float *w, int n)
+{
+    std::uint64_t m = 0;
+    for (int i = 0; i < n; ++i)
+        if (w[i] != 0.0f)
+            m |= std::uint64_t(1) << i;
+    return m;
+}
+
+std::uint64_t
 panelZeroMask(const float *x, std::size_t stride, int entries, int cnt)
 {
     std::uint64_t m = 0;
@@ -401,7 +406,7 @@ const winomc::mk::MicroKernels kTable = {
     "scalar",
     1,
     1,
-    panelAccum,
+    rowBlockAccum,
     dotBlockDouble,
     xformFromTiles,
     xformToTiles,
@@ -414,11 +419,11 @@ const winomc::mk::MicroKernels kTable = {
     mulPairwise,
     axpy,
     avgPool2Row,
-    panelAccumSel,
     panelAccumGrouped,
     panelAccumHalf,
     xformToTilesHalf,
     nullptr, // tabled: the oracle runs only the generic sandwich
+    nonzeroMask,
     panelZeroMask,
     panelZeroMaskHalf,
 };

@@ -42,6 +42,12 @@ namespace {
 // real work. The absolute numbers matter less than the ratios: they
 // are what ranks F(4,3) above F(6,3) on the paper's layer shapes,
 // matching measurement.
+//
+// kEwGflops, too, now undershoots: the register-blocked forward and
+// backward-data kernel (mk::rowBlockAccum) runs BM_ElementwiseForward
+// at ~58 GFLOP/s and its 64-lane small-map row at ~89 GFLOP/s (1
+// thread, AVX-512, 4-vCPU host). It keeps 25 so picks do not move
+// until the rates are calibrated on the host.
 
 constexpr double kDirectGflops = 6.0; ///< direct conv loops
 constexpr double kEwGflops = 25.0;    ///< element-wise GEMM stage

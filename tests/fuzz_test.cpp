@@ -19,10 +19,18 @@
  * loops: random maps, patch edges, origins before, inside and past
  * the map, lane counts 1-16, and pack lanes spread over up to four
  * planes, bitwise at every usable ISA.
+ *
+ * The three element-wise GEMM stages (forward, backward data, grad
+ * weights) are fuzzed over seeded (alpha, J, I, batch, tiles) shapes
+ * with exact-zero weight blocks and ±0 entries, against the per-ISA
+ * oracles of ew_oracle.hh (an fma chain per output element, the
+ * scalar table's blocked nest, the per-pair grad-weights dot), bitwise
+ * at every usable ISA at 1 and 4 threads.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -35,6 +43,7 @@
 #include "winograd/conv.hh"
 #include "winograd/microkernel.hh"
 
+#include "ew_oracle.hh"
 #include "exec_scope.hh"
 
 using namespace winomc;
@@ -349,6 +358,125 @@ TEST(PanelFuzz, PackAndUnpackMatchNaiveLoopsBitwise)
                                  c.cnt);
             if (!sameBits(out, addRef))
                 ADD_FAILURE() << "unpack-add differs: " << where;
+        }
+    }
+}
+
+namespace {
+
+constexpr unsigned kEwSeed0 = 0xe1e0;
+constexpr int kEwCases = 60;
+constexpr int kEwKBlock = 256; ///< grad-weights lane block (conv.cc)
+
+struct EwCase
+{
+    int alpha, nj, ni, batch, tiles;
+
+    int bt() const { return batch * tiles; }
+
+    std::string
+    str() const
+    {
+        std::ostringstream os;
+        os << "alpha " << alpha << " J " << nj << " I " << ni << " batch "
+           << batch << " tiles " << tiles;
+        return os.str();
+    }
+};
+
+/** Tiles or weights with exact ±0 mixed in. */
+void
+fillSigned(Rng &rng, float *p, std::size_t n)
+{
+    for (std::size_t e = 0; e < n; ++e) {
+        p[e] = float(-1.0 + 2.0 * rng.uniform());
+        if (rng.uniformInt(0, 9) == 0)
+            p[e] = rng.uniformInt(0, 1) ? 0.0f : -0.0f;
+    }
+}
+
+} // namespace
+
+TEST(ElementwiseFuzz, ForwardBackwardDataGradWeightsMatchOraclesBitwise)
+{
+    test::ExecScope scope;
+    for (int n = 0; n < kEwCases; ++n) {
+        const unsigned seed = kEwSeed0 + unsigned(n);
+        Rng rng(seed);
+        EwCase c{};
+        c.alpha = rng.uniformInt(0, 1) ? 6 : 4;
+        c.nj = int(rng.uniformInt(1, 40));
+        c.ni = int(rng.uniformInt(1, 40));
+        c.batch = int(rng.uniformInt(1, 3));
+        c.tiles = int(rng.uniformInt(1, 120));
+        const int bt = c.bt(), uvs = c.alpha * c.alpha;
+        WinoTiles X(c.alpha, c.ni, c.batch, c.tiles);
+        WinoTiles dY(c.alpha, c.nj, c.batch, c.tiles);
+        WinoWeights W(c.alpha, c.nj, c.ni);
+        fillSigned(rng, X.row(0, 0), X.size());
+        fillSigned(rng, dY.row(0, 0), dY.size());
+        fillSigned(rng, W.raw(), W.size());
+        // Whole 8-row input blocks of some uv slices are dead in every
+        // output row, as pruning leaves them.
+        for (int uv = 0; uv < uvs; ++uv)
+            for (int i0 = 0; i0 < c.ni; i0 += 8)
+                if (rng.uniformInt(0, 3) == 0)
+                    for (int j = 0; j < c.nj; ++j)
+                        for (int i = i0; i < std::min(i0 + 8, c.ni); ++i)
+                            W.at(uv, j, i) = 0.0f;
+
+        for (mk::Isa isa : test::usableIsas()) {
+            ScopedExecConfig isaScope(test::withIsa(isa));
+            const int lanes = mk::kernels().doubleLanes;
+            WinoTiles yRef(c.alpha, c.nj, c.batch, c.tiles);
+            WinoTiles dxRef(c.alpha, c.ni, c.batch, c.tiles);
+            WinoWeights dwRef(c.alpha, c.nj, c.ni);
+            yRef.fill(0.0f);
+            dxRef.fill(0.0f);
+            for (int uv = 0; uv < uvs; ++uv) {
+                const float *w = W.raw() + std::size_t(uv) * c.nj * c.ni;
+                std::vector<float *> yRows, dxRows;
+                for (int j = 0; j < c.nj; ++j)
+                    yRows.push_back(yRef.row(uv, j));
+                for (int i = 0; i < c.ni; ++i)
+                    dxRows.push_back(dxRef.row(uv, i));
+                test::rowBlockRef(isa, yRows.data(), c.nj, X.row(uv, 0),
+                                  std::size_t(bt), c.ni, w, c.ni, 1, bt);
+                test::rowBlockRef(isa, dxRows.data(), c.ni, dY.row(uv, 0),
+                                  std::size_t(bt), c.nj, w, 1, c.ni, bt);
+                for (int j = 0; j < c.nj; ++j)
+                    for (int i = 0; i < c.ni; ++i) {
+                        double acc = 0.0;
+                        for (int k0 = 0; k0 < bt; k0 += kEwKBlock)
+                            acc += test::perPairDot(
+                                isa, lanes, dY.row(uv, j) + k0,
+                                X.row(uv, i) + k0,
+                                std::min(kEwKBlock, bt - k0));
+                        dwRef.at(uv, j, i) = float(acc);
+                    }
+            }
+            for (int threads : {1, 4}) {
+                ThreadPool::global().setThreadCount(threads);
+                const std::string where =
+                    "seed " + std::to_string(seed) + " " + c.str() +
+                    " isa " + mk::isaName(isa) + " threads " +
+                    std::to_string(threads);
+                WinoTiles y(c.alpha, c.nj, c.batch, c.tiles);
+                WinoTiles dx(c.alpha, c.ni, c.batch, c.tiles);
+                WinoWeights dw(c.alpha, c.nj, c.ni);
+                elementwiseForwardInto(X, W, y);
+                elementwiseBackwardDataInto(dY, W, dx);
+                elementwiseGradWeightsInto(dY, X, dw);
+                if (std::memcmp(y.row(0, 0), yRef.row(0, 0),
+                                y.size() * sizeof(float)) != 0)
+                    ADD_FAILURE() << "forward differs: " << where;
+                if (std::memcmp(dx.row(0, 0), dxRef.row(0, 0),
+                                dx.size() * sizeof(float)) != 0)
+                    ADD_FAILURE() << "backward-data differs: " << where;
+                if (std::memcmp(dw.raw(), dwRef.raw(),
+                                dw.size() * sizeof(float)) != 0)
+                    ADD_FAILURE() << "grad-weights differs: " << where;
+            }
         }
     }
 }

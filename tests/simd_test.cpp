@@ -31,9 +31,12 @@
 #include "winograd/tiling.hh"
 #include "winograd/xform_tables.hh"
 
+#include "ew_oracle.hh"
 #include "exec_scope.hh"
 
 using namespace winomc;
+using test::perPairDot;
+using test::rowBlockRef;
 using test::usableIsas;
 using test::withIsa;
 
@@ -114,8 +117,7 @@ TEST_F(SimdTest, EveryUsableTableIsFullyPopulated)
         EXPECT_NE(K.name, nullptr);
         EXPECT_GE(K.floatLanes, 1);
         EXPECT_GE(K.doubleLanes, 1);
-        EXPECT_NE(K.panelAccum, nullptr);
-        EXPECT_NE(K.panelAccumSel, nullptr);
+        EXPECT_NE(K.rowBlockAccum, nullptr);
         EXPECT_NE(K.panelAccumGrouped, nullptr);
         EXPECT_NE(K.panelAccumHalf, nullptr);
         EXPECT_NE(K.dotBlockDouble, nullptr);
@@ -167,13 +169,83 @@ TEST_F(SimdTest, ElementwisePrimitivesBitwiseMatchScalarOnOddLengths)
     }
 }
 
-TEST_F(SimdTest, PanelAccumGroupedBitwiseMatchesBlockedSel)
+TEST_F(SimdTest, RowBlockAccumBitwiseMatchesNaiveOracle)
+{
+    // The dense element-wise contract: every element of a row block is
+    // the oracle's chain over all ni input rows, zero weights included
+    // (scalar: the blocked nest with its zero-block skip). Rows start
+    // at odd float offsets; y starts nonzero (the kernel adds); weight
+    // 8-blocks are zero in every row, in one row only, or hold ±0
+    // entries; x holds exact ±0; both weight orientations run.
+    constexpr int kMaxNi = 70, kLd = 5;
+    const int nis[] = {1, 2, 3, 7, 8, 9, 15, 16, 17, 24, 31, 33, 64, 70};
+    const int lens[] = {1, 3, 4, 15, 16, 17, 31, 33, 63, 64, 65, 100,
+                        129, 256, 300};
+    for (mk::Isa isa : usableIsas()) {
+        ScopedExecConfig isaScope(withIsa(isa));
+        const mk::MicroKernels &K = mk::kernels();
+        for (int len : lens) {
+            const std::size_t xs = std::size_t(len) + 3;
+            auto x = randomVec(kMaxNi * xs + 1, 40u + unsigned(len));
+            for (std::size_t e = 0; e < x.size(); e += 7)
+                x[e] = e % 2 ? -0.0f : 0.0f;
+            // W (kLd x kMaxNi, forward) and W^T (kMaxNi x kLd,
+            // backward data) hold the same values.
+            auto wF = randomVec(std::size_t(kMaxNi) * kLd,
+                                60u + unsigned(len));
+            std::vector<float> wT(wF.size());
+            for (int i = 0; i < kMaxNi; ++i)
+                for (int j = 0; j < kLd; ++j) {
+                    float &wij = wF[std::size_t(j) * kMaxNi + i];
+                    if (i / 8 == 1 || (i / 8 == 3 && j == 2))
+                        wij = 0.0f; // dead in every row; in row 2 only
+                    else if ((i + j) % 11 == 0)
+                        wij = (i + j) % 2 ? -0.0f : 0.0f;
+                    wT[std::size_t(i) * kLd + j] = wij;
+                }
+            for (int ni : nis) {
+                for (int nj = 1; nj <= mk::kRowBlock; ++nj) {
+                    for (bool transposed : {false, true}) {
+                        const float *w = transposed ? wT.data() : wF.data();
+                        const std::ptrdiff_t wsJ = transposed ? 1 : kMaxNi;
+                        const std::ptrdiff_t wsI = transposed ? kLd : 1;
+                        std::vector<std::vector<float>> yK, yR;
+                        float *pk[mk::kRowBlock], *pr[mk::kRowBlock];
+                        for (int j = 0; j < nj; ++j) {
+                            yK.push_back(randomVec(
+                                std::size_t(len),
+                                80u + unsigned(j * 131 + len)));
+                            yR.push_back(yK.back());
+                        }
+                        for (int j = 0; j < nj; ++j) {
+                            pk[j] = yK[std::size_t(j)].data();
+                            pr[j] = yR[std::size_t(j)].data();
+                        }
+                        K.rowBlockAccum(pk, nj, x.data() + 1, xs, ni, w,
+                                        wsJ, wsI, len);
+                        rowBlockRef(isa, pr, nj, x.data() + 1, xs, ni, w,
+                                    wsJ, wsI, len);
+                        for (int j = 0; j < nj; ++j)
+                            EXPECT_EQ(0, std::memcmp(pk[j], pr[j],
+                                                     std::size_t(len) * 4))
+                                << mk::isaName(isa) << " nj=" << nj
+                                << " ni=" << ni << " len=" << len
+                                << " row " << j
+                                << (transposed ? " W^T" : " W");
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST_F(SimdTest, PanelAccumGroupedBitwiseMatchesDenseOracle)
 {
     // The sparse elementwise path's contract: one whole-column
-    // panelAccumGrouped call over compacted rows must be bitwise
-    // identical to the blocked sequence of panelAccumSel calls it
-    // replaces (same per-element FMA chains, intermediate y
-    // store/loads are exact in fp32 — only the y traffic differs).
+    // panelAccumGrouped call over compacted rows is bitwise the dense
+    // kernel over the uncompacted column with the dropped rows'
+    // weights zeroed (dropped terms are exact zeros for finite
+    // inputs). The dense side is the in-test oracle rowBlockRef.
     // 19 rows = register blocks of 8, 8, and a 3-row tail; patterns
     // cover scattered drops, a fully dead middle block, and a sparse
     // survivor set.
@@ -203,23 +275,19 @@ TEST_F(SimdTest, PanelAccumGroupedBitwiseMatchesBlockedSel)
                 std::vector<float> yRef =
                     randomVec(std::size_t(len), 999u + unsigned(len));
                 std::vector<float> yGrp = yRef;
-                // Reference: one panelAccumSel per non-empty block.
-                std::vector<const float *> xb;
-                std::vector<float> wb;
-                for (int b0 = 0; b0 < ni; b0 += 8) {
-                    const int orig = std::min(8, ni - b0);
-                    xb.clear();
-                    wb.clear();
-                    for (int i = b0; i < b0 + orig; ++i)
-                        if (kept(i)) {
-                            xb.push_back(rows[std::size_t(i)].data());
-                            wb.push_back(w[std::size_t(i)]);
-                        }
-                    if (!xb.empty())
-                        K.panelAccumSel(yRef.data(), xb.data(),
-                                        wb.data(), int(xb.size()),
-                                        len, orig);
+                // Oracle: the dense column, dropped rows zero-weighted.
+                std::vector<float> xDense(std::size_t(ni * len));
+                std::vector<float> wDense(static_cast<std::size_t>(ni));
+                for (int i = 0; i < ni; ++i) {
+                    std::copy(rows[std::size_t(i)].begin(),
+                              rows[std::size_t(i)].end(),
+                              xDense.begin() + std::ptrdiff_t(i) * len);
+                    wDense[std::size_t(i)] = kept(i) ? w[std::size_t(i)]
+                                                     : 0.0f;
                 }
+                float *yr = yRef.data();
+                rowBlockRef(isa, &yr, 1, xDense.data(), std::size_t(len),
+                            ni, wDense.data(), 0, 1, len);
                 // Grouped: compact across blocks, one y pass.
                 std::vector<const float *> xc;
                 std::vector<float> wc;
@@ -338,54 +406,64 @@ TEST_F(SimdTest, DotBlockBitwiseMatchesSinglePairCalls)
     }
 }
 
-/**
- * The per-pair double dot product every table computed before the
- * blocked grad-weights kernel, restated in portable code so the check
- * below does not lean on the kernel under test. Scalar: four chains,
- * the tail into chain 0, (s0 + s1) + (s2 + s3). Vector levels, per
- * lane: chain 0 over the even full chunks of `lanes` floats, chain 1
- * over the odd ones and then the zero-filled tail; FMA from AVX2 up,
- * multiply-then-add at SSE2; the lanes of chain0 + chain1 summed in
- * simd::hsum's pairwise tree.
- */
-double
-perPairDot(mk::Isa isa, int lanes, const float *a, const float *b,
-           int len)
+TEST_F(SimdTest, DotBlockReductionMatchesHsumTree)
 {
-    if (isa == mk::Isa::Scalar) {
-        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-        int k = 0;
-        for (; k + 4 <= len; k += 4) {
-            s0 += double(a[k]) * b[k];
-            s1 += double(a[k + 1]) * b[k + 1];
-            s2 += double(a[k + 2]) * b[k + 2];
-            s3 += double(a[k + 3]) * b[k + 3];
+    // Every pair of an na x nb block ends in simd::hsum's adjacent-pair
+    // tree, which the vector levels now compute VD::W pairs at a time
+    // (simd::hsumEach). Products spread over 2^-40 .. 2^40 make the
+    // lane-sum order visible in the double result; a sequential lane
+    // sum must differ from the tree somewhere, or the check is blind.
+    constexpr int kLd = mk::kDotBlock + 1;
+    for (mk::Isa isa : usableIsas()) {
+        ScopedExecConfig isaScope(withIsa(isa));
+        const mk::MicroKernels &K = mk::kernels();
+        const int lanes = K.doubleLanes;
+        int treeVisible = 0;
+        for (int len : {1, 5, 8, 16, 23, 64, 65, 256}) {
+            const std::size_t pitch = std::size_t(len) + 1;
+            Rng rng(700u + unsigned(len));
+            std::vector<float> buf(2 * mk::kDotBlock * pitch);
+            for (float &v : buf)
+                v = std::ldexp(rng.uniform() - 0.5f,
+                               int(rng.uniformInt(-20, 20)));
+            const float *a[mk::kDotBlock], *b[mk::kDotBlock];
+            for (int r = 0; r < mk::kDotBlock; ++r) {
+                a[r] = buf.data() + std::size_t(r) * pitch;
+                b[r] = buf.data() + std::size_t(mk::kDotBlock + r) * pitch;
+            }
+            for (int na = 1; na <= mk::kDotBlock; ++na) {
+                for (int nb = 1; nb <= mk::kDotBlock; ++nb) {
+                    double acc[mk::kDotBlock * kLd] = {};
+                    K.dotBlockDouble(acc, kLd, a, na, b, nb, len);
+                    for (int j = 0; j < na; ++j) {
+                        for (int i = 0; i < nb; ++i) {
+                            const double want =
+                                perPairDot(isa, lanes, a[j], b[i], len);
+                            EXPECT_EQ(0, std::memcmp(&want,
+                                                     &acc[j * kLd + i],
+                                                     sizeof(double)))
+                                << mk::isaName(isa) << " len=" << len
+                                << " block " << na << "x" << nb
+                                << " pair " << j << "," << i;
+                            if (isa == mk::Isa::Scalar)
+                                continue;
+                            // The same lane values summed in order.
+                            double v[8];
+                            test::pairLanes(isa, lanes, a[j], b[i], len,
+                                            v);
+                            double seq = 0.0;
+                            for (int l = 0; l < lanes; ++l)
+                                seq += v[l];
+                            treeVisible += seq != want;
+                        }
+                    }
+                }
+            }
         }
-        for (; k < len; ++k)
-            s0 += double(a[k]) * b[k];
-        return (s0 + s1) + (s2 + s3);
+        if (isa != mk::Isa::Scalar && lanes > 2) {
+            EXPECT_GT(treeVisible, 0) << mk::isaName(isa);
+        }
     }
-    const bool fused = isa != mk::Isa::Sse2;
-    const auto step = [fused](double &acc, double x, double y) {
-        acc = fused ? std::fma(x, y, acc) : acc + x * y;
-    };
-    double c0[8] = {}, c1[8] = {};
-    const int chunks = len / lanes;
-    for (int q = 0; q < chunks; ++q)
-        for (int l = 0; l < lanes; ++l)
-            step(q % 2 ? c1[l] : c0[l], a[q * lanes + l],
-                 b[q * lanes + l]);
-    if (chunks * lanes < len)
-        for (int l = 0; l < lanes; ++l) {
-            const int k = chunks * lanes + l;
-            step(c1[l], k < len ? a[k] : 0.0f, k < len ? b[k] : 0.0f);
-        }
-    for (int l = 0; l < lanes; ++l)
-        c0[l] += c1[l];
-    for (int n = lanes; n > 1; n /= 2)
-        for (int i = 0; i < n / 2; ++i)
-            c0[i] = c0[2 * i] + c0[2 * i + 1];
-    return c0[0];
 }
 
 TEST_F(SimdTest, GradWeightsBitwiseMatchPerPairReference)

@@ -298,7 +298,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, SparseParityP,
         SparseCase{1, 1, 1, 3, 3, 2},   // single ragged tile
         SparseCase{2, 3, 4, 9, 7, 2},   // ragged grid
         SparseCase{2, 4, 3, 12, 12, 4}, // F(4,3), even grid
-        SparseCase{1, 5, 2, 18, 10, 6}),// F(6,3), alpha^2 = 64 bits
+        SparseCase{1, 5, 2, 18, 10, 6}, // F(6,3), alpha^2 = 64 bits
+        SparseCase{1, 19, 5, 8, 8, 4}), // 8 + 8 + ragged 3 input rows
     [](const ::testing::TestParamInfo<SparseCase> &info) {
         const auto &p = info.param;
         return "b" + std::to_string(p.batch) + "c" +
