@@ -303,16 +303,24 @@ BENCHMARK(BM_DirectConvStride2)->Unit(benchmark::kMillisecond);
 
 struct ElementwiseFixture
 {
-    ElementwiseFixture(int batch, int ch, int hw) : x(batch, ch, hw, hw)
+    /** batch images of inCh -> outCh channels on hw x hw maps; the
+     *  outputs are preallocated, so a timed call allocates nothing. */
+    ElementwiseFixture(int batch, int inCh, int outCh, int hw)
+        : x(batch, inCh, hw, hw)
     {
         Rng rng(1);
-        Tensor w(ch, ch, 3, 3);
+        Tensor w(outCh, inCh, 3, 3);
+        Tensor dy(batch, outCh, hw, hw);
         x.fillUniform(rng);
         w.fillUniform(rng);
+        dy.fillUniform(rng);
         const auto &algo = algoF4x4_3x3();
         W = transformWeights(w, algo);
         X = transformInput(x, algo);
-        dY = inverseTransformAdjoint(x, algo);
+        dY = inverseTransformAdjoint(dy, algo);
+        Y = WinoTiles(algo.alpha, outCh, batch, X.tiles());
+        dX = WinoTiles(algo.alpha, inCh, batch, X.tiles());
+        dW = WinoWeights(algo.alpha, outCh, inCh);
     }
 
     double
@@ -323,14 +331,14 @@ struct ElementwiseFixture
     }
 
     Tensor x;
-    WinoWeights W;
-    WinoTiles X, dY;
+    WinoWeights W, dW;
+    WinoTiles X, dY, Y, dX;
 };
 
 ElementwiseFixture &
 elementwiseFixture()
 {
-    static ElementwiseFixture f(8, 64, 32);
+    static ElementwiseFixture f(8, 64, 64, 32);
     return f;
 }
 
@@ -343,7 +351,19 @@ elementwiseFixture()
 ElementwiseFixture &
 smallMapFixture()
 {
-    static ElementwiseFixture f(16, 128, 8);
+    static ElementwiseFixture f(16, 128, 128, 8);
+    return f;
+}
+
+/**
+ * train_wino's first conv: batch 16, 1 -> 32 channels, 32x32 maps,
+ * F(4x4, 3x3). One input channel makes the weight gradient a 32 x 1
+ * product per uv over 1024 lanes: the narrow case.
+ */
+ElementwiseFixture &
+narrowFixture()
+{
+    static ElementwiseFixture f(16, 1, 32, 32);
     return f;
 }
 
@@ -359,15 +379,19 @@ runElementwise(benchmark::State &state, ElementwiseFixture &f,
     for (auto _ : state) {
         switch (stage) {
           case EwStage::Forward:
-            benchmark::DoNotOptimize(elementwiseForward(f.X, f.W));
+            elementwiseForwardInto(f.X, f.W, f.Y);
+            benchmark::DoNotOptimize(f.Y.row(0, 0));
             break;
           case EwStage::BackwardData:
-            benchmark::DoNotOptimize(elementwiseBackwardData(f.dY, f.W));
+            elementwiseBackwardDataInto(f.dY, f.W, f.dX);
+            benchmark::DoNotOptimize(f.dX.row(0, 0));
             break;
           case EwStage::GradWeights:
-            benchmark::DoNotOptimize(elementwiseGradWeights(f.dY, f.X));
+            elementwiseGradWeightsInto(f.dY, f.X, f.dW);
+            benchmark::DoNotOptimize(f.dW.raw());
             break;
         }
+        benchmark::ClobberMemory();
     }
     probe.report(state);
     reportKernelRate(state, f.ewFlops());
@@ -439,6 +463,14 @@ BENCHMARK(BM_ElementwiseGradWeightsSmallMap)->ArgName("threads")->Arg(1)
     ->Arg(4)->Unit(benchmark::kMillisecond);
 
 void
+BM_ElementwiseGradWeightsNarrow(benchmark::State &state)
+{
+    runElementwise(state, narrowFixture(), EwStage::GradWeights);
+}
+BENCHMARK(BM_ElementwiseGradWeightsNarrow)->ArgName("threads")->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+void
 BM_InputTransform(benchmark::State &state)
 {
     ThreadPool::global().setThreadCount(int(state.range(0)));
@@ -464,7 +496,8 @@ BM_InverseTransform(benchmark::State &state)
     ThreadPool::global().setThreadCount(int(state.range(0)));
     auto &f = elementwiseFixture();
     const auto &algo = algoF4x4_3x3();
-    WinoTiles Y = elementwiseForward(f.X, f.W);
+    WinoTiles Y = f.Y;
+    elementwiseForwardInto(f.X, f.W, Y);
     WsProbe probe;
     for (auto _ : state)
         benchmark::DoNotOptimize(inverseTransform(Y, algo, 32, 32));
@@ -523,6 +556,26 @@ BM_InputTransformAdjoint(benchmark::State &state)
 BENCHMARK(BM_InputTransformAdjoint)->ArgName("threads")->Arg(1)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
+/** The input adjoint on train_wino's small-map shape (B16, C = 128,
+ *  8x8, F(4,3)), where every tile crosses the map border. */
+void
+BM_InputTransformAdjointSmallMap(benchmark::State &state)
+{
+    ThreadPool::global().setThreadCount(int(state.range(0)));
+    auto &f = smallMapFixture();
+    Tensor dx = f.x;
+    WsProbe probe;
+    for (auto _ : state) {
+        transformInputAdjointInto(f.X, algoF4x4_3x3(), dx);
+        benchmark::DoNotOptimize(dx.data());
+        benchmark::ClobberMemory();
+    }
+    probe.report(state);
+    reportKernelRate(state, inputFlops(f.X));
+}
+BENCHMARK(BM_InputTransformAdjointSmallMap)->ArgName("threads")->Arg(1)
+    ->Arg(4)->Unit(benchmark::kMillisecond);
+
 void
 BM_InverseTransformAdjoint(benchmark::State &state)
 {
@@ -553,8 +606,11 @@ BM_ElementwiseForwardScalar(benchmark::State &state)
     ScopedExecConfig scalar([](ExecConfig &c) { c.isa = mk::Isa::Scalar; });
     auto &f = elementwiseFixture();
     WsProbe probe;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(elementwiseForward(f.X, f.W));
+    for (auto _ : state) {
+        elementwiseForwardInto(f.X, f.W, f.Y);
+        benchmark::DoNotOptimize(f.Y.row(0, 0));
+        benchmark::ClobberMemory();
+    }
     probe.report(state);
     reportKernelRate(state, f.ewFlops());
 }
@@ -567,8 +623,11 @@ BM_ElementwiseGradWeightsScalar(benchmark::State &state)
     ScopedExecConfig scalar([](ExecConfig &c) { c.isa = mk::Isa::Scalar; });
     auto &f = elementwiseFixture();
     WsProbe probe;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(elementwiseGradWeights(f.dY, f.X));
+    for (auto _ : state) {
+        elementwiseGradWeightsInto(f.dY, f.X, f.dW);
+        benchmark::DoNotOptimize(f.dW.raw());
+        benchmark::ClobberMemory();
+    }
     probe.report(state);
     reportKernelRate(state, f.ewFlops());
 }
@@ -581,7 +640,8 @@ BM_InverseTransformScalar(benchmark::State &state)
     ScopedExecConfig scalar([](ExecConfig &c) { c.isa = mk::Isa::Scalar; });
     auto &f = elementwiseFixture();
     const auto &algo = algoF4x4_3x3();
-    WinoTiles Y = elementwiseForward(f.X, f.W);
+    WinoTiles Y = f.Y;
+    elementwiseForwardInto(f.X, f.W, Y);
     WsProbe probe;
     for (auto _ : state)
         benchmark::DoNotOptimize(inverseTransform(Y, algo, 32, 32));

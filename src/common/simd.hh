@@ -542,8 +542,7 @@ struct VD
 
 #endif
 
-/** Fixed-order (pairwise-tree) horizontal sum: deterministic per ISA.
- *  hsumEach below computes VD::W of them at once, bitwise alike. */
+/** Fixed-order (pairwise-tree) horizontal sum: deterministic per ISA. */
 inline double
 hsum(VD x)
 {
@@ -559,51 +558,67 @@ hsum(VD x)
 }
 
 /**
- * Lane p of the result is hsum(v[p]) for p < VD::W, bitwise: the
- * unpack/shuffle adds pair exactly the operands of hsum's tree
- * (adjacent lanes, then adjacent pair sums, ...), VD::W sums at once
- * and without a round trip through memory.
+ * vzeroupper where the level has 256-bit registers. The compiler emits
+ * it on the way out only after a 256-bit register write, but a VEX.256
+ * instruction that reads memory into an xmm destination (a folded
+ * double -> float convert) also leaves the upper state dirty, and then
+ * every legacy-SSE instruction of the caller pays for it (a 40x slower
+ * scalar loop was measured after such a kernel).
  */
-inline VD
-hsumEach(const VD *v)
+inline void
+zeroUpper()
+{
+#if WINOMC_SIMD_LEVEL >= 2
+    _mm256_zeroupper();
+#endif
+}
+
+/** In-register transpose of a VD::W x VD::W block: lane c of r[l]
+ *  becomes lane l of r[c]. Pure data movement. */
+inline void
+transpose(VD (&r)[VD::W])
 {
 #if WINOMC_SIMD_LEVEL == 3
-    // Level 1: t[q] = [a01 b01 a23 b23 a45 b45 a67 b67] for a, b =
-    // v[2q], v[2q+1] (xy = lane x + lane y). The maskz unpacks: GCC's
-    // plain forms seed from an "undefined" vector (-Wuninitialized).
-    __m512d t[4];
-    for (int q = 0; q < 4; ++q)
-        t[q] = _mm512_add_pd(
-            _mm512_maskz_unpacklo_pd(0xff, v[2 * q].v, v[2 * q + 1].v),
-            _mm512_maskz_unpackhi_pd(0xff, v[2 * q].v, v[2 * q + 1].v));
-    // Level 2: u[r] = [a0123 b0123 c0123 d0123 a4567 b4567 c4567 d4567].
+    // Pairs of rows (the maskz unpacks: GCC's plain forms seed from an
+    // "undefined" vector, which trips -Wuninitialized), then 128-bit
+    // lanes across pairs, then 256-bit halves across quads.
+    __m512d t[8], u[8];
+    for (int q = 0; q < 4; ++q) {
+        t[2 * q] = _mm512_maskz_unpacklo_pd(0xff, r[2 * q].v, r[2 * q + 1].v);
+        t[2 * q + 1] =
+            _mm512_maskz_unpackhi_pd(0xff, r[2 * q].v, r[2 * q + 1].v);
+    }
     const __m512i lo2 = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
     const __m512i hi2 = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
-    __m512d u[2];
-    for (int r = 0; r < 2; ++r)
-        u[r] = _mm512_add_pd(
-            _mm512_permutex2var_pd(t[2 * r], lo2, t[2 * r + 1]),
-            _mm512_permutex2var_pd(t[2 * r], hi2, t[2 * r + 1]));
-    // Level 3: lane p = p's 0123 sum + its 4567 sum.
-    const __m512i lo3 = _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11);
-    const __m512i hi3 = _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15);
-    return {_mm512_add_pd(_mm512_permutex2var_pd(u[0], lo3, u[1]),
-                          _mm512_permutex2var_pd(u[0], hi3, u[1]))};
+    for (int h = 0; h < 2; ++h)
+        for (int o = 0; o < 2; ++o) {
+            // u[4h + o]: lanes 0 + o of rows 4h..4h+3 (and 4 + o);
+            // u[4h + 2 + o]: lanes 2 + o (and 6 + o).
+            __m512d a = t[4 * h + o], b = t[4 * h + 2 + o];
+            u[4 * h + o] = _mm512_permutex2var_pd(a, lo2, b);
+            u[4 * h + 2 + o] = _mm512_permutex2var_pd(a, hi2, b);
+        }
+    // u[0] = col 0|4 of rows 0-3, u[1] = 1|5, u[2] = 2|6, u[3] = 3|7;
+    // u[4..7] the same for rows 4-7.
+    for (int c = 0; c < 4; ++c) {
+        r[c].v = _mm512_shuffle_f64x2(u[c], u[4 + c], 0x44);
+        r[4 + c].v = _mm512_shuffle_f64x2(u[c], u[4 + c], 0xee);
+    }
 #elif WINOMC_SIMD_LEVEL == 2
-    // t0 = [a01 b01 a23 b23], t1 = [c01 d01 c23 d23].
-    const __m256d t0 =
-        _mm256_add_pd(_mm256_unpacklo_pd(v[0].v, v[1].v),
-                      _mm256_unpackhi_pd(v[0].v, v[1].v));
-    const __m256d t1 =
-        _mm256_add_pd(_mm256_unpacklo_pd(v[2].v, v[3].v),
-                      _mm256_unpackhi_pd(v[2].v, v[3].v));
-    return {_mm256_add_pd(_mm256_permute2f128_pd(t0, t1, 0x20),
-                          _mm256_permute2f128_pd(t0, t1, 0x31))};
+    const __m256d t0 = _mm256_unpacklo_pd(r[0].v, r[1].v);
+    const __m256d t1 = _mm256_unpackhi_pd(r[0].v, r[1].v);
+    const __m256d t2 = _mm256_unpacklo_pd(r[2].v, r[3].v);
+    const __m256d t3 = _mm256_unpackhi_pd(r[2].v, r[3].v);
+    r[0].v = _mm256_permute2f128_pd(t0, t2, 0x20);
+    r[1].v = _mm256_permute2f128_pd(t1, t3, 0x20);
+    r[2].v = _mm256_permute2f128_pd(t0, t2, 0x31);
+    r[3].v = _mm256_permute2f128_pd(t1, t3, 0x31);
 #elif WINOMC_SIMD_LEVEL == 1
-    return {_mm_add_pd(_mm_unpacklo_pd(v[0].v, v[1].v),
-                       _mm_unpackhi_pd(v[0].v, v[1].v))};
+    const __m128d t0 = _mm_unpacklo_pd(r[0].v, r[1].v);
+    r[1].v = _mm_unpackhi_pd(r[0].v, r[1].v);
+    r[0].v = t0;
 #else
-    return v[0];
+    (void)r;
 #endif
 }
 

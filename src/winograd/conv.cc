@@ -4,12 +4,14 @@
 #include <array>
 #include <bit>
 #include <limits>
+#include <new>
 #include <type_traits>
 #include <vector>
 
 #include "common/metrics.hh"
 #include "common/parallel.hh"
 #include "common/trace.hh"
+#include "tensor/workspace.hh"
 #include "winograd/microkernel.hh"
 #include "winograd/plan.hh"
 
@@ -25,18 +27,18 @@ constexpr int kMaxAlpha = 8;
  * Cache/register blocking for the per-uv GEMMs of Equation (2).
  *
  * Each uv slice is a dense (channels) x (batch*tiles) matrix product.
- * The kernels walk the (batch*tiles) axis in panels of kKBlock floats
- * (so a panel of every streamed row stays L1-resident), process output
- * channels in register blocks of kJBlock rows (one input-row read feeds
- * kJBlock outputs), and tile reduction outputs in kIBlock columns so
- * the accumulator block lives on the stack. The innermost panels are
- * the mk:: micro-kernels, vectorized along the unit-stride tile axis.
- * The zero-skipping step groups its survivors by blocks of kIUnroll
- * input rows, the scalar dense kernel's reduction block.
+ * The forward and backward-data kernels walk the (batch*tiles) axis in
+ * panels of kKBlock floats (so a panel of every streamed row stays
+ * L1-resident) and process output channels in register blocks of
+ * kJBlock rows (one input-row read feeds kJBlock outputs). The
+ * innermost panels are the mk:: micro-kernels, vectorized along the
+ * unit-stride tile axis; the weight gradient blocks itself inside
+ * mk::gradWeights. The zero-skipping step groups its survivors by
+ * blocks of kIUnroll input rows, the scalar dense kernel's reduction
+ * block.
  */
 constexpr int kKBlock = 256;
 constexpr int kJBlock = 4;
-constexpr int kIBlock = 16;
 constexpr int kIUnroll = 8;
 
 /** SoA scratch: kMaxAlpha^2 transform entries x one tile panel. */
@@ -586,6 +588,48 @@ checkForwardShapes(const Tiles &X, const WinoWeights &W,
                   "elementwiseForwardInto destination shape mismatch");
 }
 
+/**
+ * A workspace slab one thread keeps across calls, re-acquired only when
+ * a call needs more: a steady-state training step acquires nothing for
+ * it, and its bytes show in the workspace's in-use count.
+ */
+class ThreadScratch
+{
+  public:
+    ThreadScratch() = default;
+    ThreadScratch(const ThreadScratch &) = delete;
+    ThreadScratch &operator=(const ThreadScratch &) = delete;
+    ~ThreadScratch()
+    {
+        if (slab.capacity())
+            ws::release(std::move(slab));
+    }
+
+    /** At least n doubles, contents unspecified. */
+    double *
+    doubles(std::size_t n)
+    {
+        if (held < n) {
+            if (slab.capacity())
+                ws::release(std::move(slab));
+            slab = ws::acquire(2 * n);
+            // The slab's storage is reused for doubles: start their
+            // lifetime rather than read floats through a double *.
+            d = ::new (static_cast<void *>(slab.data())) double[n];
+            held = n;
+        }
+        return d;
+    }
+
+  private:
+    std::vector<float> slab;
+    double *d = nullptr;
+    std::size_t held = 0; ///< doubles living in slab
+};
+
+/** mk::gradWeights' scratch, held by the thread that starts the stage. */
+thread_local ThreadScratch gradScratch;
+
 /** Resolve a uv range argument: uv1 < 0 means alpha^2. */
 int
 uvEnd(int uv0, int uv1, int uvCount)
@@ -761,14 +805,6 @@ elementwiseForwardInto(const HalfTiles &X, const WinoWeights &W,
     });
 }
 
-WinoTiles
-elementwiseForward(const WinoTiles &X, const WinoWeights &W)
-{
-    WinoTiles Y(X.alphaEdge(), W.outChannels(), X.batch(), X.tiles());
-    elementwiseForwardInto(X, W, Y);
-    return Y;
-}
-
 void
 elementwiseBackwardDataInto(const WinoTiles &dY, const WinoWeights &W,
                             WinoTiles &dX, int uv0, int uv1)
@@ -791,14 +827,6 @@ elementwiseBackwardDataInto(const WinoTiles &dY, const WinoWeights &W,
              [&](CompactScratch &) { return DenseStep<true>{dY, W}; });
 }
 
-WinoTiles
-elementwiseBackwardData(const WinoTiles &dY, const WinoWeights &W)
-{
-    WinoTiles dX(dY.alphaEdge(), W.inChannels(), dY.batch(), dY.tiles());
-    elementwiseBackwardDataInto(dY, W, dX);
-    return dX;
-}
-
 void
 elementwiseGradWeightsInto(const WinoTiles &dY, const WinoTiles &X,
                            WinoWeights &dW, int uv0, int uv1)
@@ -815,62 +843,33 @@ elementwiseGradWeightsInto(const WinoTiles &dY, const WinoTiles &X,
     const int bt = X.batch() * X.tiles();
     const int nj = dY.channels();
     const int ni = X.channels();
-    const int jBlocks = (nj + kJBlock - 1) / kJBlock;
     const auto &K = mk::kernels();
     StageTimer probe("ew.grad_weights",
                      2.0 * (uv1 - uv0) * double(nj) * ni * bt);
 
-    // dW[uv] (J x I) = dY[uv] (J x BT) * X[uv]^T (BT x I). Partitioned
-    // over the *output* (uv, J-block) space: every dW element is owned
-    // by exactly one task and its reduction runs over k in ascending
-    // order, so results are bitwise identical for any thread count.
-    // Each k block adds one dot product per pair, computed in
-    // register-blocked kJBlock x kDotBlock tiles of the pair space.
-    static_assert(kJBlock <= mk::kDotBlock && kIBlock % mk::kDotBlock == 0,
-                  "grad-weights blocks must tile into dotBlockDouble calls");
-    parallelFor(0, std::int64_t(uv1 - uv0) * jBlocks, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t task = lo; task < hi; ++task) {
-            const int uv = uv0 + int(task / jBlocks);
-            const int j0 = int(task % jBlocks) * kJBlock;
-            const int jn = std::min(kJBlock, nj - j0);
-            double acc[kJBlock][kIBlock];
-            const float *dy[kJBlock];
-            const float *x[kIBlock];
-            for (int i0 = 0; i0 < ni; i0 += kIBlock) {
-                const int in = std::min(kIBlock, ni - i0);
-                for (int jj = 0; jj < jn; ++jj)
-                    for (int ii = 0; ii < in; ++ii)
-                        acc[jj][ii] = 0.0;
-                for (int k0 = 0; k0 < bt; k0 += kKBlock) {
-                    const int kb = std::min(kKBlock, bt - k0);
-                    for (int jj = 0; jj < jn; ++jj)
-                        dy[jj] = dY.row(uv, j0 + jj) + k0;
-                    for (int ii = 0; ii < in; ++ii)
-                        x[ii] = X.row(uv, i0 + ii) + k0;
-                    for (int ii = 0; ii < in; ii += mk::kDotBlock)
-                        K.dotBlockDouble(&acc[0][ii], kIBlock, dy, jn,
-                                         x + ii,
-                                         std::min(mk::kDotBlock, in - ii),
-                                         kb);
-                }
-                // Raw addressing: the checked accessor costs a branch.
-                float *dw = dW.raw() +
-                            (std::size_t(uv) * nj + j0) * ni + i0;
-                for (int jj = 0; jj < jn; ++jj)
-                    for (int ii = 0; ii < in; ++ii)
-                        dw[std::size_t(jj) * ni + ii] = float(acc[jj][ii]);
-            }
-        }
+    // dW[uv] (J x I) = dY[uv] (J x BT) * X[uv]^T (BT x I), one
+    // mk::gradWeights call per uv slice. Every dW element is owned by
+    // exactly one task and its reduction order is fixed by the kernel,
+    // so results are bitwise identical for any thread count. The uv
+    // range splits into one part per pool thread, each with its own
+    // slot of the calling thread's scratch slab, so the slab's size
+    // depends only on the shape and the thread count, not on which
+    // workers the scheduler wakes.
+    const int nuv = uv1 - uv0;
+    const int parts = std::min(nuv, ThreadPool::global().threadCount());
+    const std::size_t slot = mk::gradWeightsScratch(nj, ni, bt);
+    double *scratch = gradScratch.doubles(slot * std::size_t(parts));
+    parallelFor(0, parts, 1, [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t p = lo; p < hi; ++p)
+            for (int uv = uv0 + int(p * nuv / parts);
+                 uv < uv0 + int((p + 1) * nuv / parts); ++uv)
+                // Raw addressing: the checked accessors cost a branch.
+                K.gradWeights(dW.raw() + std::size_t(uv) * nj * ni,
+                              std::size_t(ni), dY.row(uv, 0),
+                              std::size_t(bt), nj, X.row(uv, 0),
+                              std::size_t(bt), ni, bt,
+                              scratch + std::size_t(p) * slot);
     });
-}
-
-WinoWeights
-elementwiseGradWeights(const WinoTiles &dY, const WinoTiles &X)
-{
-    WinoWeights dW(X.alphaEdge(), dY.channels(), X.channels());
-    elementwiseGradWeightsInto(dY, X, dW);
-    return dW;
 }
 
 void

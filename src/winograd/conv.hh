@@ -46,22 +46,6 @@ WinoWeights transformWeights(const Tensor &w, const WinogradAlgo &algo);
 Tensor transformWeightsAdjoint(const WinoWeights &dW,
                                const WinogradAlgo &algo);
 
-/**
- * Element-wise dot products of Equation (2): per uv,
- * Y[uv] (J x BT) = W[uv] (J x I) * X[uv] (I x BT).
- */
-WinoTiles elementwiseForward(const WinoTiles &X, const WinoWeights &W);
-
-/** Backward data: dX[uv] (I x BT) = W[uv]^T (I x J) * dY[uv] (J x BT). */
-WinoTiles elementwiseBackwardData(const WinoTiles &dY,
-                                  const WinoWeights &W);
-
-/**
- * Winograd-domain weight gradient:
- * dW[uv] (J x I) = dY[uv] (J x BT) * X[uv]^T (BT x I).
- */
-WinoWeights elementwiseGradWeights(const WinoTiles &dY, const WinoTiles &X);
-
 /** Inverse transform Y tiles -> spatial output (B, J, h, w), cropping. */
 Tensor inverseTransform(const WinoTiles &Y, const WinogradAlgo &algo,
                         int h, int w);
@@ -73,8 +57,9 @@ WinoTiles inverseTransformAdjoint(const Tensor &dy,
 // ---------------------------------------------------------------------
 // Destination-passing stage kernels
 //
-// The value-returning stage functions above are thin wrappers over
-// these: the caller owns the (pre-shaped) destination, so execution
+// The value-returning transforms above are thin wrappers over these;
+// the element-wise products of Equation (2) come only in this form.
+// The caller owns the (pre-shaped) destination, so execution
 // plans (winograd/plan.hh) can reuse workspace slabs across batches
 // with zero steady-state allocation. The element-wise kernels
 // zero-fill (forward, backward data) or assign (weight gradient) only
@@ -83,7 +68,7 @@ WinoTiles inverseTransformAdjoint(const Tensor &dy,
 // kernel on their own slice of one shared destination.
 // transformInputAdjointInto zero-fills dx (overlap-add target); the
 // others fully assign. Results are bitwise identical to the
-// value-returning forms for any thread count.
+// value-returning forms, and for any thread count.
 // ---------------------------------------------------------------------
 
 /**
@@ -105,8 +90,12 @@ void transformWeightsInto(const Tensor &w, const WinogradAlgo &algo,
                           WinoWeights &out);
 void transformWeightsAdjointInto(const WinoWeights &dW,
                                  const WinogradAlgo &algo, Tensor &dw);
-/** A non-null mask (from transformInputInto) enables zero-skipping:
- *  weight-zero and mask-zero rows are compacted away. */
+/**
+ * Element-wise dot products of Equation (2): per uv,
+ * Y[uv] (J x BT) = W[uv] (J x I) * X[uv] (I x BT). A non-null mask
+ * (from transformInputInto) enables zero-skipping: weight-zero and
+ * mask-zero rows are compacted away.
+ */
 void elementwiseForwardInto(const WinoTiles &X, const WinoWeights &W,
                             WinoTiles &Y, int uv0 = 0, int uv1 = -1,
                             const ActMask *mask = nullptr);
@@ -115,9 +104,14 @@ void elementwiseForwardInto(const WinoTiles &X, const WinoWeights &W,
 void elementwiseForwardInto(const HalfTiles &X, const WinoWeights &W,
                             WinoTiles &Y, int halfKind,
                             const ActMask *mask = nullptr);
+/** Backward data: dX[uv] (I x BT) = W[uv]^T (I x J) * dY[uv] (J x BT). */
 void elementwiseBackwardDataInto(const WinoTiles &dY,
                                  const WinoWeights &W, WinoTiles &dX,
                                  int uv0 = 0, int uv1 = -1);
+/**
+ * Winograd-domain weight gradient:
+ * dW[uv] (J x I) = dY[uv] (J x BT) * X[uv]^T (BT x I).
+ */
 void elementwiseGradWeightsInto(const WinoTiles &dY, const WinoTiles &X,
                                 WinoWeights &dW, int uv0 = 0,
                                 int uv1 = -1);

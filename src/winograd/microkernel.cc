@@ -11,6 +11,7 @@
 
 #include "winograd/microkernel.hh"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <mutex>
@@ -194,6 +195,18 @@ xformBodies(const MicroKernels &K, const double *L, int p, int n,
         break;
     }
     return out;
+}
+
+std::size_t
+gradWeightsScratch(int nj, int ni, int len)
+{
+    const auto up = [](int v, int m) {
+        return std::size_t((v + m - 1) / m * m);
+    };
+    const std::size_t nw = up(std::max(nj, ni), kGradPanelPad);
+    const std::size_t nn = std::size_t(std::min(nj, ni));
+    const std::size_t kb = up(std::min(len, kGradKBlock), kGradLanePad);
+    return (nn + nw) * kb + nn * nw + 8;
 }
 
 Isa

@@ -56,9 +56,18 @@ constexpr int kTilePanel = 16;
 /** Largest output-row count of one MicroKernels::rowBlockAccum call. */
 constexpr int kRowBlock = 4;
 
-/** Largest row count per side of one MicroKernels::dotBlockDouble
- *  call (a full block keeps kDotBlock^2 accumulators per chain). */
-constexpr int kDotBlock = 4;
+/**
+ * Lanes per reduction block of MicroKernels::gradWeights: each pair's
+ * dot product is summed per block of kGradKBlock lanes, in ascending
+ * block order. Part of the numerics, like the chain split.
+ */
+constexpr int kGradKBlock = 256;
+
+/** Padding bounds of gradWeights' scratch over every level: the wide
+ *  side to a multiple of kGradPanelPad columns, a block's lanes to a
+ *  multiple of kGradLanePad. */
+constexpr int kGradPanelPad = 16;
+constexpr int kGradLanePad = 16;
 
 /** Largest patch edge (eh, ew, and every transform dimension) the
  *  tile-panel kernels take: the alpha of F(6x6, 3x3). */
@@ -124,22 +133,28 @@ struct MicroKernels
                           int len);
 
     /**
-     * Register-blocked double-precision dot products, the core of
-     * elementwiseGradWeights: acc[j * ldAcc + i] += dot(a[j], b[i])
-     * over len floats, for j < na and i < nb (na, nb in
-     * [1, kDotBlock]). Every pair keeps the single-pair reduction
-     * order: the scalar table loops its four-chain dot per pair;
-     * vector levels keep two VD chains per pair (chain 0 takes the
-     * even full VD chunks, chain 1 the odd full chunks and then the
-     * zero-filled tail) combined as hsum(chain0 + chain1), where the
-     * block reduces VD::W pairs at a time with simd::hsumEach, the same
-     * adjacent-pair tree as simd::hsum. A block's rows are loaded once
-     * per chunk for all na x nb pairs, so the result per pair is
-     * bitwise the na = nb = 1 call at every level.
+     * The weight gradient of one uv slice (or an nj x ni block of it):
+     * dw[j * ldDw + i] = float(sum_k dy[j * dyStride + k] *
+     * x[i * xStride + k]) over len lanes, in double. Each pair's sum
+     * is fixed at every level: one dot product per kGradKBlock-lane
+     * block, added to a +0 accumulator in ascending block order. The
+     * scalar table runs its four-chain dot (tail into chain 0,
+     * (s0 + s1) + (s2 + s3)) pair by pair. Vector levels split a block
+     * into VD::W lane classes (lanes k = q * VD::W + l) with two chains
+     * each: chain 0 over the even full chunks q, chain 1 over the odd
+     * ones and then the zero-filled tail chunk; a pair's block dot is
+     * simd::hsum's adjacent-pair tree over the classes' c0 + c1. They
+     * compute it transposed: the wider of the nj and ni sides goes
+     * across vector lanes (converted and transposed to double panels
+     * once per block), each fma takes one broadcast narrow-side value,
+     * and the tree folds with vertical adds. A narrow side of one to
+     * three rows skips the panels and transposes the pairs' class sums
+     * instead. `scratch` holds gradWeightsScratch(nj, ni, len) doubles.
      */
-    void (*dotBlockDouble)(double *acc, int ldAcc, const float *const *a,
-                           int na, const float *const *b, int nb,
-                           int len);
+    void (*gradWeights)(float *dw, std::size_t ldDw, const float *dy,
+                        std::size_t dyStride, int nj, const float *x,
+                        std::size_t xStride, int ni, int len,
+                        double *scratch);
 
     // --- transform primitives (SoA across a panel of tiles) ---------
 
@@ -322,6 +337,15 @@ struct MicroKernels
  */
 XformBodies xformBodies(const MicroKernels &K, const double *L, int p,
                         int n, const double *R, int k, int q);
+
+/**
+ * Doubles of scratch MicroKernels::gradWeights takes for an nj x ni
+ * block over len lanes, at any level: the narrow rows and the wide
+ * panels of one padded lane block, the padded accumulators, and 64
+ * bytes of alignment slack. For nj, ni multiples of 16 and
+ * len >= kGradKBlock that is (nj + ni) * kGradKBlock + nj * ni (+ 8).
+ */
+std::size_t gradWeightsScratch(int nj, int ni, int len);
 
 /** halfKind selector for the 16-bit microkernel variants. */
 constexpr int kHalfBf16 = 0;

@@ -33,6 +33,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstdint>
 #include <type_traits>
 #include <utility>
 
@@ -142,108 +144,270 @@ rowBlockAccum(float *const *y, int nj, const float *x, std::size_t xStride,
     kRowBlockFns[nj - 1](y, x, xStride, ni, w, wsJ, wsI, len);
 }
 
+/** Double vectors per panel of gradWeights' wide operand, and narrow
+ *  rows per register block: 4 x 2 vectors x 2 chains = 16 of the 32
+ *  registers at AVX-512, 2 x 2 x 2 = 8 of the 16 below. */
+constexpr int kGradVecs = 2;
+constexpr int kGradPanel = kGradVecs * VD::W;
+constexpr int kGradRows = VD::W >= 8 ? 4 : 2;
+static_assert(winomc::mk::kGradPanelPad % kGradPanel == 0 &&
+                  winomc::mk::kGradKBlock % (2 * VD::W) == 0 &&
+                  winomc::mk::kGradLanePad % (2 * VD::W) == 0,
+              "gradWeightsScratch must cover every level's padding");
+
 /**
- * One FMA step of every pair of an NA x NB block at offset k: the NB
- * b-chunks are loaded once, each a-chunk once, so a full 4 x 4 block
- * does 16 FMAs per 8 loads. `load` is the full or the partial
- * float->double load.
+ * A narrow side of fewer rows than this takes gradWeights' row path:
+ * packing the wide side costs about as much per element as four
+ * narrow rows' fmas on it.
  */
-template <int NA, int NB, typename LoadFn>
-inline void
-dotBlockStep(VD (&c)[NA][NB], const float *const *a,
-             const float *const *b, int k, LoadFn load)
+constexpr int kGradRowPath = 4;
+
+/**
+ * simd::hsum's adjacent-pair tree over s[0 .. VD::W), with vertical
+ * adds: lane p of the result is the tree over lane p of every s[l]
+ * (s is overwritten).
+ */
+[[gnu::always_inline]] inline VD
+foldTree(VD *s)
 {
-    VD bv[NB];
-#pragma GCC unroll 4
-    for (int i = 0; i < NB; ++i)
-        bv[i] = load(b[i] + k);
-#pragma GCC unroll 4
-    for (int j = 0; j < NA; ++j) {
-        const VD av = load(a[j] + k);
-#pragma GCC unroll 4
-        for (int i = 0; i < NB; ++i)
-            c[j][i] = VD::fma(av, bv[i], c[j][i]);
-    }
+    for (int n = VD::W; n > 1; n /= 2)
+        for (int i = 0; i < n / 2; ++i)
+            s[i] = VD::add(s[2 * i], s[2 * i + 1]);
+    return s[0];
 }
 
 /**
- * Fixed-size body of dotBlockDouble. Each pair keeps the single-pair
- * reduction order — chain 0 over the even full VD chunks, chain 1
- * over the odd full chunks then the zero-filled tail (whose surplus
- * lanes add exact 0 * 0 terms), combined as hsum(chain0 + chain1) —
- * and each chain runs as its own pass with NA * NB accumulators. The
- * pairs' hsums run VD::W at a time through simd::hsumEach (a short
- * last group padded with zero vectors whose sums are dropped).
+ * Where the lanes of one k block sit once packed. The block's chunks
+ * of VD::W lanes fill an even number of slots so that a slot's parity
+ * is its chain: full chunk q in slot q, the zero-filled tail chunk in
+ * the first odd slot not below the full ones (chain 1), every other
+ * slot +0. An all-zero slot adds exact +0 terms to a chain that starts
+ * at +0, which never changes it.
  */
-template <int NA, int NB>
-void
-dotBlockFixed(double *acc, int ldAcc, const float *const *a,
-              const float *const *b, int len)
+struct GradSlots
 {
-    const auto full = [](const float *p) {
-        return VD::loadFromFloat(p);
-    };
-    const int chunks = len / VD::W;
-    VD c0[NA][NB], c1[NA][NB];
-#pragma GCC unroll 4
-    for (int j = 0; j < NA; ++j)
-#pragma GCC unroll 4
-        for (int i = 0; i < NB; ++i)
-            c0[j][i] = c1[j][i] = VD::zero();
-    for (int q = 0; q < chunks; q += 2)
-        dotBlockStep(c0, a, b, q * VD::W, full);
-    for (int q = 1; q < chunks; q += 2)
-        dotBlockStep(c1, a, b, q * VD::W, full);
-    const int k = chunks * VD::W;
-    if (k < len) {
-        const int r = len - k;
-        dotBlockStep(c1, a, b, k, [r](const float *p) {
-            return VD::loadFromFloatPartial(p, r);
-        });
+    explicit GradSlots(int kb)
+        : chunks(kb / VD::W), tailLanes(kb % VD::W),
+          pairs((chunks + (tailLanes ? 2 : 1)) / 2)
+    {
     }
-    constexpr int P = NA * NB;
-    unrolled<(P + VD::W - 1) / VD::W>([&](auto g) {
-        constexpr int p0 = decltype(g)::value * VD::W;
-        VD pairs[VD::W];
-        unrolled<VD::W>([&](auto l) {
-            constexpr int p = p0 + decltype(l)::value;
-            if constexpr (p < P)
-                pairs[l] = VD::add(c0[p / NB][p % NB], c1[p / NB][p % NB]);
-            else
-                pairs[l] = VD::zero();
-        });
-        double sums[VD::W];
-        simd::hsumEach(pairs).store(sums);
-        unrolled<VD::W>([&](auto l) {
-            constexpr int p = p0 + decltype(l)::value;
-            if constexpr (p < P)
-                acc[p / NB * ldAcc + p % NB] += sums[l];
-        });
-    });
-}
 
-using DotBlockFn = void (*)(double *, int, const float *const *,
-                            const float *const *, int);
+    /** Slot s of the block row at p (the block's lane 0) as doubles. */
+    [[gnu::always_inline]] VD
+    load(const float *p, int s) const
+    {
+        if (s < chunks)
+            return VD::loadFromFloat(p + s * VD::W);
+        if (tailLanes && s == (chunks | 1))
+            return VD::loadFromFloatPartial(p + chunks * VD::W, tailLanes);
+        return VD::zero();
+    }
 
-static_assert(winomc::mk::kDotBlock == 4,
-              "kDotBlockFns instantiates blocks up to 4 x 4");
-
-constexpr DotBlockFn kDotBlockFns[4][4] = {
-    {dotBlockFixed<1, 1>, dotBlockFixed<1, 2>, dotBlockFixed<1, 3>,
-     dotBlockFixed<1, 4>},
-    {dotBlockFixed<2, 1>, dotBlockFixed<2, 2>, dotBlockFixed<2, 3>,
-     dotBlockFixed<2, 4>},
-    {dotBlockFixed<3, 1>, dotBlockFixed<3, 2>, dotBlockFixed<3, 3>,
-     dotBlockFixed<3, 4>},
-    {dotBlockFixed<4, 1>, dotBlockFixed<4, 2>, dotBlockFixed<4, 3>,
-     dotBlockFixed<4, 4>},
+    int chunks, tailLanes;
+    int pairs; ///< slots / 2
 };
 
+/**
+ * The wide operand of one k block in panel-major, slot order:
+ * pan[(c / kGradPanel) * lanes * kGradPanel + k * kGradPanel +
+ * c % kGradPanel] for slot lanes k < lanes = 2 * pairs * VD::W, +0 in
+ * the padding columns up to wPad. VD::W rows at a time are converted
+ * and transposed in registers.
+ */
 void
-dotBlockDouble(double *acc, int ldAcc, const float *const *a, int na,
-               const float *const *b, int nb, int len)
+packGradPanel(double *pan, const float *rows, std::size_t stride, int nw,
+              int wPad, const GradSlots &g)
 {
-    kDotBlockFns[na - 1][nb - 1](acc, ldAcc, a, b, len);
+    const int lanes = 2 * g.pairs * VD::W;
+    for (int c0 = 0; c0 < wPad; c0 += VD::W) {
+        double *dst = pan + std::size_t(c0 / kGradPanel) * lanes *
+                                kGradPanel +
+                      c0 % kGradPanel;
+        const int rc = nw - c0;
+        for (int s = 0; s < 2 * g.pairs; ++s) {
+            VD r[VD::W];
+            unrolled<VD::W>([&](auto l) {
+                r[l] = l < rc ? g.load(rows + (c0 + l) * stride, s)
+                              : VD::zero();
+            });
+            simd::transpose(r);
+            unrolled<VD::W>([&](auto l) {
+                r[l].store(dst + std::size_t(s * VD::W + l) * kGradPanel);
+            });
+        }
+    }
+}
+
+/** One slot lane k into c: lane k of the RN narrow rows (broadcast)
+ *  times lane k of the panel's kGradVecs vectors. */
+template <int RN>
+[[gnu::always_inline]] inline void
+gradStep(VD (&c)[RN][kGradVecs], const double *nar, int ldNar,
+         const double *pan, int k)
+{
+    VD pv[kGradVecs];
+    for (int v = 0; v < kGradVecs; ++v)
+        pv[v] = VD::load(pan + k * kGradPanel + v * VD::W);
+    for (int r = 0; r < RN; ++r) {
+        const VD b = VD::broadcast(nar[r * ldNar + k]);
+        for (int v = 0; v < kGradVecs; ++v)
+            c[r][v] = VD::fma(b, pv[v], c[r][v]);
+    }
+}
+
+/**
+ * Panel path: RN narrow rows (slot lanes, row stride ldNar) x one
+ * kGradPanel-wide panel of a k block of `pairs` slot pairs. For each
+ * lane class l the pair's two chains run interleaved in registers,
+ * chain 0 over the even slots and chain 1 over the odd ones; the
+ * classes' c0 + c1 fold with foldTree into acc (row stride ldAcc).
+ */
+template <int RN>
+void
+gradBlock(double *acc, int ldAcc, const double *nar, int ldNar,
+          const double *pan, int pairs)
+{
+    VD sum[VD::W][RN][kGradVecs];
+    for (int l = 0; l < VD::W; ++l) {
+        VD c0[RN][kGradVecs], c1[RN][kGradVecs];
+        for (int r = 0; r < RN; ++r)
+            for (int v = 0; v < kGradVecs; ++v)
+                c0[r][v] = c1[r][v] = VD::zero();
+        for (int k = l; k < 2 * pairs * VD::W; k += 2 * VD::W) {
+            gradStep<RN>(c0, nar, ldNar, pan, k);
+            gradStep<RN>(c1, nar, ldNar, pan, k + VD::W);
+        }
+        for (int r = 0; r < RN; ++r)
+            for (int v = 0; v < kGradVecs; ++v)
+                sum[l][r][v] = VD::add(c0[r][v], c1[r][v]);
+    }
+    for (int r = 0; r < RN; ++r)
+        for (int v = 0; v < kGradVecs; ++v) {
+            VD t[VD::W];
+            for (int l = 0; l < VD::W; ++l)
+                t[l] = sum[l][r][v];
+            double *a = acc + r * ldAcc + v * VD::W;
+            VD::add(VD::load(a), foldTree(t)).store(a);
+        }
+}
+
+using GradBlockFn = void (*)(double *, int, const double *, int,
+                             const double *, int);
+
+constexpr auto kGradBlockFns = []<int... R>(std::integer_sequence<int, R...>) {
+    return std::array<GradBlockFn, kGradRows>{gradBlock<R + 1>...};
+}(std::make_integer_sequence<int, kGradRows>{});
+
+/**
+ * Row path: one narrow row (slot lanes) against VD::W wide rows at a
+ * time, converted as they are read. Each pair's lane classes sit
+ * across the lanes of its own two chain vectors, chain 0 over the even
+ * slots and chain 1 over the odd ones, as in a horizontal dot; the
+ * VD::W x VD::W block of class sums c0 + c1 is transposed and folded
+ * with foldTree into acc. Wide rows past nw repeat the last one and
+ * their sums land in acc's padding.
+ */
+void
+gradRows(double *acc, const double *nar, const float *rows,
+         std::size_t stride, int nw, const GradSlots &g)
+{
+    for (int c0 = 0; c0 < nw; c0 += VD::W) {
+        const float *w[VD::W];
+        for (int c = 0; c < VD::W; ++c)
+            w[c] = rows + std::size_t(std::min(c0 + c, nw - 1)) * stride;
+        VD a0[VD::W], a1[VD::W];
+        for (int c = 0; c < VD::W; ++c)
+            a0[c] = a1[c] = VD::zero();
+        const auto pair = [&](int s, const auto &load) {
+            const VD n0 = VD::load(nar + s * VD::W);
+            const VD n1 = VD::load(nar + (s + 1) * VD::W);
+            for (int c = 0; c < VD::W; ++c) {
+                a0[c] = VD::fma(load(w[c], s), n0, a0[c]);
+                a1[c] = VD::fma(load(w[c], s + 1), n1, a1[c]);
+            }
+        };
+        int s = 0;
+        for (; s + 1 < g.chunks; s += 2) // slots of full chunks
+            pair(s, [](const float *p, int t) {
+                return VD::loadFromFloat(p + t * VD::W);
+            });
+        if (s < 2 * g.pairs)
+            pair(s, [&g](const float *p, int t) { return g.load(p, t); });
+        for (int c = 0; c < VD::W; ++c)
+            a0[c] = VD::add(a0[c], a1[c]);
+        simd::transpose(a0);
+        VD::add(VD::load(acc + c0), foldTree(a0)).store(acc + c0);
+    }
+}
+
+/**
+ * The transposed grad-weights GEMM (see MicroKernels::gradWeights).
+ * Per kGradKBlock-lane block the narrow side's rows are converted to
+ * double slot lanes once; with kGradRowPath rows or more the wide side
+ * is packed into transposed panels once and gradBlock runs over
+ * (panel, row block), else gradRows reads it directly. The [nn][wPad]
+ * double accumulators are cast to float once at the end.
+ */
+void
+gradWeights(float *dw, std::size_t ldDw, const float *dy,
+            std::size_t dyStride, int nj, const float *x,
+            std::size_t xStride, int ni, int len, double *scratch)
+{
+    using winomc::mk::kGradKBlock;
+    const bool wideI = ni >= nj;
+    const int nw = wideI ? ni : nj, nn = wideI ? nj : ni;
+    const float *wide = wideI ? x : dy, *narrow = wideI ? dy : x;
+    const std::size_t ws = wideI ? xStride : dyStride;
+    const std::size_t ns = wideI ? dyStride : xStride;
+    const int wPad = (nw + kGradPanel - 1) / kGradPanel * kGradPanel;
+    const int lanesMax = GradSlots(std::min(len, kGradKBlock)).pairs * 2 *
+                         VD::W;
+    // 64-byte aligned: [nn][lanesMax] narrow rows, the wide panels,
+    // then the [nn][wPad] accumulators.
+    double *nar = reinterpret_cast<double *>(
+        (reinterpret_cast<std::uintptr_t>(scratch) + 63) &
+        ~std::uintptr_t(63));
+    double *pan = nar + std::size_t(nn) * lanesMax;
+    double *acc = pan + std::size_t(lanesMax) * wPad;
+    std::fill(acc, acc + std::size_t(nn) * wPad, 0.0);
+    const bool panels = nn >= kGradRowPath;
+    for (int k0 = 0; k0 < len; k0 += kGradKBlock) {
+        const GradSlots g(std::min(kGradKBlock, len - k0));
+        const int lanes = 2 * g.pairs * VD::W;
+        for (int r = 0; r < nn; ++r)
+            for (int s = 0; s < 2 * g.pairs; ++s)
+                g.load(narrow + r * ns + k0, s)
+                    .store(nar + std::size_t(r) * lanes + s * VD::W);
+        if (!panels) {
+            for (int r = 0; r < nn; ++r)
+                gradRows(acc + std::size_t(r) * wPad,
+                         nar + std::size_t(r) * lanes, wide + k0, ws, nw,
+                         g);
+            continue;
+        }
+        packGradPanel(pan, wide + k0, ws, nw, wPad, g);
+        for (int c0 = 0; c0 < wPad; c0 += kGradPanel)
+            for (int r0 = 0; r0 < nn; r0 += kGradRows)
+                kGradBlockFns[std::size_t(std::min(kGradRows, nn - r0) - 1)](
+                    acc + std::size_t(r0) * wPad + c0, wPad,
+                    nar + std::size_t(r0) * lanes, lanes,
+                    pan + std::size_t(c0) * lanes, g.pairs);
+    }
+    for (int r = 0; r < nn; ++r) {
+        const double *a = acc + std::size_t(r) * wPad;
+        if (wideI) {
+            float *d = dw + r * ldDw;
+            int c = 0;
+            for (; c + VD::W <= nw; c += VD::W)
+                VD::load(a + c).storeToFloat(d + c);
+            if (c < nw)
+                VD::load(a + c).storeToFloatPartial(d + c, nw - c);
+        } else {
+            for (int c = 0; c < nw; ++c)
+                dw[c * ldDw + r] = float(a[c]);
+        }
+    }
+    simd::zeroUpper(); // the folded converts above (see zeroUpper)
 }
 
 /**
@@ -600,55 +764,66 @@ putFloat(float &dst, double v)
         dst = float(v);
 }
 
-/** One lane's eh x EW block, wholly inside the map, from the SoA
- *  panel (src = soa + lane) to the plane at `row`: no tests, and the
- *  row unrolled at its compile-time width. */
-template <bool kAdd, int EW>
+/**
+ * eh rows of EW pixels of one lane's block from the SoA panel to the
+ * plane at `row`: no tests, each row unrolled at its compile-time
+ * width. src = soa + lane + the first entry written; block rows are
+ * srcEw entries apart (EW for a whole block, kept at compile time so
+ * the common inside-the-map lane addresses by constants).
+ */
+template <bool kAdd, int EW, int kSrcEw = EW>
 void
-unpackInsideLane(float *row, int w, int eh, const double *src)
+unpackLaneRows(float *row, int w, int eh, const double *src,
+               int srcEw = kSrcEw)
 {
-    for (int i = 0; i < eh; ++i, row += w, src += EW * kTilePanel)
+    const int step = (kSrcEw ? kSrcEw : srcEw) * kTilePanel;
+    for (int i = 0; i < eh; ++i, row += w, src += step)
         unrolled<EW>([&](auto j) {
             putFloat<kAdd>(row[j], src[j * kTilePanel]);
         });
 }
 
+/** [EW - 1]: a whole EW-wide block (srcEw ignored), and a cropped
+ *  block of EW columns whose source rows are srcEw entries apart. */
 template <bool kAdd>
-constexpr auto kUnpackInside =
+constexpr auto kUnpackWhole =
     []<int... J>(std::integer_sequence<int, J...>) {
-        return std::array{unpackInsideLane<kAdd, J + 1>...};
+        return std::array{unpackLaneRows<kAdd, J + 1>...};
+    }(std::make_integer_sequence<int, winomc::mk::kMaxTileEdge>{});
+template <bool kAdd>
+constexpr auto kUnpackCropped =
+    []<int... J>(std::integer_sequence<int, J...>) {
+        return std::array{unpackLaneRows<kAdd, J + 1, 0>...};
     }(std::make_integer_sequence<int, winomc::mk::kMaxTileEdge>{});
 
 /**
  * SoA -> spatial scatter (kAdd: overlap-add), lanes strictly in
  * ascending order — the order the overlap-add sums in is part of the
  * bitwise contract. A lane whose eh x ew block lies inside the map
- * stores without per-element tests; a border lane crops its block to
- * the map once. Pure data movement: bitwise the scalar loops.
+ * writes it whole; a border lane crops its block to the map once and
+ * writes the rest with rows unrolled at the cropped width. Neither
+ * tests per element. Pure data movement: bitwise the scalar loops.
  */
 template <bool kAdd>
 void
 unpackPanel(float *plane, int h, int w, const int *tr, const int *tc,
             int eh, int ew, const double *soa, int cnt)
 {
-    const auto inside = kUnpackInside<kAdd>[std::size_t(ew - 1)];
+    const auto whole = kUnpackWhole<kAdd>[std::size_t(ew - 1)];
     for (int l = 0; l < cnt; ++l) {
         const int r0 = tr[l];
         const int c0 = tc[l];
         const double *src = soa + l;
         if (r0 >= 0 && c0 >= 0 && r0 + eh <= h && c0 + ew <= w) {
-            inside(plane + std::size_t(r0) * w + c0, w, eh, src);
+            whole(plane + std::size_t(r0) * w + c0, w, eh, src, ew);
             continue;
         }
-        // Border lane: crop the block to the map once, not per entry.
-        const int i1 = std::min(eh, h - r0);
+        const int i0 = std::max(0, -r0), i1 = std::min(eh, h - r0);
         const int j0 = std::max(0, -c0), j1 = std::min(ew, w - c0);
-        for (int i = std::max(0, -r0); i < i1; ++i) {
-            float *row = plane + std::size_t(r0 + i) * w;
-            const double *s = src + std::size_t(i * ew) * kTilePanel;
-            for (int j = j0; j < j1; ++j)
-                putFloat<kAdd>(row[c0 + j], s[j * kTilePanel]);
-        }
+        if (i1 > i0 && j1 > j0)
+            kUnpackCropped<kAdd>[std::size_t(j1 - j0 - 1)](
+                plane + std::size_t(r0 + i0) * w + (c0 + j0), w, i1 - i0,
+                src + std::size_t(i0 * ew + j0) * kTilePanel, ew);
     }
 }
 
@@ -913,7 +1088,7 @@ avgPool2Row(float *y, const float *r0, const float *r1, int outW)
         static const MicroKernels table = {                               \
             isaEnum,          isaStr,                                     \
             simd::VF::W,      simd::VD::W,                                \
-            mkimpl::rowBlockAccum,  mkimpl::dotBlockDouble,               \
+            mkimpl::rowBlockAccum,  mkimpl::gradWeights,                  \
             mkimpl::xformFromTiles<>, mkimpl::xformToTiles<>,             \
             mkimpl::packTilePanel,  mkimpl::unpackPanel<false>,           \
             mkimpl::unpackPanel<true>,                                    \

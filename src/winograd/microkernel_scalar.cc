@@ -89,12 +89,21 @@ dotDouble(const float *a, const float *b, int len)
 }
 
 void
-dotBlockDouble(double *acc, int ldAcc, const float *const *a, int na,
-               const float *const *b, int nb, int len)
+gradWeights(float *dw, std::size_t ldDw, const float *dy,
+            std::size_t dyStride, int nj, const float *x,
+            std::size_t xStride, int ni, int len, double * /*scratch*/)
 {
-    for (int j = 0; j < na; ++j)
-        for (int i = 0; i < nb; ++i)
-            acc[j * ldAcc + i] += dotDouble(a[j], b[i], len);
+    using winomc::mk::kGradKBlock;
+    for (int j = 0; j < nj; ++j)
+        for (int i = 0; i < ni; ++i) {
+            double acc = 0.0;
+            for (int k0 = 0; k0 < len; k0 += kGradKBlock)
+                acc += dotDouble(dy + j * dyStride + k0,
+                                 x + i * xStride + k0,
+                                 len - k0 < kGradKBlock ? len - k0
+                                                        : kGradKBlock);
+            dw[j * ldDw + i] = float(acc);
+        }
 }
 
 /** Shared sandwich core: out = L (p x n) * in (n x k) * R (k x q),
@@ -407,7 +416,7 @@ const winomc::mk::MicroKernels kTable = {
     1,
     1,
     rowBlockAccum,
-    dotBlockDouble,
+    gradWeights,
     xformFromTiles,
     xformToTiles,
     packTilePanel,

@@ -10,9 +10,9 @@
  *    the blocked nest of the scalar table (8 input rows at a time, a
  *    flat 8-term sum for a full block, an accumulate loop for a ragged
  *    one, a row's all-zero 8-weight block skipped).
- *  - perPairDot: one pair of mk::dotBlockDouble, i.e. one 256-lane
- *    block of a grad-weights dot product; pairLanes and hsumTree are
- *    its vector-level halves.
+ *  - perPairDot: one pair's dot product over one mk::kGradKBlock-lane
+ *    block of mk::gradWeights; pairLanes and hsumTree are its
+ *    vector-level halves.
  *
  * The test TUs are compiled with the baseline flags (no FMA), so
  * `acc + w * x` rounds twice, as the SSE2 kernels do.
@@ -74,7 +74,7 @@ rowBlockRef(mk::Isa isa, float *const *y, int nj, const float *x,
 
 /**
  * The lane values c0 + c1 (lanes <= 8 of them) whose hsum is one
- * vector-level dotBlockDouble pair: per lane, chain 0 over the even
+ * vector-level gradWeights pair block: per lane, chain 0 over the even
  * full chunks of `lanes` doubles, chain 1 over the odd ones and then
  * the zero-filled tail; FMA from AVX2 up, multiply-then-add at SSE2.
  */
@@ -115,7 +115,7 @@ hsumTree(double *v, int lanes)
 }
 
 /**
- * One dotBlockDouble pair as `isa` computes it. Scalar: four chains,
+ * One gradWeights pair block as `isa` computes it. Scalar: four chains,
  * the tail into chain 0, (s0 + s1) + (s2 + s3). Vector levels:
  * hsumTree over pairLanes.
  */
@@ -136,7 +136,7 @@ perPairDot(mk::Isa isa, int lanes, const float *a, const float *b,
             s0 += double(a[k]) * b[k];
         return (s0 + s1) + (s2 + s3);
     }
-    double v[8];
+    double v[8] = {};
     pairLanes(isa, lanes, a, b, len, v);
     return hsumTree(v, lanes);
 }

@@ -19,7 +19,12 @@
 #include "winograd/algo.hh"
 #include "winograd/conv.hh"
 
+#include "ew_forms.hh"
+
 using namespace winomc;
+using test::elementwiseForward;
+using test::elementwiseBackwardData;
+using test::elementwiseGradWeights;
 
 TEST(ParseThreadCount, AcceptsPositiveIntegers)
 {

@@ -20,9 +20,14 @@
 #include "winograd/conv.hh"
 #include "winograd/plan.hh"
 
+#include "ew_forms.hh"
 #include "exec_scope.hh"
 
 namespace winomc {
+
+using test::elementwiseForward;
+using test::elementwiseBackwardData;
+using test::elementwiseGradWeights;
 
 // This suite validates the fp32 pipeline against fp32 oracles (direct
 // convolution, numeric gradients, bitwise stage parity), so the

@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,6 +52,35 @@ randomVec(std::size_t n, unsigned seed, float lo = -1.0f,
     for (float &x : v)
         x = lo + (hi - lo) * rng.uniform();
     return v;
+}
+
+/**
+ * Fills `rows` rows of `len` lanes (row stride `pitch`) with values
+ * spread over 2^-20 .. 2^20 and exact ±0 mixed in; one row in two
+ * gets +2^30 at lanes 0 mod 16 and sign2 * 2^30 at lanes 2 mod 16.
+ * Two such rows with opposite sign2 meet at +2^60 in lane class 0 and
+ * -2^60 in class 2 of a grad-weights reduction: simd::hsum's tree
+ * loses classes 1 and 3 to them, a sequential fold only class 1, so
+ * the order the lane classes fold in reaches the float result.
+ */
+void
+spreadRows(Rng &rng, float *v, int rows, std::size_t pitch,
+           int len, float sign2)
+{
+    for (int r = 0; r < rows; ++r) {
+        const bool cancel = rng.uniformInt(0, 1) == 0;
+        for (int k = 0; k < len; ++k) {
+            float &e = v[std::size_t(r) * pitch + std::size_t(k)];
+            e = std::ldexp(rng.uniform() - 0.5f,
+                           int(rng.uniformInt(-20, 20)));
+            if (rng.uniformInt(0, 15) == 0)
+                e = rng.uniformInt(0, 1) ? 0.0f : -0.0f;
+            if (cancel && k % 16 == 0)
+                e = 0x1p30f;
+            if (cancel && k % 16 == 2)
+                e = sign2 * 0x1p30f;
+        }
+    }
 }
 
 
@@ -120,7 +150,7 @@ TEST_F(SimdTest, EveryUsableTableIsFullyPopulated)
         EXPECT_NE(K.rowBlockAccum, nullptr);
         EXPECT_NE(K.panelAccumGrouped, nullptr);
         EXPECT_NE(K.panelAccumHalf, nullptr);
-        EXPECT_NE(K.dotBlockDouble, nullptr);
+        EXPECT_NE(K.gradWeights, nullptr);
         EXPECT_NE(K.xformFromTiles, nullptr);
         EXPECT_NE(K.xformToTiles, nullptr);
         EXPECT_NE(K.xformToTilesHalf, nullptr);
@@ -332,12 +362,13 @@ TEST_F(SimdTest, ReductionPrimitivesMatchScalarWithinUlp)
             auto b = randomVec(std::size_t(n), 12u + unsigned(n));
             // Double-precision reductions: reassociation noise is far
             // below float resolution, just not bitwise.
-            const float *pa = a.data();
-            const float *pb = b.data();
-            double dS = 0.0, dV = 0.0;
-            scalar->dotBlockDouble(&dS, 1, &pa, 1, &pb, 1, int(n));
-            K.dotBlockDouble(&dV, 1, &pa, 1, &pb, 1, int(n));
-            EXPECT_NEAR(dS, dV, 1e-10 * (std::abs(dS) + 1.0))
+            std::vector<double> scratch(mk::gradWeightsScratch(1, 1, int(n)));
+            float dS = 0.0f, dV = 0.0f;
+            scalar->gradWeights(&dS, 1, a.data(), 0, 1, b.data(), 0, 1,
+                                int(n), scratch.data());
+            K.gradWeights(&dV, 1, a.data(), 0, 1, b.data(), 0, 1, int(n),
+                          scratch.data());
+            EXPECT_NEAR(dS, dV, 1e-6 * (std::abs(dS) + 1.0))
                 << mk::isaName(isa) << " dot n=" << n;
             const double sS = scalar->sumDouble(a.data(), n);
             const double sV = K.sumDouble(a.data(), n);
@@ -361,45 +392,50 @@ TEST_F(SimdTest, ReductionPrimitivesMatchScalarWithinUlp)
 
 TEST_F(SimdTest, DotBlockBitwiseMatchesSinglePairCalls)
 {
-    // The grad-weights contract: every pair of an na x nb block gets
+    // The grad-weights contract: every pair of an nj x ni block gets
     // exactly the single-pair reduction, so blocking never changes dW.
-    // Rows start at odd float offsets (no vector alignment), the
-    // accumulators start nonzero (the kernel adds) with a row stride
-    // wider than nb, and entries outside the block must stay untouched.
-    constexpr int kLd = mk::kDotBlock + 1;
+    // Sides run from the narrow-row path (1-3) through the transposed
+    // panels and their ragged edges, on either operand; rows start at
+    // odd float offsets (no vector alignment), dw's row stride is
+    // wider than ni, and entries outside the block must stay untouched.
+    const int sides[] = {1, 2, 3, 4, 5, 8, 9, 17};
     for (mk::Isa isa : usableIsas()) {
         ScopedExecConfig isaScope(withIsa(isa));
         const mk::MicroKernels &K = mk::kernels();
-        for (int len : {1, 3, 7, 8, 9, 15, 16, 17, 31, 33, 64, 255, 256}) {
+        for (int len : {1, 3, 7, 8, 9, 15, 16, 17, 31, 33, 64, 255, 256,
+                        257}) {
             const std::size_t pitch = std::size_t(len) + 3;
-            auto buf = randomVec(2 * mk::kDotBlock * pitch + 1,
-                                 500u + unsigned(len));
-            const float *a[mk::kDotBlock], *b[mk::kDotBlock];
-            for (int r = 0; r < mk::kDotBlock; ++r) {
-                a[r] = buf.data() + 1 + std::size_t(r) * pitch;
-                b[r] = buf.data() + 1 +
-                       std::size_t(mk::kDotBlock + r) * pitch;
-            }
-            for (int na = 1; na <= mk::kDotBlock; ++na) {
-                for (int nb = 1; nb <= mk::kDotBlock; ++nb) {
-                    double acc[mk::kDotBlock * kLd];
-                    for (int e = 0; e < mk::kDotBlock * kLd; ++e)
-                        acc[e] = 0.25 * (e + 1);
-                    K.dotBlockDouble(acc, kLd, a, na, b, nb, len);
-                    for (int j = 0; j < mk::kDotBlock; ++j) {
-                        for (int i = 0; i < kLd; ++i) {
-                            double want = 0.25 * (j * kLd + i + 1);
-                            if (j < na && i < nb)
-                                K.dotBlockDouble(&want, 1, &a[j], 1,
-                                                 &b[i], 1, len);
-                            EXPECT_EQ(0, std::memcmp(&want,
-                                                     &acc[j * kLd + i],
-                                                     sizeof(double)))
-                                << mk::isaName(isa) << " len=" << len
-                                << " block " << na << "x" << nb
-                                << " pair " << j << "," << i;
+            Rng rng(500u + unsigned(len));
+            std::vector<float> dy(17 * pitch + 1), x(17 * pitch + 1);
+            spreadRows(rng, dy.data() + 1, 17, pitch, len, -1.0f);
+            spreadRows(rng, x.data() + 1, 17, pitch, len, 1.0f);
+            std::vector<double> one(mk::gradWeightsScratch(1, 1, len));
+            for (int nj : sides) {
+                for (int ni : sides) {
+                    const int ld = ni + 3;
+                    std::vector<double> scratch(
+                        mk::gradWeightsScratch(nj, ni, len));
+                    std::vector<float> dw(std::size_t(nj) * ld, -7.0f);
+                    K.gradWeights(dw.data(), std::size_t(ld), dy.data() + 1,
+                                  pitch, nj, x.data() + 1, pitch, ni, len,
+                                  scratch.data());
+                    int bad = 0;
+                    for (int j = 0; j < nj; ++j) {
+                        for (int i = 0; i < ld; ++i) {
+                            float want = -7.0f;
+                            if (i < ni)
+                                K.gradWeights(&want, 1,
+                                              dy.data() + 1 + j * pitch,
+                                              pitch, 1,
+                                              x.data() + 1 + i * pitch,
+                                              pitch, 1, len, one.data());
+                            bad += std::memcmp(&want,
+                                               &dw[std::size_t(j) * ld + i],
+                                               sizeof want) != 0;
                         }
                     }
+                    EXPECT_EQ(bad, 0) << mk::isaName(isa) << " len=" << len
+                                      << " block " << nj << "x" << ni;
                 }
             }
         }
@@ -408,60 +444,112 @@ TEST_F(SimdTest, DotBlockBitwiseMatchesSinglePairCalls)
 
 TEST_F(SimdTest, DotBlockReductionMatchesHsumTree)
 {
-    // Every pair of an na x nb block ends in simd::hsum's adjacent-pair
-    // tree, which the vector levels now compute VD::W pairs at a time
-    // (simd::hsumEach). Products spread over 2^-40 .. 2^40 make the
-    // lane-sum order visible in the double result; a sequential lane
-    // sum must differ from the tree somewhere, or the check is blind.
-    constexpr int kLd = mk::kDotBlock + 1;
+    // mk::gradWeights against the per-pair chains restated in
+    // tests/ew_oracle.hh, per 256-lane block summed in ascending order,
+    // at every usable ISA. Shapes put the wide side on either operand
+    // (and J or I = 1); lane counts hit every tail and block edge; rows
+    // are strided past their length and dw's row stride is wider than
+    // I (the gap must stay untouched). The values come from spreadRows,
+    // so the order the lane classes fold in reaches the float result;
+    // a sequential fold must differ from the tree somewhere, or the
+    // check is blind to it.
+    struct Shape { int nj, ni; };
+    const Shape shapes[] = {{1, 1}, {1, 19}, {23, 1}, {5, 37},
+                            {37, 5}, {16, 16}, {3, 17}, {18, 3}};
+    constexpr int kBlock = mk::kGradKBlock;
+    std::map<mk::Isa, int> visibleByIsa;
+    for (int bt : {1, 7, 63, 64, 255, 256, 257, 513}) {
+        for (const Shape &s : shapes) {
+            Rng rng(1300u + unsigned(bt * 97 + s.nj * 13 + s.ni));
+            const std::size_t pitch = std::size_t(bt) + 3;
+            std::vector<float> dy(std::size_t(s.nj) * pitch),
+                x(std::size_t(s.ni) * pitch);
+            spreadRows(rng, dy.data(), s.nj, pitch, bt, -1.0f);
+            spreadRows(rng, x.data(), s.ni, pitch, bt, 1.0f);
+            const int ld = s.ni + 2;
+            std::vector<double> scratch(
+                mk::gradWeightsScratch(s.nj, s.ni, bt));
+            for (mk::Isa isa : usableIsas()) {
+                ScopedExecConfig isaScope(withIsa(isa));
+                const mk::MicroKernels &K = mk::kernels();
+                const int lanes = K.doubleLanes;
+                std::vector<float> dw(std::size_t(s.nj) * ld, -7.0f);
+                K.gradWeights(dw.data(), std::size_t(ld), dy.data(), pitch,
+                              s.nj, x.data(), pitch, s.ni, bt,
+                              scratch.data());
+                int bad = 0, treeVisible = 0;
+                for (int j = 0; j < s.nj; ++j) {
+                    for (int i = 0; i < ld; ++i) {
+                        const float got = dw[std::size_t(j) * ld + i];
+                        if (i >= s.ni) {
+                            bad += got != -7.0f;
+                            continue;
+                        }
+                        const float *a = dy.data() + std::size_t(j) * pitch;
+                        const float *b = x.data() + std::size_t(i) * pitch;
+                        double acc = 0.0, seq = 0.0;
+                        for (int k0 = 0; k0 < bt; k0 += kBlock) {
+                            const int kb = std::min(kBlock, bt - k0);
+                            acc += perPairDot(isa, lanes, a + k0, b + k0, kb);
+                            if (isa == mk::Isa::Scalar)
+                                continue;
+                            // The same lane classes folded in order.
+                            double v[8], sum = 0.0;
+                            test::pairLanes(isa, lanes, a + k0, b + k0, kb,
+                                            v);
+                            for (int l = 0; l < lanes; ++l)
+                                sum += v[l];
+                            seq += sum;
+                        }
+                        const float want = float(acc);
+                        bad += std::memcmp(&want, &got, sizeof got) != 0;
+                        treeVisible += float(seq) != want;
+                    }
+                }
+                EXPECT_EQ(bad, 0) << mk::isaName(isa) << " J=" << s.nj
+                                  << " I=" << s.ni << " bt=" << bt;
+                visibleByIsa[isa] += treeVisible;
+            }
+        }
+    }
+    for (mk::Isa isa : usableIsas())
+        if (isa != mk::Isa::Scalar && isa != mk::Isa::Sse2) {
+            EXPECT_GT(visibleByIsa[isa], 0) << mk::isaName(isa);
+        }
+
+    // The chain of the tail chunk, which random data rarely shows: in
+    // lane class 0 the even chunk adds 1, the odd one 2^60 and the tail
+    // -2^60, so only the tail in chain 1 (with the odd chunk) keeps the
+    // 1. Every row holds the pattern, on both paths.
     for (mk::Isa isa : usableIsas()) {
+        if (isa == mk::Isa::Scalar)
+            continue;
         ScopedExecConfig isaScope(withIsa(isa));
         const mk::MicroKernels &K = mk::kernels();
         const int lanes = K.doubleLanes;
-        int treeVisible = 0;
-        for (int len : {1, 5, 8, 16, 23, 64, 65, 256}) {
-            const std::size_t pitch = std::size_t(len) + 1;
-            Rng rng(700u + unsigned(len));
-            std::vector<float> buf(2 * mk::kDotBlock * pitch);
-            for (float &v : buf)
-                v = std::ldexp(rng.uniform() - 0.5f,
-                               int(rng.uniformInt(-20, 20)));
-            const float *a[mk::kDotBlock], *b[mk::kDotBlock];
-            for (int r = 0; r < mk::kDotBlock; ++r) {
-                a[r] = buf.data() + std::size_t(r) * pitch;
-                b[r] = buf.data() + std::size_t(mk::kDotBlock + r) * pitch;
-            }
-            for (int na = 1; na <= mk::kDotBlock; ++na) {
-                for (int nb = 1; nb <= mk::kDotBlock; ++nb) {
-                    double acc[mk::kDotBlock * kLd] = {};
-                    K.dotBlockDouble(acc, kLd, a, na, b, nb, len);
-                    for (int j = 0; j < na; ++j) {
-                        for (int i = 0; i < nb; ++i) {
-                            const double want =
-                                perPairDot(isa, lanes, a[j], b[i], len);
-                            EXPECT_EQ(0, std::memcmp(&want,
-                                                     &acc[j * kLd + i],
-                                                     sizeof(double)))
-                                << mk::isaName(isa) << " len=" << len
-                                << " block " << na << "x" << nb
-                                << " pair " << j << "," << i;
-                            if (isa == mk::Isa::Scalar)
-                                continue;
-                            // The same lane values summed in order.
-                            double v[8];
-                            test::pairLanes(isa, lanes, a[j], b[i], len,
-                                            v);
-                            double seq = 0.0;
-                            for (int l = 0; l < lanes; ++l)
-                                seq += v[l];
-                            treeVisible += seq != want;
-                        }
-                    }
-                }
-            }
-        }
-        if (isa != mk::Isa::Scalar && lanes > 2) {
-            EXPECT_GT(treeVisible, 0) << mk::isaName(isa);
+        const int bt = 2 * lanes + 1;
+        for (const Shape &s : {Shape{1, 19}, Shape{5, 37}, Shape{37, 5}}) {
+            std::vector<float> dy(std::size_t(s.nj) * bt, 0.0f),
+                x(std::size_t(s.ni) * bt, 0.0f);
+            const auto pattern = [&](float *r, float tailSign) {
+                r[0] = 1.0f;
+                r[lanes] = 0x1p30f;
+                r[2 * lanes] = tailSign * 0x1p30f;
+            };
+            for (int j = 0; j < s.nj; ++j)
+                pattern(dy.data() + std::size_t(j) * bt, -1.0f);
+            for (int i = 0; i < s.ni; ++i)
+                pattern(x.data() + std::size_t(i) * bt, 1.0f);
+            ASSERT_EQ(perPairDot(isa, lanes, dy.data(), x.data(), bt), 1.0);
+            std::vector<double> scratch(
+                mk::gradWeightsScratch(s.nj, s.ni, bt));
+            std::vector<float> dw(std::size_t(s.nj) * s.ni);
+            K.gradWeights(dw.data(), std::size_t(s.ni), dy.data(),
+                          std::size_t(bt), s.nj, x.data(), std::size_t(bt),
+                          s.ni, bt, scratch.data());
+            EXPECT_EQ(std::count(dw.begin(), dw.end(), 1.0f),
+                      std::ptrdiff_t(dw.size()))
+                << mk::isaName(isa) << " J=" << s.nj << " I=" << s.ni;
         }
     }
 }

@@ -17,9 +17,12 @@
 #include "winograd/rational.hh"
 #include "winograd/toom_cook.hh"
 
+#include "ew_forms.hh"
 #include "exec_scope.hh"
 
 namespace winomc {
+
+using test::elementwiseGradWeights;
 
 // This suite validates the fp32 pipeline against fp32 oracles (direct
 // convolution, numeric gradients, bitwise stage parity), so the
