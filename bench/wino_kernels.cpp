@@ -251,9 +251,8 @@ decomposedForwardPlanned(benchmark::State &state, bool strided)
 }
 
 void
-directForwardSpec(benchmark::State &state, bool strided)
+directForwardSpec(benchmark::State &state, const ConvSpec &spec)
 {
-    const ConvSpec spec = decompBenchSpec(strided);
     Rng rng(1);
     Tensor x(spec.batch, spec.inCh, spec.h, spec.w);
     Tensor w(spec.outCh, spec.inCh, spec.kernelH(), spec.kernelW());
@@ -285,16 +284,42 @@ BENCHMARK(BM_WinoDecomposedStride2)->Unit(benchmark::kMillisecond);
 void
 BM_DirectConv5x5(benchmark::State &state)
 {
-    directForwardSpec(state, false);
+    directForwardSpec(state, decompBenchSpec(false));
 }
 BENCHMARK(BM_DirectConv5x5)->Unit(benchmark::kMillisecond);
 
 void
 BM_DirectConvStride2(benchmark::State &state)
 {
-    directForwardSpec(state, true);
+    directForwardSpec(state, decompBenchSpec(true));
 }
 BENCHMARK(BM_DirectConvStride2)->Unit(benchmark::kMillisecond);
+
+// The two strided layers of the serve_auto model at batch 1, where the
+// tuner picks direct: the 3 -> 32 7x7-s2 stem on a 32x32 image and the
+// 32 -> 32 3x3-s2 layer on its 16x16 map.
+
+void
+BM_DirectConvServeStem(benchmark::State &state)
+{
+    ThreadPool::global().setThreadCount(int(state.range(0)));
+    ConvSpec s{"serve-stem", 1, 3, 32, 32, 32, 7};
+    s.strideH = s.strideW = 2;
+    directForwardSpec(state, s);
+}
+BENCHMARK(BM_DirectConvServeStem)->ArgName("threads")->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_DirectConvServeS2(benchmark::State &state)
+{
+    ThreadPool::global().setThreadCount(int(state.range(0)));
+    ConvSpec s{"serve-s2", 1, 32, 32, 16, 16, 3};
+    s.strideH = s.strideW = 2;
+    directForwardSpec(state, s);
+}
+BENCHMARK(BM_DirectConvServeS2)->ArgName("threads")->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 // -------------------------------------------------------------------
 // Threaded kernel benchmarks. Largest shape: batch 8, 64 -> 64

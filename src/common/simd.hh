@@ -22,6 +22,12 @@
  * lanes of a loop (AVX-512 uses native mask registers; the narrower
  * levels fall back to a lane loop). Partial loads zero-fill the lanes
  * beyond n so arithmetic on the tail never touches garbage.
+ *
+ * Lane masks: VD::maskOf(bits) selects any lane subset;
+ * loadFromFloatMasked reads only the selected floats (0 elsewhere) and
+ * fmaMasked leaves the unselected accumulator lanes untouched (a
+ * masked fma at AVX-512, a blend below), so an inf or NaN operand in
+ * an unselected lane cannot leak into them.
  */
 
 #ifndef WINOMC_COMMON_SIMD_HH
@@ -154,6 +160,19 @@ struct VD
         const __mmask16 m = __mmask16((1u << n) - 1u);
         const __m512 wide = _mm512_maskz_loadu_ps(m, p);
         return {_mm512_cvtps_pd(_mm512_castps512_ps256(wide))};
+    }
+    using Mask = __mmask8;
+    static Mask maskOf(unsigned bits) { return Mask(bits); }
+    static VD
+    loadFromFloatMasked(const float *p, Mask m)
+    {
+        const __m512 wide = _mm512_maskz_loadu_ps(__mmask16(m), p);
+        return {_mm512_cvtps_pd(_mm512_castps512_ps256(wide))};
+    }
+    static VD
+    fmaMasked(VD a, VD b, VD acc, Mask m)
+    {
+        return {_mm512_mask3_fmadd_pd(a.v, b.v, acc.v, m)};
     }
     /** All 8 lanes converted. The maskz form, not _mm512_cvtpd_ps:
      *  GCC's header seeds that one from an "undefined" vector, which
@@ -303,6 +322,31 @@ struct VD
             tmp[i] = p[i];
         return {_mm256_cvtps_pd(_mm_load_ps(tmp))};
     }
+    /** All-ones lanes as doubles (the blend) and as floats (the load). */
+    struct Mask
+    {
+        __m256d d;
+        __m128i f;
+    };
+    static Mask
+    maskOf(unsigned bits)
+    {
+        const __m128i bit = _mm_setr_epi32(1, 2, 4, 8);
+        const __m128i f = _mm_cmpeq_epi32(
+            _mm_and_si128(_mm_set1_epi32(int(bits)), bit), bit);
+        return {_mm256_castsi256_pd(_mm256_cvtepi32_epi64(f)), f};
+    }
+    static VD
+    loadFromFloatMasked(const float *p, const Mask &m)
+    {
+        return {_mm256_cvtps_pd(_mm_maskload_ps(p, m.f))};
+    }
+    static VD
+    fmaMasked(VD a, VD b, VD acc, const Mask &m)
+    {
+        return {_mm256_blendv_pd(acc.v, _mm256_fmadd_pd(a.v, b.v, acc.v),
+                                 m.d)};
+    }
     void
     storeToFloat(float *p) const
     {
@@ -440,6 +484,36 @@ struct VD
             tmp[i] = p[i];
         return {_mm_cvtps_pd(_mm_load_ps(tmp))};
     }
+    struct Mask
+    {
+        __m128d d; ///< all-ones lanes (the blend)
+        unsigned bits;
+    };
+    static Mask
+    maskOf(unsigned bits)
+    {
+        return {_mm_castsi128_pd(_mm_set_epi64x(-(long long)(bits >> 1 & 1),
+                                                -(long long)(bits & 1))),
+                bits};
+    }
+    static VD
+    loadFromFloatMasked(const float *p, const Mask &m)
+    {
+        if (m.bits == 3)
+            return loadFromFloat(p);
+        alignas(16) float tmp[4] = {};
+        if (m.bits & 1)
+            tmp[0] = p[0];
+        if (m.bits & 2)
+            tmp[1] = p[1];
+        return {_mm_cvtps_pd(_mm_load_ps(tmp))};
+    }
+    static VD
+    fmaMasked(VD a, VD b, VD acc, const Mask &m)
+    {
+        const __m128d sum = _mm_add_pd(acc.v, _mm_mul_pd(a.v, b.v));
+        return {_mm_or_pd(_mm_and_pd(m.d, sum), _mm_andnot_pd(m.d, acc.v))};
+    }
     void
     storeToFloat(float *p) const
     {
@@ -526,6 +600,18 @@ struct VD
     loadFromFloatPartial(const float *p, int n)
     {
         return {n ? double(*p) : 0.0};
+    }
+    using Mask = bool;
+    static Mask maskOf(unsigned bits) { return bits & 1; }
+    static VD
+    loadFromFloatMasked(const float *p, Mask m)
+    {
+        return {m ? double(*p) : 0.0};
+    }
+    static VD
+    fmaMasked(VD a, VD b, VD acc, Mask m)
+    {
+        return {m ? acc.v + a.v * b.v : acc.v};
     }
     void storeToFloat(float *p) const { *p = float(v); }
     void

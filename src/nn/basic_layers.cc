@@ -1,5 +1,6 @@
 #include "nn/basic_layers.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "winograd/microkernel.hh"
@@ -9,9 +10,9 @@ namespace winomc::nn {
 Tensor
 ReLU::forward(const Tensor &x, bool train)
 {
-    Tensor y = x;
+    Tensor y(x.n(), x.c(), x.h(), x.w());
     if (train)
-        mask = Tensor(x.n(), x.c(), x.h(), x.w());
+        mask.reshape(x.n(), x.c(), x.h(), x.w()); // overwritten whole
     const mk::MicroKernels &K = mk::kernels();
     K.reluForward(y.data(), train ? mask.data() : nullptr, x.data(),
                   std::int64_t(x.size()));
@@ -22,7 +23,7 @@ Tensor
 ReLU::backward(const Tensor &dy)
 {
     winomc_assert(dy.sameShape(mask), "ReLU backward shape mismatch");
-    Tensor dx = dy;
+    Tensor dx(dy.n(), dy.c(), dy.h(), dy.w());
     mk::kernels().mulPairwise(dx.data(), dy.data(), mask.data(),
                               std::int64_t(dy.size()));
     return dx;
@@ -109,16 +110,18 @@ Tensor
 AvgPool2::backward(const Tensor &dy)
 {
     Tensor dx(dy.n(), dy.c(), inH, inW);
-    for (int b = 0; b < dy.n(); ++b)
-        for (int c = 0; c < dy.c(); ++c)
-            for (int i = 0; i < dy.h(); ++i)
-                for (int j = 0; j < dy.w(); ++j) {
-                    float g = 0.25f * dy.at(b, c, i, j);
-                    dx.at(b, c, 2 * i, 2 * j) = g;
-                    dx.at(b, c, 2 * i, 2 * j + 1) = g;
-                    dx.at(b, c, 2 * i + 1, 2 * j) = g;
-                    dx.at(b, c, 2 * i + 1, 2 * j + 1) = g;
-                }
+    const int oh = dy.h(), ow = dy.w();
+    const float *g = dy.data();
+    float *plane = dx.data();
+    for (int bc = 0; bc < dy.n() * dy.c(); ++bc, plane += size_t(inH) * inW)
+        for (int i = 0; i < oh; ++i, g += ow) {
+            float *r0 = plane + size_t(2 * i) * inW;
+            float *r1 = r0 + inW;
+            for (int j = 0; j < ow; ++j) {
+                const float v = 0.25f * g[j];
+                r0[2 * j] = r0[2 * j + 1] = r1[2 * j] = r1[2 * j + 1] = v;
+            }
+        }
     return dx;
 }
 
@@ -147,11 +150,10 @@ GlobalAvgPool::backward(const Tensor &dy)
 {
     Tensor dx(dy.n(), dy.c(), inH, inW);
     const float scale = 1.0f / float(inH * inW);
-    for (int b = 0; b < dy.n(); ++b)
-        for (int c = 0; c < dy.c(); ++c)
-            for (int i = 0; i < inH; ++i)
-                for (int j = 0; j < inW; ++j)
-                    dx.at(b, c, i, j) = dy.at(b, c, 0, 0) * scale;
+    const size_t plane = size_t(inH) * inW;
+    for (int bc = 0; bc < dy.n() * dy.c(); ++bc)
+        std::fill_n(dx.data() + size_t(bc) * plane, plane,
+                    dy.data()[bc] * scale);
     return dx;
 }
 

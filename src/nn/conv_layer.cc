@@ -23,9 +23,6 @@ ConvLayer::ConvLayer(int in_ch, int out_ch, int r_, ConvMode mode,
     if (mode != ConvMode::Direct) {
         W = transformWeights(w, *alg);
         dW = WinoWeights(alg->alpha, out_ch, in_ch);
-        gScratch = WinoWeights(alg->alpha, out_ch, in_ch);
-        if (mode == ConvMode::WinogradSpatial)
-            dwScratch = Tensor(out_ch, in_ch, r_, r_);
     }
 }
 
@@ -142,26 +139,32 @@ ConvLayer::ensureChoice(const ConvSpec &spec)
     tunedW = spec.w;
     if (!algoChanged)
         return;
-    // (Re)bind the state the chosen algorithm executes with. Stale
-    // state of the losing algorithms is kept — a shape flip back needs
-    // only the dirty-flag refresh, not a rebuild.
+    // (Re)bind the algorithm. State of the losing algorithms is kept —
+    // a shape flip back needs only the stale-flag refresh, not a
+    // rebuild.
     switch (choice.kind) {
       case tune::AlgoKind::Direct:
         alg = nullptr;
         break;
-      case tune::AlgoKind::Winograd: {
-        const WinogradAlgo &na = algoForTile(choice.m);
-        alg = &na;
-        W = transformWeights(w, na);
-        gScratch = WinoWeights(na.alpha, outCh, inCh);
-        dwScratch = Tensor(outCh, inCh, kh, kw);
+      case tune::AlgoKind::Winograd:
+        alg = &algoForTile(choice.m);
         break;
-      }
       case tune::AlgoKind::Decomposed:
         alg = &algoForTile(choice.m);
         decompWeightsDirty = true;
         break;
     }
+}
+
+void
+ConvLayer::refreshAutoW()
+{
+    const int s = autoSlot(alg->m);
+    if (autoW[size_t(s)].size() == 0)
+        autoW[size_t(s)] = transformWeights(w, *alg);
+    else if (autoWStale[size_t(s)])
+        transformWeightsInto(w, *alg, autoW[size_t(s)]);
+    autoWStale[size_t(s)] = false;
 }
 
 Tensor
@@ -188,6 +191,7 @@ ConvLayer::forwardAuto(const Tensor &x, bool train)
       case tune::AlgoKind::Direct:
         return forwardDirect(x, train);
       case tune::AlgoKind::Winograd:
+        refreshAutoW();
         return winogradForwardBody(x, train);
       case tune::AlgoKind::Decomposed: {
         if (!decompPlan || !decompPlan->matches(spec, *alg)) {
@@ -270,6 +274,8 @@ ConvLayer::backward(const Tensor &dy)
     if (!execPlan->inputCached())
         execPlan->scatterInput(cachedX);
     execPlan->transformGradOutput(dy);
+    if (gScratch.alphaEdge() != alg->alpha)
+        gScratch = WinoWeights(alg->alpha, outCh, inCh);
     execPlan->gradWeightsFromCachedInto(gScratch);
     if (convMode == ConvMode::WinogradLayer) {
         // Pinned pruned coefficients take exactly-zero gradient, so
@@ -279,13 +285,15 @@ ConvLayer::backward(const Tensor &dy)
         dW += gScratch;
     } else {
         // Chain through W = G w G^T back to the spatial parameters.
+        if (dwScratch.size() == 0)
+            dwScratch = Tensor(outCh, inCh, kh, kw);
         transformWeightsAdjointInto(gScratch, *alg, dwScratch);
         dw += dwScratch;
     }
     // Both gradient products consume the one dYt transform above; the
     // backward-data GEMM then spans every batch x tiles lane at once.
     Tensor dx(dy.n(), inCh, lastH, lastW);
-    execPlan->backwardDataFromCachedInto(W, dx);
+    execPlan->backwardDataFromCachedInto(effectiveW(), dx);
     return dx;
 }
 
@@ -316,11 +324,9 @@ ConvLayer::step(float lr)
       case ConvMode::Auto:
         K.axpy(w.data(), -lr, dw.data(), std::int64_t(w.size()));
         dw.fill(0.0f);
-        // Refresh the fast path's derived weights lazily: transform now
-        // if the plain pipeline is live, flag the decomposition so the
-        // next forward re-splits.
-        if (haveChoice && choice.kind == tune::AlgoKind::Winograd)
-            transformWeightsInto(w, *alg, W);
+        // The fast paths' derived weights refresh lazily: the next
+        // forward re-transforms (or re-splits) what it runs with.
+        autoWStale.fill(true);
         decompWeightsDirty = true;
         break;
     }

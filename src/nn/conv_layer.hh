@@ -34,6 +34,7 @@
 #ifndef WINOMC_NN_CONV_LAYER_HH
 #define WINOMC_NN_CONV_LAYER_HH
 
+#include <array>
 #include <memory>
 
 #include "nn/module.hh"
@@ -160,11 +161,19 @@ class ConvLayer : public Module
         return planSrc ? *planSrc : planCache;
     }
 
-    /** Winograd-domain weights to execute with (shared or own). */
+    /** Winograd-domain weights to execute with (shared, the bound
+     *  tile size's in Auto, or own). */
     const WinoWeights &effectiveW() const
     {
-        return sharedW ? *sharedW : W;
+        if (sharedW)
+            return *sharedW;
+        return convMode == ConvMode::Auto && alg ? autoW[autoSlot(alg->m)]
+                                                 : W;
     }
+    /** autoW's slot of tile size m (2, 4 or 6). */
+    static int autoSlot(int m) { return m / 2 - 1; }
+    /** Auto: bring the bound tile size's weights up to date with w. */
+    void refreshAutoW();
 
     int inCh, outCh, r;
     int kh, kw;     ///< kernel extents (== r in the manual modes)
@@ -185,8 +194,13 @@ class ConvLayer : public Module
     PlanLru planCache;        ///< parks displaced plans (shape churn)
     PlanSource *planSrc = nullptr; ///< external override, else planCache
     std::shared_ptr<const WinoWeights> sharedW; ///< frozen shared weights
-    WinoWeights gScratch; ///< per-step Winograd weight-grad scratch
-    Tensor dwScratch;     ///< per-step spatial weight-grad scratch
+    WinoWeights gScratch; ///< Winograd weight-grad scratch (first backward)
+    Tensor dwScratch;     ///< spatial weight-grad scratch (first backward)
+    /** Auto: Winograd-domain weights per tile size ever bound, so a
+     *  shape flip between tile sizes re-transforms nothing; a slot is
+     *  stale after step() until its tile size is bound again. */
+    std::array<WinoWeights, 3> autoW;
+    std::array<bool, 3> autoWStale{};
 
     tune::AlgoChoice choice; ///< Auto: the tuner's decision
     bool haveChoice = false;

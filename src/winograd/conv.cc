@@ -537,11 +537,16 @@ struct CompactStep
     SparseTally tally;
 };
 
+/** ewStaged's compaction buffers, one per part, held by the thread
+ *  that starts the stage: their capacity survives across calls. */
+thread_local std::vector<CompactScratch> ewScratch;
+
 /**
  * Staged element-wise products: parallel over the (uv, kJBlock-row
- * block) output space of uv slices [uv0, uv1), one policy step per
- * chunk, made by make(chunk-local CompactScratch). Each task owns its
- * rows, so results are bitwise identical for any thread count.
+ * block) output space of uv slices [uv0, uv1), split into one part per
+ * pool thread, each running one policy step made by make(its
+ * CompactScratch). Each task owns its rows, so results are bitwise
+ * identical for any thread count.
  */
 template <class MakeStep>
 void
@@ -549,17 +554,24 @@ ewStaged(WinoTiles &out, int uv0, int uv1, int kn, const MakeStep &make)
 {
     const int nr = out.channels();
     const int blocks = (nr + kJBlock - 1) / kJBlock;
-    parallelFor(0, std::int64_t(uv1 - uv0) * blocks, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        CompactScratch scratch;
-        auto step = make(scratch);
-        for (std::int64_t task = lo; task < hi; ++task) {
-            const int uv = uv0 + int(task / blocks);
-            const int o0 = int(task % blocks) * kJBlock;
-            ewBody(step, out, uv, uv + 1, o0, std::min(o0 + kJBlock, nr),
-                   kn);
+    const std::int64_t tasks = std::int64_t(uv1 - uv0) * blocks;
+    const int parts = int(
+        std::min<std::int64_t>(tasks, ThreadPool::global().threadCount()));
+    if (ewScratch.size() < size_t(parts))
+        ewScratch.resize(size_t(parts));
+    std::vector<CompactScratch> &scratch = ewScratch;
+    parallelFor(0, parts, 1, [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t p = lo; p < hi; ++p) {
+            auto step = make(scratch[size_t(p)]);
+            for (std::int64_t task = p * tasks / parts;
+                 task < (p + 1) * tasks / parts; ++task) {
+                const int uv = uv0 + int(task / blocks);
+                const int o0 = int(task % blocks) * kJBlock;
+                ewBody(step, out, uv, uv + 1, o0,
+                       std::min(o0 + kJBlock, nr), kn);
+            }
+            step.publish();
         }
-        step.publish();
     });
 }
 
@@ -593,6 +605,7 @@ checkForwardShapes(const Tiles &X, const WinoWeights &W,
  * a call needs more: a steady-state training step acquires nothing for
  * it, and its bytes show in the workspace's in-use count.
  */
+template <class T>
 class ThreadScratch
 {
   public:
@@ -605,30 +618,31 @@ class ThreadScratch
             ws::release(std::move(slab));
     }
 
-    /** At least n doubles, contents unspecified. */
-    double *
-    doubles(std::size_t n)
+    /** At least n elements, contents unspecified. */
+    T *
+    get(std::size_t n)
     {
         if (held < n) {
             if (slab.capacity())
                 ws::release(std::move(slab));
-            slab = ws::acquire(2 * n);
-            // The slab's storage is reused for doubles: start their
-            // lifetime rather than read floats through a double *.
-            d = ::new (static_cast<void *>(slab.data())) double[n];
+            slab = ws::acquire((n * sizeof(T) + sizeof(float) - 1) /
+                               sizeof(float));
+            // The slab's storage is reused for T: start their lifetime
+            // rather than read floats through a T *.
+            p = ::new (static_cast<void *>(slab.data())) T[n];
             held = n;
         }
-        return d;
+        return p;
     }
 
   private:
     std::vector<float> slab;
-    double *d = nullptr;
-    std::size_t held = 0; ///< doubles living in slab
+    T *p = nullptr;
+    std::size_t held = 0; ///< elements living in slab
 };
 
 /** mk::gradWeights' scratch, held by the thread that starts the stage. */
-thread_local ThreadScratch gradScratch;
+thread_local ThreadScratch<double> gradScratch;
 
 /** Resolve a uv range argument: uv1 < 0 means alpha^2. */
 int
@@ -858,7 +872,7 @@ elementwiseGradWeightsInto(const WinoTiles &dY, const WinoTiles &X,
     const int nuv = uv1 - uv0;
     const int parts = std::min(nuv, ThreadPool::global().threadCount());
     const std::size_t slot = mk::gradWeightsScratch(nj, ni, bt);
-    double *scratch = gradScratch.doubles(slot * std::size_t(parts));
+    double *scratch = gradScratch.get(slot * std::size_t(parts));
     parallelFor(0, parts, 1, [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t p = lo; p < hi; ++p)
             for (int uv = uv0 + int(p * nuv / parts);
@@ -1026,6 +1040,12 @@ winogradGradWeights(const Tensor &x, const Tensor &dy,
 
 namespace {
 
+/** directConvRows' tap table, packed weights and phase-split images,
+ *  held by the thread that starts the call. */
+thread_local ThreadScratch<mk::DirectTap> directTaps;
+thread_local ThreadScratch<double> directWeights;
+thread_local ThreadScratch<float> directSplit;
+
 /**
  * The one direct-convolution loop:
  *
@@ -1034,17 +1054,23 @@ namespace {
  *
  * in that (c, ky, kx) order, taps outside `in` adding nothing. The
  * forward has d = +1, wt(o,c) = w(o,c); the adjoint d = -1, wt(o,c) =
- * w(c,o). Each output row keeps one double accumulator row swept by
- * rowAccumDouble; a float * float product is exact in double, so FMA
- * and mul + add round alike and the output is bitwise the same on
- * every ISA and thread count. With sW > 1 each input row is first
- * split into its sW stride phases (columns p, p + sW, ...; the DWM
- * phase split), so every tap reads a unit-stride slice.
+ * w(c,o). The weights are packed once per call into blocks of
+ * mk::kDirectBlock output channels ([c][ky][kx][o] doubles), and each
+ * task, one (image, channel block), runs mk::directRow per output row:
+ * every output is one double chain from +0, and a float * float
+ * product is exact in double, so FMA and mul + add round alike and the
+ * output is bitwise the same on every ISA and thread count. With
+ * sW > 1 each input row is first split into its sW stride phases
+ * (columns p, p + sW, ...; the DWM phase split), so every tap reads a
+ * unit-stride slice. The tasks split into one part per pool thread,
+ * each with its own split slot of the calling thread's scratch, so a
+ * steady-state call acquires nothing.
  */
 void
 directConvRows(const Tensor &in, const Tensor &w, bool adjoint, int sH,
                int sW, int offH, int offW, Tensor &out, const char *stage)
 {
+    constexpr int B = mk::kDirectBlock;
     const int d = adjoint ? -1 : 1;
     const int kh = w.h();
     const int kw = w.w();
@@ -1061,71 +1087,95 @@ directConvRows(const Tensor &in, const Tensor &w, bool adjoint, int sH,
     StageTimer probe(stage, 2.0 * out.n() * double(no) * nc * double(taps) *
                                 double(oh) * ow);
 
-    // Tap kx adds row[from + k] into acc[lo + k] for k in [0, n): output
-    // column x reads input column x*sW + t, entry x + q of phase p,
-    // which starts at p*(ww/sW) + min(p, ww%sW) in a split row.
-    struct Tap
-    {
-        int lo, n, from;
-    };
-    std::vector<Tap> rowTaps;
+    // Tap kx adds row[from + k] into output column lo + k for k in
+    // [0, n): output column x reads input column x*sW + t, entry x + q
+    // of phase p, which starts at p*(ww/sW) + min(p, ww%sW) in a split
+    // row.
+    mk::DirectTap *rowTaps = directTaps.get(size_t(kw));
     for (int kx = 0; kx < kw; ++kx) {
         const int t = d * kx + offW;
         const int p = (t % sW + sW) % sW;
         const int q = (t - p) / sW;
         const int len = ww / sW + (p < ww % sW);
         const int lo = std::max(0, -q);
-        rowTaps.push_back({lo, std::min(ow, len - q) - lo,
-                           p * (ww / sW) + std::min(p, ww % sW) + q + lo});
+        rowTaps[kx] = {lo, std::max(0, std::min(ow, len - q) - lo),
+                       p * (ww / sW) + std::min(p, ww % sW) + q + lo};
     }
 
-    const size_t image = size_t(nc) * hh * ww;
+    const int nb = (no + B - 1) / B;
+    const size_t wPlane = taps * B;
+    const size_t wBlock = size_t(nc) * wPlane;
+    double *packed = directWeights.get(size_t(nb) * wBlock);
     const float *wbase = w.data();
-    float *obase = out.data();
-    parallelFor(0, std::int64_t(out.n()) * no, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        std::vector<double> accRow(size_t(ow), 0.0);
-        // The task's current image, phase-split once (sW > 1 only).
-        std::vector<float> split;
-        int splitB = -1;
-        for (std::int64_t bo = lo; bo < hi; ++bo) {
-            const int b = int(bo / no);
-            const int o = int(bo % no);
-            const float *src = in.data() + size_t(b) * image;
-            if (sW > 1) {
-                if (b != splitB) {
-                    split.clear();
-                    for (size_t row = 0; row < image; row += size_t(ww))
-                        for (int p = 0; p < sW; ++p)
-                            for (int ix = p; ix < ww; ix += sW)
-                                split.push_back(src[row + size_t(ix)]);
-                    splitB = b;
+    for (int ob = 0; ob < nb; ++ob)
+        for (int c = 0; c < nc; ++c)
+            for (size_t t = 0; t < taps; ++t)
+                for (int o = 0; o < B; ++o) {
+                    const int oo = ob * B + o;
+                    packed[size_t(ob) * wBlock + c * wPlane + t * B +
+                           size_t(o)] =
+                        oo < no ? double(wbase[oo * oStride + c * cStride +
+                                               t])
+                                : 0.0;
                 }
-                src = split.data();
-            }
-            float *orow = obase + size_t(bo) * oh * ow;
-            for (int y = 0; y < oh; ++y, orow += ow) {
-                std::fill(accRow.begin(), accRow.end(), 0.0);
-                for (int c = 0; c < nc; ++c) {
-                    const float *plane = src + size_t(c) * hh * ww;
-                    const float *wt = wbase + o * oStride + c * cStride;
-                    for (int ky = 0; ky < kh; ++ky) {
-                        const int iy = y * sH + d * ky + offH;
-                        if (iy < 0 || iy >= hh)
-                            continue;
-                        const float *row = plane + size_t(iy) * ww;
-                        for (int kx = 0; kx < kw; ++kx) {
-                            const Tap &tap = rowTaps[size_t(kx)];
-                            if (tap.n > 0)
-                                K.rowAccumDouble(accRow.data() + tap.lo,
-                                                 row + tap.from,
-                                                 double(wt[ky * kw + kx]),
-                                                 tap.n);
-                        }
+
+    const size_t image = size_t(nc) * hh * ww;
+    const std::int64_t tasks = std::int64_t(out.n()) * nb;
+    const int parts = int(std::min<std::int64_t>(
+        tasks, ThreadPool::global().threadCount()));
+    float *split = sW > 1 ? directSplit.get(size_t(parts) * image) : nullptr;
+    parallelFor(0, parts, 1, [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t p = lo; p < hi; ++p) {
+            // The part's current image, phase-split once (sW > 1 only).
+            float *mine = split ? split + size_t(p) * image : nullptr;
+            int splitB = -1;
+            for (std::int64_t task = p * tasks / parts;
+                 task < (p + 1) * tasks / parts; ++task) {
+                const int b = int(task / nb);
+                const int ob = int(task % nb);
+                const float *src = in.data() + size_t(b) * image;
+                if (mine) {
+                    if (b != splitB) {
+                        float *dst = mine;
+                        for (size_t row = 0; row < image; row += size_t(ww))
+                            for (int ph = 0; ph < sW; ++ph)
+                                for (int ix = ph; ix < ww; ix += sW)
+                                    *dst++ = src[row + size_t(ix)];
+                        splitB = b;
                     }
+                    src = mine;
                 }
-                for (int x = 0; x < ow; ++x)
-                    orow[x] = float(accRow[size_t(x)]);
+                mk::DirectRow r{};
+                r.out = out.data() + (size_t(b) * no + size_t(ob) * B) *
+                                         size_t(oh) * ow;
+                r.outStride = size_t(oh) * ow;
+                r.no = std::min(B, no - ob * B);
+                r.ow = ow;
+                r.inPlane = size_t(hh) * ww;
+                r.kyStep = std::ptrdiff_t(d) * ww;
+                r.nc = nc;
+                r.wPlane = wPlane;
+                r.taps = rowTaps;
+                r.kw = kw;
+                for (int y = 0; y < oh; ++y, r.out += ow) {
+                    // The live kernel rows, whose input row y*sH + d*ky +
+                    // offH lies inside the map, are consecutive.
+                    const auto live = [&](int ky) {
+                        const int iy = y * sH + d * ky + offH;
+                        return iy >= 0 && iy < hh;
+                    };
+                    int k0 = 0;
+                    while (k0 < kh && !live(k0))
+                        ++k0;
+                    int k1 = k0;
+                    while (k1 < kh && live(k1))
+                        ++k1;
+                    r.nky = k1 - k0;
+                    r.in = r.nky ? src + size_t(y * sH + d * k0 + offH) * ww
+                                 : src;
+                    r.w = packed + size_t(ob) * wBlock + size_t(k0) * kw * B;
+                    K.directRow(r);
+                }
             }
         }
     });
@@ -1188,6 +1238,9 @@ directConvGradWeights(const Tensor &x, const Tensor &dy, int r)
     const int pad = (r - 1) / 2;
     Tensor dw(dy.c(), x.c(), r, r);
     const int ni = x.c();
+    const int hh = x.h();
+    const int ww = x.w();
+    const size_t plane = size_t(hh) * ww;
 
     // Output partition over (j, i): the batch reduction stays inside
     // one task, keeping the summation order thread-count invariant.
@@ -1199,24 +1252,29 @@ directConvGradWeights(const Tensor &x, const Tensor &dy, int r)
         for (std::int64_t ji = lo; ji < hi; ++ji) {
             const int j = int(ji / ni);
             const int i = int(ji % ni);
+            float *dwji = dw.data() + size_t(ji) * r * r;
             for (int ky = 0; ky < r; ++ky) {
+                // Output rows and columns whose tap lands in the map.
+                const int oy0 = std::max(0, pad - ky);
+                const int oy1 = std::min(hh, hh + pad - ky);
                 for (int kx = 0; kx < r; ++kx) {
+                    const int ox0 = std::max(0, pad - kx);
+                    const int ox1 = std::min(ww, ww + pad - kx);
                     double acc = 0.0;
                     for (int b = 0; b < x.n(); ++b) {
-                        for (int oy = 0; oy < x.h(); ++oy) {
-                            int iy = oy + ky - pad;
-                            if (iy < 0 || iy >= x.h())
-                                continue;
-                            for (int ox = 0; ox < x.w(); ++ox) {
-                                int ix = ox + kx - pad;
-                                if (ix < 0 || ix >= x.w())
-                                    continue;
-                                acc += double(dy.at(b, j, oy, ox)) *
-                                       x.at(b, i, iy, ix);
-                            }
+                        const float *g =
+                            dy.data() + (size_t(b) * dy.c() + j) * plane;
+                        const float *xi =
+                            x.data() + (size_t(b) * ni + i) * plane;
+                        for (int oy = oy0; oy < oy1; ++oy) {
+                            const float *gr = g + size_t(oy) * ww;
+                            const float *xr =
+                                xi + size_t(oy + ky - pad) * ww;
+                            for (int ox = ox0; ox < ox1; ++ox)
+                                acc += double(gr[ox]) * xr[ox + kx - pad];
                         }
                     }
-                    dw.at(j, i, ky, kx) = float(acc);
+                    dwji[ky * r + kx] = float(acc);
                 }
             }
         }

@@ -73,6 +73,41 @@ constexpr int kGradLanePad = 16;
  *  tile-panel kernels take: the alpha of F(6x6, 3x3). */
 constexpr int kMaxTileEdge = 8;
 
+/** Output channels of one MicroKernels::directRow call, and the
+ *  channel width of its packed weight blocks. */
+constexpr int kDirectBlock = 8;
+
+/** One kernel column of a direct convolution row: output columns
+ *  [lo, lo + n) read input row entries from, from + 1, ... */
+struct DirectTap
+{
+    int lo, n, from;
+};
+
+/**
+ * One output row of a direct convolution for a block of output
+ * channels; see MicroKernels::directRow. The live kernel rows (those
+ * whose input row lies inside the map) are nky consecutive ones.
+ */
+struct DirectRow
+{
+    float *out;            ///< the block's first output row
+    std::size_t outStride; ///< floats between the block's output rows
+    int no;                ///< output channels, 1 .. kDirectBlock
+    int ow;                ///< output columns
+    const float *in;       ///< channel 0's input row of the first live ky
+    std::size_t inPlane;   ///< floats between input channels
+    std::ptrdiff_t kyStep; ///< floats from one live ky's input row to the next
+    int nc;                ///< input channels
+    int nky;               ///< live kernel rows (0: the row is all +0)
+    /** Packed weights [c][ky][kx][kDirectBlock] as doubles, at channel
+     *  0's first live ky; a channel past `no` holds zeros. */
+    const double *w;
+    std::size_t wPlane;    ///< doubles between input channels of w
+    const DirectTap *taps; ///< one per kernel column
+    int kw;                ///< kernel columns
+};
+
 /** Signatures of the three tile-panel sandwich bodies; see
  *  MicroKernels::xformFromTiles / xformToTiles / xformToTilesHalf. */
 using XformFromTilesFn = void (*)(const double *L, int p, int n,
@@ -217,8 +252,23 @@ struct MicroKernels
 
     // --- direct conv / reduction primitives -------------------------
 
-    /** acc[i] += w * x[i] for i in [0, n), double accumulators. */
-    void (*rowAccumDouble)(double *acc, const float *x, double w, int n);
+    /**
+     * One direct-convolution output row for r.no output channels:
+     * out[o][x] = float(sum over c, live ky, kx of w[c][ky][kx][o] *
+     * in[c][ky][taps[kx].from + x - taps[kx].lo]), where tap kx adds
+     * only to columns x in [lo, lo + n). Every output is one double
+     * chain from +0 in ascending (c, ky, kx) order; a float * float
+     * product is exact in double, so FMA and mul + add round alike and
+     * every level is bitwise the scalar one. Vector levels keep a block
+     * of output channels x columns in registers over the whole
+     * reduction (rows wider than the block run in column chunks), load
+     * and widen each input slice once per tap for every channel, and
+     * mask the lanes outside a tap's columns out of the load and the
+     * fma (an inf or NaN weight at a border tap adds nothing there).
+     * The scalar table sweeps the same order over rows of double
+     * accumulators, 64 columns at a time.
+     */
+    void (*directRow)(const DirectRow &r);
 
     /** Fixed-order double-precision sum of n floats. */
     double (*sumDouble)(const float *x, std::int64_t n);

@@ -827,18 +827,112 @@ unpackPanel(float *plane, int h, int w, const int *tr, const int *tc,
     }
 }
 
+/** Output channels a directRow pass keeps in registers (16 zmm
+ *  accumulators at AVX-512, 8 of the 16 registers below), vectors per
+ *  channel, and the kernel columns one mask table covers. */
+constexpr int kDirOuts = VD::W >= 8 ? winomc::mk::kDirectBlock
+                                    : winomc::mk::kDirectBlock / 2;
+constexpr int kDirVecs = 2;
+constexpr int kDirTaps = 16;
+static_assert(winomc::mk::kDirectBlock % kDirOuts == 0,
+              "a packed block is whole passes");
+
+/**
+ * Columns [x0, x0 + NV * VD::W) of channels [o0, o0 + kDirOuts) of one
+ * directRow: the kDirOuts x NV accumulators start at +0 and take one
+ * masked fma per (c, live ky, kx) tap in that order, each input slice
+ * loaded and widened once for all channels. A tap's mask keeps only
+ * the columns it covers, so the rest add nothing and are not read.
+ */
+template <int NV>
 void
-rowAccumDouble(double *acc, const float *x, double w, int n)
+directChunk(const winomc::mk::DirectRow &r, int o0, int x0)
 {
-    const VD wv = VD::broadcast(w);
-    int i = 0;
-    for (; i + VD::W <= n; i += VD::W) {
-        VD a = VD::load(acc + i);
-        a = VD::fma(VD::loadFromFloat(x + i), wv, a);
-        a.store(acc + i);
+    using winomc::mk::kDirectBlock;
+    VD::Mask mask[kDirTaps][NV];
+    std::ptrdiff_t base[kDirTaps];
+    const auto fill = [&](int k0) {
+        for (int t = 0; t < std::min(kDirTaps, r.kw - k0); ++t) {
+            const winomc::mk::DirectTap &tap = r.taps[k0 + t];
+            base[t] = std::ptrdiff_t(tap.from) - tap.lo + x0;
+            for (int v = 0; v < NV; ++v) {
+                const int c0 = x0 + v * VD::W;
+                const int lo = std::clamp(tap.lo - c0, 0, VD::W);
+                const int hi = std::clamp(tap.lo + tap.n - c0, lo, VD::W);
+                mask[t][v] = VD::maskOf((1u << hi) - (1u << lo));
+            }
+        }
+    };
+    VD acc[kDirOuts][NV];
+    // Plain loops over the compile-time block, fully unrolled: a lambda
+    // capturing acc would keep the block in memory.
+#pragma GCC unroll 16
+    for (int o = 0; o < kDirOuts; ++o)
+#pragma GCC unroll 4
+        for (int v = 0; v < NV; ++v)
+            acc[o][v] = VD::zero();
+    const bool oneTable = r.kw <= kDirTaps;
+    if (oneTable)
+        fill(0);
+    const float *inC = r.in;
+    const double *wC = r.w + o0;
+    for (int c = 0; c < r.nc; ++c, inC += r.inPlane, wC += r.wPlane) {
+        const float *row = inC;
+        const double *wk = wC;
+        for (int ky = 0; ky < r.nky; ++ky, row += r.kyStep) {
+            for (int k0 = 0; k0 < r.kw; k0 += kDirTaps) {
+                if (!oneTable)
+                    fill(k0);
+                const int nt = std::min(kDirTaps, r.kw - k0);
+                for (int t = 0; t < nt; ++t, wk += kDirectBlock) {
+                    VD xv[NV];
+#pragma GCC unroll 4
+                    for (int v = 0; v < NV; ++v)
+                        xv[v] = VD::loadFromFloatMasked(
+                            row + base[t] + v * VD::W, mask[t][v]);
+#pragma GCC unroll 16
+                    for (int o = 0; o < kDirOuts; ++o) {
+                        const VD wv = VD::broadcast(wk[o]);
+#pragma GCC unroll 4
+                        for (int v = 0; v < NV; ++v)
+                            acc[o][v] = VD::fmaMasked(xv[v], wv, acc[o][v],
+                                                      mask[t][v]);
+                    }
+                }
+            }
+        }
     }
-    for (; i < n; ++i)
-        acc[i] += double(x[i]) * w;
+#pragma GCC unroll 16
+    for (int o = 0; o < kDirOuts; ++o) {
+        if (o0 + o >= r.no)
+            break;
+        float *out = r.out + std::size_t(o0 + o) * r.outStride + x0;
+#pragma GCC unroll 4
+        for (int v = 0; v < NV; ++v) {
+            const VD a = acc[o][v];
+            const int n = std::min(VD::W, r.ow - x0 - v * VD::W);
+            if (n == VD::W)
+                a.storeToFloat(out + v * VD::W);
+            else if (n > 0)
+                a.storeToFloatPartial(out + v * VD::W, n);
+        }
+    }
+}
+
+void
+directRow(const winomc::mk::DirectRow &r)
+{
+    constexpr int kChunk = kDirVecs * VD::W;
+    for (int o0 = 0; o0 < r.no; o0 += kDirOuts) {
+        int x0 = 0;
+        for (; x0 + kChunk <= r.ow; x0 += kChunk)
+            directChunk<kDirVecs>(r, o0, x0);
+        if (r.ow - x0 > VD::W)
+            directChunk<kDirVecs>(r, o0, x0);
+        else if (x0 < r.ow)
+            directChunk<1>(r, o0, x0);
+    }
+    simd::zeroUpper();
 }
 
 double
@@ -1092,7 +1186,7 @@ avgPool2Row(float *y, const float *r0, const float *r1, int outW)
             mkimpl::xformFromTiles<>, mkimpl::xformToTiles<>,             \
             mkimpl::packTilePanel,  mkimpl::unpackPanel<false>,           \
             mkimpl::unpackPanel<true>,                                    \
-            mkimpl::rowAccumDouble, mkimpl::sumDouble,                    \
+            mkimpl::directRow,      mkimpl::sumDouble,                    \
             mkimpl::reluForward,    mkimpl::mulPairwise,                  \
             mkimpl::axpy,           mkimpl::avgPool2Row,                  \
             mkimpl::panelAccumGrouped, mkimpl::panelAccumHalf,            \

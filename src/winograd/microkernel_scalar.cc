@@ -239,10 +239,41 @@ unpackAddTilePanel(float *plane, int h, int w, const int *tr,
 }
 
 void
-rowAccumDouble(double *acc, const float *x, double w, int n)
+directRow(const winomc::mk::DirectRow &r)
 {
-    for (int i = 0; i < n; ++i)
-        acc[i] += double(x[i]) * w;
+    // One double chain per output from +0, taps in (c, live ky, kx)
+    // order, each tap adding only inside its columns; a chunk of
+    // columns at a time, every channel's accumulator row swept per tap.
+    constexpr int kCols = 64;
+    double acc[winomc::mk::kDirectBlock][kCols];
+    for (int x0 = 0; x0 < r.ow; x0 += kCols) {
+        const int x1 = r.ow - x0 < kCols ? r.ow : x0 + kCols;
+        for (int o = 0; o < r.no; ++o)
+            for (int x = x0; x < x1; ++x)
+                acc[o][x - x0] = 0.0;
+        const float *inC = r.in;
+        const double *wC = r.w;
+        for (int c = 0; c < r.nc; ++c, inC += r.inPlane, wC += r.wPlane) {
+            const float *row = inC;
+            const double *wk = wC;
+            for (int ky = 0; ky < r.nky; ++ky, row += r.kyStep) {
+                for (int kx = 0; kx < r.kw;
+                     ++kx, wk += winomc::mk::kDirectBlock) {
+                    const winomc::mk::DirectTap &t = r.taps[kx];
+                    const int lo = t.lo > x0 ? t.lo : x0;
+                    const int hi = t.lo + t.n < x1 ? t.lo + t.n : x1;
+                    for (int o = 0; o < r.no; ++o)
+                        for (int x = lo; x < hi; ++x)
+                            acc[o][x - x0] +=
+                                double(row[t.from + (x - t.lo)]) * wk[o];
+                }
+            }
+        }
+        for (int o = 0; o < r.no; ++o)
+            for (int x = x0; x < x1; ++x)
+                r.out[std::size_t(o) * r.outStride + std::size_t(x)] =
+                    float(acc[o][x - x0]);
+    }
 }
 
 double
@@ -422,7 +453,7 @@ const winomc::mk::MicroKernels kTable = {
     packTilePanel,
     unpackTilePanel,
     unpackAddTilePanel,
-    rowAccumDouble,
+    directRow,
     sumDouble,
     reluForward,
     mulPairwise,

@@ -48,6 +48,12 @@ namespace {
 // at ~58 GFLOP/s and its 64-lane small-map row at ~89 GFLOP/s (1
 // thread, AVX-512, 4-vCPU host). It keeps 25 so picks do not move
 // until the rates are calibrated on the host.
+//
+// kDirectGflops undershoots most of all: the register-blocked direct
+// row kernel (mk::directRow) runs BM_DirectConv5x5 and
+// BM_DirectConvStride2 at ~24 GFLOP/s and serve_auto's strided layers
+// at 17-30 GFLOP/s (same host). It keeps 6 for the same reason: the
+// analytic picks must not move before the rates are calibrated.
 
 constexpr double kDirectGflops = 6.0; ///< direct conv loops
 constexpr double kEwGflops = 25.0;    ///< element-wise GEMM stage

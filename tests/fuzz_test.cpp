@@ -78,9 +78,11 @@ drawGeometry(Rng &rng)
     Geometry g{};
     g.b = int(rng.uniformInt(1, 3));
     g.c = int(rng.uniformInt(1, 9));
-    g.k = int(rng.uniformInt(1, 9));
-    g.h = int(rng.uniformInt(1, 20));
-    g.w = int(rng.uniformInt(1, 20));
+    // Up to 20 output channels: two and a ragged third block of the
+    // direct kernel; maps up to 40 give rows of several column chunks.
+    g.k = int(rng.uniformInt(1, 20));
+    g.h = int(rng.uniformInt(1, 40));
+    g.w = int(rng.uniformInt(1, 40));
     g.kh = int(rng.uniformInt(1, 7));
     g.kw = int(rng.uniformInt(1, 7));
     g.sH = int(rng.uniformInt(1, 3));
@@ -154,6 +156,43 @@ bitwiseEqual(const Tensor &a, const Tensor &b)
 
 } // namespace
 
+namespace {
+
+/** Library direct forward (and, for an odd square kernel, backward
+ *  data) of g against the naive oracles at every usable ISA x threads
+ *  {1, 4}; a failure names `label` and the geometry. */
+void
+checkDirect(const Geometry &g, Rng &rng, const std::string &label)
+{
+    Tensor x(g.b, g.c, g.h, g.w);
+    Tensor w(g.k, g.c, g.kh, g.kw);
+    Tensor dy(g.b, g.k, g.h, g.w);
+    x.fillUniform(rng);
+    w.fillUniform(rng);
+    dy.fillUniform(rng);
+    const Tensor yRef = naiveForward(x, w, g);
+    const Tensor dxRef =
+        g.oddSquare() ? naiveBackwardData(dy, w, g) : Tensor();
+
+    for (mk::Isa isa : test::usableIsas()) {
+        ScopedExecConfig isaScope(test::withIsa(isa));
+        for (int threads : {1, 4}) {
+            ThreadPool::global().setThreadCount(threads);
+            const std::string where = label + " " + g.str() + " isa " +
+                                      mk::isaName(isa) + " threads " +
+                                      std::to_string(threads);
+            if (!bitwiseEqual(directConvForward(x, w, g.sH, g.sW, g.pH, g.pW),
+                              yRef))
+                ADD_FAILURE() << "forward differs: " << where;
+            if (g.oddSquare() &&
+                !bitwiseEqual(directConvBackwardData(dy, w), dxRef))
+                ADD_FAILURE() << "backward-data differs: " << where;
+        }
+    }
+}
+
+} // namespace
+
 TEST(DirectFuzz, ForwardAndBackwardDataMatchNaiveOraclesBitwise)
 {
     test::ExecScope scope;
@@ -164,37 +203,29 @@ TEST(DirectFuzz, ForwardAndBackwardDataMatchNaiveOraclesBitwise)
         const Geometry g = drawGeometry(rng);
         if (g.outH() < 1 || g.outW() < 1)
             continue;
-        Tensor x(g.b, g.c, g.h, g.w);
-        Tensor w(g.k, g.c, g.kh, g.kw);
-        Tensor dy(g.b, g.k, g.h, g.w);
-        x.fillUniform(rng);
-        w.fillUniform(rng);
-        dy.fillUniform(rng);
-        const Tensor yRef = naiveForward(x, w, g);
-        const Tensor dxRef =
-            g.oddSquare() ? naiveBackwardData(dy, w, g) : Tensor();
         ++checked;
-
-        for (mk::Isa isa : test::usableIsas()) {
-            ScopedExecConfig isaScope(test::withIsa(isa));
-            for (int threads : {1, 4}) {
-                ThreadPool::global().setThreadCount(threads);
-                const std::string where =
-                    "seed " + std::to_string(seed) + " " + g.str() +
-                    " isa " + mk::isaName(isa) + " threads " +
-                    std::to_string(threads);
-                if (!bitwiseEqual(
-                        directConvForward(x, w, g.sH, g.sW, g.pH, g.pW),
-                        yRef))
-                    ADD_FAILURE() << "forward differs: " << where;
-                if (g.oddSquare() &&
-                    !bitwiseEqual(directConvBackwardData(dy, w), dxRef))
-                    ADD_FAILURE() << "backward-data differs: " << where;
-            }
-        }
+        checkDirect(g, rng, "seed " + std::to_string(seed));
     }
     // The draw must leave most geometries usable.
     EXPECT_GT(checked, kGeometries / 2);
+}
+
+TEST(DirectFuzz, FixedGeometriesMatchNaiveOraclesBitwise)
+{
+    // serve_auto's two direct layers, the 3 -> 32 7x7-s2 stem and the
+    // 32 -> 32 3x3-s2 layer, at batch 1 and 8 on both image sizes.
+    test::ExecScope scope;
+    Rng rng(kSeed0 - 1);
+    for (int b : {1, 8}) {
+        for (int s : {32, 24}) {
+            checkDirect({b, 3, 32, s, s, 7, 7, 2, 2, 3, 3}, rng, "stem");
+            checkDirect({b, 32, 32, s / 2, s / 2, 3, 3, 2, 2, 1, 1}, rng,
+                        "3x3-s2");
+        }
+    }
+    // Kernels wider than the vector kernel's 16-column mask table.
+    checkDirect({2, 3, 9, 6, 45, 1, 19, 1, 1, 0, 9}, rng, "wide");
+    checkDirect({1, 2, 5, 9, 50, 3, 17, 2, 3, 1, 8}, rng, "wide-strided");
 }
 
 namespace {

@@ -15,14 +15,25 @@
  * {F(2,3), F(4,3), F(6,3)}, for the staged and the fused forward and
  * for the staged backward-data, with the bad pixel in the interior,
  * on an edge and in a corner of an odd-sized map.
+ *
+ * The direct convolution's result is defined exactly: a tap outside
+ * the map adds nothing, so an inf or NaN weight at a border tap
+ * leaves the outputs whose window has that tap in the padding
+ * untouched. Its forward and backward-data must match a naive
+ * per-output oracle output for output (finite values bitwise,
+ * non-finite ones as NaN, +inf or -inf) with the bad value in a
+ * border weight tap or a border input pixel, at every usable ISA and
+ * 1 and 4 threads.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "winograd/algo.hh"
 #include "winograd/conv.hh"
@@ -132,6 +143,153 @@ TEST(NonFinite, BadPixelReachesItsWholeReceptiveField)
                         plan.backwardDataInto(dy, W, dx);
                         EXPECT_EQ(finiteInField(dx, q, kC), 0)
                             << "backward-data: " << where;
+                    }
+                }
+            }
+        }
+    }
+}
+
+namespace {
+
+/** Naive direct forward: one double chain per output, taps in
+ *  (c, ky, kx) order, taps outside the map skipped. */
+Tensor
+naiveDirect(const Tensor &x, const Tensor &w, int s, int pad)
+{
+    const int oh = (x.h() + 2 * pad - w.h()) / s + 1;
+    const int ow = (x.w() + 2 * pad - w.w()) / s + 1;
+    Tensor y(x.n(), w.n(), oh, ow);
+    for (int b = 0; b < x.n(); ++b)
+        for (int o = 0; o < w.n(); ++o)
+            for (int oy = 0; oy < oh; ++oy)
+                for (int ox = 0; ox < ow; ++ox) {
+                    double acc = 0.0;
+                    for (int c = 0; c < x.c(); ++c)
+                        for (int ky = 0; ky < w.h(); ++ky)
+                            for (int kx = 0; kx < w.w(); ++kx) {
+                                const int iy = oy * s + ky - pad;
+                                const int ix = ox * s + kx - pad;
+                                if (iy >= 0 && iy < x.h() && ix >= 0 &&
+                                    ix < x.w())
+                                    acc += double(w.at(o, c, ky, kx)) *
+                                           x.at(b, c, iy, ix);
+                            }
+                    y.at(b, o, oy, ox) = float(acc);
+                }
+    return y;
+}
+
+/** Naive stride-1 "same" backward-data, taps in (o, ky, kx) order. */
+Tensor
+naiveDirectBackwardData(const Tensor &dy, const Tensor &w)
+{
+    const int pad = (w.h() - 1) / 2;
+    Tensor dx(dy.n(), w.c(), dy.h(), dy.w());
+    for (int b = 0; b < dy.n(); ++b)
+        for (int c = 0; c < w.c(); ++c)
+            for (int iy = 0; iy < dy.h(); ++iy)
+                for (int ix = 0; ix < dy.w(); ++ix) {
+                    double acc = 0.0;
+                    for (int o = 0; o < w.n(); ++o)
+                        for (int ky = 0; ky < w.h(); ++ky)
+                            for (int kx = 0; kx < w.w(); ++kx) {
+                                const int oy = iy - ky + pad;
+                                const int ox = ix - kx + pad;
+                                if (oy >= 0 && oy < dy.h() && ox >= 0 &&
+                                    ox < dy.w())
+                                    acc += double(w.at(o, c, ky, kx)) *
+                                           dy.at(b, o, oy, ox);
+                            }
+                    dx.at(b, c, iy, ix) = float(acc);
+                }
+    return dx;
+}
+
+/** Outputs of `got` that differ from `want`: finite values bitwise,
+ *  non-finite ones by class (NaN, +inf, -inf). */
+int
+mismatches(const Tensor &got, const Tensor &want)
+{
+    if (!got.sameShape(want))
+        return int(want.size()) + 1;
+    int bad = 0;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        const float g = got.data()[i], e = want.data()[i];
+        if (std::isnan(e))
+            bad += !std::isnan(g);
+        else if (std::isinf(e))
+            bad += g != e;
+        else
+            bad += std::memcmp(&g, &e, sizeof g) != 0;
+    }
+    return bad;
+}
+
+} // namespace
+
+TEST(NonFinite, DirectBorderTapsAddNothingOutsideTheMap)
+{
+    test::ExecScope scope;
+    // K = 10: a full output-channel block and a ragged one.
+    constexpr int kOut = 10;
+    struct Geometry
+    {
+        int k, stride, h, w;
+    };
+    // Same-padded 3x3, and a 7x7 stride-2 stem on 16- and 21-wide maps.
+    constexpr Geometry kGeometries[] = {
+        {3, 1, kH, kW}, {7, 2, 16, 16}, {7, 2, 21, 19}};
+    for (const Geometry &g : kGeometries) {
+        const int pad = (g.k - 1) / 2;
+        Rng rng(78);
+        Tensor x0(kB, kC, g.h, g.w), w0(kOut, kC, g.k, g.k);
+        Tensor dy0(kB, kOut, g.h, g.w);
+        x0.fillUniform(rng);
+        w0.fillUniform(rng);
+        dy0.fillUniform(rng);
+        // Corner and edge taps: each reads padding at some outputs.
+        const int last = g.k - 1;
+        const int taps[][2] = {{0, 0}, {last, last}, {0, last}, {pad, 0}};
+        for (float bad : kBad) {
+            for (int t = 0; t < 5; ++t) {
+                Tensor x = x0, w = w0;
+                std::string what;
+                if (t < 4) {
+                    w.at(t % kOut, t % kC, taps[t][0], taps[t][1]) = bad;
+                    what = "weight tap (" + std::to_string(taps[t][0]) +
+                           "," + std::to_string(taps[t][1]) + ")";
+                } else {
+                    x.at(1, 2, 0, g.w - 1) = bad;
+                    what = "input corner";
+                }
+                const Tensor yRef = naiveDirect(x, w, g.stride, pad);
+                const bool adjoint = g.stride == 1;
+                const Tensor dxRef =
+                    adjoint ? naiveDirectBackwardData(dy0, w) : Tensor();
+                for (mk::Isa isa : test::usableIsas()) {
+                    ScopedExecConfig isaScope(test::withIsa(isa));
+                    for (int threads : {1, 4}) {
+                        ThreadPool::global().setThreadCount(threads);
+                        const std::string where =
+                            std::to_string(g.k) + "x" + std::to_string(g.k) +
+                            "-s" + std::to_string(g.stride) + " " + what +
+                            " value " + std::to_string(bad) + " isa " +
+                            mk::isaName(isa) + " threads " +
+                            std::to_string(threads);
+                        EXPECT_EQ(mismatches(directConvForward(
+                                                 x, w, g.stride, g.stride,
+                                                 pad, pad),
+                                             yRef),
+                                  0)
+                            << "forward: " << where;
+                        if (adjoint) {
+                            EXPECT_EQ(
+                                mismatches(directConvBackwardData(dy0, w),
+                                           dxRef),
+                                0)
+                                << "backward-data: " << where;
+                        }
                     }
                 }
             }

@@ -155,7 +155,7 @@ TEST_F(SimdTest, EveryUsableTableIsFullyPopulated)
         EXPECT_NE(K.xformToTiles, nullptr);
         EXPECT_NE(K.xformToTilesHalf, nullptr);
         EXPECT_EQ(K.tabled == nullptr, isa == mk::Isa::Scalar);
-        EXPECT_NE(K.rowAccumDouble, nullptr);
+        EXPECT_NE(K.directRow, nullptr);
         EXPECT_NE(K.sumDouble, nullptr);
         EXPECT_NE(K.reluForward, nullptr);
         EXPECT_NE(K.mulPairwise, nullptr);

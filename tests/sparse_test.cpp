@@ -17,12 +17,18 @@
  *    software round-to-nearest-even on every ISA, accumulation stays
  *    fp32, so staged and fused agree bitwise and the error vs the fp32
  *    oracle stays inside the per-precision bounds asserted here.
+ *
+ * The binary replaces the global operator new with a counting one, so
+ * a test can check a steady-state path makes no heap allocation.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -40,6 +46,34 @@
 #include "winograd/tuner.hh"
 
 #include "sparse_fixtures.hh"
+
+namespace {
+/** Heap allocations through the replaced operator new below. */
+std::atomic<std::uint64_t> heapAllocs{0};
+} // namespace
+
+// Not inlined, so the compiler sees only matching new / delete calls
+// and never the malloc / free pair inside them.
+[[gnu::noinline]] void *
+operator new(std::size_t n)
+{
+    heapAllocs.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace winomc {
 namespace {
@@ -320,6 +354,37 @@ TEST(SparseExec, AllZeroInputYieldsExactZeroOutput)
     Tensor y(2, 4, 10, 10);
     plan.forwardInto(x, W, y);
     EXPECT_EQ(y.absMax(), 0.0f);
+}
+
+TEST(SparseExec, StagedSparseAndHalfForwardsAllocateNoMoreThanDense)
+{
+    ExecScope guard(fp32Dense);
+    const WinogradAlgo algo = makeWinograd(4, 3);
+    Rng rng(91);
+    Tensor x = reluSparseInput(2, 19, 12, 12, rng);
+    const WinoWeights W = prunedWeights(8, 19, 3, algo, 0.6, rng);
+    // Heap allocations of five steady-state staged forwards.
+    const auto allocs = [&](Prec prec, bool sparse) {
+        ScopedExecConfig cfg([&](ExecConfig &c) {
+            c.prec = prec;
+            c.sparse = sparse;
+        });
+        WinoPlan plan(algo, 2, 19, 8, 12, 12);
+        Tensor y(2, 8, 12, 12);
+        plan.forwardInto(x, W, y); // warm-up: slabs and scratch
+        const std::uint64_t a0 = heapAllocs.load();
+        for (int i = 0; i < 5; ++i)
+            plan.forwardInto(x, W, y);
+        return heapAllocs.load() - a0;
+    };
+    for (int threads : {1, 4}) {
+        ThreadPool::global().setThreadCount(threads);
+        const std::uint64_t dense = allocs(Prec::F32, false);
+        EXPECT_LE(allocs(Prec::F32, true), dense)
+            << "sparse, threads " << threads;
+        EXPECT_LE(allocs(Prec::Bf16, false), dense)
+            << "bf16, threads " << threads;
+    }
 }
 
 // --------------------------------------------- Half-precision bounds

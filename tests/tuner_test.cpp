@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -606,6 +607,60 @@ TEST(ConvLayerAuto, SteadyStateTrainingAllocatesNothing)
     EXPECT_EQ(s1.freshAllocs, s0.freshAllocs)
         << "steady-state Auto training iterations must reuse pooled "
            "slabs only";
+}
+
+bool
+sameBits(const Tensor &a, const Tensor &b)
+{
+    return a.sameShape(b) &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(ConvLayerAuto, TileSizeFlipsKeepEachSizesWeights)
+{
+    // serve_auto's last conv: batch 1, 32 -> 32, 3x3 on the 8x8 and
+    // 6x6 maps of its two image sizes.
+    TunerGuard guard;
+    auto layer = [] {
+        Rng rng(19);
+        return nn::ConvLayer(32, 32, 3, 3, 1, 1, rng);
+    };
+    Rng rng(23);
+    Tensor big(1, 32, 8, 8), small(1, 32, 6, 6), dy(1, 32, 8, 8);
+    big.fillUniform(rng);
+    small.fillUniform(rng);
+    dy.fillUniform(rng);
+
+    nn::ConvLayer flip = layer();
+    const Tensor yBig = flip.forward(big, false);
+    const tune::AlgoChoice bigChoice = flip.autoChoice();
+    const Tensor ySmall = flip.forward(small, false);
+    const tune::AlgoChoice smallChoice = flip.autoChoice();
+    ASSERT_EQ(bigChoice.kind, tune::AlgoKind::Winograd);
+    ASSERT_EQ(smallChoice.kind, tune::AlgoKind::Winograd);
+    ASSERT_NE(bigChoice.m, smallChoice.m)
+        << "the shapes must bind different tile sizes";
+
+    // Flipped forwards equal a fresh layer's first forward.
+    nn::ConvLayer freshSmall = layer();
+    EXPECT_TRUE(sameBits(ySmall, freshSmall.forward(small, false)));
+    EXPECT_TRUE(sameBits(flip.forward(big, false), yBig));
+    EXPECT_TRUE(sameBits(flip.forward(small, false), ySmall));
+
+    // A step at one tile size, then a flip back to the other: the
+    // forward runs the updated weights, as a layer meeting that shape
+    // for the first time after the step does.
+    nn::ConvLayer stepped = layer();
+    for (nn::ConvLayer *l : {&flip, &stepped}) {
+        (void)l->forward(big, true);
+        (void)l->backward(dy);
+        l->step(0.05f);
+    }
+    const Tensor yAfter = stepped.forward(small, false);
+    EXPECT_FALSE(sameBits(yAfter, ySmall));
+    EXPECT_TRUE(sameBits(flip.forward(small, false), yAfter));
+    EXPECT_TRUE(sameBits(flip.forward(big, false),
+                         stepped.forward(big, false)));
 }
 
 } // namespace

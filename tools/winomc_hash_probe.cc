@@ -20,7 +20,12 @@
  *  - eval forwards of tuner-picked (Auto) 5x5 and 3x3-stride-2 layers,
  *    which may run DWM-decomposed F(m,3) units;
  *  - DWM-decomposed plans (5x5, 3x3-stride-2, 7x7-stride-2) on each
- *    F(m,3) unit, whatever the tuner would pick.
+ *    F(m,3) unit, whatever the tuner would pick;
+ *  - the direct convolution: serve_auto's 7x7-stride-2 stem and
+ *    3x3-stride-2 layer at batch 1 and 8 on both image sizes, a
+ *    stride-1 same-padded forward, backward-data and weight gradient
+ *    whose channel counts are not multiples of the output-channel
+ *    block, and a 5x3 kernel at stride 2x3.
  *
  * Every input carries exact +0 and -0 entries (as ReLU and its
  * backward produce), so a kernel that flips the sign of a zero shows.
@@ -192,6 +197,46 @@ probeDecomposed(const WinogradAlgo &unit, const Shape &s, int kernel,
     print(tag + "y", y);
 }
 
+struct DirectCase
+{
+    const char *name;
+    int b, c, k, h, w, kh, kw, sH, sW;
+};
+
+constexpr DirectCase kDirectCases[] = {
+    {"stem.b1", 1, 3, 32, 32, 32, 7, 7, 2, 2},
+    {"stem.b8", 8, 3, 32, 32, 32, 7, 7, 2, 2},
+    {"stem24.b1", 1, 3, 32, 24, 24, 7, 7, 2, 2},
+    {"stem24.b8", 8, 3, 32, 24, 24, 7, 7, 2, 2},
+    {"s2.b1", 1, 32, 32, 16, 16, 3, 3, 2, 2},
+    {"s2.b8", 8, 32, 32, 16, 16, 3, 3, 2, 2},
+    {"s2-12.b1", 1, 32, 32, 12, 12, 3, 3, 2, 2},
+    {"s2-12.b8", 8, 32, 32, 12, 12, 3, 3, 2, 2},
+    {"same3", 2, 5, 13, 13, 11, 3, 3, 1, 1},
+    {"same5", 2, 11, 19, 21, 37, 5, 5, 1, 1},
+    {"rect5x3-s2x3", 2, 3, 5, 13, 17, 5, 3, 2, 3},
+};
+
+/** Direct forward with "same"-style pads ((k - 1) / 2); for stride 1
+ *  and an odd square kernel also backward-data and grad-weights. */
+void
+probeDirect(const DirectCase &d)
+{
+    const std::string tag = std::string("direct ") + d.name + " ";
+    Rng rng(0x2468);
+    const Tensor x = input(d.b, d.c, d.h, d.w, rng);
+    Tensor w(d.k, d.c, d.kh, d.kw);
+    w.fillUniform(rng);
+    const Tensor y = directConvForward(x, w, d.sH, d.sW, (d.kh - 1) / 2,
+                                       (d.kw - 1) / 2);
+    print(tag + "y", y);
+    if (d.sH == 1 && d.sW == 1 && d.kh == d.kw && d.kh % 2 == 1) {
+        const Tensor dy = input(d.b, d.k, d.h, d.w, rng);
+        print(tag + "dx", directConvBackwardData(dy, w));
+        print(tag + "dw", directConvGradWeights(x, dy, d.kh));
+    }
+}
+
 } // namespace
 
 int
@@ -216,5 +261,7 @@ main()
             probeDecomposed(algoForTile(m), s, 7, 2);
         }
     }
+    for (const DirectCase &d : kDirectCases)
+        probeDirect(d);
     return 0;
 }
