@@ -543,20 +543,22 @@ thread_local std::vector<CompactScratch> ewScratch;
 
 /**
  * Staged element-wise products: parallel over the (uv, kJBlock-row
- * block) output space of uv slices [uv0, uv1), split into one part per
- * pool thread, each running one policy step made by make(its
- * CompactScratch). Each task owns its rows, so results are bitwise
- * identical for any thread count.
+ * block) output space of uv slices [uv0, uv1), split into parts, each
+ * running one policy step made by make(its CompactScratch). A sparse
+ * step's work varies by task, so there are several parts per pool
+ * thread for the pool to balance. Each task owns its rows, so results
+ * are bitwise identical for any thread count.
  */
 template <class MakeStep>
 void
 ewStaged(WinoTiles &out, int uv0, int uv1, int kn, const MakeStep &make)
 {
+    constexpr int kPartsPerThread = 4;
     const int nr = out.channels();
     const int blocks = (nr + kJBlock - 1) / kJBlock;
     const std::int64_t tasks = std::int64_t(uv1 - uv0) * blocks;
-    const int parts = int(
-        std::min<std::int64_t>(tasks, ThreadPool::global().threadCount()));
+    const int parts = int(std::min<std::int64_t>(
+        tasks, kPartsPerThread * ThreadPool::global().threadCount()));
     if (ewScratch.size() < size_t(parts))
         ewScratch.resize(size_t(parts));
     std::vector<CompactScratch> &scratch = ewScratch;
