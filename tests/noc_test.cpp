@@ -8,7 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <iterator>
 #include <memory>
+#include <ostream>
+#include <vector>
 
 #include "common/metrics.hh"
 
@@ -492,6 +496,197 @@ TEST(MemCentric, RandomTrafficWithHostDrains)
     }
     ASSERT_TRUE(net.drain(500000));
     EXPECT_EQ(net.ejectedCount(), uint64_t(sent));
+}
+
+// ------------------------------------------------------ Golden counts
+
+/// One seeded run of the simulator: open-loop traffic for `openCycles`
+/// (a Bernoulli packet source per node), then `run(runCycles)` with no
+/// new offers, then a drain. A zero rate offers the Fig 9 mix of
+/// `offerFig9Mix` at cycle 0 instead.
+struct GoldenCase
+{
+    const char *name;
+    std::unique_ptr<Topology> (*topology)();
+    int vcs, injectionLanes, bufferDepth, flitBytes;
+    bool neighbor;    ///< ring-neighbor destinations, else uniform
+    double flitRate;  ///< offered flits / node / cycle
+    int packetBytes;
+    int openCycles, runCycles;
+};
+
+/// The simulated counts at one checkpoint.
+struct GoldenCounts
+{
+    uint64_t cycle, flits, creditStalls, holBlocks;
+    double latencySum, maxLinkUtil;
+};
+
+bool
+operator==(const GoldenCounts &a, const GoldenCounts &b)
+{
+    return a.cycle == b.cycle && a.flits == b.flits &&
+           a.creditStalls == b.creditStalls &&
+           a.holBlocks == b.holBlocks && a.latencySum == b.latencySum &&
+           a.maxLinkUtil == b.maxLinkUtil;
+}
+
+std::ostream &
+operator<<(std::ostream &os, const GoldenCounts &c)
+{
+    char buf[160];
+    std::snprintf(buf, sizeof(buf), "{%llu, %llu, %llu, %llu, %.17g, %.17g}",
+                  (unsigned long long)c.cycle, (unsigned long long)c.flits,
+                  (unsigned long long)c.creditStalls,
+                  (unsigned long long)c.holBlocks, c.latencySum,
+                  c.maxLinkUtil);
+    return os << buf;
+}
+
+GoldenCounts
+countsOf(const Network &net)
+{
+    return {uint64_t(net.now()), net.ejectedFlitCount(),
+            net.creditStallCount(), net.holBlockCount(),
+            net.latencyStats().sum(), net.maxLinkUtilization()};
+}
+
+/// The Fig 9 mix on a 16 x 16 MemCentricTopology: ring collectives in
+/// every group, tile all-to-all in every cluster, host control.
+void
+offerFig9Mix(Network &net, const MemCentricTopology &t)
+{
+    for (int round = 0; round < 24; ++round)
+        for (int g = 0; g < 16; ++g)
+            for (int i = 0; i < 16; ++i)
+                net.offerPacket(t.workerAt(g, i),
+                                t.workerAt(g, (i + 1) % 16), 256);
+    for (int round = 0; round < 6; ++round)
+        for (int i = 0; i < 16; ++i)
+            for (int g = 0; g < 16; ++g)
+                for (int og = 0; og < 16; ++og)
+                    if (og != g)
+                        net.offerPacket(t.workerAt(g, i),
+                                        t.workerAt(og, i), 64);
+    for (int g = 0; g < 16; ++g)
+        net.offerPacket(t.hostNode(), t.workerAt(g, 5), 64);
+}
+
+/// Counts after the open phase, after run(runCycles), after the drain.
+std::vector<GoldenCounts>
+runGolden(const GoldenCase &gc)
+{
+    NocConfig cfg;
+    cfg.vcs = gc.vcs;
+    cfg.injectionLanes = gc.injectionLanes;
+    cfg.bufferDepth = gc.bufferDepth;
+    cfg.flitBytes = gc.flitBytes;
+    std::unique_ptr<Topology> topo = gc.topology();
+    const Topology &t = *topo;
+    Network net(std::move(topo), cfg);
+    const int n = t.nodes();
+    if (gc.flitRate == 0.0)
+        offerFig9Mix(net, static_cast<const MemCentricTopology &>(t));
+    Rng rng(uint64_t(n) * 1000 + uint64_t(gc.vcs) * 100 +
+            uint64_t(gc.injectionLanes));
+    const TrafficPattern pattern =
+        gc.neighbor ? ringNeighbor(n) : uniformRandom(n);
+    const int flitsPerPacket =
+        (gc.packetBytes + gc.flitBytes - 1) / gc.flitBytes;
+    const double packetRate = gc.flitRate / flitsPerPacket;
+    for (int c = 0; c < gc.openCycles; ++c) {
+        for (int s = 0; s < n; ++s)
+            if (rng.uniform() < packetRate)
+                net.offerPacket(s, pattern(s, rng), gc.packetBytes);
+        net.step();
+    }
+    std::vector<GoldenCounts> out{countsOf(net)};
+    net.run(gc.runCycles);
+    out.push_back(countsOf(net));
+    EXPECT_TRUE(net.drain(1'000'000)) << gc.name;
+    EXPECT_EQ(net.offeredFlitCount(), net.ejectedFlitCount()) << gc.name;
+    out.push_back(countsOf(net));
+    return out;
+}
+
+template <class T, int... Args>
+std::unique_ptr<Topology>
+make()
+{
+    return std::make_unique<T>(Args...);
+}
+
+/// Every simulated count of seeded runs across topologies, VC counts,
+/// injection lanes, buffer depths, patterns and loads below and above
+/// saturation. The values were recorded from the simulator whose
+/// switch allocator scanned every input-VC slot of every output port
+/// each cycle; any allocator must reproduce them exactly.
+TEST(NetworkGolden, CountsMatchRecordedRuns)
+{
+    const GoldenCase cases[] = {
+        {"ring16 uniform low", make<RingTopology, 16>, 2, 1, 32, 30,
+         false, 0.2, 64, 600, 50},
+        {"ring16 uniform sat", make<RingTopology, 16>, 3, 4, 4, 30, false,
+         0.9, 128, 400, 100},
+        {"ring64 neighbor sat", make<RingTopology, 64>, 2, 4, 32, 30,
+         true, 1.5, 256, 300, 100},
+        {"ring64 uniform low", make<RingTopology, 64>, 3, 1, 4, 30, false,
+         0.05, 64, 500, 20},
+        {"fbfly4 uniform sat", make<FlatButterfly2D, 4>, 2, 4, 4, 30,
+         false, 1.2, 64, 400, 50},
+        {"fbfly4 neighbor low", make<FlatButterfly2D, 4>, 3, 1, 32, 30,
+         true, 0.4, 256, 500, 30},
+        {"clique8 uniform sat", make<FullyConnected, 8>, 3, 4, 32, 30,
+         false, 4.5, 256, 300, 40},
+        {"clique8 neighbor low", make<FullyConnected, 8>, 2, 1, 4, 30,
+         true, 0.3, 128, 400, 10},
+        {"memc4x4 uniform sat", make<MemCentricTopology, 4, 4>, 2, 4, 4,
+         10, false, 0.8, 64, 400, 100},
+        {"memc4x4 neighbor low", make<MemCentricTopology, 4, 4>, 3, 1, 32,
+         30, true, 0.3, 256, 500, 50},
+        {"fig9 mix", make<MemCentricTopology, 16, 16>, 2, 4, 32, 10,
+         false, 0.0, 64, 0, 300},
+    };
+    const std::vector<GoldenCounts> expected[] = {
+        {{600, 1699, 0, 545, 19993, 0.54000000000000004},
+         {650, 1825, 0, 549, 21836, 0.52615384615384619},
+         {658, 1833, 0, 549, 22012, 0.51975683890577506}},
+        {{400, 250, 9788, 22649, 8906, 0.2175},
+         {500, 305, 11894, 28760, 13216, 0.21199999999999999},
+         {7642, 5850, 100412, 276712, 4404636, 0.11842449620518189}},
+        {{300, 18102, 0, 37388, 119709, 0.9966666666666667},
+         {400, 24322, 0, 50168, 209989, 0.99750000000000005},
+         {595, 28827, 0, 54210, 314612, 0.98319327731092432}},
+        {{500, 417, 37306, 12173, 20806, 0.27400000000000002},
+         {520, 427, 39242, 13070, 21016, 0.2673076923076923},
+         {2017, 1662, 98475, 45687, 393205, 0.1279127416955875}},
+        {{400, 3763, 13507, 10917, 127948, 0.22500000000000001},
+         {450, 4197, 15286, 12595, 158940, 0.22666666666666666},
+         {910, 7668, 26317, 20758, 555739, 0.19450549450549451}},
+        {{500, 3249, 0, 0, 7213, 0.54400000000000004},
+         {530, 3374, 0, 0, 7552, 0.54339622641509433},
+         {531, 3375, 0, 0, 7585, 0.5423728813559322}},
+        {{300, 6946, 0, 1899, 46283, 0.75},
+         {340, 7952, 0, 2154, 59020, 0.76764705882352946},
+         {572, 10566, 0, 2508, 105572, 0.534965034965035}},
+        {{400, 752, 1779, 0, 8767, 0.28999999999999998},
+         {410, 775, 1827, 0, 9062, 0.29024390243902437},
+         {613, 905, 2109, 0, 12957, 0.28548123980424145}},
+        {{400, 1496, 8486, 17332, 19825, 0.28000000000000003},
+         {500, 1710, 10554, 23069, 27712, 0.28000000000000003},
+         {2395, 5404, 30523, 65126, 526601, 0.14613778705636743}},
+        {{500, 2444, 0, 0, 5343, 0.46800000000000003},
+         {550, 2556, 0, 0, 5623, 0.42545454545454547},
+         {550, 2556, 0, 0, 5623, 0.42545454545454547}},
+        {{0, 0, 0, 0, 0, 0},
+         {300, 195200, 312, 28760, 2236372, 0.9966666666666667},
+         {814, 321136, 312, 28760, 7995295, 0.77518427518427513}},
+    };
+    ASSERT_EQ(std::size(expected), std::size(cases));
+    for (size_t i = 0; i < std::size(cases); ++i) {
+        const std::vector<GoldenCounts> got = runGolden(cases[i]);
+        EXPECT_EQ(got, expected[i]) << cases[i].name;
+    }
 }
 
 } // namespace
