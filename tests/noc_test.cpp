@@ -646,6 +646,8 @@ TEST(NetworkGolden, CountsMatchRecordedRuns)
          30, true, 0.3, 256, 500, 50},
         {"fig9 mix", make<MemCentricTopology, 16, 16>, 2, 4, 32, 10,
          false, 0.0, 64, 0, 300},
+        {"clique40 uniform sat (2-word slot masks)",
+         make<FullyConnected, 40>, 2, 4, 4, 30, false, 3.0, 128, 200, 20},
     };
     const std::vector<GoldenCounts> expected[] = {
         {{600, 1699, 0, 545, 19993, 0.54000000000000004},
@@ -681,6 +683,9 @@ TEST(NetworkGolden, CountsMatchRecordedRuns)
         {{0, 0, 0, 0, 0, 0},
          {300, 195200, 312, 28760, 2236372, 0.9966666666666667},
          {814, 321136, 312, 28760, 7995295, 0.77518427518427513}},
+        {{200, 9920, 20160, 1180, 131554, 0.14999999999999999},
+         {220, 11023, 22367, 1282, 157005, 0.15454545454545454},
+         {650, 24195, 48390, 2494, 752936, 0.08461538461538462}},
     };
     ASSERT_EQ(std::size(expected), std::size(cases));
     for (size_t i = 0; i < std::size(cases); ++i) {
