@@ -12,14 +12,16 @@
 
 namespace winomc::noc {
 
-/** One flow-control unit. Packet metadata lives in Network::packets. */
+/**
+ * One flow-control unit. Packet metadata (destination, size) lives in
+ * Network::packets, and the VC a flit occupies is the input VC that
+ * buffers it, so a buffered flit carries only its packet and position.
+ */
 struct Flit
 {
     int packet = -1;  ///< owning packet id
     bool head = false;
     bool tail = false;
-    int dst = -1;     ///< destination node (copied from packet for route)
-    int vc = 0;       ///< virtual channel currently occupied
 };
 
 /** Packet bookkeeping (created at injection, finalized at ejection). */

@@ -14,25 +14,37 @@ Network::Network(std::unique_ptr<Topology> topo_, const NocConfig &cfg_)
     winomc_assert(cfg.vcs >= topo->vcsNeeded(),
                   "topology '", topo->name(), "' needs ",
                   topo->vcsNeeded(), " VCs, config has ", cfg.vcs);
-    const int n = topo->nodes();
-    routers.reserve(size_t(n));
     winomc_assert(cfg.injectionLanes >= 1, "need an injection lane");
+    winomc_assert(cfg.hopLatency >= 1, "hop latency must be >= 1 cycle");
+    const int n = topo->nodes();
+    const int ports = topo->ports();
+    routers.reserve(size_t(n));
     for (int i = 0; i < n; ++i)
-        routers.emplace_back(i, topo->ports(), cfg.vcs, cfg.bufferDepth,
+        routers.emplace_back(i, ports, cfg.vcs, cfg.bufferDepth,
                              cfg.injectionLanes);
-    sourceQueues.assign(size_t(n),
-                        std::vector<std::deque<Flit>>(
-                            size_t(cfg.injectionLanes)));
-    wheel.emplace_back(); // current cycle bucket
+    neighbors.resize(size_t(n) * size_t(ports));
+    peerPorts.resize(size_t(n) * size_t(ports));
+    for (int node = 0; node < n; ++node)
+        for (int port = 0; port < ports; ++port) {
+            const size_t at = size_t(node) * size_t(ports) + size_t(port);
+            neighbors[at] = topo->neighbor(node, port);
+            peerPorts[at] =
+                neighbors[at] >= 0 ? topo->peerPort(node, port) : -1;
+        }
+    activeRouters.assign(size_t(bits::wordsFor(n)), 0);
+    pendingSources.assign(size_t(bits::wordsFor(n)), 0);
+    sourceQueues.resize(size_t(n) * size_t(cfg.injectionLanes));
+    frontSent.assign(sourceQueues.size(), 0);
+    wheel.resize(size_t(cfg.hopLatency) + 1);
 
-    linkBusy.assign(size_t(n) * size_t(topo->ports()), 0);
+    linkBusy.assign(size_t(n) * size_t(ports), 0);
     nodeInjected.assign(size_t(n), 0);
     nodeEjected.assign(size_t(n), 0);
     creditStalls.assign(size_t(n), 0);
     holBlocks.assign(size_t(n), 0);
     if (cfg.sampleOccupancy) {
         // One bucket range covering an entirely full router.
-        int capacity = (topo->ports() + cfg.injectionLanes) * cfg.vcs *
+        int capacity = (ports + cfg.injectionLanes) * cfg.vcs *
                        cfg.bufferDepth;
         occupancyHist.emplace(0.0, double(capacity + 1), 32);
     }
@@ -55,227 +67,227 @@ Network::offerPacket(int src, int dst, int bytes)
     info.injected = cycle;
     packets.push_back(info);
     offeredFlits += uint64_t(flits);
+    queuedFlits += uint64_t(flits);
 
-    int vc = topo->selectVc(src, dst);
     // Whole packets stay on one lane so wormhole ordering holds.
     size_t lane = size_t(nextLane++) % size_t(cfg.injectionLanes);
-    for (int k = 0; k < flits; ++k) {
-        Flit f;
-        f.packet = id;
-        f.head = (k == 0);
-        f.tail = (k == flits - 1);
-        f.dst = dst;
-        f.vc = vc;
-        sourceQueues[size_t(src)][lane].push_back(f);
-    }
+    sourceQueues[size_t(src) * size_t(cfg.injectionLanes) + lane]
+        .push_back({id, topo->selectVc(src, dst)});
+    bits::set(pendingSources.data(), src);
     return id;
+}
+
+Network::Bucket &
+Network::sendBucket()
+{
+    return wheel[size_t(cycle + Tick(cfg.hopLatency)) % wheel.size()];
 }
 
 void
 Network::deliverArrivals()
 {
-    auto &bucket = wheel.front();
-    for (const auto &a : bucket) {
-        if (a.is_credit)
-            routers[size_t(a.node)].acceptCredit(a.port, a.vc);
-        else
-            routers[size_t(a.node)].acceptFlit(a.port, a.vc, a.flit);
+    Bucket &bucket = wheel[size_t(cycle) % wheel.size()];
+    for (const CreditArrival &c : bucket.credits) {
+        Router &r = routers[size_t(c.node)];
+        int &credit = r.credits[size_t(c.index)];
+        ++credit;
+        winomc_assert(credit <= r.bufDepth, "credit overflow at node ",
+                      c.node);
     }
-    bucket.clear();
+    for (const FlitArrival &a : bucket.flits)
+        acceptFlit(routers[size_t(a.node)], a.slot, a.flit);
+    linkFlits -= bucket.flits.size();
+    bucket.flits.clear();
+    bucket.credits.clear();
 }
 
 void
-Network::switchAllocation()
+Network::acceptFlit(Router &r, int slot, const Flit &f)
 {
-    const int n = topo->nodes();
-    const int net_ports = topo->ports();
-    const int egress = net_ports;
+    if (r.buffered == 0)
+        bits::set(activeRouters.data(), r.node);
+    r.push(slot, f);
+    ++bufferedFlits;
+    if (r.count[size_t(slot)] == 1)
+        request(r, slot);
+}
 
-    for (int node = 0; node < n; ++node) {
-        Router &r = routers[size_t(node)];
-        const int in_slots = r.inputPorts() * cfg.vcs;
-
-        // Ejection first: the terminal empties into the NDP's on-chip
-        // crossbar (Table III), which is far wider than one serial
-        // link, so any number of head flits may eject per cycle.
-        for (int p = 0; p < r.inputPorts(); ++p) {
-            for (int v = 0; v < cfg.vcs; ++v) {
-                auto &in = r.inputs[size_t(p)][size_t(v)];
-                while (!in.fifo.empty()) {
-                    Flit f = in.fifo.front();
-                    if (in.outPort == -1) {
-                        if (!f.head || f.dst != node)
-                            break;
-                        in.outPort = egress;
-                        in.outVc = 0;
-                    }
-                    if (in.outPort != egress)
-                        break;
-                    in.fifo.pop_front();
-                    if (f.tail) {
-                        PacketInfo &pi = packets[size_t(f.packet)];
-                        pi.ejected = cycle;
-                        pi.done = true;
-                        ++ejected;
-                        latency.add(double(cycle - pi.injected));
-                        in.outPort = -1;
-                        in.outVc = -1;
-                    }
-                    ++ejectedFlits;
-                    ++totalEjectedFlits;
-                    ++nodeEjected[size_t(node)];
-                    if (p < net_ports) {
-                        Arrival c;
-                        c.when = cycle + Tick(cfg.hopLatency);
-                        c.node = topo->neighbor(node, p);
-                        c.port = topo->peerPort(node, p);
-                        c.vc = v;
-                        c.is_credit = true;
-                        size_t off = size_t(cfg.hopLatency);
-                        while (wheel.size() <= off)
-                            wheel.emplace_back();
-                        wheel[off].push_back(c);
-                    }
-                }
-            }
-        }
-
-        // One grant per network output port per cycle.
-        for (int o = 0; o < net_ports; ++o) {
-            int &ptr = r.rrPtr[size_t(o)];
-            for (int k = 0; k < in_slots; ++k) {
-                int slot = (ptr + k) % in_slots;
-                int p = slot / cfg.vcs;
-                int v = slot % cfg.vcs;
-                auto &in = r.inputs[size_t(p)][size_t(v)];
-                if (in.fifo.empty())
-                    continue;
-                Flit f = in.fifo.front();
-
-                // Route computation at the head flit.
-                if (in.outPort == -1) {
-                    winomc_assert(f.head, "body flit with no route at ",
-                                  node);
-                    if (f.dst == node) {
-                        in.outPort = egress;
-                        in.outVc = 0;
-                    } else {
-                        in.outPort = topo->route(node, f.dst);
-                        in.outVc = topo->nextVc(node, in.outPort, f.vc);
-                    }
-                }
-                if (in.outPort != o)
-                    continue;
-
-                // Output VC ownership (wormhole) and credits.
-                if (o != egress) {
-                    int &owner = r.ownerIn[size_t(o)][size_t(in.outVc)];
-                    if (owner != slot && owner != -1) {
-                        ++holBlocks[size_t(node)];
-                        continue; // another packet owns this output VC
-                    }
-                    if (r.credits[size_t(o)][size_t(in.outVc)] <= 0) {
-                        ++creditStalls[size_t(node)];
-                        continue;
-                    }
-                    owner = slot;
-                    --r.credits[size_t(o)][size_t(in.outVc)];
-                }
-
-                // Grant: move the flit.
-                in.fifo.pop_front();
-                if (o == egress) {
-                    if (f.tail) {
-                        PacketInfo &pi = packets[size_t(f.packet)];
-                        pi.ejected = cycle;
-                        pi.done = true;
-                        ++ejected;
-                        latency.add(double(cycle - pi.injected));
-                    }
-                    ++ejectedFlits;
-                    ++totalEjectedFlits;
-                    ++nodeEjected[size_t(node)];
-                } else {
-                    ++linkBusy[size_t(node) * size_t(net_ports) +
-                               size_t(o)];
-                    Flit out = f;
-                    out.vc = in.outVc;
-                    Arrival a;
-                    a.when = cycle + Tick(cfg.hopLatency);
-                    a.node = topo->neighbor(node, o);
-                    a.port = topo->peerPort(node, o);
-                    a.vc = in.outVc;
-                    a.is_credit = false;
-                    a.flit = out;
-                    size_t off = size_t(cfg.hopLatency);
-                    while (wheel.size() <= off)
-                        wheel.emplace_back();
-                    wheel[off].push_back(a);
-                }
-
-                // Release the output VC at the tail.
-                if (f.tail && o != egress)
-                    r.ownerIn[size_t(o)][size_t(in.outVc)] = -1;
-                if (f.tail) {
-                    in.outPort = -1;
-                    in.outVc = -1;
-                }
-
-                // Credit back to the upstream router (network inputs).
-                if (p < net_ports) {
-                    Arrival c;
-                    c.when = cycle + Tick(cfg.hopLatency);
-                    c.node = topo->neighbor(node, p);
-                    c.port = topo->peerPort(node, p);
-                    c.vc = v;
-                    c.is_credit = true;
-                    size_t off = size_t(cfg.hopLatency);
-                    while (wheel.size() <= off)
-                        wheel.emplace_back();
-                    wheel[off].push_back(c);
-                }
-
-                ptr = (slot + 1) % in_slots;
-                break;
-            }
+void
+Network::request(Router &r, int slot)
+{
+    int &out = r.outPort[size_t(slot)];
+    if (out == -1) {
+        // Route computation at the head flit.
+        const Flit &f = r.front(slot);
+        winomc_assert(f.head, "body flit with no route at ", r.node);
+        const int dst = packets[size_t(f.packet)].dst;
+        if (dst == r.node) {
+            out = r.netPorts; // egress
+            r.outVc[size_t(slot)] = 0;
+        } else {
+            out = topo->route(r.node, dst);
+            r.outVc[size_t(slot)] =
+                topo->nextVc(r.node, out, slot % r.vcs);
         }
     }
+    bits::set(r.requesters(out), slot);
+}
+
+Flit
+Network::popFront(Router &r, int slot)
+{
+    const Flit f = r.pop(slot);
+    --bufferedFlits;
+    int &out = r.outPort[size_t(slot)];
+    if (f.tail || r.count[size_t(slot)] == 0)
+        bits::clear(r.requesters(out), slot);
+    if (f.tail) {
+        out = -1;
+        r.outVc[size_t(slot)] = -1;
+        if (r.count[size_t(slot)] > 0)
+            request(r, slot); // the next packet's head
+    }
+    return f;
+}
+
+void
+Network::eject(int node, const Flit &f)
+{
+    if (f.tail) {
+        PacketInfo &pi = packets[size_t(f.packet)];
+        pi.ejected = cycle;
+        pi.done = true;
+        ++ejected;
+        latency.add(double(cycle - pi.injected));
+    }
+    ++ejectedFlits;
+    ++totalEjectedFlits;
+    ++nodeEjected[size_t(node)];
+}
+
+void
+Network::creditUpstream(const Router &r, int slot)
+{
+    const int port = slot / r.vcs;
+    if (port >= r.netPorts)
+        return; // injection ports have no upstream router
+    const size_t at = size_t(r.node) * size_t(r.netPorts) + size_t(port);
+    sendBucket().credits.push_back(
+        {neighbors[at], peerPorts[at] * r.vcs + slot % r.vcs});
+}
+
+void
+Network::allocate(Router &r)
+{
+    const int node = r.node;
+    const int egress = r.netPorts;
+
+    // Ejection first: the terminal empties into the NDP's on-chip
+    // crossbar (Table III), which is far wider than one serial link, so
+    // any number of head flits may eject per cycle. Slots in ascending
+    // order, each drained while its front packet is bound here.
+    bits::forEach(r.requesters(egress), r.words, [&](int slot) {
+        do {
+            eject(node, popFront(r, slot));
+            creditUpstream(r, slot);
+        } while (r.count[size_t(slot)] > 0 &&
+                 r.outPort[size_t(slot)] == egress);
+    });
+
+    // One grant per network output port per cycle, outputs in
+    // ascending order. The round-robin scan starts at rrPtr and visits
+    // only the output's requesters; each one it passes over is blocked
+    // and counted. A grant takes effect at once, so a tail leaving
+    // exposes the next head to the outputs after this one.
+    Bucket &send = sendBucket();
+    for (int o = 0; o < egress; ++o) {
+        const uint64_t *mask = r.requesters(o);
+        if (!bits::any(mask, r.words))
+            continue;
+        bits::scanFrom(mask, r.words, r.rrPtr[size_t(o)], [&](int slot) {
+            const int vc = r.outVc[size_t(slot)];
+            const size_t ovc = size_t(o) * size_t(r.vcs) + size_t(vc);
+            int &owner = r.owner[ovc];
+            if (owner != slot && owner != -1) {
+                ++holBlocks[size_t(node)];
+                return false; // another packet owns this output VC
+            }
+            if (r.credits[ovc] <= 0) {
+                ++creditStalls[size_t(node)];
+                return false;
+            }
+            --r.credits[ovc];
+            const Flit f = popFront(r, slot);
+            // Wormhole: hold the output VC until the tail passes.
+            owner = f.tail ? -1 : slot;
+
+            const size_t link =
+                size_t(node) * size_t(r.netPorts) + size_t(o);
+            ++linkBusy[link];
+            send.flits.push_back(
+                {neighbors[link], peerPorts[link] * r.vcs + vc, f});
+            ++linkFlits;
+            creditUpstream(r, slot);
+            r.rrPtr[size_t(o)] = (slot + 1) % r.slots();
+            return true;
+        });
+    }
+    if (r.buffered == 0)
+        bits::clear(activeRouters.data(), node);
 }
 
 void
 Network::injection()
 {
-    for (int node = 0; node < topo->nodes(); ++node) {
+    const int lanes = cfg.injectionLanes;
+    bits::forEach(pendingSources.data(), int(pendingSources.size()),
+                  [&](int node) {
         Router &r = routers[size_t(node)];
-        for (int lane = 0; lane < cfg.injectionLanes; ++lane) {
-            auto &q = sourceQueues[size_t(node)][size_t(lane)];
-            if (q.empty())
+        bool pending = false;
+        for (int lane = 0; lane < lanes; ++lane) {
+            const size_t q = size_t(node) * size_t(lanes) + size_t(lane);
+            std::deque<Queued> &queue = sourceQueues[q];
+            if (queue.empty())
                 continue;
-            Flit &f = q.front();
-            if (!r.hasSpace(r.injectionPort(lane), f.vc))
-                continue;
-            if (f.head)
-                packets[size_t(f.packet)].network_in = cycle;
-            r.acceptFlit(r.injectionPort(lane), f.vc, f);
-            ++nodeInjected[size_t(node)];
-            q.pop_front();
+            const Queued &e = queue.front();
+            const int slot = r.slotOf(r.injectionPort(lane), e.vc);
+            if (r.count[size_t(slot)] < r.bufDepth) {
+                PacketInfo &pi = packets[size_t(e.packet)];
+                int &sent = frontSent[q];
+                Flit f;
+                f.packet = e.packet;
+                f.head = sent == 0;
+                f.tail = sent == pi.flits - 1;
+                if (f.head)
+                    pi.network_in = cycle;
+                acceptFlit(r, slot, f);
+                ++nodeInjected[size_t(node)];
+                --queuedFlits;
+                if (f.tail) {
+                    queue.pop_front();
+                    sent = 0;
+                } else {
+                    ++sent;
+                }
+            }
+            pending = pending || !queue.empty();
         }
-    }
+        if (!pending)
+            bits::clear(pendingSources.data(), node);
+    });
 }
 
 void
 Network::step()
 {
     deliverArrivals();
-    switchAllocation();
+    bits::forEach(activeRouters.data(), int(activeRouters.size()),
+                  [&](int node) { allocate(routers[size_t(node)]); });
     injection();
     if (occupancyHist)
         for (const auto &r : routers)
             occupancyHist->add(double(r.occupancy()));
     ++cycle;
-    wheel.pop_front();
-    if (wheel.empty())
-        wheel.emplace_back();
 }
 
 void
@@ -323,17 +335,7 @@ Network::resetStats()
 size_t
 Network::flitsInFlight() const
 {
-    size_t n = 0;
-    for (const auto &r : routers)
-        n += r.occupancy();
-    for (const auto &lanes : sourceQueues)
-        for (const auto &q : lanes)
-            n += q.size();
-    for (const auto &bucket : wheel)
-        for (const auto &a : bucket)
-            if (!a.is_credit)
-                ++n;
-    return n;
+    return size_t(queuedFlits + bufferedFlits + linkFlits);
 }
 
 double
@@ -353,7 +355,8 @@ Network::maxLinkUtilization() const
     double best = 0.0;
     for (int node = 0; node < topo->nodes(); ++node)
         for (int port = 0; port < topo->ports(); ++port)
-            if (topo->neighbor(node, port) >= 0)
+            if (neighbors[size_t(node) * size_t(topo->ports()) +
+                          size_t(port)] >= 0)
                 best = std::max(best, linkUtilization(node, port));
     return best;
 }
@@ -365,7 +368,8 @@ Network::meanLinkUtilization() const
     int wired = 0;
     for (int node = 0; node < topo->nodes(); ++node)
         for (int port = 0; port < topo->ports(); ++port)
-            if (topo->neighbor(node, port) >= 0) {
+            if (neighbors[size_t(node) * size_t(topo->ports()) +
+                          size_t(port)] >= 0) {
                 sum += linkUtilization(node, port);
                 ++wired;
             }
@@ -450,7 +454,8 @@ Network::exportMetrics(const std::string &prefix) const
     const std::string ej = key(".ejection_rate");
     for (int node = 0; node < topo->nodes(); ++node) {
         for (int port = 0; port < topo->ports(); ++port)
-            if (topo->neighbor(node, port) >= 0)
+            if (neighbors[size_t(node) * size_t(topo->ports()) +
+                          size_t(port)] >= 0)
                 metrics::histogramAdd(util.c_str(),
                                       linkUtilization(node, port), 0.0,
                                       1.0, 20);

@@ -30,7 +30,8 @@ struct NocConfig
     int vcs = 2;
     int bufferDepth = 32;  ///< flits per input VC (covers credit RTT)
     /** Cycles from switch grant to downstream buffer: router pipeline
-     *  (2) + serialization + deserialization (5 ns, Table III). */
+     *  (2) + serialization + deserialization (5 ns, Table III); at
+     *  least 1. */
     int hopLatency = 7;
     int flitBytes = 30;    ///< link phit per cycle (full-width default)
     /** Parallel injection channels from the terminal (the NDP feeds
@@ -129,17 +130,46 @@ class Network
     void exportTrace(const std::string &label) const;
 
   private:
-    struct Arrival
+    /** A flit on a link, landing in input `slot` of router `node`. */
+    struct FlitArrival
     {
-        Tick when;
-        int node, port, vc;
-        bool is_credit;
-        Flit flit; ///< valid when !is_credit
+        int node, slot;
+        Flit flit;
+    };
+    /** A credit for output VC `index` (out * vcs + vc) of `node`. */
+    struct CreditArrival
+    {
+        int node, index;
+    };
+    /** Everything landing in one cycle. */
+    struct Bucket
+    {
+        std::vector<FlitArrival> flits;
+        std::vector<CreditArrival> credits;
+    };
+    /** A packet waiting in a source lane. */
+    struct Queued
+    {
+        int packet, vc;
     };
 
     void deliverArrivals();
-    void switchAllocation();
+    /** Ejection, then switch allocation, of one router. */
+    void allocate(Router &r);
     void injection();
+
+    /** Buffer a flit in input `slot`; an empty slot starts requesting. */
+    void acceptFlit(Router &r, int slot, const Flit &f);
+    /** Make non-empty `slot` a requester of its packet's output,
+     *  routing the front flit first if it is a head. */
+    void request(Router &r, int slot);
+    /** Remove `slot`'s front flit and update the requester masks. */
+    Flit popFront(Router &r, int slot);
+    void eject(int node, const Flit &f);
+    /** Return the credit of input `slot` to the upstream router. */
+    void creditUpstream(const Router &r, int slot);
+    /** Bucket of arrivals sent this cycle. */
+    Bucket &sendBucket();
 
     std::unique_ptr<Topology> topo;
     NocConfig cfg;
@@ -147,11 +177,26 @@ class Network
 
     std::vector<Router> routers;
     std::vector<PacketInfo> packets;
-    /** Per-(node, lane) source queues of un-injected flits. */
-    std::vector<std::vector<std::deque<Flit>>> sourceQueues;
+    /** Wiring, [node * ports + port]: peer node and its input port. */
+    std::vector<int> neighbors;
+    std::vector<int> peerPorts;
+    /** Routers holding flits (bit per node); only these allocate. */
+    std::vector<uint64_t> activeRouters;
+    /** Per-(node, lane) source queues of un-injected packets, and the
+     *  flits of each queue's front packet already injected. */
+    std::vector<std::deque<Queued>> sourceQueues;
+    std::vector<int> frontSent;
+    /** Nodes with a non-empty source queue (bit per node). */
+    std::vector<uint64_t> pendingSources;
     uint64_t nextLane = 0;
-    /** In-flight flits/credits sorted into per-cycle buckets. */
-    std::deque<std::vector<Arrival>> wheel; ///< wheel[0] = this cycle
+    /** In-flight flits and credits, one bucket per cycle of the hop
+     *  latency; wheel[t % wheel.size()] lands at cycle t. */
+    std::vector<Bucket> wheel;
+
+    // Flits in source queues / router buffers / on links.
+    uint64_t queuedFlits = 0;
+    uint64_t bufferedFlits = 0;
+    uint64_t linkFlits = 0;
 
     Accumulator latency;
     uint64_t ejected = 0;

@@ -7,49 +7,43 @@ namespace winomc::noc {
 Router::Router(int node_, int net_ports, int vcs_, int buf_depth,
                int inj_lanes)
     : node(node_), netPorts(net_ports), vcs(vcs_), bufDepth(buf_depth),
-      injLanes(inj_lanes),
-      inputs(size_t(net_ports) + size_t(inj_lanes),
-             std::vector<InputVc>(size_t(vcs_))),
-      credits(size_t(net_ports), std::vector<int>(size_t(vcs_),
-                                                  buf_depth)),
-      ownerIn(size_t(net_ports), std::vector<int>(size_t(vcs_), -1)),
-      rrPtr(size_t(net_ports) + 1, 0)
+      injLanes(inj_lanes), words(bits::wordsFor(slots())),
+      ring(size_t(slots()) * size_t(buf_depth)),
+      head(size_t(slots()), 0), count(size_t(slots()), 0),
+      outPort(size_t(slots()), -1), outVc(size_t(slots()), -1),
+      credits(size_t(net_ports) * size_t(vcs_), buf_depth),
+      owner(size_t(net_ports) * size_t(vcs_), -1),
+      rrPtr(size_t(net_ports), 0),
+      req((size_t(net_ports) + 1) * size_t(words), 0)
 {
     winomc_assert(inj_lanes >= 1, "need at least one injection lane");
-}
-
-bool
-Router::hasSpace(int port, int vc) const
-{
-    return int(inputs[size_t(port)][size_t(vc)].fifo.size()) < bufDepth;
+    winomc_assert(buf_depth >= 1, "need at least one flit of buffer");
 }
 
 void
-Router::acceptFlit(int port, int vc, const Flit &f)
+Router::push(int slot, const Flit &f)
 {
-    auto &in = inputs[size_t(port)][size_t(vc)];
-    winomc_assert(int(in.fifo.size()) < bufDepth,
-                  "input buffer overflow at node ", node, " port ", port,
-                  " vc ", vc);
-    in.fifo.push_back(f);
+    int &n = count[size_t(slot)];
+    winomc_assert(n < bufDepth, "input buffer overflow at node ", node,
+                  " port ", slot / vcs, " vc ", slot % vcs);
+    int at = head[size_t(slot)] + n;
+    if (at >= bufDepth)
+        at -= bufDepth;
+    ring[size_t(slot) * size_t(bufDepth) + size_t(at)] = f;
+    ++n;
+    ++buffered;
 }
 
-void
-Router::acceptCredit(int port, int vc)
+Flit
+Router::pop(int slot)
 {
-    int &c = credits[size_t(port)][size_t(vc)];
-    ++c;
-    winomc_assert(c <= bufDepth, "credit overflow at node ", node);
-}
-
-size_t
-Router::occupancy() const
-{
-    size_t n = 0;
-    for (const auto &port : inputs)
-        for (const auto &vc : port)
-            n += vc.fifo.size();
-    return n;
+    const Flit f = front(slot);
+    int &h = head[size_t(slot)];
+    if (++h == bufDepth)
+        h = 0;
+    --count[size_t(slot)];
+    --buffered;
+    return f;
 }
 
 } // namespace winomc::noc
