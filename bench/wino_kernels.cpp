@@ -270,30 +270,38 @@ directForwardSpec(benchmark::State &state, const ConvSpec &spec)
 void
 BM_WinoDecomposed5x5(benchmark::State &state)
 {
+    ThreadPool::global().setThreadCount(int(state.range(0)));
     decomposedForwardPlanned(state, false);
 }
-BENCHMARK(BM_WinoDecomposed5x5)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WinoDecomposed5x5)->ArgName("threads")->Arg(1)->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_WinoDecomposedStride2(benchmark::State &state)
 {
+    ThreadPool::global().setThreadCount(int(state.range(0)));
     decomposedForwardPlanned(state, true);
 }
-BENCHMARK(BM_WinoDecomposedStride2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WinoDecomposedStride2)->ArgName("threads")->Arg(1)->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_DirectConv5x5(benchmark::State &state)
 {
+    ThreadPool::global().setThreadCount(int(state.range(0)));
     directForwardSpec(state, decompBenchSpec(false));
 }
-BENCHMARK(BM_DirectConv5x5)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DirectConv5x5)->ArgName("threads")->Arg(1)->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_DirectConvStride2(benchmark::State &state)
 {
+    ThreadPool::global().setThreadCount(int(state.range(0)));
     directForwardSpec(state, decompBenchSpec(true));
 }
-BENCHMARK(BM_DirectConvStride2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DirectConvStride2)->ArgName("threads")->Arg(1)->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 // The two strided layers of the serve_auto model at batch 1, where the
 // tuner picks direct: the 3 -> 32 7x7-s2 stem on a 32x32 image and the
