@@ -16,6 +16,7 @@
 #include "common/table.hh"
 #include "memnet/link_model.hh"
 #include "memnet/message_sim.hh"
+#include "noc/memcentric.hh"
 #include "noc/network.hh"
 #include "noc/traffic.hh"
 
@@ -119,6 +120,55 @@ BM_FlitSimRingStep(benchmark::State &state)
                             net.topology().nodes());
 }
 BENCHMARK(BM_FlitSimRingStep)->Arg(16)->Arg(64)->Arg(256);
+
+/** The Fig 9 mix: ring collectives in every group, tile all-to-all in
+ *  every cluster, host control packets. */
+void
+offerFig9Mix(Network &net, const MemCentricTopology &t)
+{
+    for (int round = 0; round < 24; ++round)
+        for (int g = 0; g < 16; ++g)
+            for (int i = 0; i < 16; ++i)
+                net.offerPacket(t.workerAt(g, i),
+                                t.workerAt(g, (i + 1) % 16), 256);
+    for (int round = 0; round < 6; ++round)
+        for (int i = 0; i < 16; ++i)
+            for (int g = 0; g < 16; ++g)
+                for (int og = 0; og < 16; ++og)
+                    if (og != g)
+                        net.offerPacket(t.workerAt(g, i),
+                                        t.workerAt(og, i), 64);
+    for (int g = 0; g < 16; ++g)
+        net.offerPacket(t.hostNode(), t.workerAt(g, 5), 64);
+}
+
+/** One drain of the Fig 9 mix on the 257-router network (narrow 10 B
+ *  flits, 4 injection lanes); items are simulated cycles. Building
+ *  the network and offering the mix are not timed. */
+void
+BM_FlitSimFig9Drain(benchmark::State &state)
+{
+    int64_t cycles = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        NocConfig cfg;
+        cfg.flitBytes = 10;
+        cfg.injectionLanes = 4;
+        auto topo = std::make_unique<MemCentricTopology>(16, 16);
+        const MemCentricTopology &t = *topo;
+        auto net = std::make_unique<Network>(std::move(topo), cfg);
+        offerFig9Mix(*net, t);
+        state.ResumeTiming();
+        if (!net->drain(1'000'000))
+            state.SkipWithError("Fig 9 mix did not drain");
+        cycles += int64_t(net->now());
+        state.PauseTiming();
+        net.reset();
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(cycles);
+}
+BENCHMARK(BM_FlitSimFig9Drain)->Unit(benchmark::kMillisecond);
 
 void
 BM_MessageSimAllToAll(benchmark::State &state)
