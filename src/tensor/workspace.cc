@@ -63,6 +63,18 @@ Workspace::global()
 std::vector<float>
 Workspace::acquire(std::size_t n)
 {
+    return take(n, true);
+}
+
+std::vector<float>
+Workspace::acquireForOverwrite(std::size_t n)
+{
+    return take(n, false);
+}
+
+std::vector<float>
+Workspace::take(std::size_t n, bool zero)
+{
     if (n == 0)
         return {};
     const int cls = classCeil(n);
@@ -83,7 +95,12 @@ Workspace::acquire(std::size_t n)
     }
     if (slab.capacity() < classFloats(cls))
         slab.reserve(classFloats(cls)); // fresh slab: one heap alloc
-    slab.assign(n, 0.0f);               // capacity suffices: no alloc
+    // Capacity suffices: no alloc. A reused slab kept its last size,
+    // so a resize to that size or less writes nothing.
+    if (zero)
+        slab.assign(n, 0.0f);
+    else
+        slab.resize(n);
     {
         std::lock_guard<std::mutex> lock(mu);
         st.bytesInUse += slab.capacity() * sizeof(float);
@@ -106,8 +123,7 @@ Workspace::release(std::vector<float> &&buf)
         ++st.releases;
         st.bytesInUse -= std::min(st.bytesInUse, capBytes);
         if (st.pooledBytes + capBytes <= limitBytesLocked()) {
-            slab.clear(); // keeps capacity
-            st.pooledBytes += capBytes;
+            st.pooledBytes += capBytes; // keeps size and contents
             pool[classFloor(slab.capacity())].push_back(
                 std::move(slab));
         } else {
@@ -145,6 +161,15 @@ Workspace::trim()
         cls.clear();
     st.pooledBytes = 0;
     publishGauges();
+}
+
+void
+Workspace::fillPooled(float v)
+{
+    std::lock_guard<std::mutex> lock(mu);
+    for (auto &cls : pool)
+        for (auto &slab : cls)
+            slab.assign(slab.capacity(), v); // capacity suffices
 }
 
 std::size_t
@@ -191,6 +216,12 @@ std::vector<float>
 acquire(std::size_t n)
 {
     return Workspace::global().acquire(n);
+}
+
+std::vector<float>
+acquireForOverwrite(std::size_t n)
+{
+    return Workspace::global().acquireForOverwrite(n);
 }
 
 void
