@@ -32,9 +32,7 @@ Network::Network(std::unique_ptr<Topology> topo_, const NocConfig &cfg_)
                 neighbors[at] >= 0 ? topo->peerPort(node, port) : -1;
         }
     activeRouters.assign(size_t(bits::wordsFor(n)), 0);
-    pendingSources.assign(size_t(bits::wordsFor(n)), 0);
-    sourceQueues.resize(size_t(n) * size_t(cfg.injectionLanes));
-    frontSent.assign(sourceQueues.size(), 0);
+    sourceLanes.resize(size_t(n) * size_t(cfg.injectionLanes));
     wheel.resize(size_t(cfg.hopLatency) + 1);
 
     linkBusy.assign(size_t(n) * size_t(ports), 0);
@@ -71,9 +69,8 @@ Network::offerPacket(int src, int dst, int bytes)
 
     // Whole packets stay on one lane so wormhole ordering holds.
     size_t lane = size_t(nextLane++) % size_t(cfg.injectionLanes);
-    sourceQueues[size_t(src) * size_t(cfg.injectionLanes) + lane]
-        .push_back({id, topo->selectVc(src, dst)});
-    bits::set(pendingSources.data(), src);
+    sourceLanes[size_t(src) * size_t(cfg.injectionLanes) + lane]
+        .packets.push_back({id, topo->selectVc(src, dst)});
     return id;
 }
 
@@ -240,41 +237,35 @@ void
 Network::injection()
 {
     const int lanes = cfg.injectionLanes;
-    bits::forEach(pendingSources.data(), int(pendingSources.size()),
-                  [&](int node) {
+    for (int node = 0; node < topo->nodes(); ++node) {
         Router &r = routers[size_t(node)];
-        bool pending = false;
         for (int lane = 0; lane < lanes; ++lane) {
-            const size_t q = size_t(node) * size_t(lanes) + size_t(lane);
-            std::deque<Queued> &queue = sourceQueues[q];
-            if (queue.empty())
+            SourceLane &src =
+                sourceLanes[size_t(node) * size_t(lanes) + size_t(lane)];
+            if (src.packets.empty())
                 continue;
-            const Queued &e = queue.front();
-            const int slot = r.slotOf(r.injectionPort(lane), e.vc);
-            if (r.count[size_t(slot)] < r.bufDepth) {
-                PacketInfo &pi = packets[size_t(e.packet)];
-                int &sent = frontSent[q];
-                Flit f;
-                f.packet = e.packet;
-                f.head = sent == 0;
-                f.tail = sent == pi.flits - 1;
-                if (f.head)
-                    pi.network_in = cycle;
-                acceptFlit(r, slot, f);
-                ++nodeInjected[size_t(node)];
-                --queuedFlits;
-                if (f.tail) {
-                    queue.pop_front();
-                    sent = 0;
-                } else {
-                    ++sent;
-                }
+            const Queued &e = src.packets.front();
+            const int port = r.injectionPort(lane);
+            if (!r.hasSpace(port, e.vc))
+                continue;
+            PacketInfo &pi = packets[size_t(e.packet)];
+            Flit f;
+            f.packet = e.packet;
+            f.head = src.sent == 0;
+            f.tail = src.sent == pi.flits - 1;
+            if (f.head)
+                pi.network_in = cycle;
+            acceptFlit(r, r.slotOf(port, e.vc), f);
+            ++nodeInjected[size_t(node)];
+            --queuedFlits;
+            if (f.tail) {
+                src.packets.pop_front();
+                src.sent = 0;
+            } else {
+                ++src.sent;
             }
-            pending = pending || !queue.empty();
         }
-        if (!pending)
-            bits::clear(pendingSources.data(), node);
-    });
+    }
 }
 
 void

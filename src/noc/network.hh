@@ -152,6 +152,13 @@ class Network
     {
         int packet, vc;
     };
+    /** Un-injected packets of one (node, lane), and how many flits of
+     *  the front packet were injected already. */
+    struct SourceLane
+    {
+        std::deque<Queued> packets;
+        int sent = 0;
+    };
 
     void deliverArrivals();
     /** Ejection, then switch allocation, of one router. */
@@ -182,12 +189,8 @@ class Network
     std::vector<int> peerPorts;
     /** Routers holding flits (bit per node); only these allocate. */
     std::vector<uint64_t> activeRouters;
-    /** Per-(node, lane) source queues of un-injected packets, and the
-     *  flits of each queue's front packet already injected. */
-    std::vector<std::deque<Queued>> sourceQueues;
-    std::vector<int> frontSent;
-    /** Nodes with a non-empty source queue (bit per node). */
-    std::vector<uint64_t> pendingSources;
+    /** Source lanes, [node * injectionLanes + lane]. */
+    std::vector<SourceLane> sourceLanes;
     uint64_t nextLane = 0;
     /** In-flight flits and credits, one bucket per cycle of the hop
      *  latency; wheel[t % wheel.size()] lands at cycle t. */
