@@ -10,7 +10,7 @@ namespace winomc::nn {
 Tensor
 ReLU::forward(const Tensor &x, bool train)
 {
-    Tensor y = Tensor::forOverwrite(x.n(), x.c(), x.h(), x.w());
+    Tensor y(x.n(), x.c(), x.h(), x.w());
     if (train)
         mask.reshape(x.n(), x.c(), x.h(), x.w()); // overwritten whole
     const mk::MicroKernels &K = mk::kernels();
@@ -23,7 +23,7 @@ Tensor
 ReLU::backward(const Tensor &dy)
 {
     winomc_assert(dy.sameShape(mask), "ReLU backward shape mismatch");
-    Tensor dx = Tensor::forOverwrite(dy.n(), dy.c(), dy.h(), dy.w());
+    Tensor dx(dy.n(), dy.c(), dy.h(), dy.w());
     mk::kernels().mulPairwise(dx.data(), dy.data(), mask.data(),
                               std::int64_t(dy.size()));
     return dx;
@@ -88,7 +88,7 @@ AvgPool2::forward(const Tensor &x, bool)
     inW = x.w();
     const int oh = x.h() / 2, ow = x.w() / 2;
     winomc_assert(oh > 0 && ow > 0, "avgpool2 input too small");
-    Tensor y = Tensor::forOverwrite(x.n(), x.c(), oh, ow);
+    Tensor y(x.n(), x.c(), oh, ow);
     const mk::MicroKernels &K = mk::kernels();
     const float *xp = x.data();
     float *yp = y.data();
@@ -109,11 +109,7 @@ AvgPool2::forward(const Tensor &x, bool)
 Tensor
 AvgPool2::backward(const Tensor &dy)
 {
-    // The loop writes every element unless an odd input left a last
-    // row or column out of the pooling windows; that one stays zero.
-    Tensor dx = inH % 2 == 0 && inW % 2 == 0
-                    ? Tensor::forOverwrite(dy.n(), dy.c(), inH, inW)
-                    : Tensor(dy.n(), dy.c(), inH, inW);
+    Tensor dx(dy.n(), dy.c(), inH, inW);
     const int oh = dy.h(), ow = dy.w();
     const float *g = dy.data();
     float *plane = dx.data();

@@ -171,7 +171,7 @@ Tensor
 ConvLayer::winogradForwardBody(const Tensor &x, bool train)
 {
     ensurePlan(x);
-    Tensor y = Tensor::forOverwrite(x.n(), outCh, x.h(), x.w());
+    Tensor y(x.n(), outCh, x.h(), x.w());
     // A train-mode forward keeps the plan's tiles for the gradient
     // products; an eval forward lets the plan fuse when that pays.
     execPlan->forwardInto(x, effectiveW(), y, train);
@@ -292,8 +292,7 @@ ConvLayer::backward(const Tensor &dy)
     }
     // Both gradient products consume the one dYt transform above; the
     // backward-data GEMM then spans every batch x tiles lane at once.
-    // The adjoint transform zero-fills dx before it overlap-adds.
-    Tensor dx = Tensor::forOverwrite(dy.n(), inCh, lastH, lastW);
+    Tensor dx(dy.n(), inCh, lastH, lastW);
     execPlan->backwardDataFromCachedInto(effectiveW(), dx);
     return dx;
 }

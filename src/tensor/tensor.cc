@@ -12,23 +12,9 @@ Tensor::Tensor(int n, int c, int h, int w) : dims{n, c, h, w}
     buf = ws::acquire(size_t(n) * c * h * w);
 }
 
-Tensor
-Tensor::forOverwrite(int n, int c, int h, int w)
-{
-    winomc_assert(n >= 0 && c >= 0 && h >= 0 && w >= 0,
-                  "negative tensor dim");
-    Tensor t;
-    t.dims[0] = n;
-    t.dims[1] = c;
-    t.dims[2] = h;
-    t.dims[3] = w;
-    t.buf = ws::acquireForOverwrite(size_t(n) * c * h * w);
-    return t;
-}
-
 Tensor::Tensor(const Tensor &o)
     : dims{o.dims[0], o.dims[1], o.dims[2], o.dims[3]},
-      buf(ws::acquireForOverwrite(o.buf.size()))
+      buf(ws::acquire(o.buf.size()))
 {
     std::copy(o.buf.begin(), o.buf.end(), buf.begin());
 }

@@ -38,9 +38,6 @@ class Tensor
     Tensor(int n, int c, int h, int w);
     /** 2D convenience constructor: (1, 1, h, w). */
     Tensor(int h, int w) : Tensor(1, 1, h, w) {}
-    /** A tensor whose elements are unspecified until written, for an
-     *  output its kernel writes whole (no zero pass). */
-    static Tensor forOverwrite(int n, int c, int h, int w);
 
     ~Tensor() { ws::release(std::move(buf)); }
     Tensor(const Tensor &o);

@@ -63,18 +63,6 @@ Workspace::global()
 std::vector<float>
 Workspace::acquire(std::size_t n)
 {
-    return take(n, true);
-}
-
-std::vector<float>
-Workspace::acquireForOverwrite(std::size_t n)
-{
-    return take(n, false);
-}
-
-std::vector<float>
-Workspace::take(std::size_t n, bool zero)
-{
     if (n == 0)
         return {};
     const int cls = classCeil(n);
@@ -95,12 +83,7 @@ Workspace::take(std::size_t n, bool zero)
     }
     if (slab.capacity() < classFloats(cls))
         slab.reserve(classFloats(cls)); // fresh slab: one heap alloc
-    // Capacity suffices: no alloc. A reused slab kept its last size,
-    // so a resize to that size or less writes nothing.
-    if (zero)
-        slab.assign(n, 0.0f);
-    else
-        slab.resize(n);
+    slab.assign(n, 0.0f);               // capacity suffices: no alloc
     {
         std::lock_guard<std::mutex> lock(mu);
         st.bytesInUse += slab.capacity() * sizeof(float);
@@ -123,7 +106,8 @@ Workspace::release(std::vector<float> &&buf)
         ++st.releases;
         st.bytesInUse -= std::min(st.bytesInUse, capBytes);
         if (st.pooledBytes + capBytes <= limitBytesLocked()) {
-            st.pooledBytes += capBytes; // keeps size and contents
+            slab.clear(); // keeps capacity
+            st.pooledBytes += capBytes;
             pool[classFloor(slab.capacity())].push_back(
                 std::move(slab));
         } else {
@@ -161,15 +145,6 @@ Workspace::trim()
         cls.clear();
     st.pooledBytes = 0;
     publishGauges();
-}
-
-void
-Workspace::fillPooled(float v)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    for (auto &cls : pool)
-        for (auto &slab : cls)
-            slab.assign(slab.capacity(), v); // capacity suffices
 }
 
 std::size_t
@@ -216,12 +191,6 @@ std::vector<float>
 acquire(std::size_t n)
 {
     return Workspace::global().acquire(n);
-}
-
-std::vector<float>
-acquireForOverwrite(std::size_t n)
-{
-    return Workspace::global().acquireForOverwrite(n);
 }
 
 void

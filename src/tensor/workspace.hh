@@ -16,9 +16,6 @@
  *    a slab from the smallest class holding n; release returns the slab
  *    to the class its capacity fits. Slabs keep their capacity across
  *    the pool, so a reuse never touches the heap.
- *  - acquire zero-fills. acquireForOverwrite does not: a released slab
- *    keeps its size, so a reuse of the same size or smaller resizes
- *    without writing. Only outputs a kernel writes whole use it.
  *  - The pool retains at most limitBytes() (WINOMC_WORKSPACE_LIMIT_MB,
  *    default 1024 MB); slabs released beyond that are freed to the OS.
  *    checkBudget() lets execution plans fail loudly — not OOM — when a
@@ -82,12 +79,6 @@ class Workspace
 
     /** A zero-filled slab of exactly n floats (capacity >= n). */
     std::vector<float> acquire(std::size_t n);
-    /**
-     * A slab of exactly n floats whose contents are unspecified: a
-     * reused slab keeps what its last user left. For outputs a kernel
-     * writes whole, which then skip the zero pass.
-     */
-    std::vector<float> acquireForOverwrite(std::size_t n);
 
     /** Return a slab to the pool (or free it if the pool is full). */
     void release(std::vector<float> &&buf);
@@ -98,10 +89,6 @@ class Workspace
     void resetStats();
     /** Free every pooled slab back to the OS. */
     void trim();
-    /** Set every pooled slab to its full capacity of `v`, so the next
-     *  acquireForOverwrite of each shows `v` wherever its caller does
-     *  not write (tests poison the pool this way). */
-    void fillPooled(float v);
 
     std::size_t limitBytes() const;
     void setLimitBytes(std::size_t bytes);
@@ -110,7 +97,6 @@ class Workspace
     static constexpr int kClasses = 44;
 
   private:
-    std::vector<float> take(std::size_t n, bool zero);
     void publishGauges() const;      // callers hold mu
     std::size_t limitBytesLocked();  // callers hold mu
 
@@ -120,10 +106,8 @@ class Workspace
     std::size_t limitB = 0; ///< 0 = uninitialized, read env lazily
 };
 
-/** Workspace::global().acquire / acquireForOverwrite / release
- *  shorthands. */
+/** Workspace::global().acquire / release shorthands. */
 std::vector<float> acquire(std::size_t n);
-std::vector<float> acquireForOverwrite(std::size_t n);
 void release(std::vector<float> &&buf);
 
 /**

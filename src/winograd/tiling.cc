@@ -25,7 +25,7 @@ WinoTiles::WinoTiles(int alpha_, int channels, int batch, int tiles)
 
 WinoTiles::WinoTiles(const WinoTiles &o)
     : alpha(o.alpha), nch(o.nch), nb(o.nb), nt(o.nt),
-      data(ws::acquireForOverwrite(o.data.size()))
+      data(ws::acquire(o.data.size()))
 {
     std::copy(o.data.begin(), o.data.end(), data.begin());
 }

@@ -11,19 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdint>
-#include <limits>
-#include <string>
-#include <vector>
 
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "mpt/mpt_conv_layer.hh"
-#include "nn/basic_layers.hh"
 #include "nn/conv_layer.hh"
-#include "nn/loss.hh"
-#include "nn/module.hh"
-#include "serve/engine.hh"
 #include "tensor/workspace.hh"
 #include "winograd/conv.hh"
 #include "winograd/plan.hh"
@@ -76,24 +68,6 @@ TEST(Workspace, ReleasedSlabIsReusedAndRezeroed)
     EXPECT_EQ(st.bytesInUse, 0u);
     EXPECT_GT(st.pooledBytes, 0u);
     EXPECT_EQ(st.releases, 2u);
-}
-
-TEST(Workspace, OverwriteAcquireKeepsTheLastContents)
-{
-    ws::Workspace w;
-    auto a = w.acquire(1000);
-    std::fill(a.begin(), a.end(), 7.0f);
-    w.release(std::move(a));
-    auto b = w.acquireForOverwrite(600); // same class, smaller: no write
-    EXPECT_EQ(w.stats().reuses, 1u);
-    ASSERT_EQ(b.size(), 600u);
-    EXPECT_TRUE(std::all_of(b.begin(), b.end(),
-                            [](float v) { return v == 7.0f; }));
-    w.release(std::move(b));
-    auto c = w.acquire(600); // the zeroing acquire still zeroes
-    EXPECT_TRUE(std::all_of(c.begin(), c.end(),
-                            [](float v) { return v == 0.0f; }));
-    w.release(std::move(c));
 }
 
 TEST(Workspace, HighWaterTracksPeakNotCurrent)
@@ -340,124 +314,6 @@ TEST(WorkspaceSteadyState, MptConvLayerStepAllocatesNothingAfterWarmup)
     EXPECT_EQ(s1.freshBytes, s0.freshBytes);
     EXPECT_EQ(s1.highWater, s0.highWater);
     EXPECT_GT(s1.reuses, s0.reuses);
-}
-
-// ------------------------------------------- Stale slab contents
-//
-// Outputs a kernel writes whole skip the workspace's zero pass, so a
-// reused slab reaches them with its last user's contents. A run that
-// fills every pooled slab with NaN before each layer call (or request)
-// must match bitwise a run that empties the pool instead, where every
-// slab a call takes first comes fresh and zeroed from the heap.
-
-/// Before each layer call: empty the pool, or poison every pooled slab.
-void
-resetPool(bool poison)
-{
-    if (poison)
-        ws::Workspace::global().fillPooled(
-            std::numeric_limits<float>::quiet_NaN());
-    else
-        ws::Workspace::global().trim();
-}
-
-void
-appendBits(std::string &out, const void *p, std::size_t bytes)
-{
-    out.append(static_cast<const char *>(p), bytes);
-}
-
-/// Two SGD steps of a Winograd CNN (an F(4,3) Winograd-layer conv and
-/// an F(2,3) spatial conv, ReLU, AvgPool2 on an even and an odd map,
-/// GAP, Dense), one layer call at a time, then an eval forward large
-/// enough to fuse. Returns the bits of the losses and eval logits.
-std::string
-trainRun(bool poison)
-{
-    Rng rng(31);
-    std::vector<nn::ModulePtr> layers;
-    layers.push_back(std::make_unique<nn::ConvLayer>(
-        1, 8, 3, nn::ConvMode::WinogradLayer, algoF4x4_3x3(), rng));
-    layers.push_back(std::make_unique<nn::ReLU>());
-    layers.push_back(std::make_unique<nn::AvgPool2>());
-    layers.push_back(std::make_unique<nn::ConvLayer>(
-        8, 8, 3, nn::ConvMode::WinogradSpatial, algoF2x2_3x3(), rng));
-    layers.push_back(std::make_unique<nn::ReLU>());
-    layers.push_back(std::make_unique<nn::AvgPool2>());
-    layers.push_back(std::make_unique<nn::GlobalAvgPool>());
-    layers.push_back(std::make_unique<nn::Dense>(8, 4, rng));
-    auto forward = [&](Tensor x, bool train) {
-        for (auto &layer : layers) {
-            resetPool(poison);
-            x = layer->forward(x, train);
-        }
-        return x;
-    };
-
-    Rng data(32);
-    Tensor x(4, 1, 18, 18); // pooled to 9x9, then an odd AvgPool2
-    x.fillUniform(data);
-    const std::vector<int> labels{0, 1, 2, 3};
-    std::string out;
-    for (int step = 0; step < 2; ++step) {
-        const nn::LossResult lr =
-            nn::softmaxCrossEntropy(forward(x, true), labels);
-        appendBits(out, &lr.loss, sizeof(lr.loss));
-        Tensor dy = lr.dlogits;
-        for (auto it = layers.rbegin(); it != layers.rend(); ++it) {
-            resetPool(poison);
-            dy = (*it)->backward(dy);
-        }
-        for (auto &layer : layers)
-            layer->step(0.05f);
-    }
-    Tensor big(16, 1, 34, 34); // the first conv's Xt + Yt pass 1 MiB
-    big.fillUniform(data);
-    const Tensor y = forward(big, false);
-    appendBits(out, y.data(), y.size() * sizeof(float));
-    return out;
-}
-
-/// Requests one at a time (so every batch holds one image) into a
-/// serve::Engine over tuner-picked Auto convs, a 7x7-s2 stem and a
-/// 3x3, on two image sizes. Returns the bits of every result.
-std::string
-serveRun(bool poison)
-{
-    Rng rng(41);
-    nn::Sequential net;
-    net.add(std::make_unique<nn::ConvLayer>(3, 8, 7, 7, 2, 2, rng));
-    net.add(std::make_unique<nn::ReLU>());
-    net.add(std::make_unique<nn::ConvLayer>(8, 8, 3, 3, 1, 1, rng));
-    net.add(std::make_unique<nn::ReLU>());
-    net.add(std::make_unique<nn::GlobalAvgPool>());
-    net.add(std::make_unique<nn::Dense>(8, 4, rng));
-    serve::EngineConfig cfg;
-    cfg.maxBatch = 4;
-    cfg.maxDelayUs = 0;
-    serve::Engine engine(net, cfg);
-    Rng data(42);
-    std::string out;
-    for (int i = 0; i < 6; ++i) {
-        const int side = i % 3 == 2 ? 24 : 32;
-        Tensor img(1, 3, side, side);
-        img.fillUniform(data);
-        resetPool(poison);
-        const Tensor y = engine.submit(std::move(img)).get();
-        appendBits(out, y.data(), y.size() * sizeof(float));
-    }
-    engine.stop();
-    return out;
-}
-
-TEST(WorkspacePoison, TrainStepAndServedForwardIgnoreStaleSlabs)
-{
-    const std::string train = trainRun(false);
-    EXPECT_TRUE(trainRun(true) == train)
-        << "a train step read a stale slab element";
-    const std::string served = serveRun(false);
-    EXPECT_TRUE(serveRun(true) == served)
-        << "a served forward read a stale slab element";
 }
 
 // ------------------------------- Shape-churn plan-rebuild regression
