@@ -25,59 +25,8 @@ using namespace winomc::noc;
 
 namespace {
 
-constexpr int kRounds = 24;
-
-/** Collective traffic: every worker streams 256 B chunks to its ring
- *  successor within the group. */
-int
-offerCollective(Network &net, const MemCentricTopology &t)
-{
-    int sent = 0;
-    for (int round = 0; round < kRounds; ++round) {
-        for (int g = 0; g < 16; ++g) {
-            for (int i = 0; i < 16; ++i) {
-                net.offerPacket(t.workerAt(g, i),
-                                t.workerAt(g, (i + 1) % 16), 256);
-                ++sent;
-            }
-        }
-    }
-    return sent;
-}
-
-/** Tile traffic: every worker sends 64 B to every other member of its
- *  cluster (the workers sharing its in-group index). */
-int
-offerTiles(Network &net, const MemCentricTopology &t)
-{
-    int sent = 0;
-    for (int round = 0; round < kRounds / 4; ++round) {
-        for (int i = 0; i < 16; ++i) {
-            for (int g = 0; g < 16; ++g) {
-                for (int og = 0; og < 16; ++og) {
-                    if (og == g)
-                        continue;
-                    net.offerPacket(t.workerAt(g, i),
-                                    t.workerAt(og, i), 64);
-                    ++sent;
-                }
-            }
-        }
-    }
-    return sent;
-}
-
-/** Host control packets (task descriptors / reconfig commands). */
-int
-offerHost(Network &net, const MemCentricTopology &t)
-{
-    for (int g = 0; g < 16; ++g)
-        net.offerPacket(t.hostNode(), t.workerAt(g, 5), 64);
-    return 16;
-}
-
 double
-runMix(bool collective, bool tiles, bool host, uint64_t &cycles)
+runMix(Fig9Classes classes, uint64_t &cycles)
 {
     NocConfig cfg;
     cfg.flitBytes = 10;     // conservative: narrow width everywhere
@@ -86,13 +35,7 @@ runMix(bool collective, bool tiles, bool host, uint64_t &cycles)
     const MemCentricTopology &t = *topo;
     Network net(std::move(topo), cfg);
 
-    int sent = 0;
-    if (collective)
-        sent += offerCollective(net, t);
-    if (tiles)
-        sent += offerTiles(net, t);
-    if (host)
-        sent += offerHost(net, t);
+    const int sent = offerFig9Mix(net, t, classes);
     bool ok = net.drain(5'000'000);
     cycles = net.now();
     if (!ok || net.ejectedCount() != uint64_t(sent))
@@ -111,9 +54,9 @@ main()
     Table t("combined MPT traffic on the hybrid topology");
     t.header({"traffic", "cycles", "time us"});
     uint64_t c_coll = 0, c_tiles = 0, c_all = 0;
-    double t_coll = runMix(true, false, false, c_coll);
-    double t_tiles = runMix(false, true, false, c_tiles);
-    double t_all = runMix(true, true, true, c_all);
+    double t_coll = runMix({true, false, false}, c_coll);
+    double t_tiles = runMix({false, true, false}, c_tiles);
+    double t_all = runMix({true, true, true}, c_all);
     t.row().cell("collectives only (group rings)").cell(c_coll)
         .cell(t_coll * 1e6, 1);
     t.row().cell("tile transfer only (cluster fbfly)").cell(c_tiles)

@@ -121,27 +121,6 @@ BM_FlitSimRingStep(benchmark::State &state)
 }
 BENCHMARK(BM_FlitSimRingStep)->Arg(16)->Arg(64)->Arg(256);
 
-/** The Fig 9 mix: ring collectives in every group, tile all-to-all in
- *  every cluster, host control packets. */
-void
-offerFig9Mix(Network &net, const MemCentricTopology &t)
-{
-    for (int round = 0; round < 24; ++round)
-        for (int g = 0; g < 16; ++g)
-            for (int i = 0; i < 16; ++i)
-                net.offerPacket(t.workerAt(g, i),
-                                t.workerAt(g, (i + 1) % 16), 256);
-    for (int round = 0; round < 6; ++round)
-        for (int i = 0; i < 16; ++i)
-            for (int g = 0; g < 16; ++g)
-                for (int og = 0; og < 16; ++og)
-                    if (og != g)
-                        net.offerPacket(t.workerAt(g, i),
-                                        t.workerAt(og, i), 64);
-    for (int g = 0; g < 16; ++g)
-        net.offerPacket(t.hostNode(), t.workerAt(g, 5), 64);
-}
-
 /** One drain of the Fig 9 mix on the 257-router network (narrow 10 B
  *  flits, 4 injection lanes); items are simulated cycles. Building
  *  the network and offering the mix are not timed. */
@@ -157,7 +136,7 @@ BM_FlitSimFig9Drain(benchmark::State &state)
         auto topo = std::make_unique<MemCentricTopology>(16, 16);
         const MemCentricTopology &t = *topo;
         auto net = std::make_unique<Network>(std::move(topo), cfg);
-        offerFig9Mix(*net, t);
+        offerFig9Mix(*net, t, {true, true, true});
         state.ResumeTiming();
         if (!net->drain(1'000'000))
             state.SkipWithError("Fig 9 mix did not drain");

@@ -1,6 +1,7 @@
 #include "noc/memcentric.hh"
 
 #include "common/logging.hh"
+#include "noc/network.hh"
 
 namespace winomc::noc {
 
@@ -126,6 +127,48 @@ MemCentricTopology::nextVc(int node, int out_port, int cur_vc) const
     bool crossing = (i == nc - 1 && out_port == ringCwPort()) ||
                     (i == 0 && out_port == ringCcwPort());
     return crossing ? 1 : cur_vc;
+}
+
+int
+offerFig9Mix(Network &net, const MemCentricTopology &t,
+             Fig9Classes classes)
+{
+    winomc_assert(t.groups() == 16 && t.perGroup() == 16,
+                  "the Fig 9 mix runs on 16 groups of 16 workers");
+    int sent = 0;
+    if (classes.collective) {
+        for (int round = 0; round < 24; ++round) {
+            for (int g = 0; g < 16; ++g) {
+                for (int i = 0; i < 16; ++i) {
+                    net.offerPacket(t.workerAt(g, i),
+                                    t.workerAt(g, (i + 1) % 16), 256);
+                    ++sent;
+                }
+            }
+        }
+    }
+    if (classes.tiles) {
+        for (int round = 0; round < 6; ++round) {
+            for (int i = 0; i < 16; ++i) {
+                for (int g = 0; g < 16; ++g) {
+                    for (int og = 0; og < 16; ++og) {
+                        if (og == g)
+                            continue;
+                        net.offerPacket(t.workerAt(g, i),
+                                        t.workerAt(og, i), 64);
+                        ++sent;
+                    }
+                }
+            }
+        }
+    }
+    if (classes.host) {
+        for (int g = 0; g < 16; ++g) {
+            net.offerPacket(t.hostNode(), t.workerAt(g, 5), 64);
+            ++sent;
+        }
+    }
+    return sent;
 }
 
 } // namespace winomc::noc

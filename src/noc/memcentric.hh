@@ -31,6 +31,8 @@
 
 namespace winomc::noc {
 
+class Network;
+
 class MemCentricTopology : public Topology
 {
   public:
@@ -54,6 +56,8 @@ class MemCentricTopology : public Topology
     int groupOf(int worker) const { return worker / nc; }
     int indexOf(int worker) const { return worker % nc; }
     int workerAt(int group, int index) const { return group * nc + index; }
+    int groups() const { return ng; }
+    int perGroup() const { return nc; }
 
     /** Port layout on workers. */
     int ringCwPort() const { return 0; }
@@ -74,6 +78,24 @@ class MemCentricTopology : public Topology
     int nc;  ///< workers per group (ring length)
     int k;   ///< butterfly edge: k * k == ng
 };
+
+/** The traffic classes of the Fig 9 mix to offer. */
+struct Fig9Classes
+{
+    bool collective; ///< 24 rounds of 256 B to the ring successor
+    bool tiles;      ///< 6 rounds of 64 B all-to-all in each cluster
+    bool host;       ///< one 64 B control packet to every group
+};
+
+/**
+ * Offer the Fig 9 mix on the 16 x 16 network, in the order listed in
+ * Fig9Classes: ring-neighbor collective chunks inside every group,
+ * tile all-to-all among the workers sharing an in-group index, and
+ * host control packets to worker 5 of every group.
+ * @return packets offered
+ */
+int offerFig9Mix(Network &net, const MemCentricTopology &t,
+                 Fig9Classes classes);
 
 } // namespace winomc::noc
 
