@@ -9,7 +9,10 @@
  *   __AVX512F__          -> 16 floats / 8 doubles
  *   __AVX2__ + __FMA__   ->  8 floats / 4 doubles
  *   __SSE2__ (x86-64)    ->  4 floats / 2 doubles
- *   anything else        ->  1 float  / 1 double (plain scalar)
+ *
+ * Anything else is a compile error: non-x86 hosts run the scalar
+ * micro-kernel table (winograd/microkernel_scalar.cc), which does not
+ * include this header.
  *
  * IMPORTANT: this header is meant to be included ONLY from the
  * ISA-specific micro-kernel TUs (winograd/microkernel_*.cc), each of
@@ -44,12 +47,10 @@
 #elif defined(__SSE2__) || defined(__x86_64__) || defined(_M_X64)
 #define WINOMC_SIMD_LEVEL 1
 #else
-#define WINOMC_SIMD_LEVEL 0
+#error "common/simd.hh needs an x86 target with SSE2 or wider"
 #endif
 
-#if WINOMC_SIMD_LEVEL >= 1
 #include <immintrin.h>
-#endif
 
 namespace {
 namespace simd {
@@ -370,7 +371,7 @@ struct VD
     static VD mul(VD a, VD b) { return {_mm256_mul_pd(a.v, b.v)}; }
 };
 
-#elif WINOMC_SIMD_LEVEL == 1
+#else // WINOMC_SIMD_LEVEL == 1
 
 struct VF
 {
@@ -540,92 +541,6 @@ struct VD
     static VD mul(VD a, VD b) { return {_mm_mul_pd(a.v, b.v)}; }
 };
 
-#else // WINOMC_SIMD_LEVEL == 0: plain scalar fallback (non-x86 hosts)
-
-struct VF
-{
-    float v;
-    static constexpr int W = 1;
-
-    static VF zero() { return {0.0f}; }
-    static VF broadcast(float x) { return {x}; }
-    static VF load(const float *p) { return {*p}; }
-    static VF loadPartial(const float *p, int n) { return {n ? *p : 0.0f}; }
-    void store(float *p) const { *p = v; }
-    void
-    storePartial(float *p, int n) const
-    {
-        if (n)
-            *p = v;
-    }
-    static VF fma(VF a, VF b, VF acc) { return {acc.v + a.v * b.v}; }
-    static VF add(VF a, VF b) { return {a.v + b.v}; }
-    static VF mul(VF a, VF b) { return {a.v * b.v}; }
-    static VF reluOf(VF x) { return {x.v > 0.0f ? x.v : 0.0f}; }
-    static VF gtZeroOne(VF x) { return {x.v > 0.0f ? 1.0f : 0.0f}; }
-    static unsigned nonzeroBits(VF x) { return x.v != 0.0f; }
-    static VF
-    loadBf16(const std::uint16_t *p)
-    {
-        return {winomc::half::bf16ToF32(*p)};
-    }
-    static VF
-    loadBf16Partial(const std::uint16_t *p, int n)
-    {
-        return {n ? winomc::half::bf16ToF32(*p) : 0.0f};
-    }
-    static VF
-    loadF16(const std::uint16_t *p)
-    {
-        return {winomc::half::f16ToF32(*p)};
-    }
-    static VF
-    loadF16Partial(const std::uint16_t *p, int n)
-    {
-        return {n ? winomc::half::f16ToF32(*p) : 0.0f};
-    }
-};
-
-struct VD
-{
-    double v;
-    static constexpr int W = 1;
-
-    static VD zero() { return {0.0}; }
-    static VD broadcast(double x) { return {x}; }
-    static VD load(const double *p) { return {*p}; }
-    void store(double *p) const { *p = v; }
-    static VD loadFromFloat(const float *p) { return {double(*p)}; }
-    static VD
-    loadFromFloatPartial(const float *p, int n)
-    {
-        return {n ? double(*p) : 0.0};
-    }
-    using Mask = bool;
-    static Mask maskOf(unsigned bits) { return bits & 1; }
-    static VD
-    loadFromFloatMasked(const float *p, Mask m)
-    {
-        return {m ? double(*p) : 0.0};
-    }
-    static VD
-    fmaMasked(VD a, VD b, VD acc, Mask m)
-    {
-        return {m ? acc.v + a.v * b.v : acc.v};
-    }
-    void storeToFloat(float *p) const { *p = float(v); }
-    void
-    storeToFloatPartial(float *p, int n) const
-    {
-        if (n)
-            *p = float(v);
-    }
-    static VD fma(VD a, VD b, VD acc) { return {acc.v + a.v * b.v}; }
-    static VD add(VD a, VD b) { return {a.v + b.v}; }
-    static VD sub(VD a, VD b) { return {a.v - b.v}; }
-    static VD mul(VD a, VD b) { return {a.v * b.v}; }
-};
-
 #endif
 
 /** Fixed-order (pairwise-tree) horizontal sum: deterministic per ISA. */
@@ -699,12 +614,10 @@ transpose(VD (&r)[VD::W])
     r[1].v = _mm256_permute2f128_pd(t1, t3, 0x20);
     r[2].v = _mm256_permute2f128_pd(t0, t2, 0x31);
     r[3].v = _mm256_permute2f128_pd(t1, t3, 0x31);
-#elif WINOMC_SIMD_LEVEL == 1
+#else
     const __m128d t0 = _mm_unpacklo_pd(r[0].v, r[1].v);
     r[1].v = _mm_unpackhi_pd(r[0].v, r[1].v);
     r[0].v = t0;
-#else
-    (void)r;
 #endif
 }
 

@@ -9,47 +9,7 @@ Tensor::Tensor(int n, int c, int h, int w) : dims{n, c, h, w}
 {
     winomc_assert(n >= 0 && c >= 0 && h >= 0 && w >= 0,
                   "negative tensor dim");
-    buf = ws::acquire(size_t(n) * c * h * w);
-}
-
-Tensor::Tensor(const Tensor &o)
-    : dims{o.dims[0], o.dims[1], o.dims[2], o.dims[3]},
-      buf(ws::acquire(o.buf.size()))
-{
-    std::copy(o.buf.begin(), o.buf.end(), buf.begin());
-}
-
-Tensor &
-Tensor::operator=(const Tensor &o)
-{
-    if (this != &o) {
-        for (int i = 0; i < 4; ++i)
-            dims[i] = o.dims[i];
-        ws::assignCopy(buf, o.buf);
-    }
-    return *this;
-}
-
-Tensor::Tensor(Tensor &&o) noexcept
-    : dims{o.dims[0], o.dims[1], o.dims[2], o.dims[3]},
-      buf(std::move(o.buf))
-{
-    for (int i = 0; i < 4; ++i)
-        o.dims[i] = 0;
-}
-
-Tensor &
-Tensor::operator=(Tensor &&o) noexcept
-{
-    if (this != &o) {
-        ws::release(std::move(buf));
-        buf = std::move(o.buf);
-        for (int i = 0; i < 4; ++i) {
-            dims[i] = o.dims[i];
-            o.dims[i] = 0;
-        }
-    }
-    return *this;
+    buf.resize(size_t(n) * c * h * w);
 }
 
 void
@@ -57,28 +17,17 @@ Tensor::reshape(int n, int c, int h, int w)
 {
     winomc_assert(n >= 0 && c >= 0 && h >= 0 && w >= 0,
                   "negative tensor dim");
-    const bool same = dims[0] == n && dims[1] == c && dims[2] == h &&
-                      dims[3] == w;
-    dims[0] = n;
-    dims[1] = c;
-    dims[2] = h;
-    dims[3] = w;
-    if (same)
+    const std::array<int, 4> shape{n, c, h, w};
+    if (dims == shape)
         return;
-    const size_t need = size_t(n) * c * h * w;
-    if (buf.capacity() >= need) {
-        buf.assign(need, 0.0f);
-    } else {
-        ws::release(std::move(buf));
-        buf = ws::acquire(need);
-    }
+    dims = shape;
+    buf.assignZero(size_t(n) * c * h * w);
 }
 
 bool
 Tensor::sameShape(const Tensor &o) const
 {
-    return dims[0] == o.dims[0] && dims[1] == o.dims[1] &&
-           dims[2] == o.dims[2] && dims[3] == o.dims[3];
+    return dims == o.dims;
 }
 
 void

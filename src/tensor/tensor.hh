@@ -12,8 +12,9 @@
 #ifndef WINOMC_TENSOR_TENSOR_HH
 #define WINOMC_TENSOR_TENSOR_HH
 
+#include <array>
 #include <cstddef>
-#include <vector>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -26,10 +27,10 @@ namespace winomc {
  * Lower-rank tensors set the leading dims to 1 (e.g. a matrix is
  * (1, 1, h, w)).
  *
- * Storage routes through ws::Workspace: construction acquires a pooled
- * slab, destruction releases it, so steady-state shapes never touch the
- * heap. Copy assignment reuses the destination's capacity when it
- * suffices.
+ * Storage is a ws::Slab: construction acquires a pooled slab,
+ * destruction releases it, so steady-state shapes never touch the heap.
+ * Copy assignment reuses the destination's capacity when it suffices;
+ * a moved-from tensor has shape (0, 0, 0, 0).
  */
 class Tensor
 {
@@ -39,11 +40,19 @@ class Tensor
     /** 2D convenience constructor: (1, 1, h, w). */
     Tensor(int h, int w) : Tensor(1, 1, h, w) {}
 
-    ~Tensor() { ws::release(std::move(buf)); }
-    Tensor(const Tensor &o);
-    Tensor &operator=(const Tensor &o);
-    Tensor(Tensor &&o) noexcept;
-    Tensor &operator=(Tensor &&o) noexcept;
+    Tensor(const Tensor &) = default;
+    Tensor &operator=(const Tensor &) = default;
+    Tensor(Tensor &&o) noexcept
+        : dims(std::exchange(o.dims, {})), buf(std::move(o.buf))
+    {
+    }
+    Tensor &
+    operator=(Tensor &&o) noexcept
+    {
+        dims = std::exchange(o.dims, {});
+        buf = std::move(o.buf);
+        return *this;
+    }
 
     /**
      * Rebind to a new shape, reusing the slab when it has capacity.
@@ -105,8 +114,8 @@ class Tensor
         return ((size_t(in) * dims[1] + ic) * dims[2] + ih) * dims[3] + iw;
     }
 
-    int dims[4];
-    std::vector<float> buf;
+    std::array<int, 4> dims;
+    ws::Slab<float> buf;
 };
 
 } // namespace winomc

@@ -187,28 +187,6 @@ Workspace::publishGauges() const
     metrics::gaugeSet("workspace.slab_reuses", double(st.reuses));
 }
 
-std::vector<float>
-acquire(std::size_t n)
-{
-    return Workspace::global().acquire(n);
-}
-
-void
-release(std::vector<float> &&buf)
-{
-    Workspace::global().release(std::move(buf));
-}
-
-void
-assignCopy(std::vector<float> &dst, const std::vector<float> &src)
-{
-    if (dst.capacity() < src.size()) {
-        release(std::move(dst));
-        dst = acquire(src.size());
-    }
-    dst.assign(src.begin(), src.end());
-}
-
 void
 checkBudget(std::size_t bytes, const std::string &what)
 {

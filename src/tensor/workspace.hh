@@ -2,8 +2,10 @@
  * @file
  * Arena-style workspace allocator with size-class slab reuse.
  *
- * Every Tensor / WinoTiles / WinoWeights buffer is acquired from (and
- * released back to) this pool, so in steady state — fixed shapes, as in
+ * Every tensor, tile, mask and kernel scratch buffer is a ws::Slab,
+ * acquired from (and released back to) this pool: Tensor, the fp32 and
+ * 16-bit Winograd tiles, WinoWeights, the activation zero masks and the
+ * per-thread kernel scratches. So in steady state — fixed shapes, as in
  * a training loop — the numeric substrate performs zero heap
  * allocations: a released slab is handed straight back to the next
  * acquire of the same size class. This is the host-side analogue of the
@@ -25,7 +27,7 @@
  *    after a one-step warm-up. Gauges (bytes in use, high water,
  *    pooled bytes) are mirrored into common/metrics under "workspace.*"
  *    and surface in winomc-report.
- *  - All operations are mutex-guarded; acquire/release happen at tensor
+ *  - All operations are mutex-guarded; acquire/release happen at buffer
  *    granularity (never inside kernels' inner loops), so contention is
  *    negligible and the pool composes with common/parallel.hh workers.
  */
@@ -35,8 +37,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <mutex>
+#include <new>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace winomc::ws {
@@ -70,7 +76,7 @@ struct Stats
 class Workspace
 {
   public:
-    /** The process-wide pool every tensor buffer routes through. */
+    /** The process-wide pool every Slab routes through. */
     static Workspace &global();
 
     Workspace() = default;
@@ -106,16 +112,120 @@ class Workspace
     std::size_t limitB = 0; ///< 0 = uninitialized, read env lazily
 };
 
-/** Workspace::global().acquire / release shorthands. */
-std::vector<float> acquire(std::size_t n);
-void release(std::vector<float> &&buf);
-
 /**
- * Capacity-aware copy into a pooled destination: reuses dst's capacity
- * when it suffices, otherwise swaps dst for a pooled slab. The
- * copy-assignment path of the tensor classes.
+ * The one owner of pooled memory: n elements of a trivially copyable T
+ * in a slab of the global Workspace.
+ *
+ *  - Acquires come from the pool and are zero-filled.
+ *  - Copy assignment reuses the destination's capacity when it holds
+ *    the source, so it allocates nothing then.
+ *  - resize(n) zero-fills when n differs from size() and keeps the
+ *    contents otherwise; assignZero(n) always zero-fills. Both reuse
+ *    the capacity when it suffices.
+ *  - Destruction returns the slab to the pool; a moved-from Slab is
+ *    empty.
+ *
+ * The pool hands out float slabs. A T other than float starts its
+ * elements' lifetime in that storage by value-initialising placement
+ * new, so a fresh or resized Slab of any T reads as zeros.
  */
-void assignCopy(std::vector<float> &dst, const std::vector<float> &src);
+template <class T>
+class Slab
+{
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "Slab holds trivially copyable elements");
+    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                  "the pool's slabs are only new-aligned");
+
+  public:
+    Slab() = default;
+    explicit Slab(std::size_t n) { resize(n); }
+    ~Slab() { Workspace::global().release(std::move(store)); }
+
+    Slab(const Slab &o) { *this = o; }
+    Slab &
+    operator=(const Slab &o)
+    {
+        if (this != &o) {
+            hold(o.n, false);
+            if (o.n)
+                std::memcpy(p, o.p, o.n * sizeof(T));
+        }
+        return *this;
+    }
+    Slab(Slab &&o) noexcept
+        : store(std::move(o.store)), p(std::exchange(o.p, nullptr)),
+          n(std::exchange(o.n, 0))
+    {
+    }
+    Slab &
+    operator=(Slab &&o) noexcept
+    {
+        Slab taken(std::move(o));
+        std::swap(store, taken.store);
+        std::swap(p, taken.p);
+        std::swap(n, taken.n);
+        return *this; // taken releases the old slab
+    }
+
+    void
+    resize(std::size_t count)
+    {
+        if (count != n)
+            hold(count, true);
+    }
+    void assignZero(std::size_t count) { hold(count, true); }
+
+    std::size_t size() const { return n; }
+    bool empty() const { return n == 0; }
+    T *data() { return p; }
+    const T *data() const { return p; }
+    T *begin() { return p; }
+    T *end() { return p + n; }
+    const T *begin() const { return p; }
+    const T *end() const { return p + n; }
+    T &operator[](std::size_t i) { return p[i]; }
+    const T &operator[](std::size_t i) const { return p[i]; }
+
+  private:
+    /** Floats of pooled storage that hold `count` elements. */
+    static std::size_t
+    floatsFor(std::size_t count)
+    {
+        return (count * sizeof(T) + sizeof(float) - 1) / sizeof(float);
+    }
+
+    /**
+     * Hold `count` elements, zeroed iff `zero`, reusing the store's
+     * capacity when it suffices (else trading it for a pooled slab).
+     */
+    void
+    hold(std::size_t count, bool zero)
+    {
+        const std::size_t nf = floatsFor(count);
+        if (store.capacity() < nf) {
+            Workspace::global().release(std::move(store));
+            store = Workspace::global().acquire(nf);
+        } else if (zero) {
+            store.assign(nf, 0.0f);
+        } else {
+            store.resize(nf);
+        }
+        n = count;
+        if constexpr (std::is_same_v<T, float>) {
+            p = store.data();
+        } else {
+            void *raw = store.data();
+            p = !count ? nullptr
+                : zero ? ::new (raw) T[count]()
+                       : ::new (raw) T[count];
+        }
+    }
+
+    std::vector<float> store;
+    T *p = nullptr;
+    std::size_t n = 0; ///< elements living in store
+};
 
 /**
  * Fail loudly (winomc_fatal, not OOM) when a planned working set of

@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <limits>
-#include <new>
 #include <type_traits>
 #include <vector>
 
@@ -603,48 +602,22 @@ checkForwardShapes(const Tiles &X, const WinoWeights &W,
 }
 
 /**
- * A workspace slab one thread keeps across calls, re-acquired only when
- * a call needs more: a steady-state training step acquires nothing for
- * it, and its bytes show in the workspace's in-use count.
+ * At least n elements of a workspace slab one thread keeps across
+ * calls, contents unspecified. The slab grows only when a call needs
+ * more, so a steady-state training step acquires nothing for it, and
+ * its bytes show in the workspace's in-use count.
  */
 template <class T>
-class ThreadScratch
+T *
+scratchOf(ws::Slab<T> &slab, std::size_t n)
 {
-  public:
-    ThreadScratch() = default;
-    ThreadScratch(const ThreadScratch &) = delete;
-    ThreadScratch &operator=(const ThreadScratch &) = delete;
-    ~ThreadScratch()
-    {
-        if (slab.capacity())
-            ws::release(std::move(slab));
-    }
-
-    /** At least n elements, contents unspecified. */
-    T *
-    get(std::size_t n)
-    {
-        if (held < n) {
-            if (slab.capacity())
-                ws::release(std::move(slab));
-            slab = ws::acquire((n * sizeof(T) + sizeof(float) - 1) /
-                               sizeof(float));
-            // The slab's storage is reused for T: start their lifetime
-            // rather than read floats through a T *.
-            p = ::new (static_cast<void *>(slab.data())) T[n];
-            held = n;
-        }
-        return p;
-    }
-
-  private:
-    std::vector<float> slab;
-    T *p = nullptr;
-    std::size_t held = 0; ///< elements living in slab
-};
+    if (slab.size() < n)
+        slab.resize(n);
+    return slab.data();
+}
 
 /** mk::gradWeights' scratch, held by the thread that starts the stage. */
-thread_local ThreadScratch<double> gradScratch;
+thread_local ws::Slab<double> gradScratch;
 
 /** Resolve a uv range argument: uv1 < 0 means alpha^2. */
 int
@@ -874,7 +847,7 @@ elementwiseGradWeightsInto(const WinoTiles &dY, const WinoTiles &X,
     const int nuv = uv1 - uv0;
     const int parts = std::min(nuv, ThreadPool::global().threadCount());
     const std::size_t slot = mk::gradWeightsScratch(nj, ni, bt);
-    double *scratch = gradScratch.get(slot * std::size_t(parts));
+    double *scratch = scratchOf(gradScratch, slot * std::size_t(parts));
     parallelFor(0, parts, 1, [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t p = lo; p < hi; ++p)
             for (int uv = uv0 + int(p * nuv / parts);
@@ -1044,9 +1017,9 @@ namespace {
 
 /** directConvRows' tap table, packed weights and phase-split images,
  *  held by the thread that starts the call. */
-thread_local ThreadScratch<mk::DirectTap> directTaps;
-thread_local ThreadScratch<double> directWeights;
-thread_local ThreadScratch<float> directSplit;
+thread_local ws::Slab<mk::DirectTap> directTaps;
+thread_local ws::Slab<double> directWeights;
+thread_local ws::Slab<float> directSplit;
 
 /**
  * The one direct-convolution loop:
@@ -1093,7 +1066,7 @@ directConvRows(const Tensor &in, const Tensor &w, bool adjoint, int sH,
     // [0, n): output column x reads input column x*sW + t, entry x + q
     // of phase p, which starts at p*(ww/sW) + min(p, ww%sW) in a split
     // row.
-    mk::DirectTap *rowTaps = directTaps.get(size_t(kw));
+    mk::DirectTap *rowTaps = scratchOf(directTaps, size_t(kw));
     for (int kx = 0; kx < kw; ++kx) {
         const int t = d * kx + offW;
         const int p = (t % sW + sW) % sW;
@@ -1107,7 +1080,7 @@ directConvRows(const Tensor &in, const Tensor &w, bool adjoint, int sH,
     const int nb = (no + B - 1) / B;
     const size_t wPlane = taps * B;
     const size_t wBlock = size_t(nc) * wPlane;
-    double *packed = directWeights.get(size_t(nb) * wBlock);
+    double *packed = scratchOf(directWeights, size_t(nb) * wBlock);
     const float *wbase = w.data();
     for (int ob = 0; ob < nb; ++ob)
         for (int c = 0; c < nc; ++c)
@@ -1125,7 +1098,8 @@ directConvRows(const Tensor &in, const Tensor &w, bool adjoint, int sH,
     const std::int64_t tasks = std::int64_t(out.n()) * nb;
     const int parts = int(std::min<std::int64_t>(
         tasks, ThreadPool::global().threadCount()));
-    float *split = sW > 1 ? directSplit.get(size_t(parts) * image) : nullptr;
+    float *split =
+        sW > 1 ? scratchOf(directSplit, size_t(parts) * image) : nullptr;
     parallelFor(0, parts, 1, [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t p = lo; p < hi; ++p) {
             // The part's current image, phase-split once (sW > 1 only).

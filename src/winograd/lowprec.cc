@@ -13,21 +13,6 @@ precBytes(Prec p)
 }
 
 void
-HalfTiles::reshape(int a, int channels, int batch, int tiles)
-{
-    const bool same =
-        a == alpha && channels == nch && batch == nb && tiles == nt;
-    alpha = a;
-    nch = channels;
-    nb = batch;
-    nt = tiles;
-    const std::size_t need = std::size_t(a) * a * channels * batch * tiles;
-    if (same && data.size() == need)
-        return;
-    data.assign(need, 0);
-}
-
-void
 ActMask::reshape(int uvCount, int channels, int batch, int tiles)
 {
     nUv = uvCount;
@@ -37,7 +22,7 @@ ActMask::reshape(int uvCount, int channels, int batch, int tiles)
     nPanels = (tiles + mk::kTilePanel - 1) / mk::kTilePanel;
     const std::size_t bitsPerPlane = std::size_t(nPanels) * nUv;
     wpp = (bitsPerPlane + 63) / 64;
-    words.assign(wpp * std::size_t(nch) * nb, 0);
+    words.assignZero(wpp * std::size_t(nch) * nb);
 }
 
 void

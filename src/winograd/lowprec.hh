@@ -9,17 +9,19 @@
  * zero-skipping: per-tile-panel activation zero masks built during the
  * input transform plus weight-row compaction, so fully-zero (row,
  * panel) products are never issued. This header holds what those two
- * fields need: the Prec enum, the 16-bit tile container and the zero
- * mask.
+ * fields need: the Prec enum and the zero mask. The 16-bit tile
+ * container, HalfTiles, is the uint16_t form of WinoTiles
+ * (winograd/tiling.hh).
  */
 
 #ifndef WINOMC_WINOGRAD_LOWPREC_HH
 #define WINOMC_WINOGRAD_LOWPREC_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "common/logging.hh"
+#include "tensor/workspace.hh"
+#include "winograd/tiling.hh"
 
 namespace winomc {
 
@@ -29,70 +31,6 @@ enum class Prec { F32 = 0, F16 = 1, Bf16 = 2 };
 const char *precName(Prec p);
 /** Bytes per stored activation element under `p` (4, 2, 2). */
 int precBytes(Prec p);
-
-/**
- * Winograd-domain tiles stored as 16-bit payloads (f16 or bf16 bit
- * patterns — the container does not care which). Same [uv][channel]
- * [batch][tile] layout and indexing as WinoTiles; the microkernels
- * decode to fp32 on load and accumulate in fp32.
- */
-class HalfTiles
-{
-  public:
-    HalfTiles() = default;
-
-    /** Rebind shape, reusing capacity when possible. Contents are
-     *  zeroed iff the shape changed. */
-    void reshape(int alpha, int channels, int batch, int tiles);
-
-    int alphaEdge() const { return alpha; }
-    int uvCount() const { return alpha * alpha; }
-    int channels() const { return nch; }
-    int batch() const { return nb; }
-    int tiles() const { return nt; }
-    std::size_t size() const { return data.size(); }
-
-    /** Contiguous (batch * tiles) row for a given (uv, channel). */
-    std::uint16_t *
-    row(int uv, int c)
-    {
-        return data.data() + index(uv, c, 0, 0);
-    }
-    const std::uint16_t *
-    row(int uv, int c) const
-    {
-        return data.data() + index(uv, c, 0, 0);
-    }
-
-    /** Pointer to element (uv=0, c, b, t); see WinoTiles::uvBase. */
-    std::uint16_t *
-    uvBase(int c, int b, int t)
-    {
-        return data.data() + index(0, c, b, t);
-    }
-    const std::uint16_t *
-    uvBase(int c, int b, int t) const
-    {
-        return data.data() + index(0, c, b, t);
-    }
-    std::size_t uvStride() const { return (std::size_t(nch) * nb) * nt; }
-
-  private:
-    std::size_t
-    index(int uv, int c, int b, int t) const
-    {
-        winomc_assert(uv >= 0 && uv < alpha * alpha && c >= 0 &&
-                          c < nch && b >= 0 && b < nb && t >= 0 && t < nt,
-                      "HalfTiles index out of range");
-        return ((std::size_t(uv) * nch + c) * nb + b) * nt + t;
-    }
-
-    int alpha = 0;
-    int nch = 0;
-    int nb = 0;
-    int nt = 0;
-    std::vector<std::uint16_t> data;
-};
 
 /**
  * Bit-packed per-tile-panel activation zero mask.
@@ -109,7 +47,8 @@ class HalfTiles
  * index within the region is panel * uvCount + uv. The parallel input
  * transform partitions work by (b, c) plane (by channel on maps of
  * fewer than kTilePanel tiles), so each region has exactly one writer
- * and plain read-modify-write is race-free.
+ * and plain read-modify-write is race-free. The words are a pooled
+ * ws::Slab.
  */
 class ActMask
 {
@@ -187,7 +126,7 @@ class ActMask
     int nt = 0;
     int nPanels = 0;      ///< ceil(nt / kTilePanel)
     std::size_t wpp = 0;  ///< words per (c, b) plane
-    std::vector<std::uint64_t> words;
+    ws::Slab<std::uint64_t> words;
 };
 
 } // namespace winomc

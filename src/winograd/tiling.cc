@@ -14,151 +14,22 @@ TileGrid::TileGrid(int h_, int w_, const WinogradAlgo &algo)
                   algo.r);
 }
 
-WinoTiles::WinoTiles(int alpha_, int channels, int batch, int tiles)
-    : alpha(alpha_), nch(channels), nb(batch), nt(tiles)
-{
-    winomc_assert(alpha_ > 0 && channels > 0 && batch > 0 && tiles > 0,
-                  "degenerate WinoTiles shape");
-    data = ws::acquire(size_t(alpha_) * alpha_ * channels * batch *
-                       tiles);
-}
-
-WinoTiles::WinoTiles(const WinoTiles &o)
-    : alpha(o.alpha), nch(o.nch), nb(o.nb), nt(o.nt),
-      data(ws::acquire(o.data.size()))
-{
-    std::copy(o.data.begin(), o.data.end(), data.begin());
-}
-
-WinoTiles &
-WinoTiles::operator=(const WinoTiles &o)
-{
-    if (this != &o) {
-        alpha = o.alpha;
-        nch = o.nch;
-        nb = o.nb;
-        nt = o.nt;
-        ws::assignCopy(data, o.data);
-    }
-    return *this;
-}
-
-WinoTiles::WinoTiles(WinoTiles &&o) noexcept
-    : alpha(o.alpha), nch(o.nch), nb(o.nb), nt(o.nt),
-      data(std::move(o.data))
-{
-    o.alpha = o.nch = o.nb = o.nt = 0;
-}
-
-WinoTiles &
-WinoTiles::operator=(WinoTiles &&o) noexcept
-{
-    if (this != &o) {
-        ws::release(std::move(data));
-        data = std::move(o.data);
-        alpha = o.alpha;
-        nch = o.nch;
-        nb = o.nb;
-        nt = o.nt;
-        o.alpha = o.nch = o.nb = o.nt = 0;
-    }
-    return *this;
-}
-
 void
-WinoTiles::reshape(int alpha_, int channels, int batch, int tiles)
+WinoWeights::reshape(int alpha, int out_ch, int in_ch)
 {
-    winomc_assert(alpha_ > 0 && channels > 0 && batch > 0 && tiles > 0,
-                  "degenerate WinoTiles shape");
-    const bool same = alpha == alpha_ && nch == channels &&
-                      nb == batch && nt == tiles;
-    alpha = alpha_;
-    nch = channels;
-    nb = batch;
-    nt = tiles;
-    if (same)
-        return;
-    const size_t need = size_t(alpha_) * alpha_ * channels * batch *
-                        tiles;
-    if (data.capacity() >= need) {
-        data.assign(need, 0.0f);
-    } else {
-        ws::release(std::move(data));
-        data = ws::acquire(need);
-    }
-}
-
-WinoWeights::WinoWeights(int alpha_, int out_ch, int in_ch)
-    : alpha(alpha_), nj(out_ch), ni(in_ch)
-{
-    winomc_assert(alpha_ > 0 && out_ch > 0 && in_ch > 0,
+    winomc_assert(alpha > 0 && out_ch > 0 && in_ch > 0,
                   "degenerate WinoWeights shape");
-    data = ws::acquire(size_t(alpha_) * alpha_ * out_ch * in_ch);
-}
-
-WinoWeights::WinoWeights(const WinoWeights &o)
-    : alpha(o.alpha), nj(o.nj), ni(o.ni), data(ws::acquire(o.data.size()))
-{
-    std::copy(o.data.begin(), o.data.end(), data.begin());
-}
-
-WinoWeights &
-WinoWeights::operator=(const WinoWeights &o)
-{
-    if (this != &o) {
-        alpha = o.alpha;
-        nj = o.nj;
-        ni = o.ni;
-        ws::assignCopy(data, o.data);
-    }
-    return *this;
-}
-
-WinoWeights::WinoWeights(WinoWeights &&o) noexcept
-    : alpha(o.alpha), nj(o.nj), ni(o.ni), data(std::move(o.data))
-{
-    o.alpha = o.nj = o.ni = 0;
-}
-
-WinoWeights &
-WinoWeights::operator=(WinoWeights &&o) noexcept
-{
-    if (this != &o) {
-        ws::release(std::move(data));
-        data = std::move(o.data);
-        alpha = o.alpha;
-        nj = o.nj;
-        ni = o.ni;
-        o.alpha = o.nj = o.ni = 0;
-    }
-    return *this;
-}
-
-void
-WinoWeights::reshape(int alpha_, int out_ch, int in_ch)
-{
-    winomc_assert(alpha_ > 0 && out_ch > 0 && in_ch > 0,
-                  "degenerate WinoWeights shape");
-    const bool same = alpha == alpha_ && nj == out_ch && ni == in_ch;
-    alpha = alpha_;
-    nj = out_ch;
-    ni = in_ch;
-    if (same)
+    const Dims next{alpha, out_ch, in_ch};
+    if (d == next)
         return;
-    const size_t need = size_t(alpha_) * alpha_ * out_ch * in_ch;
-    if (data.capacity() >= need) {
-        data.assign(need, 0.0f);
-    } else {
-        ws::release(std::move(data));
-        data = ws::acquire(need);
-    }
+    d = next;
+    data.assignZero(size_t(alpha) * alpha * out_ch * in_ch);
 }
 
 WinoWeights &
 WinoWeights::operator+=(const WinoWeights &o)
 {
-    winomc_assert(alpha == o.alpha && nj == o.nj && ni == o.ni,
-                  "WinoWeights += shape mismatch");
+    winomc_assert(d == o.d, "WinoWeights += shape mismatch");
     for (size_t k = 0; k < data.size(); ++k)
         data[k] += o.data[k];
     return *this;
@@ -175,7 +46,7 @@ WinoWeights::operator*=(float s)
 float
 WinoWeights::maxAbsDiff(const WinoWeights &o) const
 {
-    winomc_assert(alpha == o.alpha && nj == o.nj && ni == o.ni,
+    winomc_assert(d == o.d,
                   "WinoWeights maxAbsDiff shape mismatch");
     float m = 0.0f;
     for (size_t k = 0; k < data.size(); ++k)

@@ -12,6 +12,9 @@
 #ifndef WINOMC_WINOGRAD_TILING_HH
 #define WINOMC_WINOGRAD_TILING_HH
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -39,95 +42,122 @@ struct TileGrid
 };
 
 /**
- * Winograd-domain tiles for a batch of feature maps.
+ * Winograd-domain tiles for a batch of feature maps, stored as T: fp32
+ * (WinoTiles) or 16-bit f16/bf16 bit patterns (HalfTiles, which the
+ * microkernels decode to fp32 on load and accumulate in fp32).
  *
  * Layout: [uv][channel][batch][tile] with uv = u * alpha + v, so that the
  * element-wise dot product of Equation (2) is, per uv, a dense
  * (channels) x (batch * tiles) matrix. This mirrors the paper's Figure 3:
  * T^2 independent matrix multiplications.
+ *
+ * Storage is a pooled ws::Slab; a moved-from tile set has shape 0.
  */
-class WinoTiles
+template <class T>
+class BasicWinoTiles
 {
   public:
-    WinoTiles() = default;
-    WinoTiles(int alpha, int channels, int batch, int tiles);
+    BasicWinoTiles() = default;
+    BasicWinoTiles(int alpha, int channels, int batch, int tiles)
+    {
+        reshape(alpha, channels, batch, tiles);
+    }
 
-    ~WinoTiles() { ws::release(std::move(data)); }
-    WinoTiles(const WinoTiles &o);
-    WinoTiles &operator=(const WinoTiles &o);
-    WinoTiles(WinoTiles &&o) noexcept;
-    WinoTiles &operator=(WinoTiles &&o) noexcept;
+    BasicWinoTiles(const BasicWinoTiles &) = default;
+    BasicWinoTiles &operator=(const BasicWinoTiles &) = default;
+    BasicWinoTiles(BasicWinoTiles &&o) noexcept
+        : d(std::exchange(o.d, {})), data(std::move(o.data))
+    {
+    }
+    BasicWinoTiles &
+    operator=(BasicWinoTiles &&o) noexcept
+    {
+        d = std::exchange(o.d, {});
+        data = std::move(o.data);
+        return *this;
+    }
 
     /** Rebind shape, reusing the slab when capacity allows. Contents
      *  are zeroed iff the shape changed. */
-    void reshape(int alpha, int channels, int batch, int tiles);
+    void
+    reshape(int alpha, int channels, int batch, int tiles)
+    {
+        winomc_assert(alpha > 0 && channels > 0 && batch > 0 && tiles > 0,
+                      "degenerate WinoTiles shape");
+        const Dims next{alpha, channels, batch, tiles};
+        if (d == next)
+            return;
+        d = next;
+        data.assignZero(size_t(alpha) * alpha * channels * batch * tiles);
+    }
 
-    int alphaEdge() const { return alpha; }
-    int uvCount() const { return alpha * alpha; }
-    int channels() const { return nch; }
-    int batch() const { return nb; }
-    int tiles() const { return nt; }
+    int alphaEdge() const { return d.alpha; }
+    int uvCount() const { return d.alpha * d.alpha; }
+    int channels() const { return d.nch; }
+    int batch() const { return d.nb; }
+    int tiles() const { return d.nt; }
     size_t size() const { return data.size(); }
 
-    float &
-    at(int uv, int c, int b, int t)
-    {
-        return data[index(uv, c, b, t)];
-    }
-    float
+    T &at(int uv, int c, int b, int t) { return data[index(uv, c, b, t)]; }
+    T
     at(int uv, int c, int b, int t) const
     {
         return data[index(uv, c, b, t)];
     }
 
     /** Contiguous (batch * tiles) row for a given (uv, channel). */
-    float *
-    row(int uv, int c)
-    {
-        return data.data() + index(uv, c, 0, 0);
-    }
-    const float *
+    T *row(int uv, int c) { return data.data() + index(uv, c, 0, 0); }
+    const T *
     row(int uv, int c) const
     {
         return data.data() + index(uv, c, 0, 0);
     }
 
-    void fill(float v) { std::fill(data.begin(), data.end(), v); }
+    void fill(T v) { std::fill(data.begin(), data.end(), v); }
 
     /**
      * Pointer to element (uv=0, c, b, t); element (uv, c, b, t) lives
-     * uv * uvStride() floats further on. The micro-kernel transforms
+     * uv * uvStride() elements further on. The micro-kernel transforms
      * walk all uv entries of a panel of consecutive tiles through this
      * base + stride pair.
      */
-    float *
+    T *
     uvBase(int c, int b, int t)
     {
         return data.data() + index(0, c, b, t);
     }
-    const float *
+    const T *
     uvBase(int c, int b, int t) const
     {
         return data.data() + index(0, c, b, t);
     }
-    size_t uvStride() const { return (size_t(nch) * nb) * nt; }
+    size_t uvStride() const { return (size_t(d.nch) * d.nb) * d.nt; }
 
   private:
+    struct Dims
+    {
+        int alpha = 0, nch = 0, nb = 0, nt = 0;
+        bool operator==(const Dims &) const = default;
+    };
+
     size_t
     index(int uv, int c, int b, int t) const
     {
-        winomc_assert(uv >= 0 && uv < alpha * alpha && c >= 0 && c < nch &&
-                      b >= 0 && b < nb && t >= 0 && t < nt,
+        winomc_assert(uv >= 0 && uv < uvCount() && c >= 0 && c < d.nch &&
+                      b >= 0 && b < d.nb && t >= 0 && t < d.nt,
                       "WinoTiles index out of range");
-        return ((size_t(uv) * nch + c) * nb + b) * nt + t;
+        return ((size_t(uv) * d.nch + c) * d.nb + b) * d.nt + t;
     }
 
-    int alpha = 0;
-    int nch = 0;
-    int nb = 0;
-    int nt = 0;
-    std::vector<float> data;
+    Dims d;
+    ws::Slab<T> data;
 };
+
+/** fp32 Winograd-domain tiles. */
+using WinoTiles = BasicWinoTiles<float>;
+/** 16-bit Winograd-domain tiles: f16 or bf16 bit patterns (the
+ *  container does not care which). */
+using HalfTiles = BasicWinoTiles<std::uint16_t>;
 
 /**
  * Winograd-domain weights: [uv][out_ch][in_ch]. The per-uv slice is the
@@ -137,22 +167,33 @@ class WinoWeights
 {
   public:
     WinoWeights() = default;
-    WinoWeights(int alpha, int out_ch, int in_ch);
+    WinoWeights(int alpha, int out_ch, int in_ch)
+    {
+        reshape(alpha, out_ch, in_ch);
+    }
 
-    ~WinoWeights() { ws::release(std::move(data)); }
-    WinoWeights(const WinoWeights &o);
-    WinoWeights &operator=(const WinoWeights &o);
-    WinoWeights(WinoWeights &&o) noexcept;
-    WinoWeights &operator=(WinoWeights &&o) noexcept;
+    WinoWeights(const WinoWeights &) = default;
+    WinoWeights &operator=(const WinoWeights &) = default;
+    WinoWeights(WinoWeights &&o) noexcept
+        : d(std::exchange(o.d, {})), data(std::move(o.data))
+    {
+    }
+    WinoWeights &
+    operator=(WinoWeights &&o) noexcept
+    {
+        d = std::exchange(o.d, {});
+        data = std::move(o.data);
+        return *this;
+    }
 
     /** Rebind shape, reusing the slab when capacity allows. Contents
      *  are zeroed iff the shape changed. */
     void reshape(int alpha, int out_ch, int in_ch);
 
-    int alphaEdge() const { return alpha; }
-    int uvCount() const { return alpha * alpha; }
-    int outChannels() const { return nj; }
-    int inChannels() const { return ni; }
+    int alphaEdge() const { return d.alpha; }
+    int uvCount() const { return d.alpha * d.alpha; }
+    int outChannels() const { return d.nj; }
+    int inChannels() const { return d.ni; }
     size_t size() const { return data.size(); }
 
     float &at(int uv, int j, int i) { return data[index(uv, j, i)]; }
@@ -169,18 +210,22 @@ class WinoWeights
     float maxAbsDiff(const WinoWeights &o) const;
 
   private:
+    struct Dims
+    {
+        int alpha = 0, nj = 0, ni = 0;
+        bool operator==(const Dims &) const = default;
+    };
+
     size_t
     index(int uv, int j, int i) const
     {
-        winomc_assert(uv >= 0 && uv < alpha * alpha && j >= 0 && j < nj &&
-                      i >= 0 && i < ni, "WinoWeights index out of range");
-        return (size_t(uv) * nj + j) * ni + i;
+        winomc_assert(uv >= 0 && uv < uvCount() && j >= 0 && j < d.nj &&
+                      i >= 0 && i < d.ni, "WinoWeights index out of range");
+        return (size_t(uv) * d.nj + j) * d.ni + i;
     }
 
-    int alpha = 0;
-    int nj = 0;
-    int ni = 0;
-    std::vector<float> data;
+    Dims d;
+    ws::Slab<float> data;
 };
 
 /**

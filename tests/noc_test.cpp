@@ -551,27 +551,6 @@ countsOf(const Network &net)
             net.latencyStats().sum(), net.maxLinkUtilization()};
 }
 
-/// The Fig 9 mix on a 16 x 16 MemCentricTopology: ring collectives in
-/// every group, tile all-to-all in every cluster, host control.
-void
-offerFig9Mix(Network &net, const MemCentricTopology &t)
-{
-    for (int round = 0; round < 24; ++round)
-        for (int g = 0; g < 16; ++g)
-            for (int i = 0; i < 16; ++i)
-                net.offerPacket(t.workerAt(g, i),
-                                t.workerAt(g, (i + 1) % 16), 256);
-    for (int round = 0; round < 6; ++round)
-        for (int i = 0; i < 16; ++i)
-            for (int g = 0; g < 16; ++g)
-                for (int og = 0; og < 16; ++og)
-                    if (og != g)
-                        net.offerPacket(t.workerAt(g, i),
-                                        t.workerAt(og, i), 64);
-    for (int g = 0; g < 16; ++g)
-        net.offerPacket(t.hostNode(), t.workerAt(g, 5), 64);
-}
-
 /// Counts after the open phase, after run(runCycles), after the drain.
 std::vector<GoldenCounts>
 runGolden(const GoldenCase &gc)
@@ -586,7 +565,8 @@ runGolden(const GoldenCase &gc)
     Network net(std::move(topo), cfg);
     const int n = t.nodes();
     if (gc.flitRate == 0.0)
-        offerFig9Mix(net, static_cast<const MemCentricTopology &>(t));
+        noc::offerFig9Mix(net, static_cast<const MemCentricTopology &>(t),
+                          {true, true, true});
     Rng rng(uint64_t(n) * 1000 + uint64_t(gc.vcs) * 100 +
             uint64_t(gc.injectionLanes));
     const TrafficPattern pattern =
