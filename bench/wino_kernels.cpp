@@ -348,11 +348,14 @@ struct ElementwiseFixture
         w.fillUniform(rng);
         dy.fillUniform(rng);
         const auto &algo = algoF4x4_3x3();
+        const int nt = TileGrid(hw, hw, algo).tiles();
         W = transformWeights(w, algo);
-        X = transformInput(x, algo);
-        dY = inverseTransformAdjoint(dy, algo);
-        Y = WinoTiles(algo.alpha, outCh, batch, X.tiles());
-        dX = WinoTiles(algo.alpha, inCh, batch, X.tiles());
+        X = WinoTiles(algo.alpha, inCh, batch, nt);
+        transformInputInto(x, algo, X);
+        dY = WinoTiles(algo.alpha, outCh, batch, nt);
+        inverseTransformAdjointInto(dy, algo, dY);
+        Y = WinoTiles(algo.alpha, outCh, batch, nt);
+        dX = WinoTiles(algo.alpha, inCh, batch, nt);
         dW = WinoWeights(algo.alpha, outCh, inCh);
     }
 
@@ -514,8 +517,12 @@ BM_InputTransform(benchmark::State &state)
     TileGrid grid(x.h(), x.w(), algo);
     const int a = algo.alpha;
     WsProbe probe;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(transformInput(x, algo));
+    for (auto _ : state) {
+        WinoTiles X(a, x.c(), x.n(), grid.tiles());
+        transformInputInto(x, algo, X);
+        benchmark::DoNotOptimize(X.row(0, 0));
+        benchmark::ClobberMemory();
+    }
     probe.report(state);
     reportKernelRate(state, 4.0 * a * a * a * double(x.n()) * x.c() *
                                 grid.tiles());
@@ -532,8 +539,12 @@ BM_InverseTransform(benchmark::State &state)
     WinoTiles Y = f.Y;
     elementwiseForwardInto(f.X, f.W, Y);
     WsProbe probe;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(inverseTransform(Y, algo, 32, 32));
+    for (auto _ : state) {
+        Tensor y(Y.batch(), Y.channels(), 32, 32);
+        inverseTransformInto(Y, algo, y);
+        benchmark::DoNotOptimize(y.data());
+        benchmark::ClobberMemory();
+    }
     probe.report(state);
     reportKernelRate(state, inverseFlops(Y, algo));
 }
@@ -676,8 +687,12 @@ BM_InverseTransformScalar(benchmark::State &state)
     WinoTiles Y = f.Y;
     elementwiseForwardInto(f.X, f.W, Y);
     WsProbe probe;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(inverseTransform(Y, algo, 32, 32));
+    for (auto _ : state) {
+        Tensor y(Y.batch(), Y.channels(), 32, 32);
+        inverseTransformInto(Y, algo, y);
+        benchmark::DoNotOptimize(y.data());
+        benchmark::ClobberMemory();
+    }
     probe.report(state);
     reportKernelRate(state, inverseFlops(Y, algo));
 }

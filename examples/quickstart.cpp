@@ -21,6 +21,7 @@
 #include "nn/trainer.hh"
 #include "winograd/algo.hh"
 #include "winograd/conv.hh"
+#include "winograd/plan.hh"
 #include "winograd/toom_cook.hh"
 
 using namespace winomc;
@@ -49,7 +50,9 @@ main()
 
     Tensor reference = directConvForward(x, w);
     WinoWeights W = transformWeights(w, algo);
-    Tensor winograd = winogradForward(x, W, algo);
+    WinoPlan plan(algo, x.n(), x.c(), w.n(), x.h(), x.w());
+    Tensor winograd(x.n(), w.n(), x.h(), x.w());
+    plan.forwardInto(x, W, winograd);
     std::printf("max |winograd - direct| = %.2e (tolerance ~1e-4)\n\n",
                 double(winograd.maxAbsDiff(reference)));
 

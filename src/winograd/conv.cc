@@ -12,7 +12,6 @@
 #include "common/trace.hh"
 #include "tensor/workspace.hh"
 #include "winograd/microkernel.hh"
-#include "winograd/plan.hh"
 
 namespace winomc {
 
@@ -277,46 +276,6 @@ publishMaskTally(const ActMask &mask, int planes, int tiles)
     metrics::counterAdd("quant.mask.panels_zero", zero);
 }
 
-template <class Tiles>
-void
-transformInputStaged(const Tensor &x, const WinogradAlgo &algo,
-                     Tiles &out, int halfKind, ActMask *mask)
-{
-    WINOMC_SPAN("wino.xform.input", "wino");
-    TileGrid grid(x.h(), x.w(), algo);
-    winomc_assert(out.alphaEdge() == algo.alpha &&
-                  out.channels() == x.c() && out.batch() == x.n() &&
-                  out.tiles() == grid.tiles(),
-                  "transformInputInto destination shape mismatch");
-    const int a = algo.alpha;
-    const int nt = grid.tiles();
-    const Xform xf(algo.BT, algo.B);
-    forEachPlane("xform.input", 4.0 * a * a * a, x, nt,
-                 [&](int b0, int nimg, int c) {
-        toTilesBody(x, grid, b0, nimg, c, 0, nt, xf, 0, out, b0, halfKind,
-                    mask);
-    });
-    if (mask)
-        publishMaskTally(*mask, x.n() * x.c(), nt);
-}
-
-template <class Tiles>
-void
-transformInputRangeImpl(const Tensor &x, const WinogradAlgo &algo,
-                        const TileGrid &grid, int b, int t0, int tcnt,
-                        Tiles &Xs, int halfKind, ActMask *mask)
-{
-    winomc_assert(Xs.alphaEdge() == algo.alpha && Xs.batch() == 1 &&
-                  Xs.channels() == x.c() && Xs.tiles() >= tcnt,
-                  "transformInputRange scratch shape mismatch");
-    const Xform xf(algo.BT, algo.B);
-    for (int c = 0; c < x.c(); ++c)
-        toTilesBody(x, grid, b, 1, c, t0, tcnt, xf, 0, Xs, 0, halfKind,
-                    mask);
-    if (mask)
-        publishMaskTally(*mask, x.c(), tcnt);
-}
-
 /** Task-local tallies behind the quant.ew.* counters, published once
  *  per task so the metrics mutex never sits on the hot path. */
 struct SparseTally
@@ -426,15 +385,15 @@ struct DenseStep
  * boundaries. The compaction buffers are the caller's (sized here,
  * reused across calls).
  */
-template <class Tiles>
+template <class Elem>
 struct CompactStep
 {
-    static constexpr bool kHalf = std::is_same_v<Tiles, HalfTiles>;
-    using Elem = std::conditional_t<kHalf, std::uint16_t, float>;
+    static constexpr bool kHalf = !std::is_same_v<Elem, float>;
     static_assert(kIUnroll == 8, "a block is one byte of a row bitmask");
 
-    CompactStep(const Tiles &X, const WinoWeights &W, int halfKind,
-                const ActMask *mask, int kn, CompactScratch &cs)
+    CompactStep(const BasicWinoTiles<Elem> &X, const WinoWeights &W,
+                int halfKind, const ActMask *mask, int kn,
+                CompactScratch &cs)
         : X(X), W(W), halfKind(halfKind), mask(mask), kn(kn),
           ni(X.channels()), words((ni + 63) / 64), cs(cs)
     {
@@ -524,7 +483,7 @@ struct CompactStep
             return cs.rows;
     }
 
-    const Tiles &X;
+    const BasicWinoTiles<Elem> &X;
     const WinoWeights &W;
     int halfKind;
     const ActMask *mask;
@@ -585,9 +544,9 @@ ewRange(Step &&step, WinoTiles &out, int kn)
     step.publish();
 }
 
-template <class Tiles>
+template <class T>
 void
-checkForwardShapes(const Tiles &X, const WinoWeights &W,
+checkForwardShapes(const BasicWinoTiles<T> &X, const WinoWeights &W,
                    const WinoTiles &Y)
 {
     winomc_assert(X.alphaEdge() == W.alphaEdge(),
@@ -628,32 +587,53 @@ uvEnd(int uv0, int uv1, int uvCount)
     return uv1;
 }
 
+/**
+ * The mk:: 16-bit kind of storage precision `prec`, held in T tiles:
+ * Prec::F32 goes with float tiles, whose kernels take no kind.
+ */
+template <class T>
+int
+halfKindOf(Prec prec)
+{
+    constexpr bool kFloat = std::is_same_v<T, float>;
+    winomc_assert((prec == Prec::F32) == kFloat,
+                  "storage precision ", precName(prec),
+                  " does not match the tile element type");
+    return prec == Prec::F16 ? mk::kHalfF16 : mk::kHalfBf16;
+}
+
 } // namespace
 
 // Staged stage kernels: the bodies above under parallelFor, whole images.
 
+template <class T>
 void
 transformInputInto(const Tensor &x, const WinogradAlgo &algo,
-                   WinoTiles &out, ActMask *mask)
+                   BasicWinoTiles<T> &out, ActMask *mask, Prec prec)
 {
-    transformInputStaged(x, algo, out, 0, mask);
-}
-
-void
-transformInputInto(const Tensor &x, const WinogradAlgo &algo,
-                   HalfTiles &out, int halfKind, ActMask *mask)
-{
-    transformInputStaged(x, algo, out, halfKind, mask);
-}
-
-WinoTiles
-transformInput(const Tensor &x, const WinogradAlgo &algo)
-{
+    WINOMC_SPAN("wino.xform.input", "wino");
+    const int halfKind = halfKindOf<T>(prec);
     TileGrid grid(x.h(), x.w(), algo);
-    WinoTiles out(algo.alpha, x.c(), x.n(), grid.tiles());
-    transformInputInto(x, algo, out);
-    return out;
+    winomc_assert(out.alphaEdge() == algo.alpha &&
+                  out.channels() == x.c() && out.batch() == x.n() &&
+                  out.tiles() == grid.tiles(),
+                  "transformInputInto destination shape mismatch");
+    const int a = algo.alpha;
+    const int nt = grid.tiles();
+    const Xform xf(algo.BT, algo.B);
+    forEachPlane("xform.input", 4.0 * a * a * a, x, nt,
+                 [&](int b0, int nimg, int c) {
+        toTilesBody(x, grid, b0, nimg, c, 0, nt, xf, 0, out, b0, halfKind,
+                    mask);
+    });
+    if (mask)
+        publishMaskTally(*mask, x.n() * x.c(), nt);
 }
+
+template void transformInputInto(const Tensor &, const WinogradAlgo &,
+                                 WinoTiles &, ActMask *, Prec);
+template void transformInputInto(const Tensor &, const WinogradAlgo &,
+                                 HalfTiles &, ActMask *, Prec);
 
 void
 transformInputAdjointInto(const WinoTiles &dX, const WinogradAlgo &algo,
@@ -673,15 +653,6 @@ transformInputAdjointInto(const WinoTiles &dX, const WinogradAlgo &algo,
                  [&](int b0, int nimg, int c) {
         fromTilesBody(dX, b0, xf, 0, true, grid, b0, nimg, c, 0, nt, dx);
     });
-}
-
-Tensor
-transformInputAdjoint(const WinoTiles &dX, const WinogradAlgo &algo,
-                      int h, int w)
-{
-    Tensor dx(dX.batch(), dX.channels(), h, w);
-    transformInputAdjointInto(dX, algo, dx);
-    return dx;
 }
 
 void
@@ -753,46 +724,38 @@ transformWeightsAdjointInto(const WinoWeights &dW,
     });
 }
 
-Tensor
-transformWeightsAdjoint(const WinoWeights &dW, const WinogradAlgo &algo)
-{
-    Tensor dw(dW.outChannels(), dW.inChannels(), algo.r, algo.r);
-    transformWeightsAdjointInto(dW, algo, dw);
-    return dw;
-}
-
+template <class T>
 void
-elementwiseForwardInto(const WinoTiles &X, const WinoWeights &W,
-                       WinoTiles &Y, int uv0, int uv1, const ActMask *mask)
+elementwiseForwardInto(const BasicWinoTiles<T> &X, const WinoWeights &W,
+                       WinoTiles &Y, int uv0, int uv1, const ActMask *mask,
+                       Prec prec)
 {
     WINOMC_SPAN("wino.ew.fwd", "wino");
+    const int halfKind = halfKindOf<T>(prec);
     checkForwardShapes(X, W, Y);
     uv1 = uvEnd(uv0, uv1, X.uvCount());
     const int bt = X.batch() * X.tiles();
     StageTimer probe("ew.fwd", 2.0 * (uv1 - uv0) * double(W.outChannels()) *
                                    W.inChannels() * bt);
-    if (mask)
-        ewStaged(Y, uv0, uv1, bt, [&](CompactScratch &cs) {
-            return CompactStep<WinoTiles>(X, W, 0, mask, bt, cs);
-        });
-    else
-        ewStaged(Y, uv0, uv1, bt,
-                 [&](CompactScratch &) { return DenseStep<false>{X, W}; });
-}
-
-void
-elementwiseForwardInto(const HalfTiles &X, const WinoWeights &W,
-                       WinoTiles &Y, int halfKind, const ActMask *mask)
-{
-    WINOMC_SPAN("wino.ew.fwd", "wino");
-    checkForwardShapes(X, W, Y);
-    const int bt = X.batch() * X.tiles();
-    StageTimer probe("ew.fwd", 2.0 * X.uvCount() * double(W.outChannels()) *
-                                   W.inChannels() * bt);
-    ewStaged(Y, 0, X.uvCount(), bt, [&](CompactScratch &cs) {
-        return CompactStep<HalfTiles>(X, W, halfKind, mask, bt, cs);
+    if constexpr (std::is_same_v<T, float>) {
+        if (!mask) {
+            ewStaged(Y, uv0, uv1, bt, [&](CompactScratch &) {
+                return DenseStep<false>{X, W};
+            });
+            return;
+        }
+    }
+    ewStaged(Y, uv0, uv1, bt, [&](CompactScratch &cs) {
+        return CompactStep<T>(X, W, halfKind, mask, bt, cs);
     });
 }
+
+template void elementwiseForwardInto(const WinoTiles &, const WinoWeights &,
+                                     WinoTiles &, int, int, const ActMask *,
+                                     Prec);
+template void elementwiseForwardInto(const HalfTiles &, const WinoWeights &,
+                                     WinoTiles &, int, int, const ActMask *,
+                                     Prec);
 
 void
 elementwiseBackwardDataInto(const WinoTiles &dY, const WinoWeights &W,
@@ -882,15 +845,6 @@ inverseTransformInto(const WinoTiles &Y, const WinogradAlgo &algo,
     });
 }
 
-Tensor
-inverseTransform(const WinoTiles &Y, const WinogradAlgo &algo, int h,
-                 int w)
-{
-    Tensor y(Y.batch(), Y.channels(), h, w);
-    inverseTransformInto(Y, algo, y);
-    return y;
-}
-
 void
 inverseTransformAdjointInto(const Tensor &dy, const WinogradAlgo &algo,
                             WinoTiles &dY)
@@ -911,33 +865,32 @@ inverseTransformAdjointInto(const Tensor &dy, const WinogradAlgo &algo,
     });
 }
 
-WinoTiles
-inverseTransformAdjoint(const Tensor &dy, const WinogradAlgo &algo)
-{
-    TileGrid grid(dy.h(), dy.w(), algo);
-    WinoTiles dY(algo.alpha, dy.c(), dy.n(), grid.tiles());
-    inverseTransformAdjointInto(dy, algo, dY);
-    return dY;
-}
-
 // Tile-range entry points: the same bodies, serially, on one strip.
 
+template <class T>
 void
 transformInputRange(const Tensor &x, const WinogradAlgo &algo,
                     const TileGrid &grid, int b, int t0, int tcnt,
-                    WinoTiles &Xs, ActMask *mask)
+                    BasicWinoTiles<T> &Xs, ActMask *mask, Prec prec)
 {
-    transformInputRangeImpl(x, algo, grid, b, t0, tcnt, Xs, 0, mask);
+    const int halfKind = halfKindOf<T>(prec);
+    winomc_assert(Xs.alphaEdge() == algo.alpha && Xs.batch() == 1 &&
+                  Xs.channels() == x.c() && Xs.tiles() >= tcnt,
+                  "transformInputRange scratch shape mismatch");
+    const Xform xf(algo.BT, algo.B);
+    for (int c = 0; c < x.c(); ++c)
+        toTilesBody(x, grid, b, 1, c, t0, tcnt, xf, 0, Xs, 0, halfKind,
+                    mask);
+    if (mask)
+        publishMaskTally(*mask, x.c(), tcnt);
 }
 
-void
-transformInputRange(const Tensor &x, const WinogradAlgo &algo,
-                    const TileGrid &grid, int b, int t0, int tcnt,
-                    HalfTiles &Xs, int halfKind, ActMask *mask)
-{
-    transformInputRangeImpl(x, algo, grid, b, t0, tcnt, Xs, halfKind,
-                            mask);
-}
+template void transformInputRange(const Tensor &, const WinogradAlgo &,
+                                  const TileGrid &, int, int, int,
+                                  WinoTiles &, ActMask *, Prec);
+template void transformInputRange(const Tensor &, const WinogradAlgo &,
+                                  const TileGrid &, int, int, int,
+                                  HalfTiles &, ActMask *, Prec);
 
 void
 inverseTransformRange(const WinoTiles &Ys, const WinogradAlgo &algo,
@@ -953,65 +906,30 @@ inverseTransformRange(const WinoTiles &Ys, const WinogradAlgo &algo,
                       y);
 }
 
+template <class T>
 void
-elementwiseForwardRange(const WinoTiles &Xs, const WinoWeights &W, int kn,
-                        WinoTiles &Ys, const ActMask *mask,
-                        CompactScratch &scratch)
+elementwiseForwardRange(const BasicWinoTiles<T> &Xs, const WinoWeights &W,
+                        int kn, WinoTiles &Ys, const ActMask *mask,
+                        CompactScratch &scratch, Prec prec)
 {
+    const int halfKind = halfKindOf<T>(prec);
     checkForwardShapes(Xs, W, Ys);
     winomc_assert(Xs.tiles() >= kn, "elementwiseForwardRange lane count");
-    if (mask)
-        ewRange(CompactStep<WinoTiles>(Xs, W, 0, mask, kn, scratch), Ys,
-                kn);
-    else
-        ewRange(DenseStep<false>{Xs, W}, Ys, kn);
+    if constexpr (std::is_same_v<T, float>) {
+        if (!mask) {
+            ewRange(DenseStep<false>{Xs, W}, Ys, kn);
+            return;
+        }
+    }
+    ewRange(CompactStep<T>(Xs, W, halfKind, mask, kn, scratch), Ys, kn);
 }
 
-void
-elementwiseForwardRange(const HalfTiles &Xs, const WinoWeights &W, int kn,
-                        WinoTiles &Ys, int halfKind, const ActMask *mask,
-                        CompactScratch &scratch)
-{
-    checkForwardShapes(Xs, W, Ys);
-    winomc_assert(Xs.tiles() >= kn, "elementwiseForwardRange lane count");
-    ewRange(CompactStep<HalfTiles>(Xs, W, halfKind, mask, kn, scratch), Ys,
-            kn);
-}
-
-Tensor
-winogradForward(const Tensor &x, const WinoWeights &W,
-                const WinogradAlgo &algo)
-{
-    WinoPlan plan(algo, x.n(), W.inChannels(), W.outChannels(), x.h(),
-                  x.w());
-    Tensor y(x.n(), W.outChannels(), x.h(), x.w());
-    // Transient plan, nobody reads its tile caches afterwards.
-    plan.forwardInto(x, W, y, false);
-    return y;
-}
-
-Tensor
-winogradBackwardData(const Tensor &dy, const WinoWeights &W,
-                     const WinogradAlgo &algo, int h, int w)
-{
-    winomc_assert(dy.h() == h && dy.w() == w,
-                  "winogradBackwardData: \"same\" conv implies dy and dx "
-                  "share spatial size");
-    WinoPlan plan(algo, dy.n(), W.inChannels(), W.outChannels(), h, w);
-    Tensor dx(dy.n(), W.inChannels(), h, w);
-    plan.backwardDataInto(dy, W, dx);
-    return dx;
-}
-
-WinoWeights
-winogradGradWeights(const Tensor &x, const Tensor &dy,
-                    const WinogradAlgo &algo)
-{
-    WinoPlan plan(algo, x.n(), x.c(), dy.c(), x.h(), x.w());
-    WinoWeights dW(algo.alpha, dy.c(), x.c());
-    plan.gradWeightsInto(x, dy, dW);
-    return dW;
-}
+template void elementwiseForwardRange(const WinoTiles &, const WinoWeights &,
+                                      int, WinoTiles &, const ActMask *,
+                                      CompactScratch &, Prec);
+template void elementwiseForwardRange(const HalfTiles &, const WinoWeights &,
+                                      int, WinoTiles &, const ActMask *,
+                                      CompactScratch &, Prec);
 
 namespace {
 

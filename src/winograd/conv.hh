@@ -26,63 +26,43 @@
 
 namespace winomc {
 
-/**
- * Transform input feature maps x (B, I, H, W) into Winograd-domain tiles
- * (X = B^T x_patch B per tile) with implicit "same" zero padding.
- */
-WinoTiles transformInput(const Tensor &x, const WinogradAlgo &algo);
-
-/**
- * Adjoint of transformInput: overlap-add gradient tiles dX back into a
- * (B, I, h, w) spatial gradient (x_patch grad = B dX B^T).
- */
-Tensor transformInputAdjoint(const WinoTiles &dX, const WinogradAlgo &algo,
-                             int h, int w);
-
 /** Spatial weights (J, I, r, r) -> Winograd weights W = G w G^T. */
 WinoWeights transformWeights(const Tensor &w, const WinogradAlgo &algo);
-
-/** Adjoint of transformWeights: dw = G^T dW G, (J, I, r, r). */
-Tensor transformWeightsAdjoint(const WinoWeights &dW,
-                               const WinogradAlgo &algo);
-
-/** Inverse transform Y tiles -> spatial output (B, J, h, w), cropping. */
-Tensor inverseTransform(const WinoTiles &Y, const WinogradAlgo &algo,
-                        int h, int w);
-
-/** Adjoint of inverseTransform: dY = A dy_tile A^T per tile. */
-WinoTiles inverseTransformAdjoint(const Tensor &dy,
-                                  const WinogradAlgo &algo);
 
 // ---------------------------------------------------------------------
 // Destination-passing stage kernels
 //
-// The value-returning transforms above are thin wrappers over these;
-// the element-wise products of Equation (2) come only in this form.
-// The caller owns the (pre-shaped) destination, so execution
-// plans (winograd/plan.hh) can reuse workspace slabs across batches
-// with zero steady-state allocation. The element-wise kernels
-// zero-fill (forward, backward data) or assign (weight gradient) only
-// the uv slices [uv0, uv1) they compute — uv1 < 0 means alpha^2 — so
-// the N_g groups of an MPT cluster (mpt/) each run the single-node
-// kernel on their own slice of one shared destination.
+// One entry per stage of the pipeline: the input transform, the
+// element-wise products of Equation (2) and the inverse transform,
+// plus their adjoints. The caller owns the (pre-shaped) destination,
+// so execution plans (winograd/plan.hh) can reuse workspace slabs
+// across batches with zero steady-state allocation. The element-wise
+// kernels zero-fill (forward, backward data) or assign (weight
+// gradient) only the uv slices [uv0, uv1) they compute — uv1 < 0
+// means alpha^2 — so the N_g groups of an MPT cluster (mpt/) each run
+// the single-node kernel on their own slice of one shared destination.
 // transformInputAdjointInto zero-fills dx (overlap-add target); the
-// others fully assign. Results are bitwise identical to the
-// value-returning forms, and for any thread count.
+// others fully assign. Results are bitwise identical for any thread
+// count.
+//
+// The input-side stages take the transformed activations in either
+// storage, BasicWinoTiles<T> with T = float or std::uint16_t, and the
+// storage precision `prec`: Prec::F32 for float tiles (the default),
+// Prec::F16 or Prec::Bf16 for 16-bit tiles.
 // ---------------------------------------------------------------------
 
 /**
- * With a mask (pre-shaped by the plan), also rebuilds the per-panel
- * activation zero mask the sparse element-wise products read: each
- * (channel, image) plane region is cleared by its single writer.
+ * Input x (B, I, H, W) -> Winograd-domain tiles X = B^T x_patch B, with
+ * implicit "same" zero padding. With a mask (pre-shaped by the plan),
+ * also rebuilds the per-panel activation zero mask the sparse
+ * element-wise products read: each (channel, image) plane region is
+ * cleared by its single writer. A 16-bit destination's mask is built
+ * from the encoded panels.
  */
+template <class T>
 void transformInputInto(const Tensor &x, const WinogradAlgo &algo,
-                        WinoTiles &out, ActMask *mask = nullptr);
-/** Input transform straight into 16-bit storage (mk::kHalfBf16 /
- *  mk::kHalfF16); a non-null mask is built from the encoded panels. */
-void transformInputInto(const Tensor &x, const WinogradAlgo &algo,
-                        HalfTiles &out, int halfKind,
-                        ActMask *mask = nullptr);
+                        BasicWinoTiles<T> &out, ActMask *mask = nullptr,
+                        Prec prec = Prec::F32);
 /** Spatial size is taken from the pre-shaped dx. */
 void transformInputAdjointInto(const WinoTiles &dX,
                                const WinogradAlgo &algo, Tensor &dx);
@@ -92,18 +72,16 @@ void transformWeightsAdjointInto(const WinoWeights &dW,
                                  const WinogradAlgo &algo, Tensor &dw);
 /**
  * Element-wise dot products of Equation (2): per uv,
- * Y[uv] (J x BT) = W[uv] (J x I) * X[uv] (I x BT). A non-null mask
- * (from transformInputInto) enables zero-skipping: weight-zero and
- * mask-zero rows are compacted away.
+ * Y[uv] (J x BT) = W[uv] (J x I) * X[uv] (I x BT), accumulated in
+ * fp32. A non-null mask (from transformInputInto) enables
+ * zero-skipping: weight-zero and mask-zero rows are compacted away.
  */
-void elementwiseForwardInto(const WinoTiles &X, const WinoWeights &W,
-                            WinoTiles &Y, int uv0 = 0, int uv1 = -1,
-                            const ActMask *mask = nullptr);
-/** 16-bit activations, fp32 accumulate; a non-null mask additionally
- *  enables zero-skipping. */
-void elementwiseForwardInto(const HalfTiles &X, const WinoWeights &W,
-                            WinoTiles &Y, int halfKind,
-                            const ActMask *mask = nullptr);
+template <class T>
+void elementwiseForwardInto(const BasicWinoTiles<T> &X,
+                            const WinoWeights &W, WinoTiles &Y,
+                            int uv0 = 0, int uv1 = -1,
+                            const ActMask *mask = nullptr,
+                            Prec prec = Prec::F32);
 /** Backward data: dX[uv] (I x BT) = W[uv]^T (I x J) * dY[uv] (J x BT). */
 void elementwiseBackwardDataInto(const WinoTiles &dY,
                                  const WinoWeights &W, WinoTiles &dX,
@@ -148,13 +126,11 @@ void inverseTransformAdjointInto(const Tensor &dy,
 
 /** Gather + input-transform the range of image b into Xs; with a mask
  *  (shaped like Xs), also rebuilds it. */
+template <class T>
 void transformInputRange(const Tensor &x, const WinogradAlgo &algo,
                          const TileGrid &grid, int b, int t0, int tcnt,
-                         WinoTiles &Xs, ActMask *mask = nullptr);
-/** 16-bit storage variant. */
-void transformInputRange(const Tensor &x, const WinogradAlgo &algo,
-                         const TileGrid &grid, int b, int t0, int tcnt,
-                         HalfTiles &Xs, int halfKind, ActMask *mask);
+                         BasicWinoTiles<T> &Xs, ActMask *mask = nullptr,
+                         Prec prec = Prec::F32);
 /** Inverse-transform + store the range of Ys into image b of y. */
 void inverseTransformRange(const WinoTiles &Ys, const WinogradAlgo &algo,
                            const TileGrid &grid, int b, int t0, int tcnt,
@@ -180,28 +156,11 @@ struct CompactScratch
 
 /** Ys[uv] = W[uv] * Xs[uv] over lanes [0, kn), every uv; a non-null
  *  mask (from transformInputRange) enables zero-skipping. */
-void elementwiseForwardRange(const WinoTiles &Xs, const WinoWeights &W,
-                             int kn, WinoTiles &Ys, const ActMask *mask,
-                             CompactScratch &scratch);
-void elementwiseForwardRange(const HalfTiles &Xs, const WinoWeights &W,
-                             int kn, WinoTiles &Ys, int halfKind,
-                             const ActMask *mask, CompactScratch &scratch);
-
-// ---------------------------------------------------------------------
-// High-level convenience wrappers (build a transient execution plan)
-// ---------------------------------------------------------------------
-
-/** y = winograd_conv(x, W); W already in the Winograd domain. */
-Tensor winogradForward(const Tensor &x, const WinoWeights &W,
-                       const WinogradAlgo &algo);
-
-/** dx from dy through the Winograd pipeline adjoint. */
-Tensor winogradBackwardData(const Tensor &dy, const WinoWeights &W,
-                            const WinogradAlgo &algo, int h, int w);
-
-/** Winograd-layer weight gradient dW from x and dy. */
-WinoWeights winogradGradWeights(const Tensor &x, const Tensor &dy,
-                                const WinogradAlgo &algo);
+template <class T>
+void elementwiseForwardRange(const BasicWinoTiles<T> &Xs,
+                             const WinoWeights &W, int kn, WinoTiles &Ys,
+                             const ActMask *mask, CompactScratch &scratch,
+                             Prec prec = Prec::F32);
 
 /** Reference direct convolution, "same", stride 1 (w: J, I, r, r, r
  *  odd): the general form below with pads (r - 1) / 2. */

@@ -12,6 +12,13 @@ precBytes(Prec p)
     return p == Prec::F32 ? 4 : 2;
 }
 
+std::size_t
+ActMask::wordsFor(int uvCount, int channels, int batch, int tiles)
+{
+    const std::size_t panels = (tiles + mk::kTilePanel - 1) / mk::kTilePanel;
+    return (panels * uvCount + 63) / 64 * std::size_t(channels) * batch;
+}
+
 void
 ActMask::reshape(int uvCount, int channels, int batch, int tiles)
 {
@@ -20,9 +27,8 @@ ActMask::reshape(int uvCount, int channels, int batch, int tiles)
     nb = batch;
     nt = tiles;
     nPanels = (tiles + mk::kTilePanel - 1) / mk::kTilePanel;
-    const std::size_t bitsPerPlane = std::size_t(nPanels) * nUv;
-    wpp = (bitsPerPlane + 63) / 64;
-    words.assignZero(wpp * std::size_t(nch) * nb);
+    wpp = wordsFor(uvCount, 1, 1, tiles);
+    words.assignZero(wordsFor(uvCount, channels, batch, tiles));
 }
 
 void

@@ -55,10 +55,14 @@ class ActMask
   public:
     ActMask() = default;
 
+    /** uint64 words of a mask over `channels` x `batch` planes of
+     *  `tiles` tiles, uvCount coefficients each. */
+    static std::size_t wordsFor(int uvCount, int channels, int batch,
+                                int tiles);
+
     void reshape(int uvCount, int channels, int batch, int tiles);
     /** Reset every bit to 0 (nothing skippable). */
     void clear();
-    bool empty() const { return words.empty(); }
 
     int uvCount() const { return nUv; }
     int channels() const { return nch; }
@@ -77,14 +81,6 @@ class ActMask
         return words.data() + (std::size_t(c) * nb + b) * wpp;
     }
     std::size_t wordsPerPlane() const { return wpp; }
-
-    /** Mark panel `p` of plane (c, b), coefficient `uv`, as all-zero. */
-    void
-    setZero(int uv, int c, int b, int p)
-    {
-        const std::size_t bit = std::size_t(p) * nUv + uv;
-        plane(c, b)[bit >> 6] |= std::uint64_t(1) << (bit & 63);
-    }
 
     /**
      * OR the uvCount()-wide bit set `bits` (bit uv = panel all-zero,

@@ -31,13 +31,6 @@ constexpr std::size_t kScratchBudgetBytes = 512 * 1024;
  */
 constexpr std::size_t kFuseMinSlabBytes = 1u << 20;
 
-/** mk:: 16-bit kind of a half precision. */
-int
-halfKind(Prec p)
-{
-    return p == Prec::F16 ? mk::kHalfF16 : mk::kHalfBf16;
-}
-
 } // namespace
 
 WinoPlan::WinoPlan(const WinogradAlgo &algo, int batch, int inCh,
@@ -113,8 +106,6 @@ WinoPlan::slabBytes(unsigned slabs, int batch, int tiles) const
 {
     const std::size_t a2 = std::size_t(alg.alpha) * alg.alpha;
     const std::size_t perCh = a2 * batch * tiles;
-    const std::size_t panels =
-        (tiles + mk::kTilePanel - 1) / mk::kTilePanel;
     std::size_t bytes = 0;
     if (slabs & kXt)
         bytes += perCh * ni * sizeof(float);
@@ -127,8 +118,8 @@ WinoPlan::slabBytes(unsigned slabs, int batch, int tiles) const
     if (slabs & kXh)
         bytes += perCh * ni * sizeof(std::uint16_t);
     if (slabs & kMask)
-        bytes += (panels * a2 + 63) / 64 * sizeof(std::uint64_t) * ni *
-                 batch;
+        bytes += ActMask::wordsFor(int(a2), ni, batch, tiles) *
+                 sizeof(std::uint64_t);
     return bytes;
 }
 
@@ -255,19 +246,18 @@ WinoPlan::forwardInto(const Tensor &x, const WinoWeights &W, Tensor &y,
     WINOMC_SPAN("wino.phase.fwd", "wino");
     acquire(forwardSlabs(), forwardSlabs());
     ActMask *mask = cfg.sparse ? &actMask : nullptr;
-    if (cfg.prec != Prec::F32) {
-        const int hk = halfKind(cfg.prec);
-        transformInputInto(x, alg, Xh, hk, mask);
-        elementwiseForwardInto(Xh, W, Yt, hk, mask);
-        // The fp32 Xt slab was bypassed; tile-cache consumers must
-        // scatterInput (backward stays full fp32).
-        haveInput = false;
-    } else {
-        // Sparse leaves Xt the same fp32 slab, bitwise.
-        transformInputInto(x, alg, Xt, mask);
-        elementwiseForwardInto(Xt, W, Yt, 0, -1, mask);
-        haveInput = true;
-    }
+    const auto run = [&](auto &X) {
+        transformInputInto(x, alg, X, mask, cfg.prec);
+        elementwiseForwardInto(X, W, Yt, 0, -1, mask, cfg.prec);
+    };
+    if (cfg.prec == Prec::F32)
+        run(Xt);
+    else
+        run(Xh);
+    // Sparse leaves Xt the same fp32 slab, bitwise. A half policy
+    // bypasses it; tile-cache consumers must then scatterInput
+    // (backward stays full fp32).
+    haveInput = cfg.prec == Prec::F32;
     inverseTransformInto(Yt, alg, y);
     haveOutput = true;
     if (!keepTiles)
@@ -313,8 +303,6 @@ WinoPlan::forwardFusedInto(const Tensor &x, const WinoWeights &W,
     const std::int64_t nTasks = std::int64_t(nb) * strips;
     ensureScratch(int(std::min<std::int64_t>(
         ThreadPool::global().threadCount(), nTasks)));
-    const bool half = cfg.prec != Prec::F32;
-    const int hk = halfKind(cfg.prec);
     // One task per (image, strip); output tiles are disjoint across
     // tasks, so any chunking is race-free and bitwise identical.
     parallelFor(0, nTasks, 1,
@@ -325,18 +313,16 @@ WinoPlan::forwardFusedInto(const Tensor &x, const WinoWeights &W,
             const int b = int(task / strips);
             const int t0 = int(task % strips) * stripT;
             const int tcnt = std::min(stripT, nt - t0);
-            if (half)
-                transformInputRange(x, alg, grid, b, t0, tcnt, s->inHalf,
-                                    hk, mask);
+            const auto run = [&](auto &Xs) {
+                transformInputRange(x, alg, grid, b, t0, tcnt, Xs, mask,
+                                    cfg.prec);
+                elementwiseForwardRange(Xs, W, tcnt, s->out, mask,
+                                        s->compact, cfg.prec);
+            };
+            if (cfg.prec == Prec::F32)
+                run(s->in);
             else
-                transformInputRange(x, alg, grid, b, t0, tcnt, s->in,
-                                    mask);
-            if (half)
-                elementwiseForwardRange(s->inHalf, W, tcnt, s->out, hk,
-                                        mask, s->compact);
-            else
-                elementwiseForwardRange(s->in, W, tcnt, s->out, mask,
-                                        s->compact);
+                run(s->inHalf);
             inverseTransformRange(s->out, alg, grid, b, t0, tcnt, y);
         }
         releaseScratch(s);

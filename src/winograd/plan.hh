@@ -72,9 +72,7 @@ class WinoPlan
     std::size_t workspaceBytes() const;
 
     // -----------------------------------------------------------------
-    // One-shot pipelines (the free winograd* wrappers route through
-    // transient plans built on these). Each fully rewrites the slabs it
-    // touches.
+    // One-shot pipelines. Each fully rewrites the slabs it touches.
     // -----------------------------------------------------------------
 
     /**

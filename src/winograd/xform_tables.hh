@@ -95,10 +95,10 @@ using TabledAlgos = std::tuple<F2x3, F4x3, F6x3>;
 /** Sandwich orientations, in Id order within one algorithm. */
 enum Orient : int
 {
-    kInput = 0,        ///< M = B^T: transformInput
-    kInputAdjoint = 1, ///< M = B:   transformInputAdjoint
-    kInverse = 2,      ///< M = A^T: inverseTransform
-    kInverseAdjoint = 3, ///< M = A: inverseTransformAdjoint
+    kInput = 0,        ///< M = B^T: transformInputInto
+    kInputAdjoint = 1, ///< M = B:   transformInputAdjointInto
+    kInverse = 2,      ///< M = A^T: inverseTransformInto
+    kInverseAdjoint = 3, ///< M = A: inverseTransformAdjointInto
     kOrients = 4,
 };
 

@@ -28,6 +28,7 @@
 #include "winograd/microkernel.hh"
 #include "winograd/plan.hh"
 
+#include "ew_forms.hh"
 #include "exec_scope.hh"
 #include "metrics_probe.hh"
 
@@ -45,6 +46,8 @@ namespace {
 using test::ExecScope;
 using test::MetricsProbe;
 using test::withIsa;
+using test::winogradForward;
+using test::winogradBackwardData;
 
 /** Identically seeded input and Winograd weights of one C -> C conv. */
 struct ConvData

@@ -35,9 +35,14 @@
 #include "winograd/plan.hh"
 #include "workloads/layers.hh"
 
+#include "ew_forms.hh"
 #include "exec_scope.hh"
 
 namespace winomc {
+
+using test::winogradBackwardData;
+using test::winogradForward;
+using test::winogradGradWeights;
 
 // This suite validates the fp32 pipeline against fp32 oracles (direct
 // convolution, numeric gradients, bitwise stage parity), so the

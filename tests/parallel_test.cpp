@@ -25,6 +25,11 @@ using namespace winomc;
 using test::elementwiseForward;
 using test::elementwiseBackwardData;
 using test::elementwiseGradWeights;
+using test::transformInput;
+using test::transformInputAdjoint;
+using test::inverseTransform;
+using test::inverseTransformAdjoint;
+using test::transformWeightsAdjoint;
 
 TEST(ParseThreadCount, AcceptsPositiveIntegers)
 {

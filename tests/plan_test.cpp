@@ -28,6 +28,13 @@ namespace winomc {
 using test::elementwiseForward;
 using test::elementwiseBackwardData;
 using test::elementwiseGradWeights;
+using test::transformInput;
+using test::transformInputAdjoint;
+using test::inverseTransform;
+using test::inverseTransformAdjoint;
+using test::winogradForward;
+using test::winogradBackwardData;
+using test::winogradGradWeights;
 
 // This suite validates the fp32 pipeline against fp32 oracles (direct
 // convolution, numeric gradients, bitwise stage parity), so the

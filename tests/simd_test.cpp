@@ -32,6 +32,7 @@
 #include "winograd/tiling.hh"
 #include "winograd/xform_tables.hh"
 
+#include "ew_forms.hh"
 #include "ew_oracle.hh"
 #include "exec_scope.hh"
 
@@ -40,6 +41,13 @@ using test::perPairDot;
 using test::rowBlockRef;
 using test::usableIsas;
 using test::withIsa;
+using test::transformInput;
+using test::transformInputAdjoint;
+using test::inverseTransform;
+using test::inverseTransformAdjoint;
+using test::winogradForward;
+using test::winogradBackwardData;
+using test::winogradGradWeights;
 
 namespace {
 

@@ -452,6 +452,38 @@ INSTANTIATE_TEST_SUITE_P(Shapes, HalfPrecP,
                std::to_string(p.in_ch) + "F" + std::to_string(p.m);
     });
 
+TEST(HalfPrec, Bf16AndFp16AreDistinctFormats)
+{
+    // HalfPrecP's bounds catch a swap of the two formats but not both
+    // precisions running as fp16: bf16's bound admits fp16 output. bf16
+    // keeps 3 fewer mantissa bits, so its error must be well above
+    // fp16's (5.7x to 13x on these shapes).
+    ExecScope guard(fp32Dense);
+    for (const SparseCase p : {SparseCase{2, 3, 4, 9, 7, 2},
+                               SparseCase{2, 4, 3, 12, 12, 4},
+                               SparseCase{4, 16, 16, 8, 8, 4}}) {
+        const WinogradAlgo algo = makeWinograd(p.m, 3);
+        Rng rng(909);
+        Tensor x = reluSparseInput(p.batch, p.in_ch, p.h, p.w, rng);
+        Tensor w(p.out_ch, p.in_ch, 3, 3);
+        w.fillKaiming(rng);
+        const WinoWeights W = transformWeights(w, algo);
+        const auto forward = [&](Prec prec) {
+            ScopedExecConfig precScope(withPrec(prec));
+            WinoPlan plan(algo, p.batch, p.in_ch, p.out_ch, p.h, p.w);
+            Tensor y(p.batch, p.out_ch, p.h, p.w);
+            plan.forwardInto(x, W, y);
+            return y;
+        };
+        const Tensor y_ref = forward(Prec::F32);
+        const float errBf16 = forward(Prec::Bf16).maxAbsDiff(y_ref);
+        const float errF16 = forward(Prec::F16).maxAbsDiff(y_ref);
+        EXPECT_GT(errBf16, 2.0f * errF16)
+            << "b" << p.batch << " c" << p.in_ch << "->" << p.out_ch
+            << " F" << p.m;
+    }
+}
+
 TEST(HalfPrec, TrainingThroughHalfForwardStillLearns)
 {
     // The backward pass re-scatters the saved fp32 input, so training

@@ -23,6 +23,14 @@
 namespace winomc {
 
 using test::elementwiseGradWeights;
+using test::transformInput;
+using test::transformInputAdjoint;
+using test::inverseTransform;
+using test::inverseTransformAdjoint;
+using test::transformWeightsAdjoint;
+using test::winogradForward;
+using test::winogradBackwardData;
+using test::winogradGradWeights;
 
 // This suite validates the fp32 pipeline against fp32 oracles (direct
 // convolution, numeric gradients, bitwise stage parity), so the

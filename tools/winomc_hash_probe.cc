@@ -124,13 +124,17 @@ probeAlgo(const WinogradAlgo &algo, const Shape &s)
     w.fillUniform(rng);
     const WinoWeights W = transformWeights(w, algo);
 
-    const WinoTiles X = transformInput(x, algo);
+    const int nt = TileGrid(s.h, s.w, algo).tiles();
+    WinoTiles X(algo.alpha, s.c, s.b, nt), dY(algo.alpha, s.k, s.b, nt);
+    Tensor xa(s.b, s.c, s.h, s.w), ya(s.b, s.k, s.h, s.w);
+    transformInputInto(x, algo, X);
     print(tag + "xform.input", X);
-    print(tag + "xform.input_adjoint",
-          transformInputAdjoint(X, algo, s.h, s.w));
-    const WinoTiles dY = inverseTransformAdjoint(dy, algo);
+    transformInputAdjointInto(X, algo, xa);
+    print(tag + "xform.input_adjoint", xa);
+    inverseTransformAdjointInto(dy, algo, dY);
     print(tag + "xform.inverse_adjoint", dY);
-    print(tag + "xform.inverse", inverseTransform(dY, algo, s.h, s.w));
+    inverseTransformInto(dY, algo, ya);
+    print(tag + "xform.inverse", ya);
 
     WinoPlan plan(algo, s.b, s.c, s.k, s.h, s.w);
     Tensor y(s.b, s.k, s.h, s.w), dx(s.b, s.c, s.h, s.w);
