@@ -8,8 +8,7 @@ namespace winomc::nn {
 ConvLayer::ConvLayer(int in_ch, int out_ch, int r_, ConvMode mode,
                      const WinogradAlgo &algo_, Rng &rng)
     : inCh(in_ch), outCh(out_ch), r(r_), kh(r_), kw(r_), sH(1), sW(1),
-      convMode(mode), alg(&algo_), w(out_ch, in_ch, r_, r_),
-      dw(out_ch, in_ch, r_, r_)
+      convMode(mode), alg(&algo_), w(out_ch, in_ch, r_, r_)
 {
     winomc_assert(r_ % 2 == 1, "ConvLayer needs odd filter size");
     winomc_assert(mode != ConvMode::Auto,
@@ -20,10 +19,8 @@ ConvLayer::ConvLayer(int in_ch, int out_ch, int r_, ConvMode mode,
                       " mismatches layer r=", r_);
     }
     w.fillKaiming(rng);
-    if (mode != ConvMode::Direct) {
+    if (mode != ConvMode::Direct)
         W = transformWeights(w, *alg);
-        dW = WinoWeights(alg->alpha, out_ch, in_ch);
-    }
 }
 
 ConvLayer::ConvLayer(int in_ch, int out_ch, int kernel_h, int kernel_w,
@@ -32,8 +29,7 @@ ConvLayer::ConvLayer(int in_ch, int out_ch, int kernel_h, int kernel_w,
       r(kernel_h == kernel_w ? kernel_h : 0), kh(kernel_h),
       kw(kernel_w), sH(stride_h), sW(stride_w),
       convMode(ConvMode::Auto), alg(nullptr),
-      w(out_ch, in_ch, kernel_h, kernel_w),
-      dw(out_ch, in_ch, kernel_h, kernel_w)
+      w(out_ch, in_ch, kernel_h, kernel_w)
 {
     winomc_assert(kernel_h >= 1 && kernel_w >= 1 && stride_h >= 1 &&
                       stride_w >= 1,
@@ -264,6 +260,8 @@ ConvLayer::backward(const Tensor &dy)
                           "Auto conv is unsupported (kernel ", kh, "x",
                           kw, ", stride ", sH, "x", sW, ")");
         }
+        if (dw.size() == 0)
+            dw = Tensor(outCh, inCh, kh, kw);
         dw += directConvGradWeights(cachedX, dy, kh);
         return directConvBackwardData(dy, w);
     }
@@ -282,12 +280,16 @@ ConvLayer::backward(const Tensor &dy)
         // they stay dead through the SGD update.
         if (pruneMask)
             pruneMask->apply(gScratch);
+        if (dW.size() == 0)
+            dW = WinoWeights(alg->alpha, outCh, inCh);
         dW += gScratch;
     } else {
         // Chain through W = G w G^T back to the spatial parameters.
         if (dwScratch.size() == 0)
             dwScratch = Tensor(outCh, inCh, kh, kw);
         transformWeightsAdjointInto(gScratch, *alg, dwScratch);
+        if (dw.size() == 0)
+            dw = Tensor(outCh, inCh, kh, kw);
         dw += dwScratch;
     }
     // Both gradient products consume the one dYt transform above; the

@@ -183,10 +183,11 @@ class ConvLayer : public Module
      *  bound in Auto (null for Direct and before the first forward). */
     const WinogradAlgo *alg;
 
+    // Each gradient is allocated by the first backward that uses it.
     Tensor w;       ///< spatial parameters (all modes but WinogradLayer)
-    Tensor dw;      ///< spatial gradient
+    Tensor dw;      ///< spatial gradient (all modes but WinogradLayer)
     WinoWeights W;  ///< Winograd-domain parameters (Winograd execution)
-    WinoWeights dW; ///< Winograd-domain gradient
+    WinoWeights dW; ///< Winograd-domain gradient (WinogradLayer)
     bool haveGrad = false;
 
     std::unique_ptr<WinoPlan> execPlan; ///< shape-bound slabs + grid

@@ -7,6 +7,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/half.hh"
 #include "common/metrics.hh"
 #include "common/parallel.hh"
 #include "common/trace.hh"
@@ -137,9 +138,10 @@ laneOrigins(const TileGrid &grid, int t0, int tcnt, int q, int cnt,
  * origins (shifted by off) of planes (b0.., c) of src and transform
  * each as L * patch * R (L: a x e, R: e x a) into fp32 or 16-bit
  * tiles: the input transform (B^T x B, e = a) and the inverse
- * transform's adjoint (A dy A^T, e = m, off = pad). With a mask, its
- * planes (c, tb..) are rebuilt from the just-written (cache-hot)
- * tiles; one writer each.
+ * transform's adjoint (A dy A^T, e = m, off = pad). A 16-bit panel is
+ * the fp32 one rounded to halfKind (software RNE), the library's one
+ * 16-bit encode. With a mask, its planes (c, tb..) are rebuilt from the just-written
+ * (cache-hot) tiles; one writer each.
  */
 template <class Tiles>
 void
@@ -161,11 +163,19 @@ toTilesBody(const Tensor &src, const TileGrid &grid, int b0, int nimg,
     const int imgStride = nimg > 1 ? src.c() * src.h() * src.w() : 0;
     const size_t uvStr = dst.uvStride();
     auto *base = dst.uvBase(c, tb, 0);
+    constexpr bool kHalf = std::is_same_v<Tiles, HalfTiles>;
     const auto zeroMask = [&](const auto *out, int cnt) {
-        if constexpr (std::is_same_v<Tiles, HalfTiles>)
-            return K.panelZeroMaskHalf(out, uvStr, a * a, cnt);
+        if constexpr (kHalf)
+            return panelZeroMaskHalf(out, uvStr, a * a, cnt);
         else
             return K.panelZeroMask(out, uvStr, a * a, cnt);
+    };
+    // A 16-bit panel's fp32 transform, and its encode at lane q.
+    std::array<float, kMaxAlpha * kMaxAlpha * mk::kTilePanel> f32;
+    const auto encode = [&](int q, int cnt, auto enc) {
+        for (int uv = 0; uv < a * a; ++uv)
+            for (int l = 0; l < cnt; ++l)
+                base[uv * uvStr + q + l] = enc(f32[uv * mk::kTilePanel + l]);
     };
     for (int i = 0; mask && i < nimg; ++i)
         std::fill(mask->plane(c, tb + i),
@@ -179,12 +189,17 @@ toTilesBody(const Tensor &src, const TileGrid &grid, int b0, int nimg,
             lp[l] *= imgStride;
         K.packTilePanel(soa.data(), plane, lp, src.h(), src.w(), tr, tc,
                         e, e, cnt);
-        if constexpr (std::is_same_v<Tiles, HalfTiles>)
-            xf.fn.toTilesHalf(L, a, e, R, e, a, soa.data(), base + q, uvStr,
-                              cnt, halfKind);
-        else
+        if constexpr (kHalf) {
+            xf.fn.toTiles(L, a, e, R, e, a, soa.data(), f32.data(),
+                          mk::kTilePanel, cnt);
+            if (halfKind == mk::kHalfBf16)
+                encode(q, cnt, [](float v) { return half::f32ToBf16(v); });
+            else
+                encode(q, cnt, [](float v) { return half::f32ToF16(v); });
+        } else {
             xf.fn.toTiles(L, a, e, R, e, a, soa.data(), base + q, uvStr,
                           cnt);
+        }
         if (mask && nimg == 1)
             mask->orPanelBits(c, tb, q / mk::kTilePanel,
                               zeroMask(base + q, cnt));

@@ -116,10 +116,11 @@ void inverseTransformAdjointInto(const Tensor &dy,
 // Sparse fp32 execution is bitwise identical to dense: the activation
 // mask and the weight compaction only ever drop terms whose product
 // is an exact ±0, and the micro-kernels preserve the dense expression
-// shapes (see mk::panelAccumGrouped). The 16-bit kernels store
-// transformed activations as bf16/f16 (software round-to-nearest-even
-// encode, exact decode) and accumulate in fp32; they are deterministic
-// per ISA. Caveat: the ±0-drop argument needs finite inputs — inf/NaN
+// shapes (see mk::panelAccumGrouped). The 16-bit policies run the
+// fp32 input transform and encode its result once, in conv.cc, to
+// bf16/f16 (software round-to-nearest-even, the same bits at every ISA
+// level); mk::panelAccumHalf decodes the rows exactly and accumulates
+// in fp32, deterministic per ISA. Caveat: the ±0-drop argument needs finite inputs — inf/NaN
 // activations can differ (0 * inf), matching the documented
 // error-bound contract.
 // ---------------------------------------------------------------------

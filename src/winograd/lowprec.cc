@@ -12,6 +12,22 @@ precBytes(Prec p)
     return p == Prec::F32 ? 4 : 2;
 }
 
+std::uint64_t
+panelZeroMaskHalf(const std::uint16_t *x, std::size_t stride, int entries,
+                  int cnt)
+{
+    std::uint64_t m = 0;
+    for (int e = 0; e < entries; ++e) {
+        const std::uint16_t *p = x + std::size_t(e) * stride;
+        unsigned bits = 0;
+        for (int l = 0; l < cnt; ++l)
+            bits |= p[l];
+        if (!(bits & 0x7fffu))
+            m |= std::uint64_t(1) << e;
+    }
+    return m;
+}
+
 std::size_t
 ActMask::wordsFor(int uvCount, int channels, int batch, int tiles)
 {

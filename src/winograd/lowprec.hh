@@ -9,9 +9,10 @@
  * zero-skipping: per-tile-panel activation zero masks built during the
  * input transform plus weight-row compaction, so fully-zero (row,
  * panel) products are never issued. This header holds what those two
- * fields need: the Prec enum and the zero mask. The 16-bit tile
- * container, HalfTiles, is the uint16_t form of WinoTiles
- * (winograd/tiling.hh).
+ * fields need: the Prec enum, the zero mask and the 16-bit panel zero
+ * test. The 16-bit tile container, HalfTiles, is the uint16_t form of
+ * WinoTiles (winograd/tiling.hh); conv.cc encodes it, once, after the
+ * fp32 input transform.
  */
 
 #ifndef WINOMC_WINOGRAD_LOWPREC_HH
@@ -31,6 +32,14 @@ enum class Prec { F32 = 0, F16 = 1, Bf16 = 2 };
 const char *precName(Prec p);
 /** Bytes per stored activation element under `p` (4, 2, 2). */
 int precBytes(Prec p);
+
+/**
+ * Bit e (e < entries <= 64) of the result is 1 iff the 16-bit payloads
+ * x[e * stride + 0 .. cnt) all encode ±0, (bits & 0x7fff) == 0 in bf16
+ * and fp16 alike: mk::panelZeroMask over a just-encoded 16-bit panel.
+ */
+std::uint64_t panelZeroMaskHalf(const std::uint16_t *x, std::size_t stride,
+                                int entries, int cnt);
 
 /**
  * Bit-packed per-tile-panel activation zero mask.

@@ -179,7 +179,7 @@ XformBodies
 xformBodies(const MicroKernels &K, const double *L, int p, int n,
             const double *R, int k, int q)
 {
-    XformBodies out{K.xformFromTiles, K.xformToTiles, K.xformToTilesHalf};
+    XformBodies out{K.xformFromTiles, K.xformToTiles};
     if (!K.tabled || k != n || q != p)
         return out;
     for (int id = 0; id < xf::kTabledXforms; ++id) {
@@ -190,8 +190,6 @@ xformBodies(const MicroKernels &K, const double *L, int p, int n,
             out.fromTiles = tb.fromTiles;
         if (tb.toTiles)
             out.toTiles = tb.toTiles;
-        if (tb.toTilesHalf)
-            out.toTilesHalf = tb.toTilesHalf;
         break;
     }
     return out;

@@ -22,6 +22,11 @@
  * reassociate (FMA, W-lane partial sums) but keep a fixed, lane-count-
  * determined summation order, so a given ISA level is bitwise
  * reproducible across runs and thread counts.
+ *
+ * Precision: the table works on fp32 tiles. 16-bit tile storage
+ * (winograd/lowprec.hh) encodes once, in conv.cc, after the fp32 input
+ * transform; the only entry that knows a 16-bit format is
+ * panelAccumHalf, which decodes its rows on load.
  */
 
 #ifndef WINOMC_WINOGRAD_MICROKERNEL_HH
@@ -108,8 +113,8 @@ struct DirectRow
     int kw;                ///< kernel columns
 };
 
-/** Signatures of the three tile-panel sandwich bodies; see
- *  MicroKernels::xformFromTiles / xformToTiles / xformToTilesHalf. */
+/** Signatures of the two tile-panel sandwich bodies; see
+ *  MicroKernels::xformFromTiles / xformToTiles. */
 using XformFromTilesFn = void (*)(const double *L, int p, int n,
                                   const double *R, int k, int q,
                                   const float *in, std::size_t inStride,
@@ -118,18 +123,12 @@ using XformToTilesFn = void (*)(const double *L, int p, int n,
                                 const double *R, int k, int q,
                                 const double *in, float *out,
                                 std::size_t outStride, int cnt);
-using XformToTilesHalfFn = void (*)(const double *L, int p, int n,
-                                    const double *R, int k, int q,
-                                    const double *in, std::uint16_t *out,
-                                    std::size_t outStride, int cnt,
-                                    int halfKind);
 
 /** The sandwich bodies one transform runs; see xformBodies(). */
 struct XformBodies
 {
     XformFromTilesFn fromTiles;
     XformToTilesFn toTiles;
-    XformToTilesHalfFn toTilesHalf;
 };
 
 /**
@@ -313,7 +312,8 @@ struct MicroKernels
      * accumulate loop) inside a single y read-modify-write; vector
      * levels run one sequential FMA chain over all nv rows and ignore
      * the grouping. Dropped terms are exact zeros for finite inputs,
-     * so either way the result is bitwise the dense kernel's.
+     * so either way the result is bitwise the dense kernel's. Vector
+     * levels share this body with panelAccumHalf.
      */
     void (*panelAccumGrouped)(float *y, const float *const *x,
                               const float *w, int nv, int len,
@@ -325,19 +325,11 @@ struct MicroKernels
      * rows: each x[v][k] is decoded (kHalfBf16 | kHalfF16 -> fp32,
      * exact) before the fp32 multiply-accumulate. Sequential per-row
      * accumulation at every level, so staged and fused blockings agree
-     * bitwise per ISA.
+     * bitwise per ISA. The format is picked once per call.
      */
     void (*panelAccumHalf)(float *y, const std::uint16_t *const *x,
                            const float *w, int nv, int len,
                            int halfKind);
-
-    /**
-     * xformToTiles with a 16-bit destination: the fp32 transform
-     * result of each lane is encoded to `halfKind` with software
-     * round-to-nearest-even (common/half.hh), so every ISA level
-     * writes identical bits.
-     */
-    XformToTilesHalfFn xformToTilesHalf;
 
     /**
      * Sandwich bodies specialized on the compile-time coefficients of
@@ -363,12 +355,6 @@ struct MicroKernels
      */
     std::uint64_t (*panelZeroMask)(const float *x, std::size_t stride,
                                    int entries, int cnt);
-
-    /** panelZeroMask over 16-bit payloads: zero test is
-     *  (bits & 0x7fff) == 0 (both formats encode ±0 that way). */
-    std::uint64_t (*panelZeroMaskHalf)(const std::uint16_t *x,
-                                       std::size_t stride, int entries,
-                                       int cnt);
 };
 
 /**
@@ -397,7 +383,7 @@ XformBodies xformBodies(const MicroKernels &K, const double *L, int p,
  */
 std::size_t gradWeightsScratch(int nj, int ni, int len);
 
-/** halfKind selector for the 16-bit microkernel variants. */
+/** halfKind selector of MicroKernels::panelAccumHalf. */
 constexpr int kHalfBf16 = 0;
 constexpr int kHalfF16 = 1;
 

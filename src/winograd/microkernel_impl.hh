@@ -559,34 +559,6 @@ xformToTiles(const double *L, int p, int n, const double *R, int k,
         });
 }
 
-template <class Body = DenseSandwich>
-void
-xformToTilesHalf(const double *L, int p, int n, const double *R, int k,
-                 int q, const double *in, std::uint16_t *out,
-                 std::size_t outStride, int cnt, int halfKind)
-{
-    const bool bf16 = halfKind == winomc::mk::kHalfBf16;
-    Body::run(
-        L, p, n, R, k, q, cnt,
-        [&](int e, int l0, int) {
-            return VD::load(in + e * kTilePanel + l0);
-        },
-        [&](int e, int l0, int lc, VD v) {
-            // Round double -> float exactly as xformToTiles would,
-            // then encode with the software RNE reference so every
-            // ISA level writes identical bits.
-            float tmp[VD::W > 4 ? VD::W : 4] = {};
-            v.storeToFloat(tmp);
-            std::uint16_t *dst = out + std::size_t(e) * outStride + l0;
-            if (bf16)
-                for (int l = 0; l < lc; ++l)
-                    dst[l] = winomc::half::f32ToBf16(tmp[l]);
-            else
-                for (int l = 0; l < lc; ++l)
-                    dst[l] = winomc::half::f32ToF16(tmp[l]);
-        });
-}
-
 /** The bodies tabled transform Id runs: spatial -> tiles for the input
  *  and inverse-adjoint orientations, tiles -> spatial for the others. */
 template <int Id>
@@ -597,9 +569,9 @@ tabledBodies()
     constexpr int o = Id % winomc::mk::xf::kOrients;
     if constexpr (o == winomc::mk::xf::kInput ||
                   o == winomc::mk::xf::kInverseAdjoint)
-        return {nullptr, xformToTiles<M>, xformToTilesHalf<M>};
+        return {nullptr, xformToTiles<M>};
     else
-        return {xformFromTiles<M>, nullptr, nullptr};
+        return {xformFromTiles<M>, nullptr};
 }
 
 constexpr auto kTabled =
@@ -1000,17 +972,18 @@ axpy(float *y, float a, const float *x, std::int64_t n)
     }
 }
 
+/**
+ * y[k] += sum_v w[v] * x[v][k] over rows read by the full and partial
+ * loads Load / LoadPart (VF::load, or a 16-bit decode, exact): one
+ * sequential FMA chain per element over the rows in ascending order.
+ * The chain is serial in v by the bitwise contract; the only ILP
+ * available is across k, so run four independent column accumulators
+ * per pass (each element still sees its own unchanged chain).
+ */
+template <auto Load, auto LoadPart, class Elem>
 void
-panelAccumGrouped(float *y, const float *const *x, const float *w,
-                  int nv, int len, const std::uint8_t * /*grpNv*/,
-                  int /*nGroups*/, int /*tailOrig*/)
+accumRows(float *y, const Elem *const *x, const float *w, int nv, int len)
 {
-    // One sequential FMA chain over all surviving rows — exactly the
-    // chain the blocked per-group calls would produce, so the group
-    // structure only matters to the scalar TU. The chain is serial in
-    // v by the bitwise contract; the only ILP available is across k,
-    // so run four independent column accumulators per pass (each
-    // element still sees its own unchanged chain).
     int k = 0;
     for (; k + 4 * VF::W <= len; k += 4 * VF::W) {
         VF a0 = VF::load(y + k);
@@ -1018,12 +991,12 @@ panelAccumGrouped(float *y, const float *const *x, const float *w,
         VF a2 = VF::load(y + k + 2 * VF::W);
         VF a3 = VF::load(y + k + 3 * VF::W);
         for (int v = 0; v < nv; ++v) {
-            const float *xv = x[v] + k;
+            const Elem *xv = x[v] + k;
             const VF wv = VF::broadcast(w[v]);
-            a0 = VF::fma(wv, VF::load(xv), a0);
-            a1 = VF::fma(wv, VF::load(xv + VF::W), a1);
-            a2 = VF::fma(wv, VF::load(xv + 2 * VF::W), a2);
-            a3 = VF::fma(wv, VF::load(xv + 3 * VF::W), a3);
+            a0 = VF::fma(wv, Load(xv), a0);
+            a1 = VF::fma(wv, Load(xv + VF::W), a1);
+            a2 = VF::fma(wv, Load(xv + 2 * VF::W), a2);
+            a3 = VF::fma(wv, Load(xv + 3 * VF::W), a3);
         }
         a0.store(y + k);
         a1.store(y + k + VF::W);
@@ -1033,63 +1006,38 @@ panelAccumGrouped(float *y, const float *const *x, const float *w,
     for (; k + VF::W <= len; k += VF::W) {
         VF acc = VF::load(y + k);
         for (int v = 0; v < nv; ++v)
-            acc = VF::fma(VF::broadcast(w[v]), VF::load(x[v] + k), acc);
+            acc = VF::fma(VF::broadcast(w[v]), Load(x[v] + k), acc);
         acc.store(y + k);
     }
     if (k < len) {
         const int r = len - k;
         VF acc = VF::loadPartial(y + k, r);
         for (int v = 0; v < nv; ++v)
-            acc = VF::fma(VF::broadcast(w[v]),
-                          VF::loadPartial(x[v] + k, r), acc);
+            acc = VF::fma(VF::broadcast(w[v]), LoadPart(x[v] + k, r),
+                          acc);
         acc.storePartial(y + k, r);
     }
+}
+
+void
+panelAccumGrouped(float *y, const float *const *x, const float *w,
+                  int nv, int len, const std::uint8_t * /*grpNv*/,
+                  int /*nGroups*/, int /*tailOrig*/)
+{
+    // One sequential chain over all surviving rows is exactly the chain
+    // the blocked per-group calls would produce, so the group structure
+    // only matters to the scalar TU.
+    accumRows<VF::load, VF::loadPartial>(y, x, w, nv, len);
 }
 
 void
 panelAccumHalf(float *y, const std::uint16_t *const *x, const float *w,
                int nv, int len, int halfKind)
 {
-    const bool bf16 = halfKind == winomc::mk::kHalfBf16;
-    int k = 0;
-    // Two independent column accumulators: the per-row chain is serial
-    // by the bitwise contract, so ILP comes from the k axis (each
-    // element keeps its own unchanged chain).
-    for (; k + 2 * VF::W <= len; k += 2 * VF::W) {
-        VF a0 = VF::load(y + k);
-        VF a1 = VF::load(y + k + VF::W);
-        for (int v = 0; v < nv; ++v) {
-            const std::uint16_t *xv = x[v] + k;
-            const VF wv = VF::broadcast(w[v]);
-            a0 = VF::fma(wv, bf16 ? VF::loadBf16(xv) : VF::loadF16(xv),
-                         a0);
-            a1 = VF::fma(wv,
-                         bf16 ? VF::loadBf16(xv + VF::W)
-                              : VF::loadF16(xv + VF::W),
-                         a1);
-        }
-        a0.store(y + k);
-        a1.store(y + k + VF::W);
-    }
-    for (; k + VF::W <= len; k += VF::W) {
-        VF acc = VF::load(y + k);
-        for (int v = 0; v < nv; ++v) {
-            const VF xv = bf16 ? VF::loadBf16(x[v] + k)
-                               : VF::loadF16(x[v] + k);
-            acc = VF::fma(VF::broadcast(w[v]), xv, acc);
-        }
-        acc.store(y + k);
-    }
-    if (k < len) {
-        const int r = len - k;
-        VF acc = VF::loadPartial(y + k, r);
-        for (int v = 0; v < nv; ++v) {
-            const VF xv = bf16 ? VF::loadBf16Partial(x[v] + k, r)
-                               : VF::loadF16Partial(x[v] + k, r);
-            acc = VF::fma(VF::broadcast(w[v]), xv, acc);
-        }
-        acc.storePartial(y + k, r);
-    }
+    if (halfKind == winomc::mk::kHalfBf16)
+        accumRows<VF::loadBf16, VF::loadBf16Partial>(y, x, w, nv, len);
+    else
+        accumRows<VF::loadF16, VF::loadF16Partial>(y, x, w, nv, len);
 }
 
 std::uint64_t
@@ -1121,22 +1069,6 @@ panelZeroMask(const float *x, std::size_t stride, int entries, int cnt)
         if (l < cnt)
             bits |= VF::nonzeroBits(VF::loadPartial(p + l, cnt - l));
         if (!bits)
-            m |= std::uint64_t(1) << e;
-    }
-    return m;
-}
-
-std::uint64_t
-panelZeroMaskHalf(const std::uint16_t *x, std::size_t stride,
-                  int entries, int cnt)
-{
-    std::uint64_t m = 0;
-    for (int e = 0; e < entries; ++e) {
-        const std::uint16_t *p = x + std::size_t(e) * stride;
-        unsigned bits = 0;
-        for (int l = 0; l < cnt; ++l)
-            bits |= p[l];
-        if (!(bits & 0x7fffu)) // both formats: ±0 only
             m |= std::uint64_t(1) << e;
     }
     return m;
@@ -1190,9 +1122,8 @@ avgPool2Row(float *y, const float *r0, const float *r1, int outW)
             mkimpl::reluForward,    mkimpl::mulPairwise,                  \
             mkimpl::axpy,           mkimpl::avgPool2Row,                  \
             mkimpl::panelAccumGrouped, mkimpl::panelAccumHalf,            \
-            mkimpl::xformToTilesHalf<>, mkimpl::kTabled.data(),           \
-            mkimpl::nonzeroMask,                                          \
-            mkimpl::panelZeroMask,  mkimpl::panelZeroMaskHalf,            \
+            mkimpl::kTabled.data(), mkimpl::nonzeroMask,                  \
+            mkimpl::panelZeroMask,                                        \
         };                                                                \
         return &table;                                                    \
     }                                                                     \

@@ -371,27 +371,6 @@ panelAccumHalf(float *y, const std::uint16_t *const *x, const float *w,
     }
 }
 
-void
-xformToTilesHalf(const double *L, int p, int n, const double *R, int k,
-                 int q, const double *in, std::uint16_t *out,
-                 std::size_t outStride, int cnt, int halfKind)
-{
-    const bool bf16 = halfKind == winomc::mk::kHalfBf16;
-    for (int l = 0; l < cnt; ++l) {
-        sandwichLane(
-            L, p, n, R, k, q,
-            [&](int e) { return in[e * kTilePanel + l]; },
-            [&](int e, double v) {
-                // Same double -> float rounding point as xformToTiles,
-                // then the software RNE encode.
-                const float f = float(v);
-                out[std::size_t(e) * outStride + l] =
-                    bf16 ? winomc::half::f32ToBf16(f)
-                         : winomc::half::f32ToF16(f);
-            });
-    }
-}
-
 std::uint64_t
 nonzeroMask(const float *w, int n)
 {
@@ -411,26 +390,6 @@ panelZeroMask(const float *x, std::size_t stride, int entries, int cnt)
         bool zero = true;
         for (int l = 0; l < cnt; ++l) {
             if (p[l] != 0.0f) {
-                zero = false;
-                break;
-            }
-        }
-        if (zero)
-            m |= std::uint64_t(1) << e;
-    }
-    return m;
-}
-
-std::uint64_t
-panelZeroMaskHalf(const std::uint16_t *x, std::size_t stride,
-                  int entries, int cnt)
-{
-    std::uint64_t m = 0;
-    for (int e = 0; e < entries; ++e) {
-        const std::uint16_t *p = x + std::size_t(e) * stride;
-        bool zero = true;
-        for (int l = 0; l < cnt; ++l) {
-            if ((p[l] & 0x7fffu) != 0u) { // both formats: ±0 only
                 zero = false;
                 break;
             }
@@ -461,11 +420,9 @@ const winomc::mk::MicroKernels kTable = {
     avgPool2Row,
     panelAccumGrouped,
     panelAccumHalf,
-    xformToTilesHalf,
     nullptr, // tabled: the oracle runs only the generic sandwich
     nonzeroMask,
     panelZeroMask,
-    panelZeroMaskHalf,
 };
 
 } // namespace

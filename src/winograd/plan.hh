@@ -277,22 +277,6 @@ class PlanSource
     acquirePlan(const WinogradAlgo &algo, int batch, int inCh,
                 int outCh, int h, int w) = 0;
 
-    /**
-     * Descriptor route of the same lease: a WinoPlan binds the
-     * unit-stride "same" geometry, so the spec must satisfy
-     * samePadded(). This is the spelling layers and the serving engine
-     * use, so the descriptor — not loose ints — carries the cache key.
-     */
-    std::unique_ptr<WinoPlan>
-    acquirePlan(const ConvSpec &spec, const WinogradAlgo &algo)
-    {
-        winomc_assert(spec.samePadded(),
-                      "WinoPlan lease needs a stride-1 same-padded "
-                      "spec; got ", spec.key());
-        return acquirePlan(algo, spec.batch, spec.inCh, spec.outCh,
-                           spec.h, spec.w);
-    }
-
     /** Park a displaced plan for reuse. null is accepted and ignored,
      *  so callers can unconditionally hand back `std::move(slot)`. */
     virtual void releasePlan(std::unique_ptr<WinoPlan> plan) = 0;

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "nn/basic_layers.hh"
 #include "nn/batchnorm.hh"
@@ -17,6 +18,7 @@
 #include "nn/join.hh"
 #include "nn/loss.hh"
 #include "nn/trainer.hh"
+#include "tensor/workspace.hh"
 #include "winograd/algo.hh"
 
 #include "exec_scope.hh"
@@ -333,6 +335,85 @@ TEST(ConvLayerModes, TrainingStepReducesLoss)
         double after = loss_of(conv);
         EXPECT_LT(after, before) << "mode " << int(mode);
     }
+}
+
+/** Workspace bytes in use: what the live tensors and tiles hold. */
+std::int64_t
+pooledInUse()
+{
+    return std::int64_t(ws::Workspace::global().stats().bytesInUse);
+}
+
+/** Workspace bytes a live T(args...) holds. */
+template <class T, class... Args>
+std::int64_t
+bytesOf(Args... args)
+{
+    const std::int64_t before = pooledInUse();
+    const T t(args...);
+    return pooledInUse() - before;
+}
+
+TEST(ConvLayerModes, GradientsAllocatedByTheBackwardThatUsesThem)
+{
+    // A fresh layer holds only its parameters: w, plus W in the
+    // Winograd modes. The first backward allocates the one gradient
+    // its mode updates: dW in WinogradLayer, dw in the others.
+    constexpr int C = 16, B = 2, H = 8;
+    const WinogradAlgo &algo = algoF4x4_3x3();
+    const std::int64_t wBytes = bytesOf<Tensor>(C, C, 3, 3);
+    const std::int64_t WBytes = bytesOf<WinoWeights>(algo.alpha, C, C);
+    const std::int64_t xBytes = bytesOf<Tensor>(B, C, H, H);
+    ASSERT_NE(wBytes, WBytes) << "the two gradients must differ in size";
+
+    Rng rng(31), data(32);
+    Tensor x(B, C, H, H);
+    x.fillUniform(data);
+    const auto make = [&](ConvMode mode) {
+        return std::make_unique<ConvLayer>(C, C, 3, mode, algo, rng);
+    };
+    // One train step; its outputs die with it.
+    const auto trainStep = [&](ConvLayer &l) {
+        Tensor y = l.forward(x, true);
+        l.backward(y);
+        l.step(0.01f);
+    };
+    // Grow the calling thread's kernel scratch to these shapes first.
+    for (ConvMode mode : {ConvMode::Direct, ConvMode::WinogradSpatial,
+                          ConvMode::WinogradLayer})
+        trainStep(*make(mode));
+
+    for (ConvMode mode : {ConvMode::Direct, ConvMode::WinogradSpatial,
+                          ConvMode::WinogradLayer}) {
+        const std::int64_t before = pooledInUse();
+        const auto l = make(mode);
+        EXPECT_EQ(pooledInUse() - before,
+                  wBytes + (mode == ConvMode::Direct ? 0 : WBytes))
+            << "fresh, mode " << int(mode);
+    }
+    {
+        const std::int64_t before = pooledInUse();
+        const ConvLayer autoConv(C, C, 3, 3, 1, 1, rng);
+        EXPECT_EQ(pooledInUse() - before, wBytes) << "fresh Auto";
+    }
+
+    // Direct: parameters, dw and the cached input.
+    {
+        const std::int64_t before = pooledInUse();
+        const auto l = make(ConvMode::Direct);
+        trainStep(*l);
+        EXPECT_EQ(pooledInUse() - before, 2 * wBytes + xBytes);
+    }
+    // The two Winograd modes hold the same plan, scratch and
+    // parameters; WinogradSpatial adds dw and its adjoint scratch,
+    // WinogradLayer adds dW.
+    const std::int64_t before = pooledInUse();
+    const auto spatial = make(ConvMode::WinogradSpatial);
+    trainStep(*spatial);
+    const std::int64_t mid = pooledInUse();
+    const auto layer = make(ConvMode::WinogradLayer);
+    trainStep(*layer);
+    EXPECT_EQ((mid - before) - (pooledInUse() - mid), 2 * wBytes - WBytes);
 }
 
 TEST(JoinModes, AgreeWhenBranchOutputsPositive)

@@ -161,7 +161,6 @@ TEST_F(SimdTest, EveryUsableTableIsFullyPopulated)
         EXPECT_NE(K.gradWeights, nullptr);
         EXPECT_NE(K.xformFromTiles, nullptr);
         EXPECT_NE(K.xformToTiles, nullptr);
-        EXPECT_NE(K.xformToTilesHalf, nullptr);
         EXPECT_EQ(K.tabled == nullptr, isa == mk::Isa::Scalar);
         EXPECT_NE(K.directRow, nullptr);
         EXPECT_NE(K.sumDouble, nullptr);
@@ -756,9 +755,7 @@ TEST_F(SimdTest, TabledTransformsBitwiseMatchGenericBodies)
             const bool toTiles = id % 4 == 0 || id % 4 == 3;
             if (isa != mk::Isa::Scalar) {
                 // The orientation's own body really is specialized.
-                EXPECT_TRUE(toTiles ? tb.toTiles != K.xformToTiles &&
-                                          tb.toTilesHalf !=
-                                              K.xformToTilesHalf
+                EXPECT_TRUE(toTiles ? tb.toTiles != K.xformToTiles
                                     : tb.fromTiles != K.xformFromTiles)
                     << mk::isaName(isa) << " transform " << id;
             }
@@ -793,19 +790,6 @@ TEST_F(SimdTest, TabledTransformsBitwiseMatchGenericBodies)
                 EXPECT_EQ(0, std::memcmp(toG.data(), toT.data(),
                                          toG.size() * sizeof(float)))
                     << "toTiles " << at;
-
-                for (int kind : {mk::kHalfBf16, mk::kHalfF16}) {
-                    std::vector<std::uint16_t> hG(
-                        std::size_t(p * p) * kStride, 0x7777),
-                        hT = hG;
-                    K.xformToTilesHalf(L.data(), p, n, R.data(), n, p,
-                                       soa.data(), hG.data(), kStride, cnt,
-                                       kind);
-                    tb.toTilesHalf(L.data(), p, n, R.data(), n, p,
-                                   soa.data(), hT.data(), kStride, cnt,
-                                   kind);
-                    EXPECT_EQ(hG, hT) << "toTilesHalf " << kind << " " << at;
-                }
             }
         }
         // Matching is by value. F(2,5) uses F(4,3)'s six points, so

@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -204,22 +205,18 @@ TEST(PanelZeroMask, DetectsExactZeroLaneSets)
 
 TEST(PanelZeroMask, HalfVariantTreatsSignedZeroAsZero)
 {
-    ExecScope guard(fp32Dense);
     const int entries = 16;
     std::vector<std::uint16_t> x(std::size_t(entries) * mk::kTilePanel,
                                  0x0000u);
     x[0 * mk::kTilePanel + 1] = 0x8000u; // -0.0 in both formats
     x[5 * mk::kTilePanel + 0] = 0x3c00u; // 1.0 (f16)
 
-    for (mk::Isa isa : {mk::Isa::Scalar, mk::Isa::Auto}) {
-        ScopedExecConfig isaScope(withIsa(isa));
-        const std::uint64_t m = mk::kernels().panelZeroMaskHalf(
-            x.data(), mk::kTilePanel, entries, mk::kTilePanel);
-        EXPECT_EQ((m >> 0) & 1u, 1u) << int(isa);
-        EXPECT_EQ((m >> 5) & 1u, 0u) << int(isa);
-        for (int e = 6; e < entries; ++e)
-            EXPECT_EQ((m >> e) & 1u, 1u);
-    }
+    const std::uint64_t m =
+        panelZeroMaskHalf(x.data(), mk::kTilePanel, entries, mk::kTilePanel);
+    EXPECT_EQ((m >> 0) & 1u, 1u);
+    EXPECT_EQ((m >> 5) & 1u, 0u);
+    for (int e = 6; e < entries; ++e)
+        EXPECT_EQ((m >> e) & 1u, 1u);
 }
 
 TEST(ActMaskUnit, OrPanelBitsCrossesWordBoundaries)
@@ -481,6 +478,125 @@ TEST(HalfPrec, Bf16AndFp16AreDistinctFormats)
         EXPECT_GT(errBf16, 2.0f * errF16)
             << "b" << p.batch << " c" << p.in_ch << "->" << p.out_ch
             << " F" << p.m;
+    }
+}
+
+/**
+ * Expect tiles [0, nt) of every (uv, c, b) of Xh to be the
+ * round-to-nearest-even encode under `prec` of the same tiles of X32,
+ * and each mask panel bit to be set iff the panel's encoded lanes are
+ * all ±0. Reports the first mismatch; returns the number of set bits.
+ */
+int
+expectEncodeAndMask(const WinoTiles &X32, const HalfTiles &Xh,
+                    const ActMask &mask, int nt, Prec prec,
+                    const std::string &at)
+{
+    constexpr int P = mk::kTilePanel;
+    int zeroPanels = 0;
+    for (int uv = 0; uv < Xh.uvCount(); ++uv)
+        for (int c = 0; c < Xh.channels(); ++c)
+            for (int b = 0; b < Xh.batch(); ++b) {
+                const std::string where = at + " uv " + std::to_string(uv) +
+                                          " c " + std::to_string(c) +
+                                          " b " + std::to_string(b);
+                bool zero = true;
+                for (int t = 0; t < nt; ++t) {
+                    const float v = X32.at(uv, c, b, t);
+                    const std::uint16_t h = Xh.at(uv, c, b, t);
+                    if (h != (prec == Prec::Bf16 ? half::f32ToBf16(v)
+                                                 : half::f32ToF16(v))) {
+                        ADD_FAILURE() << where << " t " << t << ": " << h
+                                      << " is not the encode of " << v;
+                        return zeroPanels;
+                    }
+                    zero = zero && !(h & 0x7fffu);
+                    if (t % P != P - 1 && t != nt - 1)
+                        continue;
+                    if (mask.panelZero(uv, c, b, t / P) != zero) {
+                        ADD_FAILURE() << where << " panel " << t / P
+                                      << ": mask bit is not " << zero;
+                        return zeroPanels;
+                    }
+                    zeroPanels += zero;
+                    zero = true;
+                }
+            }
+    return zeroPanels;
+}
+
+TEST(HalfPrec, HalfTilesAreTheEncodeOfFp32Tiles)
+{
+    // 16-bit storage is the fp32 input transform followed by one
+    // element-wise round-to-nearest-even encode. So the staged and the
+    // range transforms into HalfTiles must be bitwise the encode of the
+    // same calls into WinoTiles, at every ISA level, and the activation
+    // mask must mark exactly the panels whose encoded lanes are all ±0.
+    ExecScope guard(fp32Dense);
+    constexpr int P = mk::kTilePanel;
+    struct Shape
+    {
+        int b, c, h, w;
+    };
+    // 6x6 maps hold one short panel per image, so staged panels span
+    // images; 26x26 leaves a ragged last panel per image at F(2,3)
+    // (169 tiles), F(4,3) (49) and F(6,3) (25).
+    for (const Shape sh : {Shape{3, 4, 6, 6}, Shape{2, 3, 26, 26}}) {
+        Rng rng(2024);
+        Tensor x = reluSparseInput(sh.b, sh.c, sh.h, sh.w, rng);
+        // Large entries overflow fp16 in the transform. Tiny ones
+        // encode to fp16 ±0 or subnormals but stay nonzero in bf16, so
+        // a panel can be zero in fp16 alone.
+        for (std::size_t i = 0; i < x.size(); ++i) {
+            if (i % 97 == 5)
+                x.data()[i] = 4e5f;
+            else if (i % 89 == 7)
+                x.data()[i] = 1e-9f;
+        }
+        for (int m : {2, 4, 6}) {
+            const WinogradAlgo &algo = algoForTile(m);
+            const TileGrid grid(sh.h, sh.w, algo);
+            const int a = algo.alpha, nt = grid.tiles();
+            const int panels = sh.b * ((nt + P - 1) / P) * a * a * sh.c;
+            for (mk::Isa isa : test::usableIsas()) {
+                ScopedExecConfig isaScope(withIsa(isa));
+                WinoTiles X32(a, sh.c, sh.b, nt);
+                transformInputInto(x, algo, X32);
+                for (Prec prec : {Prec::Bf16, Prec::F16}) {
+                    const std::string at =
+                        std::string(mk::isaName(isa)) + " " +
+                        precName(prec) + " F" + std::to_string(m) + " " +
+                        std::to_string(sh.h) + "x" + std::to_string(sh.w);
+                    HalfTiles Xh(a, sh.c, sh.b, nt);
+                    ActMask mask;
+                    mask.reshape(a * a, sh.c, sh.b, nt);
+                    transformInputInto(x, algo, Xh, &mask, prec);
+                    const int zero =
+                        expectEncodeAndMask(X32, Xh, mask, nt, prec, at);
+                    EXPECT_GT(zero, 0) << at;
+                    EXPECT_LT(zero, panels) << at;
+
+                    // Strips of two panels from each panel start: the
+                    // last strip of an image ends in a ragged panel.
+                    WinoTiles S32(a, sh.c, 1, 2 * P);
+                    HalfTiles Sh(a, sh.c, 1, 2 * P);
+                    ActMask sm;
+                    sm.reshape(a * a, sh.c, 1, 2 * P);
+                    for (int b = 0; b < sh.b; ++b)
+                        for (int t0 = 0; t0 < nt; t0 += P) {
+                            const int tcnt = std::min(2 * P, nt - t0);
+                            transformInputRange(x, algo, grid, b, t0, tcnt,
+                                                S32);
+                            transformInputRange(x, algo, grid, b, t0, tcnt,
+                                                Sh, &sm, prec);
+                            expectEncodeAndMask(
+                                S32, Sh, sm, tcnt, prec,
+                                at + " range b" + std::to_string(b) +
+                                    " t0 " + std::to_string(t0));
+                        }
+                }
+            }
+        }
     }
 }
 
