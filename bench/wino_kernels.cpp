@@ -32,6 +32,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -1054,12 +1055,23 @@ struct JsonRecord
     bool haveQuant = false;
 };
 
-/** Console output as usual, plus a record of every per-iteration run
- *  for the --json artifact; repetitions of one benchmark fold into a
- *  single record so the artifact carries run-to-run stddev. */
-class RecordingReporter : public benchmark::ConsoleReporter
+/** The display reporter --benchmark_format picks (console, json or
+ *  csv), plus a record of every per-iteration run for the --json
+ *  artifact; repetitions of one benchmark fold into a single record so
+ *  the artifact carries run-to-run stddev. */
+class RecordingReporter : public benchmark::BenchmarkReporter
 {
   public:
+    bool
+    ReportContext(const Context &context) override
+    {
+        display->SetOutputStream(&GetOutputStream());
+        display->SetErrorStream(&GetErrorStream());
+        return display->ReportContext(context);
+    }
+
+    void Finalize() override { display->Finalize(); }
+
     void
     ReportRuns(const std::vector<Run> &runs) override
     {
@@ -1097,12 +1109,14 @@ class RecordingReporter : public benchmark::ConsoleReporter
             if (c != r.counters.end())
                 rec->maxAbsErr = c->second;
         }
-        ConsoleReporter::ReportRuns(runs);
+        display->ReportRuns(runs);
     }
 
     std::vector<JsonRecord> records;
 
   private:
+    std::unique_ptr<benchmark::BenchmarkReporter> display{
+        benchmark::CreateDefaultDisplayReporter()};
     std::map<std::string, size_t> byName;
 };
 

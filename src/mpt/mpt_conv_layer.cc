@@ -41,8 +41,6 @@ MptConvLayer::MptConvLayer(int in_ch, int out_ch, int r, int ng_,
     Tensor w(out_ch, in_ch, r, r);
     w.fillKaiming(rng);
     W = transformWeights(w, algo);
-    dW = WinoWeights(algo.alpha, out_ch, in_ch);
-    dWCluster = WinoWeights(algo.alpha, out_ch, in_ch);
 }
 
 MptConvLayer::MptConvLayer(const ConvSpec &spec, int ng_, int nc_,
@@ -127,6 +125,10 @@ MptConvLayer::backward(const Tensor &dy)
                   "MptConvLayer::backward without a train-mode forward: "
                   "the cached tiles are stale");
     haveGrad = true;
+    if (dW.size() == 0) {
+        dW = WinoWeights(algo.alpha, outCh, inCh);
+        dWCluster = WinoWeights(algo.alpha, outCh, inCh);
+    }
     Tensor dx(dy.n(), inCh, lastH, lastW);
     dyShard.reshape(shard, outCh, lastH, lastW);
     dxShard.reshape(shard, inCh, lastH, lastW);

@@ -58,7 +58,8 @@ class MptConvLayer : public nn::Module
     std::string name() const override { return "mpt_conv"; }
 
     const WinoWeights &winoWeights() const { return W; }
-    /** Weight gradient accumulated since the last step(). */
+    /** Weight gradient accumulated since the last step(); empty (size
+     *  0) until the first backward allocates it. */
     const WinoWeights &winoGradWeights() const { return dW; }
     /** Winograd-domain values that crossed worker boundaries so far. */
     uint64_t tileElemsTransferred() const { return tileElems; }
@@ -72,8 +73,9 @@ class MptConvLayer : public nn::Module
     int inCh, outCh, ng, nc, uvShare;
     const WinogradAlgo &algo;
     WinoWeights W;
+    /** The gradient and one cluster's partial of it, reduced into dW
+     *  cluster by cluster: both allocated by the first backward. */
     WinoWeights dW;
-    /** One cluster's partial dW, reduced into dW cluster by cluster. */
     WinoWeights dWCluster;
     bool haveGrad = false;
 

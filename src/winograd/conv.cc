@@ -116,22 +116,58 @@ struct Xform
 };
 
 /**
- * Panel lanes [q, q + cnt) of a tile set holding tiles [t0, t0 + tcnt)
- * of consecutive images: the image (relative to the set's first) each
- * lane belongs to and its spatial origin — the a x a input window
- * (off = 0) or, with off = grid.pad, the m x m output block.
+ * The lanes of a tile set holding tiles [t0, t0 + tcnt) of consecutive
+ * images, in lane order. next(cnt, ...) gives the next cnt lanes: the
+ * image (relative to the set's first) each belongs to and its spatial
+ * origin — the a x a input window (off = 0) or, with off = grid.pad,
+ * the m x m output block. The walk steps (image, tile row, tile
+ * column) forward lane by lane, so it divides once, at its start, and
+ * not per lane.
  */
-void
-laneOrigins(const TileGrid &grid, int t0, int tcnt, int q, int cnt,
-            int off, int *tr, int *tc, int *img)
+class LaneWalk
 {
-    for (int l = 0; l < cnt; ++l) {
-        img[l] = (q + l) / tcnt;
-        const int t = t0 + (q + l) % tcnt;
-        tr[l] = grid.tileRow(t / grid.tilesW) + off;
-        tc[l] = grid.tileCol(t % grid.tilesW) + off;
+  public:
+    LaneWalk(const TileGrid &grid, int t0, int tcnt, int off)
+        : m(grid.m), tcnt(tcnt), left(grid.tileCol(0) + off),
+          right(grid.tileCol(grid.tilesW) + off),
+          top0(grid.tileRow(t0 / grid.tilesW) + off),
+          left0(grid.tileCol(t0 % grid.tilesW) + off), top(top0),
+          col(left0)
+    {
     }
-}
+
+    void
+    next(int cnt, int *tr, int *tc, int *img)
+    {
+        // Locals: the int stores below could alias the members.
+        int r = top, c = col, k = lane, i = image;
+        for (int l = 0; l < cnt; ++l) {
+            img[l] = i;
+            tr[l] = r;
+            tc[l] = c;
+            if ((c += m) == right) {
+                c = left;
+                r += m;
+            }
+            if (++k == tcnt) {
+                k = 0;
+                ++i;
+                r = top0;
+                c = left0;
+            }
+        }
+        top = r;
+        col = c;
+        lane = k;
+        image = i;
+    }
+
+  private:
+    /** Tile pitch, lanes per image, the origin columns of a tile row
+     *  (left) and one past its last (right), the first lane's origin. */
+    const int m, tcnt, left, right, top0, left0;
+    int top, col, lane = 0, image = 0;
+};
 
 /**
  * Spatial -> Winograd domain: gather the e x e patches at the tile
@@ -181,10 +217,11 @@ toTilesBody(const Tensor &src, const TileGrid &grid, int b0, int nimg,
         std::fill(mask->plane(c, tb + i),
                   mask->plane(c, tb + i) + mask->wordsPerPlane(), 0);
     SoaPanel soa;
+    LaneWalk lanes(grid, t0, tcnt, off);
     for (int q = 0; q < nimg * tcnt; q += mk::kTilePanel) {
         const int cnt = std::min(mk::kTilePanel, nimg * tcnt - q);
         int tr[mk::kTilePanel], tc[mk::kTilePanel], lp[mk::kTilePanel];
-        laneOrigins(grid, t0, tcnt, q, cnt, off, tr, tc, lp);
+        lanes.next(cnt, tr, tc, lp);
         for (int l = 0; l < cnt; ++l)
             lp[l] *= imgStride;
         K.packTilePanel(soa.data(), plane, lp, src.h(), src.w(), tr, tc,
@@ -230,12 +267,13 @@ fromTilesBody(const WinoTiles &src, int tb, const Xform &xf, int off,
     const int e = xf.L.rows();
     const float *base = src.uvBase(c, tb, 0);
     SoaPanel soa;
+    LaneWalk lanes(grid, t0, tcnt, off);
     for (int q = 0; q < nimg * tcnt; q += mk::kTilePanel) {
         const int cnt = std::min(mk::kTilePanel, nimg * tcnt - q);
         xf.fn.fromTiles(xf.L.data(), e, a, xf.R.data(), a, e, base + q,
                         src.uvStride(), soa.data(), cnt);
         int tr[mk::kTilePanel], tc[mk::kTilePanel], img[mk::kTilePanel];
-        laneOrigins(grid, t0, tcnt, q, cnt, off, tr, tc, img);
+        lanes.next(cnt, tr, tc, img);
         for (int l = 0; l < cnt;) {
             int end = l + 1;
             while (end < cnt && img[end] == img[l])
@@ -251,9 +289,13 @@ fromTilesBody(const WinoTiles &src, int tb, const Xform &xf, int off,
  * Staged transforms: fn(b0, nimg, c) per task in parallel, timed as
  * `stage`. A task is one (image, channel) plane, or, when a plane of
  * `spatial` holds fewer than kTilePanel tiles, every image of one
- * channel (so its panels run full). Planes are independent (overlap-
- * add collides only within one) and each plane's tiles stay in one
- * task, in order, so any thread count is bitwise identical to serial.
+ * channel (so its panels run full). Tasks are numbered channel-major,
+ * like the [uv][c][b][t] tile slab: consecutive tasks, and so each
+ * thread's contiguous chunk, extend the same [c][b..][t] run of every
+ * uv plane, which each plane then reads or writes in address order.
+ * Planes are independent (overlap-add collides only within one) and
+ * each plane's tiles stay in one task, in order, so any thread count
+ * is bitwise identical to serial.
  */
 template <class Fn>
 void
@@ -267,10 +309,11 @@ forEachPlane(const char *stage, double tileFlops, const Tensor &spatial,
                 spatial.size() <= std::size_t(std::numeric_limits<int>::max())
             ? nb
             : 1;
-    parallelFor(0, std::int64_t(nb / nimg) * nc, 1,
+    const int nbt = nb / nimg;
+    parallelFor(0, std::int64_t(nc) * nbt, 1,
                 [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t bc = lo; bc < hi; ++bc)
-            fn(int(bc / nc) * nimg, nimg, int(bc % nc));
+        for (std::int64_t cb = lo; cb < hi; ++cb)
+            fn(int(cb % nbt) * nimg, nimg, int(cb / nbt));
     });
 }
 
@@ -660,12 +703,15 @@ transformInputAdjointInto(const WinoTiles &dX, const WinogradAlgo &algo,
                   "tile count mismatch in input adjoint");
     winomc_assert(dx.n() == dX.batch() && dx.c() == dX.channels(),
                   "transformInputAdjointInto destination shape mismatch");
-    dx.fill(0.0f); // overlap-add target
     const int a = algo.alpha;
     const int nt = grid.tiles();
     const Xform xf(algo.B, algo.BT);
     forEachPlane("xform.input_adjoint", 4.0 * a * a * a, dx, nt,
                  [&](int b0, int nimg, int c) {
+        // Each task zeroes its own overlap-add targets, cache-hot.
+        for (int b = b0; b < b0 + nimg; ++b)
+            std::fill_n(planeOf(dx, b, c), std::size_t(dx.h()) * dx.w(),
+                        0.0f);
         fromTilesBody(dX, b0, xf, 0, true, grid, b0, nimg, c, 0, nt, dx);
     });
 }

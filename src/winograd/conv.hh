@@ -41,9 +41,9 @@ WinoWeights transformWeights(const Tensor &w, const WinogradAlgo &algo);
 // gradient) only the uv slices [uv0, uv1) they compute — uv1 < 0
 // means alpha^2 — so the N_g groups of an MPT cluster (mpt/) each run
 // the single-node kernel on their own slice of one shared destination.
-// transformInputAdjointInto zero-fills dx (overlap-add target); the
-// others fully assign. Results are bitwise identical for any thread
-// count.
+// transformInputAdjointInto zero-fills each plane of dx (its
+// overlap-add target) in the task that adds into it; the others fully
+// assign. Results are bitwise identical for any thread count.
 //
 // The input-side stages take the transformed activations in either
 // storage, BasicWinoTiles<T> with T = float or std::uint16_t, and the
@@ -104,10 +104,12 @@ void inverseTransformAdjointInto(const Tensor &dy,
 //
 // conv.cc keeps one body per stage. The staged kernels above run it
 // under parallelFor on whole images — (image, channel) planes for the
-// transforms, (uv, row-block) tasks for the element-wise products —
-// and the functions below run the same bodies serially on the tile
-// range [t0, t0 + tcnt) of ONE image `b`, for WinoPlan's fused strip
-// loop (the parallel unit, so these stay free of parallelFor work).
+// transforms, numbered channel-major so each uv plane of the tiles is
+// walked in address order; (uv, row-block) tasks for the element-wise
+// products — and the functions below run the same bodies serially on
+// the tile range [t0, t0 + tcnt) of ONE image `b`, for WinoPlan's
+// fused strip loop (the parallel unit, so these stay free of
+// parallelFor work).
 // Range scratch tiles are shaped (alpha, channels, 1, >= tcnt): tile
 // t0 + l lives in lane l. Strips start on whole kTilePanel panels, so
 // fused and staged execution issue the same per-element operations

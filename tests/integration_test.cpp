@@ -37,9 +37,12 @@
 
 #include "ew_forms.hh"
 #include "exec_scope.hh"
+#include "pool_bytes.hh"
 
 namespace winomc {
 
+using test::bytesOf;
+using test::pooledInUse;
 using test::winogradBackwardData;
 using test::winogradForward;
 using test::winogradGradWeights;
@@ -217,6 +220,53 @@ TEST(Integration, MptStepMatchesSoloLayerBitwiseAtOneCluster)
             }
         }
     }
+}
+
+TEST(FunctionalMpt, GradientsAllocatedByTheFirstBackward)
+{
+    // A layer that only runs eval forwards holds no gradient: its
+    // first backward allocates dW and the cluster partial dWCluster.
+    // Counted in workspace bytes, at one thread so that only the
+    // calling thread's kernel scratch (grown by the warm-up) exists.
+    ThreadPool::global().setThreadCount(1);
+    const WinogradAlgo &algo = algoF2x2_3x3();
+    const int B = 4, C = 8, K = 12, H = 8, ng = 2, nc = 2, shard = B / nc;
+    const int nt = TileGrid(H, H, algo).tiles();
+    const std::int64_t WBytes = bytesOf<WinoWeights>(algo.alpha, K, C);
+    // What else the first backward holds: the dy/dx staging shards and
+    // each cluster plan's dYt/dXt slabs.
+    const std::int64_t backwardRest =
+        bytesOf<Tensor>(shard, K, H, H) + bytesOf<Tensor>(shard, C, H, H) +
+        nc * (bytesOf<WinoTiles>(algo.alpha, K, shard, nt) +
+              bytesOf<WinoTiles>(algo.alpha, C, shard, nt));
+
+    Rng rng(91), data(92);
+    Tensor x(B, C, H, H), dy(B, K, H, H);
+    x.fillUniform(data);
+    dy.fillUniform(data);
+    {
+        mpt::MptConvLayer warm(C, K, 3, ng, nc, algo, rng);
+        runMptStep(warm, x, dy);
+    }
+
+    const std::int64_t before = pooledInUse();
+    mpt::MptConvLayer eval(C, K, 3, ng, nc, algo, rng);
+    EXPECT_EQ(pooledInUse() - before, WBytes) << "a fresh layer holds only W";
+    eval.forward(x, false);
+    const std::int64_t evalBytes = pooledInUse() - before;
+    EXPECT_EQ(eval.winoGradWeights().size(), 0u);
+
+    const std::int64_t mid = pooledInUse();
+    mpt::MptConvLayer trained(C, K, 3, ng, nc, algo, rng);
+    trained.forward(x, true);
+    EXPECT_EQ(pooledInUse() - mid, evalBytes)
+        << "a train forward holds what an eval forward does";
+    trained.backward(dy);
+    trained.step(0.01f);
+    EXPECT_EQ(pooledInUse() - mid - evalBytes, 2 * WBytes + backwardRest);
+    EXPECT_EQ(trained.winoGradWeights().size(),
+              trained.winoWeights().size());
+    ThreadPool::global().setThreadCount(0);
 }
 
 TEST(FunctionalMpt, TileTrafficMatchesSectionIIICFormula)

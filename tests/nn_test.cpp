@@ -18,10 +18,10 @@
 #include "nn/join.hh"
 #include "nn/loss.hh"
 #include "nn/trainer.hh"
-#include "tensor/workspace.hh"
 #include "winograd/algo.hh"
 
 #include "exec_scope.hh"
+#include "pool_bytes.hh"
 
 namespace winomc::nn {
 
@@ -33,6 +33,9 @@ namespace winomc::nn {
 const test::Fp32Pin fp32Pin;
 
 namespace {
+
+using test::bytesOf;
+using test::pooledInUse;
 
 TEST(ReLULayer, ForwardClampsAndBackwardMasks)
 {
@@ -335,23 +338,6 @@ TEST(ConvLayerModes, TrainingStepReducesLoss)
         double after = loss_of(conv);
         EXPECT_LT(after, before) << "mode " << int(mode);
     }
-}
-
-/** Workspace bytes in use: what the live tensors and tiles hold. */
-std::int64_t
-pooledInUse()
-{
-    return std::int64_t(ws::Workspace::global().stats().bytesInUse);
-}
-
-/** Workspace bytes a live T(args...) holds. */
-template <class T, class... Args>
-std::int64_t
-bytesOf(Args... args)
-{
-    const std::int64_t before = pooledInUse();
-    const T t(args...);
-    return pooledInUse() - before;
 }
 
 TEST(ConvLayerModes, GradientsAllocatedByTheBackwardThatUsesThem)

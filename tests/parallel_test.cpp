@@ -255,7 +255,11 @@ struct ParityShape
 
 // Deliberately includes tiny/odd shapes: hw=2 is a single F(2x2) tile,
 // hw=5/hw=6 give odd tile grids with fewer (batch, channel) slices
-// than the 8 worker threads.
+// than the 8 worker threads. Even entries run F(2,3), odd ones F(4,3).
+// The last four walk the staged transforms' channel-major task order
+// with more images than channels: ragged last panels (hw=22: 121
+// tiles under F(2,3); hw=24: 36 under F(4,3)), and one channel whose
+// panels span images (hw=6: 9 tiles; hw=8: 4 tiles).
 const ParityShape kShapes[] = {
     {1, 1, 1, 2},
     {1, 3, 5, 5},
@@ -263,6 +267,10 @@ const ParityShape kShapes[] = {
     {2, 5, 4, 7},
     {3, 4, 2, 12},
     {2, 8, 8, 16},
+    {5, 3, 4, 22},
+    {5, 3, 4, 24},
+    {16, 1, 2, 6},
+    {16, 1, 2, 8},
 };
 
 void

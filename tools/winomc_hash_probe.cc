@@ -7,8 +7,10 @@
  *   winomc-hash-probe > hashes.txt
  *
  * Covered, for F(2,3), F(4,3), F(6,3) and F(2,5) over an odd shape, a
- * 1-wide and a 1-high map, and a shape above the 1 MiB fusion
- * threshold:
+ * 1-wide and a 1-high map, a shape above the 1 MiB fusion threshold,
+ * a batch of more images than channels with ragged last panels, and
+ * train_wino's B16 C=K=32 32x32 conv (many panels per image, many
+ * images per channel):
  *
  *  - the four transforms on their own (input, input adjoint, inverse,
  *    inverse adjoint);
@@ -111,6 +113,8 @@ constexpr Shape kShapes[] = {
     {"wide1", 2, 2, 3, 9, 1},
     {"high1", 1, 2, 3, 1, 7},
     {"fusing", 1, 16, 16, 72, 72},
+    {"ragged", 5, 3, 4, 24, 24},
+    {"train", 16, 32, 32, 32, 32},
 };
 
 void
