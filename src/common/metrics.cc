@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -222,11 +223,20 @@ kindName(Kind k)
 
 /**
  * Run-scope prefix. Readers load an immutable string published with
- * release ordering; setRunScope intentionally leaks the previous
- * string so a concurrent reader can never see it die (scope changes
- * are rare run boundaries, so the leak is bounded and tiny).
+ * release ordering. setRunScope publishes a pointer into an interned
+ * set that is never destroyed and never erases, so a concurrent reader
+ * can never see its scope die, and each distinct scope is stored once.
  */
 std::atomic<const std::string *> gScope{nullptr};
+
+const std::string *
+internScope(const std::string &scope)
+{
+    static std::mutex mu;
+    static auto *scopes = new std::set<std::string>; // never destroyed
+    std::lock_guard<std::mutex> lk(mu);
+    return &*scopes->insert(scope).first;
+}
 
 std::string
 scopedKey(const char *name)
@@ -415,7 +425,7 @@ histogramMerge(const char *name, const winomc::Histogram &h)
 void
 setRunScope(const std::string &scope)
 {
-    gScope.store(scope.empty() ? nullptr : new std::string(scope),
+    gScope.store(scope.empty() ? nullptr : internScope(scope),
                  std::memory_order_release);
 }
 

@@ -28,8 +28,7 @@ copyBatchRows(const Tensor &src, int s0, Tensor &dst, int d0, int count)
 
 MptConvLayer::MptConvLayer(int in_ch, int out_ch, int r, int ng_,
                            int nc_, const WinogradAlgo &algo_, Rng &rng)
-    : inCh(in_ch), outCh(out_ch), ng(ng_), nc(nc_), algo(algo_),
-      planCaches(std::size_t(nc_))
+    : inCh(in_ch), outCh(out_ch), ng(ng_), nc(nc_), algo(algo_)
 {
     winomc_assert(algo.r == r, "algo r mismatch");
     const int a2 = algo.alpha * algo.alpha;
@@ -37,6 +36,7 @@ MptConvLayer::MptConvLayer(int in_ch, int out_ch, int r, int ng_,
                   "alpha^2 must divide across groups");
     winomc_assert(nc >= 1, "need at least one cluster");
     uvShare = a2 / ng;
+    plans.resize(std::size_t(nc));
 
     Tensor w(out_ch, in_ch, r, r);
     w.fillKaiming(rng);
@@ -53,25 +53,6 @@ MptConvLayer::MptConvLayer(const ConvSpec &spec, int ng_, int nc_,
                   "geometry (got ", spec.key(), ")");
 }
 
-void
-MptConvLayer::ensurePlans(const Tensor &x)
-{
-    const int sh = x.n() / nc;
-    if (int(plans.size()) == nc &&
-        plans[0]->matches(algo, sh, inCh, outCh, x.h(), x.w()))
-        return;
-    // Park each cluster's displaced plan in that cluster's pool before
-    // leasing, so a shard-shape rotation (serving batch churn) reuses
-    // parked plans instead of rebuilding every cluster's slab set.
-    plans.resize(std::size_t(nc));
-    for (int c = 0; c < nc; ++c) {
-        PlanLru &cache = planCaches[std::size_t(c)];
-        cache.releasePlan(std::move(plans[std::size_t(c)]));
-        plans[std::size_t(c)] =
-            cache.acquirePlan(algo, sh, inCh, outCh, x.h(), x.w());
-    }
-}
-
 Tensor
 MptConvLayer::forward(const Tensor &x, bool train)
 {
@@ -81,7 +62,8 @@ MptConvLayer::forward(const Tensor &x, bool train)
     lastH = x.h();
     lastW = x.w();
     shard = x.n() / nc;
-    ensurePlans(x);
+    for (std::unique_ptr<WinoPlan> &plan : plans)
+        planPool.lease(plan, algo, shard, inCh, outCh, x.h(), x.w());
     trainCached = train;
 
     Tensor y(x.n(), outCh, x.h(), x.w());

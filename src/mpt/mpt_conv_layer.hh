@@ -67,9 +67,6 @@ class MptConvLayer : public nn::Module
     uint64_t weightElemsReduced() const { return weightElems; }
 
   private:
-    /** (Re)build the per-cluster plans iff the shard shape changed. */
-    void ensurePlans(const Tensor &x);
-
     int inCh, outCh, ng, nc, uvShare;
     const WinogradAlgo &algo;
     WinoWeights W;
@@ -82,12 +79,11 @@ class MptConvLayer : public nn::Module
     /** One execution plan per cluster; plan slabs cache the forward
      *  tiles the backward pass reuses. */
     std::vector<std::unique_ptr<WinoPlan>> plans;
-    /** Per-cluster plan pools: a shard-shape change parks the displaced
-     *  plans here instead of destroying them, so alternating batch
-     *  shapes stop thrashing the workspace (one pool per cluster —
-     *  same-shape plans cannot share a single LRU, a lease is
-     *  exclusive). */
-    std::vector<PlanLru> planCaches;
+    /** Every cluster leases its plan here: a shard-shape change parks
+     *  the displaced plans instead of destroying them, so alternating
+     *  batch shapes stop thrashing the workspace. Leases are exclusive,
+     *  so the nc same-shape plans park side by side in one pool. */
+    PlanPool planPool;
     /** Persistent scatter/gather staging tensors (shard-sized). */
     Tensor xShard, yShard, dyShard, dxShard;
     /** True iff the plan caches come from a train-mode forward. */

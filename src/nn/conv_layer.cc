@@ -39,29 +39,11 @@ ConvLayer::ConvLayer(int in_ch, int out_ch, int kernel_h, int kernel_w,
 }
 
 void
-ConvLayer::ensurePlan(const Tensor &x)
-{
-    winomc_assert(alg, "ensurePlan without a bound algorithm");
-    if (execPlan &&
-        execPlan->matches(*alg, x.n(), inCh, outCh, x.h(), x.w()))
-        return;
-    // Park the displaced plan before leasing: an A/B/A shape flip then
-    // finds the parked plan and the whole rotation stays allocation-
-    // free, where rebuilding in place bounced the slabs off the
-    // workspace pool on every flip.
-    PlanSource &src = planSourceRef();
-    src.releasePlan(std::move(execPlan));
-    execPlan = src.acquirePlan(*alg, x.n(), inCh, outCh, x.h(), x.w());
-}
-
-void
-ConvLayer::setPlanSource(PlanSource *src)
+ConvLayer::setPlanSource(PlanPool *src)
 {
     if (src == planSrc)
         return;
-    // The active plan belongs to the outgoing source's pool economy —
-    // hand it back there before switching.
-    planSourceRef().releasePlan(std::move(execPlan));
+    planPool().park(std::move(execPlan));
     planSrc = src;
 }
 
@@ -166,7 +148,8 @@ ConvLayer::refreshAutoW()
 Tensor
 ConvLayer::winogradForwardBody(const Tensor &x, bool train)
 {
-    ensurePlan(x);
+    winomc_assert(alg, "Winograd forward without a bound algorithm");
+    planPool().lease(execPlan, *alg, x.n(), inCh, outCh, x.h(), x.w());
     Tensor y(x.n(), outCh, x.h(), x.w());
     // A train-mode forward keeps the plan's tiles for the gradient
     // products; an eval forward lets the plan fuse when that pays.

@@ -102,14 +102,13 @@ class ConvLayer : public Module
     const tune::AlgoChoice &autoChoice() const { return choice; }
 
     /**
-     * Route plan leases through an external source — e.g. the serving
-     * engine's shared, byte-budgeted serve::PlanCache — instead of the
-     * layer's own LRU. The current plan (if any) is handed back to the
-     * source it came from first. Pass nullptr to restore the internal
-     * per-layer cache. The source must outlive the layer (or a final
-     * setPlanSource(nullptr)).
+     * Lease plans from an external pool — e.g. the serving engine's
+     * shared serve::PlanCache — instead of the layer's own. The
+     * current plan (if any) is handed back to the pool it came from
+     * first. Pass nullptr to restore the layer's own pool. The pool
+     * must outlive the layer (or a final setPlanSource(nullptr)).
      */
-    void setPlanSource(PlanSource *src);
+    void setPlanSource(PlanPool *src);
 
     /**
      * Winograd-domain magnitude pruning (WinogradLayer mode only — the
@@ -140,9 +139,6 @@ class ConvLayer : public Module
     void shareWinoWeights(std::shared_ptr<const WinoWeights> shared);
 
   private:
-    /** (Re)lease execPlan iff the incoming shape stopped matching. */
-    void ensurePlan(const Tensor &x);
-
     /** The incoming shape as a generalized descriptor (Auto mode). */
     ConvSpec autoSpec(const Tensor &x) const;
     /** Consult the tuner and (re)bind the chosen algorithm's state. */
@@ -155,11 +151,8 @@ class ConvLayer : public Module
     Tensor forwardDirect(const Tensor &x, bool train);
     Tensor forwardAuto(const Tensor &x, bool train);
 
-    /** The active plan source (external override or the own LRU). */
-    PlanSource &planSourceRef()
-    {
-        return planSrc ? *planSrc : planCache;
-    }
+    /** The active plan pool (external override or the own pool). */
+    PlanPool &planPool() { return planSrc ? *planSrc : ownPool; }
 
     /** Winograd-domain weights to execute with (shared, the bound
      *  tile size's in Auto, or own). */
@@ -192,8 +185,8 @@ class ConvLayer : public Module
 
     std::unique_ptr<WinoPlan> execPlan; ///< shape-bound slabs + grid
     std::unique_ptr<WinoDecompPlan> decompPlan; ///< Auto decomposition
-    PlanLru planCache;        ///< parks displaced plans (shape churn)
-    PlanSource *planSrc = nullptr; ///< external override, else planCache
+    PlanPool ownPool;            ///< parks displaced plans (shape churn)
+    PlanPool *planSrc = nullptr; ///< external override, else ownPool
     std::shared_ptr<const WinoWeights> sharedW; ///< frozen shared weights
     WinoWeights gScratch; ///< Winograd weight-grad scratch (first backward)
     Tensor dwScratch;     ///< spatial weight-grad scratch (first backward)

@@ -26,7 +26,7 @@ constexpr int kLatencyBuckets = 100;
 /** Re-point every ConvLayer under `m` (recursing through Sequential)
  *  at `src` (nullptr restores the layers' own plan pools). */
 void
-attachPlanSource(nn::Module &m, PlanSource *src)
+attachPlanPool(nn::Module &m, PlanPool *src)
 {
     if (auto *conv = dynamic_cast<nn::ConvLayer *>(&m)) {
         conv->setPlanSource(src);
@@ -34,7 +34,7 @@ attachPlanSource(nn::Module &m, PlanSource *src)
     }
     if (auto *seq = dynamic_cast<nn::Sequential *>(&m)) {
         for (std::size_t i = 0; i < seq->size(); ++i)
-            attachPlanSource(seq->child(i), src);
+            attachPlanPool(seq->child(i), src);
     }
 }
 
@@ -81,7 +81,7 @@ Engine::Engine(nn::Module &model_, const EngineConfig &cfg)
       queue(cfg.queueCapacity ? cfg.queueCapacity
                               : std::size_t(4) * std::size_t(maxB))
 {
-    attachPlanSource(model, cache);
+    attachPlanPool(model, cache);
     // A long-lived service is the natural scrape target: bring up the
     // WINOMC_STATS_PORT listener if configured (no-op otherwise, or
     // when an earlier engine already owns it).
@@ -154,7 +154,7 @@ Engine::stop()
     worker.join();
     // Hand the layers' active plans back to the cache and restore
     // their private pools, so the model outlives the engine safely.
-    attachPlanSource(model, nullptr);
+    attachPlanPool(model, nullptr);
 }
 
 void

@@ -1,73 +1,13 @@
 #include "serve/plan_cache.hh"
 
-#include "common/logging.hh"
 #include "common/metrics.hh"
-#include "tensor/workspace.hh"
 #include "winograd/conv.hh"
 
 namespace winomc::serve {
 
 PlanCache::PlanCache(std::size_t budgetBytes)
-    : budget(budgetBytes ? budgetBytes
-                         : ws::Workspace::global().limitBytes())
-{
-    winomc_assert(budget > 0, "PlanCache needs a positive byte budget");
-}
-
-std::unique_ptr<WinoPlan>
-PlanCache::acquirePlan(const WinogradAlgo &algo, int batch, int inCh,
-                       int outCh, int h, int w)
-{
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        for (std::size_t i = 0; i < pool.size(); ++i) {
-            if (pool[i]->matches(algo, batch, inCh, outCh, h, w)) {
-                std::unique_ptr<WinoPlan> p = std::move(pool[i]);
-                pool.erase(pool.begin() + long(i));
-                poolBytes -= p->workspaceBytes();
-                ++nHits;
-                metrics::counterAdd("serve.plan_cache.hits");
-                publishGauges();
-                p->invalidateCache();
-                return p;
-            }
-        }
-        ++nMisses;
-        metrics::counterAdd("serve.plan_cache.misses");
-    }
-    // Build outside the lock: concurrent misses on different shapes
-    // should overlap. The plan acquires its slabs on first use, so a
-    // parked plan is charged for what its runs used.
-    return std::make_unique<WinoPlan>(algo, batch, inCh, outCh, h, w);
-}
-
-void
-PlanCache::releasePlan(std::unique_ptr<WinoPlan> plan)
-{
-    if (!plan)
-        return;
-    const std::size_t bytes = plan->workspaceBytes();
-    std::vector<std::unique_ptr<WinoPlan>> doomed; // freed outside mu
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        if (bytes > budget) {
-            ++nEvictions;
-            metrics::counterAdd("serve.plan_cache.evictions");
-            doomed.push_back(std::move(plan));
-        } else {
-            pool.insert(pool.begin(), std::move(plan));
-            poolBytes += bytes;
-            while (poolBytes > budget) {
-                poolBytes -= pool.back()->workspaceBytes();
-                ++nEvictions;
-                metrics::counterAdd("serve.plan_cache.evictions");
-                doomed.push_back(std::move(pool.back()));
-                pool.pop_back();
-            }
-        }
-        publishGauges();
-    }
-}
+    : PlanPool(budgetBytes, "serve.plan_cache")
+{}
 
 std::shared_ptr<const WinoWeights>
 PlanCache::transformedWeights(const std::string &tag,
@@ -75,7 +15,7 @@ PlanCache::transformedWeights(const std::string &tag,
                               const WinogradAlgo &algo)
 {
     {
-        std::lock_guard<std::mutex> lock(mu);
+        std::lock_guard<std::mutex> lock(weightMu);
         auto it = weights.find(tag);
         if (it != weights.end())
             return it->second;
@@ -84,7 +24,7 @@ PlanCache::transformedWeights(const std::string &tag,
     // same tag is harmless (first insert wins, the loser's slab dies).
     auto built = std::make_shared<const WinoWeights>(
         transformWeights(spatial, algo));
-    std::lock_guard<std::mutex> lock(mu);
+    std::lock_guard<std::mutex> lock(weightMu);
     auto [it, inserted] = weights.emplace(tag, std::move(built));
     if (inserted) {
         ++nWeightBuilds;
@@ -113,64 +53,19 @@ PlanCache::transformedWeights(const ConvSpec &spec,
                               spatial, algo);
 }
 
-std::size_t
-PlanCache::parkedBytes() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return poolBytes;
-}
-
-int
-PlanCache::parkedPlans() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return int(pool.size());
-}
-
-std::uint64_t
-PlanCache::hits() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return nHits;
-}
-
-std::uint64_t
-PlanCache::misses() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return nMisses;
-}
-
-std::uint64_t
-PlanCache::evictions() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return nEvictions;
-}
-
 std::uint64_t
 PlanCache::weightBuilds() const
 {
-    std::lock_guard<std::mutex> lock(mu);
+    std::lock_guard<std::mutex> lock(weightMu);
     return nWeightBuilds;
 }
 
 void
 PlanCache::clear()
 {
-    std::vector<std::unique_ptr<WinoPlan>> doomed;
-    std::lock_guard<std::mutex> lock(mu);
-    doomed.swap(pool);
-    poolBytes = 0;
+    PlanPool::clear();
+    std::lock_guard<std::mutex> lock(weightMu);
     weights.clear();
-    publishGauges();
-}
-
-void
-PlanCache::publishGauges() const
-{
-    metrics::gaugeSet("serve.plan_cache.bytes", double(poolBytes));
-    metrics::gaugeSet("serve.plan_cache.plans", double(pool.size()));
 }
 
 } // namespace winomc::serve

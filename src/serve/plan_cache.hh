@@ -7,18 +7,16 @@
  * churns through batch shapes:
  *
  *  - execution plans: the (algo, N, C -> K, H, W)-bound slab sets of
- *    winograd/plan.hh. PlanCache is a thread-safe, byte-budgeted LRU
- *    PlanSource: layers lease a plan per shape and park it back, and
- *    concurrent model instances draw from one pool instead of each
- *    holding a private copy of every shape.
+ *    winograd/plan.hh. PlanCache IS a winograd::PlanPool — thread-
+ *    safe and byte-budgeted (by default the workspace retention limit,
+ *    WINOMC_WORKSPACE_LIMIT_MB) — publishing under serve.plan_cache:
+ *    layers lease a plan per shape and park it back, and concurrent
+ *    model instances draw from one pool instead of each holding a
+ *    private copy of every shape.
  *  - Winograd-domain weights: replicas of one model would each pay the
  *    G w G^T transform per layer. transformedWeights() builds each
  *    tagged slab once and hands every replica the same immutable copy
  *    (wired into layers via nn::ConvLayer::shareWinoWeights).
- *
- * The byte budget rides WINOMC_WORKSPACE_LIMIT_MB by default — parked
- * plans are pool-adjacent memory and obey the same ceiling the
- * workspace retention does.
  */
 
 #ifndef WINOMC_SERVE_PLAN_CACHE_HH
@@ -29,7 +27,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "tensor/tensor.hh"
 #include "winograd/plan.hh"
@@ -37,23 +34,12 @@
 
 namespace winomc::serve {
 
-class PlanCache : public PlanSource
+class PlanCache : public PlanPool
 {
   public:
     /** @param budgetBytes ceiling on parked-plan bytes; 0 rides the
      *  workspace retention limit (WINOMC_WORKSPACE_LIMIT_MB). */
     explicit PlanCache(std::size_t budgetBytes = 0);
-
-    /** Lease a plan for the configuration: a parked match when one
-     *  exists (hit), a freshly built plan otherwise (miss). */
-    std::unique_ptr<WinoPlan> acquirePlan(const WinogradAlgo &algo,
-                                          int batch, int inCh, int outCh,
-                                          int h, int w) override;
-
-    /** Park a displaced plan, evicting least-recently-used plans while
-     *  the parked total exceeds the byte budget. A plan bigger than
-     *  the whole budget is destroyed outright. */
-    void releasePlan(std::unique_ptr<WinoPlan> plan) override;
 
     /**
      * The Winograd-domain transform of `spatial` under `algo`, built
@@ -78,12 +64,6 @@ class PlanCache : public PlanSource
     transformedWeights(const ConvSpec &spec, const Tensor &spatial,
                        const WinogradAlgo &algo);
 
-    std::size_t budgetBytes() const { return budget; }
-    std::size_t parkedBytes() const;
-    int parkedPlans() const;
-    std::uint64_t hits() const;
-    std::uint64_t misses() const;
-    std::uint64_t evictions() const;
     /** Distinct transformed-weight slabs built so far. */
     std::uint64_t weightBuilds() const;
 
@@ -91,17 +71,9 @@ class PlanCache : public PlanSource
     void clear();
 
   private:
-    const std::size_t budget;
-    mutable std::mutex mu;
-    std::vector<std::unique_ptr<WinoPlan>> pool; ///< MRU first
-    std::size_t poolBytes = 0;
+    mutable std::mutex weightMu;
     std::map<std::string, std::shared_ptr<const WinoWeights>> weights;
-    std::uint64_t nHits = 0;
-    std::uint64_t nMisses = 0;
-    std::uint64_t nEvictions = 0;
     std::uint64_t nWeightBuilds = 0;
-
-    void publishGauges() const; // callers hold mu
 };
 
 } // namespace winomc::serve

@@ -7,6 +7,7 @@
 #include "common/metrics.hh"
 #include "common/parallel.hh"
 #include "common/trace.hh"
+#include "tensor/workspace.hh"
 #include "winograd/conv.hh"
 #include "winograd/cost.hh"
 #include "winograd/microkernel.hh"
@@ -483,39 +484,148 @@ WinoPlan::gradOutputTiles() const
     return dYt;
 }
 
-// ------------------------------------------------------------- PlanLru
+// ------------------------------------------------------------ PlanPool
 
-PlanLru::PlanLru(int capacity) : cap(capacity)
-{
-    winomc_assert(capacity >= 1, "PlanLru needs capacity >= 1, got ",
-                  capacity);
-}
+PlanPool::PlanPool(std::size_t budgetBytes,
+                   const std::string &metricPrefix)
+    : budget(budgetBytes),
+      prefix(metricPrefix.empty() ? metricPrefix : metricPrefix + ".")
+{}
 
-std::unique_ptr<WinoPlan>
-PlanLru::acquirePlan(const WinogradAlgo &algo, int batch, int inCh,
-                     int outCh, int h, int w)
+void
+PlanPool::lease(std::unique_ptr<WinoPlan> &slot, const WinogradAlgo &algo,
+                int batch, int inCh, int outCh, int h, int w)
 {
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-        if (pool[i]->matches(algo, batch, inCh, outCh, h, w)) {
-            std::unique_ptr<WinoPlan> p = std::move(pool[i]);
-            pool.erase(pool.begin() + long(i));
-            // The parked plan's tile caches describe whatever forward
-            // ran before it was displaced — never valid for the lease.
-            p->invalidateCache();
-            return p;
+    if (slot && slot->matches(algo, batch, inCh, outCh, h, w))
+        return;
+    std::unique_ptr<WinoPlan> leased;
+    Doomed doomed; // destroyed after mu is released
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        // Take the match before parking the displaced plan, so parking
+        // can never evict the plan this lease is about to reuse.
+        for (std::size_t i = 0; i < pool.size(); ++i) {
+            if (pool[i]->matches(algo, batch, inCh, outCh, h, w)) {
+                leased = std::move(pool[i]);
+                pool.erase(pool.begin() + long(i));
+                poolBytes -= leased->workspaceBytes();
+                break;
+            }
         }
+        count(leased ? nHits : nMisses, leased ? "hits" : "misses");
+        parkLocked(std::move(slot), doomed);
+        publishGauges();
     }
-    return std::make_unique<WinoPlan>(algo, batch, inCh, outCh, h, w);
+    if (leased) {
+        // The parked plan's tile caches describe whatever forward ran
+        // before it was displaced — never valid for the lease.
+        leased->invalidateCache();
+        slot = std::move(leased);
+    } else {
+        // Built outside the lock: concurrent misses on different
+        // shapes overlap. The plan acquires its slabs on first use, so
+        // a parked plan is charged for what its runs used.
+        slot = std::make_unique<WinoPlan>(algo, batch, inCh, outCh, h, w);
+    }
 }
 
 void
-PlanLru::releasePlan(std::unique_ptr<WinoPlan> plan)
+PlanPool::park(std::unique_ptr<WinoPlan> plan)
+{
+    Doomed doomed;
+    std::lock_guard<std::mutex> lock(mu);
+    parkLocked(std::move(plan), doomed);
+    publishGauges();
+}
+
+void
+PlanPool::parkLocked(std::unique_ptr<WinoPlan> plan, Doomed &doomed)
 {
     if (!plan)
         return;
+    const std::size_t cap = budgetBytes();
+    const std::size_t bytes = plan->workspaceBytes();
+    if (bytes > cap) {
+        count(nEvictions, "evictions");
+        doomed.push_back(std::move(plan));
+        return;
+    }
     pool.insert(pool.begin(), std::move(plan));
-    if (int(pool.size()) > cap)
-        pool.pop_back(); // evict LRU; slabs return to the workspace
+    poolBytes += bytes;
+    while (poolBytes > cap) {
+        poolBytes -= pool.back()->workspaceBytes();
+        count(nEvictions, "evictions");
+        doomed.push_back(std::move(pool.back()));
+        pool.pop_back();
+    }
+}
+
+std::size_t
+PlanPool::budgetBytes() const
+{
+    return budget ? budget : ws::Workspace::global().limitBytes();
+}
+
+std::size_t
+PlanPool::parkedBytes() const
+{
+    std::lock_guard<std::mutex> lock(mu);
+    return poolBytes;
+}
+
+int
+PlanPool::parkedPlans() const
+{
+    std::lock_guard<std::mutex> lock(mu);
+    return int(pool.size());
+}
+
+std::uint64_t
+PlanPool::hits() const
+{
+    std::lock_guard<std::mutex> lock(mu);
+    return nHits;
+}
+
+std::uint64_t
+PlanPool::misses() const
+{
+    std::lock_guard<std::mutex> lock(mu);
+    return nMisses;
+}
+
+std::uint64_t
+PlanPool::evictions() const
+{
+    std::lock_guard<std::mutex> lock(mu);
+    return nEvictions;
+}
+
+void
+PlanPool::clear()
+{
+    Doomed doomed;
+    std::lock_guard<std::mutex> lock(mu);
+    doomed.swap(pool);
+    poolBytes = 0;
+    publishGauges();
+}
+
+void
+PlanPool::count(std::uint64_t &n, const char *suffix)
+{
+    ++n;
+    if (!prefix.empty() && metrics::enabled())
+        metrics::counterAdd((prefix + suffix).c_str());
+}
+
+void
+PlanPool::publishGauges() const
+{
+    if (prefix.empty() || !metrics::enabled())
+        return;
+    metrics::gaugeSet((prefix + "bytes").c_str(), double(poolBytes));
+    metrics::gaugeSet((prefix + "plans").c_str(), double(pool.size()));
 }
 
 // ------------------------------------------------- DWM decomposition

@@ -12,8 +12,9 @@
  * allocations in the Winograd path — the plan is the host-side analogue
  * of the paper's statically scheduled SRAM working set.
  *
- * Lifecycle: layers build a plan lazily on the first forward and rebuild
- * only when the incoming shape stops matching (matches()). Each slab
+ * Lifecycle: layers lease a plan from a PlanPool on the first forward
+ * and lease again only when the incoming shape stops matching
+ * (matches()); the pool parks displaced plans for reuse. Each slab
  * acquisition validates the working set of the mode about to run
  * against WINOMC_WORKSPACE_LIMIT_MB, failing loudly instead of OOM-ing.
  *
@@ -27,8 +28,10 @@
 #ifndef WINOMC_WINOGRAD_PLAN_HH
 #define WINOMC_WINOGRAD_PLAN_HH
 
+#include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/logging.hh"
@@ -253,67 +256,85 @@ class WinoPlan
 };
 
 /**
- * Where a layer's plans come from.
+ * The one place displaced plans are parked for reuse: every
+ * nn::ConvLayer owns a pool, an MPT layer leases all its clusters'
+ * plans from one, and a serving engine re-points its layers at a
+ * shared serve::PlanCache (a PlanPool plus the transformed-weight
+ * memo) so concurrent model instances draw from one pool.
  *
- * Plans are exclusive while leased (a WinoPlan is not reentrant), so
- * the interface moves ownership both ways: acquirePlan() hands the
- * caller a plan matching the configuration — a cached one when the
- * source holds a match, a freshly built one otherwise — and
- * releasePlan() parks a displaced plan for future reuse instead of
- * destroying it. A re-issued plan always comes back with its tile
- * caches invalidated (they describe activations of an earlier lease).
+ * Shape churn is why it exists: alternating batch shapes (A/B/A/B
+ * serving traffic) would otherwise rebuild the layer plan on every
+ * flip, bouncing multi-MB slab sets off the workspace pool; a parked
+ * plan makes the whole rotation allocation-free after one warm-up of
+ * each shape.
  *
- * Every nn::ConvLayer owns a small PlanLru by default; a serving
- * engine can re-point layers at a shared, thread-safe source
- * (serve::PlanCache) so concurrent model instances draw from one pool.
+ * Leases are exclusive (a WinoPlan is not reentrant): lease() moves a
+ * matching parked plan out of the pool — so one pool can hold and
+ * hand out several plans of the same shape — and a re-issued plan
+ * always comes back with its tile caches invalidated (they describe
+ * activations of an earlier lease). Parked plans are bounded by bytes,
+ * not by count: past the budget the least-recently-parked plans are
+ * destroyed (their slabs return to the workspace), and a plan larger
+ * than the whole budget is never parked. Thread-safe; plans are built
+ * and destroyed outside the lock.
  */
-class PlanSource
+class PlanPool
 {
   public:
-    virtual ~PlanSource() = default;
+    /**
+     * @param budgetBytes ceiling on parked-plan bytes; 0 rides the
+     *        workspace retention limit (WINOMC_WORKSPACE_LIMIT_MB),
+     *        read at every park, so a later limit change applies too
+     * @param metricPrefix publish `<prefix>.hits` / `.misses` /
+     *        `.evictions` counters and `.bytes` / `.plans` gauges;
+     *        empty publishes nothing
+     */
+    explicit PlanPool(std::size_t budgetBytes = 0,
+                      const std::string &metricPrefix = {});
+    PlanPool(const PlanPool &) = delete;
+    PlanPool &operator=(const PlanPool &) = delete;
 
-    /** Lease a plan covering the configuration (cached or new). */
-    virtual std::unique_ptr<WinoPlan>
-    acquirePlan(const WinogradAlgo &algo, int batch, int inCh,
-                int outCh, int h, int w) = 0;
+    /**
+     * Point `slot` at a plan for the configuration: keep it if it
+     * still matches, else park it and lease a match — a parked one
+     * when the pool holds it (hit), a freshly built one otherwise
+     * (miss). An empty slot just leases.
+     */
+    void lease(std::unique_ptr<WinoPlan> &slot, const WinogradAlgo &algo,
+               int batch, int inCh, int outCh, int h, int w);
 
-    /** Park a displaced plan for reuse. null is accepted and ignored,
-     *  so callers can unconditionally hand back `std::move(slot)`. */
-    virtual void releasePlan(std::unique_ptr<WinoPlan> plan) = 0;
-};
+    /** Park a displaced plan for reuse (null is ignored). */
+    void park(std::unique_ptr<WinoPlan> plan);
 
-/**
- * Small MRU-ordered plan pool — the default PlanSource of every
- * Winograd layer, and the fix for shape-churn allocation thrash:
- * alternating batch shapes (A/B/A/B serving traffic) used to rebuild
- * the layer plan on every flip, bouncing multi-MB slab sets off the
- * workspace pool; parking displaced plans here makes any rotation
- * over up to `capacity` shapes allocation-free after one warm-up of
- * each shape. Not thread-safe (per-layer, like the layer itself);
- * eviction destroys the least-recently-used plan, returning its slabs
- * to the workspace pool.
- */
-class PlanLru : public PlanSource
-{
-  public:
-    static constexpr int kDefaultCapacity = 4;
+    /** The live byte budget (the workspace limit when built with 0). */
+    std::size_t budgetBytes() const;
+    std::size_t parkedBytes() const;
+    int parkedPlans() const;
+    std::uint64_t hits() const;
+    std::uint64_t misses() const;
+    std::uint64_t evictions() const;
 
-    explicit PlanLru(int capacity = kDefaultCapacity);
-
-    std::unique_ptr<WinoPlan> acquirePlan(const WinogradAlgo &algo,
-                                          int batch, int inCh, int outCh,
-                                          int h, int w) override;
-    void releasePlan(std::unique_ptr<WinoPlan> plan) override;
-
-    /** Parked plans (excludes any currently leased). */
-    int size() const { return int(pool.size()); }
-    int capacity() const { return cap; }
     /** Destroy every parked plan (slabs return to the workspace). */
-    void clear() { pool.clear(); }
+    void clear();
 
   private:
-    int cap;
+    using Doomed = std::vector<std::unique_ptr<WinoPlan>>;
+
+    /** Park `plan` and evict past the budget into `doomed` (callers
+     *  hold mu and destroy `doomed` after releasing it). */
+    void parkLocked(std::unique_ptr<WinoPlan> plan, Doomed &doomed);
+    /** ++n and, when publishing, the `<prefix><suffix>` counter. */
+    void count(std::uint64_t &n, const char *suffix);
+    void publishGauges() const; // callers hold mu
+
+    const std::size_t budget; ///< 0: the live workspace limit
+    const std::string prefix; ///< metric name prefix; empty: none
+    mutable std::mutex mu;
     std::vector<std::unique_ptr<WinoPlan>> pool; ///< MRU first
+    std::size_t poolBytes = 0;
+    std::uint64_t nHits = 0;
+    std::uint64_t nMisses = 0;
+    std::uint64_t nEvictions = 0;
 };
 
 // ---------------------------------------------------------------------

@@ -22,6 +22,7 @@
 
 #include "ew_forms.hh"
 #include "exec_scope.hh"
+#include "pool_bytes.hh"
 
 namespace winomc {
 
@@ -331,8 +332,8 @@ TEST(WorkspaceSteadyState, MptConvLayerStepAllocatesNothingAfterWarmup)
 // the previous plan's slabs back at the workspace pool on every flip;
 // under a pinned retention limit the pool cannot hold both shapes'
 // slabs, so every flip drops and re-allocates — heap traffic on every
-// request, forever. The fix parks displaced plans in a small per-layer
-// LRU instead of destroying them, so A/B/A/B settles to zero fresh
+// request, forever. The fix parks displaced plans in the layer's plan
+// pool instead of destroying them, so A/B/A/B settles to zero fresh
 // allocations after one warm-up of each shape.
 //
 // The tight limit is what makes this test bite: with the default 1 GB
@@ -432,6 +433,55 @@ TEST(MptConvLayerPlan, AlternatingShapesAllocateNothingAfterWarmup)
     EXPECT_EQ(s1.freshAllocs, s0.freshAllocs)
         << "alternating shard shapes hit the heap in steady state";
     EXPECT_EQ(s1.freshBytes, s0.freshBytes);
+}
+
+TEST(ConvLayerPlan, ParkedPlansStayWithinTheByteBudget)
+{
+    // A layer's own pool is bounded by bytes, not by a count of plans.
+    // Batches 1, 2 and 4 of 4 -> 4 channels on 8x8 make fp32 plans of
+    // u, 2u and 4u bytes whose slabs fill their workspace size classes
+    // exactly, so the pooled bytes are the plans' own byte counts.
+    test::ExecScope guard([](ExecConfig &c) {
+        c.prec = Prec::F32;
+        c.sparse = false;
+    });
+    WinogradAlgo algo = makeWinograd(2, 3);
+    Rng rng(31);
+    nn::ConvLayer layer(4, 4, 3, nn::ConvMode::WinogradLayer, algo, rng);
+    Rng data(7);
+    std::vector<Tensor> xs;
+    for (int b : {1, 2, 4}) {
+        xs.emplace_back(b, 4, 8, 8);
+        xs.back().fillUniform(data);
+    }
+    std::size_t largest = 0;
+    {
+        WinoPlan probe(algo, 4, 4, 4, 8, 8);
+        Tensor y(4, 4, 8, 8);
+        probe.forwardInto(xs[2], WinoWeights(algo.alpha, 4, 4), y, false);
+        largest = probe.workspaceBytes();
+    }
+    // Room for the largest plan and the smallest (5u), never for the
+    // two largest (6u), which a count-bounded pool parks together.
+    const std::size_t budget = largest + largest / 4;
+    ScopedWorkspaceLimit limit(budget);
+
+    // Nothing is parked after the first forward: what the layer holds
+    // beyond its plan then is the baseline.
+    layer.forward(xs[0], false);
+    const std::int64_t base = test::pooledInUse() -
+                              std::int64_t(layer.plan()->workspaceBytes());
+    std::int64_t peak = 0;
+    for (int i = 1; i < 10; ++i) {
+        layer.forward(xs[std::size_t(i % 3)], false);
+        const std::int64_t parked =
+            test::pooledInUse() - base -
+            std::int64_t(layer.plan()->workspaceBytes());
+        peak = std::max(peak, parked);
+        EXPECT_LE(parked, std::int64_t(budget))
+            << "forward " << i << " left more parked than the budget";
+    }
+    EXPECT_GT(peak, 0) << "the pool parked nothing";
 }
 
 // ------------------------------------------- Slabs acquired on first use

@@ -290,12 +290,14 @@ TEST(ServePlanCache, LeaseParkLeaseReusesThePlan)
 {
     PlanCache cache(std::size_t(64) << 20);
     const WinogradAlgo &algo = algoF2x2_3x3();
-    auto plan = cache.acquirePlan(algo, 2, 3, 4, 8, 8);
+    std::unique_ptr<WinoPlan> plan;
+    cache.lease(plan, algo, 2, 3, 4, 8, 8);
     const WinoPlan *raw = plan.get();
     EXPECT_EQ(cache.misses(), 1u);
-    cache.releasePlan(std::move(plan));
+    cache.park(std::move(plan));
     EXPECT_EQ(cache.parkedPlans(), 1);
-    auto again = cache.acquirePlan(algo, 2, 3, 4, 8, 8);
+    std::unique_ptr<WinoPlan> again;
+    cache.lease(again, algo, 2, 3, 4, 8, 8);
     EXPECT_EQ(again.get(), raw) << "matching lease rebuilt the plan";
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(cache.parkedPlans(), 0);
@@ -312,18 +314,20 @@ TEST(ServePlanCache, EvictsLeastRecentlyUsedPastTheByteBudget)
     }
     // Room for two small plans, not three.
     PlanCache cache(2 * oneBytes + oneBytes / 2);
-    auto a = cache.acquirePlan(algo, 2, 3, 4, 8, 8);
-    auto b = cache.acquirePlan(algo, 4, 3, 4, 8, 8);  // ~2x oneBytes
+    std::unique_ptr<WinoPlan> a, b;
+    cache.lease(a, algo, 2, 3, 4, 8, 8);
+    cache.lease(b, algo, 4, 3, 4, 8, 8); // ~2x oneBytes
     runStagedForward(*a, algo);
     runStagedForward(*b, algo);
     const WinoPlan *rawB = b.get();
-    cache.releasePlan(std::move(a));
-    cache.releasePlan(std::move(b)); // budget forces A (the LRU) out
+    cache.park(std::move(a));
+    cache.park(std::move(b)); // budget forces A (the LRU) out
     EXPECT_GE(cache.evictions(), 1u);
     EXPECT_LE(cache.parkedBytes(), cache.budgetBytes());
-    auto b2 = cache.acquirePlan(algo, 4, 3, 4, 8, 8);
+    std::unique_ptr<WinoPlan> b2, a2;
+    cache.lease(b2, algo, 4, 3, 4, 8, 8);
     EXPECT_EQ(b2.get(), rawB) << "the MRU plan should have survived";
-    auto a2 = cache.acquirePlan(algo, 2, 3, 4, 8, 8);
+    cache.lease(a2, algo, 2, 3, 4, 8, 8);
     EXPECT_EQ(cache.misses(), 3u) << "the evicted plan must rebuild";
 }
 
@@ -331,9 +335,10 @@ TEST(ServePlanCache, OversizedPlanIsNeverParked)
 {
     const WinogradAlgo &algo = algoF2x2_3x3();
     PlanCache cache(1024); // smaller than any real plan
-    auto p = cache.acquirePlan(algo, 2, 3, 4, 8, 8);
+    std::unique_ptr<WinoPlan> p;
+    cache.lease(p, algo, 2, 3, 4, 8, 8);
     runStagedForward(*p, algo);
-    cache.releasePlan(std::move(p));
+    cache.park(std::move(p));
     EXPECT_EQ(cache.parkedPlans(), 0);
     EXPECT_EQ(cache.evictions(), 1u);
 }
@@ -367,9 +372,10 @@ TEST(ServePlanCache, ConcurrentLeasesAndWeightLookupsAreSafe)
         ts.emplace_back([&, t] {
             for (int i = 0; i < kIters; ++i) {
                 const int batch = (t + i) % 2 ? 2 : 4;
-                auto plan = cache.acquirePlan(algo, batch, 3, 4, 8, 8);
+                std::unique_ptr<WinoPlan> plan;
+                cache.lease(plan, algo, batch, 3, 4, 8, 8);
                 ASSERT_TRUE(plan->matches(algo, batch, 3, 4, 8, 8));
-                cache.releasePlan(std::move(plan));
+                cache.park(std::move(plan));
                 auto shared =
                     cache.transformedWeights("m.conv", w, algo);
                 ASSERT_NE(shared.get(), nullptr);
@@ -419,6 +425,30 @@ TEST(ServeEngine, ReplicasSharingCacheAndWeightsServeIdentically)
     }
     engineA.stop();
     engineB.stop();
+}
+
+TEST(ServeEngine, StopHandsLeasedPlansBackToTheCache)
+{
+    nn::Sequential model = makeModel(3);
+    EngineConfig cfg;
+    cfg.maxBatch = 1; // every batch is one image: one shape per layer
+    cfg.maxDelayUs = 0;
+    Engine engine(model, cfg);
+    const auto xs = makeImages(3, 3, 8, 8, 61);
+    for (const auto &x : xs)
+        engine.submit(x).get();
+    engine.stop();
+    PlanCache &cache = engine.planCache();
+    EXPECT_EQ(cache.parkedPlans(), 2) << "one plan per Winograd layer";
+
+    // The layers are back on their own pools: forwards of the served
+    // shape and of a new one leave the engine's cache untouched.
+    const std::uint64_t hits = cache.hits(), misses = cache.misses();
+    model.forward(xs[0], false);
+    model.forward(Tensor(2, 3, 8, 8), false);
+    EXPECT_EQ(cache.hits(), hits);
+    EXPECT_EQ(cache.misses(), misses);
+    EXPECT_EQ(cache.parkedPlans(), 2);
 }
 
 // ------------------------------------------------------ Serve knobs
