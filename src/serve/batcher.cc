@@ -51,12 +51,19 @@ RequestQueue::popBatch(int maxBatch, std::chrono::microseconds maxDelay)
         }
     };
     takePrefix();
-    while (int(batch.size()) < maxBatch && q.empty() && !shut) {
+    // Work-conserving deadline: wait for latecomers only while waiting
+    // has lately paid (waitPays).
+    while (waitPays && int(batch.size()) < maxBatch && q.empty() &&
+           !shut) {
         if (canPop.wait_until(lock, deadline) ==
-            std::cv_status::timeout)
-            break; // deadline: emit the partial batch
+            std::cv_status::timeout) {
+            waitPays = false; // unless it gathered someone (below)
+            break;            // deadline: emit the partial batch
+        }
         takePrefix();
     }
+    if (batch.size() >= 2)
+        waitPays = true;
     // A differently-shaped head ends the batch immediately: holding a
     // shape-pure batch open behind it would reorder requests.
     lock.unlock();

@@ -4,8 +4,12 @@
  *
  * Clients submit single-image requests; a batcher thread pops them as
  * shape-pure FIFO batches: it takes the longest same-shape prefix of
- * the queue, up to a size threshold, waiting out a deadline anchored
- * at the head request's arrival before emitting a partial batch. The
+ * the queue, up to a size threshold. The deadline, anchored at the
+ * head request's arrival, is an upper bound on a partial batch's wait,
+ * waited only while waiting gathers requests: a deadline that gathers
+ * no one stops the waits, and the next pop of two or more requests
+ * (latecomers that queued while the worker was busy) resumes them, so
+ * a lone caller waits out one deadline, not one per request. The
  * queue is bounded — a full queue blocks producers (backpressure)
  * instead of dropping requests — and close() lets the consumer drain
  * every in-flight request before shutdown.
@@ -61,9 +65,11 @@ class RequestQueue
     /**
      * Pop the next batch: blocks for a head request (or close), then
      * gathers the same-shape (C, H, W) FIFO prefix up to `maxBatch`
-     * requests, waiting for latecomers until `head.enqueued +
-     * maxDelay` before emitting a partial batch. After close() the
-     * remaining requests drain batch by batch; an empty result means
+     * requests. While waiting pays, a partial batch waits for
+     * latecomers until `head.enqueued + maxDelay`; a deadline that
+     * gathers no one stops the waiting, and a pop of two or more
+     * resumes it (a fresh queue waits). After close() the remaining
+     * requests drain batch by batch; an empty result means
      * closed-and-drained (the consumer's exit signal).
      */
     std::vector<Request> popBatch(int maxBatch,
@@ -84,6 +90,9 @@ class RequestQueue
     std::condition_variable canPop;
     std::deque<Request> q;
     bool shut = false;
+    /** Has waiting for latecomers paid lately? Set by a pop of two or
+     *  more, cleared by a deadline that gathers no one. */
+    bool waitPays = true;
 };
 
 } // namespace winomc::serve

@@ -1,6 +1,7 @@
 #include "serve/engine.hh"
 
 #include <algorithm>
+#include <exception>
 #include <stdexcept>
 #include <string>
 
@@ -89,6 +90,8 @@ Engine::Engine(nn::Module &model_, const EngineConfig &cfg)
     // Eager registration: a metrics dump taken before the first
     // request still lists the serving distributions (empty -> "-").
     metrics::gaugeSet("serve.queue_depth", 0.0);
+    metrics::counterAdd("serve.rejected", 0.0);
+    metrics::counterAdd("serve.failed", 0.0);
     metrics::histogramRegister("serve.batch_size", 0.0,
                                double(maxB) + 1.0,
                                std::min(maxB + 1, 128));
@@ -187,7 +190,18 @@ Engine::dispatch(std::vector<Request> &batch)
                   batchX.data() + std::size_t(i) * img);
     const double tAssembled = tracing ? trace::nowUs() : 0.0;
 
-    Tensor y = model.forward(batchX, false);
+    Tensor y;
+    try {
+        y = model.forward(batchX, false);
+    } catch (...) {
+        // Catch barrier: a throwing forward fails its own batch, not
+        // the batcher thread (which would take the process with it).
+        const std::exception_ptr why = std::current_exception();
+        for (Request &r : batch)
+            r.done.set_exception(why);
+        metrics::counterAdd("serve.failed", double(n));
+        return;
+    }
     const double tForward = tracing ? trace::nowUs() : 0.0;
 
     const std::size_t out = std::size_t(y.c()) * y.h() * y.w();

@@ -4,7 +4,8 @@
  *
  * Clients submit single images and get futures; one batcher thread
  * coalesces the queue into shape-pure batches (size threshold or
- * deadline, whichever first), dispatches them through one
+ * deadline, whichever first; the deadline is an upper bound, waited
+ * only while waiting gathers requests), dispatches them through one
  * Module::forward — which parallelizes internally across the
  * common/parallel.hh pool — and demuxes the output rows back to the
  * per-request futures. Batching changes throughput, never results: a
@@ -15,7 +16,9 @@
  * falls back):
  *
  *  - WINOMC_SERVE_MAX_BATCH     batch size threshold   (default 8)
- *  - WINOMC_SERVE_MAX_DELAY_US  batching deadline, us  (default 1000)
+ *  - WINOMC_SERVE_MAX_DELAY_US  batching deadline, us  (default 1000;
+ *                               an upper bound, waited only while
+ *                               waiting gathers requests)
  *
  * The engine owns a serve::PlanCache and re-points every
  * nn::ConvLayer in the model at it, so shape churn leases plans from
@@ -23,9 +26,15 @@
  * (EngineConfig::sharedCache) to serve model replicas.
  *
  * Metrics: serve.queue_depth (gauge), serve.batch_size and
- * serve.latency_us (histograms, registered eagerly so a dump before
- * the first request still lists them), serve.requests / serve.batches
+ * serve.latency_us (histograms), serve.rejected / serve.failed
+ * (counters) — all registered eagerly so a dump before the first
+ * request still lists them — and serve.requests / serve.batches
  * (counters).
+ *
+ * Each batch's forward runs behind a catch barrier: an exception from
+ * Module::forward fails every future of that batch (they rethrow it),
+ * counts the batch's requests in serve.failed, and the batcher keeps
+ * serving.
  *
  * Telemetry plane: submit() mints a per-request trace id that rides
  * the Request through the queue; dispatch emits a serve.batch span
@@ -59,8 +68,11 @@ struct EngineConfig
     /** Batch size threshold; 0 reads WINOMC_SERVE_MAX_BATCH (def. 8). */
     int maxBatch = 0;
     /** Batching deadline in us; < 0 reads WINOMC_SERVE_MAX_DELAY_US
-     *  (default 1000). 0 disables coalescing waits: every batch is
-     *  whatever already queued. */
+     *  (default 1000). An upper bound on a partial batch's wait,
+     *  waited only while waiting gathers requests: once a deadline
+     *  gathers no one, lone requests dispatch at once until a batch
+     *  of two or more forms again. 0 disables coalescing waits: every
+     *  batch is whatever already queued. */
     long long maxDelayUs = -1;
     /** Request-queue bound (backpressure); 0 means 4 * maxBatch. */
     std::size_t queueCapacity = 0;

@@ -158,6 +158,21 @@ WinoPlan::acquire(unsigned use, unsigned mode)
     held |= fresh;
 }
 
+void
+WinoPlan::release(unsigned slabs)
+{
+    const unsigned gone = slabs & held;
+    if (gone & kXt)
+        Xt = {};
+    if (gone & kYt)
+        Yt = {};
+    if (gone & kXh)
+        Xh = {};
+    if (gone & kMask)
+        actMask = {};
+    held &= ~gone;
+}
+
 bool
 WinoPlan::shouldFuse() const
 {
@@ -261,8 +276,6 @@ WinoPlan::forwardInto(const Tensor &x, const WinoWeights &W, Tensor &y,
     haveInput = cfg.prec == Prec::F32;
     inverseTransformInto(Yt, alg, y);
     haveOutput = true;
-    if (!keepTiles)
-        invalidateCache();
     if (metrics::enabled()) {
         const ConvSpec spec{"plan", nb, ni, nj, fh, fw, alg.r};
         const double out = double(nb) * nj * fh * fw;
@@ -277,6 +290,12 @@ WinoPlan::forwardInto(const Tensor &x, const WinoWeights &W, Tensor &y,
             (double(Yt.size()) + out) * f,
             double(predictedTrafficBytes(spec, alg, Phase::Fprop, false)
                        .totalBytes()));
+    }
+    if (!keepTiles) {
+        // An eval forward's tiles are per-call scratch: hand them back
+        // to the pool, whose next acquire of this shape is a reuse.
+        invalidateCache();
+        release(forwardSlabs());
     }
 }
 
@@ -844,7 +863,13 @@ WinoDecompPlan::forwardInto(const Tensor &x, Tensor &y)
             }
         });
 
-        inner->forwardInto(xGather, unitW[u], yTerm, false);
+        // Every term runs on the one inner plan: it keeps its slabs
+        // across terms and calls (an eval forward would hand them back
+        // after each term) and fuses where an eval forward would.
+        if (inner->shouldFuse())
+            inner->forwardFusedInto(xGather, unitW[u], yTerm);
+        else
+            inner->forwardInto(xGather, unitW[u], yTerm, true);
 
         // Crop-accumulate the term's interior into y.
         const float *tbase = yTerm.data();

@@ -6,11 +6,13 @@
  * configuration, precomputes the tile grid, and owns the
  * Winograd-domain slabs the pipeline uses (input, output, grad-output
  * and grad-input tiles, fused strip scratch), each acquired when the
- * first stage that writes it runs. All stage execution goes through
- * the destination-passing kernels of winograd/conv.hh, so after one
- * warm-up run, repeated steps over the same shape perform zero heap
- * allocations in the Winograd path — the plan is the host-side analogue
- * of the paper's statically scheduled SRAM working set.
+ * first stage that writes it runs; an eval forward treats its tiles
+ * as per-call scratch and hands them back to the pool on return. All
+ * stage execution goes through the destination-passing kernels of
+ * winograd/conv.hh, so after one warm-up run, repeated steps over the
+ * same shape perform zero heap allocations in the Winograd path — the
+ * plan is the host-side analogue of the paper's statically scheduled
+ * SRAM working set.
  *
  * Lifecycle: layers lease a plan from a PlanPool on the first forward
  * and lease again only when the incoming shape stops matching
@@ -71,7 +73,9 @@ class WinoPlan
     int width() const { return fw; }
 
     /** Bytes held now: the slabs and strip scratch acquired so far (0
-     *  for a fresh plan; flat once each mode it runs has run once). */
+     *  for a fresh plan; flat once each mode it runs has run once). An
+     *  eval forward holds no slabs after it returns, so a plan that
+     *  only serves eval forwards holds just its strip scratch. */
     std::size_t workspaceBytes() const;
 
     // -----------------------------------------------------------------
@@ -84,9 +88,12 @@ class WinoPlan
      *  - keepTiles (a train-mode forward, whose backward reads the
      *    tiles): staged, leaving inputTiles()/outputTiles() caching
      *    the transformed activations of x.
-     *  - !keepTiles: fused (forwardFusedInto) once the staged forward
-     *    slabs Xt + Yt reach 1 MiB and would overflow cache; below
-     *    that, staged. Either way the tile caches are dropped.
+     *  - !keepTiles (an eval forward): fused (forwardFusedInto) once
+     *    the staged forward slabs Xt + Yt reach 1 MiB and would
+     *    overflow cache; below that, staged, and the forward slabs
+     *    (Xt or Xh, Yt, the sparse mask) go back to the workspace pool
+     *    when it returns — the next call re-acquires them as pool
+     *    reuses. Either way the tile caches are dropped.
      *
      * Both pipelines are bitwise identical. Executes under config(): a
      * sparse fp32 config routes through the zero-skipping kernels
@@ -120,6 +127,9 @@ class WinoPlan
     void forwardFusedInto(const Tensor &x, const WinoWeights &W,
                           Tensor &y);
 
+    /** Does a forward that keeps no tiles fuse? Yes once the staged
+     *  forward slabs (Xt + Yt) would overflow cache. */
+    bool shouldFuse() const;
     /** Tiles per strip (multiple of mk::kTilePanel). */
     int stripTiles() const { return stripT; }
     /** Strips per image: ceil(tiles / stripTiles()). */
@@ -194,9 +204,6 @@ class WinoPlan
                            kMask = 32 };
     /** The slabs a staged forward under config() writes. */
     unsigned forwardSlabs() const;
-    /** Does a forward that keeps no tiles fuse? Yes once the staged
-     *  forward slabs (Xt + Yt) would overflow cache. */
-    bool shouldFuse() const;
     /** Bytes of the slab set `slabs` over batch x tiles lanes: the
      *  plan's slabs (nb x grid.tiles()) or one strip slot (1 x stripT). */
     std::size_t slabBytes(unsigned slabs, int batch, int tiles) const;
@@ -206,6 +213,9 @@ class WinoPlan
      * `use` belongs to — is checked against the workspace budget.
      */
     void acquire(unsigned use, unsigned mode);
+    /** Return the held forward slabs (Xt, Yt, Xh, mask bits) of
+     *  `slabs` to the workspace pool. */
+    void release(unsigned slabs);
     /** ws::checkBudget naming this plan and `what` in the message. */
     void checkBudget(std::size_t bytes, const char *what) const;
 

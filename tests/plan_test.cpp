@@ -4,8 +4,8 @@
  * WINOMC_WORKSPACE_LIMIT_MB parsing and budget enforcement, plan-vs-
  * stage-pipeline bitwise parity (odd shapes, 1-vs-8 threads), zero
  * steady-state allocation across training steps for every ConvMode and
- * the MPT layer, and the backward-after-eval-forward stale-cache
- * regression.
+ * the MPT layer, eval forwards that hand their tile slabs back to the
+ * pool, and the backward-after-eval-forward stale-cache regression.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 
 #include "ew_forms.hh"
 #include "exec_scope.hh"
+#include "metrics_probe.hh"
 #include "pool_bytes.hh"
 
 namespace winomc {
@@ -372,13 +373,15 @@ TEST(ConvLayerPlan, AlternatingShapesAllocateNothingAfterWarmup)
     xb.fillUniform(data);
 
     // Budget one plan of the larger shape, measured after the same
-    // eval forward the layer runs (slabs are acquired on first use).
+    // train-mode forward the layer runs (slabs are acquired on first
+    // use). Train-mode forwards keep their Xt + Yt, so a displaced
+    // plan holds slabs; an eval forward hands them back on return.
     std::size_t planBytes = 0;
     {
         WinoPlan probe(algo, 4, 3, 4, 12, 12);
         Tensor y(4, 4, 12, 12);
         const WinoWeights W(algo.alpha, 4, 3);
-        probe.forwardInto(xb, W, y, false);
+        probe.forwardInto(xb, W, y, true);
         planBytes = probe.workspaceBytes();
     }
     ScopedWorkspaceLimit limit(planBytes);
@@ -387,10 +390,10 @@ TEST(ConvLayerPlan, AlternatingShapesAllocateNothingAfterWarmup)
     // Warm both shapes (plan build + one full flip cycle so the pool's
     // transient-slab population settles), then alternate.
     for (int i = 0; i < 4; ++i)
-        layer.forward(i % 2 ? xb : xa, false);
+        layer.forward(i % 2 ? xb : xa, true);
     const auto s0 = ws::Workspace::global().stats();
     for (int i = 0; i < 8; ++i)
-        layer.forward(i % 2 ? xb : xa, false);
+        layer.forward(i % 2 ? xb : xa, true);
     const auto s1 = ws::Workspace::global().stats();
     EXPECT_EQ(s1.freshAllocs, s0.freshAllocs)
         << "alternating batch shapes hit the heap in steady state";
@@ -454,11 +457,13 @@ TEST(ConvLayerPlan, ParkedPlansStayWithinTheByteBudget)
         xs.emplace_back(b, 4, 8, 8);
         xs.back().fillUniform(data);
     }
+    // Train-mode forwards keep their Xt + Yt, so parked plans hold
+    // slabs (an eval forward's plan holds none once it returns).
     std::size_t largest = 0;
     {
         WinoPlan probe(algo, 4, 4, 4, 8, 8);
         Tensor y(4, 4, 8, 8);
-        probe.forwardInto(xs[2], WinoWeights(algo.alpha, 4, 4), y, false);
+        probe.forwardInto(xs[2], WinoWeights(algo.alpha, 4, 4), y, true);
         largest = probe.workspaceBytes();
     }
     // Room for the largest plan and the smallest (5u), never for the
@@ -468,12 +473,12 @@ TEST(ConvLayerPlan, ParkedPlansStayWithinTheByteBudget)
 
     // Nothing is parked after the first forward: what the layer holds
     // beyond its plan then is the baseline.
-    layer.forward(xs[0], false);
+    layer.forward(xs[0], true);
     const std::int64_t base = test::pooledInUse() -
                               std::int64_t(layer.plan()->workspaceBytes());
     std::int64_t peak = 0;
     for (int i = 1; i < 10; ++i) {
-        layer.forward(xs[std::size_t(i % 3)], false);
+        layer.forward(xs[std::size_t(i % 3)], true);
         const std::int64_t parked =
             test::pooledInUse() - base -
             std::int64_t(layer.plan()->workspaceBytes());
@@ -547,6 +552,68 @@ TEST(PlanWorkspace, HoldsOnlyTheSlabsItsRunsUsed)
     EXPECT_EQ(plan.workspaceBytes(), fwdBytes + slabBytes(plan, J));
     plan.backwardDataFromCachedInto(W, dx);
     EXPECT_EQ(plan.workspaceBytes(), 2 * fwdBytes);
+}
+
+TEST(PlanWorkspace, EvalForwardReturnsItsTilesToThePool)
+{
+    test::ExecScope guard(precSparse(Prec::F32, false));
+    ThreadPool::global().setThreadCount(1);
+    WinogradAlgo algo = makeWinograd(2, 3);
+    const int B = 2, I = 3, J = 5, H = 10;
+    Rng rng(45);
+    Tensor x(B, I, H, H);
+    Tensor dy(B, J, H, H);
+    x.fillUniform(rng);
+    dy.fillUniform(rng);
+    Tensor w(J, I, 3, 3);
+    w.fillUniform(rng);
+    const WinoWeights W = transformWeights(w, algo);
+    Tensor y(B, J, H, H);
+
+    // A same-shape eval forward warms the pool and the kernels'
+    // per-thread scratch.
+    test::MetricsProbe probe;
+    WinoPlan(algo, B, I, J, H, H).forwardInto(x, W, y, false);
+    ASSERT_EQ(probe.fusedForwards(), 0.0) << "the shape must run staged";
+
+    // A staged eval forward holds nothing once it returns: its Xt and
+    // Yt are back in the pool, and a repeat takes them from there.
+    WinoPlan plan(algo, B, I, J, H, H);
+    auto &pool = ws::Workspace::global();
+    for (int rep = 0; rep < 2; ++rep) {
+        const ws::Stats s0 = pool.stats();
+        plan.forwardInto(x, W, y, false);
+        const ws::Stats s1 = pool.stats();
+        EXPECT_EQ(plan.workspaceBytes(), 0u) << "eval forward " << rep;
+        EXPECT_EQ(s1.bytesInUse, s0.bytesInUse) << "eval forward " << rep;
+        EXPECT_EQ(s1.freshAllocs, s0.freshAllocs)
+            << "eval forward " << rep;
+        EXPECT_GE(s1.reuses, s0.reuses + 2) << "eval forward " << rep;
+    }
+    const Tensor yEval = y;
+
+    // A train-mode forward still keeps Xt + Yt, and the training step
+    // after it matches a plan that never ran an eval forward.
+    plan.forwardInto(x, W, y, true);
+    EXPECT_EQ(plan.workspaceBytes(), slabBytes(plan, I) + slabBytes(plan, J));
+    EXPECT_EQ(y.maxAbsDiff(yEval), 0.0f);
+    Tensor dx(B, I, H, H);
+    WinoWeights dW(algo.alpha, J, I);
+    plan.transformGradOutput(dy);
+    plan.gradWeightsFromCachedInto(dW);
+    plan.backwardDataFromCachedInto(W, dx);
+
+    WinoPlan fresh(algo, B, I, J, H, H);
+    Tensor yRef(B, J, H, H);
+    Tensor dxRef(B, I, H, H);
+    WinoWeights dWRef(algo.alpha, J, I);
+    fresh.forwardInto(x, W, yRef, true);
+    fresh.transformGradOutput(dy);
+    fresh.gradWeightsFromCachedInto(dWRef);
+    fresh.backwardDataFromCachedInto(W, dxRef);
+    EXPECT_EQ(y.maxAbsDiff(yRef), 0.0f);
+    EXPECT_EQ(dx.maxAbsDiff(dxRef), 0.0f);
+    EXPECT_EQ(dW.maxAbsDiff(dWRef), 0.0f);
 }
 
 TEST(PlanWorkspace, PolicyForwardAddsItsMaskAndHalfTiles)

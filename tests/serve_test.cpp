@@ -8,7 +8,9 @@
  * eviction / shared-transformed-weight semantics (including under
  * concurrency — run these under TSan via ctest -L serve), rejected
  * requests (a bad batch, a wrong channel count, a submit after stop)
- * that fail only their own future, serving knob parsing, and the
+ * that fail only their own future, a throwing forward that fails only
+ * its own batch, the work-conserving deadline (waited only while
+ * waiting gathers requests), serving knob parsing, and the
  * zero-allocation steady-state guarantee.
  */
 
@@ -20,7 +22,10 @@
 #include <deque>
 #include <future>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.hh"
@@ -166,7 +171,138 @@ TEST(ServeEngine, WrongChannelCountIsRejectedNotFatal)
     EXPECT_EQ(engine.served(), 1u);
 }
 
+// ------------------------------------------------- Failed forwards
+
+/** Serves `inner`, but throws on a batch holding an image whose first
+ *  element is kMarker: a model fault the engine must contain. */
+class ThrowOnMarker : public nn::Module
+{
+  public:
+    static constexpr float kMarker = -7.0f;
+
+    explicit ThrowOnMarker(nn::Module &m) : inner(m) {}
+
+    Tensor
+    forward(const Tensor &x, bool train) override
+    {
+        for (int b = 0; b < x.n(); ++b)
+            if (x.at(b, 0, 0, 0) == kMarker)
+                throw std::runtime_error("marked input");
+        return inner.forward(x, train);
+    }
+    Tensor backward(const Tensor &dy) override { return inner.backward(dy); }
+    std::string name() const override { return "ThrowOnMarker"; }
+
+  private:
+    nn::Module &inner;
+};
+
+TEST(ServeEngine, ThrowingForwardFailsItsBatchAndServingContinues)
+{
+    const test::MetricsProbe probe;
+    nn::Sequential model = makeModel(31);
+    ThrowOnMarker faulty(model);
+    const auto xs = makeImages(2, 3, 8, 8, 17);
+    const Tensor ref = model.forward(xs[1], false);
+
+    EngineConfig cfg;
+    cfg.maxBatch = 2;
+    cfg.maxDelayUs = 0;
+    Engine engine(faulty, cfg);
+    EXPECT_EQ(probe.counter("serve.failed"), 0.0);
+    Tensor marked = xs[0];
+    marked.at(0, 0, 0, 0) = ThrowOnMarker::kMarker;
+    // The forward's own exception reaches the caller's future.
+    std::future<Tensor> bad = engine.submit(marked);
+    try {
+        bad.get();
+        ADD_FAILURE() << "a throwing forward must fail its future";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "marked input");
+    }
+    EXPECT_EQ(probe.counter("serve.failed"), 1.0);
+
+    // The batcher survived and serves the next request bitwise.
+    Tensor y = engine.submit(xs[1]).get();
+    EXPECT_EQ(y.maxAbsDiff(ref), 0.0f);
+    engine.stop();
+    EXPECT_EQ(engine.served(), 1u);
+    EXPECT_EQ(probe.counter("serve.failed"), 1.0);
+    EXPECT_EQ(probe.counter("serve.rejected"), 0.0);
+}
+
 // -------------------------------------------------- Deadline batching
+
+/** A request for `x` stamped now, as Engine::submit stamps it. */
+serve::Request
+stamped(const Tensor &x)
+{
+    serve::Request r;
+    r.x = x;
+    r.enqueued = std::chrono::steady_clock::now();
+    return r;
+}
+
+TEST(RequestQueue, DeadlineIsWaitedOnlyWhileWaitingGathersRequests)
+{
+    using namespace std::chrono_literals;
+    using Clock = std::chrono::steady_clock;
+    serve::RequestQueue queue(8);
+    const Tensor x(1, 3, 8, 8);
+    // Every push happens before the pop it targets, so each result is
+    // decided by the queue alone: {batch size, push-to-pop time}.
+    const auto pushThenPop = [&](int count) {
+        const auto t0 = Clock::now();
+        for (int i = 0; i < count; ++i)
+            EXPECT_TRUE(queue.push(stamped(x)));
+        const std::size_t n = queue.popBatch(8, 200ms).size();
+        return std::make_pair(n, Clock::now() - t0);
+    };
+
+    // A fresh queue waits: the lone head waits out its deadline.
+    auto [n, dt] = pushThenPop(1);
+    EXPECT_EQ(n, 1u);
+    EXPECT_GE(dt, 200ms);
+    // That deadline gathered no one, so the next lone head goes at once.
+    std::tie(n, dt) = pushThenPop(1);
+    EXPECT_EQ(n, 1u);
+    EXPECT_LT(dt, 50ms);
+    // Three queued heads leave as one batch, at once, and turn waiting
+    // back on ...
+    std::tie(n, dt) = pushThenPop(3);
+    EXPECT_EQ(n, 3u);
+    EXPECT_LT(dt, 50ms);
+    // ... so the next lone head waits again.
+    std::tie(n, dt) = pushThenPop(1);
+    EXPECT_EQ(n, 1u);
+    EXPECT_GE(dt, 200ms);
+}
+
+TEST(ServeEngine, LoneCallerIsNotHeldToTheDeadline)
+{
+    nn::Sequential model = makeModel(37);
+    const auto xs = makeImages(20, 3, 8, 8, 41);
+    std::vector<Tensor> refs;
+    for (const auto &x : xs)
+        refs.push_back(model.forward(x, false));
+
+    EngineConfig cfg;
+    cfg.maxBatch = 8;
+    cfg.maxDelayUs = 200'000;
+    Engine engine(model, cfg);
+    // The first request waits out one deadline that gathers no one;
+    // the 19 after it must not each wait 200 ms (3.8 s in all).
+    EXPECT_EQ(engine.submit(xs[0]).get().maxAbsDiff(refs[0]), 0.0f);
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t i = 1; i < xs.size(); ++i)
+        EXPECT_EQ(engine.submit(xs[i]).get().maxAbsDiff(refs[i]), 0.0f)
+            << "request " << i;
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(1))
+        << "a lone caller's requests each waited out the deadline";
+    engine.stop();
+    EXPECT_EQ(engine.served(), 20u);
+}
 
 TEST(ServeEngine, DeadlineEmitsPartialBatches)
 {
