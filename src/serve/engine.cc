@@ -196,10 +196,11 @@ Engine::dispatch(std::vector<Request> &batch)
     } catch (...) {
         // Catch barrier: a throwing forward fails its own batch, not
         // the batcher thread (which would take the process with it).
+        // Counted before the futures wake, so a caller sees its count.
+        metrics::counterAdd("serve.failed", double(n));
         const std::exception_ptr why = std::current_exception();
         for (Request &r : batch)
             r.done.set_exception(why);
-        metrics::counterAdd("serve.failed", double(n));
         return;
     }
     const double tForward = tracing ? trace::nowUs() : 0.0;

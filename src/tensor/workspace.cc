@@ -96,26 +96,45 @@ Workspace::acquire(std::size_t n)
 void
 Workspace::release(std::vector<float> &&buf)
 {
-    const std::size_t capBytes = buf.capacity() * sizeof(float);
-    if (capBytes == 0)
+    if (buf.capacity() == 0)
         return;
-    std::vector<float> slab = std::move(buf);
     std::vector<float> doomed; // freed outside the lock
     {
         std::lock_guard<std::mutex> lock(mu);
-        ++st.releases;
-        st.bytesInUse -= std::min(st.bytesInUse, capBytes);
-        if (st.pooledBytes + capBytes <= limitBytesLocked()) {
-            slab.clear(); // keeps capacity
-            st.pooledBytes += capBytes;
-            pool[classFloor(slab.capacity())].push_back(
-                std::move(slab));
-        } else {
+        if (!poolLocked(buf)) {
+            ++st.releases;
             ++st.dropped;
-            doomed = std::move(slab);
+            st.bytesInUse -=
+                std::min(st.bytesInUse, buf.capacity() * sizeof(float));
+            doomed = std::move(buf);
         }
         publishGauges();
     }
+}
+
+bool
+Workspace::offer(std::vector<float> &buf)
+{
+    if (buf.capacity() == 0)
+        return true;
+    std::lock_guard<std::mutex> lock(mu);
+    const bool pooled = poolLocked(buf);
+    publishGauges();
+    return pooled;
+}
+
+bool
+Workspace::poolLocked(std::vector<float> &buf)
+{
+    const std::size_t capBytes = buf.capacity() * sizeof(float);
+    if (st.pooledBytes + capBytes > limitBytesLocked())
+        return false;
+    ++st.releases;
+    st.bytesInUse -= std::min(st.bytesInUse, capBytes);
+    buf.clear(); // keeps capacity
+    st.pooledBytes += capBytes;
+    pool[classFloor(buf.capacity())].push_back(std::move(buf));
+    return true;
 }
 
 Stats

@@ -88,6 +88,9 @@ class Workspace
 
     /** Return a slab to the pool (or free it if the pool is full). */
     void release(std::vector<float> &&buf);
+    /** Pool `buf` if the pool has room for it (leaving `buf` empty);
+     *  else leave it with the caller. Returns whether it was pooled. */
+    bool offer(std::vector<float> &buf);
 
     Stats stats() const;
     /** Zero the counters; bytesInUse/pooledBytes stay, highWater
@@ -104,6 +107,7 @@ class Workspace
 
   private:
     void publishGauges() const;      // callers hold mu
+    bool poolLocked(std::vector<float> &buf); // offer(); callers hold mu
     std::size_t limitBytesLocked();  // callers hold mu
 
     mutable std::mutex mu;
@@ -175,6 +179,17 @@ class Slab
             hold(count, true);
     }
     void assignZero(std::size_t count) { hold(count, true); }
+    /** Hand the slab back to the pool if it has room (leaving this
+     *  Slab empty); else keep it. Returns whether it went back. */
+    bool
+    offer()
+    {
+        if (!Workspace::global().offer(store))
+            return false;
+        p = nullptr;
+        n = 0;
+        return true;
+    }
 
     std::size_t size() const { return n; }
     bool empty() const { return n == 0; }

@@ -72,6 +72,17 @@ class ActMask
     void reshape(int uvCount, int channels, int batch, int tiles);
     /** Reset every bit to 0 (nothing skippable). */
     void clear();
+    /** Hand the words back to the workspace pool if it has room (the
+     *  mask is then empty); else keep them. Returns whether they went
+     *  back. */
+    bool
+    offer()
+    {
+        if (!words.offer())
+            return false;
+        *this = ActMask();
+        return true;
+    }
 
     int uvCount() const { return nUv; }
     int channels() const { return nch; }

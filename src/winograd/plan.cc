@@ -159,18 +159,18 @@ WinoPlan::acquire(unsigned use, unsigned mode)
 }
 
 void
-WinoPlan::release(unsigned slabs)
+WinoPlan::releaseEvalTiles()
 {
-    const unsigned gone = slabs & held;
-    if (gone & kXt)
-        Xt = {};
-    if (gone & kYt)
-        Yt = {};
-    if (gone & kXh)
-        Xh = {};
-    if (gone & kMask)
-        actMask = {};
-    held &= ~gone;
+    if (!evalTiles)
+        return;
+    if ((held & kXt) && Xt.offer())
+        held &= ~kXt;
+    if ((held & kXh) && Xh.offer())
+        held &= ~kXh;
+    if ((held & kYt) && Yt.offer())
+        held &= ~kYt;
+    if ((held & kMask) && actMask.offer())
+        held &= ~kMask;
 }
 
 bool
@@ -276,6 +276,9 @@ WinoPlan::forwardInto(const Tensor &x, const WinoWeights &W, Tensor &y,
     haveInput = cfg.prec == Prec::F32;
     inverseTransformInto(Yt, alg, y);
     haveOutput = true;
+    evalTiles = !keepTiles;
+    if (!keepTiles)
+        invalidateCache();
     if (metrics::enabled()) {
         const ConvSpec spec{"plan", nb, ni, nj, fh, fw, alg.r};
         const double out = double(nb) * nj * fh * fw;
@@ -290,12 +293,6 @@ WinoPlan::forwardInto(const Tensor &x, const WinoWeights &W, Tensor &y,
             (double(Yt.size()) + out) * f,
             double(predictedTrafficBytes(spec, alg, Phase::Fprop, false)
                        .totalBytes()));
-    }
-    if (!keepTiles) {
-        // An eval forward's tiles are per-call scratch: hand them back
-        // to the pool, whose next acquire of this shape is a reuse.
-        invalidateCache();
-        release(forwardSlabs());
     }
 }
 
@@ -562,6 +559,7 @@ PlanPool::parkLocked(std::unique_ptr<WinoPlan> plan, Doomed &doomed)
 {
     if (!plan)
         return;
+    plan->releaseEvalTiles();
     const std::size_t cap = budgetBytes();
     const std::size_t bytes = plan->workspaceBytes();
     if (bytes > cap) {
@@ -863,13 +861,7 @@ WinoDecompPlan::forwardInto(const Tensor &x, Tensor &y)
             }
         });
 
-        // Every term runs on the one inner plan: it keeps its slabs
-        // across terms and calls (an eval forward would hand them back
-        // after each term) and fuses where an eval forward would.
-        if (inner->shouldFuse())
-            inner->forwardFusedInto(xGather, unitW[u], yTerm);
-        else
-            inner->forwardInto(xGather, unitW[u], yTerm, true);
+        inner->forwardInto(xGather, unitW[u], yTerm, false);
 
         // Crop-accumulate the term's interior into y.
         const float *tbase = yTerm.data();

@@ -6,19 +6,19 @@
  * configuration, precomputes the tile grid, and owns the
  * Winograd-domain slabs the pipeline uses (input, output, grad-output
  * and grad-input tiles, fused strip scratch), each acquired when the
- * first stage that writes it runs; an eval forward treats its tiles
- * as per-call scratch and hands them back to the pool on return. All
- * stage execution goes through the destination-passing kernels of
- * winograd/conv.hh, so after one warm-up run, repeated steps over the
- * same shape perform zero heap allocations in the Winograd path — the
- * plan is the host-side analogue of the paper's statically scheduled
- * SRAM working set.
+ * first stage that writes it runs. All stage execution goes through
+ * the destination-passing kernels of winograd/conv.hh, so after one
+ * warm-up run, repeated steps over the same shape perform zero heap
+ * allocations in the Winograd path — the plan is the host-side analogue
+ * of the paper's statically scheduled SRAM working set.
  *
  * Lifecycle: layers lease a plan from a PlanPool on the first forward
  * and lease again only when the incoming shape stops matching
- * (matches()); the pool parks displaced plans for reuse. Each slab
- * acquisition validates the working set of the mode about to run
- * against WINOMC_WORKSPACE_LIMIT_MB, failing loudly instead of OOM-ing.
+ * (matches()); the pool parks displaced plans for reuse, and a plan
+ * parked after an eval forward hands its tile slabs back to the
+ * workspace pool (releaseEvalTiles()). Each slab acquisition validates
+ * the working set of the mode about to run against
+ * WINOMC_WORKSPACE_LIMIT_MB, failing loudly instead of OOM-ing.
  *
  * Thread-safety contract: a plan parallelizes *internally* (each stage
  * fans out across the common/parallel.hh pool) but is not reentrant —
@@ -73,10 +73,21 @@ class WinoPlan
     int width() const { return fw; }
 
     /** Bytes held now: the slabs and strip scratch acquired so far (0
-     *  for a fresh plan; flat once each mode it runs has run once). An
-     *  eval forward holds no slabs after it returns, so a plan that
-     *  only serves eval forwards holds just its strip scratch. */
+     *  for a fresh plan; flat once each mode it runs has run once). A
+     *  plan parked after an eval forward keeps only the slabs the
+     *  workspace pool had no room for (releaseEvalTiles()). */
     std::size_t workspaceBytes() const;
+
+    /**
+     * If the last forwardInto was a staged eval forward, offer its
+     * slabs (Xt or Xh, Yt, the sparse mask) back to the workspace
+     * pool: they are that call's dead scratch, and pooled they serve
+     * whichever plan runs next. A slab the pool has no room for stays
+     * with the plan, so a tight WINOMC_WORKSPACE_LIMIT_MB never turns
+     * the next forward into a heap allocation. PlanPool calls this
+     * when it parks a plan; train-mode plans keep their slabs.
+     */
+    void releaseEvalTiles();
 
     // -----------------------------------------------------------------
     // One-shot pipelines. Each fully rewrites the slabs it touches.
@@ -88,12 +99,11 @@ class WinoPlan
      *  - keepTiles (a train-mode forward, whose backward reads the
      *    tiles): staged, leaving inputTiles()/outputTiles() caching
      *    the transformed activations of x.
-     *  - !keepTiles (an eval forward): fused (forwardFusedInto) once
-     *    the staged forward slabs Xt + Yt reach 1 MiB and would
-     *    overflow cache; below that, staged, and the forward slabs
-     *    (Xt or Xh, Yt, the sparse mask) go back to the workspace pool
-     *    when it returns — the next call re-acquires them as pool
-     *    reuses. Either way the tile caches are dropped.
+     *  - !keepTiles: fused (forwardFusedInto) once the staged forward
+     *    slabs Xt + Yt reach 1 MiB and would overflow cache; below
+     *    that, staged, keeping its slabs only until the plan is
+     *    parked (releaseEvalTiles()). Either way the tile caches are
+     *    dropped.
      *
      * Both pipelines are bitwise identical. Executes under config(): a
      * sparse fp32 config routes through the zero-skipping kernels
@@ -127,9 +137,6 @@ class WinoPlan
     void forwardFusedInto(const Tensor &x, const WinoWeights &W,
                           Tensor &y);
 
-    /** Does a forward that keeps no tiles fuse? Yes once the staged
-     *  forward slabs (Xt + Yt) would overflow cache. */
-    bool shouldFuse() const;
     /** Tiles per strip (multiple of mk::kTilePanel). */
     int stripTiles() const { return stripT; }
     /** Strips per image: ceil(tiles / stripTiles()). */
@@ -204,6 +211,9 @@ class WinoPlan
                            kMask = 32 };
     /** The slabs a staged forward under config() writes. */
     unsigned forwardSlabs() const;
+    /** Does a forward that keeps no tiles fuse? Yes once the staged
+     *  forward slabs (Xt + Yt) would overflow cache. */
+    bool shouldFuse() const;
     /** Bytes of the slab set `slabs` over batch x tiles lanes: the
      *  plan's slabs (nb x grid.tiles()) or one strip slot (1 x stripT). */
     std::size_t slabBytes(unsigned slabs, int batch, int tiles) const;
@@ -213,9 +223,6 @@ class WinoPlan
      * `use` belongs to — is checked against the workspace budget.
      */
     void acquire(unsigned use, unsigned mode);
-    /** Return the held forward slabs (Xt, Yt, Xh, mask bits) of
-     *  `slabs` to the workspace pool. */
-    void release(unsigned slabs);
     /** ws::checkBudget naming this plan and `what` in the message. */
     void checkBudget(std::size_t bytes, const char *what) const;
 
@@ -251,6 +258,9 @@ class WinoPlan
     bool haveInput = false;  ///< Xt holds the last forward's input
     bool haveOutput = false; ///< Yt holds the last forward's output
     bool haveGrad = false;   ///< dYt holds the last backward's grads
+    /** The last forwardInto was staged with !keepTiles, so the forward
+     *  slabs hold only its dead scratch. */
+    bool evalTiles = false;
     /** transformGradOutput ran and no traffic counter has its bytes. */
     bool gradXformUncounted = false;
 

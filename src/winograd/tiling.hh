@@ -91,6 +91,18 @@ class BasicWinoTiles
         data.assignZero(size_t(alpha) * alpha * channels * batch * tiles);
     }
 
+    /** Hand the slab back to the workspace pool if it has room (the
+     *  tiles then have shape 0); else keep them. Returns whether it
+     *  went back. */
+    bool
+    offer()
+    {
+        if (!data.offer())
+            return false;
+        d = {};
+        return true;
+    }
+
     int alphaEdge() const { return d.alpha; }
     int uvCount() const { return d.alpha * d.alpha; }
     int channels() const { return d.nch; }

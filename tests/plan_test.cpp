@@ -4,8 +4,8 @@
  * WINOMC_WORKSPACE_LIMIT_MB parsing and budget enforcement, plan-vs-
  * stage-pipeline bitwise parity (odd shapes, 1-vs-8 threads), zero
  * steady-state allocation across training steps for every ConvMode and
- * the MPT layer, eval forwards that hand their tile slabs back to the
- * pool, and the backward-after-eval-forward stale-cache regression.
+ * the MPT layer, parked eval plans that hand their tile slabs back to
+ * the pool, and the backward-after-eval-forward stale-cache regression.
  */
 
 #include <gtest/gtest.h>
@@ -104,6 +104,23 @@ TEST(Workspace, RetentionLimitDropsExcessSlabs)
     EXPECT_LE(st.pooledBytes, 4096u);
     w.trim();
     EXPECT_EQ(w.stats().pooledBytes, 0u);
+}
+
+TEST(Workspace, OfferPoolsOnlyWhatTheLimitHasRoomFor)
+{
+    ws::Workspace w;
+    w.setLimitBytes(4096); // exactly one 1024-float slab
+    auto a = w.acquire(1024);
+    auto b = w.acquire(1024);
+    EXPECT_TRUE(w.offer(a));
+    EXPECT_EQ(a.capacity(), 0u);
+    EXPECT_FALSE(w.offer(b)); // no room: the caller keeps it, intact
+    EXPECT_EQ(b.size(), 1024u);
+    const auto st = w.stats();
+    EXPECT_EQ(st.pooledBytes, 4096u);
+    EXPECT_EQ(st.bytesInUse, 4096u);
+    EXPECT_EQ(st.dropped, 0u);
+    w.release(std::move(b));
 }
 
 TEST(Workspace, ParseLimitKnobHandlesGarbage)
@@ -373,15 +390,13 @@ TEST(ConvLayerPlan, AlternatingShapesAllocateNothingAfterWarmup)
     xb.fillUniform(data);
 
     // Budget one plan of the larger shape, measured after the same
-    // train-mode forward the layer runs (slabs are acquired on first
-    // use). Train-mode forwards keep their Xt + Yt, so a displaced
-    // plan holds slabs; an eval forward hands them back on return.
+    // eval forward the layer runs (slabs are acquired on first use).
     std::size_t planBytes = 0;
     {
         WinoPlan probe(algo, 4, 3, 4, 12, 12);
         Tensor y(4, 4, 12, 12);
         const WinoWeights W(algo.alpha, 4, 3);
-        probe.forwardInto(xb, W, y, true);
+        probe.forwardInto(xb, W, y, false);
         planBytes = probe.workspaceBytes();
     }
     ScopedWorkspaceLimit limit(planBytes);
@@ -390,10 +405,10 @@ TEST(ConvLayerPlan, AlternatingShapesAllocateNothingAfterWarmup)
     // Warm both shapes (plan build + one full flip cycle so the pool's
     // transient-slab population settles), then alternate.
     for (int i = 0; i < 4; ++i)
-        layer.forward(i % 2 ? xb : xa, true);
+        layer.forward(i % 2 ? xb : xa, false);
     const auto s0 = ws::Workspace::global().stats();
     for (int i = 0; i < 8; ++i)
-        layer.forward(i % 2 ? xb : xa, true);
+        layer.forward(i % 2 ? xb : xa, false);
     const auto s1 = ws::Workspace::global().stats();
     EXPECT_EQ(s1.freshAllocs, s0.freshAllocs)
         << "alternating batch shapes hit the heap in steady state";
@@ -457,8 +472,9 @@ TEST(ConvLayerPlan, ParkedPlansStayWithinTheByteBudget)
         xs.emplace_back(b, 4, 8, 8);
         xs.back().fillUniform(data);
     }
-    // Train-mode forwards keep their Xt + Yt, so parked plans hold
-    // slabs (an eval forward's plan holds none once it returns).
+    // Train-mode forwards: their plans keep Xt + Yt when parked (a
+    // plan parked after an eval forward hands its tiles back to the
+    // workspace pool), so the byte budget has slabs to bound.
     std::size_t largest = 0;
     {
         WinoPlan probe(algo, 4, 4, 4, 8, 8);
@@ -554,7 +570,7 @@ TEST(PlanWorkspace, HoldsOnlyTheSlabsItsRunsUsed)
     EXPECT_EQ(plan.workspaceBytes(), 2 * fwdBytes);
 }
 
-TEST(PlanWorkspace, EvalForwardReturnsItsTilesToThePool)
+TEST(PlanWorkspace, ParkedEvalPlanHandsItsTilesToThePool)
 {
     test::ExecScope guard(precSparse(Prec::F32, false));
     ThreadPool::global().setThreadCount(1);
@@ -569,39 +585,61 @@ TEST(PlanWorkspace, EvalForwardReturnsItsTilesToThePool)
     w.fillUniform(rng);
     const WinoWeights W = transformWeights(w, algo);
     Tensor y(B, J, H, H);
+    auto &work = ws::Workspace::global();
 
-    // A same-shape eval forward warms the pool and the kernels'
-    // per-thread scratch.
+    // An eval forward keeps its Xt + Yt while the plan runs: repeats
+    // of the running shape touch the pool for nothing.
     test::MetricsProbe probe;
-    WinoPlan(algo, B, I, J, H, H).forwardInto(x, W, y, false);
+    PlanPool pool(std::size_t(1) << 30);
+    std::unique_ptr<WinoPlan> slot;
+    pool.lease(slot, algo, B, I, J, H, H);
+    slot->forwardInto(x, W, y, false);
     ASSERT_EQ(probe.fusedForwards(), 0.0) << "the shape must run staged";
-
-    // A staged eval forward holds nothing once it returns: its Xt and
-    // Yt are back in the pool, and a repeat takes them from there.
-    WinoPlan plan(algo, B, I, J, H, H);
-    auto &pool = ws::Workspace::global();
-    for (int rep = 0; rep < 2; ++rep) {
-        const ws::Stats s0 = pool.stats();
-        plan.forwardInto(x, W, y, false);
-        const ws::Stats s1 = pool.stats();
-        EXPECT_EQ(plan.workspaceBytes(), 0u) << "eval forward " << rep;
-        EXPECT_EQ(s1.bytesInUse, s0.bytesInUse) << "eval forward " << rep;
-        EXPECT_EQ(s1.freshAllocs, s0.freshAllocs)
-            << "eval forward " << rep;
-        EXPECT_GE(s1.reuses, s0.reuses + 2) << "eval forward " << rep;
-    }
+    const std::size_t tileBytes =
+        slabBytes(*slot, I) + slabBytes(*slot, J);
+    EXPECT_EQ(slot->workspaceBytes(), tileBytes);
     const Tensor yEval = y;
 
-    // A train-mode forward still keeps Xt + Yt, and the training step
-    // after it matches a plan that never ran an eval forward.
-    plan.forwardInto(x, W, y, true);
-    EXPECT_EQ(plan.workspaceBytes(), slabBytes(plan, I) + slabBytes(plan, J));
+    // Parked, the plan hands them to the workspace pool ...
+    const ws::Stats s0 = work.stats();
+    pool.park(std::move(slot));
+    const ws::Stats s1 = work.stats();
+    EXPECT_EQ(pool.parkedPlans(), 1);
+    EXPECT_EQ(pool.parkedBytes(), 0u);
+    EXPECT_GT(s0.bytesInUse, s1.bytesInUse);
+    EXPECT_EQ(s0.bytesInUse - s1.bytesInUse, s1.pooledBytes - s0.pooledBytes);
+    EXPECT_EQ(s1.dropped, s0.dropped);
+
+    // ... and the re-leased plan takes them back from there.
+    pool.lease(slot, algo, B, I, J, H, H);
+    EXPECT_EQ(pool.hits(), 1u);
+    slot->forwardInto(x, W, y, false);
+    const ws::Stats s2 = work.stats();
+    EXPECT_EQ(s2.freshAllocs, s1.freshAllocs);
+    EXPECT_GE(s2.reuses, s1.reuses + 2);
     EXPECT_EQ(y.maxAbsDiff(yEval), 0.0f);
+
+    // A slab the pool has no room for stays with the parked plan.
+    {
+        ScopedWorkspaceLimit full(work.stats().pooledBytes);
+        pool.park(std::move(slot));
+        EXPECT_EQ(pool.parkedBytes(), tileBytes);
+        EXPECT_EQ(work.stats().dropped, s2.dropped);
+        pool.lease(slot, algo, B, I, J, H, H);
+    }
+
+    // A train-mode plan keeps Xt + Yt when parked, and the training
+    // step of a re-leased eval plan matches a plan that never ran one.
+    slot->forwardInto(x, W, y, true);
+    pool.park(std::move(slot));
+    EXPECT_EQ(pool.parkedBytes(), tileBytes);
+    pool.lease(slot, algo, B, I, J, H, H);
+    slot->forwardInto(x, W, y, true);
     Tensor dx(B, I, H, H);
     WinoWeights dW(algo.alpha, J, I);
-    plan.transformGradOutput(dy);
-    plan.gradWeightsFromCachedInto(dW);
-    plan.backwardDataFromCachedInto(W, dx);
+    slot->transformGradOutput(dy);
+    slot->gradWeightsFromCachedInto(dW);
+    slot->backwardDataFromCachedInto(W, dx);
 
     WinoPlan fresh(algo, B, I, J, H, H);
     Tensor yRef(B, J, H, H);
