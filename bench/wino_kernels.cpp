@@ -539,9 +539,9 @@ BM_InverseTransform(benchmark::State &state)
     const auto &algo = algoF4x4_3x3();
     WinoTiles Y = f.Y;
     elementwiseForwardInto(f.X, f.W, Y);
+    Tensor y(Y.batch(), Y.channels(), 32, 32);
     WsProbe probe;
     for (auto _ : state) {
-        Tensor y(Y.batch(), Y.channels(), 32, 32);
         inverseTransformInto(Y, algo, y);
         benchmark::DoNotOptimize(y.data());
         benchmark::ClobberMemory();
@@ -687,9 +687,9 @@ BM_InverseTransformScalar(benchmark::State &state)
     const auto &algo = algoF4x4_3x3();
     WinoTiles Y = f.Y;
     elementwiseForwardInto(f.X, f.W, Y);
+    Tensor y(Y.batch(), Y.channels(), 32, 32);
     WsProbe probe;
     for (auto _ : state) {
-        Tensor y(Y.batch(), Y.channels(), 32, 32);
         inverseTransformInto(Y, algo, y);
         benchmark::DoNotOptimize(y.data());
         benchmark::ClobberMemory();
@@ -701,8 +701,10 @@ BENCHMARK(BM_InverseTransformScalar)->Unit(benchmark::kMillisecond);
 
 // -------------------------------------------------------------------
 // End-to-end pipeline benchmarks: persistent WinoPlans (zero workspace
-// traffic in steady state, enforced below), staged vs fused rows so
-// BENCH_wino.json carries both modes of every pipeline.
+// traffic in steady state, enforced below), in train mode (one tile
+// range, the whole batch) and eval mode (forwardInto(..., false),
+// several tile ranges on these shapes). The eval rows keep their
+// *Fused names, so BENCH_wino.json still pairs them.
 // -------------------------------------------------------------------
 
 /** Per-stage FLOP yardsticks of the host pipeline (matching the
@@ -730,10 +732,11 @@ invFlops(const WinogradAlgo &algo, int B, int C, int t)
 }
 
 /**
- * Forward pass through a persistent plan, staged or fused, on a shape
- * whose tile slabs (~127 MiB per side for Xt/Yt) overflow any cache
- * level — the configuration the fused strip pipeline exists for.
- * Steady state must not touch the workspace in either mode.
+ * Forward pass through a persistent plan, keeping its tiles (one
+ * range) or not (rangeCount() ranges), on a shape whose tile slabs
+ * (~127 MiB per side for Xt/Yt) overflow any cache level — the
+ * configuration tile ranges exist for. Steady state must not touch the
+ * workspace in either mode.
  */
 void
 winoForwardPlannedMode(benchmark::State &state, bool fused)
@@ -749,16 +752,10 @@ winoForwardPlannedMode(benchmark::State &state, bool fused)
     WinoWeights W = transformWeights(w, algo);
     WinoPlan plan(algo, B, C, C, HW, HW);
     Tensor y(B, C, HW, HW);
-    auto run = [&] {
-        if (fused)
-            plan.forwardFusedInto(x, W, y);
-        else
-            plan.forwardInto(x, W, y);
-    };
-    run(); // warm-up: slabs / strip slots acquired here
+    plan.forwardInto(x, W, y, !fused); // warm-up: slabs or range tiles
     WsProbe probe;
     for (auto _ : state) {
-        run();
+        plan.forwardInto(x, W, y, !fused);
         benchmark::DoNotOptimize(y.data());
     }
     const double acquires = probe.report(state);
@@ -788,17 +785,64 @@ BENCHMARK(BM_WinoForwardFused)->Apply(threadArgs)
     ->Unit(benchmark::kMillisecond);
 
 /**
+ * The eval forward (forwardInto(..., false)) over the tile-range grid
+ * of DESIGN.md §4.11: dense fp32 F(4,3), C = K, on maps where one range
+ * is the whole batch (B16 C128 8x8, B4 C64 16x16) or splits it (B2
+ * C128 32x32, the 96x96 maps), at batch 1 and 8 on maps 8 and 96.
+ * `ranges` is the plan's rangeCount().
+ */
+void
+BM_WinoEvalForward(benchmark::State &state, int B, int C, int HW)
+{
+    ThreadPool::global().setThreadCount(int(state.range(0)));
+    const auto &algo = algoF4x4_3x3();
+    Rng rng(1);
+    Tensor x(B, C, HW, HW);
+    Tensor w(C, C, 3, 3);
+    x.fillUniform(rng);
+    w.fillUniform(rng);
+    const WinoWeights W = transformWeights(w, algo);
+    WinoPlan plan(algo, B, C, C, HW, HW);
+    Tensor y(B, C, HW, HW);
+    plan.forwardInto(x, W, y, false); // warm-up: slabs or range tiles
+    WsProbe probe;
+    for (auto _ : state) {
+        plan.forwardInto(x, W, y, false);
+        benchmark::DoNotOptimize(y.data());
+    }
+    probe.report(state);
+    const int t = plan.tileGrid().tiles();
+    reportKernelRate(state, xfFlops(algo, B, C, t) +
+                                ewFlops(algo, B, C, C, t) +
+                                invFlops(algo, B, C, t));
+    state.counters["ranges"] = plan.rangeCount();
+}
+#define WINO_EVAL_ROW(name, B, C, HW)                                     \
+    BENCHMARK_CAPTURE(BM_WinoEvalForward, name, B, C, HW)                \
+        ->ArgName("threads")->Arg(1)->Arg(4)                              \
+        ->Unit(benchmark::kMillisecond)
+WINO_EVAL_ROW(b16c128m8, 16, 128, 8);
+WINO_EVAL_ROW(b4c64m16, 4, 64, 16);
+WINO_EVAL_ROW(b2c128m32, 2, 128, 32);
+WINO_EVAL_ROW(b16c96m96, 16, 96, 96);
+WINO_EVAL_ROW(b1c64m8, 1, 64, 8);
+WINO_EVAL_ROW(b1c64m96, 1, 64, 96);
+WINO_EVAL_ROW(b8c64m8, 8, 64, 8);
+WINO_EVAL_ROW(b8c64m96, 8, 64, 96);
+#undef WINO_EVAL_ROW
+
+/**
  * One full training step of a Winograd layer through a persistent
  * plan: forward, weight gradient from the cached tiles, backward-data.
  * The single end-to-end number the kernel baseline tracks. The fused
  * variant times the schedule a train step would pay if its forward
- * fused: the fused forward bypasses the slabs, so the weight-gradient
- * product re-scatters the activations (scatterInput), and
- * backward-data reuses the one transformed dYt like the staged row.
- * The re-scatter costs more than the slab round trip saves, so the
- * fused row reads slower — which is why nn::ConvLayer never fuses a
- * train-mode forward. The forward pair above, on a slab-overflowing
- * shape, is the fusion-win comparison.
+ * ran in tile ranges: an eval forward bypasses the slabs, so the
+ * weight-gradient product re-scatters the activations (scatterInput),
+ * and backward-data reuses the one transformed dYt like the train-mode
+ * row. The re-scatter costs more than the slab round trip saves, so
+ * the fused row reads slower — which is why a forward that keeps its
+ * tiles runs as one range. The forward pair above, on a slab-
+ * overflowing shape, is the range-win comparison.
  */
 void
 winoTrainStepPlanned(benchmark::State &state, bool fused)
@@ -820,7 +864,7 @@ winoTrainStepPlanned(benchmark::State &state, bool fused)
     WinoWeights dW(algo.alpha, C, C);
     auto step = [&] {
         if (fused) {
-            plan.forwardFusedInto(x, W, y);
+            plan.forwardInto(x, W, y, false);
             plan.scatterInput(x); // rebuild Xt for the weight grad
             plan.transformGradOutput(dy);
             plan.gradWeightsFromCachedInto(dW);
@@ -831,7 +875,7 @@ winoTrainStepPlanned(benchmark::State &state, bool fused)
         }
         plan.backwardDataFromCachedInto(W, dx);
     };
-    step(); // warm-up: slabs / strip slots acquired here
+    step(); // warm-up: slabs / range tiles acquired here
     WsProbe probe;
     for (auto _ : state) {
         step();
@@ -948,8 +992,9 @@ quantFixture()
 }
 
 /**
- * Forward pass under a forced (precision, sparsity) policy, staged or
- * fused, on the shared quant fixture. The dense fp32 row
+ * Forward pass under a forced (precision, sparsity) policy, keeping its
+ * tiles (one range) or not (fused: several ranges), on the shared quant
+ * fixture. The dense fp32 row
  * (SPARSE_DenseRef) runs the untouched dense kernels on the same
  * pruned weights and sparse input — the in-artifact baseline the
  * SPARSE_/PREC_ rows are read against.
@@ -967,13 +1012,8 @@ quantForwardPlanned(benchmark::State &state, Prec prec, bool sparse,
     auto &f = quantFixture();
     WinoPlan plan(algo, f.B, f.C, f.C, f.HW, f.HW);
     Tensor y(f.B, f.C, f.HW, f.HW);
-    auto run = [&] {
-        if (fused)
-            plan.forwardFusedInto(f.x, f.W, y);
-        else
-            plan.forwardInto(f.x, f.W, y);
-    };
-    run(); // warm-up: slabs / strip slots acquired here
+    auto run = [&] { plan.forwardInto(f.x, f.W, y, !fused); };
+    run(); // warm-up: slabs / range tiles acquired here
     WsProbe probe;
     for (auto _ : state) {
         run();

@@ -74,10 +74,11 @@ MptConvLayer::forward(const Tensor &x, bool train)
         WinoPlan &plan = *plans[size_t(c)];
         copyBatchRows(x, c * shard, xShard, 0, shard);
         // An undivided alpha^2 inference shard has no per-group
-        // scatter/gather to satisfy, so the plan runs it whole and may
-        // fuse it. Grouped (ng > 1) or train-mode execution needs the
-        // plan slabs: each group writes its uv slice of Yt and backward
-        // reads the cached Xt.
+        // scatter/gather to satisfy, so the plan runs it as an eval
+        // forward, in tile ranges when the shard is larger than one.
+        // Grouped (ng > 1) or train-mode execution needs the plan
+        // slabs: each group writes its uv slice of Yt and backward reads
+        // the cached Xt.
         if (ng == 1 && !train) {
             plan.forwardInto(xShard, W, yShard, false);
             copyBatchRows(yShard, 0, y, c * shard, shard);

@@ -152,7 +152,8 @@ ConvLayer::winogradForwardBody(const Tensor &x, bool train)
     planPool().lease(execPlan, *alg, x.n(), inCh, outCh, x.h(), x.w());
     Tensor y(x.n(), outCh, x.h(), x.w());
     // A train-mode forward keeps the plan's tiles for the gradient
-    // products; an eval forward lets the plan fuse when that pays.
+    // products; an eval forward lets the plan split the batch into
+    // cache-sized tile ranges when it is larger than one.
     execPlan->forwardInto(x, effectiveW(), y, train);
     // A half-precision forward leaves the fp32 input-tile cache
     // unpopulated; backward then rebuilds it from the raw activations.

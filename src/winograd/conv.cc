@@ -79,14 +79,13 @@ sandwich(const Matrix &L, const double *in, int n, int k, const Matrix &R,
 }
 
 // ---------------------------------------------------------------------
-// Transform bodies. Each moves tiles [t0, t0 + tcnt) of the spatial
-// planes (b, c), b in [b0, b0 + nimg), to or from the lanes of images
-// [tb, tb + nimg) of a tile container, image-major, one kTilePanel
-// panel at a time. Staged execution runs them on whole images (t0 = 0,
-// tb = b0): one image per call, or every image of a channel when a
-// plane holds fewer tiles than a panel, so panels run full across the
-// channel's contiguous (batch x tiles) row. Fused strips run one strip
-// of one image (nimg = 1, tb = 0).
+// Transform bodies. Each moves the flat tiles [f0, f0 + n) of channel c
+// (tile t of image b is b * T + t, so a run may span images) to or from
+// lanes [lane0, lane0 + n) of a tile container, one kTilePanel panel at
+// a time. A call covers one plane of the container — one image of a
+// whole-batch slab, or a range in a one-plane scratch set — or, when a
+// plane holds fewer tiles than a panel, every plane of a channel, so
+// panels run full across the channel's contiguous (batch x tiles) row.
 // ---------------------------------------------------------------------
 
 /** Plane (b, c) of a (possibly const) NCHW tensor. */
@@ -116,23 +115,22 @@ struct Xform
 };
 
 /**
- * The lanes of a tile set holding tiles [t0, t0 + tcnt) of consecutive
- * images, in lane order. next(cnt, ...) gives the next cnt lanes: the
- * image (relative to the set's first) each belongs to and its spatial
- * origin — the a x a input window (off = 0) or, with off = grid.pad,
- * the m x m output block. The walk steps (image, tile row, tile
- * column) forward lane by lane, so it divides once, at its start, and
- * not per lane.
+ * The tiles of consecutive images from tile t0 of the first, in order.
+ * next(cnt, ...) gives the next cnt tiles: the image (relative to the
+ * first) each belongs to and its spatial origin — the a x a input
+ * window (off = 0) or, with off = grid.pad, the m x m output block.
+ * The walk steps (image, tile row, tile column) forward tile by tile,
+ * so it divides once, at its start, and not per tile.
  */
 class LaneWalk
 {
   public:
-    LaneWalk(const TileGrid &grid, int t0, int tcnt, int off)
-        : m(grid.m), tcnt(tcnt), left(grid.tileCol(0) + off),
+    LaneWalk(const TileGrid &grid, int t0, int off)
+        : m(grid.m), tcnt(grid.tiles()), left(grid.tileCol(0) + off),
           right(grid.tileCol(grid.tilesW) + off),
-          top0(grid.tileRow(t0 / grid.tilesW) + off),
-          left0(grid.tileCol(t0 % grid.tilesW) + off), top(top0),
-          col(left0)
+          top0(grid.tileRow(0) + off),
+          top(grid.tileRow(t0 / grid.tilesW) + off),
+          col(grid.tileCol(t0 % grid.tilesW) + off), tile(t0)
     {
     }
 
@@ -140,7 +138,7 @@ class LaneWalk
     next(int cnt, int *tr, int *tc, int *img)
     {
         // Locals: the int stores below could alias the members.
-        int r = top, c = col, k = lane, i = image;
+        int r = top, c = col, k = tile, i = image;
         for (int l = 0; l < cnt; ++l) {
             img[l] = i;
             tr[l] = r;
@@ -153,52 +151,57 @@ class LaneWalk
                 k = 0;
                 ++i;
                 r = top0;
-                c = left0;
             }
         }
         top = r;
         col = c;
-        lane = k;
+        tile = k;
         image = i;
     }
 
   private:
-    /** Tile pitch, lanes per image, the origin columns of a tile row
-     *  (left) and one past its last (right), the first lane's origin. */
-    const int m, tcnt, left, right, top0, left0;
-    int top, col, lane = 0, image = 0;
+    /** Tile pitch, tiles per image, the origin columns of a tile row
+     *  (left) and one past its last (right), the first row's origin. */
+    const int m, tcnt, left, right, top0;
+    /** The next tile's origin, index in its image, and image. */
+    int top, col, tile, image = 0;
 };
 
 /**
- * Spatial -> Winograd domain: gather the e x e patches at the tile
- * origins (shifted by off) of planes (b0.., c) of src and transform
- * each as L * patch * R (L: a x e, R: e x a) into fp32 or 16-bit
- * tiles: the input transform (B^T x B, e = a) and the inverse
- * transform's adjoint (A dy A^T, e = m, off = pad). A 16-bit panel is
- * the fp32 one rounded to halfKind (software RNE), the library's one
- * 16-bit encode. With a mask, its planes (c, tb..) are rebuilt from the just-written
+ * Spatial -> Winograd domain: gather the e x e patches at the origins
+ * (shifted by off) of the flat tiles [f0, f0 + n) of channel c of src
+ * and transform each as L * patch * R (L: a x e, R: e x a) into lanes
+ * [lane0, lane0 + n) of fp32 or 16-bit tiles: the input transform
+ * (B^T x B, e = a) and the inverse transform's adjoint (A dy A^T,
+ * e = m, off = pad). A 16-bit panel is the fp32 one rounded to halfKind
+ * (software RNE), the library's one 16-bit encode. With a mask, the
+ * mask planes of the lanes are rebuilt from the just-written
  * (cache-hot) tiles; one writer each.
  */
 template <class Tiles>
 void
-toTilesBody(const Tensor &src, const TileGrid &grid, int b0, int nimg,
-            int c, int t0, int tcnt, const Xform &xf, int off, Tiles &dst,
-            int tb, int halfKind = 0, ActMask *mask = nullptr)
+toTilesBody(const Tensor &src, const TileGrid &grid, int f0, int n, int c,
+            const Xform &xf, int off, Tiles &dst, int lane0,
+            int halfKind = 0, ActMask *mask = nullptr)
 {
     winomc_assert(dst.alphaEdge() <= kMaxAlpha, "alpha too large");
-    winomc_assert(nimg == 1 || tcnt < mk::kTilePanel,
-                  "panels span images only on maps of one short panel");
+    const int pl = dst.tiles();
+    const int planes = (n + pl - 1) / pl;
+    winomc_assert(lane0 % pl == 0 &&
+                      (planes == 1 || (pl < mk::kTilePanel && n % pl == 0)),
+                  "a transform call covers one plane, or whole planes of "
+                  "less than a panel");
     const auto &K = mk::kernels();
     const int a = dst.alphaEdge();
     const double *L = xf.L.data(), *R = xf.R.data();
     const int e = xf.L.cols();
-    const float *plane = planeOf(src, b0, c);
-    // Images of one channel are c() planes apart; forEachPlane spans
-    // images only when the whole tensor is indexable by an int (the
-    // pack's index type).
-    const int imgStride = nimg > 1 ? src.c() * src.h() * src.w() : 0;
+    const int b0 = f0 / grid.tiles();
+    // A panel's gather offsets are ints (the pack's index type) from
+    // the plane of its first image.
+    const std::size_t imgStride = std::size_t(src.c()) * src.h() * src.w();
     const size_t uvStr = dst.uvStride();
-    auto *base = dst.uvBase(c, tb, 0);
+    auto *base = dst.uvBase(c, 0, 0) + lane0;
+    const int tb = lane0 / pl;
     constexpr bool kHalf = std::is_same_v<Tiles, HalfTiles>;
     const auto zeroMask = [&](const auto *out, int cnt) {
         if constexpr (kHalf)
@@ -213,19 +216,23 @@ toTilesBody(const Tensor &src, const TileGrid &grid, int b0, int nimg,
             for (int l = 0; l < cnt; ++l)
                 base[uv * uvStr + q + l] = enc(f32[uv * mk::kTilePanel + l]);
     };
-    for (int i = 0; mask && i < nimg; ++i)
+    for (int i = 0; mask && i < planes; ++i)
         std::fill(mask->plane(c, tb + i),
                   mask->plane(c, tb + i) + mask->wordsPerPlane(), 0);
     SoaPanel soa;
-    LaneWalk lanes(grid, t0, tcnt, off);
-    for (int q = 0; q < nimg * tcnt; q += mk::kTilePanel) {
-        const int cnt = std::min(mk::kTilePanel, nimg * tcnt - q);
+    LaneWalk lanes(grid, f0 % grid.tiles(), off);
+    for (int q = 0; q < n; q += mk::kTilePanel) {
+        const int cnt = std::min(mk::kTilePanel, n - q);
         int tr[mk::kTilePanel], tc[mk::kTilePanel], lp[mk::kTilePanel];
         lanes.next(cnt, tr, tc, lp);
+        const int img0 = lp[0];
+        winomc_assert(std::size_t(lp[cnt - 1] - img0) * imgStride <=
+                          std::size_t(std::numeric_limits<int>::max()),
+                      "a tile panel spans more input than an int indexes");
         for (int l = 0; l < cnt; ++l)
-            lp[l] *= imgStride;
-        K.packTilePanel(soa.data(), plane, lp, src.h(), src.w(), tr, tc,
-                        e, e, cnt);
+            lp[l] = int(std::size_t(lp[l] - img0) * imgStride);
+        K.packTilePanel(soa.data(), planeOf(src, b0 + img0, c), lp,
+                        src.h(), src.w(), tr, tc, e, e, cnt);
         if constexpr (kHalf) {
             xf.fn.toTiles(L, a, e, R, e, a, soa.data(), f32.data(),
                           mk::kTilePanel, cnt);
@@ -237,39 +244,41 @@ toTilesBody(const Tensor &src, const TileGrid &grid, int b0, int nimg,
             xf.fn.toTiles(L, a, e, R, e, a, soa.data(), base + q, uvStr,
                           cnt);
         }
-        if (mask && nimg == 1)
+        if (mask && planes == 1)
             mask->orPanelBits(c, tb, q / mk::kTilePanel,
                               zeroMask(base + q, cnt));
     }
-    // A panel may split one of several images; each image's tiles form
-    // its one mask panel (tcnt < kTilePanel), tested whole.
-    for (int i = 0; mask && nimg > 1 && i < nimg; ++i)
-        mask->orPanelBits(c, tb + i, 0, zeroMask(base + i * tcnt, tcnt));
+    // A panel may split one of several planes; each plane's tiles form
+    // its one mask panel (pl < kTilePanel), tested whole.
+    for (int i = 0; mask && planes > 1 && i < planes; ++i)
+        mask->orPanelBits(c, tb + i, 0, zeroMask(base + i * pl, pl));
 }
 
 /**
- * Winograd domain -> spatial: transform tiles as L * tile * R (L: e x
- * a, R: a x e) into e x e patches at the tile origins (shifted by off)
- * of planes (b0.., c) of dst. The inverse transform (A^T Y A, e = m,
- * off = pad) stores them, cropped at the map border; the input
+ * Winograd domain -> spatial: transform the tiles in lanes
+ * [lane0, lane0 + n) as L * tile * R (L: e x a, R: a x e) into e x e
+ * patches at the origins (shifted by off) of the flat tiles
+ * [f0, f0 + n) of channel c of dst. The inverse transform (A^T Y A,
+ * e = m, off = pad) stores them, cropped at the map border; the input
  * transform's adjoint (B dX B^T, e = a) overlap-adds them (add) with
  * lanes in ascending tile order, one image segment of a panel at a
  * time.
  */
 void
-fromTilesBody(const WinoTiles &src, int tb, const Xform &xf, int off,
-              bool add, const TileGrid &grid, int b0, int nimg, int c,
-              int t0, int tcnt, Tensor &dst)
+fromTilesBody(const WinoTiles &src, int lane0, const Xform &xf, int off,
+              bool add, const TileGrid &grid, int f0, int n, int c,
+              Tensor &dst)
 {
     const auto &K = mk::kernels();
     const auto unpack = add ? K.unpackAddTilePanel : K.unpackTilePanel;
     const int a = src.alphaEdge();
     const int e = xf.L.rows();
-    const float *base = src.uvBase(c, tb, 0);
+    const int b0 = f0 / grid.tiles();
+    const float *base = src.uvBase(c, 0, 0) + lane0;
     SoaPanel soa;
-    LaneWalk lanes(grid, t0, tcnt, off);
-    for (int q = 0; q < nimg * tcnt; q += mk::kTilePanel) {
-        const int cnt = std::min(mk::kTilePanel, nimg * tcnt - q);
+    LaneWalk lanes(grid, f0 % grid.tiles(), off);
+    for (int q = 0; q < n; q += mk::kTilePanel) {
+        const int cnt = std::min(mk::kTilePanel, n - q);
         xf.fn.fromTiles(xf.L.data(), e, a, xf.R.data(), a, e, base + q,
                         src.uvStride(), soa.data(), cnt);
         int tr[mk::kTilePanel], tc[mk::kTilePanel], img[mk::kTilePanel];
@@ -286,41 +295,67 @@ fromTilesBody(const WinoTiles &src, int tb, const Xform &xf, int off,
 }
 
 /**
- * Staged transforms: fn(b0, nimg, c) per task in parallel, timed as
- * `stage`. A task is one (image, channel) plane, or, when a plane of
- * `spatial` holds fewer than kTilePanel tiles, every image of one
- * channel (so its panels run full). Tasks are numbered channel-major,
- * like the [uv][c][b][t] tile slab: consecutive tasks, and so each
- * thread's contiguous chunk, extend the same [c][b..][t] run of every
- * uv plane, which each plane then reads or writes in address order.
- * Planes are independent (overlap-add collides only within one) and
- * each plane's tiles stay in one task, in order, so any thread count
- * is bitwise identical to serial.
+ * `range` with its count resolved against a batch of `total` tiles,
+ * checked against a tile set of `lanes` lanes in planes of `planeLanes`:
+ * it starts a plane, and lies in the batch's own layout (planes of the
+ * batch's `tiles`, tile f in lane f) or inside that one plane.
+ */
+TileRange
+resolve(TileRange range, int total, int tiles, int lanes, int planeLanes)
+{
+    if (range.count < 0)
+        range.count = total - range.first;
+    winomc_assert(range.first >= 0 && range.count > 0 &&
+                      range.first + range.count <= total &&
+                      range.lane >= 0 && range.lane + range.count <= lanes,
+                  "tile range [", range.first, ", +", range.count,
+                  ") at lane ", range.lane, " outside ", total,
+                  " tiles or ", lanes, " lanes");
+    winomc_assert(range.lane % planeLanes == 0 &&
+                      ((planeLanes == tiles && range.lane == range.first) ||
+                       range.count <= planeLanes),
+                  "tile range starts no plane, or is neither in batch "
+                  "layout nor in one plane");
+    return range;
+}
+
+/**
+ * Staged transforms over the tiles of `range` of an nc-channel batch
+ * whose Winograd-domain side holds planes of `planeLanes` lanes:
+ * fn(f0, n, lane0, c) per task in parallel, timed as `stage`. A task
+ * is one (channel, plane) pair — an image of a whole batch, or a range
+ * inside one scratch plane — or, when a plane holds fewer than
+ * kTilePanel lanes, every plane of one channel (so its panels run
+ * full). Tasks are numbered channel-major, like the [uv][c][b][t] tile
+ * slab: consecutive tasks, and so each thread's contiguous chunk,
+ * extend the same [c][b..][t] run of every uv plane, which each plane
+ * then reads or writes in address order. Planes are independent
+ * (overlap-add collides only within one) and each plane's tiles stay in
+ * one task, in order, so any thread count is bitwise identical to
+ * serial.
  */
 template <class Fn>
 void
-forEachPlane(const char *stage, double tileFlops, const Tensor &spatial,
-             int nt, const Fn &fn)
+forEachPlane(const char *stage, double tileFlops, int nc,
+             const TileRange &range, int planeLanes, const Fn &fn)
 {
-    const int nb = spatial.n(), nc = spatial.c();
-    StageTimer probe(stage, tileFlops * nb * nc * nt);
-    const int nimg =
-        nt < mk::kTilePanel &&
-                spatial.size() <= std::size_t(std::numeric_limits<int>::max())
-            ? nb
-            : 1;
-    const int nbt = nb / nimg;
-    parallelFor(0, std::int64_t(nc) * nbt, 1,
+    StageTimer probe(stage, tileFlops * nc * range.count);
+    const int span = planeLanes < mk::kTilePanel ? range.count : planeLanes;
+    const int parts = (range.count + span - 1) / span;
+    parallelFor(0, std::int64_t(nc) * parts, 1,
                 [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t cb = lo; cb < hi; ++cb)
-            fn(int(cb % nbt) * nimg, nimg, int(cb / nbt));
+        for (std::int64_t cp = lo; cp < hi; ++cp) {
+            const int l = int(cp % parts) * span;
+            fn(range.first + l, std::min(span, range.count - l),
+               range.lane + l, int(cp / parts));
+        }
     });
 }
 
 /** quant.mask.* for a mask just rebuilt over `planes` planes of
  *  `tiles` tiles each; set bits are the all-zero (uv, panel) pairs. */
 void
-publishMaskTally(const ActMask &mask, int planes, int tiles)
+publishMaskTally(const ActMask &mask, std::int64_t planes, int tiles)
 {
     if (!metrics::enabled())
         return;
@@ -358,6 +393,23 @@ struct SparseTally
         metrics::counterAdd("quant.ew.rows_skipped", rowsSkipped);
         metrics::counterAdd("quant.ew.flops_skipped", flopsSkipped);
     }
+};
+
+/**
+ * Working buffers of the zero-skipping element-wise step: the
+ * compacted activation rows and weights, the per-8-row-block survivor
+ * counts, and the row liveness under the mask (one bit per row).
+ * Grown on first use and reused, so a caller that passes the same
+ * buffers to every call (one per ewStaged part) stops allocating after
+ * the first. Dense fp32 steps leave them untouched.
+ */
+struct CompactScratch
+{
+    std::vector<const float *> rows;
+    std::vector<const std::uint16_t *> halfRows;
+    std::vector<float> weights;
+    std::vector<std::uint8_t> groups;
+    std::vector<std::uint64_t> live;
 };
 
 /**
@@ -593,15 +645,6 @@ ewStaged(WinoTiles &out, int uv0, int uv1, int kn, const MakeStep &make)
     });
 }
 
-/** Range kernels: one step over every uv and output row, serially. */
-template <class Step>
-void
-ewRange(Step &&step, WinoTiles &out, int kn)
-{
-    ewBody(step, out, 0, out.uvCount(), 0, out.channels(), kn);
-    step.publish();
-}
-
 template <class T>
 void
 checkForwardShapes(const BasicWinoTiles<T> &X, const WinoWeights &W,
@@ -662,36 +705,40 @@ halfKindOf(Prec prec)
 
 } // namespace
 
-// Staged stage kernels: the bodies above under parallelFor, whole images.
+// Stage kernels: the bodies above under parallelFor, over a tile range.
 
 template <class T>
 void
 transformInputInto(const Tensor &x, const WinogradAlgo &algo,
-                   BasicWinoTiles<T> &out, ActMask *mask, Prec prec)
+                   BasicWinoTiles<T> &out, ActMask *mask, Prec prec,
+                   TileRange range)
 {
     WINOMC_SPAN("wino.xform.input", "wino");
     const int halfKind = halfKindOf<T>(prec);
     TileGrid grid(x.h(), x.w(), algo);
-    winomc_assert(out.alphaEdge() == algo.alpha &&
-                  out.channels() == x.c() && out.batch() == x.n() &&
-                  out.tiles() == grid.tiles(),
-                  "transformInputInto destination shape mismatch");
-    const int a = algo.alpha;
     const int nt = grid.tiles();
+    winomc_assert(out.alphaEdge() == algo.alpha && out.channels() == x.c(),
+                  "transformInputInto destination shape mismatch");
+    range = resolve(range, x.n() * nt, nt, out.batch() * out.tiles(),
+                    out.tiles());
+    const int a = algo.alpha;
     const Xform xf(algo.BT, algo.B);
-    forEachPlane("xform.input", 4.0 * a * a * a, x, nt,
-                 [&](int b0, int nimg, int c) {
-        toTilesBody(x, grid, b0, nimg, c, 0, nt, xf, 0, out, b0, halfKind,
-                    mask);
+    forEachPlane("xform.input", 4.0 * a * a * a, x.c(), range, out.tiles(),
+                 [&](int f0, int n, int lane0, int c) {
+        toTilesBody(x, grid, f0, n, c, xf, 0, out, lane0, halfKind, mask);
     });
-    if (mask)
-        publishMaskTally(*mask, x.n() * x.c(), nt);
+    if (mask) {
+        const int pl = out.tiles();
+        publishMaskTally(*mask,
+                         std::int64_t(x.c()) * ((range.count + pl - 1) / pl),
+                         std::min(range.count, pl));
+    }
 }
 
 template void transformInputInto(const Tensor &, const WinogradAlgo &,
-                                 WinoTiles &, ActMask *, Prec);
+                                 WinoTiles &, ActMask *, Prec, TileRange);
 template void transformInputInto(const Tensor &, const WinogradAlgo &,
-                                 HalfTiles &, ActMask *, Prec);
+                                 HalfTiles &, ActMask *, Prec, TileRange);
 
 void
 transformInputAdjointInto(const WinoTiles &dX, const WinogradAlgo &algo,
@@ -706,13 +753,14 @@ transformInputAdjointInto(const WinoTiles &dX, const WinogradAlgo &algo,
     const int a = algo.alpha;
     const int nt = grid.tiles();
     const Xform xf(algo.B, algo.BT);
-    forEachPlane("xform.input_adjoint", 4.0 * a * a * a, dx, nt,
-                 [&](int b0, int nimg, int c) {
+    forEachPlane("xform.input_adjoint", 4.0 * a * a * a, dx.c(),
+                 {0, dx.n() * nt, 0}, nt,
+                 [&](int f0, int n, int lane0, int c) {
         // Each task zeroes its own overlap-add targets, cache-hot.
-        for (int b = b0; b < b0 + nimg; ++b)
+        for (int b = f0 / nt; b < (f0 + n) / nt; ++b)
             std::fill_n(planeOf(dx, b, c), std::size_t(dx.h()) * dx.w(),
                         0.0f);
-        fromTilesBody(dX, b0, xf, 0, true, grid, b0, nimg, c, 0, nt, dx);
+        fromTilesBody(dX, lane0, xf, 0, true, grid, f0, n, c, dx);
     });
 }
 
@@ -789,13 +837,15 @@ template <class T>
 void
 elementwiseForwardInto(const BasicWinoTiles<T> &X, const WinoWeights &W,
                        WinoTiles &Y, int uv0, int uv1, const ActMask *mask,
-                       Prec prec)
+                       Prec prec, int lanes)
 {
     WINOMC_SPAN("wino.ew.fwd", "wino");
     const int halfKind = halfKindOf<T>(prec);
     checkForwardShapes(X, W, Y);
     uv1 = uvEnd(uv0, uv1, X.uvCount());
-    const int bt = X.batch() * X.tiles();
+    const int bt = lanes < 0 ? X.batch() * X.tiles() : lanes;
+    winomc_assert(0 < bt && bt <= X.batch() * X.tiles(),
+                  "elementwiseForwardInto lane count ", bt);
     StageTimer probe("ew.fwd", 2.0 * (uv1 - uv0) * double(W.outChannels()) *
                                    W.inChannels() * bt);
     if constexpr (std::is_same_v<T, float>) {
@@ -813,10 +863,10 @@ elementwiseForwardInto(const BasicWinoTiles<T> &X, const WinoWeights &W,
 
 template void elementwiseForwardInto(const WinoTiles &, const WinoWeights &,
                                      WinoTiles &, int, int, const ActMask *,
-                                     Prec);
+                                     Prec, int);
 template void elementwiseForwardInto(const HalfTiles &, const WinoWeights &,
                                      WinoTiles &, int, int, const ActMask *,
-                                     Prec);
+                                     Prec, int);
 
 void
 elementwiseBackwardDataInto(const WinoTiles &dY, const WinoWeights &W,
@@ -887,22 +937,21 @@ elementwiseGradWeightsInto(const WinoTiles &dY, const WinoTiles &X,
 
 void
 inverseTransformInto(const WinoTiles &Y, const WinogradAlgo &algo,
-                     Tensor &y)
+                     Tensor &y, TileRange range)
 {
     WINOMC_SPAN("wino.xform.inverse", "wino");
     TileGrid grid(y.h(), y.w(), algo);
-    winomc_assert(grid.tiles() == Y.tiles(),
-                  "tile count mismatch in inverse transform");
-    winomc_assert(y.n() == Y.batch() && y.c() == Y.channels(),
+    const int nt = grid.tiles();
+    winomc_assert(Y.alphaEdge() == algo.alpha && y.c() == Y.channels(),
                   "inverseTransformInto destination shape mismatch");
+    range = resolve(range, y.n() * nt, nt, Y.batch() * Y.tiles(),
+                    Y.tiles());
     const int a = algo.alpha;
     const int m = algo.m;
-    const int nt = grid.tiles();
     const Xform xf(algo.AT, algo.A);
-    forEachPlane("xform.inverse", 2.0 * m * a * (a + m), y, nt,
-                 [&](int b0, int nimg, int c) {
-        fromTilesBody(Y, b0, xf, grid.pad, false, grid, b0, nimg, c, 0, nt,
-                      y);
+    forEachPlane("xform.inverse", 2.0 * m * a * (a + m), y.c(), range,
+                 Y.tiles(), [&](int f0, int n, int lane0, int c) {
+        fromTilesBody(Y, lane0, xf, grid.pad, false, grid, f0, n, c, y);
     });
 }
 
@@ -920,77 +969,12 @@ inverseTransformAdjointInto(const Tensor &dy, const WinogradAlgo &algo,
     const int m = algo.m;
     const int nt = grid.tiles();
     const Xform xf(algo.A, algo.AT);
-    forEachPlane("xform.inverse_adjoint", 2.0 * m * a * (a + m), dy, nt,
-                 [&](int b0, int nimg, int c) {
-        toTilesBody(dy, grid, b0, nimg, c, 0, nt, xf, grid.pad, dY, b0);
+    forEachPlane("xform.inverse_adjoint", 2.0 * m * a * (a + m), dy.c(),
+                 {0, dy.n() * nt, 0}, nt,
+                 [&](int f0, int n, int lane0, int c) {
+        toTilesBody(dy, grid, f0, n, c, xf, grid.pad, dY, lane0);
     });
 }
-
-// Tile-range entry points: the same bodies, serially, on one strip.
-
-template <class T>
-void
-transformInputRange(const Tensor &x, const WinogradAlgo &algo,
-                    const TileGrid &grid, int b, int t0, int tcnt,
-                    BasicWinoTiles<T> &Xs, ActMask *mask, Prec prec)
-{
-    const int halfKind = halfKindOf<T>(prec);
-    winomc_assert(Xs.alphaEdge() == algo.alpha && Xs.batch() == 1 &&
-                  Xs.channels() == x.c() && Xs.tiles() >= tcnt,
-                  "transformInputRange scratch shape mismatch");
-    const Xform xf(algo.BT, algo.B);
-    for (int c = 0; c < x.c(); ++c)
-        toTilesBody(x, grid, b, 1, c, t0, tcnt, xf, 0, Xs, 0, halfKind,
-                    mask);
-    if (mask)
-        publishMaskTally(*mask, x.c(), tcnt);
-}
-
-template void transformInputRange(const Tensor &, const WinogradAlgo &,
-                                  const TileGrid &, int, int, int,
-                                  WinoTiles &, ActMask *, Prec);
-template void transformInputRange(const Tensor &, const WinogradAlgo &,
-                                  const TileGrid &, int, int, int,
-                                  HalfTiles &, ActMask *, Prec);
-
-void
-inverseTransformRange(const WinoTiles &Ys, const WinogradAlgo &algo,
-                      const TileGrid &grid, int b, int t0, int tcnt,
-                      Tensor &y)
-{
-    winomc_assert(Ys.batch() == 1 && Ys.channels() == y.c() &&
-                  Ys.tiles() >= tcnt,
-                  "inverseTransformRange scratch shape mismatch");
-    const Xform xf(algo.AT, algo.A);
-    for (int c = 0; c < y.c(); ++c)
-        fromTilesBody(Ys, 0, xf, grid.pad, false, grid, b, 1, c, t0, tcnt,
-                      y);
-}
-
-template <class T>
-void
-elementwiseForwardRange(const BasicWinoTiles<T> &Xs, const WinoWeights &W,
-                        int kn, WinoTiles &Ys, const ActMask *mask,
-                        CompactScratch &scratch, Prec prec)
-{
-    const int halfKind = halfKindOf<T>(prec);
-    checkForwardShapes(Xs, W, Ys);
-    winomc_assert(Xs.tiles() >= kn, "elementwiseForwardRange lane count");
-    if constexpr (std::is_same_v<T, float>) {
-        if (!mask) {
-            ewRange(DenseStep<false>{Xs, W}, Ys, kn);
-            return;
-        }
-    }
-    ewRange(CompactStep<T>(Xs, W, halfKind, mask, kn, scratch), Ys, kn);
-}
-
-template void elementwiseForwardRange(const WinoTiles &, const WinoWeights &,
-                                      int, WinoTiles &, const ActMask *,
-                                      CompactScratch &, Prec);
-template void elementwiseForwardRange(const HalfTiles &, const WinoWeights &,
-                                      int, WinoTiles &, const ActMask *,
-                                      CompactScratch &, Prec);
 
 namespace {
 

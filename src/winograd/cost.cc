@@ -139,7 +139,7 @@ winogradConvCost(const ConvSpec &spec, const WinogradAlgo &algo,
 
 TrafficPrediction
 predictedTrafficBytes(const ConvSpec &spec, const WinogradAlgo &algo,
-                      Phase phase, bool fused, int stripsPerImage,
+                      Phase phase, bool fused, int ranges,
                       const CostModelParams &p)
 {
     winomc_assert(spec.squareKernel() && spec.kernelH() == algo.r,
@@ -148,7 +148,7 @@ predictedTrafficBytes(const ConvSpec &spec, const WinogradAlgo &algo,
                   algo.r);
     winomc_assert(spec.samePadded(), "slab-traffic prediction covers "
                                      "the stride-1 same pipeline only");
-    winomc_assert(stripsPerImage >= 1, "need at least one strip");
+    winomc_assert(ranges >= 1, "need at least one tile range");
     const uint64_t B = spec.batch, I = spec.inCh, J = spec.outCh;
     const double bytes = p.bytesPerScalar;
 
@@ -172,10 +172,10 @@ predictedTrafficBytes(const ConvSpec &spec, const WinogradAlgo &algo,
     switch (phase) {
       case Phase::Fprop:
         if (fused) {
-            // Gather x, stream W once per (image, strip), store y; the
-            // strip scratch stays cache-resident by construction.
+            // Gather x, stream W once per tile range, store y; the
+            // range tiles stay cache-resident by construction.
             tp.xformBytes = toBytes(inGather);
-            tp.ewBytes = toBytes(winoW * B * uint64_t(stripsPerImage));
+            tp.ewBytes = toBytes(winoW * uint64_t(ranges));
             tp.inverseBytes = toBytes(spec.outputElems());
         } else {
             tp.xformBytes = toBytes(inGather + tilesIn);

@@ -86,14 +86,15 @@ ConvCost winogradConvIterCost(const ConvSpec &spec,
 
 /**
  * Predicted slab-level memory traffic (bytes) of one executed phase of
- * the host Winograd pipeline: staged, or for Fprop also fused
- * (DESIGN.md §4.11).
+ * the host Winograd pipeline: staged (the whole batch as one tile
+ * range), or for Fprop also fused (several tile ranges, DESIGN.md
+ * §4.11).
  *
  * The model counts each stage's streamed operands once (stage-internal
  * register/cache blocking is assumed resident): the staged pipeline
  * pays a full write + read round trip through the Winograd-domain
  * slabs between every stage, the fused pipeline only touches spatial
- * operands plus one weight stream per (image, strip) task. Gathers are
+ * operands plus one weight stream per tile range. Gathers are
  * tile-quantized (alpha^2 / m^2 elements per tile); the runtime
  * counters (`wino.<mode>.<phase>.*`) use exact in-bounds counts, so
  * measured/predicted lands slightly under 1 on shapes with padding.
@@ -112,16 +113,16 @@ struct TrafficPrediction
 };
 
 /**
- * @param fused          staged (false) or fused tile-strip (true) mode
- * @param stripsPerImage the fused strip count (WinoPlan::stripCount());
- *                       ignored for staged. Fused is a forward-only
- *                       pipeline: Bprop and UpdateGrad ignore both and
- *                       return the staged prediction.
+ * @param fused  staged (false) or fused multi-range (true) mode
+ * @param ranges the fused forward's tile ranges over the whole batch
+ *               (WinoPlan::rangeCount()); ignored for staged. Fused is
+ *               a forward-only pipeline: Bprop and UpdateGrad ignore
+ *               both and return the staged prediction.
  */
 TrafficPrediction predictedTrafficBytes(const ConvSpec &spec,
                                         const WinogradAlgo &algo,
                                         Phase phase, bool fused,
-                                        int stripsPerImage = 1,
+                                        int ranges = 1,
                                         const CostModelParams &p = {});
 
 } // namespace winomc

@@ -10,8 +10,9 @@
  *   WINOMC_SPARSE=off|on                    zero-skipping element-wise stage
  *   WINOMC_TUNE=analytic|off|measure        algorithm selection (§4.14)
  *
- * Whether a forward runs staged or fused (§4.11) is not a knob: the two
- * are bitwise identical, and each WinoPlan decides from its own shape.
+ * How many tile ranges a forward runs in (§4.11) is not a knob: any
+ * range length is bitwise the whole batch, and each WinoPlan decides
+ * from its own shape.
  *
  * Every knob follows the common/env.hh discipline: values are trimmed
  * and case-insensitive, missing or empty is the default silently, and

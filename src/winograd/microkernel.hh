@@ -324,8 +324,8 @@ struct MicroKernels
      * panelAccumGrouped without the grouping, over 16-bit activation
      * rows: each x[v][k] is decoded (kHalfBf16 | kHalfF16 -> fp32,
      * exact) before the fp32 multiply-accumulate. Sequential per-row
-     * accumulation at every level, so staged and fused blockings agree
-     * bitwise per ISA. The format is picked once per call.
+     * accumulation at every level, so any lane blocking (whole batch or
+     * tile range) agrees bitwise per ISA. The format is picked once per call.
      */
     void (*panelAccumHalf)(float *y, const std::uint16_t *const *x,
                            const float *w, int nv, int len,

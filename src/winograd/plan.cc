@@ -17,20 +17,20 @@ namespace winomc {
 namespace {
 
 /**
- * Strip scratch budget: one input-side plus one output-side panel set
- * per worker should sit inside a typical L2 slice, so a whole strip's
- * transform -> accumulate -> inverse chain runs without round trips to
- * DRAM. Strips are whole tile panels; tiny grids collapse to one
- * panel-sized strip.
+ * Range scratch budget: one range's input-side plus output-side tiles
+ * should sit inside a typical L2 slice, so its transform -> accumulate
+ * -> inverse chain runs without round trips to DRAM. A batch whose
+ * tiles fit it runs as one range.
  */
-constexpr std::size_t kScratchBudgetBytes = 512 * 1024;
+constexpr std::size_t kScratchBudgetBytes = 1024 * 1024;
 
 /**
- * Fusion threshold: a forward that keeps no tiles fuses once the
- * staged pipeline's forward slabs (Xt + Yt) overflow this. Below it
- * the slabs are cache-resident anyway and staged costs no more.
+ * Shortest range: on the F(4,3) kernel grid (bench/wino_kernels.cpp,
+ * BM_WinoEvalForward, 4-core AVX-512 Xeon), ranges under four panels
+ * ran 10-30% slower than four-panel ones at 64 to 128 channels, at 1
+ * and 4 threads.
  */
-constexpr std::size_t kFuseMinSlabBytes = 1u << 20;
+constexpr int kMinRangeTiles = 4 * mk::kTilePanel;
 
 } // namespace
 
@@ -44,26 +44,29 @@ WinoPlan::WinoPlan(const WinogradAlgo &algo, int batch, int inCh,
     // No slab is sized here: each stage acquires what it writes on
     // first use (acquire), so a plan holds only what its runs use.
 
-    // Fused strip geometry: whole tile panels, sized so one worker's
-    // in+out scratch fits kScratchBudgetBytes, clamped to [one panel,
-    // the panel-rounded grid].
+    // Range length: the whole panels whose in+out tiles fit
+    // kScratchBudgetBytes, but no fewer than kMinRangeTiles and the
+    // weight-amortization floor — each range re-streams the whole
+    // Winograd weight slab (a^2*I*J floats) to save a write+read round
+    // trip of its tiles (a^2*(I+J) floats per tile), so the floor
+    // I*J/(I+J) keeps the re-stream at <= 1/2 of the saving; without
+    // it, heavy channel counts shrink ranges until weight traffic eats
+    // the win. The batch then splits into that many ranges of even
+    // length (whole panels), so no range is a short remainder; a batch
+    // within one range runs as the whole batch.
+    const int p = mk::kTilePanel;
     const std::size_t a2 = std::size_t(algo.alpha) * algo.alpha;
     const std::size_t perTile = a2 * std::size_t(inCh + outCh) *
                                 sizeof(float);
-    int t = int(kScratchBudgetBytes / perTile);
-    // Weight-amortization floor: each strip re-streams the whole
-    // Winograd weight slab (a^2*I*J floats), while fusing saves one
-    // write+read round trip of the strip's slab share (a^2*(I+J)*
-    // stripT floats each way). Keeping the re-stream at <= 1/4 of the
-    // saving needs stripT >= 2*I*J/(I+J) — without this floor, heavy
-    // channel counts shrink strips until weight traffic eats the win.
-    const int amort = 2 * inCh * outCh / (inCh + outCh);
-    t = std::max(t, amort);
-    t = ((t + mk::kTilePanel - 1) / mk::kTilePanel) * mk::kTilePanel;
-    const int ntPanels =
-        ((grid.tiles() + mk::kTilePanel - 1) / mk::kTilePanel) *
-        mk::kTilePanel;
-    stripT = std::clamp(t, mk::kTilePanel, ntPanels);
+    const int fit = int(kScratchBudgetBytes / perTile) / p * p;
+    const int floor = std::max(
+        kMinRangeTiles, int(std::int64_t(inCh) * outCh / (inCh + outCh)));
+    const int most = std::max(fit, (floor + p - 1) / p * p);
+    const int total = batch * grid.tiles();
+    const int ranges = (total + most - 1) / most;
+    rangeT = ranges == 1
+                 ? total
+                 : ((total + ranges - 1) / ranges + p - 1) / p * p;
 
     // Exact in-bounds gather footprint of one (image, channel) plane,
     // for the measured-traffic counters.
@@ -90,9 +93,12 @@ WinoPlan::matches(const WinogradAlgo &algo, int batch, int inCh,
 std::size_t
 WinoPlan::workspaceBytes() const
 {
-    // A strip slot is the forward slab set over 1 x stripT lanes.
-    return slabBytes(held, nb, grid.tiles()) +
-           stripSlots.size() * slabBytes(forwardSlabs(), 1, stripT);
+    std::size_t bytes = slabBytes(held, nb, grid.tiles());
+    for (const RangeTiles &s : rangeSets)
+        bytes += (s.in.size() + s.out.size()) * sizeof(float) +
+                 s.inHalf.size() * sizeof(std::uint16_t) +
+                 s.mask.wordCount() * sizeof(std::uint64_t);
+    return bytes;
 }
 
 unsigned
@@ -127,6 +133,8 @@ WinoPlan::slabBytes(unsigned slabs, int batch, int tiles) const
 void
 WinoPlan::checkBudget(std::size_t bytes, const char *what) const
 {
+    if (bytes <= ws::Workspace::global().limitBytes())
+        return;
     ws::checkBudget(bytes, "WinoPlan(" + std::to_string(nb) + "x" +
                                std::to_string(ni) + "->" +
                                std::to_string(nj) + "@" +
@@ -171,64 +179,11 @@ WinoPlan::releaseEvalTiles()
         held &= ~kYt;
     if ((held & kMask) && actMask.offer())
         held &= ~kMask;
-}
-
-bool
-WinoPlan::shouldFuse() const
-{
-    return slabBytes(kXt | kYt, nb, grid.tiles()) >= kFuseMinSlabBytes;
-}
-
-std::unique_ptr<WinoPlan::RangeScratch>
-WinoPlan::newScratch() const
-{
-    auto s = std::make_unique<RangeScratch>();
-    if (cfg.prec != Prec::F32)
-        s->inHalf.reshape(alg.alpha, ni, 1, stripT);
-    else
-        s->in.reshape(alg.alpha, ni, 1, stripT);
-    s->out.reshape(alg.alpha, nj, 1, stripT);
-    if (cfg.sparse)
-        s->mask.reshape(alg.alpha * alg.alpha, ni, 1, stripT);
-    return s;
-}
-
-WinoPlan::RangeScratch *
-WinoPlan::acquireScratch()
-{
-    std::lock_guard<std::mutex> lk(stripMu);
-    if (stripFree.empty()) {
-        stripSlots.push_back(newScratch());
-        return stripSlots.back().get();
-    }
-    RangeScratch *s = stripFree.back();
-    stripFree.pop_back();
-    return s;
-}
-
-void
-WinoPlan::releaseScratch(RangeScratch *s)
-{
-    std::lock_guard<std::mutex> lk(stripMu);
-    stripFree.push_back(s);
-}
-
-void
-WinoPlan::ensureScratch(int n)
-{
-    // Pre-build the worst-case concurrent slot count before entering
-    // the parallel region. Lazy growth inside acquireScratch would
-    // still be correct, but how many workers are simultaneously awake
-    // varies run to run — growing the pool up front keeps the
-    // zero-steady-state-allocation contract deterministic instead of
-    // dependent on the warm-up call's scheduling luck.
-    std::lock_guard<std::mutex> lk(stripMu);
-    if (int(stripSlots.size()) < n)
-        checkBudget(std::size_t(n) * slabBytes(forwardSlabs(), 1, stripT),
-                    "strip scratch");
-    while (int(stripSlots.size()) < n) {
-        stripSlots.push_back(newScratch());
-        stripFree.push_back(stripSlots.back().get());
+    for (RangeTiles &s : rangeSets) {
+        s.in.offer();
+        s.inHalf.offer();
+        s.out.offer();
+        s.mask.offer();
     }
 }
 
@@ -255,107 +210,118 @@ void
 WinoPlan::forwardInto(const Tensor &x, const WinoWeights &W, Tensor &y,
                       bool keepTiles)
 {
-    if (!keepTiles && shouldFuse()) {
-        forwardFusedInto(x, W, y);
-        return;
-    }
-    WINOMC_SPAN("wino.phase.fwd", "wino");
-    acquire(forwardSlabs(), forwardSlabs());
-    ActMask *mask = cfg.sparse ? &actMask : nullptr;
-    const auto run = [&](auto &X) {
-        transformInputInto(x, alg, X, mask, cfg.prec);
-        elementwiseForwardInto(X, W, Yt, 0, -1, mask, cfg.prec);
-    };
-    if (cfg.prec == Prec::F32)
-        run(Xt);
-    else
-        run(Xh);
-    // Sparse leaves Xt the same fp32 slab, bitwise. A half policy
-    // bypasses it; tile-cache consumers must then scatterInput
-    // (backward stays full fp32).
-    haveInput = cfg.prec == Prec::F32;
-    inverseTransformInto(Yt, alg, y);
-    haveOutput = true;
-    evalTiles = !keepTiles;
-    if (!keepTiles)
-        invalidateCache();
-    if (metrics::enabled()) {
-        const ConvSpec spec{"plan", nb, ni, nj, fh, fw, alg.r};
-        const double out = double(nb) * nj * fh * fw;
-        const double f = double(sizeof(float));
-        // The X-tile stream at its storage width (Xt or Xh).
-        const double xTile =
-            double(slabBytes(kXt, nb, grid.tiles())) / f *
-            double(precBytes(cfg.prec));
-        publishTraffic(
-            "staged", "fwd", double(gatherElemsA) * nb * ni * f + xTile,
-            xTile + (double(W.size()) + double(Yt.size())) * f,
-            (double(Yt.size()) + out) * f,
-            double(predictedTrafficBytes(spec, alg, Phase::Fprop, false)
-                       .totalBytes()));
-    }
-}
-
-void
-WinoPlan::forwardFusedInto(const Tensor &x, const WinoWeights &W,
-                           Tensor &y)
-{
-    WINOMC_SPAN("wino.fused.fwd", "wino");
     winomc_assert(x.n() == nb && x.c() == ni && x.h() == fh &&
-                  x.w() == fw, "forwardFusedInto input shape mismatch");
-    winomc_assert(y.n() == nb && y.c() == nj && y.h() == fh &&
-                  y.w() == fw, "forwardFusedInto output shape mismatch");
-    winomc_assert(W.alphaEdge() == alg.alpha && W.inChannels() == ni &&
-                  W.outChannels() == nj,
-                  "forwardFusedInto weight shape mismatch");
+                      x.w() == fw && y.n() == nb && y.c() == nj &&
+                      y.h() == fh && y.w() == fw,
+                  "forwardInto input or output shape mismatch");
     const int nt = grid.tiles();
-    const int strips = stripCount();
-    const int a = alg.alpha;
-    const int m = alg.m;
-    mk::StageTimer probe("fused.fwd",
-                         4.0 * a * a * a * double(nb) * ni * nt +
-                             2.0 * a * a * double(nj) * ni * nb * nt +
-                             2.0 * m * a * (a + m) * double(nb) * nj * nt);
+    const int total = nb * nt;
+    const int len = keepTiles ? total : rangeT;
+    const int ranges = (total + len - 1) / len;
+    const bool fused = ranges > 1;
+    WINOMC_SPAN(fused ? "wino.fused.fwd" : "wino.phase.fwd", "wino");
+    // The three stages of range r, into the plan's slabs (the one range
+    // of the whole batch) or a set of range tiles; both start at lane 0.
+    const auto stages = [&](WinoTiles &Xf, HalfTiles &Xs, WinoTiles &Y,
+                            ActMask &mask, int r) {
+        const TileRange range{r * len, std::min(len, total - r * len)};
+        ActMask *zeros = cfg.sparse ? &mask : nullptr;
+        const auto toY = [&](auto &X) {
+            transformInputInto(x, alg, X, zeros, cfg.prec, range);
+            elementwiseForwardInto(X, W, Y, 0, -1, zeros, cfg.prec,
+                                   range.count);
+        };
+        if (cfg.prec == Prec::F32)
+            toY(Xf);
+        else
+            toY(Xs);
+        inverseTransformInto(Y, alg, y, range);
+    };
 
-    const std::int64_t nTasks = std::int64_t(nb) * strips;
-    ensureScratch(int(std::min<std::int64_t>(
-        ThreadPool::global().threadCount(), nTasks)));
-    // One task per (image, strip); output tiles are disjoint across
-    // tasks, so any chunking is race-free and bitwise identical.
-    parallelFor(0, nTasks, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        RangeScratch *s = acquireScratch();
-        ActMask *mask = cfg.sparse ? &s->mask : nullptr;
-        for (std::int64_t task = lo; task < hi; ++task) {
-            const int b = int(task / strips);
-            const int t0 = int(task % strips) * stripT;
-            const int tcnt = std::min(stripT, nt - t0);
-            const auto run = [&](auto &Xs) {
-                transformInputRange(x, alg, grid, b, t0, tcnt, Xs, mask,
-                                    cfg.prec);
-                elementwiseForwardRange(Xs, W, tcnt, s->out, mask,
-                                        s->compact, cfg.prec);
-            };
-            if (cfg.prec == Prec::F32)
-                run(s->in);
-            else
-                run(s->inHalf);
-            inverseTransformRange(s->out, alg, grid, b, t0, tcnt, y);
+    if (!fused) {
+        acquire(forwardSlabs(), forwardSlabs());
+        stages(Xt, Xh, Yt, actMask, 0);
+    } else {
+        const int a = alg.alpha;
+        const int m = alg.m;
+        mk::StageTimer probe("fused.fwd",
+                             4.0 * a * a * a * double(ni) * total +
+                                 2.0 * a * a * double(nj) * ni * total +
+                                 2.0 * m * a * (a + m) * double(nj) * total);
+        // Tasks of ranges, claimed by the pool threads as they come
+        // free, each taking a free set of range tiles (no more tasks run
+        // at once than there are threads) and running its stages
+        // inline. With fewer ranges than threads, one task runs them in
+        // turn with each stage parallel inside. Output tiles are
+        // disjoint across ranges, so any schedule is race-free and
+        // bitwise identical.
+        const int threads = ThreadPool::global().threadCount();
+        const std::size_t sets = ranges < threads ? 1 : std::size_t(threads);
+        if (rangeSets.size() < sets) {
+            checkBudget(sets * slabBytes(forwardSlabs(), 1, len),
+                        "range tiles");
+            rangeSets.resize(sets);
         }
-        releaseScratch(s);
-    });
-    // The slabs were bypassed; previously cached tiles are now stale.
-    haveInput = haveOutput = false;
+        for (RangeTiles &s : rangeSets) {
+            if (cfg.prec == Prec::F32)
+                s.in.reshape(a, ni, 1, len);
+            else
+                s.inHalf.reshape(a, ni, 1, len);
+            s.out.reshape(a, nj, 1, len);
+            if (cfg.sparse)
+                s.mask.reshape(a * a, ni, 1, len);
+        }
+        parallelFor(0, ranges, sets == 1 ? ranges : 1,
+                    [&](std::int64_t lo, std::int64_t hi) {
+            RangeTiles *s;
+            {
+                std::lock_guard<std::mutex> lock(rangeMu);
+                const auto free = std::find_if(
+                    rangeSets.begin(), rangeSets.end(),
+                    [](const RangeTiles &t) { return !t.busy; });
+                winomc_assert(free != rangeSets.end(),
+                              "more range tasks at once than range tiles");
+                s = &*free;
+                s->busy = true;
+            }
+            for (std::int64_t r = lo; r < hi; ++r)
+                stages(s->in, s->inHalf, s->out, s->mask, int(r));
+            std::lock_guard<std::mutex> lock(rangeMu);
+            s->busy = false;
+        });
+    }
+    evalTiles = !keepTiles;
+    if (keepTiles) {
+        // Sparse leaves Xt the same fp32 slab, bitwise. A half policy
+        // bypasses it; tile-cache consumers must then scatterInput
+        // (backward stays full fp32).
+        haveInput = cfg.prec == Prec::F32;
+        haveOutput = true;
+    } else {
+        invalidateCache();
+    }
     if (metrics::enabled()) {
         const ConvSpec spec{"plan", nb, ni, nj, fh, fw, alg.r};
+        const double out = double(nb) * nj * fh * fw * sizeof(float);
         const double f = double(sizeof(float));
-        publishTraffic(
-            "fused", "fwd", double(gatherElemsA) * nb * ni * f,
-            double(W.size()) * nb * strips * f,
-            double(nb) * nj * fh * fw * f,
-            double(predictedTrafficBytes(spec, alg, Phase::Fprop, true,
-                                         strips)
-                       .totalBytes()));
+        const double gather = double(gatherElemsA) * nb * ni * f;
+        const double predicted = double(
+            predictedTrafficBytes(spec, alg, Phase::Fprop, fused, ranges)
+                .totalBytes());
+        if (fused) {
+            // Gather x, stream W once per range, store y: the range
+            // tiles stay cache-resident.
+            publishTraffic("fused", "fwd", gather,
+                           double(W.size()) * ranges * f, out, predicted);
+        } else {
+            // The X-tile stream at its storage width (Xt or Xh).
+            const double xTile = double(slabBytes(kXt, nb, nt)) / f *
+                                 double(precBytes(cfg.prec));
+            publishTraffic("staged", "fwd", gather + xTile,
+                           xTile + (double(W.size()) + double(Yt.size())) *
+                                       f,
+                           double(Yt.size()) * f + out, predicted);
+        }
     }
 }
 

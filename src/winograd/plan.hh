@@ -5,12 +5,13 @@
  * A WinoPlan binds one (algorithm, batch, in_ch -> out_ch, H, W)
  * configuration, precomputes the tile grid, and owns the
  * Winograd-domain slabs the pipeline uses (input, output, grad-output
- * and grad-input tiles, fused strip scratch), each acquired when the
- * first stage that writes it runs. All stage execution goes through
- * the destination-passing kernels of winograd/conv.hh, so after one
- * warm-up run, repeated steps over the same shape perform zero heap
- * allocations in the Winograd path — the plan is the host-side analogue
- * of the paper's statically scheduled SRAM working set.
+ * and grad-input tiles, and the range tiles of a forward too large for
+ * cache), each acquired when the first stage that writes it runs. All
+ * stage execution goes through the destination-passing kernels of
+ * winograd/conv.hh, so after one warm-up run, repeated steps over the
+ * same shape perform zero heap allocations in the Winograd path — the
+ * plan is the host-side analogue of the paper's statically scheduled
+ * SRAM working set.
  *
  * Lifecycle: layers lease a plan from a PlanPool on the first forward
  * and lease again only when the incoming shape stops matching
@@ -72,16 +73,16 @@ class WinoPlan
     int height() const { return fh; }
     int width() const { return fw; }
 
-    /** Bytes held now: the slabs and strip scratch acquired so far (0
-     *  for a fresh plan; flat once each mode it runs has run once). A
-     *  plan parked after an eval forward keeps only the slabs the
-     *  workspace pool had no room for (releaseEvalTiles()). */
+    /** Bytes of the slabs and range tiles held now (0 for a fresh
+     *  plan; flat once each mode it runs has run once). A plan parked
+     *  after an eval forward keeps only the slabs the workspace pool
+     *  had no room for (releaseEvalTiles()). */
     std::size_t workspaceBytes() const;
 
     /**
-     * If the last forwardInto was a staged eval forward, offer its
-     * slabs (Xt or Xh, Yt, the sparse mask) back to the workspace
-     * pool: they are that call's dead scratch, and pooled they serve
+     * If the last forwardInto kept no tiles, offer the forward slabs
+     * (Xt or Xh, Yt, the sparse mask) and the range tiles back to the
+     * workspace pool: they are that call's dead scratch, and pooled they serve
      * whichever plan runs next. A slab the pool has no room for stays
      * with the plan, so a tight WINOMC_WORKSPACE_LIMIT_MB never turns
      * the next forward into a heap allocation. PlanPool calls this
@@ -94,23 +95,30 @@ class WinoPlan
     // -----------------------------------------------------------------
 
     /**
-     * y = winograd_conv(x, W). The plan alone picks the pipeline:
+     * y = winograd_conv(x, W), one tile range at a time (§4.11): the
+     * batch's B x T tiles split into ranges of len tiles (the last may
+     * be shorter), and each range runs the input transform, the
+     * element-wise products and the inverse transform.
      *
      *  - keepTiles (a train-mode forward, whose backward reads the
-     *    tiles): staged, leaving inputTiles()/outputTiles() caching
-     *    the transformed activations of x.
-     *  - !keepTiles: fused (forwardFusedInto) once the staged forward
-     *    slabs Xt + Yt reach 1 MiB and would overflow cache; below
-     *    that, staged, keeping its slabs only until the plan is
-     *    parked (releaseEvalTiles()). Either way the tile caches are
-     *    dropped.
+     *    tiles), or a batch within rangeTiles(): one range, the whole
+     *    batch, into the plan's slabs, each stage parallel inside.
+     *    keepTiles leaves inputTiles()/outputTiles() caching the
+     *    transformed activations of x; an eval forward keeps its slabs
+     *    only until the plan is parked (releaseEvalTiles()).
+     *  - otherwise rangeCount() > 1 ranges as parallel tasks, each
+     *    running its stages inline into a free set of the plan's range
+     *    tiles (with fewer ranges than pool threads, in turn, each
+     *    stage parallel inside); the slabs are not touched. Published
+     *    as the wino.fused.fwd span and counters.
      *
-     * Both pipelines are bitwise identical. Executes under config(): a
-     * sparse fp32 config routes through the zero-skipping kernels
-     * (bitwise identical output, Xt still cached); a half policy stores
-     * the transformed activations in 16 bits — the fp32 Xt slab is then
-     * NOT populated (inputCached() stays false) and callers needing
-     * input tiles must scatterInput.
+     * Any range length is bitwise the whole batch. Executes under
+     * config(): a sparse fp32 config routes through the zero-skipping
+     * kernels (bitwise identical output, Xt still cached); a half
+     * policy stores the transformed activations in 16 bits — the fp32
+     * Xt slab is then NOT populated (inputCached() stays false) and
+     * callers needing input tiles must scatterInput. A forward that
+     * keeps no tiles drops the tile caches.
      */
     void forwardInto(const Tensor &x, const WinoWeights &W, Tensor &y,
                      bool keepTiles = true);
@@ -122,27 +130,19 @@ class WinoPlan
     void gradWeightsInto(const Tensor &x, const Tensor &dy,
                          WinoWeights &dW);
 
-    // -----------------------------------------------------------------
-    // Fused tile-strip forward (§4.11): transform -> per-(K,C) panel
-    // accumulation -> inverse transform run per L2-sized strip of the
-    // tile grid, touching only per-worker strip scratch — the
-    // Xt/Yt slabs are never acquired. Bitwise identical to the staged
-    // forward at every ISA level and for any thread count. Leaves the
-    // plan's tile caches invalid (there are no slab tiles to cache).
-    // forwardInto(..., false) calls it when fusing pays; it is public
-    // so parity tests and the kernel bench can run it at any size.
-    // -----------------------------------------------------------------
-
-    /** y = winograd_conv(x, W) per cache-resident tile strip. */
-    void forwardFusedInto(const Tensor &x, const WinoWeights &W,
-                          Tensor &y);
-
-    /** Tiles per strip (multiple of mk::kTilePanel). */
-    int stripTiles() const { return stripT; }
-    /** Strips per image: ceil(tiles / stripTiles()). */
-    int stripCount() const
+    /**
+     * Tiles per range of a forward that keeps no tiles. At most the
+     * whole panels whose input + output tiles fit the range tiles'
+     * budget, but no fewer than four panels and the
+     * weight-amortization floor; the batch splits into that many
+     * ranges of even length (whole panels), or is one range when it
+     * fits. Ranges span images.
+     */
+    int rangeTiles() const { return rangeT; }
+    /** Ranges of such a forward: ceil(batch x tiles / rangeTiles()). */
+    int rangeCount() const
     {
-        return (grid.tiles() + stripT - 1) / stripT;
+        return (nb * grid.tiles() + rangeT - 1) / rangeT;
     }
 
     // -----------------------------------------------------------------
@@ -190,20 +190,14 @@ class WinoPlan
     void invalidateCache() { haveInput = haveOutput = haveGrad = false; }
 
   private:
-    /**
-     * Per-worker strip scratch: one input-side (fp32 or 16-bit) and one
-     * output-side tile set of stripT tiles, batch dimension 1. Slots
-     * are created lazily (first fused call at a given concurrency warms
-     * the pool) and kept for the plan's lifetime, so fused steady state
-     * allocates nothing.
-     */
-    struct RangeScratch
+    /** One task's tiles of a multi-range forward, batch dimension 1. */
+    struct RangeTiles
     {
-        WinoTiles in;  ///< [a²][I][1][stripT]
-        WinoTiles out; ///< [a²][J][1][stripT]
-        HalfTiles inHalf; ///< 16-bit in-side (half policies only)
-        ActMask mask;     ///< strip-local zero mask (sparse policies)
-        CompactScratch compact; ///< zero-skipping step buffers
+        WinoTiles in;      ///< [a²][I][1][rangeT]
+        HalfTiles inHalf;  ///< 16-bit in-side (half policies only)
+        WinoTiles out;     ///< [a²][J][1][rangeT]
+        ActMask mask;      ///< range-local zero mask (sparse policies)
+        bool busy = false; ///< claimed by a running task (rangeMu)
     };
 
     /** The plan-owned slabs, as bits of a set. */
@@ -211,11 +205,8 @@ class WinoPlan
                            kMask = 32 };
     /** The slabs a staged forward under config() writes. */
     unsigned forwardSlabs() const;
-    /** Does a forward that keeps no tiles fuse? Yes once the staged
-     *  forward slabs (Xt + Yt) would overflow cache. */
-    bool shouldFuse() const;
     /** Bytes of the slab set `slabs` over batch x tiles lanes: the
-     *  plan's slabs (nb x grid.tiles()) or one strip slot (1 x stripT). */
+     *  plan's slabs (nb x grid.tiles()) or one range's (1 x rangeT). */
     std::size_t slabBytes(unsigned slabs, int batch, int tiles) const;
     /**
      * Size the slabs of `use` not yet held. Before the first sizing,
@@ -225,11 +216,6 @@ class WinoPlan
     void acquire(unsigned use, unsigned mode);
     /** ws::checkBudget naming this plan and `what` in the message. */
     void checkBudget(std::size_t bytes, const char *what) const;
-
-    std::unique_ptr<RangeScratch> newScratch() const;
-    RangeScratch *acquireScratch();
-    void releaseScratch(RangeScratch *s);
-    void ensureScratch(int n);
 
     /** Publish wino.<mode>.<phase> traffic counters + predicted gauge
      *  (no-op when metrics are disabled). Args are bytes, so streams
@@ -258,21 +244,22 @@ class WinoPlan
     bool haveInput = false;  ///< Xt holds the last forward's input
     bool haveOutput = false; ///< Yt holds the last forward's output
     bool haveGrad = false;   ///< dYt holds the last backward's grads
-    /** The last forwardInto was staged with !keepTiles, so the forward
-     *  slabs hold only its dead scratch. */
+    /** The last forwardInto kept no tiles, so the forward slabs hold
+     *  only dead scratch. */
     bool evalTiles = false;
     /** transformGradOutput ran and no traffic counter has its bytes. */
     bool gradXformUncounted = false;
 
-    int stripT = 0; ///< tiles per fused strip (multiple of kTilePanel)
+    int rangeT = 0; ///< tiles per range of an eval forward
+    /** A multi-range forward's tiles: one set per task that can run at
+     *  once, so their number depends only on the thread count, and a
+     *  repeat acquires nothing. */
+    std::vector<RangeTiles> rangeSets;
+    std::mutex rangeMu; ///< guards the sets' busy flags
     /** Exact in-bounds input-gather elements per (image, channel)
      *  plane: sum over tiles of the a x a window's overlap with the
      *  plane. Used by the measured-traffic counters. */
     std::size_t gatherElemsA = 0;
-
-    std::vector<std::unique_ptr<RangeScratch>> stripSlots;
-    std::vector<RangeScratch *> stripFree; ///< guarded by stripMu
-    std::mutex stripMu;
 };
 
 /**
@@ -361,7 +348,7 @@ class PlanPool
 // DWM-style decomposition (DESIGN.md §4.14): a convolution with kernel
 // taps beyond 3 and/or stride beyond 1 is rewritten as a SUM of small
 // 3x3 stride-1 "same" convolutions over gathered input views — each
-// term runs through the ordinary F(m,3) staged/fused strip pipelines,
+// term runs through the ordinary F(m,3) tile-range forward,
 // so every geometry the terms cover inherits the fast path (and its
 // bitwise thread-invariance) instead of falling back to direct.
 // ---------------------------------------------------------------------
@@ -404,7 +391,7 @@ bool decompSupported(const ConvSpec &spec);
  * inner-padding artifacts and are cropped by the accumulation). Terms
  * execute serially in term-list order and accumulate row-by-row with
  * the fixed-chain axpy kernel, so results are bitwise identical for
- * any thread count and for staged vs fused inner execution.
+ * any thread count and for any inner range length.
  *
  * Steady state allocates nothing: the gather/accumulate tensors, the
  * per-term transformed weights, and the inner plan slabs all persist

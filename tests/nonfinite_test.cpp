@@ -12,9 +12,10 @@
  * output that truly depends on the pixel still sees it.
  *
  * Checked on every usable ISA x {fp32, sparse fp32, bf16} x
- * {F(2,3), F(4,3), F(6,3)}, for the staged and the fused forward and
- * for the staged backward-data, with the bad pixel in the interior,
- * on an edge and in a corner of an odd-sized map.
+ * {F(2,3), F(4,3), F(6,3)}, for the forward that keeps its tiles (one
+ * tile range), an eval forward in several tile ranges (on a wider,
+ * larger batch) and the backward-data, with the bad pixel in the
+ * interior, on an edge and in a corner of an odd-sized map.
  *
  * The direct convolution's result is defined exactly: a tap outside
  * the map adds nothing, so an inf or NaN weight at a border tap
@@ -47,6 +48,8 @@ using namespace winomc;
 namespace {
 
 constexpr int kB = 2, kC = 3, kK = 4, kH = 13, kW = 11;
+/** Batch and channels of the eval forward that splits into ranges. */
+constexpr int kRangedB = 16, kRangedC = 32;
 
 struct Policy
 {
@@ -103,10 +106,14 @@ TEST(NonFinite, BadPixelReachesItsWholeReceptiveField)
     x0.fillUniform(rng);
     dy0.fillUniform(rng);
     w.fillUniform(rng);
+    Tensor xr0(kRangedB, kRangedC, kH, kW), wr(kRangedC, kRangedC, 3, 3);
+    xr0.fillUniform(rng);
+    wr.fillUniform(rng);
 
     for (int m : {2, 4, 6}) {
         const WinogradAlgo &algo = algoForTile(m);
         const WinoWeights W = transformWeights(w, algo);
+        const WinoWeights Wr = transformWeights(wr, algo);
         for (mk::Isa isa : test::usableIsas()) {
             for (const Policy &pol : kPolicies) {
                 ScopedExecConfig cfg([&](ExecConfig &c) {
@@ -115,6 +122,9 @@ TEST(NonFinite, BadPixelReachesItsWholeReceptiveField)
                     c.sparse = pol.sparse;
                 });
                 WinoPlan plan(algo, kB, kC, kK, kH, kW);
+                WinoPlan ranged(algo, kRangedB, kRangedC, kRangedC, kH,
+                                kW);
+                ASSERT_GT(ranged.rangeCount(), 1) << algo.name();
                 for (const Pixel &p : kPixels) {
                     for (float bad : kBad) {
                         const std::string where =
@@ -131,10 +141,12 @@ TEST(NonFinite, BadPixelReachesItsWholeReceptiveField)
                         plan.forwardInto(x, W, y, true);
                         EXPECT_EQ(finiteInField(y, p, kK), 0)
                             << "staged forward: " << where;
-                        y.fill(0.0f);
-                        plan.forwardFusedInto(x, W, y);
-                        EXPECT_EQ(finiteInField(y, p, kK), 0)
-                            << "fused forward: " << where;
+                        Tensor xr = xr0;
+                        xr.at(p.b, p.c, p.y, p.x) = bad;
+                        Tensor yr(kRangedB, kRangedC, kH, kW);
+                        ranged.forwardInto(xr, Wr, yr, false);
+                        EXPECT_EQ(finiteInField(yr, p, kRangedC), 0)
+                            << "multi-range eval forward: " << where;
 
                         Tensor dy = dy0;
                         const Pixel q{p.b, p.c % kK, p.y, p.x};

@@ -544,15 +544,24 @@ TEST(PlanWorkspace, HoldsOnlyTheSlabsItsRunsUsed)
     Tensor dx(B, I, H, H);
     WinoWeights dW(algo.alpha, J, I);
 
-    // Fresh: nothing held. Fused forward: one worker's strip scratch.
-    WinoPlan fused(algo, B, I, J, H, H);
-    EXPECT_EQ(fused.workspaceBytes(), 0u);
-    fused.forwardFusedInto(x, W, y);
-    const std::size_t a2 = std::size_t(algo.alpha) * algo.alpha;
-    EXPECT_EQ(fused.workspaceBytes(),
-              a2 * (I + J) * fused.stripTiles() * sizeof(float));
+    // Fresh: nothing held. An eval forward in several tile ranges:
+    // one thread's set of range tiles, never the slabs.
+    {
+        const int C = 16, R = 40; // 800 tiles in two ranges of 400
+        Tensor xr(B, C, R, R);
+        xr.fillUniform(rng);
+        const WinoWeights Wr(algo.alpha, C, C);
+        Tensor yr(B, C, R, R);
+        WinoPlan ranged(algo, B, C, C, R, R);
+        ASSERT_GT(ranged.rangeCount(), 1);
+        EXPECT_EQ(ranged.workspaceBytes(), 0u);
+        ranged.forwardInto(xr, Wr, yr, false);
+        const std::size_t a2 = std::size_t(algo.alpha) * algo.alpha;
+        EXPECT_EQ(ranged.workspaceBytes(),
+                  a2 * (C + C) * ranged.rangeTiles() * sizeof(float));
+    }
 
-    // Staged eval forward: Xt + Yt.
+    // A one-range forward: Xt + Yt.
     WinoPlan plan(algo, B, I, J, H, H);
     EXPECT_EQ(plan.workspaceBytes(), 0u);
     plan.forwardInto(x, W, y);
@@ -703,14 +712,16 @@ TEST(PlanWorkspace, FusedShapeOverTheSlabBudgetRunsInStripScratch)
     Tensor yRef(B, C, H, H);
     WinoPlan(algo, B, C, C, H, H).forwardInto(x, W, yRef);
 
-    // Four 8 MiB slabs would need 32 MiB; four workers' strips fit 4.
+    // Four 8 MiB slabs would need 32 MiB; four threads' range tiles
+    // fit in 4: an eval forward never acquires the slabs.
     const std::size_t limit = std::size_t(4) << 20;
     Tensor y(B, C, H, H);
     {
         ScopedWorkspaceLimit scoped(limit);
         WinoPlan plan(algo, B, C, C, H, H);
         ASSERT_GT(4 * slabBytes(plan, C), limit);
-        plan.forwardFusedInto(x, W, y);
+        ASSERT_GT(plan.rangeCount(), 1);
+        plan.forwardInto(x, W, y, false);
         EXPECT_LE(plan.workspaceBytes(), limit);
     }
     EXPECT_EQ(y.maxAbsDiff(yRef), 0.0f);

@@ -1,8 +1,8 @@
 /**
  * @file
  * Serving-engine correctness suite: batch demux bitwise-equality
- * against unbatched forwards (fused batches vs staged single images,
- * 1 vs 8 threads),
+ * against unbatched forwards (batches in several tile ranges vs single
+ * images in one, 1 vs 8 threads),
  * deadline-driven partial batches, queue-full backpressure without
  * drops, clean shutdown with in-flight requests, PlanCache lease /
  * eviction / shared-transformed-weight semantics (including under
@@ -79,9 +79,10 @@ makeImages(int count, int c, int h, int w, unsigned seed)
 TEST(ServeEngine, BatchDemuxBitwiseMatchesUnbatchedForward)
 {
     // 3 -> 16 -> 16 channels on 32x32, F(2x2,3x3): a single image's
-    // staged slabs stay under the 1 MiB fusion threshold, so every
-    // unbatched reference runs staged, while a served batch crosses it
-    // and fuses. One pass checks fused batches against staged images.
+    // 256 tiles fit one tile range, so every unbatched reference runs
+    // the whole batch at once, while a served batch of three or more
+    // splits into ranges. One pass checks ranged batches against
+    // one-range images.
     test::ExecScope scope;
     for (int threads : {1, 8}) {
         ThreadPool::global().setThreadCount(threads);
@@ -98,7 +99,7 @@ TEST(ServeEngine, BatchDemuxBitwiseMatchesUnbatchedForward)
         for (const auto &x : xs)
             refs.push_back(model.forward(x, false));
         EXPECT_EQ(probe.fusedForwards(), 0.0)
-            << "an unbatched forward fused";
+            << "an unbatched forward ran in ranges";
 
         EngineConfig cfg;
         cfg.maxBatch = 8;
@@ -114,7 +115,55 @@ TEST(ServeEngine, BatchDemuxBitwiseMatchesUnbatchedForward)
                 << ") diverged from its unbatched forward";
         }
         engine.stop();
-        EXPECT_GT(probe.fusedForwards(), 0.0) << "no served batch fused";
+        EXPECT_GT(probe.fusedForwards(), 0.0)
+            << "no served batch ran in ranges";
+    }
+}
+
+TEST(ServeEngine, WideSmallMapBatchesMatchSoloForwards)
+{
+    // A 128-wide 3x3 model on 8x8 maps: F(4,3) first (4 tiles per
+    // image, so a batch of 8 is one range of 32 tiles), then F(2,3)
+    // (16 per image in ranges of 64, so a batch of 5 or more splits).
+    // Four callers submit at once into batches of up to 8; every row
+    // must be bitwise its solo forward.
+    test::ExecScope scope;
+    constexpr int kCallers = 4, kPerCaller = 8;
+    for (int threads : {1, 4}) {
+        ThreadPool::global().setThreadCount(threads);
+        Rng rng(29);
+        nn::Sequential model;
+        model.add(std::make_unique<nn::ConvLayer>(
+            3, 128, 3, nn::ConvMode::WinogradLayer, algoF4x4_3x3(), rng));
+        model.add(std::make_unique<nn::ConvLayer>(
+            128, 128, 3, nn::ConvMode::WinogradLayer, algoF2x2_3x3(),
+            rng));
+        const auto xs = makeImages(kCallers * kPerCaller, 3, 8, 8, 77);
+        std::vector<Tensor> refs;
+        for (const auto &x : xs)
+            refs.push_back(model.forward(x, false));
+
+        test::MetricsProbe probe;
+        EngineConfig cfg;
+        cfg.maxBatch = 8;
+        cfg.maxDelayUs = 50'000; // force coalescing
+        Engine engine(model, cfg);
+        std::vector<std::future<Tensor>> futs(xs.size());
+        std::vector<std::thread> callers;
+        for (int c = 0; c < kCallers; ++c)
+            callers.emplace_back([&, c] {
+                for (int i = c * kPerCaller; i < (c + 1) * kPerCaller; ++i)
+                    futs[std::size_t(i)] = engine.submit(xs[std::size_t(i)]);
+            });
+        for (auto &t : callers)
+            t.join();
+        for (std::size_t i = 0; i < futs.size(); ++i)
+            EXPECT_EQ(futs[i].get().maxAbsDiff(refs[i]), 0.0f)
+                << "request " << i << " (threads=" << threads
+                << ") diverged from its solo forward";
+        engine.stop();
+        EXPECT_GT(probe.fusedForwards(), 0.0)
+            << "no served batch ran in ranges";
     }
 }
 

@@ -7,15 +7,15 @@
  *
  * The two load-bearing claims this suite pins down:
  *
- *  - sparse fp32 execution is BITWISE identical to dense fp32 (staged
- *    and fused, every ISA, every thread count): skipping a product
+ *  - sparse fp32 execution is BITWISE identical to dense fp32 (train
+ *    and eval forwards, every ISA, every thread count): skipping a product
  *    whose factors are exactly zero removes only exact-zero addends
  *    from the fp32 accumulation chain, which cannot change any partial
  *    sum bit (finite inputs; the inf/NaN caveat is documented in
  *    winograd/conv.hh);
  *  - 16-bit activation storage is a pure storage transform: encode is
  *    software round-to-nearest-even on every ISA, accumulation stays
- *    fp32, so staged and fused agree bitwise and the error vs the fp32
+ *    fp32, so any tile range agrees bitwise and the error vs the fp32
  *    oracle stays inside the per-precision bounds asserted here.
  *
  * The binary replaces the global operator new with a counting one, so
@@ -293,7 +293,7 @@ TEST_P(SparseParityP, SparseForwardBitwiseEqualsDense)
             dense.backwardDataInto(dy, W, dx_ref);
             dense.gradWeightsInto(x, dy, dW_ref);
             Tensor yf_ref(p.batch, p.out_ch, p.h, p.w);
-            dense.forwardFusedInto(x, W, yf_ref);
+            dense.forwardInto(x, W, yf_ref, false);
 
             ScopedExecConfig sparseScope(withSparse(true));
             WinoPlan sparse(algo, p.batch, p.in_ch, p.out_ch, p.h, p.w);
@@ -318,8 +318,8 @@ TEST_P(SparseParityP, SparseForwardBitwiseEqualsDense)
                 EXPECT_EQ(dW.maxAbsDiff(dW_ref), 0.0f);
             }
             Tensor yf(p.batch, p.out_ch, p.h, p.w);
-            sparse.forwardFusedInto(x, W, yf);
-            EXPECT_EQ(yf.maxAbsDiff(yf_ref), 0.0f) << "fused";
+            sparse.forwardInto(x, W, yf, false);
+            EXPECT_EQ(yf.maxAbsDiff(yf_ref), 0.0f) << "eval";
         }
     }
 }
@@ -426,11 +426,11 @@ TEST_P(HalfPrecP, ForwardWithinDocumentedBoundsAndFusedBitwise)
             plan.forwardInto(x, W, y);
             EXPECT_LT(y.maxAbsDiff(y_ref), b.rel * scale)
                 << precName(b.prec) << " sparse=" << sp;
-            // Same plan, fused: identical encode + fp32 accumulation
-            // order per output element, so staged and fused agree
-            // BITWISE even in 16-bit storage.
+            // Same plan, eval forward: identical encode + fp32
+            // accumulation order per output element, so any tile range
+            // agrees BITWISE even in 16-bit storage.
             Tensor yf(p.batch, p.out_ch, p.h, p.w);
-            plan.forwardFusedInto(x, W, yf);
+            plan.forwardInto(x, W, yf, false);
             EXPECT_EQ(yf.maxAbsDiff(y), 0.0f)
                 << precName(b.prec) << " sparse=" << sp;
             // A half-policy forward does not populate the fp32 input
@@ -576,24 +576,24 @@ TEST(HalfPrec, HalfTilesAreTheEncodeOfFp32Tiles)
                     EXPECT_GT(zero, 0) << at;
                     EXPECT_LT(zero, panels) << at;
 
-                    // Strips of two panels from each panel start: the
-                    // last strip of an image ends in a ragged panel.
+                    // Ranges of two panels from each panel start of the
+                    // batch's flat tiles, into a one-plane scratch set:
+                    // ranges start mid-image, span images, and the last
+                    // one is ragged.
                     WinoTiles S32(a, sh.c, 1, 2 * P);
                     HalfTiles Sh(a, sh.c, 1, 2 * P);
                     ActMask sm;
                     sm.reshape(a * a, sh.c, 1, 2 * P);
-                    for (int b = 0; b < sh.b; ++b)
-                        for (int t0 = 0; t0 < nt; t0 += P) {
-                            const int tcnt = std::min(2 * P, nt - t0);
-                            transformInputRange(x, algo, grid, b, t0, tcnt,
-                                                S32);
-                            transformInputRange(x, algo, grid, b, t0, tcnt,
-                                                Sh, &sm, prec);
-                            expectEncodeAndMask(
-                                S32, Sh, sm, tcnt, prec,
-                                at + " range b" + std::to_string(b) +
-                                    " t0 " + std::to_string(t0));
-                        }
+                    for (int f0 = 0; f0 < sh.b * nt; f0 += P) {
+                        const TileRange range{
+                            f0, std::min(2 * P, sh.b * nt - f0)};
+                        transformInputInto(x, algo, S32, nullptr,
+                                           Prec::F32, range);
+                        transformInputInto(x, algo, Sh, &sm, prec, range);
+                        expectEncodeAndMask(
+                            S32, Sh, sm, range.count, prec,
+                            at + " range " + std::to_string(f0));
+                    }
                 }
             }
         }

@@ -6,7 +6,8 @@
  * with no manual hint), DWM decomposition term counts and forward
  * parity against the generalized direct oracle (5x5, 7x7, stride-2,
  * rectangular, ragged shapes; bitwise across thread counts, with
- * staged and fused inner plans), the on-disk tuning-cache round trip,
+ * one-range and multi-range inner plans), the on-disk tuning-cache
+ * round trip,
  * and ConvMode::Auto end to end (selection, parity, training, zero
  * steady-state allocation).
  */
@@ -215,8 +216,8 @@ class DecompParityP : public ::testing::TestWithParam<DecompShape>
  * Forward through the decomposed plan must reproduce the generalized
  * direct oracle within the F(m,3) error budget, and must be bitwise
  * identical across thread counts (per ISA — vector width changes the
- * FP contraction order). The inner plan runs staged or fused as its
- * own shape decides; the last shape is large enough to fuse.
+ * FP contraction order). The inner plan runs one tile range or several
+ * as its own shape decides; the last shape is large enough to split.
  */
 TEST_P(DecompParityP, MatchesDirectOracleBitwiseAcrossSchedules)
 {
@@ -272,7 +273,8 @@ INSTANTIATE_TEST_SUITE_P(
                       DecompShape{1, 2, 3, 11, 9, 5, 3, 1, 1, 4},
                       DecompShape{2, 2, 3, 9, 10, 5, 5, 1, 1, 6},
                       // Inner plan 4 x 16 -> 16 on 32x32, F(4,3):
-                      // 1.1 MiB of staged slabs, so it fuses.
+                      // 256 tiles, so its eval forwards split into
+                      // tile ranges.
                       DecompShape{4, 16, 16, 60, 60, 3, 3, 2, 2, 4}),
     [](const ::testing::TestParamInfo<DecompShape> &info) {
         const DecompShape &p = info.param;
@@ -284,9 +286,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(DecompParity, LargeInnerPlanReallyFuses)
 {
-    // Guards the last DecompParityP shape: if the fusion threshold or
-    // the gather geometry changes so its inner plan stops fusing, the
-    // fused inner coverage is gone.
+    // Guards the last DecompParityP shape: if the range rule or the
+    // gather geometry changes so its inner plan runs one range, the
+    // multi-range inner coverage is gone.
     TunerGuard guard;
     const ConvSpec spec = makeSpec(4, 16, 16, 60, 60, 3, 3, 2, 2);
     Rng rng(99);

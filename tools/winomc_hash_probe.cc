@@ -7,18 +7,19 @@
  *   winomc-hash-probe > hashes.txt
  *
  * Covered, for F(2,3), F(4,3), F(6,3) and F(2,5) over an odd shape, a
- * 1-wide and a 1-high map, a shape above the 1 MiB fusion threshold,
+ * 1-wide and a 1-high map, a shape whose eval forward runs in several
+ * tile ranges,
  * a batch of more images than channels with ragged last panels, and
  * train_wino's B16 C=K=32 32x32 conv (many panels per image, many
  * images per channel):
  *
  *  - the four transforms on their own (input, input adjoint, inverse,
  *    inverse adjoint);
- *  - a WinoPlan's staged forward y, fused forward y, backward-data dx
- *    and weight gradient dW;
+ *  - a WinoPlan's train forward y (one tile range, the whole batch),
+ *    eval forward y (several tile ranges wherever the batch exceeds
+ *    WinoPlan::rangeTiles()), backward-data dx and weight gradient dW;
  *  - nn::ConvLayer in both weight domains: train forward y, backward
- *    dx, the weights after one SGD step, and an eval forward (which
- *    fuses on the large shape);
+ *    dx, the weights after one SGD step, and an eval forward;
  *  - eval forwards of tuner-picked (Auto) 5x5 and 3x3-stride-2 layers,
  *    which may run DWM-decomposed F(m,3) units;
  *  - DWM-decomposed plans (5x5, 3x3-stride-2, 7x7-stride-2) on each
@@ -144,7 +145,7 @@ probeAlgo(const WinogradAlgo &algo, const Shape &s)
     Tensor y(s.b, s.k, s.h, s.w), dx(s.b, s.c, s.h, s.w);
     plan.forwardInto(x, W, y, true);
     print(tag + "plan.y.staged", y);
-    plan.forwardFusedInto(x, W, y);
+    plan.forwardInto(x, W, y, false);
     print(tag + "plan.y.fused", y);
     plan.backwardDataInto(dy, W, dx);
     print(tag + "plan.dx", dx);
