@@ -6,13 +6,14 @@
  * unit the *current translation unit* is compiled for, selected from
  * the compiler's predefined macros:
  *
- *   __AVX512F__          -> 16 floats / 8 doubles
- *   __AVX2__ + __FMA__   ->  8 floats / 4 doubles
- *   __SSE2__ (x86-64)    ->  4 floats / 2 doubles
+ *   __AVX512F__                    -> 16 floats / 8 doubles
+ *   __AVX2__ + __FMA__ + __F16C__  ->  8 floats / 4 doubles
  *
- * Anything else is a compile error: non-x86 hosts run the scalar
- * micro-kernel table (winograd/microkernel_scalar.cc), which does not
- * include this header.
+ * AVX2 is the floor: every vector level has FMA, gather and a
+ * hardware binary16 decode. Anything narrower is a compile error;
+ * such hosts run the scalar micro-kernel table
+ * (winograd/microkernel_scalar.cc), which does not include this
+ * header.
  *
  * IMPORTANT: this header is meant to be included ONLY from the
  * ISA-specific micro-kernel TUs (winograd/microkernel_*.cc), each of
@@ -22,14 +23,14 @@
  * exports are its uniquely named kernel-table factory.
  *
  * Masked tails: loadPartial/storePartial handle the trailing n < W
- * lanes of a loop (AVX-512 uses native mask registers; the narrower
- * levels fall back to a lane loop). Partial loads zero-fill the lanes
+ * lanes of a loop (AVX-512 uses native mask registers; AVX2 falls
+ * back to a lane loop). Partial loads zero-fill the lanes
  * beyond n so arithmetic on the tail never touches garbage.
  *
  * Lane masks: VD::maskOf(bits) selects any lane subset;
  * loadFromFloatMasked reads only the selected floats (0 elsewhere) and
  * fmaMasked leaves the unselected accumulator lanes untouched (a
- * masked fma at AVX-512, a blend below), so an inf or NaN operand in
+ * masked fma at AVX-512, a blend at AVX2), so an inf or NaN operand in
  * an unselected lane cannot leak into them.
  */
 
@@ -38,16 +39,12 @@
 
 #include <cstdint>
 
-#include "common/half.hh"
-
 #if defined(__AVX512F__)
 #define WINOMC_SIMD_LEVEL 3
-#elif defined(__AVX2__) && defined(__FMA__)
+#elif defined(__AVX2__) && defined(__FMA__) && defined(__F16C__)
 #define WINOMC_SIMD_LEVEL 2
-#elif defined(__SSE2__) || defined(__x86_64__) || defined(_M_X64)
-#define WINOMC_SIMD_LEVEL 1
 #else
-#error "common/simd.hh needs an x86 target with SSE2 or wider"
+#error "common/simd.hh needs AVX2 + FMA + F16C or wider (-mavx2 -mfma -mf16c)"
 #endif
 
 #include <immintrin.h>
@@ -271,25 +268,13 @@ struct VF
             tmp[i] = p[i];
         return loadBf16(tmp);
     }
-    /**
-     * Decode W binary16 payloads. Uses the F16C unit when this TU was
-     * compiled with it (decode is exact, so the hardware result is
-     * bitwise identical to the software reference); otherwise the
-     * common/half.hh reference loop.
-     */
+    /** Decode W binary16 payloads (exact widening; F16C cvtph). */
     static VF
     loadF16(const std::uint16_t *p)
     {
-#if defined(__F16C__)
         const __m128i raw =
             _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
         return {_mm256_cvtph_ps(raw)};
-#else
-        alignas(32) float tmp[W];
-        for (int i = 0; i < W; ++i)
-            tmp[i] = winomc::half::f16ToF32(p[i]);
-        return {_mm256_load_ps(tmp)};
-#endif
     }
     static VF
     loadF16Partial(const std::uint16_t *p, int n)
@@ -371,176 +356,6 @@ struct VD
     static VD mul(VD a, VD b) { return {_mm256_mul_pd(a.v, b.v)}; }
 };
 
-#else // WINOMC_SIMD_LEVEL == 1
-
-struct VF
-{
-    __m128 v;
-    static constexpr int W = 4;
-
-    static VF zero() { return {_mm_setzero_ps()}; }
-    static VF broadcast(float x) { return {_mm_set1_ps(x)}; }
-    static VF load(const float *p) { return {_mm_loadu_ps(p)}; }
-    static VF
-    loadPartial(const float *p, int n)
-    {
-        alignas(16) float tmp[W] = {};
-        for (int i = 0; i < n; ++i)
-            tmp[i] = p[i];
-        return {_mm_load_ps(tmp)};
-    }
-    void store(float *p) const { _mm_storeu_ps(p, v); }
-    void
-    storePartial(float *p, int n) const
-    {
-        alignas(16) float tmp[W];
-        _mm_store_ps(tmp, v);
-        for (int i = 0; i < n; ++i)
-            p[i] = tmp[i];
-    }
-    /** No FMA at this level: mul + add, rounded separately. */
-    static VF
-    fma(VF a, VF b, VF acc)
-    {
-        return {_mm_add_ps(acc.v, _mm_mul_ps(a.v, b.v))};
-    }
-    static VF add(VF a, VF b) { return {_mm_add_ps(a.v, b.v)}; }
-    static VF mul(VF a, VF b) { return {_mm_mul_ps(a.v, b.v)}; }
-    static VF
-    reluOf(VF x)
-    {
-        return {_mm_max_ps(x.v, _mm_setzero_ps())};
-    }
-    static VF
-    gtZeroOne(VF x)
-    {
-        const __m128 m = _mm_cmpgt_ps(x.v, _mm_setzero_ps());
-        return {_mm_and_ps(m, _mm_set1_ps(1.0f))};
-    }
-    /** cmpneqps is the unordered compare: NaN lanes count. */
-    static unsigned
-    nonzeroBits(VF x)
-    {
-        return unsigned(
-            _mm_movemask_ps(_mm_cmpneq_ps(x.v, _mm_setzero_ps())));
-    }
-    /** Decode W bfloat16 payloads: interleave below zeros = << 16. */
-    static VF
-    loadBf16(const std::uint16_t *p)
-    {
-        const __m128i raw =
-            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p));
-        return {_mm_castsi128_ps(
-            _mm_unpacklo_epi16(_mm_setzero_si128(), raw))};
-    }
-    static VF
-    loadBf16Partial(const std::uint16_t *p, int n)
-    {
-        alignas(16) std::uint16_t tmp[W] = {};
-        for (int i = 0; i < n; ++i)
-            tmp[i] = p[i];
-        return loadBf16(tmp);
-    }
-    /** Decode W binary16 payloads via the exact software reference. */
-    static VF
-    loadF16(const std::uint16_t *p)
-    {
-        alignas(16) float tmp[W];
-        for (int i = 0; i < W; ++i)
-            tmp[i] = winomc::half::f16ToF32(p[i]);
-        return {_mm_load_ps(tmp)};
-    }
-    static VF
-    loadF16Partial(const std::uint16_t *p, int n)
-    {
-        alignas(16) std::uint16_t tmp[W] = {};
-        for (int i = 0; i < n; ++i)
-            tmp[i] = p[i];
-        return loadF16(tmp);
-    }
-};
-
-struct VD
-{
-    __m128d v;
-    static constexpr int W = 2;
-
-    static VD zero() { return {_mm_setzero_pd()}; }
-    static VD broadcast(double x) { return {_mm_set1_pd(x)}; }
-    static VD load(const double *p) { return {_mm_loadu_pd(p)}; }
-    void store(double *p) const { _mm_storeu_pd(p, v); }
-    static VD
-    loadFromFloat(const float *p)
-    {
-        // Convert the two low floats of an 8-byte load.
-        return {_mm_cvtps_pd(
-            _mm_castsi128_ps(_mm_loadl_epi64(
-                reinterpret_cast<const __m128i *>(p))))};
-    }
-    static VD
-    loadFromFloatPartial(const float *p, int n)
-    {
-        alignas(16) float tmp[4] = {};
-        for (int i = 0; i < n; ++i)
-            tmp[i] = p[i];
-        return {_mm_cvtps_pd(_mm_load_ps(tmp))};
-    }
-    struct Mask
-    {
-        __m128d d; ///< all-ones lanes (the blend)
-        unsigned bits;
-    };
-    static Mask
-    maskOf(unsigned bits)
-    {
-        return {_mm_castsi128_pd(_mm_set_epi64x(-(long long)(bits >> 1 & 1),
-                                                -(long long)(bits & 1))),
-                bits};
-    }
-    static VD
-    loadFromFloatMasked(const float *p, const Mask &m)
-    {
-        if (m.bits == 3)
-            return loadFromFloat(p);
-        alignas(16) float tmp[4] = {};
-        if (m.bits & 1)
-            tmp[0] = p[0];
-        if (m.bits & 2)
-            tmp[1] = p[1];
-        return {_mm_cvtps_pd(_mm_load_ps(tmp))};
-    }
-    static VD
-    fmaMasked(VD a, VD b, VD acc, const Mask &m)
-    {
-        const __m128d sum = _mm_add_pd(acc.v, _mm_mul_pd(a.v, b.v));
-        return {_mm_or_pd(_mm_and_pd(m.d, sum), _mm_andnot_pd(m.d, acc.v))};
-    }
-    void
-    storeToFloat(float *p) const
-    {
-        alignas(16) float tmp[4];
-        _mm_store_ps(tmp, _mm_cvtpd_ps(v));
-        p[0] = tmp[0];
-        p[1] = tmp[1];
-    }
-    void
-    storeToFloatPartial(float *p, int n) const
-    {
-        alignas(16) float tmp[4];
-        _mm_store_ps(tmp, _mm_cvtpd_ps(v));
-        for (int i = 0; i < n; ++i)
-            p[i] = tmp[i];
-    }
-    static VD
-    fma(VD a, VD b, VD acc)
-    {
-        return {_mm_add_pd(acc.v, _mm_mul_pd(a.v, b.v))};
-    }
-    static VD add(VD a, VD b) { return {_mm_add_pd(a.v, b.v)}; }
-    static VD sub(VD a, VD b) { return {_mm_sub_pd(a.v, b.v)}; }
-    static VD mul(VD a, VD b) { return {_mm_mul_pd(a.v, b.v)}; }
-};
-
 #endif
 
 /** Fixed-order (pairwise-tree) horizontal sum: deterministic per ISA. */
@@ -559,19 +374,17 @@ hsum(VD x)
 }
 
 /**
- * vzeroupper where the level has 256-bit registers. The compiler emits
- * it on the way out only after a 256-bit register write, but a VEX.256
- * instruction that reads memory into an xmm destination (a folded
- * double -> float convert) also leaves the upper state dirty, and then
- * every legacy-SSE instruction of the caller pays for it (a 40x slower
- * scalar loop was measured after such a kernel).
+ * vzeroupper. The compiler emits it on the way out of a kernel only
+ * after a 256-bit register write, but a VEX.256 instruction that reads
+ * memory into an xmm destination (a folded double -> float convert)
+ * also leaves the upper state dirty, and then every legacy-SSE
+ * instruction of the caller pays for it (a 40x slower scalar loop was
+ * measured after such a kernel).
  */
 inline void
 zeroUpper()
 {
-#if WINOMC_SIMD_LEVEL >= 2
     _mm256_zeroupper();
-#endif
 }
 
 /** In-register transpose of a VD::W x VD::W block: lane c of r[l]
@@ -605,7 +418,7 @@ transpose(VD (&r)[VD::W])
         r[c].v = _mm512_shuffle_f64x2(u[c], u[4 + c], 0x44);
         r[4 + c].v = _mm512_shuffle_f64x2(u[c], u[4 + c], 0xee);
     }
-#elif WINOMC_SIMD_LEVEL == 2
+#else
     const __m256d t0 = _mm256_unpacklo_pd(r[0].v, r[1].v);
     const __m256d t1 = _mm256_unpackhi_pd(r[0].v, r[1].v);
     const __m256d t2 = _mm256_unpacklo_pd(r[2].v, r[3].v);
@@ -614,10 +427,6 @@ transpose(VD (&r)[VD::W])
     r[1].v = _mm256_permute2f128_pd(t1, t3, 0x20);
     r[2].v = _mm256_permute2f128_pd(t0, t2, 0x31);
     r[3].v = _mm256_permute2f128_pd(t1, t3, 0x31);
-#else
-    const __m128d t0 = _mm_unpacklo_pd(r[0].v, r[1].v);
-    r[1].v = _mm_unpackhi_pd(r[0].v, r[1].v);
-    r[0].v = t0;
 #endif
 }
 

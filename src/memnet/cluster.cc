@@ -15,7 +15,7 @@ ClusterShape::transferMode() const
 std::string
 ClusterShape::toString() const
 {
-    return "(" + std::to_string(ng) + "Ng," + std::to_string(nc) + "Nc)";
+    return detail::concatMessage("(", ng, "Ng,", nc, "Nc)");
 }
 
 ClusterShape

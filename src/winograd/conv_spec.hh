@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 namespace winomc {
 
@@ -79,13 +80,15 @@ struct ConvSpec
     std::string
     key() const
     {
-        return "b" + std::to_string(batch) + "_c" + std::to_string(inCh) +
-               "x" + std::to_string(outCh) + "_in" + std::to_string(h) +
-               "x" + std::to_string(w) + "_k" + std::to_string(kernelH()) +
-               "x" + std::to_string(kernelW()) + "_s" +
-               std::to_string(strideH) + "x" + std::to_string(strideW) +
-               "_p" + std::to_string(padHEff()) + "x" +
-               std::to_string(padWEff());
+        const std::pair<const char *, int> parts[] = {
+            {"b", batch},       {"_c", inCh},      {"x", outCh},
+            {"_in", h},         {"x", w},          {"_k", kernelH()},
+            {"x", kernelW()},   {"_s", strideH},   {"x", strideW},
+            {"_p", padHEff()},  {"x", padWEff()}};
+        std::string s;
+        for (const auto &[tag, v] : parts)
+            s.append(tag).append(std::to_string(v));
+        return s;
     }
 
     /** Spatial-domain weight element count I*J*kernelH*kernelW. */

@@ -40,7 +40,6 @@ knobs()
         {"WINOMC_ISA",
          {{"auto", int(mk::Isa::Auto)},
           {"scalar", int(mk::Isa::Scalar)},
-          {"sse2", int(mk::Isa::Sse2)},
           {"avx2", int(mk::Isa::Avx2)},
           {"avx512", int(mk::Isa::Avx512)}},
          [](ExecConfig &c, int v) { c.isa = mk::Isa(v); }},
@@ -82,7 +81,7 @@ names(const Knob &k)
     std::string out;
     for (const Token &t : k.tokens)
         if (nameOf(k, t.value) == t.text) // not an alias
-            out += (out.empty() ? "" : "|") + std::string(t.text);
+            out.append(out.empty() ? "" : "|").append(t.text);
     return out;
 }
 

@@ -5,7 +5,7 @@
  *
  * Four environment knobs seed it, once, on the first execConfig() call:
  *
- *   WINOMC_ISA=auto|scalar|sse2|avx2|avx512  micro-kernel table (§4.10)
+ *   WINOMC_ISA=auto|scalar|avx2|avx512       micro-kernel table (§4.10)
  *   WINOMC_PREC=fp32|fp16|bf16              activation-slab storage (§4.15)
  *   WINOMC_SPARSE=off|on                    zero-skipping element-wise stage
  *   WINOMC_TUNE=analytic|off|measure        algorithm selection (§4.14)

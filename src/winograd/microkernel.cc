@@ -15,6 +15,7 @@
 #include <array>
 #include <atomic>
 #include <mutex>
+#include <ranges>
 #include <string>
 #include <utility>
 
@@ -37,8 +38,6 @@ tableFor(Isa isa)
     switch (isa) {
       case Isa::Scalar:
         return detail::scalarTable();
-      case Isa::Sse2:
-        return detail::sse2Table();
       case Isa::Avx2:
         return detail::avx2Table();
       case Isa::Avx512:
@@ -59,8 +58,6 @@ cpuHas(Isa isa)
     switch (isa) {
       case Isa::Scalar:
         return true;
-      case Isa::Sse2:
-        return __builtin_cpu_supports("sse2");
       case Isa::Avx2:
         // f16c: the AVX2 TU is compiled with -mf16c for the fp16
         // decode path (every AVX2+FMA part ships it, but verify).
@@ -125,15 +122,23 @@ isTabledPair(const TabledMatrix &t, const double *L, int p, int n,
     return true;
 }
 
+/** The widest usable level strictly below `ceiling` (Scalar, which is
+ *  always usable, when nothing above it is). */
+Isa
+widestBelow(int ceiling)
+{
+    for (Isa isa : std::views::reverse(kIsaLadder))
+        if (int(isa) < ceiling && usable(isa))
+            return isa;
+    return Isa::Scalar;
+}
+
 } // namespace
 
 Isa
 highestSupported()
 {
-    for (Isa isa : {Isa::Avx512, Isa::Avx2, Isa::Sse2})
-        if (usable(isa))
-            return isa;
-    return Isa::Scalar;
+    return widestBelow(int(Isa::Auto));
 }
 
 Isa
@@ -143,13 +148,7 @@ resolveIsa(Isa requested)
         return highestSupported();
     if (usable(requested))
         return requested;
-    Isa fallback = Isa::Scalar;
-    for (Isa isa : {Isa::Avx512, Isa::Avx2, Isa::Sse2}) {
-        if (int(isa) < int(requested) && usable(isa)) {
-            fallback = isa;
-            break;
-        }
-    }
+    const Isa fallback = widestBelow(int(requested));
     winomc_warn("WINOMC_ISA=", isaName(requested),
                 cpuHas(requested) ? " not built into this binary"
                                   : " not supported by this CPU",

@@ -5,16 +5,18 @@
  * The hot loops of the Winograd pipeline (elementwise GEMM stages,
  * tile-side transforms, direct conv inner loop) and the nn/ secondary
  * paths (ReLU, pooling, SGD axpy) all funnel through a small set of
- * primitive kernels. Each primitive exists in up to four variants —
- * scalar, SSE2, AVX2+FMA, AVX-512F — compiled in separate translation
+ * primitive kernels. Each primitive exists in three variants —
+ * scalar, AVX2+FMA+F16C, AVX-512F — compiled in separate translation
  * units with per-file -m flags, so one binary runs on any x86-64 host
- * and picks the widest supported unit at startup via cpuid.
+ * and picks the widest supported unit at startup via cpuid. Every
+ * vector level has FMA and gather; a CPU without AVX2 runs the scalar
+ * table.
  *
  * Selection: kernels() resolves ExecConfig::isa (winograd/
- * exec_config.hh, seeded from WINOMC_ISA = auto | scalar | sse2 |
- * avx2 | avx512); auto is the highest level the running CPU supports,
- * and a level the CPU or the build lacks warns and falls back down
- * the ladder, never crashes.
+ * exec_config.hh, seeded from WINOMC_ISA = auto | scalar | avx2 |
+ * avx512); auto is the highest level the running CPU supports, and a
+ * level the CPU or the build lacks warns and falls back down the
+ * ladder avx512 -> avx2 -> scalar, never crashes.
  *
  * Numerics policy: the scalar table reproduces today's loop structures
  * exactly — WINOMC_ISA=scalar is bitwise identical to the pre-SIMD
@@ -41,14 +43,18 @@
 namespace winomc {
 namespace mk {
 
-/** ISA ladder, ordered so higher value = wider vectors. */
+/** ISA ladder, ordered so higher value = wider vectors. The values
+ *  are the kernel.isa.level gauge's. */
 enum class Isa : int {
     Scalar = 0,
-    Sse2 = 1,
     Avx2 = 2,
     Avx512 = 3,
     Auto = 99, ///< resolve to the highest level the CPU supports
 };
+
+/** Every concrete level, narrowest first: the ladder resolveIsa()
+ *  falls down, and the levels tests sweep. */
+inline constexpr Isa kIsaLadder[] = {Isa::Scalar, Isa::Avx2, Isa::Avx512};
 
 /**
  * Lane count of the SoA tile panels used by the transform kernels.
@@ -139,7 +145,7 @@ struct XformBodies
 struct MicroKernels
 {
     Isa isa;
-    const char *name;  ///< "scalar", "sse2", "avx2", "avx512"
+    const char *name;  ///< "scalar", "avx2", "avx512"
     int floatLanes;    ///< packed float width of this level
     int doubleLanes;   ///< packed double width of this level
 
@@ -151,15 +157,15 @@ struct MicroKernels
      * j < nj (nj in [1, kRowBlock]), i < ni, k < len. The weight
      * strides let the forward (W, wsJ = ni, wsI = 1) and backward data
      * (W^T, wsJ = 1, wsI = ni) share one body. Vector levels keep an
-     * nj x (4 vectors at AVX-512, 2 below) accumulator block in
+     * nj x (4 vectors at AVX-512, 2 at AVX2) accumulator block in
      * registers over the whole reduction, so each x vector is loaded
      * once per row block and y is read and written once. Each element
      * is one chain: y's value, then one fma per input row in
-     * ascending order (mul + add at SSE2), zero weights included. The
-     * scalar table loops the pre-blocking per-row kernel over 8 input
-     * rows at a time (the flat 8-term expression for a full block, an
-     * accumulate loop for a ragged one) and skips a row's all-zero
-     * 8-weight block, so WINOMC_ISA=scalar is unchanged.
+     * ascending order, zero weights included. The scalar table loops
+     * the pre-blocking per-row kernel over 8 input rows at a time (the
+     * flat 8-term expression for a full block, an accumulate loop for
+     * a ragged one) and skips a row's all-zero 8-weight block, so
+     * WINOMC_ISA=scalar is unchanged.
      */
     void (*rowBlockAccum)(float *const *y, int nj, const float *x,
                           std::size_t xStride, int ni, const float *w,
@@ -397,7 +403,7 @@ Isa highestSupported();
  */
 Isa resolveIsa(Isa requested);
 
-/** Human-readable name ("scalar", "sse2", "avx2", "avx512", "auto"). */
+/** Human-readable name ("scalar", "avx2", "avx512", "auto"). */
 const char *isaName(Isa isa);
 
 /**
@@ -448,7 +454,6 @@ namespace detail {
  * compiler lacks the -m flag). Defined in microkernel_<level>.cc.
  */
 const MicroKernels *scalarTable();
-const MicroKernels *sse2Table();
 const MicroKernels *avx2Table();
 const MicroKernels *avx512Table();
 } // namespace detail

@@ -23,9 +23,8 @@
  * xform_tables.hh and is bitwise DenseSandwich for finite inputs. The
  * tile-panel pack and unpack are pure data movement (a float <->
  * double convert at most), so every level is bitwise the scalar
- * loops: AVX2 and AVX-512 pack with one masked gather per transform
- * entry (SSE2 has no gather and keeps the loop), and unpack walks
- * lanes in ascending order, the overlap-add's summation order.
+ * loops: pack is one masked gather per transform entry, and unpack
+ * walks lanes in ascending order, the overlap-add's summation order.
  */
 
 #ifndef WINOMC_WINOGRAD_MICROKERNEL_IMPL_HH
@@ -63,7 +62,7 @@ unrolled(F &&f)
 }
 
 /** Vectors per accumulator row of rowBlockAccum: a 4 x 4 block of the
- *  32 zmm registers at AVX-512, 4 x 2 of the 16 registers below. */
+ *  32 zmm registers at AVX-512, 4 x 2 of the 16 at AVX2. */
 constexpr int kRowVecs = VF::W >= 16 ? 4 : 2;
 
 /**
@@ -146,7 +145,7 @@ rowBlockAccum(float *const *y, int nj, const float *x, std::size_t xStride,
 
 /** Double vectors per panel of gradWeights' wide operand, and narrow
  *  rows per register block: 4 x 2 vectors x 2 chains = 16 of the 32
- *  registers at AVX-512, 2 x 2 x 2 = 8 of the 16 below. */
+ *  registers at AVX-512, 2 x 2 x 2 = 8 of the 16 at AVX2. */
 constexpr int kGradVecs = 2;
 constexpr int kGradPanel = kGradVecs * VD::W;
 constexpr int kGradRows = VD::W >= 8 ? 4 : 2;
@@ -630,7 +629,7 @@ packTilePanel(double *soa, const float *plane, const int *lanePlane,
     }
 }
 
-#elif WINOMC_SIMD_LEVEL == 2
+#else
 
 /**
  * AVX2 form of the masked-gather pack: two 8-lane gathers per entry
@@ -691,37 +690,6 @@ packTilePanel(double *soa, const float *plane, const int *lanePlane,
             }
         }
     }
-}
-
-#else
-
-/** SSE2 has no gather: the scalar loop structure, bounds per element. */
-void
-packTilePanel(double *soa, const float *planes, const int *lanePlane,
-              int h, int w, const int *tr, const int *tc, int eh, int ew,
-              int cnt)
-{
-    for (int l = 0; l < cnt; ++l) {
-        const float *plane = planes + lanePlane[l];
-        const int r0 = tr[l];
-        const int c0 = tc[l];
-        for (int i = 0; i < eh; ++i) {
-            const int rr = r0 + i;
-            const bool rowIn = rr >= 0 && rr < h;
-            for (int j = 0; j < ew; ++j) {
-                const int cc = c0 + j;
-                const bool in_map = rowIn && cc >= 0 && cc < w;
-                soa[std::size_t(i * ew + j) * kTilePanel + l] =
-                    in_map ? double(plane[std::size_t(rr) * w + cc])
-                           : 0.0;
-            }
-        }
-    }
-    // Surplus lanes must stay defined for whole-vector panel sweeps.
-    if (cnt < kTilePanel)
-        for (int e = 0; e < eh * ew; ++e)
-            for (int l = cnt; l < kTilePanel; ++l)
-                soa[std::size_t(e) * kTilePanel + l] = 0.0;
 }
 
 #endif
@@ -800,7 +768,7 @@ unpackPanel(float *plane, int h, int w, const int *tr, const int *tc,
 }
 
 /** Output channels a directRow pass keeps in registers (16 zmm
- *  accumulators at AVX-512, 8 of the 16 registers below), vectors per
+ *  accumulators at AVX-512, 8 of the 16 at AVX2), vectors per
  *  channel, and the kernel columns one mask table covers. */
 constexpr int kDirOuts = VD::W >= 8 ? winomc::mk::kDirectBlock
                                     : winomc::mk::kDirectBlock / 2;

@@ -5,8 +5,8 @@
  * kernels under test.
  *
  *  - rowBlockRef: mk::rowBlockAccum. Vector levels: each element is
- *    one chain from y's value over every input row in ascending
- *    order, std::fma from AVX2 up, multiply-then-add at SSE2. Scalar:
+ *    one chain of std::fma from y's value over every input row in
+ *    ascending order. Scalar:
  *    the blocked nest of the scalar table (8 input rows at a time, a
  *    flat 8-term sum for a full block, an accumulate loop for a ragged
  *    one, a row's all-zero 8-weight block skipped).
@@ -15,7 +15,8 @@
  *    vector-level halves.
  *
  * The test TUs are compiled with the baseline flags (no FMA), so
- * `acc + w * x` rounds twice, as the SSE2 kernels do.
+ * `acc + w * x` rounds twice, as the scalar table does, and every
+ * vector level's fused step is spelled std::fma.
  */
 
 #ifndef WINOMC_TESTS_EW_ORACLE_HH
@@ -43,10 +44,8 @@ rowBlockRef(mk::Isa isa, float *const *y, int nj, const float *x,
         for (int k = 0; k < len; ++k) {
             float acc = y[j][k];
             if (isa != mk::Isa::Scalar) {
-                const bool fused = isa != mk::Isa::Sse2;
                 for (int i = 0; i < ni; ++i)
-                    acc = fused ? std::fma(wAt(i), xAt(i, k), acc)
-                                : acc + wAt(i) * xAt(i, k);
+                    acc = std::fma(wAt(i), xAt(i, k), acc);
                 y[j][k] = acc;
                 continue;
             }
@@ -76,15 +75,13 @@ rowBlockRef(mk::Isa isa, float *const *y, int nj, const float *x,
  * The lane values c0 + c1 (lanes <= 8 of them) whose hsum is one
  * vector-level gradWeights pair block: per lane, chain 0 over the even
  * full chunks of `lanes` doubles, chain 1 over the odd ones and then
- * the zero-filled tail; FMA from AVX2 up, multiply-then-add at SSE2.
+ * the zero-filled tail, each step one std::fma.
  */
 inline void
-pairLanes(mk::Isa isa, int lanes, const float *a, const float *b, int len,
-          double *out)
+pairLanes(int lanes, const float *a, const float *b, int len, double *out)
 {
-    const bool fused = isa != mk::Isa::Sse2;
-    const auto step = [fused](double &acc, double x, double y) {
-        acc = fused ? std::fma(x, y, acc) : acc + x * y;
+    const auto step = [](double &acc, double x, double y) {
+        acc = std::fma(x, y, acc);
     };
     double c1[8] = {};
     for (int l = 0; l < lanes; ++l)
@@ -137,7 +134,7 @@ perPairDot(mk::Isa isa, int lanes, const float *a, const float *b,
         return (s0 + s1) + (s2 + s3);
     }
     double v[8] = {};
-    pairLanes(isa, lanes, a, b, len, v);
+    pairLanes(lanes, a, b, len, v);
     return hsumTree(v, lanes);
 }
 

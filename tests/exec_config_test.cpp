@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/parallel.hh"
 #include "winograd/exec_config.hh"
 #include "winograd/microkernel.hh"
@@ -63,8 +64,6 @@ parseRows()
         {"WINOMC_ISA", "auto", true, dflt},
         {"WINOMC_ISA", "scalar", true,
          with([](ExecConfig &c) { c.isa = Isa::Scalar; })},
-        {"WINOMC_ISA", "sse2", true,
-         with([](ExecConfig &c) { c.isa = Isa::Sse2; })},
         {"WINOMC_ISA", "avx2", true,
          with([](ExecConfig &c) { c.isa = Isa::Avx2; })},
         {"WINOMC_ISA", "avx512", true,
@@ -80,6 +79,7 @@ parseRows()
         {"WINOMC_ISA", "avx9999", false, dflt},
         {"WINOMC_ISA", "512", false, dflt},
         {"WINOMC_ISA", "avx2 avx512", false, dflt},
+        {"WINOMC_ISA", "sse2", false, dflt}, // a retired level
         // WINOMC_PREC
         {"WINOMC_PREC", "fp32", true, dflt},
         {"WINOMC_PREC", "fp16", true,
@@ -127,11 +127,16 @@ enum class Rows { Accepted, FallBack, All };
 
 /**
  * Check the table rows of @p var (all vars if nullptr) of kind
- * @p which; returns how many rows were checked.
+ * @p which; returns how many rows were checked. A row must parse to
+ * its config, warn exactly once if it is set but not accepted (never
+ * otherwise), and an ISA row must run the table its config resolves
+ * to.
  */
 int
 checkRows(const char *var, Rows which)
 {
+    const int level = logLevel();
+    setLogLevel(1);
     int n = 0;
     for (const Row &r : parseRows()) {
         if (var && std::string(var) != r.var)
@@ -142,10 +147,25 @@ checkRows(const char *var, Rows which)
         std::map<std::string, const char *> env;
         if (r.value)
             env[r.var] = r.value;
-        EXPECT_TRUE(parseFrom(env) == r.want)
-            << r.var << "='" << (r.value ? r.value : "(unset)") << "'";
+        testing::internal::CaptureStderr();
+        const ExecConfig got = parseFrom(env);
+        const std::string err = testing::internal::GetCapturedStderr();
+        const std::string row = std::string(r.var) + "='" +
+                                (r.value ? r.value : "(unset)") + "'";
+        EXPECT_TRUE(got == r.want) << row;
+        int warns = 0;
+        for (auto at = err.find("warn:"); at != std::string::npos;
+             at = err.find("warn:", at + 1))
+            ++warns;
+        EXPECT_EQ(warns, r.value && *r.value && !r.accepted ? 1 : 0)
+            << row << ": " << err;
+        if (std::string(r.var) == "WINOMC_ISA") {
+            ScopedExecConfig seeded(got);
+            EXPECT_EQ(mk::kernels().isa, mk::resolveIsa(r.want.isa)) << row;
+        }
         ++n;
     }
+    setLogLevel(level);
     return n;
 }
 
@@ -217,9 +237,10 @@ TEST(ExecConfigParse, TableOverAllFiveFields)
                   m);
     for (Prec p : {Prec::F32, Prec::F16, Prec::Bf16})
         EXPECT_EQ(parseFrom({{"WINOMC_PREC", precName(p)}}).prec, p);
-    for (Isa isa :
-         {Isa::Scalar, Isa::Sse2, Isa::Avx2, Isa::Avx512, Isa::Auto})
+    for (Isa isa : mk::kIsaLadder)
         EXPECT_EQ(parseFrom({{"WINOMC_ISA", mk::isaName(isa)}}).isa, isa);
+    EXPECT_EQ(parseFrom({{"WINOMC_ISA", mk::isaName(Isa::Auto)}}).isa,
+              Isa::Auto);
 }
 
 // ------------------------------------------------------------ Scopes

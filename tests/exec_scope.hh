@@ -11,7 +11,8 @@
  *    inside the scope they should run under.
  *  - withIsa / withPrec / withSparse / withTune: one-field
  *    edits for ExecScope and nested ScopedExecConfig flips.
- *  - usableIsas: the ISA levels withIsa can really select here.
+ *  - usableIsas: the levels of the dispatcher's ladder withIsa can
+ *    really select here.
  *  - Fp32Pin: declared once at namespace scope by suites that check
  *    the fp32 pipeline against fp32 oracles; pins prec to fp32 for the
  *    whole binary whatever WINOMC_PREC says. WINOMC_SPARSE stays
@@ -59,13 +60,14 @@ inline auto withTune(tune::TuneMode v)
     return [v](ExecConfig &c) { c.tune = v; };
 }
 
-/** Every ISA level the dispatcher can actually deliver on this host:
- *  always Scalar, plus whatever resolveIsa() keeps of the others. */
+/** Every level of mk::kIsaLadder the dispatcher can actually deliver
+ *  on this host: always Scalar, plus whatever resolveIsa() keeps of
+ *  the vector levels. */
 inline std::vector<mk::Isa>
 usableIsas()
 {
-    std::vector<mk::Isa> out = {mk::Isa::Scalar};
-    for (mk::Isa isa : {mk::Isa::Sse2, mk::Isa::Avx2, mk::Isa::Avx512})
+    std::vector<mk::Isa> out;
+    for (mk::Isa isa : mk::kIsaLadder)
         if (mk::resolveIsa(isa) == isa)
             out.push_back(isa);
     return out;

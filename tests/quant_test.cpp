@@ -11,6 +11,7 @@
 
 #include <cmath>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "quant/predict.hh"
 #include "quant/prune.hh"
@@ -84,8 +85,8 @@ INSTANTIATE_TEST_SUITE_P(Configs, QuantizerP,
                       QuantCfg{64, 8}, QuantCfg{32, 1}, QuantCfg{32, 4},
                       QuantCfg{16, 2}),
     [](const ::testing::TestParamInfo<QuantCfg> &info) {
-        return "L" + std::to_string(info.param.levels) + "R" +
-               std::to_string(info.param.regions);
+        return winomc::detail::concatMessage("L", info.param.levels, "R",
+                                             info.param.regions);
     });
 
 TEST(Quantizer, StepDoublesAcrossRegions)

@@ -118,8 +118,7 @@ TEST_F(SimdTest, ResolveIsaNeverEscalatesAndScalarIsFixed)
     EXPECT_EQ(mk::resolveIsa(mk::Isa::Scalar), mk::Isa::Scalar);
     EXPECT_EQ(mk::resolveIsa(mk::Isa::Auto), mk::highestSupported());
     // A requested level either sticks or falls DOWN the ladder.
-    for (mk::Isa isa :
-         {mk::Isa::Sse2, mk::Isa::Avx2, mk::Isa::Avx512}) {
+    for (mk::Isa isa : mk::kIsaLadder) {
         mk::Isa got = mk::resolveIsa(isa);
         EXPECT_LE(int(got), int(isa));
     }
@@ -502,8 +501,7 @@ TEST_F(SimdTest, DotBlockReductionMatchesHsumTree)
                                 continue;
                             // The same lane classes folded in order.
                             double v[8], sum = 0.0;
-                            test::pairLanes(isa, lanes, a + k0, b + k0, kb,
-                                            v);
+                            test::pairLanes(lanes, a + k0, b + k0, kb, v);
                             for (int l = 0; l < lanes; ++l)
                                 sum += v[l];
                             seq += sum;
@@ -520,7 +518,7 @@ TEST_F(SimdTest, DotBlockReductionMatchesHsumTree)
         }
     }
     for (mk::Isa isa : usableIsas())
-        if (isa != mk::Isa::Scalar && isa != mk::Isa::Sse2) {
+        if (isa != mk::Isa::Scalar) {
             EXPECT_GT(visibleByIsa[isa], 0) << mk::isaName(isa);
         }
 

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "common/half.hh"
+#include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
@@ -333,10 +334,9 @@ INSTANTIATE_TEST_SUITE_P(Shapes, SparseParityP,
         SparseCase{1, 19, 5, 8, 8, 4}), // 8 + 8 + ragged 3 input rows
     [](const ::testing::TestParamInfo<SparseCase> &info) {
         const auto &p = info.param;
-        return "b" + std::to_string(p.batch) + "c" +
-               std::to_string(p.in_ch) + "k" + std::to_string(p.out_ch) +
-               "h" + std::to_string(p.h) + "w" + std::to_string(p.w) +
-               "F" + std::to_string(p.m);
+        return winomc::detail::concatMessage("b", p.batch, "c", p.in_ch,
+                                             "k", p.out_ch, "h", p.h, "w",
+                                             p.w, "F", p.m);
     });
 
 TEST(SparseExec, AllZeroInputYieldsExactZeroOutput)
@@ -445,8 +445,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, HalfPrecP,
                       SparseCase{2, 4, 3, 12, 12, 4}),
     [](const ::testing::TestParamInfo<SparseCase> &info) {
         const auto &p = info.param;
-        return "b" + std::to_string(p.batch) + "c" +
-               std::to_string(p.in_ch) + "F" + std::to_string(p.m);
+        return winomc::detail::concatMessage("b", p.batch, "c", p.in_ch,
+                                             "F", p.m);
     });
 
 TEST(HalfPrec, Bf16AndFp16AreDistinctFormats)

@@ -221,8 +221,6 @@ isaLevelName(double level)
     switch (int(level)) {
       case 0:
         return "scalar";
-      case 1:
-        return "sse2";
       case 2:
         return "avx2";
       case 3:

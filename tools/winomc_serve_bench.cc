@@ -39,6 +39,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/rng.hh"
 #include "nn/conv_layer.hh"
@@ -319,9 +320,8 @@ main(int argc, char **argv)
         double(s1.freshAllocs - s0.freshAllocs) /
         double(std::max<std::uint64_t>(1, engine.served()));
 
-    const std::string shape = "c" + std::to_string(opt.c) + "h" +
-                              std::to_string(opt.h) + "w" +
-                              std::to_string(opt.w);
+    const std::string shape = winomc::detail::concatMessage(
+        "c", opt.c, "h", opt.h, "w", opt.w);
     std::printf("SERVE_OpenLoop/%s  served=%llu  qps=%.1f  "
                 "mean_us=%.1f  p50_us=%.1f  p99_us=%.1f  "
                 "fresh_bytes_per_req=%.1f  fresh_allocs_per_req=%.3f\n",
