@@ -1,7 +1,6 @@
 #include "winograd/cost.hh"
 
 #include "common/logging.hh"
-#include "winograd/plan.hh" // decomposeSpec
 #include "winograd/tiling.hh"
 
 namespace winomc {
@@ -72,7 +71,7 @@ winogradConvCost(const ConvSpec &spec, const WinogradAlgo &algo,
     winomc_assert(spec.samePadded(),
                   "plain Winograd cost needs a stride-1 same-padded "
                   "spec (got ", spec.key(),
-                  "); use decomposedConvCost");
+                  "); decompose it first");
     const uint64_t B = spec.batch, I = spec.inCh, J = spec.outCh;
     const uint64_t S = uint64_t(p.systolicDim);
     const double bytes = p.bytesPerScalar;
@@ -201,46 +200,6 @@ predictedTrafficBytes(const ConvSpec &spec, const WinogradAlgo &algo,
         break;
     }
     return tp;
-}
-
-ConvCost
-decomposedConvCost(const ConvSpec &spec, const WinogradAlgo &unit,
-                   const CostModelParams &p)
-{
-    winomc_assert(unit.r == 3,
-                  "decomposition terms are 3-tap units; got r=", unit.r);
-    const uint64_t terms = uint64_t(decomposeSpec(spec).size());
-    winomc_assert(terms > 0, "empty decomposition for ", spec.key());
-
-    // Every term is the same inner stride-1 "same" 3x3 convolution
-    // over the gathered (outH+2) x (outW+2) view (the +2 border
-    // absorbs the inner pipeline's implicit padding).
-    ConvSpec innerSpec = spec;
-    innerSpec.h = spec.outH() + 2;
-    innerSpec.w = spec.outW() + 2;
-    innerSpec.r = 3;
-    innerSpec.kh = innerSpec.kw = 0;
-    innerSpec.strideH = innerSpec.strideW = 1;
-    innerSpec.padH = innerSpec.padW = -1;
-    const ConvCost one = winogradConvCost(innerSpec, unit,
-                                          Phase::Fprop, p);
-
-    // Per term on top of the inner pipeline: write + re-read the
-    // gathered view, and the crop-accumulate's read-modify-write
-    // sweep over the output map.
-    const uint64_t gatherElems = innerSpec.inputElems();
-    const uint64_t accumElems = spec.outputElems();
-
-    ConvCost c;
-    c.mults = terms * one.mults;
-    c.adds = terms * (one.adds + accumElems);
-    c.dramReadBytes =
-        terms * (one.dramReadBytes +
-                 uint64_t((gatherElems + accumElems) * p.bytesPerScalar));
-    c.dramWriteBytes =
-        terms * (one.dramWriteBytes +
-                 uint64_t((gatherElems + accumElems) * p.bytesPerScalar));
-    return c;
 }
 
 ConvCost

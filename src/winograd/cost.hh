@@ -62,20 +62,10 @@ ConvCost directConvCost(const ConvSpec &spec, Phase phase,
 
 /** Winograd convolution cost of one phase (Winograd-layer weights).
  *  The plain pipeline binds the stride-1 "same" square-kernel
- *  geometry; other descriptors go through decomposedConvCost. */
+ *  geometry; other descriptors run through the DWM decomposition
+ *  (WinoDecompPlan), whose cost tune::predictMs models. */
 ConvCost winogradConvCost(const ConvSpec &spec, const WinogradAlgo &algo,
                           Phase phase, const CostModelParams &p = {});
-
-/**
- * Forward cost of executing `spec` through the DWM decomposition into
- * F(m,3) units (winograd/plan.hh): the term count times the inner
- * stride-1 "same" 3x3 Winograd cost on the (outH+2) x (outW+2)
- * gathered map, plus each term's gather/crop-accumulate traffic.
- * Forward only — training of decomposed layers runs direct gradients.
- */
-ConvCost decomposedConvCost(const ConvSpec &spec,
-                            const WinogradAlgo &unit,
-                            const CostModelParams &p = {});
 
 /** Sum over the three phases of one training iteration. */
 ConvCost directConvIterCost(const ConvSpec &spec,

@@ -135,11 +135,9 @@ WinoPlan::checkBudget(std::size_t bytes, const char *what) const
 {
     if (bytes <= ws::Workspace::global().limitBytes())
         return;
-    ws::checkBudget(bytes, "WinoPlan(" + std::to_string(nb) + "x" +
-                               std::to_string(ni) + "->" +
-                               std::to_string(nj) + "@" +
-                               std::to_string(fh) + "x" +
-                               std::to_string(fw) + ") " + what);
+    ws::checkBudget(bytes, detail::concatMessage("WinoPlan(", nb, "x", ni,
+                                                 "->", nj, "@", fh, "x",
+                                                 fw, ") ", what));
 }
 
 void
@@ -674,20 +672,21 @@ decompSupported(const ConvSpec &spec)
 
 WinoDecompPlan::WinoDecompPlan(const ConvSpec &spec,
                                const WinogradAlgo &unit)
-    : sp(spec), alg(unit), units(decomposeSpec(spec)),
-      kerScratch(spec.outCh, spec.inCh, 3, 3),
-      xGather(spec.batch, spec.inCh, spec.outH() + 2, spec.outW() + 2),
-      yTerm(spec.batch, spec.outCh, spec.outH() + 2, spec.outW() + 2)
+    : sp(spec), alg(unit), units(decomposeSpec(spec))
 {
     winomc_assert(unit.r == 3, "decomposition terms are 3-tap units; "
                                "got an r=", unit.r, " algorithm");
     winomc_assert(decompSupported(spec),
                   "geometry not decomposable: ", spec.key());
-    unitW.reserve(units.size());
-    for (std::size_t u = 0; u < units.size(); ++u)
-        unitW.emplace_back(alg.alpha, sp.outCh, sp.inCh);
-    inner = std::make_unique<WinoPlan>(alg, sp.batch, sp.inCh, sp.outCh,
-                                       sp.outH() + 2, sp.outW() + 2);
+    const int tc = terms() * sp.inCh;
+    const int gh = sp.outH() + 2;
+    const int gw = sp.outW() + 2;
+    kerScratch.reshape(sp.outCh, tc, 3, 3);
+    unitW.reshape(alg.alpha, sp.outCh, tc);
+    xGather.reshape(sp.batch, tc, gh, gw);
+    yInner.reshape(sp.batch, sp.outCh, gh, gw);
+    inner = std::make_unique<WinoPlan>(alg, sp.batch, tc, sp.outCh, gh,
+                                       gw);
 }
 
 bool
@@ -711,11 +710,10 @@ WinoDecompPlan::matches(const ConvSpec &spec,
 std::size_t
 WinoDecompPlan::workspaceBytes() const
 {
-    std::size_t elems =
-        kerScratch.size() + xGather.size() + yTerm.size();
-    for (const WinoWeights &w : unitW)
-        elems += w.size();
-    return inner->workspaceBytes() + elems * sizeof(float);
+    return inner->workspaceBytes() +
+           (kerScratch.size() + unitW.size() + xGather.size() +
+            yInner.size()) *
+               sizeof(float);
 }
 
 void
@@ -731,21 +729,22 @@ WinoDecompPlan::setWeights(const Tensor &w)
         const DecompTerm &t = units[u];
         for (int j = 0; j < sp.outCh; ++j) {
             for (int i = 0; i < sp.inCh; ++i) {
+                const int ti = int(u) * sp.inCh + i;
                 for (int jr = 0; jr < 3; ++jr) {
                     const int ar =
                         sp.strideH * (3 * t.chunkR + jr) + t.phR;
                     for (int jc = 0; jc < 3; ++jc) {
                         const int ac =
                             sp.strideW * (3 * t.chunkC + jc) + t.phC;
-                        kerScratch.at(j, i, jr, jc) =
+                        kerScratch.at(j, ti, jr, jc) =
                             (ar < kh && ac < kw) ? w.at(j, i, ar, ac)
                                                  : 0.0f;
                     }
                 }
             }
         }
-        transformWeightsInto(kerScratch, alg, unitW[u]);
     }
+    transformWeightsInto(kerScratch, alg, unitW);
     haveWeights = true;
 }
 
@@ -767,84 +766,73 @@ WinoDecompPlan::forwardInto(const Tensor &x, Tensor &y)
     const int gw = ow + 2;
     const int sH = sp.strideH;
     const int sW = sp.strideW;
-    const auto &K = mk::kernels();
+    const int nu = terms();
 
-    y.fill(0.0f);
-    // Terms run serially and accumulate in list order: the sum's
-    // floating-point order is fixed regardless of thread count, and
-    // each term is bitwise identical staged or fused (the inner
-    // plan's own contract), so the whole decomposition is bitwise
-    // reproducible.
-    for (std::size_t u = 0; u < units.size(); ++u) {
-        const DecompTerm &t = units[u];
-
-        // Gather the term's strided view, one (image, channel) plane
-        // per task: xg[i', j'] = x_zeroext[sH*(i'-1) + offR,
-        // sW*(j'-1) + offC]. The 1-deep border carries real data
-        // where available — the inner pipeline's own "same" padding
-        // applies only outside the gathered map, and the border rows
-        // of the term output are cropped below.
-        const float *xbase = x.data();
-        float *gbase = xGather.data();
-        parallelFor(0, std::int64_t(sp.batch) * sp.inCh, 1,
-                    [&](std::int64_t lo, std::int64_t hi) {
-            for (std::int64_t bi = lo; bi < hi; ++bi) {
-                const float *xplane =
-                    xbase + std::size_t(bi) * sp.h * sp.w;
-                float *gplane = gbase + std::size_t(bi) * gh * gw;
-                for (int gi = 0; gi < gh; ++gi) {
-                    float *grow = gplane + std::size_t(gi) * gw;
-                    const int iy = sH * (gi - 1) + t.offR;
-                    if (iy < 0 || iy >= sp.h) {
-                        std::fill(grow, grow + gw, 0.0f);
-                        continue;
-                    }
-                    const float *xrow = xplane + std::size_t(iy) * sp.w;
-                    if (sW == 1) {
-                        // Contiguous span fast path: gj maps to
-                        // ix = gj - 1 + offC.
-                        const int lo2 = std::max(0, 1 - t.offC);
-                        const int hi2 =
-                            std::min(gw, sp.w + 1 - t.offC);
-                        std::fill(grow, grow + std::min(gw, lo2), 0.0f);
-                        if (hi2 > lo2)
-                            std::memcpy(grow + lo2,
-                                        xrow + lo2 - 1 + t.offC,
-                                        std::size_t(hi2 - lo2) *
-                                            sizeof(float));
-                        if (hi2 < gw)
-                            std::fill(grow + std::max(lo2, hi2),
-                                      grow + gw, 0.0f);
-                    } else {
-                        for (int gj = 0; gj < gw; ++gj) {
-                            const int ix = sW * (gj - 1) + t.offC;
-                            grow[gj] = (ix >= 0 && ix < sp.w)
-                                           ? xrow[ix]
-                                           : 0.0f;
-                        }
+    // Gather every term's strided view, one (image, term, channel)
+    // plane per task, into inner channel u*I + i:
+    // xg[i', j'] = x_zeroext[sH*(i'-1) + offR, sW*(j'-1) + offC]. The
+    // 1-deep border carries real data where available — the inner
+    // pipeline's own "same" padding applies only outside the gathered
+    // map, and the border of the inner output is cropped below.
+    const float *xbase = x.data();
+    float *gbase = xGather.data();
+    parallelFor(0, std::int64_t(sp.batch) * nu * sp.inCh, 1,
+                [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t p = lo; p < hi; ++p) {
+            const std::int64_t b = p / (std::int64_t(nu) * sp.inCh);
+            const DecompTerm &t = units[std::size_t(p / sp.inCh % nu)];
+            const float *xplane =
+                xbase + std::size_t(b * sp.inCh + p % sp.inCh) * sp.h *
+                            sp.w;
+            float *gplane = gbase + std::size_t(p) * gh * gw;
+            for (int gi = 0; gi < gh; ++gi) {
+                float *grow = gplane + std::size_t(gi) * gw;
+                const int iy = sH * (gi - 1) + t.offR;
+                if (iy < 0 || iy >= sp.h) {
+                    std::fill(grow, grow + gw, 0.0f);
+                    continue;
+                }
+                const float *xrow = xplane + std::size_t(iy) * sp.w;
+                if (sW == 1) {
+                    // Contiguous span fast path: gj maps to
+                    // ix = gj - 1 + offC.
+                    const int lo2 = std::max(0, 1 - t.offC);
+                    const int hi2 = std::min(gw, sp.w + 1 - t.offC);
+                    std::fill(grow, grow + std::min(gw, lo2), 0.0f);
+                    if (hi2 > lo2)
+                        std::memcpy(grow + lo2, xrow + lo2 - 1 + t.offC,
+                                    std::size_t(hi2 - lo2) *
+                                        sizeof(float));
+                    if (hi2 < gw)
+                        std::fill(grow + std::max(lo2, hi2), grow + gw,
+                                  0.0f);
+                } else {
+                    for (int gj = 0; gj < gw; ++gj) {
+                        const int ix = sW * (gj - 1) + t.offC;
+                        grow[gj] =
+                            (ix >= 0 && ix < sp.w) ? xrow[ix] : 0.0f;
                     }
                 }
             }
-        });
+        }
+    });
 
-        inner->forwardInto(xGather, unitW[u], yTerm, false);
+    inner->forwardInto(xGather, unitW, yInner, false);
 
-        // Crop-accumulate the term's interior into y.
-        const float *tbase = yTerm.data();
-        float *ybase = y.data();
-        parallelFor(0, std::int64_t(sp.batch) * sp.outCh, 1,
-                    [&](std::int64_t lo, std::int64_t hi) {
-            for (std::int64_t bj = lo; bj < hi; ++bj) {
-                const float *tplane =
-                    tbase + std::size_t(bj) * gh * gw;
-                float *yplane = ybase + std::size_t(bj) * oh * ow;
-                for (int p = 0; p < oh; ++p)
-                    K.axpy(yplane + std::size_t(p) * ow, 1.0f,
-                           tplane + std::size_t(p + 1) * gw + 1,
-                           std::int64_t(ow));
-            }
-        });
-    }
+    // Crop-copy the interior into y.
+    const float *ibase = yInner.data();
+    float *ybase = y.data();
+    parallelFor(0, std::int64_t(sp.batch) * sp.outCh, 1,
+                [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t bj = lo; bj < hi; ++bj) {
+            const float *iplane = ibase + std::size_t(bj) * gh * gw;
+            float *yplane = ybase + std::size_t(bj) * oh * ow;
+            for (int r = 0; r < oh; ++r)
+                std::memcpy(yplane + std::size_t(r) * ow,
+                            iplane + std::size_t(r + 1) * gw + 1,
+                            std::size_t(ow) * sizeof(float));
+        }
+    });
     if (metrics::enabled()) {
         metrics::counterAdd("wino.decomp.fwd.calls");
         metrics::counterAdd("wino.decomp.fwd.terms",

@@ -347,10 +347,11 @@ class PlanPool
 // ---------------------------------------------------------------------
 // DWM-style decomposition (DESIGN.md §4.14): a convolution with kernel
 // taps beyond 3 and/or stride beyond 1 is rewritten as a SUM of small
-// 3x3 stride-1 "same" convolutions over gathered input views — each
-// term runs through the ordinary F(m,3) tile-range forward,
-// so every geometry the terms cover inherits the fast path (and its
-// bitwise thread-invariance) instead of falling back to direct.
+// 3x3 stride-1 "same" convolutions over gathered input views — the
+// terms become input channels of one ordinary F(m,3) tile-range
+// forward, so every geometry the terms cover inherits the fast path
+// (and its bitwise thread-invariance) instead of falling back to
+// direct.
 // ---------------------------------------------------------------------
 
 /**
@@ -383,19 +384,21 @@ bool decompSupported(const ConvSpec &spec);
 /**
  * Shape-bound decomposed execution plan.
  *
- * Owns one inner WinoPlan shared by every term — all terms convolve
- * the same (batch, inCh -> outCh, outH+2, outW+2) gathered view, where
- * the +2 border absorbs the inner pipeline's "same" zero padding (the
- * shifted views carry real data where the inner padding would
- * otherwise clip it; the border rows of each term's output are
- * inner-padding artifacts and are cropped by the accumulation). Terms
- * execute serially in term-list order and accumulate row-by-row with
- * the fixed-chain axpy kernel, so results are bitwise identical for
- * any thread count and for any inner range length.
+ * Every term convolves the same (outH+2) x (outW+2) gathered view,
+ * where the +2 border absorbs the inner pipeline's "same" zero padding
+ * (the shifted views carry real data where the inner padding would
+ * otherwise clip it; the border of the output is an inner-padding
+ * artifact and is cropped). So the T terms' views of the C input
+ * channels are stacked as T*C input channels (term-major) of one inner
+ * WinoPlan(unit, batch, T*C -> outCh, outH+2, outW+2), and the term sum
+ * is the inner GEMM's channel reduction: one input transform, one
+ * element-wise product per uv and one inverse transform per forward.
+ * The result is bitwise identical for any thread count and any inner
+ * range length (the inner plan's contract).
  *
- * Steady state allocates nothing: the gather/accumulate tensors, the
- * per-term transformed weights, and the inner plan slabs all persist
- * for the plan's lifetime. Like WinoPlan, not reentrant.
+ * Steady state allocates nothing: the gather and output maps, the
+ * transformed weights and the inner plan slabs all persist for the
+ * plan's lifetime. Like WinoPlan, not reentrant.
  */
 class WinoDecompPlan
 {
@@ -411,25 +414,26 @@ class WinoDecompPlan
     const ConvSpec &spec() const { return sp; }
     const WinoPlan &innerPlan() const { return *inner; }
 
-    /** Plan-owned bytes: inner plan slabs + gather/accumulate maps +
-     *  per-term Winograd weights. */
+    /** Plan-owned bytes: inner plan slabs + unit-kernel staging +
+     *  gather/output maps + Winograd weights. */
     std::size_t workspaceBytes() const;
 
-    /** Split spatial weights (J, I, kh, kw) into per-term transformed
-     *  unit weights. Call once, and again whenever weights change. */
+    /** Split spatial weights (J, I, kh, kw) into the terms' unit
+     *  kernels and transform them. Call once, and again whenever
+     *  weights change. */
     void setWeights(const Tensor &w);
 
-    /** y = conv(x) as the ordered sum of the decomposition terms. */
+    /** y = conv(x): one inner forward over every term's view. */
     void forwardInto(const Tensor &x, Tensor &y);
 
   private:
     ConvSpec sp;
     const WinogradAlgo &alg;
     std::vector<DecompTerm> units;
-    std::vector<WinoWeights> unitW; ///< one transformed set per term
-    Tensor kerScratch; ///< (J, I, 3, 3) spatial unit-kernel staging
-    Tensor xGather;    ///< (B, I, outH+2, outW+2) strided view
-    Tensor yTerm;      ///< (B, J, outH+2, outW+2) term output
+    Tensor kerScratch; ///< (J, T*I, 3, 3) spatial unit-kernel staging
+    WinoWeights unitW; ///< kerScratch transformed, [uv][J][T*I]
+    Tensor xGather;    ///< (B, T*I, outH+2, outW+2) strided views
+    Tensor yInner;     ///< (B, J, outH+2, outW+2) inner output
     std::unique_ptr<WinoPlan> inner;
     bool haveWeights = false;
 };

@@ -256,7 +256,7 @@ measureChoiceMs(const ConvSpec &spec0, const AlgoChoice &ch)
     w.fillUniform(rng);
 
     auto best2 = [](auto &&fn) {
-        fn(); // warm-up: plans, strip slots, workspace pool
+        fn(); // warm-up: plan slabs, range tiles, workspace pool
         double best = std::numeric_limits<double>::infinity();
         for (int rep = 0; rep < 2; ++rep) {
             const auto t0 = std::chrono::steady_clock::now();
@@ -298,7 +298,8 @@ publishChoice(const ConvSpec &spec, const AlgoChoice &ch)
 {
     if (!metrics::enabled())
         return;
-    const std::string prefix = "tuner.layer." + spec.key() + ".";
+    const std::string prefix =
+        detail::concatMessage("tuner.layer.", spec.key(), ".");
     metrics::gaugeSet((prefix + "kind").c_str(), double(int(ch.kind)));
     metrics::gaugeSet((prefix + "m").c_str(), double(ch.m));
     metrics::gaugeSet((prefix + "terms").c_str(),
@@ -393,6 +394,17 @@ predictMs(const ConvSpec &spec, const AlgoChoice &choice)
                       bytes / (kDramGBps * 1e9));
       }
       case AlgoKind::Decomposed: {
+        // Priced as T separate inner forwards plus T gather and
+        // crop-accumulate sweeps, although WinoDecompPlan runs the
+        // T terms as T*I input channels of one inner forward. Pricing
+        // that one forward (one transform pair, one T*I-wide GEMM)
+        // under today's rates flips serve_auto's 7x7-s2 stem from
+        // direct to decomposed (F(2,3) at batch 1, 0.30 vs 0.41 ms
+        // predicted; F(6,3) at batch 2 and up), and that pick is
+        // slower: at batch 1 on 32x32 the one-plan F(2,3) stem takes
+        // 0.11-0.13 ms against direct's 0.06-0.07 ms (1 thread, 4-vCPU
+        // AVX-512 Xeon). It keeps the per-term price until the rates
+        // are calibrated on the host (ROADMAP item 6).
         const int terms = int(decomposeSpec(spec).size());
         ConvSpec innerSpec = spec;
         innerSpec.h = spec.outH() + 2;

@@ -170,6 +170,40 @@ TEST(TunerSelection, GeneralizedShapesDecomposeAndOneByOneStaysDirect)
     EXPECT_EQ(one.kind, tune::AlgoKind::Direct);
 }
 
+TEST(TunerSelection, ServedModelPicksHoldAcrossBatchesAndStridedRunDirect)
+{
+    // serve_auto's convs (c3 -> 32 7x7-s2 stem, 32 -> 32 3x3 s1 and
+    // s2, on its 32x32 and 24x24 images): a served row equals its solo
+    // forward only if no pick moves with the batch, and the strided
+    // layers run direct. A decomposed price that undercuts direct here
+    // (e.g. one inner forward instead of one per term) fails this.
+    TunerGuard guard;
+    struct Served
+    {
+        int in, h, k, stride;
+    };
+    for (const Served &l : {Served{3, 32, 7, 2}, Served{3, 24, 7, 2},
+                            Served{32, 16, 3, 1}, Served{32, 12, 3, 1},
+                            Served{32, 8, 3, 1}, Served{32, 6, 3, 1},
+                            Served{32, 16, 3, 2}, Served{32, 12, 3, 2}}) {
+        tune::AlgoChoice first;
+        for (int b = 1; b <= 8; ++b) {
+            ConvSpec spec =
+                makeSpec(b, l.in, 32, l.h, l.h, l.k, l.k, l.stride,
+                         l.stride);
+            spec.r = l.k;
+            const tune::AlgoChoice c = tune::selectAlgorithm(spec);
+            if (b == 1)
+                first = c;
+            EXPECT_EQ(c.kind, first.kind) << spec.key();
+            EXPECT_EQ(c.m, first.m) << spec.key();
+            if (l.stride > 1) {
+                EXPECT_EQ(c.kind, tune::AlgoKind::Direct) << spec.key();
+            }
+        }
+    }
+}
+
 TEST(TunerSelection, MemoAnswersRepeatSelects)
 {
     TunerGuard guard;
@@ -272,23 +306,26 @@ INSTANTIATE_TEST_SUITE_P(
                       DecompShape{1, 2, 3, 14, 14, 5, 5, 2, 2, 2},
                       DecompShape{1, 2, 3, 11, 9, 5, 3, 1, 1, 4},
                       DecompShape{2, 2, 3, 9, 10, 5, 5, 1, 1, 6},
-                      // Inner plan 4 x 16 -> 16 on 32x32, F(4,3):
+                      // serve_auto's stem: 9 terms x 3 channels = 27
+                      // inner channels, a ragged last 8-row block.
+                      DecompShape{2, 3, 32, 32, 32, 7, 7, 2, 2, 6},
+                      // Inner plan 4 x 64 -> 16 on 32x32, F(4,3):
                       // 256 tiles, so its eval forwards split into
                       // tile ranges.
                       DecompShape{4, 16, 16, 60, 60, 3, 3, 2, 2, 4}),
     [](const ::testing::TestParamInfo<DecompShape> &info) {
         const DecompShape &p = info.param;
-        return "b" + std::to_string(p.batch) + "k" +
-               std::to_string(p.kh) + "x" + std::to_string(p.kw) + "s" +
-               std::to_string(p.sh) + "h" + std::to_string(p.h) + "w" +
-               std::to_string(p.w) + "F" + std::to_string(p.m);
+        return detail::concatMessage("b", p.batch, "k", p.kh, "x", p.kw,
+                                     "s", p.sh, "h", p.h, "w", p.w, "F",
+                                     p.m);
     });
 
 TEST(DecompParity, LargeInnerPlanReallyFuses)
 {
     // Guards the last DecompParityP shape: if the range rule or the
     // gather geometry changes so its inner plan runs one range, the
-    // multi-range inner coverage is gone.
+    // multi-range inner coverage is gone. Every term runs in that one
+    // inner forward.
     TunerGuard guard;
     const ConvSpec spec = makeSpec(4, 16, 16, 60, 60, 3, 3, 2, 2);
     Rng rng(99);
@@ -301,7 +338,7 @@ TEST(DecompParity, LargeInnerPlanReallyFuses)
     Tensor y(4, 16, spec.outH(), spec.outW());
     test::MetricsProbe probe;
     plan.forwardInto(x, y);
-    EXPECT_EQ(probe.fusedForwards(), double(plan.terms()));
+    EXPECT_EQ(probe.fusedForwards(), 1.0);
 }
 
 // ---------------------------------------------------- on-disk tune cache
